@@ -134,7 +134,7 @@ def _split_locator(locator: str) -> tuple[str, str, str]:
     path, sep, qualified = locator.partition("#")
     contract, dot, function = qualified.partition(".")
     if not sep or not dot or not path or not contract or not function:
-        raise ValueError(
+        raise _UsageError(
             f"bad function locator {locator!r}, expected PATH#Contract.func")
     return path, contract, function
 
@@ -172,14 +172,7 @@ def _cmd_repair(args) -> int:
     backend = _make_backend(args, lambda msg: _usage_fail(msg))
     graph, _clones = load_kb(args.kb)
     unit = load_source(args.contract)
-    fn = None
-    for contract in unit.contracts:
-        for candidate in contract.functions:
-            if candidate.name == args.function:
-                fn = candidate
-                break
-        if fn is not None:
-            break
+    fn = unit.find_function_by_name(args.function)
     if fn is None:
         raise ValueError(f"function {args.function!r} not found in {args.contract}")
     report = VulnerabilityReport(

@@ -164,14 +164,7 @@ def _run_entry(entry: ManifestEntry, kb: PropertyGraph, cfg: RepairConfig
     )
     try:
         unit = load_source(entry.resolved_path)
-        fn = None
-        for contract in unit.contracts:
-            for candidate in contract.functions:
-                if candidate.name == entry.function_name:
-                    fn = candidate
-                    break
-            if fn is not None:
-                break
+        fn = unit.find_function_by_name(entry.function_name)
         if fn is None:
             return RepairOutcome(
                 report=placeholder, compiled=False, fixed=False,

@@ -21,7 +21,9 @@ from .model import FunctionUnit, SignatureFeatures, function_id
 class IngestError(Exception):
     """Raised when a file cannot be sliced at all.
 
-    ``code`` is one of ``UnbalancedBraces`` or ``NonUtf8``.
+    ``code`` is one of ``UnbalancedBraces``, ``NonUtf8`` or
+    ``MalformedDeclaration`` (a function header whose signature cannot be
+    normalized, such as a string literal in its parameter list).
     """
 
     def __init__(self, code: str, message: str):
@@ -204,6 +206,14 @@ class SourceUnit:
         for contract in self.contracts:
             if contract.name != contract_name:
                 continue
+            for fn in contract.functions:
+                if fn.name == function_name:
+                    return fn
+        return None
+
+    def find_function_by_name(self, function_name: str) -> Optional[FunctionUnit]:
+        """First function called ``function_name``, in any contract."""
+        for contract in self.contracts:
             for fn in contract.functions:
                 if fn.name == function_name:
                     return fn
@@ -505,8 +515,9 @@ def find_state_accesses(body_tokens: list[Token], var_names: set[str],
 def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
     """Parse Solidity source into contracts, functions, and state variables.
 
-    Raises IngestError(UnbalancedBraces) when the file cannot be sliced;
-    anything else unparseable is skipped with a diagnostic.
+    Raises IngestError(UnbalancedBraces) when the file cannot be sliced and
+    IngestError(MalformedDeclaration) when a function signature cannot be
+    normalized; anything else unparseable is skipped with a diagnostic.
     """
     unit = SourceUnit(path=path, source_text=text)
     tokens = lex(text, unit.diagnostics)
@@ -628,12 +639,17 @@ def _parse_function(text: str, body: list[Token], start: int,
         unit.diagnostics.append(
             f"line {body[start].line}: empty function declaration in {contract.name}, skipped")
         return end
+    try:
+        signature = _signature_from_header(parsed)
+    except ValueError as exc:
+        raise IngestError("MalformedDeclaration",
+                          f"{unit.path}: line {body[start].line}: {exc}") from None
     fn = FunctionUnit(
         id=function_id(contract.name, parsed.name, normalized),
         contract_name=contract.name,
         name=parsed.name,
         source_text=source_text,
-        signature=_signature_from_header(parsed),
+        signature=signature,
         token_count=len(normalized),
     )
     contract.functions.append(fn)

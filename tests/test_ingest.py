@@ -131,6 +131,14 @@ def test_non_utf8_raises(tmp_path):
     assert err.value.code == "NonUtf8"
 
 
+def test_string_literal_in_signature_raises_malformed_declaration():
+    for source in ('contract A { function f(uint x, "not enough") public {} }',
+                   'contract A { function f() public returns ("a b") {} }'):
+        with pytest.raises(IngestError) as err:
+            parse_source(source)
+        assert err.value.code == "MalformedDeclaration"
+
+
 def test_unparseable_member_becomes_diagnostic():
     unit = parse_source("contract A { @ %% ; function f() public {} }")
     assert [f.name for f in unit.contracts[0].functions] == ["f"]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from scpatcher.ingest import load_source
 from scpatcher.model import PatchCandidate, RepairStage, VulnClass, VulnerabilityReport
 from scpatcher.verify import (
     BUILTIN_PARSE,
@@ -17,6 +18,7 @@ from scpatcher.verify import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DETECTORS = FIXTURES / "detectors"
+EVAL_CASES = FIXTURES / "eval_cases"
 ORACLES = FIXTURES / "oracles"
 
 PAIRS = {
@@ -26,6 +28,11 @@ PAIRS = {
     VulnClass.TIMESTAMP_MANIPULATION: ("timestamp_vuln.sol", "timestamp_fixed.sol", "draw"),
     VulnClass.UNCHECKED_CALL_RETURN: ("unchecked_vuln.sol", "unchecked_fixed.sol", "payout"),
 }
+
+
+# A string literal with a space in a parameter list: the signature cannot be
+# normalized, so the source does not parse.
+MALFORMED = 'contract A { function f(uint x, "not enough") public {} }'
 
 
 def _patch(source):
@@ -52,6 +59,12 @@ def test_builtin_check_rejects_unbalanced_braces():
     ok, diags = check_compiles("contract A { function f() public {")
     assert not ok
     assert any("UnbalancedBraces" in d for d in diags)
+
+
+def test_builtin_check_rejects_malformed_signature():
+    ok, diags = check_compiles(MALFORMED)
+    assert not ok
+    assert any("MalformedDeclaration" in d for d in diags)
 
 
 def test_builtin_check_requires_a_contract():
@@ -125,6 +138,7 @@ def test_detect_is_deterministic():
 
 def test_detect_tolerates_unparseable_source():
     assert detect("contract Broken { function f() public {") == []
+    assert detect(MALFORMED) == []
 
 
 def test_detection_identity_is_class_and_function():
@@ -159,6 +173,21 @@ def test_fixed_variants_pass_verification():
         assert result.failure_feedback() == []
 
 
+def test_eval_case_patches_pass_verification():
+    entries = json.loads((EVAL_CASES / "manifest.json").read_text())["entries"]
+    patches = sorted((EVAL_CASES / "patches").glob("patch*_*.sol"))
+    assert len(patches) == 5
+    for patch_path in patches:
+        number = int(patch_path.name[len("patch"):].split("_")[0])
+        entry = next(e for e in entries if e["path"].startswith(f"case{number}_"))
+        unit = load_source(EVAL_CASES / entry["path"])
+        fn = unit.find_function_by_name(entry["function"])
+        report = VulnerabilityReport(contract_path=entry["path"], function_id=fn.id,
+                                     vuln_class=VulnClass.parse(entry["vuln_class"]))
+        result = verify_patch(unit.source_text, _patch(patch_path.read_text()), report)
+        assert result.passed, (patch_path.name, result.failure_feedback())
+
+
 def test_uncompilable_patch_fails_with_feedback():
     original = (DETECTORS / "reentrancy_vuln.sol").read_text()
     result = verify_patch(original, _patch("contract Broken { function f() {"),
@@ -168,6 +197,14 @@ def test_uncompilable_patch_fails_with_feedback():
     assert not result.passed
     feedback = result.failure_feedback()
     assert feedback and all(line.startswith("patch failed to compile") for line in feedback)
+
+
+def test_malformed_signature_patch_does_not_compile():
+    original = (DETECTORS / "reentrancy_vuln.sol").read_text()
+    result = verify_patch(original, _patch(MALFORMED),
+                          _report("reentrancy_vuln.sol", VulnClass.REENTRANCY))
+    assert not result.compiled
+    assert any("MalformedDeclaration" in line for line in result.failure_feedback())
 
 
 def test_new_issue_blocks_an_otherwise_clean_patch():
