@@ -10,27 +10,18 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from pathlib import Path
 
-from .embedding import (
-    DEFAULT_DIMENSION,
-    DEFAULT_POOL_SIZE,
-    HashingEmbedder,
-    RemoteEmbedder,
-    index_from_graph,
-    knn,
-    provider_from_meta,
-)
+from .embedding import DEFAULT_DIMENSION, DEFAULT_POOL_SIZE, HashingEmbedder, RemoteEmbedder
 from .evaluate import load_manifest, run_dataset
 from .graph import build_kb, load_kb, save_kb
 from .ingest import load_source
 from .llm import MockLlmBackend, RemoteLlmBackend
 from .metrics import render_rate
 from .model import VulnClass, VulnerabilityReport
-from .repair import RepairConfig, repair, required_signature
-from .rerank import DEFAULT_EPSILON, DEFAULT_K, QueryContext, RerankConfig, filter_syntactic, rerank
+from .repair import RepairConfig, repair, retrieve
+from .rerank import DEFAULT_EPSILON, DEFAULT_K
 
 log = logging.getLogger(__name__)
 
@@ -140,26 +131,18 @@ def _split_locator(locator: str) -> tuple[str, str, str]:
 
 
 def _cmd_retrieve(args) -> int:
-    graph, _clones = load_kb(args.kb)
     path, contract_name, function_name = _split_locator(args.function)
+    graph, _clones = load_kb(args.kb)
     unit = load_source(path)
     fn = unit.find_function(contract_name, function_name)
     if fn is None:
         raise ValueError(f"{contract_name}.{function_name} not found in {path}")
-    provider = provider_from_meta(graph.embedder_meta)
-    query_vector = provider.embed(fn.source_text)
-    index = index_from_graph(graph)
-    pool = knn(index, query_vector, args.top_n)
-    sig_req = required_signature(fn)
-    _, fallback = filter_syntactic(pool, sig_req)
-    context = QueryContext(query_vector=query_vector, sig_req=sig_req,
-                           vuln_class=VulnClass.REENTRANCY)  # class not used in ranking
-    config = RerankConfig(epsilon=args.epsilon, k=args.k, top_n=args.top_n)
-    selected = rerank(pool, context, config)
+    retrieval = retrieve(graph, fn, args.k, args.top_n, args.epsilon)
     print(f"references for {contract_name}.{function_name} "
-          f"(k={args.k}, pool={len(pool)}, fallback={'yes' if fallback else 'no'})")
+          f"(k={args.k}, pool={retrieval.pool_size}, "
+          f"fallback={'yes' if retrieval.fallback else 'no'})")
     print("rank  s_sem   s_final  guf  clone             function")
-    for rank, candidate in enumerate(selected, start=1):
+    for rank, candidate in enumerate(retrieval.selected, start=1):
         payload = graph.node(candidate.function_id).payload
         label = payload.qualified_name if payload else candidate.function_id
         clone = candidate.clone_id or "-"

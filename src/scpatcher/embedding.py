@@ -155,11 +155,6 @@ class RemoteEmbedder:
         return out
 
 
-def embed(code_text: str, provider) -> EmbeddingVector:
-    """Embed one code snippet with the given provider."""
-    return provider.embed(code_text)
-
-
 def provider_from_meta(meta: Optional[dict]):
     """Reconstruct the embedding provider recorded in KB metadata."""
     meta = meta or {}

@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -26,7 +25,7 @@ from .ingest import (
     canonical_source_hash,
     extract_triples_with_diagnostics,
     load_source,
-    normalize_tokens,
+    normalize_source,
 )
 from .model import FunctionUnit, SignatureFeatures
 
@@ -74,7 +73,6 @@ class PropertyGraph:
         self.vectors: dict[str, tuple[float, ...]] = {}
         self.embedder_meta: Optional[dict] = None
         self._edge_set: set[tuple[str, Relation, str]] = set()
-        self._out: dict[str, list[tuple[Relation, str]]] = {}
         self._in: dict[str, list[tuple[Relation, str]]] = {}
 
     def add_node(self, node: EntityNode) -> None:
@@ -93,7 +91,6 @@ class PropertyGraph:
             return
         self._edge_set.add(key)
         self.edges.append(key)
-        self._out.setdefault(subject_id, []).append((relation, object_id))
         self._in.setdefault(object_id, []).append((relation, subject_id))
 
     def node(self, node_id: str) -> EntityNode:
@@ -101,16 +98,6 @@ class PropertyGraph:
             return self.nodes[node_id]
         except KeyError:
             raise GraphError("UnknownNode", f"no node with id {node_id!r}") from None
-
-    def has_edge(self, subject_id: str, relation: Relation, object_id: str) -> bool:
-        return (subject_id, relation, object_id) in self._edge_set
-
-    def out_edges(self, node_id: str, relation: Optional[Relation] = None
-                  ) -> list[tuple[Relation, str]]:
-        pairs = self._out.get(node_id, [])
-        if relation is None:
-            return list(pairs)
-        return [(rel, other) for rel, other in pairs if rel is relation]
 
     def in_edges(self, node_id: str, relation: Optional[Relation] = None
                  ) -> list[tuple[Relation, str]]:
@@ -176,12 +163,6 @@ class CloneGroupTable:
     def multi_member_groups(self) -> dict[str, list[str]]:
         return {cid: members for cid, members in self.groups.items() if len(members) >= 2}
 
-    def member_ids(self) -> set[str]:
-        out: set[str] = set()
-        for members in self.groups.values():
-            out.update(members)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -212,7 +193,7 @@ def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> Propert
 
 def clone_key(fn: FunctionUnit) -> str:
     """Clone-group key: hash of the function's normalized token sequence."""
-    joined = " ".join(normalize_tokens(fn))
+    joined = " ".join(normalize_source(fn.source_text))
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
@@ -247,64 +228,6 @@ def compute_guf(graph: PropertyGraph, clones: CloneGroupTable) -> PropertyGraph:
         guf = clones.size_of(fn.clone_id) + graph.in_degree(fn.id, Relation.CALLS)
         graph.update_payload(fn.id, guf=guf)
     return graph
-
-
-def neighborhood(graph: PropertyGraph, node_id: str, depth: int) -> PropertyGraph:
-    """Induced subgraph of nodes within ``depth`` undirected hops of node_id."""
-    graph.node(node_id)  # raises UnknownNode
-    seen = {node_id}
-    frontier = deque([(node_id, 0)])
-    while frontier:
-        current, dist = frontier.popleft()
-        if dist >= depth:
-            continue
-        neighbors = [other for _, other in graph.out_edges(current)]
-        neighbors += [other for _, other in graph.in_edges(current)]
-        for other in neighbors:
-            if other not in seen:
-                seen.add(other)
-                frontier.append((other, dist + 1))
-    sub = PropertyGraph()
-    for nid in seen:
-        node = graph.nodes[nid]
-        sub.add_node(EntityNode(node.id, node.kind, node.label, node.payload))
-        if nid in graph.vectors:
-            sub.vectors[nid] = graph.vectors[nid]
-    for subject_id, relation, object_id in graph.edges:
-        if subject_id in seen and object_id in seen:
-            sub.add_edge(subject_id, relation, object_id)
-    sub.embedder_meta = graph.embedder_meta
-    return sub
-
-
-def function_context(graph: PropertyGraph, function_id: str) -> dict[str, list[str]]:
-    """Human-readable one-hop context of a function, for prompt assembly.
-
-    Keys: contract, modifiers, returns, reads, writes, calls, called_by;
-    values are sorted node labels.
-    """
-    graph.node(function_id)
-    out: dict[str, set[str]] = {
-        "contract": set(), "modifiers": set(), "returns": set(),
-        "reads": set(), "writes": set(), "calls": set(), "called_by": set(),
-    }
-    key_by_relation = {
-        Relation.USES_MODIFIER: "modifiers",
-        Relation.RETURNS: "returns",
-        Relation.READS: "reads",
-        Relation.WRITES: "writes",
-        Relation.CALLS: "calls",
-    }
-    for relation, other in graph.out_edges(function_id):
-        key = key_by_relation.get(relation)
-        if key is not None:
-            out[key].add(graph.nodes[other].label)
-    for relation, other in graph.in_edges(function_id):
-        if relation is Relation.OWNS:
-            out["contract"].add(graph.nodes[other].label)
-        elif relation is Relation.CALLS:
-            out["called_by"].add(graph.nodes[other].label)
-    return {key: sorted(values) for key, values in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -165,11 +165,6 @@ def normalize_source(text: str) -> list[str]:
     return out
 
 
-def normalize_tokens(fn: FunctionUnit) -> list[str]:
-    """Normalized token sequence of a function's source text."""
-    return normalize_source(fn.source_text)
-
-
 def canonical_source_hash(text: str) -> str:
     """Hash of the canonical byte form of a source file.
 
@@ -314,7 +309,7 @@ _LOCATIONS = {"memory", "storage", "calldata"}
 _FN_INTRO = {"function", "constructor", "receive", "fallback"}
 
 
-def _match_group(tokens: list[Token], start: int, open_text: str, close_text: str) -> int:
+def match_group(tokens: list[Token], start: int, open_text: str, close_text: str) -> int:
     """Index just past the group closer, assuming tokens[start] opens it."""
     depth = 0
     i = start
@@ -380,7 +375,7 @@ def _parse_header(tokens: list[Token]) -> FunctionHeader:
     param_types: list[str] = []
     param_names: list[str] = []
     if i < len(tokens) and tokens[i].text == "(":
-        end = _match_group(tokens, i, "(", ")")
+        end = match_group(tokens, i, "(", ")")
         for part in _split_top_level(tokens[i + 1:end - 1]):
             if not part:
                 continue
@@ -405,7 +400,7 @@ def _parse_header(tokens: list[Token]) -> FunctionHeader:
         elif tok.text == "returns":
             i += 1
             if i < len(tokens) and tokens[i].text == "(":
-                end = _match_group(tokens, i, "(", ")")
+                end = match_group(tokens, i, "(", ")")
                 for part in _split_top_level(tokens[i + 1:end - 1]):
                     if part:
                         return_types.append(_type_string(part))
@@ -413,12 +408,12 @@ def _parse_header(tokens: list[Token]) -> FunctionHeader:
         elif tok.text in ("virtual", "override"):
             i += 1
             if i < len(tokens) and tokens[i].text == "(":  # override(Base, ...)
-                i = _match_group(tokens, i, "(", ")")
+                i = match_group(tokens, i, "(", ")")
         elif tok.kind == "ident":
             modifiers.append(tok.text)
             i += 1
             if i < len(tokens) and tokens[i].text == "(":  # modifier arguments
-                i = _match_group(tokens, i, "(", ")")
+                i = match_group(tokens, i, "(", ")")
         else:
             i += 1
 
@@ -445,7 +440,7 @@ def _header_body_split(tokens: list[Token]) -> tuple[list[Token], list[Token]]:
     """Split a declaration's tokens into header and body (may be empty)."""
     for i, tok in enumerate(tokens):
         if tok.text == "{":
-            end = _match_group(tokens, i, "{", "}")
+            end = match_group(tokens, i, "{", "}")
             return tokens[:i], tokens[i + 1:end - 1]
         if tok.text == ";":
             return tokens[:i], []
@@ -479,7 +474,7 @@ def access_kind(body_tokens: list[Token], index: int) -> str:
     # skip index chains: balances[msg.sender][k] = ...
     j = index + 1
     while j < len(body_tokens) and body_tokens[j].text == "[":
-        j = _match_group(body_tokens, j, "[", "]")
+        j = match_group(body_tokens, j, "[", "]")
     if j < len(body_tokens):
         text = body_tokens[j].text
         if text in _ASSIGN_OPS or text in ("++", "--"):
@@ -566,7 +561,7 @@ def _parse_contract(text: str, tokens: list[Token], start: int, kind: str,
         i += 1  # inheritance clause
     if i >= len(tokens):
         return i
-    body_end = _match_group(tokens, i, "{", "}")
+    body_end = match_group(tokens, i, "{", "}")
     body = tokens[i + 1:body_end - 1]
     contract = ContractDecl(name=name, kind=kind)
     _parse_members(text, body, contract, unit)
@@ -589,7 +584,7 @@ def _parse_members(text: str, body: list[Token], contract: ContractDecl,
             i += 1
             while i < len(body) and body[i].text != "{":
                 i += 1
-            i = _match_group(body, i, "{", "}") if i < len(body) else i
+            i = match_group(body, i, "{", "}") if i < len(body) else i
         elif tok.text == ";":
             i += 1
         elif tok.kind in ("keyword", "ident"):
@@ -622,7 +617,7 @@ def _parse_function(text: str, body: list[Token], start: int,
     end = start
     while end < len(body):
         if body[end].text == "{":
-            end = _match_group(body, end, "{", "}")
+            end = match_group(body, end, "{", "}")
             break
         if body[end].text == ";":
             end += 1
@@ -665,11 +660,11 @@ def _parse_modifier(body: list[Token], start: int, contract: ContractDecl,
     contract.modifiers.append(body[i].text)
     i += 1
     if i < len(body) and body[i].text == "(":
-        i = _match_group(body, i, "(", ")")
+        i = match_group(body, i, "(", ")")
     while i < len(body) and body[i].text not in ("{", ";"):
         i += 1
     if i < len(body) and body[i].text == "{":
-        return _match_group(body, i, "{", "}")
+        return match_group(body, i, "{", "}")
     return i + 1
 
 

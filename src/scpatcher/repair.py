@@ -1,8 +1,14 @@
-"""Prompt assembly and the two-stage repair orchestrator.
+"""Reference retrieval, prompt assembly and the two-stage repair orchestrator.
 
-Stage 1 asks for a patch guided by retrieved reference implementations,
+``retrieve`` is the one query path into the knowledge base, shared by
+``repair`` and the ``retrieve`` command: it embeds the target function,
+takes its nearest KB functions by exact k-NN, and reranks them. The
+result records the pool size, whether the signature filter fell back to
+the whole pool, and the selected references.
+
+Stage 1 asks for a patch guided by the retrieved reference implementations,
 their trust scores, and the target's signature constraints. If the patch
-fails verification, Stage 2 re-prompts with an explicit step-by-step
+fails verification, Stage 2 re-prompts once with an explicit step-by-step
 reasoning scaffold plus the verbatim failure feedback, then verifies again.
 Prompt wording is frozen by golden-file tests; bump PROMPT_TEMPLATE_VERSION
 when changing it.
@@ -16,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .embedding import Candidate, index_from_graph, knn, provider_from_meta
+from .embedding import DEFAULT_POOL_SIZE, Candidate, index_from_graph, knn, provider_from_meta
 from .graph import PropertyGraph
 from .ingest import SourceUnit
 from .llm import LlmError, LlmRequest
@@ -30,7 +36,7 @@ from .model import (
     VulnClass,
     VulnerabilityReport,
 )
-from .rerank import DEFAULT_EPSILON, DEFAULT_K, DEFAULT_TOP_N, QueryContext, RerankConfig, rerank
+from .rerank import DEFAULT_EPSILON, DEFAULT_K, RerankConfig, rerank
 from .verify import BUILTIN_PARSE, CompileMode, VerificationResult, verify_patch
 
 log = logging.getLogger(__name__)
@@ -78,6 +84,26 @@ class Prompt:
     def digest(self) -> str:
         payload = self.system_text + "\0" + self.user_text
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class Retrieval:
+    """One query's references and how they were found."""
+
+    pool_size: int             # candidates k-NN returned before reranking
+    fallback: bool             # no candidate matched the required signature
+    selected: list[Candidate]  # reranked, at most k
+
+
+def retrieve(kb: PropertyGraph, fn: FunctionUnit, k: int = DEFAULT_K,
+             pool_size: int = DEFAULT_POOL_SIZE, epsilon: float = DEFAULT_EPSILON
+             ) -> Retrieval:
+    """Embed ``fn``, take its ``pool_size`` nearest KB functions, rerank to ``k``."""
+    config = RerankConfig(epsilon=epsilon, k=k)
+    query_vector = provider_from_meta(kb.embedder_meta).embed(fn.source_text)
+    pool = knn(index_from_graph(kb), query_vector, pool_size)
+    selected, fallback = rerank(pool, required_signature(fn), config)
+    return Retrieval(pool_size=len(pool), fallback=fallback, selected=selected)
 
 
 def references_from(candidates: list[Candidate], graph: PropertyGraph) -> list[Reference]:
@@ -191,14 +217,11 @@ def extract_patch_source(response_text: str) -> str:
     return response_text
 
 
-def generate(prompt: Prompt, backend, model: str = "default",
-             temperature: float = 0.0, max_tokens: int = 4096) -> PatchCandidate:
+def generate(prompt: Prompt, backend, model: str = "default") -> PatchCandidate:
     """Send one prompt and wrap the reply as a patch candidate."""
     request = LlmRequest(
         messages=(("system", prompt.system_text), ("user", prompt.user_text)),
         model=model,
-        temperature=temperature,
-        max_tokens=max_tokens,
     )
     digest = prompt.digest()
     response = backend.complete(request, prompt_digest=digest)
@@ -214,19 +237,11 @@ def generate(prompt: Prompt, backend, model: str = "default",
 @dataclass
 class RepairConfig:
     k: int = DEFAULT_K
-    top_n: int = DEFAULT_TOP_N
+    top_n: int = DEFAULT_POOL_SIZE
     epsilon: float = DEFAULT_EPSILON
-    stage1_attempts: int = 1
-    stage2_attempts: int = 1
     backend: object = None
     model: str = "default"
-    temperature: float = 0.0
-    max_tokens: int = 4096
     compile_mode: CompileMode = BUILTIN_PARSE
-
-    def __post_init__(self) -> None:
-        if self.stage1_attempts < 1 or self.stage2_attempts < 1:
-            raise ValueError("attempt budgets must be >= 1")
 
 
 @dataclass
@@ -245,8 +260,7 @@ def _attempt(prompt: Prompt, stage: RepairStage, original: str,
              cfg: RepairConfig, diagnostics: list[str]) -> _AttemptRecord:
     record = _AttemptRecord()
     try:
-        record.patch = generate(prompt, cfg.backend, model=cfg.model,
-                                temperature=cfg.temperature, max_tokens=cfg.max_tokens)
+        record.patch = generate(prompt, cfg.backend, model=cfg.model)
     except LlmError as exc:
         line = f"{stage.value}: generation failed: {exc.code}: {exc}"
         diagnostics.append(line)
@@ -269,39 +283,21 @@ def repair(contract: SourceUnit, report: VulnerabilityReport,
             f"function {report.function_id!r} not found in {contract.path}")
     diagnostics: list[str] = []
 
-    provider = provider_from_meta(kb.embedder_meta)
-    query_vector = provider.embed(fn.source_text)
-    index = index_from_graph(kb)
-    candidates = knn(index, query_vector, cfg.top_n)
-    context = QueryContext(
-        query_vector=query_vector,
-        sig_req=required_signature(fn),
-        vuln_class=report.vuln_class,
-    )
-    selected = rerank(candidates, context,
-                      RerankConfig(epsilon=cfg.epsilon, k=cfg.k, top_n=cfg.top_n))
-    refs = references_from(selected, kb)
+    retrieval = retrieve(kb, fn, cfg.k, cfg.top_n, cfg.epsilon)
+    refs = references_from(retrieval.selected, kb)
     log.debug("repair %s: %d references after rerank", fn.qualified_name, len(refs))
 
     original = contract.source_text
-    last = _AttemptRecord()
     stage_used = RepairStage.KNOWLEDGE_GUIDED
-    stage1 = build_stage1_prompt(fn, report.vuln_class, refs)
-    for _ in range(cfg.stage1_attempts):
-        last = _attempt(stage1, RepairStage.KNOWLEDGE_GUIDED, original,
-                        report, fn.name, cfg, diagnostics)
-        if last.passed:
-            break
-
+    last = _attempt(build_stage1_prompt(fn, report.vuln_class, refs),
+                    RepairStage.KNOWLEDGE_GUIDED, original, report, fn.name,
+                    cfg, diagnostics)
     if not last.passed:
         feedback = last.feedback or ["verification failed with no diagnostics"]
         stage_used = RepairStage.CHAIN_OF_THOUGHT
-        cot = build_cot_prompt(fn, report.vuln_class, refs, feedback)
-        for _ in range(cfg.stage2_attempts):
-            last = _attempt(cot, RepairStage.CHAIN_OF_THOUGHT, original,
-                            report, fn.name, cfg, diagnostics)
-            if last.passed:
-                break
+        last = _attempt(build_cot_prompt(fn, report.vuln_class, refs, feedback),
+                        RepairStage.CHAIN_OF_THOUGHT, original, report, fn.name,
+                        cfg, diagnostics)
 
     compiled = last.result.compiled if last.result is not None else False
     return RepairOutcome(

@@ -6,6 +6,10 @@ rescores semantic distance by dividing through a log-damped usage
 frequency, favoring widely used implementations. Stage 3 walks the
 rescored list in order, keeps at most one member per clone group, and
 stops once k references are selected.
+
+``rerank`` returns the selection together with the stage-1 fallback flag,
+so a caller can report whether the filter fell back without running it
+again. ``repair.retrieve`` is its only caller on the pipeline path.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .embedding import Candidate, EmbeddingVector
-from .model import SignatureFeatures, VulnClass
+from .embedding import Candidate
+from .model import SignatureFeatures
 
 DEFAULT_EPSILON = math.e - 1.0
 DEFAULT_K = 3
-DEFAULT_TOP_N = 50
 
 
 class ScoreError(Exception):
@@ -38,22 +41,12 @@ class ScoreError(Exception):
 class RerankConfig:
     epsilon: float = DEFAULT_EPSILON
     k: int = DEFAULT_K
-    top_n: int = DEFAULT_TOP_N
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-
-
-@dataclass(frozen=True)
-class QueryContext:
-    query_vector: EmbeddingVector
-    sig_req: SignatureFeatures
-    vuln_class: VulnClass
 
 
 def filter_syntactic(c_init: list[Candidate], sig_req: SignatureFeatures
@@ -84,15 +77,17 @@ def score_trust(s_sem: float, guf: int, epsilon: float) -> float:
     return s_sem / denominator
 
 
-def rerank(c_init: list[Candidate], q: QueryContext, cfg: RerankConfig
-           ) -> list[Candidate]:
+def rerank(c_init: list[Candidate], sig_req: SignatureFeatures, cfg: RerankConfig
+           ) -> tuple[list[Candidate], bool]:
     """Filter, rescore, deduplicate clone groups, and cut to k references.
 
-    Output is ascending by rescored distance (ties by raw distance, then
-    function id); at most one candidate per clone group survives, while
-    candidates without a clone group are always eligible.
+    Returns ``(selected, fallback)``. ``selected`` is ascending by rescored
+    distance (ties by raw distance, then function id); at most one
+    candidate per clone group survives, while candidates without a clone
+    group are always eligible. ``fallback`` is the filter's flag: no
+    candidate had the required signature, so the whole pool was ranked.
     """
-    filtered, _ = filter_syntactic(c_init, q.sig_req)
+    filtered, fallback = filter_syntactic(c_init, sig_req)
     rescored = [
         dataclasses.replace(c, s_final=score_trust(c.s_sem, c.guf, cfg.epsilon))
         for c in filtered
@@ -108,4 +103,4 @@ def rerank(c_init: list[Candidate], q: QueryContext, cfg: RerankConfig
         selected.append(candidate)
         if len(selected) == cfg.k:
             break
-    return selected
+    return selected, fallback

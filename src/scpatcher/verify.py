@@ -24,6 +24,7 @@ from .ingest import (
     Token,
     find_state_accesses,
     function_body_tokens,
+    match_group,
     parse_function_header,
     parse_source,
 )
@@ -158,25 +159,11 @@ class _FunctionView:
         return (index, index + 1)
 
 
-def _match_span(tokens: list[Token], start: int, open_text: str, close_text: str) -> int:
-    depth = 0
-    i = start
-    while i < len(tokens):
-        if tokens[i].text == open_text:
-            depth += 1
-        elif tokens[i].text == close_text:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
-    return len(tokens)
-
-
 def _condition_spans(body: list[Token]) -> list[tuple[int, int, str]]:
     spans = []
     for i, tok in enumerate(body):
         if tok.text in _CONDITION_INTROS and i + 1 < len(body) and body[i + 1].text == "(":
-            end = _match_span(body, i + 1, "(", ")")
+            end = match_group(body, i + 1, "(", ")")
             spans.append((i + 2, end - 1, tok.text))
     return spans
 
@@ -237,7 +224,7 @@ def _value_call_sites(body: list[Token]) -> list[int]:
             sites.append(i + 1)
         elif name == "call":
             if after == "{":
-                end = _match_span(body, i + 2, "{", "}")
+                end = match_group(body, i + 2, "{", "}")
                 if any(t.text == "value" for t in body[i + 3:end - 1]):
                     sites.append(i + 1)
             elif after == "." and i + 4 < len(body) \
@@ -372,7 +359,7 @@ def _unchecked_spans(body: list[Token]) -> list[tuple[int, int]]:
     spans = []
     for i, tok in enumerate(body):
         if tok.text == "unchecked" and i + 1 < len(body) and body[i + 1].text == "{":
-            end = _match_span(body, i + 1, "{", "}")
+            end = match_group(body, i + 1, "{", "}")
             spans.append((i + 2, end - 1))
     return spans
 

@@ -12,9 +12,7 @@ from scpatcher.graph import (
     build_graph,
     build_kb,
     compute_guf,
-    function_context,
     load_kb,
-    neighborhood,
     save_kb,
 )
 from scpatcher.ingest import (
@@ -179,65 +177,10 @@ def test_guf_grows_with_new_caller():
     assert guf_of_helper(unit_two) == guf_of_helper(unit_one) + 1
 
 
-# ---------------------------------------------------------------------------
-# Neighborhood
-# ---------------------------------------------------------------------------
-
-def test_neighborhood_depth_zero_is_the_node_alone(kb):
-    graph, _, _ = kb
-    some_fn = sorted(n.id for n in graph.function_nodes())[0]
-    sub = neighborhood(graph, some_fn, 0)
-    assert set(sub.nodes) == {some_fn}
-    assert sub.edges == []
-
-
-def test_neighborhood_small_example():
-    unit = parse_source("contract A { uint256 x;\n"
-                        "function f() public { g(); }\n"
-                        "function g() public { x = 1; } }")
-    functions = [f for c in unit.contracts for f in c.functions]
-    graph = build_graph(extract_triples(unit), functions)
-    f_id = next(f.id for f in functions if f.name == "f")
-    sub = neighborhood(graph, f_id, 1)
-    labels = sorted(sub.nodes[n].label for n in sub.nodes)
-    assert labels == ["A", "A.f", "A.g"]
-
-
-def test_neighborhood_matches_frontier_oracle(kb):
-    # independent BFS over an undirected adjacency map built from edges
-    graph, _, _ = kb
-    adjacency = {}
-    for s, _, o in graph.edges:
-        adjacency.setdefault(s, set()).add(o)
-        adjacency.setdefault(o, set()).add(s)
-    start = sorted(n.id for n in graph.function_nodes())[0]
-    for depth in (1, 2, 3):
-        expected = {start}
-        frontier = {start}
-        for _ in range(depth):
-            frontier = {m for n in frontier for m in adjacency.get(n, ())} - expected
-            expected |= frontier
-        sub = neighborhood(graph, start, depth)
-        assert set(sub.nodes) == expected, depth
-        for s, _, o in sub.edges:
-            assert s in expected and o in expected
-
-
-def test_neighborhood_unknown_node():
-    graph = PropertyGraph()
-    with pytest.raises(GraphError):
-        neighborhood(graph, "missing", 1)
-
-
-def test_function_context_of_linked_function(kb):
-    graph, _, _ = kb
-    poke = next(f for f in graph.functions() if f.qualified_name == "Beta.poke")
-    context = function_context(graph, poke.id)
-    assert context["contract"] == ["Beta"]
-    assert context["calls"] == ["Alpha.bump"]
-    assert context["called_by"] == ["Gamma.relay"]
-    assert context["reads"] == ["Beta.pokes"]
-    assert context["writes"] == ["Beta.pokes"]
+def test_node_lookup_of_unknown_id_raises():
+    with pytest.raises(GraphError) as err:
+        PropertyGraph().node("missing")
+    assert err.value.code == "UnknownNode"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
-import json
 from pathlib import Path
 
 import pytest
 
-from scpatcher.embedding import HashingEmbedder, index_from_graph, knn
 from scpatcher.ingest import load_source
 from scpatcher.llm import LlmError, MockLlmBackend, MockRule
 from scpatcher.model import RepairStage, VulnClass, VulnerabilityReport
-from scpatcher.rerank import QueryContext, RerankConfig, rerank
 from scpatcher.repair import (
     RepairConfig,
     build_cot_prompt,
@@ -17,6 +14,7 @@ from scpatcher.repair import (
     references_from,
     repair,
     required_signature,
+    retrieve,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -31,12 +29,8 @@ def _case(name, contract, function):
     return unit, fn
 
 
-def _references(kb_graph, fn, k=3):
-    query = HashingEmbedder(256).embed(fn.source_text)
-    candidates = knn(index_from_graph(kb_graph), query, 50)
-    context = QueryContext(query_vector=query, sig_req=required_signature(fn),
-                           vuln_class=VulnClass.REENTRANCY)
-    return references_from(rerank(candidates, context, RerankConfig()), kb_graph)
+def _references(kb_graph, fn):
+    return references_from(retrieve(kb_graph, fn).selected, kb_graph)
 
 
 def _mock(path="mock_script.json"):

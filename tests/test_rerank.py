@@ -7,7 +7,6 @@ from scpatcher.embedding import Candidate
 from scpatcher.model import SignatureFeatures
 from scpatcher.rerank import (
     DEFAULT_EPSILON,
-    QueryContext,
     RerankConfig,
     ScoreError,
     filter_syntactic,
@@ -105,8 +104,6 @@ def test_config_validation():
         RerankConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         RerankConfig(k=0)
-    with pytest.raises(ValueError):
-        RerankConfig(top_n=0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +158,9 @@ def test_filter_matches_subset_oracle():
 # ---------------------------------------------------------------------------
 
 def _run(candidates, sig_req, epsilon, k):
-    q = QueryContext(query_vector=None, sig_req=sig_req, vuln_class=None)
-    return rerank(candidates, q, RerankConfig(epsilon=epsilon, k=k))
+    selected, fallback = rerank(candidates, sig_req, RerankConfig(epsilon=epsilon, k=k))
+    assert fallback == filter_syntactic(candidates, sig_req)[1]
+    return selected
 
 
 def test_rerank_single_candidate():
@@ -199,6 +197,9 @@ def test_rerank_matches_independent_oracle():
         got = _run(candidates, sig_req, epsilon, k)
         oracle = _oracle_rerank(candidates, sig_req, epsilon, k)
         assert [(c.function_id, c.s_final) for c in got] == oracle
+        # a smaller k selects a prefix of a larger k's references
+        larger = _run(candidates, sig_req, epsilon, k + rng.randrange(1, 5))
+        assert larger[:len(got)] == got
         checked += 1
     assert checked == 1000
 

@@ -1,5 +1,4 @@
 import json
-import os
 import stat
 from pathlib import Path
 
@@ -8,7 +7,6 @@ import pytest
 from scpatcher.ingest import load_source
 from scpatcher.model import PatchCandidate, RepairStage, VulnClass, VulnerabilityReport
 from scpatcher.verify import (
-    BUILTIN_PARSE,
     VerifierError,
     check_compiles,
     detect,
