@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -35,10 +36,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _parse_k_sweep(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part.strip()]
-    if not values or any(v < 1 for v in values):
-        raise ValueError("k values must be positive integers")
+    values = [_positive_int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated k values, got {text!r}")
     return values
 
 
@@ -60,9 +81,9 @@ def build_parser() -> _Parser:
     p_retrieve.add_argument("--kb", required=True)
     p_retrieve.add_argument("--function", required=True,
                             metavar="PATH#Contract.func", help="query function locator")
-    p_retrieve.add_argument("--k", type=int, default=DEFAULT_K)
-    p_retrieve.add_argument("--top-n", type=int, default=DEFAULT_POOL_SIZE)
-    p_retrieve.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p_retrieve.add_argument("--k", type=_positive_int, default=DEFAULT_K)
+    p_retrieve.add_argument("--top-n", type=_positive_int, default=DEFAULT_POOL_SIZE)
+    p_retrieve.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON)
     p_retrieve.set_defaults(func=_cmd_retrieve)
 
     p_repair = sub.add_parser("repair", help="repair one vulnerable function")
@@ -74,9 +95,9 @@ def build_parser() -> _Parser:
     p_repair.add_argument("--llm", choices=("mock", "remote"), default="mock")
     p_repair.add_argument("--mock-script", help="JSON rule script for the mock backend")
     p_repair.add_argument("--model", default="default")
-    p_repair.add_argument("--k", type=int, default=DEFAULT_K)
-    p_repair.add_argument("--top-n", type=int, default=DEFAULT_POOL_SIZE)
-    p_repair.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p_repair.add_argument("--k", type=_positive_int, default=DEFAULT_K)
+    p_repair.add_argument("--top-n", type=_positive_int, default=DEFAULT_POOL_SIZE)
+    p_repair.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON)
     p_repair.add_argument("--out", help="write the final patch to this file")
     p_repair.set_defaults(func=_cmd_repair)
 

@@ -3,16 +3,23 @@
 The reference provider is a deterministic hashing embedder: tokens are
 hashed into a fixed number of buckets, counts are log-damped, and the
 vector is L2-normalized. A remote HTTP provider can slot in behind the
-same interface. Retrieval is an exact linear scan ranked by Euclidean
-distance, so results are reproducible and oracle-checkable.
+same interface.
+
+Retrieval is exact, in the manner of a flat L2 index: the index is built
+once per knowledge base (``PropertyGraph.vector_index`` keeps it), and
+every query scans all of its rows with ``math.dist`` and keeps the
+nearest by a stable selection, so results are reproducible and
+oracle-checkable.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import requests
@@ -181,31 +188,32 @@ class Candidate:
 
 @dataclass
 class VectorIndex:
-    """Immutable exact-search index over function vectors."""
+    """Exact-search index: one row per function, in function-id order."""
 
     dimension: int
-    entries: list[tuple[str, EmbeddingVector, FunctionUnit]] = field(default_factory=list)
+    functions: list[FunctionUnit] = field(default_factory=list)
+    rows: list[tuple[float, ...]] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
 
 def build_index(functions: Sequence[FunctionUnit],
                 vectors: dict[str, tuple[float, ...]]) -> VectorIndex:
     """Pair every function with its vector; all dimensions must agree."""
-    entries = []
-    dimension = 0
+    index = VectorIndex(dimension=0)
     for fn in sorted(functions, key=lambda f: f.id):
         if fn.id not in vectors:
             continue
         vector = EmbeddingVector(tuple(vectors[fn.id]))
-        if dimension == 0:
-            dimension = vector.dimension
-        elif vector.dimension != dimension:
+        if index.dimension == 0:
+            index.dimension = vector.dimension
+        elif vector.dimension != index.dimension:
             raise DimensionMismatchError(
-                f"{fn.qualified_name}: dimension {vector.dimension}, index has {dimension}")
-        entries.append((fn.id, vector, fn))
-    return VectorIndex(dimension=dimension, entries=entries)
+                f"{fn.qualified_name}: dimension {vector.dimension}, index has {index.dimension}")
+        index.functions.append(fn)
+        index.rows.append(vector.values)
+    return index
 
 
 def index_from_graph(graph) -> VectorIndex:
@@ -218,18 +226,20 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
     """Exact nearest neighbors, ascending distance, id tiebreak."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not index.entries:
+    if not index.rows:
         raise EmptyIndexError("vector index has no entries")
-    scored = []
-    for function_id, vector, fn in index.entries:
-        distance = semantic_distance(query, vector)
-        scored.append((distance, function_id, fn))
-    scored.sort(key=lambda item: (item[0], item[1]))
+    if query.dimension != index.dimension:
+        raise DimensionMismatchError(
+            f"dimension {query.dimension} vs {index.dimension}")
+    distances = list(map(math.dist, repeat(query.values, len(index.rows)), index.rows))
+    # nsmallest is stable and the rows are in id order, so ties go to the lower id.
+    nearest = heapq.nsmallest(n, range(len(distances)), key=distances.__getitem__)
     out = []
-    for distance, function_id, fn in scored[:n]:
+    for row in nearest:
+        fn = index.functions[row]
         out.append(Candidate(
-            function_id=function_id,
-            s_sem=distance,
+            function_id=fn.id,
+            s_sem=distances[row],
             guf=max(fn.guf, 1),
             clone_id=fn.clone_id,
             signature=fn.signature,

@@ -2,9 +2,9 @@
 
 A manifest lists vulnerable contracts with their class and function. Before
 running, entries whose canonical source hash already appears in the KB are
-excluded (train/test hygiene). Each kept entry goes through the full repair
-pipeline once per requested k; the resulting report renders to a stable
-text format suitable for golden-file comparison.
+excluded (train/test hygiene). Each kept entry is read and parsed once, then
+goes through the full repair pipeline once per requested k; the resulting
+report renders to a stable text format suitable for golden-file comparison.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from .graph import PropertyGraph
-from .ingest import IngestError, canonical_source_hash, load_source
+from .ingest import IngestError, SourceUnit, canonical_source_hash, load_source
 from .metrics import MetricsReport, compute_metrics
 from .model import RepairOutcome, VulnClass, VulnerabilityReport
 from .repair import RepairConfig, repair
@@ -153,9 +153,17 @@ class EvaluationReport:
             handle.write(self.render())
 
 
-def _run_entry(entry: ManifestEntry, kb: PropertyGraph, cfg: RepairConfig
-               ) -> RepairOutcome:
-    """One repair job; any failure becomes a not-compiled outcome row."""
+def _failed(report: VulnerabilityReport, diagnostic: str) -> RepairOutcome:
+    return RepairOutcome(report=report, compiled=False, fixed=False,
+                         diagnostics=(diagnostic,))
+
+
+# A loaded entry ready to repair, or the failure row that every k reports.
+_Loaded = Union[tuple[SourceUnit, VulnerabilityReport], RepairOutcome]
+
+
+def _load_entry(entry: ManifestEntry) -> _Loaded:
+    """Read and parse one entry once, for its repairs at every k."""
     placeholder = VulnerabilityReport(
         contract_path=entry.path,
         function_id="(unresolved)",
@@ -164,18 +172,27 @@ def _run_entry(entry: ManifestEntry, kb: PropertyGraph, cfg: RepairConfig
     )
     try:
         unit = load_source(entry.resolved_path)
-        fn = unit.find_function_by_name(entry.function_name)
-        if fn is None:
-            return RepairOutcome(
-                report=placeholder, compiled=False, fixed=False,
-                diagnostics=(f"function {entry.function_name!r} not found in {entry.path}",))
-        report = dataclasses.replace(placeholder, function_id=fn.id)
-        return repair(unit, report, kb, cfg)
     except Exception as exc:  # record, never abort the batch
         log.warning("entry %s failed: %s", entry.path, exc)
-        return RepairOutcome(
-            report=placeholder, compiled=False, fixed=False,
-            diagnostics=(f"entry failed: {exc}",))
+        return _failed(placeholder, f"entry failed: {exc}")
+    fn = unit.find_function_by_name(entry.function_name)
+    if fn is None:
+        return _failed(placeholder,
+                       f"function {entry.function_name!r} not found in {entry.path}")
+    return unit, dataclasses.replace(placeholder, function_id=fn.id)
+
+
+def _run_entry(item: _Loaded, kb: PropertyGraph, cfg: RepairConfig) -> RepairOutcome:
+    """One repair job; any failure becomes a not-compiled outcome row."""
+    if isinstance(item, RepairOutcome):
+        return item
+    unit, report = item
+    try:
+        return repair(unit, report, kb, cfg)
+    except Exception as exc:  # record, never abort the batch
+        log.warning("entry %s failed: %s", report.contract_path, exc)
+        return _failed(dataclasses.replace(report, function_id="(unresolved)"),
+                       f"entry failed: {exc}")
 
 
 def run_dataset(manifest: DatasetManifest, kb: PropertyGraph, cfg: RepairConfig,
@@ -188,14 +205,15 @@ def run_dataset(manifest: DatasetManifest, kb: PropertyGraph, cfg: RepairConfig,
         kept, excluded_pairs = dedup_against_kb(manifest, kb)
     else:
         kept, excluded_pairs = list(manifest.entries), []
+    loaded = [_load_entry(entry) for entry in kept]
     k_reports = []
     for k in k_values:
         run_cfg = dataclasses.replace(cfg, k=k)
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(lambda e: _run_entry(e, kb, run_cfg), kept))
+                outcomes = list(pool.map(lambda item: _run_entry(item, kb, run_cfg), loaded))
         else:
-            outcomes = [_run_entry(entry, kb, run_cfg) for entry in kept]
+            outcomes = [_run_entry(item, kb, run_cfg) for item in loaded]
         rows = []
         for entry, outcome in zip(kept, outcomes):
             rows.append(CaseRow(

@@ -14,7 +14,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .ingest import (
     IngestError,
@@ -65,7 +65,12 @@ class EntityNode:
 
 
 class PropertyGraph:
-    """In-memory indexed graph with deduplicated edges."""
+    """In-memory indexed graph with deduplicated edges.
+
+    ``vectors`` maps function ids to their embeddings. Only ``build_kb``
+    and ``load_kb`` write it, and both finish before the first query, so
+    the vector index cached by ``vector_index`` never sees it change.
+    """
 
     def __init__(self) -> None:
         self.nodes: dict[str, EntityNode] = {}
@@ -74,11 +79,13 @@ class PropertyGraph:
         self.embedder_meta: Optional[dict] = None
         self._edge_set: set[tuple[str, Relation, str]] = set()
         self._in: dict[str, list[tuple[Relation, str]]] = {}
+        self._index = None  # see vector_index
 
     def add_node(self, node: EntityNode) -> None:
         existing = self.nodes.get(node.id)
         if existing is None:
             self.nodes[node.id] = node
+            self._index = None
         # identical re-adds are a no-op; first payload wins
 
     def add_edge(self, subject_id: str, relation: Relation, object_id: str) -> None:
@@ -120,7 +127,22 @@ class PropertyGraph:
         if node.payload is None:
             raise GraphError("UnknownNode", f"node {function_id!r} has no function payload")
         node.payload = dataclasses.replace(node.payload, **changes)
+        self._index = None
         return node.payload
+
+    def vector_index(self, build: Callable[["PropertyGraph"], object]):
+        """The index over this graph's functions, from ``build(self)`` on a miss.
+
+        ``add_node`` and ``update_payload``, the only methods that change
+        what ``functions()`` returns, drop the cached index. Concurrent
+        callers may all miss and build at once; that race is benign,
+        because each uses the index it built or read and all of them are
+        equal, and the last store wins.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = build(self)
+        return index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PropertyGraph):

@@ -2,9 +2,9 @@
 
 ``retrieve`` is the one query path into the knowledge base, shared by
 ``repair`` and the ``retrieve`` command: it embeds the target function,
-takes its nearest KB functions by exact k-NN, and reranks them. The
-result records the pool size, whether the signature filter fell back to
-the whole pool, and the selected references.
+takes its nearest KB functions by exact k-NN over the index the KB builds
+once, and reranks them. The result records the pool size, whether the
+signature filter fell back to the whole pool, and the selected references.
 
 Stage 1 asks for a patch guided by the retrieved reference implementations,
 their trust scores, and the target's signature constraints. If the patch
@@ -16,12 +16,14 @@ when changing it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
+from . import verify
 from .embedding import DEFAULT_POOL_SIZE, Candidate, index_from_graph, knn, provider_from_meta
 from .graph import PropertyGraph
 from .ingest import SourceUnit
@@ -37,7 +39,7 @@ from .model import (
     VulnerabilityReport,
 )
 from .rerank import DEFAULT_EPSILON, DEFAULT_K, RerankConfig, rerank
-from .verify import BUILTIN_PARSE, CompileMode, VerificationResult, verify_patch
+from .verify import BUILTIN_PARSE, CompileMode, Detection, VerificationResult, verify_patch
 
 log = logging.getLogger(__name__)
 
@@ -98,10 +100,15 @@ class Retrieval:
 def retrieve(kb: PropertyGraph, fn: FunctionUnit, k: int = DEFAULT_K,
              pool_size: int = DEFAULT_POOL_SIZE, epsilon: float = DEFAULT_EPSILON
              ) -> Retrieval:
-    """Embed ``fn``, take its ``pool_size`` nearest KB functions, rerank to ``k``."""
+    """Embed ``fn``, take its ``pool_size`` nearest KB functions, rerank to ``k``.
+
+    The KB keeps its vector index across calls. The provider is made per
+    call, because a remote one holds an HTTP session that concurrent
+    ``evaluate`` workers must not share.
+    """
     config = RerankConfig(epsilon=epsilon, k=k)
     query_vector = provider_from_meta(kb.embedder_meta).embed(fn.source_text)
-    pool = knn(index_from_graph(kb), query_vector, pool_size)
+    pool = knn(kb.vector_index(index_from_graph), query_vector, pool_size)
     selected, fallback = rerank(pool, required_signature(fn), config)
     return Retrieval(pool_size=len(pool), fallback=fallback, selected=selected)
 
@@ -256,6 +263,7 @@ class _AttemptRecord:
 
 
 def _attempt(prompt: Prompt, stage: RepairStage, original: str,
+             original_detections: Callable[[], list[Detection]],
              report: VulnerabilityReport, target_name: str,
              cfg: RepairConfig, diagnostics: list[str]) -> _AttemptRecord:
     record = _AttemptRecord()
@@ -267,7 +275,8 @@ def _attempt(prompt: Prompt, stage: RepairStage, original: str,
         record.feedback = [line]
         return record
     record.result = verify_patch(original, record.patch, report,
-                                 mode=cfg.compile_mode, target_name=target_name)
+                                 mode=cfg.compile_mode, target_name=target_name,
+                                 original_detections=original_detections)
     record.feedback = record.result.failure_feedback()
     for line in record.feedback:
         diagnostics.append(f"{stage.value}: {line}")
@@ -288,16 +297,19 @@ def repair(contract: SourceUnit, report: VulnerabilityReport,
     log.debug("repair %s: %d references after rerank", fn.qualified_name, len(refs))
 
     original = contract.source_text
+    # Both attempts compare against the same original: detect it once, on
+    # the first patch that compiles.
+    original_detections = functools.cache(lambda: verify.detect(original))
     stage_used = RepairStage.KNOWLEDGE_GUIDED
     last = _attempt(build_stage1_prompt(fn, report.vuln_class, refs),
-                    RepairStage.KNOWLEDGE_GUIDED, original, report, fn.name,
-                    cfg, diagnostics)
+                    RepairStage.KNOWLEDGE_GUIDED, original, original_detections,
+                    report, fn.name, cfg, diagnostics)
     if not last.passed:
         feedback = last.feedback or ["verification failed with no diagnostics"]
         stage_used = RepairStage.CHAIN_OF_THOUGHT
         last = _attempt(build_cot_prompt(fn, report.vuln_class, refs, feedback),
-                        RepairStage.CHAIN_OF_THOUGHT, original, report, fn.name,
-                        cfg, diagnostics)
+                        RepairStage.CHAIN_OF_THOUGHT, original, original_detections,
+                        report, fn.name, cfg, diagnostics)
 
     compiled = last.result.compiled if last.result is not None else False
     return RepairOutcome(

@@ -16,7 +16,7 @@ import re
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .ingest import (
     IngestError,
@@ -479,11 +479,16 @@ class VerificationResult:
 
 def verify_patch(original: str, patch: PatchCandidate, report: VulnerabilityReport,
                  mode: CompileMode = BUILTIN_PARSE,
-                 target_name: Optional[str] = None) -> VerificationResult:
+                 target_name: Optional[str] = None,
+                 original_detections: Optional[Callable[[], list[Detection]]] = None,
+                 ) -> VerificationResult:
     """Compile the patch, re-detect, and compare against the original.
 
     The target class must vanish from the reported function, and no
     detection absent from the original may appear anywhere in the patch.
+    ``original_detections`` returns ``detect(original)``; a caller that
+    verifies several patches of one contract passes a memoized one, so
+    the original is analysed at most once, and only if a patch compiles.
     """
     if target_name is None:
         target_name = _resolve_target_name(original, report)
@@ -501,7 +506,8 @@ def verify_patch(original: str, patch: PatchCandidate, report: VulnerabilityRepo
             target_function=target_name,
         )
     detections = detect(patch.patched_source)
-    original_keys = {d.key() for d in detect(original)}
+    found = original_detections() if original_detections is not None else detect(original)
+    original_keys = {d.key() for d in found}
     new_issues = [d for d in detections if d.key() not in original_keys]
     cleared = not any(
         d.vuln_class is report.vuln_class and d.function_name == target_name

@@ -50,6 +50,9 @@ def test_exit_codes(kb_file, tmp_path, capsys):
                  "--report", "r.txt", "--k-sweep", "0"]) == 1
     assert main(retrieve + ["nope"]) == 1
     assert main(retrieve + ["file.sol#Contract"]) == 1
+    for flag, value in (("--k", "0"), ("--top-n", "0"), ("--epsilon", "0"),
+                        ("--epsilon", "nan")):
+        assert main(retrieve + [LOCATOR, flag, value]) == 1
     assert main(["repair", "--kb", str(kb_file),
                  "--contract", str(EVAL_CASES / "case2_reentrancy.sol"),
                  "--vuln", "Reentrancy", "--function", "withdraw"]) == 1

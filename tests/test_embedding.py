@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from scpatcher.embedding import (
+    DEFAULT_POOL_SIZE,
     Candidate,
     DimensionMismatchError,
     EmbeddingVector,
@@ -141,6 +142,28 @@ def test_knn_matches_full_sort_oracle():
         )[:50]
         assert [c.function_id for c in got] == [fid for _, fid in oracle]
         assert len(got) == 50
+
+
+def test_knn_matches_loop_reference_on_fixture_kb(kb):
+    graph, _, _ = kb
+    index = index_from_graph(graph)
+    provider = HashingEmbedder(256)
+    for fn in graph.functions():
+        query = provider.embed(fn.source_text)
+        for n in (1, 5, DEFAULT_POOL_SIZE):
+            reference = sorted((math.dist(query.values, vector), fid)
+                               for fid, vector in graph.vectors.items())[:n]
+            got = knn(index, query, n)
+            assert [c.function_id for c in got] == [fid for _, fid in reference]
+            assert [c.s_sem for c in got] == [distance for distance, _ in reference]
+
+
+def test_knn_rejects_query_of_wrong_dimension(kb):
+    graph, _, _ = kb
+    index = index_from_graph(graph)
+    for dimension in (255, 257):
+        with pytest.raises(DimensionMismatchError):
+            knn(index, EmbeddingVector(tuple([0.0] * dimension)), 5)
 
 
 def test_knn_breaks_distance_ties_by_function_id():

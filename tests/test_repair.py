@@ -1,8 +1,13 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from scpatcher.ingest import load_source
+from scpatcher import repair as repair_module
+from scpatcher import verify
+from scpatcher.graph import EntityNode, load_kb
+from scpatcher.ingest import NodeKind, load_source
+from scpatcher.embedding import HashingEmbedder
 from scpatcher.llm import LlmError, MockLlmBackend, MockRule
 from scpatcher.model import RepairStage, VulnClass, VulnerabilityReport
 from scpatcher.repair import (
@@ -177,6 +182,66 @@ def test_generate_script_miss(kb):
     with pytest.raises(LlmError) as err:
         generate(prompt, backend)
     assert err.value.code == "ScriptMiss"
+
+
+# ---------------------------------------------------------------------------
+# Retrieval and the KB's cached index
+# ---------------------------------------------------------------------------
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_retrieve_builds_the_index_once_per_kb(kb_file, monkeypatch):
+    graph, _ = load_kb(kb_file)
+    builds = _counted(monkeypatch, repair_module, "index_from_graph")
+    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    results = [retrieve(graph, fn, k) for k in (1, 2, 3, 4, 5) * 2]
+    assert len(builds) == 1
+    assert results[:5] == results[5:]
+
+
+def test_retrieve_sees_payload_updates(kb_file):
+    graph, _ = load_kb(kb_file)
+    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    top = retrieve(graph, fn, 1).selected[0]
+    graph.update_payload(top.function_id, guf=top.guf + 1000)
+    again = retrieve(graph, fn, 1).selected[0]
+    assert (again.function_id, again.guf) == (top.function_id, top.guf + 1000)
+
+
+def test_retrieve_sees_added_function(kb_file):
+    graph, _ = load_kb(kb_file)
+    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    assert all(c.s_sem > 0 for c in retrieve(graph, fn, 5).selected)
+    twin = dataclasses.replace(fn, id="f" * 16, clone_id=None, guf=1000)
+    graph.vectors[twin.id] = HashingEmbedder(256).embed(fn.source_text).values
+    graph.add_node(EntityNode(twin.id, NodeKind.FUNCTION, twin.qualified_name, twin))
+    first = retrieve(graph, fn, 1).selected[0]
+    assert (first.function_id, first.s_sem) == (twin.id, 0.0)
+
+
+def test_repair_detects_the_original_at_most_once(kb, monkeypatch):
+    graph, _, _ = kb
+    detects = _counted(monkeypatch, verify, "detect")
+    cases = [("case5_unchecked.sol", "EvalDesk", "payout", VulnClass.UNCHECKED_CALL_RETURN, 3),
+             ("case6_lockbox.sol", "EvalLockbox", "withdraw", VulnClass.REENTRANCY, 0)]
+    for name, contract, function, vuln_class, expected in cases:
+        unit, fn = _case(name, contract, function)
+        detects.clear()
+        outcome = repair(unit, _report(unit, fn, vuln_class), graph,
+                         RepairConfig(backend=_mock()))
+        assert outcome.stage_used is RepairStage.CHAIN_OF_THOUGHT
+        # two compiled patches and the original once, or nothing compiled
+        assert len(detects) == expected
 
 
 # ---------------------------------------------------------------------------
