@@ -1,10 +1,11 @@
 """Dataset manifests and batch evaluation over a knowledge base.
 
-A manifest lists vulnerable contracts with their class and function. Before
-running, entries whose canonical source hash already appears in the KB are
-excluded (train/test hygiene). Each kept entry is read and parsed once, then
-goes through the full repair pipeline once per requested k; the resulting
-report renders to a stable text format suitable for golden-file comparison.
+A manifest lists vulnerable contracts with their class and function. Each
+entry is read and parsed once per run. Before running, entries whose
+canonical source hash (taken from the parse's tokens) already appears in
+the KB are excluded (train/test hygiene). Each kept entry then goes through
+the full repair pipeline once per requested k; the resulting report renders
+to a stable text format suitable for golden-file comparison.
 """
 
 from __future__ import annotations
@@ -69,25 +70,80 @@ def load_manifest(path: str) -> DatasetManifest:
     return DatasetManifest(entries=entries, notes=list(raw.get("notes", [])))
 
 
-def dedup_against_kb(manifest: DatasetManifest, kb: PropertyGraph
+def _failed(report: VulnerabilityReport, diagnostic: str) -> RepairOutcome:
+    return RepairOutcome(report=report, compiled=False, fixed=False,
+                         diagnostics=(diagnostic,))
+
+
+def _placeholder(entry: ManifestEntry) -> VulnerabilityReport:
+    return VulnerabilityReport(
+        contract_path=entry.path,
+        function_id="(unresolved)",
+        vuln_class=entry.vuln_class,
+        evidence=f"function {entry.function_name}",
+    )
+
+
+# An entry's parsed file, or the failure row that every k reports.
+_Read = Union[SourceUnit, RepairOutcome]
+# A kept entry ready to repair, or its failure row.
+_Loaded = Union[tuple[SourceUnit, VulnerabilityReport], RepairOutcome]
+
+
+def _read_entry(entry: ManifestEntry, strict: bool) -> _Read:
+    """Read and parse one entry's file, once per run.
+
+    A failure becomes the row every k reports, except that with ``strict``
+    (dedup, which must hash every entry) an unreadable or non-UTF-8 file
+    raises before any repair starts.
+    """
+    try:
+        return load_source(entry.resolved_path)
+    except Exception as exc:  # record, never abort the batch
+        if strict and isinstance(exc, OSError):
+            raise
+        if strict and isinstance(exc, IngestError) and exc.code == "NonUtf8":
+            # dedup's message: the path and the decoding error
+            raise IngestError("NonUtf8", f"{entry.resolved_path}: {exc.__cause__}") from None
+        log.warning("entry %s failed: %s", entry.path, exc)
+        return _failed(_placeholder(entry), f"entry failed: {exc}")
+
+
+def _load_entry(entry: ManifestEntry, read: _Read) -> _Loaded:
+    """The repair job of a kept entry, or its failure row."""
+    if isinstance(read, RepairOutcome):
+        return read
+    fn = read.find_function_by_name(entry.function_name)
+    if fn is None:
+        return _failed(_placeholder(entry),
+                       f"function {entry.function_name!r} not found in {entry.path}")
+    return read, dataclasses.replace(_placeholder(entry), function_id=fn.id)
+
+
+def dedup_against_kb(manifest: DatasetManifest, kb: PropertyGraph,
+                     units: Optional[list[_Read]] = None,
                      ) -> tuple[list[ManifestEntry], list[tuple[ManifestEntry, str]]]:
     """Split entries into kept and (excluded, matching KB contract id).
 
     A test contract is excluded when its canonical token hash equals the
-    stored hash of any corpus file the KB was built from.
+    stored hash of any corpus file the KB was built from. ``units`` holds
+    each entry's ``_read_entry(entry, strict=True)``, in manifest order,
+    when the caller has read them; otherwise they are read here. An
+    unreadable or non-UTF-8 entry raises. An entry that does not parse is
+    kept: the KB holds hashes of parsed files only, and files with equal
+    hashes have equal tokens, so they parse alike.
     """
+    if units is None:
+        units = [_read_entry(entry, strict=True) for entry in manifest.entries]
     meta = kb.embedder_meta or {}
     corpus_hashes: dict[str, str] = meta.get("corpus_hashes", {})
     kept: list[ManifestEntry] = []
     excluded: list[tuple[ManifestEntry, str]] = []
-    for entry in manifest.entries:
-        with open(entry.resolved_path, "rb") as handle:
-            raw = handle.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IngestError("NonUtf8", f"{entry.resolved_path}: {exc}") from None
-        digest = canonical_source_hash(text)
+    for entry, unit in zip(manifest.entries, units):
+        if isinstance(unit, RepairOutcome):
+            kept.append(entry)
+            continue
+        digest = canonical_source_hash(unit.tokens)
         if digest in corpus_hashes:
             excluded.append((entry, corpus_hashes[digest]))
         else:
@@ -153,35 +209,6 @@ class EvaluationReport:
             handle.write(self.render())
 
 
-def _failed(report: VulnerabilityReport, diagnostic: str) -> RepairOutcome:
-    return RepairOutcome(report=report, compiled=False, fixed=False,
-                         diagnostics=(diagnostic,))
-
-
-# A loaded entry ready to repair, or the failure row that every k reports.
-_Loaded = Union[tuple[SourceUnit, VulnerabilityReport], RepairOutcome]
-
-
-def _load_entry(entry: ManifestEntry) -> _Loaded:
-    """Read and parse one entry once, for its repairs at every k."""
-    placeholder = VulnerabilityReport(
-        contract_path=entry.path,
-        function_id="(unresolved)",
-        vuln_class=entry.vuln_class,
-        evidence=f"function {entry.function_name}",
-    )
-    try:
-        unit = load_source(entry.resolved_path)
-    except Exception as exc:  # record, never abort the batch
-        log.warning("entry %s failed: %s", entry.path, exc)
-        return _failed(placeholder, f"entry failed: {exc}")
-    fn = unit.find_function_by_name(entry.function_name)
-    if fn is None:
-        return _failed(placeholder,
-                       f"function {entry.function_name!r} not found in {entry.path}")
-    return unit, dataclasses.replace(placeholder, function_id=fn.id)
-
-
 def _run_entry(item: _Loaded, kb: PropertyGraph, cfg: RepairConfig) -> RepairOutcome:
     """One repair job; any failure becomes a not-compiled outcome row."""
     if isinstance(item, RepairOutcome):
@@ -201,11 +228,13 @@ def run_dataset(manifest: DatasetManifest, kb: PropertyGraph, cfg: RepairConfig,
     """Repair every kept entry once per k and collect one report per k."""
     if k_values is None or not k_values:
         k_values = [cfg.k]
+    units = [_read_entry(entry, strict=dedup) for entry in manifest.entries]
     if dedup:
-        kept, excluded_pairs = dedup_against_kb(manifest, kb)
+        kept, excluded_pairs = dedup_against_kb(manifest, kb, units)
     else:
         kept, excluded_pairs = list(manifest.entries), []
-    loaded = [_load_entry(entry) for entry in kept]
+    read = dict(zip(manifest.entries, units))  # equal entries name the same file
+    loaded = [_load_entry(entry, read[entry]) for entry in kept]
     k_reports = []
     for k in k_values:
         run_cfg = dataclasses.replace(cfg, k=k)

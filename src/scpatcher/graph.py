@@ -14,13 +14,12 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .ingest import (
     IngestError,
     NodeKind,
     Relation,
-    SourceUnit,
     Triple,
     canonical_source_hash,
     extract_triples_with_diagnostics,
@@ -213,17 +212,20 @@ def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> Propert
     return graph
 
 
-def clone_key(fn: FunctionUnit) -> str:
-    """Clone-group key: hash of the function's normalized token sequence."""
-    joined = " ".join(normalize_source(fn.source_text))
+def clone_key(normalized: Sequence[str]) -> str:
+    """Clone-group key: hash of a function's normalized token sequence."""
+    joined = " ".join(normalized)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
-def assign_clone_groups(graph: PropertyGraph, clone_min_tokens: int = 12) -> CloneGroupTable:
+def assign_clone_groups(graph: PropertyGraph, clone_min_tokens: int = 12,
+                        keys: Optional[Mapping[str, str]] = None) -> CloneGroupTable:
     """Group functions by normalized-token hash and stamp clone_id payloads.
 
     Functions below the token threshold get clone_id = None and appear in no
     group; everything else lands in exactly one group (possibly singleton).
+    ``keys`` maps function ids to their ``clone_key``s when the caller has
+    them from the parse; without it each key comes from the source text.
     """
     table = CloneGroupTable(min_tokens=clone_min_tokens)
     for node in sorted(graph.function_nodes(), key=lambda n: n.id):
@@ -233,7 +235,7 @@ def assign_clone_groups(graph: PropertyGraph, clone_min_tokens: int = 12) -> Clo
         if fn.token_count < clone_min_tokens:
             graph.update_payload(fn.id, clone_id=None)
             continue
-        cid = clone_key(fn)
+        cid = keys[fn.id] if keys is not None else clone_key(normalize_source(fn.source_text))
         table.groups.setdefault(cid, []).append(fn.id)
         graph.update_payload(fn.id, clone_id=cid)
     for members in table.groups.values():
@@ -398,10 +400,18 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     ``embedder`` is any provider with name/dimension attributes and an
     embed(text) method. Files that fail to parse or duplicate an earlier
     file (by canonical token hash) are skipped with a report entry.
+
+    Files are processed one at a time: each is lexed and parsed once, and
+    its hash, triples and clone keys all come from that parse before the
+    next file is read, so only one file's tokens are alive at a time. The
+    report lists every parse diagnostic before every triple diagnostic.
     """
     report = BuildReport()
-    units: list[SourceUnit] = []
     corpus_hashes: dict[str, str] = {}
+    triples: list[Triple] = []
+    triple_diagnostics: list[str] = []
+    functions: list[FunctionUnit] = []
+    keys: dict[str, str] = {}
     for path in paths:
         report.files_seen += 1
         try:
@@ -410,7 +420,7 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
             report.files_failed.append(path)
             report.diagnostics.append(f"{path}: {exc.code}: {exc}")
             continue
-        digest = canonical_source_hash(unit.source_text)
+        digest = canonical_source_hash(unit.tokens)
         if digest in corpus_hashes:
             report.duplicates_skipped.append(path)
             continue
@@ -419,20 +429,19 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
         else:
             corpus_hashes[digest] = "(no contract)"
         report.diagnostics.extend(unit.diagnostics)
-        units.append(unit)
         report.files_used += 1
 
-    triples: list[Triple] = []
-    functions: list[FunctionUnit] = []
-    for unit in units:
         unit_triples, diagnostics = extract_triples_with_diagnostics(unit)
         triples.extend(unit_triples)
-        report.diagnostics.extend(f"{unit.path}: {line}" for line in diagnostics)
+        triple_diagnostics.extend(f"{unit.path}: {line}" for line in diagnostics)
         for contract in unit.contracts:
             functions.extend(contract.functions)
+            for fn, decl in zip(contract.functions, contract.decls):
+                keys[fn.id] = clone_key(decl.normalized)
+    report.diagnostics.extend(triple_diagnostics)
 
     graph = build_graph(triples, functions)
-    clones = assign_clone_groups(graph, clone_min_tokens)
+    clones = assign_clone_groups(graph, clone_min_tokens, keys)
     compute_guf(graph, clones)
     for node in sorted(graph.function_nodes(), key=lambda n: n.id):
         if node.payload is not None:

@@ -5,6 +5,15 @@ needs: contract/library/interface declarations, functions and their verbatim
 bodies, modifiers, state variables, call sites, and state reads/writes.
 It is not a compiler; unparseable regions are skipped with a diagnostic
 rather than failing the file.
+
+``parse_source`` lexes a file once and keeps the tokens on the
+``SourceUnit``. Each function's ``FunctionDecl`` records where its
+declaration and body lie in them, with its parsed header and normalized
+tokens. Everything downstream derives from those tokens without lexing
+again: the function ID, token count and signature, the canonical file
+hash (``canonical_source_hash(unit.tokens)``), the clone key, the triples,
+and the detectors' per-function views. Only embedding stays text-in, since
+an embedding provider takes source text.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from .model import FunctionUnit, SignatureFeatures, function_id
 
@@ -146,8 +155,8 @@ def check_brace_balance(tokens: list[Token]) -> Optional[str]:
 # Normalization and hashing
 # ---------------------------------------------------------------------------
 
-def normalize_source(text: str) -> list[str]:
-    """Normalized token sequence of a source snippet.
+def normalize_source(source: Union[str, Sequence[Token]]) -> list[str]:
+    """Normalized token sequence of a source snippet, or of its tokens.
 
     Comments and whitespace are dropped, identifiers become ``ID``, numeric
     and string literals become ``LIT``; keywords, operators, and punctuation
@@ -155,7 +164,7 @@ def normalize_source(text: str) -> list[str]:
     literal values normalize identically (the clone-group relation).
     """
     out = []
-    for tok in lex(text):
+    for tok in lex(source) if isinstance(source, str) else source:
         if tok.kind == "ident":
             out.append("ID")
         elif tok.kind in ("number", "string"):
@@ -165,14 +174,15 @@ def normalize_source(text: str) -> list[str]:
     return out
 
 
-def canonical_source_hash(text: str) -> str:
-    """Hash of the canonical byte form of a source file.
+def canonical_source_hash(source: Union[str, Sequence[Token]]) -> str:
+    """Hash of the canonical byte form of a source file, or of its tokens.
 
     Comments and whitespace are stripped, identifiers and literals are kept
     verbatim, so only exact duplicates (modulo layout and comments) collide.
     Used for corpus/test deduplication.
     """
-    canonical = " ".join(tok.text for tok in lex(text))
+    tokens = lex(source) if isinstance(source, str) else source
+    canonical = " ".join(tok.text for tok in tokens)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -181,12 +191,43 @@ def canonical_source_hash(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class FunctionHeader:
+    name: str
+    param_types: list[str]
+    param_names: list[str]
+    return_types: list[str]
+    visibility: str
+    mutability: str
+    modifiers: list[str]
+
+
+@dataclass
+class FunctionDecl:
+    """Where one parsed function lies in its file's tokens.
+
+    ``SourceUnit.tokens[start:end]`` is the whole declaration and
+    ``tokens[body_start:body_end]`` the inside of its outermost braces
+    (empty for a declaration without a body). ``normalized`` is the
+    declaration's ``normalize_source`` sequence.
+    """
+
+    start: int
+    end: int
+    body_start: int
+    body_end: int
+    header: FunctionHeader
+    normalized: list[str]
+
+
+@dataclass
 class ContractDecl:
     name: str
     kind: str  # contract | library | interface
     functions: list[FunctionUnit] = field(default_factory=list)
     modifiers: list[str] = field(default_factory=list)
     state_vars: list[tuple[str, str]] = field(default_factory=list)
+    #: One per function, parallel to ``functions``.
+    decls: list[FunctionDecl] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -196,6 +237,11 @@ class SourceUnit:
     contracts: list[ContractDecl] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
     source_text: str = ""
+    #: The file's tokens from its one ``lex``, with absolute offsets and lines.
+    tokens: list[Token] = field(default_factory=list, repr=False, compare=False)
+
+    def body_tokens(self, decl: FunctionDecl) -> list[Token]:
+        return self.tokens[decl.body_start:decl.body_end]
 
     def find_function(self, contract_name: str, function_name: str) -> Optional[FunctionUnit]:
         for contract in self.contracts:
@@ -349,17 +395,6 @@ def _type_string(tokens: list[Token]) -> str:
     return "".join(t.text for t in kept).lower()
 
 
-@dataclass
-class FunctionHeader:
-    name: str
-    param_types: list[str]
-    param_names: list[str]
-    return_types: list[str]
-    visibility: str
-    mutability: str
-    modifiers: list[str]
-
-
 def _parse_header(tokens: list[Token]) -> FunctionHeader:
     """Interpret a function's header token list (intro keyword onward)."""
     intro = tokens[0].text if tokens else "function"
@@ -436,34 +471,19 @@ def _signature_from_header(header: FunctionHeader) -> SignatureFeatures:
     return SignatureFeatures(frozenset(features))
 
 
-def _header_body_split(tokens: list[Token]) -> tuple[list[Token], list[Token]]:
-    """Split a declaration's tokens into header and body (may be empty)."""
-    for i, tok in enumerate(tokens):
-        if tok.text == "{":
-            end = match_group(tokens, i, "{", "}")
-            return tokens[:i], tokens[i + 1:end - 1]
-        if tok.text == ";":
-            return tokens[:i], []
-    return tokens, []
+def _header_end(tokens: list[Token], start: int = 0) -> int:
+    """Index of the '{' or ';' that ends the function header at ``start``,
+    or ``len(tokens)`` if there is none."""
+    i = start
+    while i < len(tokens) and tokens[i].text not in ("{", ";"):
+        i += 1
+    return i
 
 
 def extract_signature(fn: FunctionUnit) -> SignatureFeatures:
     """Signature features of a parsed function, recomputed from its source."""
     tokens = lex(fn.source_text)
-    header, _ = _header_body_split(tokens)
-    return _signature_from_header(_parse_header(header))
-
-
-def parse_function_header(source_text: str) -> FunctionHeader:
-    """Structured header of one function declaration's source text."""
-    header, _ = _header_body_split(lex(source_text))
-    return _parse_header(header)
-
-
-def function_body_tokens(source_text: str) -> list[Token]:
-    """Tokens inside a function declaration's outermost braces."""
-    _, body = _header_body_split(lex(source_text))
-    return body
+    return _signature_from_header(_parse_header(tokens[:_header_end(tokens)]))
 
 
 def access_kind(body_tokens: list[Token], index: int) -> str:
@@ -515,7 +535,7 @@ def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
     normalized; anything else unparseable is skipped with a diagnostic.
     """
     unit = SourceUnit(path=path, source_text=text)
-    tokens = lex(text, unit.diagnostics)
+    unit.tokens = tokens = lex(text, unit.diagnostics)
     balance_error = check_brace_balance(tokens)
     if balance_error is not None:
         raise IngestError("UnbalancedBraces", f"{path}: {balance_error}")
@@ -544,7 +564,7 @@ def load_source(path: str) -> SourceUnit:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise IngestError("NonUtf8", f"{path}: not valid UTF-8 ({exc})") from None
+        raise IngestError("NonUtf8", f"{path}: not valid UTF-8 ({exc})") from exc
     return parse_source(text, path)
 
 
@@ -564,18 +584,19 @@ def _parse_contract(text: str, tokens: list[Token], start: int, kind: str,
     body_end = match_group(tokens, i, "{", "}")
     body = tokens[i + 1:body_end - 1]
     contract = ContractDecl(name=name, kind=kind)
-    _parse_members(text, body, contract, unit)
+    _parse_members(text, body, i + 1, contract, unit)
     unit.contracts.append(contract)
     return body_end
 
 
-def _parse_members(text: str, body: list[Token], contract: ContractDecl,
+def _parse_members(text: str, body: list[Token], offset: int, contract: ContractDecl,
                    unit: SourceUnit) -> None:
+    """Parse a contract body; ``body[0]`` is ``unit.tokens[offset]``."""
     i = 0
     while i < len(body):
         tok = body[i]
         if tok.text in _FN_INTRO:
-            i = _parse_function(text, body, i, contract, unit)
+            i = _parse_function(text, body, i, offset, contract, unit)
         elif tok.text == "modifier":
             i = _parse_modifier(body, i, contract, unit)
         elif tok.text in ("event", "error", "using", "import"):
@@ -611,43 +632,38 @@ def _skip_statement(tokens: list[Token], start: int) -> int:
     return i
 
 
-def _parse_function(text: str, body: list[Token], start: int,
+def _parse_function(text: str, body: list[Token], start: int, offset: int,
                     contract: ContractDecl, unit: SourceUnit) -> int:
-    """Slice one function/constructor/receive/fallback declaration."""
-    end = start
-    while end < len(body):
-        if body[end].text == "{":
-            end = match_group(body, end, "{", "}")
-            break
-        if body[end].text == ";":
-            end += 1
-            break
-        end += 1
-    decl = body[start:end]
-    header, _ = _header_body_split(decl)
-    parsed = _parse_header(header)
+    """Slice one function/constructor/receive/fallback declaration.
 
-    last = decl[-1] if decl else body[start]
-    source_text = text[body[start].start:last.end]
-    normalized = normalize_source(source_text)
-    if not normalized:
-        unit.diagnostics.append(
-            f"line {body[start].line}: empty function declaration in {contract.name}, skipped")
-        return end
+    The declaration holds at least its intro keyword, so it is never empty.
+    """
+    i = _header_end(body, start)
+    header = _parse_header(body[start:i])
+    if i < len(body) and body[i].text == "{":
+        end = match_group(body, i, "{", "}")
+        body_start, body_end = i + 1, end - 1
+    else:
+        end = min(i + 1, len(body))  # past the ';', if there is one
+        body_start = body_end = i
+    decl = body[start:end]
+    normalized = normalize_source(decl)
     try:
-        signature = _signature_from_header(parsed)
+        signature = _signature_from_header(header)
     except ValueError as exc:
         raise IngestError("MalformedDeclaration",
-                          f"{unit.path}: line {body[start].line}: {exc}") from None
+                          f"{unit.path}: line {decl[0].line}: {exc}") from None
     fn = FunctionUnit(
-        id=function_id(contract.name, parsed.name, normalized),
+        id=function_id(contract.name, header.name, normalized),
         contract_name=contract.name,
-        name=parsed.name,
-        source_text=source_text,
+        name=header.name,
+        source_text=text[decl[0].start:decl[-1].end],
         signature=signature,
         token_count=len(normalized),
     )
     contract.functions.append(fn)
+    contract.decls.append(FunctionDecl(offset + start, offset + end, offset + body_start,
+                                       offset + body_end, header, normalized))
     return end
 
 
@@ -739,10 +755,10 @@ def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], li
         for mod in contract.modifiers:
             triples.append(Triple(c_ref, Relation.OWNS, modifier_ref(contract.name, mod)))
         state_var_names = {name for name, _ in contract.state_vars}
-        for fn in contract.functions:
+        for fn, decl in zip(contract.functions, contract.decls):
             triples.append(Triple(c_ref, Relation.OWNS, function_ref(fn)))
             _extract_function_triples(
-                fn, contract, state_var_names,
+                fn, decl.header, unit.body_tokens(decl), contract, state_var_names,
                 functions_by_contract, function_name_index,
                 modifiers_by_contract, modifier_owner_index,
                 triples, diagnostics,
@@ -762,16 +778,14 @@ def _resolve_call(name: str, contract_name: str,
     return None
 
 
-def _extract_function_triples(fn: FunctionUnit, contract: ContractDecl,
+def _extract_function_triples(fn: FunctionUnit, header: FunctionHeader,
+                              body_tokens: list[Token], contract: ContractDecl,
                               state_var_names: set[str],
                               functions_by_contract: dict[str, dict[str, FunctionUnit]],
                               function_name_index: dict[str, list[FunctionUnit]],
                               modifiers_by_contract: dict[str, set[str]],
                               modifier_owner_index: dict[str, list[str]],
                               triples: list[Triple], diagnostics: list[str]) -> None:
-    tokens = lex(fn.source_text)
-    header_tokens, body_tokens = _header_body_split(tokens)
-    header = _parse_header(header_tokens)
     f_ref = function_ref(fn)
 
     for rtype in header.return_types:

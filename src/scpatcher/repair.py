@@ -298,8 +298,8 @@ def repair(contract: SourceUnit, report: VulnerabilityReport,
 
     original = contract.source_text
     # Both attempts compare against the same original: detect it once, on
-    # the first patch that compiles.
-    original_detections = functools.cache(lambda: verify.detect(original))
+    # the first patch that compiles, from the unit already parsed.
+    original_detections = functools.cache(lambda: verify.detect(contract))
     stage_used = RepairStage.KNOWLEDGE_GUIDED
     last = _attempt(build_stage1_prompt(fn, report.vuln_class, refs),
                     RepairStage.KNOWLEDGE_GUIDED, original, original_detections,

@@ -16,16 +16,14 @@ import re
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .ingest import (
     IngestError,
     SourceUnit,
     Token,
     find_state_accesses,
-    function_body_tokens,
     match_group,
-    parse_function_header,
     parse_source,
 )
 from .model import FunctionUnit, PatchCandidate, VulnClass, VulnerabilityReport
@@ -89,14 +87,21 @@ def check_compiles(source: str, mode: CompileMode = BUILTIN_PARSE
     """Compile gate. Builtin mode accepts any parseable source that
     declares at least one contract; external mode trusts the exit code."""
     if mode.kind == "builtin":
-        try:
-            unit = parse_source(source, "<patch>")
-        except IngestError as exc:
-            return False, [f"{exc.code}: {exc}"]
-        if not unit.contracts:
-            return False, ["no contract declaration found"]
-        return True, list(unit.diagnostics)
+        unit, diagnostics = _builtin_compile(source)
+        return unit is not None, diagnostics
     return _run_external_compiler(source, mode)
+
+
+def _builtin_compile(source: str) -> tuple[Optional[SourceUnit], list[str]]:
+    """The builtin compile proxy: the parsed unit, or None if it fails, and
+    the diagnostics."""
+    try:
+        unit = parse_source(source, "<patch>")
+    except IngestError as exc:
+        return None, [f"{exc.code}: {exc}"]
+    if not unit.contracts:
+        return None, ["no contract declaration found"]
+    return unit, list(unit.diagnostics)
 
 
 def _run_external_compiler(source: str, mode: CompileMode) -> tuple[bool, list[str]]:
@@ -133,8 +138,7 @@ class _FunctionView:
     """Per-function token context shared by all rules."""
 
     fn: FunctionUnit
-    body: list[Token]
-    line_offset: int  # newlines in the file before the function slice
+    body: list[Token]  # from the file's tokens, so tok.line is a file line
     visibility: str
     param_names: frozenset[str]
     modifiers: list[str]
@@ -142,9 +146,6 @@ class _FunctionView:
     unsigned_state_vars: set[str]
     condition_spans: list[tuple[int, int, str]] = field(default_factory=list)
     statement_spans: list[tuple[int, int]] = field(default_factory=list)
-
-    def file_line(self, tok: Token) -> int:
-        return self.line_offset + tok.line
 
     def in_condition(self, index: int, intros: Optional[set[str]] = None) -> bool:
         for start, end, intro in self.condition_spans:
@@ -183,23 +184,15 @@ def _statement_spans(body: list[Token]) -> list[tuple[int, int]]:
 
 def _function_views(unit: SourceUnit) -> list[_FunctionView]:
     views = []
-    cursor = 0
-    text = unit.source_text
     for contract in unit.contracts:
         state_var_names = {name for name, _ in contract.state_vars}
         unsigned = {name for name, vtype in contract.state_vars if "uint" in vtype}
-        for fn in contract.functions:
-            found = text.find(fn.source_text, cursor)
-            if found < 0:
-                found = text.find(fn.source_text)
-            line_offset = text.count("\n", 0, max(found, 0))
-            cursor = max(found, 0) + 1
-            header = parse_function_header(fn.source_text)
-            body = function_body_tokens(fn.source_text)
+        for fn, decl in zip(contract.functions, contract.decls):
+            header = decl.header
+            body = unit.body_tokens(decl)
             view = _FunctionView(
                 fn=fn,
                 body=body,
-                line_offset=line_offset,
                 visibility=header.visibility,
                 param_names=frozenset(header.param_names),
                 modifiers=header.modifiers,
@@ -243,7 +236,7 @@ def _rule_reentrancy(view: _FunctionView) -> list[Detection]:
         for tok, kind in accesses:
             if kind == "write" and tok.start > call_tok.start:
                 return [Detection(VulnClass.REENTRANCY, view.fn.name,
-                                  view.file_line(call_tok),
+                                  call_tok.line,
                                   "reentrancy/external-call-before-state-write")]
     return []
 
@@ -267,7 +260,7 @@ def _rule_unchecked_call(view: _FunctionView) -> list[Detection]:
         )
         if not used:
             out.append(Detection(VulnClass.UNCHECKED_CALL_RETURN, view.fn.name,
-                                 view.file_line(body[i + 1]),
+                                 body[i + 1].line,
                                  "unchecked-call/result-unused"))
     return _first_only(out)
 
@@ -289,12 +282,12 @@ def _rule_timestamp(view: _FunctionView) -> list[Detection]:
         tok = view.body[index]
         if view.in_condition(index):
             out.append(Detection(VulnClass.TIMESTAMP_MANIPULATION, view.fn.name,
-                                 view.file_line(tok), "timestamp/condition-dependence"))
+                                 tok.line, "timestamp/condition-dependence"))
             continue
         start, end = view.statement_of(index)
         if any(t.text == "%" for t in view.body[start:end]):
             out.append(Detection(VulnClass.TIMESTAMP_MANIPULATION, view.fn.name,
-                                 view.file_line(tok), "timestamp/modulo-randomness"))
+                                 tok.line, "timestamp/modulo-randomness"))
     return _first_only(out)
 
 
@@ -325,7 +318,7 @@ def _rule_access_control(view: _FunctionView) -> list[Detection]:
             )
             if view.in_condition(i) or adjacent_cmp:
                 return [Detection(VulnClass.ACCESS_CONTROL, view.fn.name,
-                                  view.file_line(tok), "access-control/tx-origin-auth")]
+                                  tok.line, "access-control/tx-origin-auth")]
     # unguarded owner-variable write in an externally callable function
     if view.visibility not in ("public", "external") or view.fn.name == "constructor":
         return []
@@ -341,7 +334,7 @@ def _rule_access_control(view: _FunctionView) -> list[Detection]:
     for tok, kind in find_state_accesses(body, owner_vars, view.param_names):
         if kind == "write":
             return [Detection(VulnClass.ACCESS_CONTROL, view.fn.name,
-                              view.file_line(tok), "access-control/unguarded-owner-write")]
+                              tok.line, "access-control/unguarded-owner-write")]
     return []
 
 
@@ -371,7 +364,7 @@ def _rule_overflow(view: _FunctionView, pragma_version: Optional[str]) -> list[D
         for i in range(start, end):
             if body[i].text in _ARITH_OPS:
                 out.append(Detection(VulnClass.INTEGER_OVERFLOW, view.fn.name,
-                                     view.file_line(body[i]), "overflow/unchecked-block"))
+                                     body[i].line, "overflow/unchecked-block"))
                 break
     if _pragma_below_08(pragma_version):
         unsigned_positions = {
@@ -394,7 +387,7 @@ def _rule_overflow(view: _FunctionView, pragma_version: Optional[str]) -> list[D
             )
             if not guarded:
                 out.append(Detection(VulnClass.INTEGER_OVERFLOW, view.fn.name,
-                                     view.file_line(tok), "overflow/pre-0.8-unguarded-arith"))
+                                     tok.line, "overflow/pre-0.8-unguarded-arith"))
                 break
     return _first_only(out)
 
@@ -413,14 +406,22 @@ def _first_only(detections: list[Detection]) -> list[Detection]:
     return sorted(detections, key=lambda d: d.line)[:1]
 
 
-def detect(source: str, classes: Optional[set[VulnClass]] = None) -> list[Detection]:
-    """Run the per-class rules over every function of the source."""
+def detect(source: Union[str, SourceUnit],
+           classes: Optional[set[VulnClass]] = None) -> list[Detection]:
+    """Run the per-class rules over every function of the source.
+
+    ``source`` is source text, or its unit from ``parse_source``, which the
+    rules then read without parsing again.
+    """
     wanted = classes if classes is not None else set(VulnClass)
-    try:
-        unit = parse_source(source, "<detect>")
-    except IngestError as exc:
-        log.warning("detect: source unparseable, no findings reported (%s)", exc)
-        return []
+    if isinstance(source, SourceUnit):
+        unit = source
+    else:
+        try:
+            unit = parse_source(source, "<detect>")
+        except IngestError as exc:
+            log.warning("detect: source unparseable, no findings reported (%s)", exc)
+            return []
     out: list[Detection] = []
     for view in _function_views(unit):
         if VulnClass.INTEGER_OVERFLOW in wanted:
@@ -486,13 +487,20 @@ def verify_patch(original: str, patch: PatchCandidate, report: VulnerabilityRepo
 
     The target class must vanish from the reported function, and no
     detection absent from the original may appear anywhere in the patch.
-    ``original_detections`` returns ``detect(original)``; a caller that
-    verifies several patches of one contract passes a memoized one, so
-    the original is analysed at most once, and only if a patch compiles.
+    In builtin mode the patch is parsed once: the compile check's unit is
+    what ``detect`` reads. ``original_detections`` returns
+    ``detect(original)``; a caller that verifies several patches of one
+    contract passes a memoized one, so the original is analysed at most
+    once, and only if a patch compiles.
     """
     if target_name is None:
         target_name = _resolve_target_name(original, report)
-    compiled, compile_diagnostics = check_compiles(patch.patched_source, mode)
+    unit: Optional[SourceUnit] = None
+    if mode.kind == "builtin":
+        unit, compile_diagnostics = _builtin_compile(patch.patched_source)
+        compiled = unit is not None
+    else:
+        compiled, compile_diagnostics = check_compiles(patch.patched_source, mode)
     if not compiled:
         compile_diagnostics = compile_diagnostics + [
             "verification skipped: patch did not compile"]
@@ -505,7 +513,7 @@ def verify_patch(original: str, patch: PatchCandidate, report: VulnerabilityRepo
             target_class=report.vuln_class,
             target_function=target_name,
         )
-    detections = detect(patch.patched_source)
+    detections = detect(unit if unit is not None else patch.patched_source)
     found = original_detections() if original_detections is not None else detect(original)
     original_keys = {d.key() for d in found}
     new_issues = [d for d in detections if d.key() not in original_keys]

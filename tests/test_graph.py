@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from scpatcher import embedding, ingest
 from scpatcher.embedding import HashingEmbedder
 from scpatcher.graph import (
     FormatError,
@@ -299,3 +301,56 @@ def test_build_kb_records_failures_and_continues(corpus_paths, tmp_path):
                             HashingEmbedder(256), 12)
     assert report.files_used == 10
     assert [Path(p).name for p in report.files_failed] == ["broken.sol"]
+
+
+# ---------------------------------------------------------------------------
+# One lex per file
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of the KB saved from the fixture corpus with HashingEmbedder().
+FIXTURE_KB_SHA256 = "0d26055eac4a5599fdc19b71dc7edbddeaf45aa5c4bf37030529714d20d72ee9"
+
+
+def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
+    graph, clones, _ = build_kb(corpus_paths, HashingEmbedder())
+    path = tmp_path / "kb.scpk"
+    save_kb(graph, clones, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_KB_SHA256
+
+
+def test_build_kb_lexes_each_file_once_and_each_function_once(corpus_paths, monkeypatch):
+    calls = []
+    for module in (ingest, embedding):
+        original = module.lex
+        monkeypatch.setattr(module, "lex", lambda *args, _lex=original, **kwargs:
+                            calls.append(args[0]) or _lex(*args, **kwargs))
+    _, _, report = build_kb(corpus_paths, HashingEmbedder(256), 12)
+    # one parse per file, and HashingEmbedder.embed once per function
+    assert (report.files_used, report.function_count) == (10, 28)
+    assert len(calls) == 10 + 28
+
+
+def test_build_kb_clone_groups_match_standalone_grouping(kb, corpus_paths):
+    _, clones, _ = kb
+    graph, _ = _corpus_graph(corpus_paths)
+    standalone = assign_clone_groups(graph, 12)
+    assert standalone.groups == clones.groups
+    assert {f.id: f.clone_id for f in graph.functions()} == \
+        {f.id: f.clone_id for f in kb[0].functions()}
+
+
+def test_build_kb_lists_parse_diagnostics_before_triple_diagnostics(tmp_path):
+    paths = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.sol"
+        path.write_text(f"contract {name.upper()} {{ @ ;\n"
+                        f"function f() public {{ missing_{name}(); }} }}")
+        paths.append(path)
+    _, _, report = build_kb(paths, HashingEmbedder(16), 12)
+    assert [line.split(": ", 1)[-1] if line.startswith(str(tmp_path)) else line
+            for line in report.diagnostics] == [
+        "line 1: skipped unexpected character '@'",
+        "line 1: skipped unexpected character '@'",
+        "A.f: unresolved call target 'missing_a'",
+        "B.f: unresolved call target 'missing_b'",
+    ]

@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpatcher.ingest import (
     IngestError,
@@ -215,3 +217,90 @@ def test_parameter_shadowing_suppresses_state_access():
     )
     labels = [t.as_labels() for t in extract_triples(unit)]
     assert not any(rel in ("READS", "WRITES") for _, rel, _ in labels)
+
+
+# ---------------------------------------------------------------------------
+# One lex per file: declarations index the file's tokens
+# ---------------------------------------------------------------------------
+
+def _assert_declarations_index_the_tokens(unit):
+    text = unit.source_text
+    for contract in unit.contracts:
+        assert len(contract.decls) == len(contract.functions)
+        for fn, decl in zip(contract.functions, contract.decls):
+            recorded = unit.tokens[decl.start:decl.end]
+            assert [(t.kind, t.text) for t in recorded] == \
+                [(t.kind, t.text) for t in lex(fn.source_text)]
+            assert text[recorded[0].start:recorded[-1].end] == fn.source_text
+            for tok in recorded:
+                assert text[tok.start:tok.end] == tok.text
+                assert tok.line == text.count("\n", 0, tok.start) + 1
+            assert decl.normalized == normalize_source(fn.source_text)
+            assert len(decl.normalized) == fn.token_count
+            assert decl.start <= decl.body_start <= decl.body_end <= decl.end
+
+
+def test_declaration_tokens_equal_a_lex_of_the_function():
+    paths = sorted(FIXTURES.rglob("*.sol"))
+    assert len(paths) >= 30
+    functions = 0
+    for path in paths:
+        unit = load_source(path)
+        _assert_declarations_index_the_tokens(unit)
+        functions += sum(len(c.functions) for c in unit.contracts)
+    assert functions >= 70
+
+
+def test_body_tokens_are_inside_the_outer_braces():
+    unit = parse_source("contract A {\n  function f(uint a) public returns (uint) {\n"
+                        "    if (a > 0) { a = 1; }\n    return a;\n  }\n"
+                        "  function g() external;\n}")
+    f_decl, g_decl = unit.contracts[0].decls
+    body = [t.text for t in unit.body_tokens(f_decl)]
+    assert body == ["if", "(", "a", ">", "0", ")", "{", "a", "=", "1", ";", "}",
+                    "return", "a", ";"]
+    assert unit.body_tokens(f_decl)[0].line == 3
+    assert f_decl.header.return_types == ["uint"]
+    assert unit.body_tokens(g_decl) == []
+    assert g_decl.header.visibility == "external"
+
+
+_NOISE = ["", " ", "\n", "\t", "\r\n", "// note }\n", "/* { */", "/* open", '"s;{"',
+          "'c'", 'hex"00"', "@", "#", "0x1f", "1e5"]
+_STATEMENTS = ["x = 1;", "x += y;", "a++;", "require(a > 0);", "balances[a] = 0;",
+               "msg.sender.call{value: 1}(\"\");", "return a;", "emit E(a);", "f();",
+               "uint256 z = now % 7;", "unchecked { a--; }", "if (a) { b = 2; }", ";"]
+_HEADERS = ["function f()", "function g(uint a, bytes memory b)", "constructor()",
+            "receive() external payable", "function (uint)", "function h() public view",
+            "function k() internal returns (uint, bool)", "function m(uint) onlyOwner(1)",
+            "function o() override(A, B)", "fallback"]
+_MEMBERS = ["uint256 x;", "mapping(address => uint) balances;", "modifier onlyOwner() { _; }",
+            "event E(uint a);", "struct S { uint a; }", "@ %;"]
+
+
+def _pieces(options):
+    return st.lists(st.tuples(st.sampled_from(_NOISE), st.sampled_from(options)), max_size=6) \
+        .map(lambda pairs: "".join(noise + item for noise, item in pairs))
+
+
+_FUNCTION = st.builds(lambda header, noise, body, bodiless:
+                      header + noise + (";" if bodiless else "{" + body + "}"),
+                      st.sampled_from(_HEADERS), st.sampled_from(_NOISE),
+                      _pieces(_STATEMENTS), st.booleans())
+_CONTRACT = st.builds(lambda kind, members, functions, tail: f"{kind} C{{{members}{functions}}}{tail}",
+                      st.sampled_from(["contract", "library", "interface", "contract D is B,"]),
+                      _pieces(_MEMBERS),
+                      st.lists(st.tuples(st.sampled_from(_NOISE), _FUNCTION), max_size=4)
+                      .map(lambda pairs: "".join(a + b for a, b in pairs)),
+                      st.sampled_from(_NOISE + ["{", "}"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CONTRACT, max_size=3), st.sampled_from(_NOISE))
+def test_parse_raises_ingest_error_or_indexes_its_tokens(contracts, lead):
+    text = lead + "pragma solidity ^0.8.0;" + "".join(contracts)
+    try:
+        unit = parse_source(text)
+    except IngestError:
+        return
+    _assert_declarations_index_the_tokens(unit)

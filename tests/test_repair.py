@@ -244,6 +244,19 @@ def test_repair_detects_the_original_at_most_once(kb, monkeypatch):
         assert len(detects) == expected
 
 
+def test_repair_parses_each_compiled_patch_once(kb, monkeypatch):
+    graph, _, _ = kb
+    parses = _counted(monkeypatch, verify, "parse_source")
+    unit, fn = _case("case5_unchecked.sol", "EvalDesk", "payout")
+    outcome = repair(unit, _report(unit, fn, VulnClass.UNCHECKED_CALL_RETURN), graph,
+                     RepairConfig(backend=_mock()))
+    assert outcome.stage_used is RepairStage.CHAIN_OF_THOUGHT and outcome.compiled
+    # one compile check per attempt; detection reads those units and the
+    # contract's own, so nothing is parsed twice
+    assert len(parses) == 2
+    assert parses[-1][0] == outcome.patch.patched_source
+
+
 # ---------------------------------------------------------------------------
 # Two-stage orchestration
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from scpatcher.ingest import load_source
+from scpatcher import ingest, verify
+from scpatcher.ingest import load_source, parse_source
 from scpatcher.model import PatchCandidate, RepairStage, VulnClass, VulnerabilityReport
 from scpatcher.verify import (
     VerifierError,
@@ -244,3 +245,49 @@ def test_preexisting_issues_elsewhere_do_not_block():
     assert result.target_vuln_cleared
     assert result.new_issues == []
     assert result.passed
+
+
+# ---------------------------------------------------------------------------
+# One lex per source
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs:
+                        calls.append(args) or original(*args, **kwargs))
+    return calls
+
+
+def test_detect_lexes_each_source_once(monkeypatch):
+    lexes = _count_calls(monkeypatch, ingest, "lex")
+    sources = sorted(DETECTORS.glob("*.sol")) + sorted(EVAL_CASES.glob("case*.sol"))
+    for path in sources:
+        source = path.read_text()
+        lexes.clear()
+        detections = detect(source)
+        assert len(lexes) == 1, path.name
+        lexes.clear()
+        assert detect(parse_source(source)) == detections
+        assert len(lexes) == 1, path.name  # the parse above, none in detect
+
+
+def test_detection_lines_are_file_lines():
+    # the function's text also appears earlier, in a comment and in
+    # another contract; each finding is on its own function's line
+    body = "function f() public { msg.sender.send(1); }"
+    source = (f"// old version:\n// {body}\n"
+              f"contract A {{\n  {body}\n}}\ncontract B {{\n\n  {body}\n}}\n")
+    assert [(d.rule_id, d.line) for d in detect(source)] == [
+        ("unchecked-call/result-unused", 4), ("unchecked-call/result-unused", 8)]
+
+
+def test_verify_patch_parses_a_compiled_patch_once(monkeypatch):
+    original = (DETECTORS / "reentrancy_vuln.sol").read_text()
+    patched = (DETECTORS / "reentrancy_fixed.sol").read_text()
+    parses = _count_calls(monkeypatch, verify, "parse_source")
+    result = verify_patch(original, _patch(patched),
+                          _report("reentrancy_vuln.sol", VulnClass.REENTRANCY),
+                          target_name="withdraw", original_detections=lambda: [])
+    assert result.passed
+    assert len(parses) == 1
