@@ -2,8 +2,18 @@
 
 The reference provider is a deterministic hashing embedder: tokens are
 hashed into a fixed number of buckets, counts are log-damped, and the
-vector is L2-normalized. A remote HTTP provider can slot in behind the
-same interface.
+vector is L2-normalized. It reads tokens, not text: ``embed_tokens``
+counts each distinct token text once, looks its bucket up in a per-instance
+memo (one SHA-256 per distinct text), and computes weights and the norm
+over the nonzero buckets only, in ascending bucket order, so the result is
+bit-identical to the dense formula over every bucket. ``embed(text)`` is
+``embed_tokens(lex(text))``. A remote HTTP provider can slot in behind the
+same interface; it embeds source text.
+
+``build_kb`` embeds a file's new functions with one ``embed_functions``
+call per file, passing each function's source text and the declaration
+tokens its parse already holds: the hashing embedder reads the tokens and
+lexes nothing, and the remote embedder posts the texts in one request.
 
 Retrieval is exact, in the manner of a flat L2 index: the index is built
 once per knowledge base (``PropertyGraph.vector_index`` keeps it), and
@@ -18,13 +28,14 @@ import hashlib
 import heapq
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import requests
 
-from .ingest import lex
+from .ingest import Token, lex
 from .model import FunctionUnit, SignatureFeatures
 
 DEFAULT_DIMENSION = 256
@@ -65,17 +76,6 @@ class EmbeddingVector:
     def dimension(self) -> int:
         return len(self.values)
 
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
-
-
-def semantic_distance(q: EmbeddingVector, d: EmbeddingVector) -> float:
-    """Euclidean distance between query and document vectors."""
-    if q.dimension != d.dimension:
-        raise DimensionMismatchError(
-            f"dimension {q.dimension} vs {d.dimension}")
-    return math.dist(q.values, d.values)
-
 
 class HashingEmbedder:
     """Deterministic local embedder: token buckets, log counts, unit norm."""
@@ -86,26 +86,47 @@ class HashingEmbedder:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
+        self._buckets: dict[str, int] = {}  # token text -> bucket
 
     def _bucket(self, token: str) -> int:
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.dimension
 
     def embed(self, code_text: str) -> EmbeddingVector:
-        counts = [0] * self.dimension
-        for tok in lex(code_text):
-            if tok.kind in ("number", "string"):
-                text = "LIT"  # literal values carry no structure
-            else:
-                text = tok.text
-            counts[self._bucket(text)] += 1
-        weights = [math.log1p(c) for c in counts]
+        return self.embed_tokens(lex(code_text))
+
+    def embed_tokens(self, tokens: Iterable[Token]) -> EmbeddingVector:
+        """The vector of a lexed text; equal to the dense formula's.
+
+        A zero bucket adds exactly 0.0 to the norm's sum and divides to
+        0.0, so summing the nonzero weights in ascending bucket order gives
+        the same floats as summing all of them.
+        """
+        # literal values carry no structure
+        counts = Counter("LIT" if tok.kind in ("number", "string") else tok.text
+                         for tok in tokens)
+        buckets = self._buckets
+        per_bucket: dict[int, int] = {}
+        for text, count in counts.items():
+            bucket = buckets.get(text)
+            if bucket is None:
+                bucket = buckets[text] = self._bucket(text)
+            per_bucket[bucket] = per_bucket.get(bucket, 0) + count
+        values = [0.0] * self.dimension
+        if not per_bucket:
+            values[0] = 1.0
+            return EmbeddingVector(tuple(values))
+        order = sorted(per_bucket)
+        weights = [math.log1p(per_bucket[bucket]) for bucket in order]
         norm = math.sqrt(sum(w * w for w in weights))
-        if norm == 0.0:
-            basis = [0.0] * self.dimension
-            basis[0] = 1.0
-            return EmbeddingVector(tuple(basis))
-        return EmbeddingVector(tuple(w / norm for w in weights))
+        for bucket, w in zip(order, weights):
+            values[bucket] = w / norm
+        return EmbeddingVector(tuple(values))
+
+    def embed_functions(self, functions: Sequence[tuple[str, Sequence[Token]]]
+                        ) -> list[EmbeddingVector]:
+        """One vector per (source text, declaration tokens) pair, from the tokens."""
+        return [self.embed_tokens(tokens) for _text, tokens in functions]
 
 
 class RemoteEmbedder:
@@ -133,6 +154,11 @@ class RemoteEmbedder:
     def embed(self, code_text: str) -> EmbeddingVector:
         return self.embed_batch([code_text])[0]
 
+    def embed_functions(self, functions: Sequence[tuple[str, Sequence[Token]]]
+                        ) -> list[EmbeddingVector]:
+        """One vector per (source text, declaration tokens) pair, in one request."""
+        return self.embed_batch([text for text, _tokens in functions])
+
     def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -148,8 +174,9 @@ class RemoteEmbedder:
         except ValueError as exc:
             raise ProviderError("RemoteUnavailable",
                                 f"{self.url}: non-JSON response ({exc})") from None
-        vectors = body.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
+        vectors = body.get("vectors") if isinstance(body, dict) else None
+        if not isinstance(vectors, list) or len(vectors) != len(texts) \
+                or not all(isinstance(values, list) for values in vectors):
             raise ProviderError("RemoteUnavailable",
                                 f"{self.url}: malformed vector payload")
         out = []
@@ -158,7 +185,11 @@ class RemoteEmbedder:
                 raise ProviderError(
                     "DimensionMismatch",
                     f"provider returned dimension {len(values)}, expected {self.dimension}")
-            out.append(EmbeddingVector(tuple(float(v) for v in values)))
+            try:
+                out.append(EmbeddingVector(tuple(float(v) for v in values)))
+            except (TypeError, ValueError):
+                raise ProviderError("RemoteUnavailable",
+                                    f"{self.url}: non-numeric vector value") from None
         return out
 
 

@@ -20,6 +20,7 @@ from .ingest import (
     IngestError,
     NodeKind,
     Relation,
+    Token,
     Triple,
     canonical_source_hash,
     extract_triples_with_diagnostics,
@@ -78,12 +79,15 @@ class PropertyGraph:
         self.embedder_meta: Optional[dict] = None
         self._edge_set: set[tuple[str, Relation, str]] = set()
         self._in: dict[str, list[tuple[Relation, str]]] = {}
+        self._functions: list[EntityNode] = []  # FUNCTION nodes, in insertion order
         self._index = None  # see vector_index
 
     def add_node(self, node: EntityNode) -> None:
         existing = self.nodes.get(node.id)
         if existing is None:
             self.nodes[node.id] = node
+            if node.kind is NodeKind.FUNCTION:
+                self._functions.append(node)
             self._index = None
         # identical re-adds are a no-op; first payload wins
 
@@ -116,7 +120,7 @@ class PropertyGraph:
         return len(self.in_edges(node_id, relation))
 
     def function_nodes(self) -> list[EntityNode]:
-        return [n for n in self.nodes.values() if n.kind is NodeKind.FUNCTION]
+        return list(self._functions)
 
     def functions(self) -> list[FunctionUnit]:
         return [n.payload for n in self.function_nodes() if n.payload is not None]
@@ -335,6 +339,8 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
 
     node_records, edge_records, clone_section, meta = sections
     graph = PropertyGraph()
+    # every vector has the metadata's dimension, or else the first vector's
+    dimension = meta.get("dimension") if isinstance(meta, dict) else None
     try:
         for record in node_records:
             payload = None
@@ -353,13 +359,23 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
             kind = NodeKind(record["kind"])
             graph.add_node(EntityNode(record["id"], kind, record["label"], payload))
             if "vector" in record:
-                graph.vectors[record["id"]] = tuple(record["vector"])
+                vector = record["vector"]
+                if not isinstance(vector, list) or not vector:
+                    raise ValueError(f"node {record['id']!r}: vector is not a non-empty list")
+                if dimension is None:
+                    dimension = len(vector)
+                if len(vector) != dimension:
+                    raise ValueError(f"node {record['id']!r}: vector has {len(vector)} "
+                                     f"values, expected {dimension}")
+                graph.vectors[record["id"]] = tuple(vector)
         for subject_id, relation_name, object_id in edge_records:
             graph.add_edge(subject_id, Relation(relation_name), object_id)
+        groups = clone_section["groups"]
+        if not isinstance(groups, dict):
+            raise ValueError("clone groups are not an object")
         clones = CloneGroupTable(
             min_tokens=clone_section["min_tokens"],
-            groups={cid: list(members)
-                    for cid, members in clone_section["groups"].items()},
+            groups={cid: list(members) for cid, members in groups.items()},
         )
     except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise FormatError("Corrupt", f"{path}: inconsistent payload ({exc})") from None
@@ -398,13 +414,18 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     """Parse a corpus, build the graph, group clones, score usage, embed.
 
     ``embedder`` is any provider with name/dimension attributes and an
-    embed(text) method. Files that fail to parse or duplicate an earlier
-    file (by canonical token hash) are skipped with a report entry.
+    ``embed_functions(pairs)`` method that returns one vector per
+    (source text, declaration tokens) pair. Files that fail to parse or
+    duplicate an earlier file (by canonical token hash) are skipped with a
+    report entry.
 
     Files are processed one at a time: each is lexed and parsed once, and
-    its hash, triples and clone keys all come from that parse before the
-    next file is read, so only one file's tokens are alive at a time. The
-    report lists every parse diagnostic before every triple diagnostic.
+    its hash, triples, clone keys and embeddings all come from that parse
+    before the next file is read, so only one file's tokens are alive at a
+    time. Each file's functions that have no vector yet (the first payload
+    of an id wins, as in ``PropertyGraph.add_node``) are embedded with one
+    ``embed_functions`` call. The report lists every parse diagnostic
+    before every triple diagnostic.
     """
     report = BuildReport()
     corpus_hashes: dict[str, str] = {}
@@ -412,6 +433,7 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     triple_diagnostics: list[str] = []
     functions: list[FunctionUnit] = []
     keys: dict[str, str] = {}
+    vectors: dict[str, tuple[float, ...]] = {}
     for path in paths:
         report.files_seen += 1
         try:
@@ -434,18 +456,22 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
         unit_triples, diagnostics = extract_triples_with_diagnostics(unit)
         triples.extend(unit_triples)
         triple_diagnostics.extend(f"{unit.path}: {line}" for line in diagnostics)
+        new: dict[str, tuple[str, list[Token]]] = {}
         for contract in unit.contracts:
             functions.extend(contract.functions)
             for fn, decl in zip(contract.functions, contract.decls):
                 keys[fn.id] = clone_key(decl.normalized)
+                if fn.id not in vectors and fn.id not in new:
+                    new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
+        if new:
+            for fn_id, vector in zip(new, embedder.embed_functions(list(new.values()))):
+                vectors[fn_id] = vector.values
     report.diagnostics.extend(triple_diagnostics)
 
     graph = build_graph(triples, functions)
     clones = assign_clone_groups(graph, clone_min_tokens, keys)
     compute_guf(graph, clones)
-    for node in sorted(graph.function_nodes(), key=lambda n: n.id):
-        if node.payload is not None:
-            graph.vectors[node.id] = tuple(embedder.embed(node.payload.source_text).values)
+    graph.vectors = vectors
     graph.embedder_meta = {
         "name": embedder.name,
         "dimension": embedder.dimension,

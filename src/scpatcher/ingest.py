@@ -12,8 +12,7 @@ declaration and body lie in them, with its parsed header and normalized
 tokens. Everything downstream derives from those tokens without lexing
 again: the function ID, token count and signature, the canonical file
 hash (``canonical_source_hash(unit.tokens)``), the clone key, the triples,
-and the detectors' per-function views. Only embedding stays text-in, since
-an embedding provider takes source text.
+the hashing embedder's vectors, and the detectors' per-function views.
 """
 
 from __future__ import annotations

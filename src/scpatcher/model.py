@@ -89,7 +89,8 @@ class SignatureFeatures:
 
     def __post_init__(self) -> None:
         for item in self.feature_set:
-            if item != item.lower() or any(ch.isspace() for ch in item):
+            if not isinstance(item, str) or item != item.lower() \
+                    or any(ch.isspace() for ch in item):
                 raise ValueError(f"signature feature not normalized: {item!r}")
 
     def __contains__(self, item: str) -> bool:

@@ -1,8 +1,12 @@
+import hashlib
 import math
 import random
 from pathlib import Path
 
 import pytest
+import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpatcher.embedding import (
     DEFAULT_POOL_SIZE,
@@ -11,15 +15,18 @@ from scpatcher.embedding import (
     EmbeddingVector,
     EmptyIndexError,
     HashingEmbedder,
+    ProviderError,
+    RemoteEmbedder,
     build_index,
     index_from_graph,
     knn,
-    semantic_distance,
 )
-from scpatcher.ingest import load_source
+from scpatcher.graph import build_kb
+from scpatcher.ingest import lex, load_source
 from scpatcher.model import FunctionUnit, SignatureFeatures
 
-CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+FIXTURES = Path(__file__).parent / "fixtures"
+CORPUS = FIXTURES / "corpus"
 
 
 def _oracle_distance(a, b):
@@ -31,11 +38,9 @@ def _oracle_distance(a, b):
 # ---------------------------------------------------------------------------
 
 def test_distance_identity_and_pythagoras():
-    v = EmbeddingVector((0.3, 0.4, 0.5))
-    assert semantic_distance(v, v) == 0.0
-    a = EmbeddingVector((0.0, 0.0))
-    b = EmbeddingVector((3.0, 4.0))
-    assert semantic_distance(a, b) == 5.0
+    v = (0.3, 0.4, 0.5)
+    assert math.dist(v, v) == 0.0
+    assert math.dist((0.0, 0.0), (3.0, 4.0)) == 5.0
 
 
 def test_distance_against_elementwise_oracle():
@@ -44,24 +49,18 @@ def test_distance_against_elementwise_oracle():
         dim = rng.randrange(2, 40)
         a = EmbeddingVector(tuple(rng.uniform(-5, 5) for _ in range(dim)))
         b = EmbeddingVector(tuple(rng.uniform(-5, 5) for _ in range(dim)))
-        assert abs(semantic_distance(a, b) - _oracle_distance(a, b)) < 1e-12
-        assert semantic_distance(a, b) == semantic_distance(b, a)
+        assert abs(math.dist(a.values, b.values) - _oracle_distance(a, b)) < 1e-12
+        assert math.dist(a.values, b.values) == math.dist(b.values, a.values)
 
 
 def test_distance_triangle_inequality():
     rng = random.Random(11)
     for _ in range(200):
-        pts = [EmbeddingVector(tuple(rng.uniform(-1, 1) for _ in range(8)))
-               for _ in range(3)]
-        ab = semantic_distance(pts[0], pts[1])
-        bc = semantic_distance(pts[1], pts[2])
-        ac = semantic_distance(pts[0], pts[2])
+        pts = [tuple(rng.uniform(-1, 1) for _ in range(8)) for _ in range(3)]
+        ab = math.dist(pts[0], pts[1])
+        bc = math.dist(pts[1], pts[2])
+        ac = math.dist(pts[0], pts[2])
         assert ac <= ab + bc + 1e-9
-
-
-def test_distance_rejects_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        semantic_distance(EmbeddingVector((1.0,)), EmbeddingVector((1.0, 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +80,14 @@ def test_embed_unit_norm_on_corpus(corpus_paths):
         for contract in unit.contracts:
             for fn in contract.functions:
                 vector = provider.embed(fn.source_text)
-                assert abs(vector.norm() - 1.0) < 1e-9
+                assert abs(math.hypot(*vector.values) - 1.0) < 1e-9
 
 
 def test_embed_empty_input_is_basis_vector():
     vector = HashingEmbedder(16).embed("")
     assert vector.values[0] == 1.0
     assert all(v == 0.0 for v in vector.values[1:])
-    assert abs(vector.norm() - 1.0) < 1e-9
+    assert abs(math.hypot(*vector.values) - 1.0) < 1e-9
 
 
 def test_embed_ignores_literal_values_and_comments():
@@ -96,6 +95,56 @@ def test_embed_ignores_literal_values_and_comments():
     a = provider.embed('x = 5; s = "north";')
     b = provider.embed('x = 900; /* note */ s = "south";')
     assert a.values == b.values
+
+
+def _dense_reference(text, dimension):
+    """The dense formula: count every bucket, weigh and sum all of them."""
+    counts = [0] * dimension
+    for tok in lex(text):
+        key = "LIT" if tok.kind in ("number", "string") else tok.text
+        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        counts[int.from_bytes(digest[:8], "big") % dimension] += 1
+    weights = [math.log1p(c) for c in counts]
+    norm = math.sqrt(sum(w * w for w in weights))
+    if norm == 0.0:
+        basis = [0.0] * dimension
+        basis[0] = 1.0
+        return tuple(basis)
+    return tuple(w / norm for w in weights)
+
+
+def test_embed_tokens_of_a_declaration_equals_embed_of_its_text():
+    provider = HashingEmbedder(256)
+    functions = 0
+    for path in sorted(FIXTURES.rglob("*.sol")):
+        unit = load_source(path)
+        for contract in unit.contracts:
+            for fn, decl in zip(contract.functions, contract.decls):
+                from_tokens = provider.embed_tokens(unit.tokens[decl.start:decl.end])
+                assert from_tokens.values == provider.embed(fn.source_text).values
+                assert from_tokens.values == _dense_reference(fn.source_text, 256)
+                functions += 1
+    assert functions >= 70
+
+
+_TOKEN_TEXT = st.one_of(
+    st.sampled_from(["a", "b", "x1", "_y", "$z", "LIT", "uint256", "function", "return",
+                     "0", "42", "0xff", "1e5", '"s"', "'c'", 'hex"00"', "(", ")", "{", "}",
+                     ";", "+=", "=>", "// note\n", "/* c */", "@", "#"]),
+    st.text(alphabet="abcxyz_019 .;(){}\"'/*+-=<>\n@é", max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3, 16, 64, 256, 1000]),
+       st.lists(st.lists(_TOKEN_TEXT, max_size=40).map(" ".join), min_size=1, max_size=4))
+def test_embed_equals_the_dense_formula(dimension, texts):
+    provider = HashingEmbedder(dimension)  # shared, so later texts reuse its bucket memo
+    for text in texts:
+        values = provider.embed(text).values
+        assert values == _dense_reference(text, dimension)
+        if not lex(text):
+            assert values == (1.0,) + (0.0,) * (dimension - 1)
 
 
 def test_clone_pairs_embed_closer_than_strangers(kb):
@@ -230,3 +279,88 @@ def test_build_index_rejects_mixed_dimensions():
     vectors = {functions[0].id: (1.0, 0.0), functions[1].id: (1.0, 0.0, 0.0)}
     with pytest.raises(DimensionMismatchError):
         build_index(functions, vectors)
+
+
+# ---------------------------------------------------------------------------
+# Remote embedder, against a fake session
+# ---------------------------------------------------------------------------
+
+class _FakeResponse:
+    def __init__(self, body, status=200):
+        self.body = body
+        self.status = status
+
+    def raise_for_status(self):
+        if self.status >= 400:
+            raise requests.HTTPError(f"status {self.status}")
+
+    def json(self):
+        if isinstance(self.body, Exception):
+            raise self.body
+        return self.body
+
+
+class _FakeSession:
+    """Records each post's JSON payload and answers with ``reply(payload)``."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.posts = []
+
+    def post(self, url, json, headers, timeout):
+        self.posts.append(json)
+        reply = self.reply(json)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+def _hashing_reply(dimension):
+    provider = HashingEmbedder(dimension)
+    return lambda payload: _FakeResponse(
+        {"vectors": [list(provider.embed(text).values) for text in payload["input"]]})
+
+
+def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_paths, tmp_path):
+    no_functions = tmp_path / "state_only.sol"
+    no_functions.write_text("contract StateOnly { uint256 total; }")
+    paths = list(corpus_paths) + [no_functions]
+    session = _FakeSession(_hashing_reply(16))
+    remote = RemoteEmbedder(url="http://embed.test/v1", dimension=16, session=session)
+    graph, _, report = build_kb(paths, remote, 12)
+
+    expected = []
+    for path in corpus_paths:
+        unit = load_source(path)
+        texts = [fn.source_text for c in unit.contracts for fn in c.functions]
+        if texts:
+            expected.append(texts)
+    assert report.function_count == 28
+    assert len(session.posts) == len(expected) <= 10
+    assert [post["input"] for post in session.posts] == expected
+    assert all(post["model"] == "default" for post in session.posts)
+    assert graph.vectors == build_kb(paths, HashingEmbedder(16), 12)[0].vectors
+    assert graph.embedder_meta["name"] == "remote"
+
+
+@pytest.mark.parametrize("reply, code", [
+    (lambda payload: _FakeResponse({"vectors": [[0.5] * 15 for _ in payload["input"]]}),
+     "DimensionMismatch"),
+    (lambda payload: _FakeResponse(ValueError("Expecting value")), "RemoteUnavailable"),
+    (lambda payload: requests.ConnectionError("refused"), "RemoteUnavailable"),
+    (lambda payload: requests.Timeout("slow"), "RemoteUnavailable"),
+    (lambda payload: _FakeResponse({"error": "busy"}, status=503), "RemoteUnavailable"),
+    (lambda payload: _FakeResponse({"vectors": [[0.5] * 16]}), "RemoteUnavailable"),
+    (lambda payload: _FakeResponse({"vectors": {}}), "RemoteUnavailable"),
+    (lambda payload: _FakeResponse([[0.5] * 16, [0.5] * 16]), "RemoteUnavailable"),
+    (lambda payload: _FakeResponse({"vectors": [7, 7]}), "RemoteUnavailable"),
+    (lambda payload: _FakeResponse({"vectors": [["x"] * 16, [0.5] * 16]}), "RemoteUnavailable"),
+], ids=["wrong-dimension", "non-json", "connection", "timeout", "http-503", "wrong-count",
+        "vectors-object", "body-list", "vector-scalar", "non-numeric"])
+def test_remote_failures_raise_provider_errors(reply, code):
+    session = _FakeSession(reply)
+    remote = RemoteEmbedder(url="http://embed.test/v1", dimension=16, session=session)
+    with pytest.raises(ProviderError) as err:
+        remote.embed_functions([("function a() {}", []), ("function b() {}", [])])
+    assert err.value.code == code
+    assert [post["input"] for post in session.posts] == [["function a() {}", "function b() {}"]]

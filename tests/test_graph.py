@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from scpatcher.graph import (
     save_kb,
 )
 from scpatcher.ingest import (
+    NodeKind,
     extract_triples,
     load_source,
     normalize_source,
@@ -257,6 +259,69 @@ def test_load_missing_file_is_io_error(tmp_path):
         load_kb(tmp_path / "absent.scpk")
 
 
+def _rewrite_kb(kb_file, path, mutate):
+    """Decode the four JSON sections, let ``mutate`` edit them, re-encode."""
+    blob = kb_file.read_bytes()
+    offset, sections = 6, []
+    for _ in range(4):
+        (length,) = struct.unpack_from("<I", blob, offset)
+        sections.append(json.loads(blob[offset + 4:offset + 4 + length]))
+        offset += 4 + length
+    mutate(*sections)
+    out = bytearray(blob[:6])
+    for section in sections:
+        payload = json.dumps(section).encode("utf-8")
+        out += struct.pack("<I", len(payload)) + payload
+    path.write_bytes(bytes(out))
+    return path
+
+
+def _function_record(nodes, index=0):
+    return [record for record in nodes if "payload" in record][index]
+
+
+@pytest.mark.parametrize("mutate", [
+    # the clone section's groups must be an object
+    lambda nodes, edges, clones, meta: clones.update(groups=[["a", ["b"]]]),
+    # every signature feature must be a string
+    lambda nodes, edges, clones, meta: _function_record(nodes)["payload"].update(
+        signature=["public", 7]),
+    # vectors are non-empty lists of the metadata's dimension
+    lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=[]),
+    lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=0.5),
+    lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=[0.6, 0.8, 0.0]),
+    lambda nodes, edges, clones, meta: _function_record(nodes, 5).update(vector=[1.0] * 257),
+], ids=["groups-list", "feature-int", "vector-empty", "vector-scalar", "vector-short",
+        "vector-long"])
+def test_load_rejects_malformed_sections_as_corrupt(kb_file, tmp_path, mutate):
+    path = _rewrite_kb(kb_file, tmp_path / "bad.scpk", mutate)
+    with pytest.raises(FormatError) as err:
+        load_kb(path)
+    assert err.value.code == "Corrupt"
+
+
+def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, tmp_path):
+    def drop_dimension(nodes, edges, clones, meta):
+        del meta["dimension"]
+
+    path = _rewrite_kb(kb_file, tmp_path / "nodim.scpk", drop_dimension)
+    assert len(next(iter(load_kb(path)[0].vectors.values()))) == 256
+
+    def short_second_row(nodes, edges, clones, meta):
+        drop_dimension(nodes, edges, clones, meta)
+        _function_record(nodes, 1).update(vector=[1.0] * 255)
+
+    path = _rewrite_kb(kb_file, tmp_path / "ragged.scpk", short_second_row)
+    with pytest.raises(FormatError) as err:
+        load_kb(path)
+    assert err.value.code == "Corrupt"
+
+
+def test_rewritten_but_unchanged_kb_still_loads(kb, kb_file, tmp_path):
+    path = _rewrite_kb(kb_file, tmp_path / "same.scpk", lambda *sections: None)
+    assert load_kb(path)[0] == kb[0]
+
+
 # ---------------------------------------------------------------------------
 # KB build
 # ---------------------------------------------------------------------------
@@ -318,16 +383,25 @@ def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_KB_SHA256
 
 
-def test_build_kb_lexes_each_file_once_and_each_function_once(corpus_paths, monkeypatch):
+def test_build_kb_lexes_each_file_once(corpus_paths, monkeypatch):
     calls = []
     for module in (ingest, embedding):
         original = module.lex
         monkeypatch.setattr(module, "lex", lambda *args, _lex=original, **kwargs:
                             calls.append(args[0]) or _lex(*args, **kwargs))
     _, _, report = build_kb(corpus_paths, HashingEmbedder(256), 12)
-    # one parse per file, and HashingEmbedder.embed once per function
+    # one parse per file; functions are embedded from the parse's tokens
     assert (report.files_used, report.function_count) == (10, 28)
-    assert len(calls) == 10 + 28
+    assert len(calls) == 10
+
+
+def test_function_nodes_are_the_function_kind_nodes_in_insertion_order(kb, kb_file):
+    for graph in (kb[0], load_kb(kb_file)[0]):
+        assert graph.function_nodes() == [
+            n for n in graph.nodes.values() if n.kind is NodeKind.FUNCTION]
+        assert len(graph.function_nodes()) == 28
+        graph.function_nodes().clear()  # a copy: the graph keeps its list
+        assert len(graph.function_nodes()) == 28
 
 
 def test_build_kb_clone_groups_match_standalone_grouping(kb, corpus_paths):
