@@ -15,11 +15,24 @@ call per file, passing each function's source text and the declaration
 tokens its parse already holds: the hashing embedder reads the tokens and
 lexes nothing, and the remote embedder posts the texts in one request.
 
-Retrieval is exact, in the manner of a flat L2 index: the index is built
-once per knowledge base (``PropertyGraph.vector_index`` keeps it), and
-every query scans all of its rows with ``math.dist`` and keeps the
-nearest by a stable selection, so results are reproducible and
-oracle-checkable.
+Retrieval is exact: ``knn`` returns the ids and ``math.dist`` distances
+that a flat L2 scan of every row returns, bit for bit. The index is built
+once per knowledge base (``PropertyGraph.vector_index`` keeps it) and also
+holds the rows column by column, with each row's squared norm. A hashing
+vector has about 18 nonzero buckets of 256, so ``knn`` filters and then
+refines, after the VA-file's exact search: it scores every row on the
+query's nonzero buckets only, through a few compact columns that stay in
+cache, as ``dist(q_S, r_S)**2 + |r|**2 - hypot(*r_S)**2``, which is the
+squared distance in real arithmetic. The rows within a margin of
+1e-9 * (|q|**2 + max |r|**2 + 1) of the n-th smallest such score survive;
+the margin dwarfs the scores' float error, about 10 * 2**-53 *
+(|q|**2 + |r|**2), so no true top-n row is lost. Only the survivors are
+rescored with ``math.dist`` over the full vectors and selected stably,
+ties going to the lower id. The filter is skipped, and every row
+rescored, when ``n`` covers the index, when the query has more than
+``dimension // FILTER_DIVISOR`` nonzero buckets (dense vectors, as a
+remote provider returns, where the filter costs more than it saves), or
+when a squared norm is not finite or near overflow.
 """
 
 from __future__ import annotations
@@ -29,8 +42,9 @@ import heapq
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import compress, repeat, starmap
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 import requests
@@ -40,6 +54,11 @@ from .model import FunctionUnit, SignatureFeatures
 
 DEFAULT_DIMENSION = 256
 DEFAULT_POOL_SIZE = 50
+# knn filters only queries with at most dimension // FILTER_DIVISOR nonzero
+# buckets. Over 2,800 rows of 256 on a 2-vCPU VM the filter and refine take
+# 2.2 ms at 18 nonzero buckets, 3.7 ms at 42 and 5.5 ms at 64; the full
+# scan takes 4.7 ms.
+FILTER_DIVISOR = 6
 
 EMBED_URL_VAR = "SCPATCHER_EMBED_URL"
 EMBED_KEY_VAR = "SCPATCHER_EMBED_KEY"
@@ -186,10 +205,14 @@ class RemoteEmbedder:
                     "DimensionMismatch",
                     f"provider returned dimension {len(values)}, expected {self.dimension}")
             try:
-                out.append(EmbeddingVector(tuple(float(v) for v in values)))
+                vector = tuple(float(v) for v in values)
             except (TypeError, ValueError):
                 raise ProviderError("RemoteUnavailable",
                                     f"{self.url}: non-numeric vector value") from None
+            if not math.isfinite(math.hypot(*vector)):
+                raise ProviderError("RemoteUnavailable",
+                                    f"{self.url}: non-finite vector value")
+            out.append(EmbeddingVector(vector))
         return out
 
 
@@ -217,13 +240,25 @@ class Candidate:
     s_final: Optional[float] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorIndex:
-    """Exact-search index: one row per function, in function-id order."""
+    """Exact-search index: one row per function, in function-id order.
+
+    ``columns`` lays the same values out bucket by bucket for ``knn``'s
+    filter: every zero is one shared float, and each column's nonzero
+    values are copied together so that a scan over a few columns stays in
+    cache. ``sq_norms`` holds each row's squared norm, and ``max_sq_norm``
+    the largest of them (infinite if any is not finite). Columns and norms
+    are tuples of floats, which the garbage collector stops tracking, so
+    its full collections do not walk them.
+    """
 
     dimension: int
-    functions: list[FunctionUnit] = field(default_factory=list)
-    rows: list[tuple[float, ...]] = field(default_factory=list)
+    functions: list[FunctionUnit]
+    rows: list[tuple[float, ...]]
+    columns: list[tuple[float, ...]]
+    sq_norms: tuple[float, ...]
+    max_sq_norm: float
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -232,19 +267,34 @@ class VectorIndex:
 def build_index(functions: Sequence[FunctionUnit],
                 vectors: dict[str, tuple[float, ...]]) -> VectorIndex:
     """Pair every function with its vector; all dimensions must agree."""
-    index = VectorIndex(dimension=0)
+    dimension = 0
+    kept: list[FunctionUnit] = []
+    rows: list[tuple[float, ...]] = []
     for fn in sorted(functions, key=lambda f: f.id):
         if fn.id not in vectors:
             continue
         vector = EmbeddingVector(tuple(vectors[fn.id]))
-        if index.dimension == 0:
-            index.dimension = vector.dimension
-        elif vector.dimension != index.dimension:
+        if dimension == 0:
+            dimension = vector.dimension
+        elif vector.dimension != dimension:
             raise DimensionMismatchError(
-                f"{fn.qualified_name}: dimension {vector.dimension}, index has {index.dimension}")
-        index.functions.append(fn)
-        index.rows.append(vector.values)
-    return index
+                f"{fn.qualified_name}: dimension {vector.dimension}, index has {dimension}")
+        kept.append(fn)
+        rows.append(vector.values)
+    buckets = range(dimension)
+    nonzero: list[list[int]] = [[] for _ in buckets]  # bucket -> rows with a nonzero value
+    for i, row in enumerate(rows):
+        for j in compress(buckets, row):
+            nonzero[j].append(i)
+    columns = []
+    for j, members in enumerate(nonzero):
+        column = [0.0] * len(rows)  # one shared zero
+        for i in members:
+            column[i] = rows[i][j] + 0.0  # a fresh float, allocated next to its column's others
+        columns.append(tuple(column))
+    sq_norms = tuple(math.hypot(*row) ** 2 for row in rows)
+    max_sq_norm = max(sq_norms, default=0.0) if all(map(math.isfinite, sq_norms)) else math.inf
+    return VectorIndex(dimension, kept, rows, columns, sq_norms, max_sq_norm)
 
 
 def index_from_graph(graph) -> VectorIndex:
@@ -252,9 +302,45 @@ def index_from_graph(graph) -> VectorIndex:
     return build_index(graph.functions(), graph.vectors)
 
 
+def _survivors(index: VectorIndex, query: tuple[float, ...], support: list[int],
+               q_sq: float, n: int) -> list[int]:
+    """The rows that may be among the ``n`` nearest to ``query``, ascending.
+
+    For each row r, with q_S and r_S the query and the row restricted to
+    the query's nonzero buckets ``support``, ``dist(q_S, r_S)**2 + |r|**2
+    - hypot(*r_S)**2`` equals |q - r|**2 in real arithmetic; its float
+    error is about 10 * 2**-53 * (|q|**2 + |r|**2). A row survives when
+    this value is within 1e-9 * (|q|**2 + max |r|**2 + 1) of the n-th
+    smallest, a margin so far above the error that every true top-n row
+    survives.
+    """
+    count = len(index.rows)
+    if support:
+        r_s = list(zip(*[index.columns[j] for j in support]))
+        apart = list(map(math.dist, repeat(tuple(query[j] for j in support), count), r_s))
+        within = list(starmap(math.hypot, r_s))
+        approx = list(map(sub, map(add, map(mul, apart, apart), index.sq_norms),
+                          map(mul, within, within)))
+    else:
+        approx = index.sq_norms
+    bound = heapq.nsmallest(n, approx)[-1] + 1e-9 * (q_sq + index.max_sq_norm + 1.0)
+    return list(compress(range(count), map(bound.__ge__, approx)))
+
+
 def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
         ) -> list[Candidate]:
-    """Exact nearest neighbors, ascending distance, id tiebreak."""
+    """Exact nearest neighbors, ascending distance, id tiebreak.
+
+    Filter and refine: ``_survivors`` scores every row on the query's
+    nonzero buckets only and keeps those that can still be among the
+    ``n`` nearest; only they are rescored with ``math.dist`` over the full
+    vectors, so ids and ``s_sem`` equal a full scan's bit for bit. Every
+    row is rescored, with no filter, when ``n`` covers the index, when the
+    query has more than ``dimension // FILTER_DIVISOR`` nonzero buckets
+    (the filter would cost more than the full scan), or when a squared
+    norm is not finite or so large that the filter's sums, which stay
+    below 4 * (|q|**2 + max |r|**2), could overflow.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not index.rows:
@@ -262,15 +348,25 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
     if query.dimension != index.dimension:
         raise DimensionMismatchError(
             f"dimension {query.dimension} vs {index.dimension}")
-    distances = list(map(math.dist, repeat(query.values, len(index.rows)), index.rows))
-    # nsmallest is stable and the rows are in id order, so ties go to the lower id.
+    values = query.values
+    rows, functions = index.rows, index.functions
+    if n < len(rows):
+        support = list(compress(range(index.dimension), values))
+        q_sq = math.hypot(*values) ** 2
+        if (len(support) <= index.dimension // FILTER_DIVISOR
+                and math.isfinite(4.0 * (q_sq + index.max_sq_norm))):
+            survivors = _survivors(index, values, support, q_sq, n)
+            rows = list(map(rows.__getitem__, survivors))
+            functions = list(map(functions.__getitem__, survivors))
+    distances = list(map(math.dist, repeat(values), rows))
+    # nsmallest is stable and the rows stay in id order, so ties go to the lower id
     nearest = heapq.nsmallest(n, range(len(distances)), key=distances.__getitem__)
     out = []
-    for row in nearest:
-        fn = index.functions[row]
+    for position in nearest:
+        fn = functions[position]
         out.append(Candidate(
             function_id=fn.id,
-            s_sem=distances[row],
+            s_sem=distances[position],
             guf=max(fn.guf, 1),
             clone_id=fn.clone_id,
             signature=fn.signature,

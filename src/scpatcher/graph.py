@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -367,6 +368,8 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
                 if len(vector) != dimension:
                     raise ValueError(f"node {record['id']!r}: vector has {len(vector)} "
                                      f"values, expected {dimension}")
+                if not math.isfinite(math.hypot(*vector)):  # TypeError for a non-number
+                    raise ValueError(f"node {record['id']!r}: vector is not finite")
                 graph.vectors[record["id"]] = tuple(vector)
         for subject_id, relation_name, object_id in edge_records:
             graph.add_edge(subject_id, Relation(relation_name), object_id)

@@ -316,13 +316,6 @@ class Triple:
                 f"-{self.relation.value}-> {self.obj.kind.value}"
             )
 
-    def as_labels(self) -> tuple[str, str, str]:
-        return (
-            f"{self.subject.kind.value}:{self.subject.label}",
-            self.relation.value,
-            f"{self.obj.kind.value}:{self.obj.label}",
-        )
-
 
 def contract_ref(name: str) -> NodeRef:
     return NodeRef(NodeKind.CONTRACT, f"contract:{name}", name)
@@ -470,19 +463,13 @@ def _signature_from_header(header: FunctionHeader) -> SignatureFeatures:
     return SignatureFeatures(frozenset(features))
 
 
-def _header_end(tokens: list[Token], start: int = 0) -> int:
+def _header_end(tokens: list[Token], start: int) -> int:
     """Index of the '{' or ';' that ends the function header at ``start``,
     or ``len(tokens)`` if there is none."""
     i = start
     while i < len(tokens) and tokens[i].text not in ("{", ";"):
         i += 1
     return i
-
-
-def extract_signature(fn: FunctionUnit) -> SignatureFeatures:
-    """Signature features of a parsed function, recomputed from its source."""
-    tokens = lex(fn.source_text)
-    return _signature_from_header(_parse_header(tokens[:_header_end(tokens)]))
 
 
 def access_kind(body_tokens: list[Token], index: int) -> str:
@@ -724,14 +711,9 @@ def _parse_state_var(body: list[Token], start: int, contract: ContractDecl,
 # Triple extraction
 # ---------------------------------------------------------------------------
 
-def extract_triples(unit: SourceUnit) -> list[Triple]:
-    """Entity-relationship triples of one parsed source unit."""
-    triples, _ = extract_triples_with_diagnostics(unit)
-    return triples
-
-
 def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], list[str]]:
-    """Like extract_triples, also returning unresolved-reference diagnostics."""
+    """Entity-relationship triples of one parsed source unit, and its
+    unresolved-reference diagnostics."""
     triples: list[Triple] = []
     diagnostics: list[str] = []
 

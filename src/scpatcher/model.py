@@ -68,13 +68,6 @@ class RepairStage(Enum):
     def __str__(self) -> str:
         return self.value
 
-    @classmethod
-    def parse(cls, text: str) -> "RepairStage":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown repair stage: {text!r}")
-
 
 @dataclass(frozen=True)
 class SignatureFeatures:
@@ -182,13 +175,3 @@ class RepairOutcome:
     stage_used: Optional[RepairStage] = None
     patch: Optional[PatchCandidate] = None
     diagnostics: tuple[str, ...] = field(default=())
-
-
-def validate_outcome(outcome: RepairOutcome) -> list[str]:
-    """Return the list of violated outcome invariants (empty means valid)."""
-    violations = []
-    if outcome.fixed and not outcome.compiled:
-        violations.append("fixed without compiled")
-    if outcome.fixed and outcome.patch is None:
-        violations.append("fixed without patch")
-    return violations

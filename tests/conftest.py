@@ -2,13 +2,16 @@
 
 Every test runs with outbound sockets disabled so the suite stays
 hermetic; the remote providers are only ever exercised against that
-guard.
+guard. Hypothesis properties run derandomized, with no example database
+and no deadline, so every run checks the same examples and no failure
+from an earlier run is replayed.
 """
 
 import socket
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from scpatcher.embedding import HashingEmbedder
 from scpatcher.graph import build_kb, save_kb
@@ -19,6 +22,9 @@ DETECTORS = FIXTURES / "detectors"
 EVAL_CASES = FIXTURES / "eval_cases"
 ORACLES = FIXTURES / "oracles"
 GOLDEN = FIXTURES / "golden"
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from pathlib import Path
@@ -135,7 +136,7 @@ _TOKEN_TEXT = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.sampled_from([1, 2, 3, 16, 64, 256, 1000]),
        st.lists(st.lists(_TOKEN_TEXT, max_size=40).map(" ".join), min_size=1, max_size=4))
 def test_embed_equals_the_dense_formula(dimension, texts):
@@ -179,6 +180,11 @@ def _random_index(rng, count, dim):
     return build_index(functions, vectors), functions, vectors
 
 
+def _dense_knn(vectors, query, n):
+    """The reference: every row scored with math.dist, ids break ties."""
+    return sorted((math.dist(query, vector), fid) for fid, vector in vectors.items())[:n]
+
+
 def test_knn_matches_full_sort_oracle():
     rng = random.Random(500)
     index, functions, vectors = _random_index(rng, 500, 256)
@@ -200,11 +206,91 @@ def test_knn_matches_loop_reference_on_fixture_kb(kb):
     for fn in graph.functions():
         query = provider.embed(fn.source_text)
         for n in (1, 5, DEFAULT_POOL_SIZE):
-            reference = sorted((math.dist(query.values, vector), fid)
-                               for fid, vector in graph.vectors.items())[:n]
+            reference = _dense_knn(graph.vectors, query.values, n)
             got = knn(index, query, n)
             assert [c.function_id for c in got] == [fid for _, fid in reference]
             assert [c.s_sem for c in got] == [distance for distance, _ in reference]
+
+
+@st.composite
+def _index_and_query(draw):
+    """Sparse, duplicate and all-zero rows; a sparse, dense, all-zero or
+    row-equal query; signed values of one magnitude from 1e-152 to 1e152."""
+    dimension = draw(st.sampled_from([1, 3, 12, 36, 64]))
+    exponent = draw(st.integers(-150, 150))
+    value = st.builds(lambda m, e: m * 10.0 ** (exponent + e),
+                      st.floats(-1.0, 1.0), st.integers(-2, 2))
+
+    def sparse(most):
+        picked = draw(st.dictionaries(st.integers(0, dimension - 1), value, max_size=most))
+        return tuple(picked.get(j, 0.0) for j in range(dimension))
+
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "duplicate", "zero"]))
+        if kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "zero":
+            rows.append((0.0,) * dimension)
+        else:
+            rows.append(sparse(max(1, dimension // 4)))
+    kind = draw(st.sampled_from(["sparse", "dense", "zero", "row"]))
+    if kind == "sparse":
+        query = sparse(max(1, dimension // 6))
+    elif kind == "dense":
+        query = tuple(draw(st.lists(value, min_size=dimension, max_size=dimension)))
+    elif kind == "zero":
+        query = (0.0,) * dimension
+    else:
+        query = draw(st.sampled_from(rows))
+    n = draw(st.integers(1, len(rows) + 3))
+    functions = [_fn(i) for i in range(len(rows))]
+    return {f.id: row for f, row in zip(functions, rows)}, functions, query, n
+
+
+@settings(max_examples=150)
+@given(_index_and_query())
+def test_knn_equals_the_dense_scan(case):
+    vectors, functions, query, n = case
+    got = knn(build_index(functions, vectors), EmbeddingVector(query), n)
+    reference = _dense_knn(vectors, query, n)
+    assert [c.function_id for c in got] == [fid for _, fid in reference]
+    assert [c.s_sem for c in got] == [distance for distance, _ in reference]
+
+
+def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
+    rng = random.Random(41)
+    dimension = 256
+
+    def sparse(count):
+        values = [0.0] * dimension
+        for j in rng.sample(range(dimension), count):
+            values[j] = rng.uniform(-1, 1)
+        return tuple(values)
+
+    functions = [_fn(i) for i in range(300)]
+    vectors = {f.id: sparse(rng.randrange(10, 37)) for f in functions}
+    index = build_index(functions, vectors)
+    rescored = []
+    dist = math.dist
+
+    def counting_dist(p, q):
+        if len(p) == dimension:
+            rescored.append(p)
+        return dist(p, q)
+
+    dense = tuple(rng.uniform(-1, 1) for _ in range(dimension))
+    for query, n, filtered in ((sparse(18), 5, True), (dense, 5, False),
+                               (sparse(18), 300, False), (sparse(18), 400, False)):
+        rescored.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "dist", counting_dist)
+            got = knn(index, EmbeddingVector(query), n)
+        assert [(c.s_sem, c.function_id) for c in got] == _dense_knn(vectors, query, n)
+        if filtered:
+            assert n <= len(rescored) <= 30
+        else:
+            assert len(rescored) == 300
 
 
 def test_knn_rejects_query_of_wrong_dimension(kb):
@@ -355,8 +441,12 @@ def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_pa
     (lambda payload: _FakeResponse([[0.5] * 16, [0.5] * 16]), "RemoteUnavailable"),
     (lambda payload: _FakeResponse({"vectors": [7, 7]}), "RemoteUnavailable"),
     (lambda payload: _FakeResponse({"vectors": [["x"] * 16, [0.5] * 16]}), "RemoteUnavailable"),
+    # json.loads, which requests' Response.json uses, accepts NaN
+    (lambda payload: _FakeResponse(json.loads(
+        '{"vectors": [[0.5, NaN%s], [0.5%s]]}' % (", 0.5" * 14, ", 0.5" * 15))),
+     "RemoteUnavailable"),
 ], ids=["wrong-dimension", "non-json", "connection", "timeout", "http-503", "wrong-count",
-        "vectors-object", "body-list", "vector-scalar", "non-numeric"])
+        "vectors-object", "body-list", "vector-scalar", "non-numeric", "non-finite"])
 def test_remote_failures_raise_provider_errors(reply, code):
     session = _FakeSession(reply)
     remote = RemoteEmbedder(url="http://embed.test/v1", dimension=16, session=session)

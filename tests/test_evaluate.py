@@ -57,6 +57,19 @@ def test_a_sweep_reads_and_lexes_each_entry_once(kb, monkeypatch):
     assert len(lexes) == 6
 
 
+def test_every_fixed_outcome_compiled_and_carries_a_patch(kb, monkeypatch):
+    graph, _, _ = kb
+    outcomes = []
+    original = evaluate.compute_metrics
+    monkeypatch.setattr(evaluate, "compute_metrics",
+                        lambda batch: outcomes.extend(batch) or original(batch))
+    run_dataset(load_manifest(str(EVAL_CASES / "manifest.json")), graph, _cfg(),
+                k_values=[1, 3, 5])
+    assert len(outcomes) == 18 and any(o.fixed for o in outcomes)
+    assert not [o for o in outcomes if o.fixed and not o.compiled]
+    assert not [o for o in outcomes if o.fixed and o.patch is None]
+
+
 def test_unbalanced_entry_is_kept_and_fails_alike_at_every_k(kb, tmp_path, monkeypatch):
     graph, _, _ = kb
     broken = tmp_path / "broken.sol"

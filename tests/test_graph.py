@@ -20,7 +20,7 @@ from scpatcher.graph import (
 )
 from scpatcher.ingest import (
     NodeKind,
-    extract_triples,
+    extract_triples_with_diagnostics,
     load_source,
     normalize_source,
     parse_source,
@@ -35,7 +35,7 @@ def _corpus_graph(corpus_paths):
     triples, functions = [], []
     for path in corpus_paths:
         unit = load_source(path)
-        triples.extend(extract_triples(unit))
+        triples.extend(extract_triples_with_diagnostics(unit)[0])
         functions.extend(f for c in unit.contracts for f in c.functions)
     return build_graph(triples, functions), functions
 
@@ -61,7 +61,7 @@ def test_corpus_graph_matches_hand_trace(corpus_paths):
 
 def test_duplicate_triples_collapse():
     unit = parse_source("contract A { uint256 x;\nfunction f() public { x = 1; x = 2; } }")
-    triples = extract_triples(unit)
+    triples, _ = extract_triples_with_diagnostics(unit)
     functions = [f for c in unit.contracts for f in c.functions]
     graph = build_graph(triples, functions)
     writes = [e for e in graph.edges if e[1].value == "WRITES"]
@@ -72,7 +72,7 @@ def test_duplicate_triples_collapse():
 
 def test_dangling_function_endpoint_rejected():
     unit = parse_source("contract A { uint256 x;\nfunction f() public { x = 1; } }")
-    triples = extract_triples(unit)
+    triples, _ = extract_triples_with_diagnostics(unit)
     with pytest.raises(GraphError) as err:
         build_graph(triples, [])
     assert err.value.code == "DanglingEndpoint"
@@ -174,7 +174,7 @@ def test_guf_grows_with_new_caller():
 
     def guf_of_helper(unit):
         functions = [f for c in unit.contracts for f in c.functions]
-        graph = build_graph(extract_triples(unit), functions)
+        graph = build_graph(extract_triples_with_diagnostics(unit)[0], functions)
         graph = compute_guf(graph, assign_clone_groups(graph, 12))
         return next(f.guf for f in graph.functions() if f.name == "helper")
 
@@ -291,8 +291,16 @@ def _function_record(nodes, index=0):
     lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=0.5),
     lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=[0.6, 0.8, 0.0]),
     lambda nodes, edges, clones, meta: _function_record(nodes, 5).update(vector=[1.0] * 257),
+    # every vector value is a finite number (json.loads accepts NaN and the infinities)
+    lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(
+        3, float("nan")),
+    lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(
+        3, float("inf")),
+    lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(
+        3, float("-inf")),
+    lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(3, "0.5"),
 ], ids=["groups-list", "feature-int", "vector-empty", "vector-scalar", "vector-short",
-        "vector-long"])
+        "vector-long", "vector-nan", "vector-inf", "vector-minus-inf", "vector-string"])
 def test_load_rejects_malformed_sections_as_corrupt(kb_file, tmp_path, mutate):
     path = _rewrite_kb(kb_file, tmp_path / "bad.scpk", mutate)
     with pytest.raises(FormatError) as err:

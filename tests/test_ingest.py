@@ -10,8 +10,6 @@ from scpatcher.ingest import (
     IngestError,
     canonical_source_hash,
     check_brace_balance,
-    extract_signature,
-    extract_triples,
     extract_triples_with_diagnostics,
     lex,
     load_source,
@@ -158,7 +156,7 @@ def test_signature_oracle(corpus_paths):
         unit = load_source(path)
         for contract in unit.contracts:
             for fn in contract.functions:
-                seen[fn.qualified_name] = extract_signature(fn).sorted_features()
+                seen[fn.qualified_name] = fn.signature.sorted_features()
     for qualified, expected in oracle.items():
         assert seen[qualified] == expected, qualified
 
@@ -167,10 +165,17 @@ def test_signature_oracle(corpus_paths):
 # Triples
 # ---------------------------------------------------------------------------
 
+def _labels(triple):
+    """A triple as ("kind:label", relation name, "kind:label")."""
+    return (f"{triple.subject.kind.value}:{triple.subject.label}",
+            triple.relation.value,
+            f"{triple.obj.kind.value}:{triple.obj.label}")
+
+
 def test_multi_contract_triples_match_hand_trace():
     oracle = json.loads((ORACLES / "multi_triples.json").read_text())["triples"]
     unit = load_source(CORPUS / "multi.sol")
-    actual = [list(t.as_labels()) for t in extract_triples(unit)]
+    actual = [list(_labels(t)) for t in extract_triples_with_diagnostics(unit)[0]]
     assert sorted(actual) == sorted(oracle)
 
 
@@ -179,7 +184,7 @@ def test_per_file_triple_counts_match_hand_trace(corpus_paths):
     total = 0
     for path in corpus_paths:
         unit = load_source(path)
-        triples = extract_triples(unit)
+        triples, _ = extract_triples_with_diagnostics(unit)
         assert len(triples) == oracle["triples_per_file"][path.name], path.name
         total += len(triples)
     assert total == oracle["triples_total"]
@@ -188,7 +193,7 @@ def test_per_file_triple_counts_match_hand_trace(corpus_paths):
 def test_member_transfer_call_is_a_diagnostic_not_an_edge():
     unit = load_source(CORPUS / "escrow.sol")
     triples, diags = extract_triples_with_diagnostics(unit)
-    labels = [t.as_labels() for t in triples]
+    labels = [_labels(t) for t in triples]
     assert not any(rel == "CALLS" for _, rel, _ in labels)
     assert any("transfer" in d for d in diags)
 
@@ -196,7 +201,7 @@ def test_member_transfer_call_is_a_diagnostic_not_an_edge():
 def test_low_level_call_is_a_diagnostic_not_an_edge():
     unit = load_source(CORPUS / "vault.sol")
     triples, diags = extract_triples_with_diagnostics(unit)
-    labels = [t.as_labels() for t in triples]
+    labels = [_labels(t) for t in triples]
     assert not any(rel == "CALLS" for _, rel, _ in labels)
     assert any("call" in d for d in diags)
 
@@ -206,7 +211,7 @@ def test_require_and_builtins_never_resolve_as_calls():
         "contract A { uint256 x;\n"
         "function f() public { require(x > 0, \"no\"); x = uint256(keccak256(\"s\")); } }"
     )
-    labels = [t.as_labels() for t in extract_triples(unit)]
+    labels = [_labels(t) for t in extract_triples_with_diagnostics(unit)[0]]
     assert not any(rel == "CALLS" for _, rel, _ in labels)
 
 
@@ -215,7 +220,7 @@ def test_parameter_shadowing_suppresses_state_access():
         "contract A { uint256 amount;\n"
         "function f(uint256 amount) public { amount = 1; } }"
     )
-    labels = [t.as_labels() for t in extract_triples(unit)]
+    labels = [_labels(t) for t in extract_triples_with_diagnostics(unit)[0]]
     assert not any(rel in ("READS", "WRITES") for _, rel, _ in labels)
 
 
@@ -295,7 +300,7 @@ _CONTRACT = st.builds(lambda kind, members, functions, tail: f"{kind} C{{{member
                       st.sampled_from(_NOISE + ["{", "}"]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(_CONTRACT, max_size=3), st.sampled_from(_NOISE))
 def test_parse_raises_ingest_error_or_indexes_its_tokens(contracts, lead):
     text = lead + "pragma solidity ^0.8.0;" + "".join(contracts)

@@ -3,14 +3,11 @@ import pytest
 from scpatcher.model import (
     FunctionUnit,
     PatchCandidate,
-    RepairOutcome,
     RepairStage,
     SignatureFeatures,
     VULN_CLASS_SUMMARIES,
     VulnClass,
-    VulnerabilityReport,
     function_id,
-    validate_outcome,
 )
 
 
@@ -32,7 +29,7 @@ def test_every_class_has_a_summary():
 def test_repair_stage_values():
     assert RepairStage.KNOWLEDGE_GUIDED.value == "knowledge-guided"
     assert RepairStage.CHAIN_OF_THOUGHT.value == "chain-of-thought"
-    assert RepairStage.parse("chain-of-thought") is RepairStage.CHAIN_OF_THOUGHT
+    assert RepairStage("chain-of-thought") is RepairStage.CHAIN_OF_THOUGHT
 
 
 def test_signature_features_normalized_lowercase():
@@ -85,19 +82,3 @@ def test_patch_candidate_requires_source():
     with pytest.raises(ValueError):
         PatchCandidate(patched_source="", stage=RepairStage.KNOWLEDGE_GUIDED,
                        prompt_digest="0" * 64)
-
-
-def _outcome(compiled, fixed, patch=None):
-    report = VulnerabilityReport(contract_path="c.sol", function_id="a" * 16,
-                                 vuln_class=VulnClass.REENTRANCY)
-    return RepairOutcome(report=report, compiled=compiled, fixed=fixed, patch=patch)
-
-
-def test_validate_outcome_flags_contradictions():
-    patch = PatchCandidate(patched_source="contract A {}",
-                           stage=RepairStage.KNOWLEDGE_GUIDED,
-                           prompt_digest="0" * 64)
-    assert validate_outcome(_outcome(True, True, patch)) == []
-    assert validate_outcome(_outcome(False, False)) == []
-    assert "fixed without compiled" in validate_outcome(_outcome(False, True, patch))
-    assert "fixed without patch" in validate_outcome(_outcome(True, True, None))
