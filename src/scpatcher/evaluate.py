@@ -15,7 +15,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .graph import PropertyGraph
@@ -35,28 +35,42 @@ class ManifestEntry:
     resolved_path: str   # absolute, for reading
     vuln_class: VulnClass
     function_name: str
-    line_hint: Optional[int] = None
 
 
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry]
-    notes: list[str] = field(default_factory=list)
 
 
 def load_manifest(path: str) -> DatasetManifest:
-    """Read and validate a JSON manifest; paths resolve against its folder."""
+    """Read and validate a JSON manifest; paths resolve against its folder.
+
+    The manifest is an object whose ``"entries"`` list holds one object per
+    case, with ``path``, ``vuln_class`` and ``function``: the entry names its
+    function, and the first function with that name in the file is repaired.
+    Other keys are ignored. Any other shape raises ``ValueError``, naming the
+    entry's position where there is one.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
+    items = raw.get("entries", [])
+    if not isinstance(items, list):
+        raise ValueError(f"{path}: \"entries\" must be a list")
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    for position, item in enumerate(raw.get("entries", [])):
+    for position, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path}: entry {position}: must be an object")
         try:
             rel = item["path"]
             vuln_class = VulnClass.parse(item["vuln_class"])
             function_name = item["function"]
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: entry {position}: {exc}") from None
+        if not isinstance(rel, str):
+            raise ValueError(f"{path}: entry {position}: path must be a string")
         resolved = rel if os.path.isabs(rel) else os.path.join(base, rel)
         if not os.path.exists(resolved):
             raise ValueError(f"{path}: entry {position}: no such file {rel!r}")
@@ -65,9 +79,8 @@ def load_manifest(path: str) -> DatasetManifest:
             resolved_path=resolved,
             vuln_class=vuln_class,
             function_name=function_name,
-            line_hint=item.get("line"),
         ))
-    return DatasetManifest(entries=entries, notes=list(raw.get("notes", [])))
+    return DatasetManifest(entries=entries)
 
 
 def _failed(report: VulnerabilityReport, diagnostic: str) -> RepairOutcome:
@@ -80,7 +93,6 @@ def _placeholder(entry: ManifestEntry) -> VulnerabilityReport:
         contract_path=entry.path,
         function_id="(unresolved)",
         vuln_class=entry.vuln_class,
-        evidence=f"function {entry.function_name}",
     )
 
 

@@ -26,8 +26,9 @@ DEFAULT_MAX_TOKENS = 4096
 class LlmError(Exception):
     """Backend failure.
 
-    ``code`` is one of ``Timeout``, ``HttpStatus``, ``EmptyResponse``,
-    or ``ScriptMiss``.
+    ``code`` is one of ``NotConfigured`` (no endpoint URL), ``Timeout``,
+    ``HttpStatus`` (transport failure, non-200 reply or malformed payload),
+    ``EmptyResponse``, or ``ScriptMiss``.
     """
 
     def __init__(self, code: str, message: str):
@@ -75,7 +76,6 @@ class MockLlmBackend:
     """Deterministic scripted backend for hermetic tests."""
 
     rules: list[MockRule] = field(default_factory=list)
-    calls: list[str] = field(default_factory=list)  # prompt digests, in order
 
     @classmethod
     def from_script(cls, path: str) -> "MockLlmBackend":
@@ -104,7 +104,6 @@ class MockLlmBackend:
 
     def complete(self, request: LlmRequest, prompt_digest: str = "") -> LlmResponse:
         text = request.flat_text()
-        self.calls.append(prompt_digest)
         for rule in self.rules:
             if rule.matches(prompt_digest, text):
                 return LlmResponse(text=rule.response)
@@ -118,12 +117,12 @@ class RemoteLlmBackend:
     def __init__(self, url: Optional[str] = None, api_key: Optional[str] = None,
                  timeout: float = 120.0, session: Optional[requests.Session] = None):
         self.url = url or os.environ.get(LLM_URL_VAR, "")
+        if not self.url:
+            raise LlmError("NotConfigured",
+                           f"no endpoint configured (set {LLM_URL_VAR})")
         self.api_key = api_key if api_key is not None else os.environ.get(LLM_KEY_VAR)
         self.timeout = timeout
         self._session = session or requests.Session()
-        if not self.url:
-            raise LlmError("HttpStatus",
-                           f"no endpoint configured (set {LLM_URL_VAR})")
 
     def complete(self, request: LlmRequest, prompt_digest: str = "") -> LlmResponse:
         headers = {"Content-Type": "application/json"}

@@ -145,7 +145,6 @@ class VulnerabilityReport:
     contract_path: str
     function_id: str
     vuln_class: VulnClass
-    evidence: str = ""
 
 
 @dataclass(frozen=True)

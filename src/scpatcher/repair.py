@@ -39,7 +39,7 @@ from .model import (
     VulnerabilityReport,
 )
 from .rerank import DEFAULT_EPSILON, DEFAULT_K, RerankConfig, rerank
-from .verify import BUILTIN_PARSE, CompileMode, Detection, VerificationResult, verify_patch
+from .verify import Detection, VerificationResult, verify_patch
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +81,7 @@ class Reference:
 class Prompt:
     system_text: str
     user_text: str
-    slots: dict
+    stage: RepairStage
 
     def digest(self) -> str:
         payload = self.system_text + "\0" + self.user_text
@@ -176,22 +176,9 @@ def _stage1_user_text(vuln_fn: FunctionUnit, vuln_class: VulnClass,
 def build_stage1_prompt(vuln_fn: FunctionUnit, vuln_class: VulnClass,
                         refs: list[Reference]) -> Prompt:
     """Knowledge-guided prompt: class, target code, references, constraints."""
-    return Prompt(
-        system_text=_SYSTEM_TEXT,
-        user_text=_stage1_user_text(vuln_fn, vuln_class, refs),
-        slots={
-            "vulnerable_code": vuln_fn.source_text,
-            "vuln_class": str(vuln_class),
-            "references": [
-                {"code": r.code, "s_final": r.s_final, "guf": r.guf,
-                 "signature": r.signature.sorted_features()}
-                for r in refs
-            ],
-            "signature_constraints": vuln_fn.signature.sorted_features(),
-            "stage": RepairStage.KNOWLEDGE_GUIDED.value,
-            "failure_feedback": None,
-        },
-    )
+    return Prompt(system_text=_SYSTEM_TEXT,
+                  user_text=_stage1_user_text(vuln_fn, vuln_class, refs),
+                  stage=RepairStage.KNOWLEDGE_GUIDED)
 
 
 def build_cot_prompt(vuln_fn: FunctionUnit, vuln_class: VulnClass,
@@ -209,11 +196,8 @@ def build_cot_prompt(vuln_fn: FunctionUnit, vuln_class: VulnClass,
         + "\n\n"
         + _COT_SCAFFOLD
     )
-    stage1 = build_stage1_prompt(vuln_fn, vuln_class, refs)
-    slots = dict(stage1.slots)
-    slots["stage"] = RepairStage.CHAIN_OF_THOUGHT.value
-    slots["failure_feedback"] = list(feedback)
-    return Prompt(system_text=_SYSTEM_TEXT, user_text=user_text, slots=slots)
+    return Prompt(system_text=_SYSTEM_TEXT, user_text=user_text,
+                  stage=RepairStage.CHAIN_OF_THOUGHT)
 
 
 def extract_patch_source(response_text: str) -> str:
@@ -236,7 +220,7 @@ def generate(prompt: Prompt, backend, model: str = "default") -> PatchCandidate:
         raise LlmError("EmptyResponse", f"backend returned no text for prompt {digest[:12]}")
     return PatchCandidate(
         patched_source=extract_patch_source(response.text),
-        stage=RepairStage(prompt.slots["stage"]),
+        stage=prompt.stage,
         prompt_digest=digest,
     )
 
@@ -248,7 +232,6 @@ class RepairConfig:
     epsilon: float = DEFAULT_EPSILON
     backend: object = None
     model: str = "default"
-    compile_mode: CompileMode = BUILTIN_PARSE
 
 
 @dataclass
@@ -262,24 +245,24 @@ class _AttemptRecord:
         return self.result is not None and self.result.passed
 
 
-def _attempt(prompt: Prompt, stage: RepairStage, original: str,
+def _attempt(prompt: Prompt, original: SourceUnit,
              original_detections: Callable[[], list[Detection]],
-             report: VulnerabilityReport, target_name: str,
-             cfg: RepairConfig, diagnostics: list[str]) -> _AttemptRecord:
+             report: VulnerabilityReport, cfg: RepairConfig,
+             diagnostics: list[str]) -> _AttemptRecord:
     record = _AttemptRecord()
+    stage = prompt.stage.value
     try:
         record.patch = generate(prompt, cfg.backend, model=cfg.model)
     except LlmError as exc:
-        line = f"{stage.value}: generation failed: {exc.code}: {exc}"
+        line = f"{stage}: generation failed: {exc.code}: {exc}"
         diagnostics.append(line)
         record.feedback = [line]
         return record
     record.result = verify_patch(original, record.patch, report,
-                                 mode=cfg.compile_mode, target_name=target_name,
                                  original_detections=original_detections)
     record.feedback = record.result.failure_feedback()
     for line in record.feedback:
-        diagnostics.append(f"{stage.value}: {line}")
+        diagnostics.append(f"{stage}: {line}")
     return record
 
 
@@ -296,27 +279,22 @@ def repair(contract: SourceUnit, report: VulnerabilityReport,
     refs = references_from(retrieval.selected, kb)
     log.debug("repair %s: %d references after rerank", fn.qualified_name, len(refs))
 
-    original = contract.source_text
     # Both attempts compare against the same original: detect it once, on
     # the first patch that compiles, from the unit already parsed.
     original_detections = functools.cache(lambda: verify.detect(contract))
-    stage_used = RepairStage.KNOWLEDGE_GUIDED
-    last = _attempt(build_stage1_prompt(fn, report.vuln_class, refs),
-                    RepairStage.KNOWLEDGE_GUIDED, original, original_detections,
-                    report, fn.name, cfg, diagnostics)
+    prompt = build_stage1_prompt(fn, report.vuln_class, refs)
+    last = _attempt(prompt, contract, original_detections, report, cfg, diagnostics)
     if not last.passed:
         feedback = last.feedback or ["verification failed with no diagnostics"]
-        stage_used = RepairStage.CHAIN_OF_THOUGHT
-        last = _attempt(build_cot_prompt(fn, report.vuln_class, refs, feedback),
-                        RepairStage.CHAIN_OF_THOUGHT, original, original_detections,
-                        report, fn.name, cfg, diagnostics)
+        prompt = build_cot_prompt(fn, report.vuln_class, refs, feedback)
+        last = _attempt(prompt, contract, original_detections, report, cfg, diagnostics)
 
     compiled = last.result.compiled if last.result is not None else False
     return RepairOutcome(
         report=report,
         compiled=compiled,
         fixed=last.passed,
-        stage_used=stage_used,
+        stage_used=prompt.stage,
         patch=last.patch,
         diagnostics=tuple(diagnostics),
     )

@@ -1,20 +1,18 @@
 """Patch validation: compile checking and vulnerability re-detection.
 
-The built-in compile check is a syntactic proxy (the source must lex,
-brace-balance, and declare at least one contract); a configurable external
-compiler can replace it. Detection is a deterministic token-pattern rule
-engine over the five supported vulnerability classes; an external analyzer
-can be adapted behind the same Detection shape. Neither proves behavioral
-correctness — they gate on the same signals the pipeline optimizes for.
+``check_compiles`` is the pipeline's only compile gate, a syntactic proxy:
+the source must lex, brace-balance, and declare at least one contract.
+Detection is a deterministic token-pattern rule engine over the five
+supported vulnerability classes. ``verify_patch`` is the one place a patch
+is checked: it reads the unit the compile check parsed, so a patch is
+parsed once. Neither check proves behavioral correctness — they gate on
+the same signals the pipeline optimizes for.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import re
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -39,33 +37,6 @@ _ASSIGNING = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="}
 _CONDITION_INTROS = {"if", "require", "while", "assert"}
 
 
-class VerifierError(Exception):
-    """Verification infrastructure failure.
-
-    ``code`` is ``CompilerNotFound``.
-    """
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-@dataclass(frozen=True)
-class CompileMode:
-    kind: str  # "builtin" or "external"
-    compiler_path: Optional[str] = None
-    args: tuple[str, ...] = ("{source}",)
-    timeout: float = 60.0
-
-
-BUILTIN_PARSE = CompileMode("builtin")
-
-
-def external_compiler(path: str, args: tuple[str, ...] = ("{source}",),
-                      timeout: float = 60.0) -> CompileMode:
-    return CompileMode("external", path, args, timeout)
-
-
 @dataclass(frozen=True)
 class Detection:
     vuln_class: VulnClass
@@ -82,19 +53,10 @@ class Detection:
                 f"at line {self.line} (rule {self.rule_id})")
 
 
-def check_compiles(source: str, mode: CompileMode = BUILTIN_PARSE
-                   ) -> tuple[bool, list[str]]:
-    """Compile gate. Builtin mode accepts any parseable source that
-    declares at least one contract; external mode trusts the exit code."""
-    if mode.kind == "builtin":
-        unit, diagnostics = _builtin_compile(source)
-        return unit is not None, diagnostics
-    return _run_external_compiler(source, mode)
-
-
-def _builtin_compile(source: str) -> tuple[Optional[SourceUnit], list[str]]:
-    """The builtin compile proxy: the parsed unit, or None if it fails, and
-    the diagnostics."""
+def check_compiles(source: str) -> tuple[Optional[SourceUnit], list[str]]:
+    """The compile proxy: the source must parse and declare at least one
+    contract. Returns the parsed unit, or None if the check fails, and the
+    diagnostics."""
     try:
         unit = parse_source(source, "<patch>")
     except IngestError as exc:
@@ -102,31 +64,6 @@ def _builtin_compile(source: str) -> tuple[Optional[SourceUnit], list[str]]:
     if not unit.contracts:
         return None, ["no contract declaration found"]
     return unit, list(unit.diagnostics)
-
-
-def _run_external_compiler(source: str, mode: CompileMode) -> tuple[bool, list[str]]:
-    with tempfile.NamedTemporaryFile("w", suffix=".sol", delete=False,
-                                     encoding="utf-8") as handle:
-        handle.write(source)
-        tmp_path = handle.name
-    try:
-        argv = [mode.compiler_path] + [a.format(source=tmp_path) for a in mode.args]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=mode.timeout)
-        except FileNotFoundError:
-            raise VerifierError("CompilerNotFound",
-                                f"compiler {mode.compiler_path!r} not found") from None
-        except PermissionError:
-            raise VerifierError("CompilerNotFound",
-                                f"compiler {mode.compiler_path!r} not executable") from None
-        except subprocess.TimeoutExpired:
-            return False, [f"compiler timed out after {mode.timeout}s"]
-        diagnostics = [line for stream in (proc.stdout, proc.stderr)
-                       for line in stream.splitlines() if line.strip()]
-        return proc.returncode == 0, diagnostics
-    finally:
-        os.unlink(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -478,42 +415,33 @@ class VerificationResult:
         return out
 
 
-def verify_patch(original: str, patch: PatchCandidate, report: VulnerabilityReport,
-                 mode: CompileMode = BUILTIN_PARSE,
-                 target_name: Optional[str] = None,
+def verify_patch(original: SourceUnit, patch: PatchCandidate, report: VulnerabilityReport,
                  original_detections: Optional[Callable[[], list[Detection]]] = None,
                  ) -> VerificationResult:
     """Compile the patch, re-detect, and compare against the original.
 
     The target class must vanish from the reported function, and no
     detection absent from the original may appear anywhere in the patch.
-    In builtin mode the patch is parsed once: the compile check's unit is
-    what ``detect`` reads. ``original_detections`` returns
-    ``detect(original)``; a caller that verifies several patches of one
-    contract passes a memoized one, so the original is analysed at most
-    once, and only if a patch compiles.
+    The patch is parsed once: the compile check's unit is what ``detect``
+    reads. ``original_detections`` returns ``detect(original)``; a caller
+    that verifies several patches of one contract passes a memoized one, so
+    the original is analysed at most once, and only if a patch compiles.
     """
-    if target_name is None:
-        target_name = _resolve_target_name(original, report)
-    unit: Optional[SourceUnit] = None
-    if mode.kind == "builtin":
-        unit, compile_diagnostics = _builtin_compile(patch.patched_source)
-        compiled = unit is not None
-    else:
-        compiled, compile_diagnostics = check_compiles(patch.patched_source, mode)
-    if not compiled:
-        compile_diagnostics = compile_diagnostics + [
-            "verification skipped: patch did not compile"]
+    fn = original.find_function_by_id(report.function_id)
+    target_name = fn.name if fn is not None else report.function_id
+    unit, compile_diagnostics = check_compiles(patch.patched_source)
+    if unit is None:
         return VerificationResult(
             compiled=False,
-            compile_diagnostics=compile_diagnostics,
+            compile_diagnostics=compile_diagnostics + [
+                "verification skipped: patch did not compile"],
             detections=[],
             target_vuln_cleared=False,
             new_issues=[],
             target_class=report.vuln_class,
             target_function=target_name,
         )
-    detections = detect(unit if unit is not None else patch.patched_source)
+    detections = detect(unit)
     found = original_detections() if original_detections is not None else detect(original)
     original_keys = {d.key() for d in found}
     new_issues = [d for d in detections if d.key() not in original_keys]
@@ -530,12 +458,3 @@ def verify_patch(original: str, patch: PatchCandidate, report: VulnerabilityRepo
         target_class=report.vuln_class,
         target_function=target_name,
     )
-
-
-def _resolve_target_name(original: str, report: VulnerabilityReport) -> str:
-    try:
-        unit = parse_source(original, report.contract_path)
-    except IngestError:
-        return report.function_id
-    fn = unit.find_function_by_id(report.function_id)
-    return fn.name if fn is not None else report.function_id

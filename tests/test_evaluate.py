@@ -1,6 +1,7 @@
 """Batch evaluation: one load per entry, failure rows, and concurrent workers."""
 
 import builtins
+import json
 import sys
 import threading
 from pathlib import Path
@@ -166,3 +167,22 @@ def test_concurrent_workers_share_a_fresh_kb(kb, kb_file):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert result["report"].render() == expected
+
+
+_GOOD_ENTRY = {"path": str(EVAL_CASES / "case2_reentrancy.sol"),
+               "vuln_class": "Reentrancy", "function": "withdraw"}
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ([_GOOD_ENTRY], "manifest must be a JSON object"),
+    ({"entries": _GOOD_ENTRY}, '"entries" must be a list'),
+    ({"entries": [_GOOD_ENTRY, "case2_reentrancy.sol"]}, "entry 1: must be an object"),
+    ({"entries": [_GOOD_ENTRY, {**_GOOD_ENTRY, "path": 7}]}, "entry 1: path must be a string"),
+], ids=["top-level-list", "entries-object", "entry-string", "path-number"])
+def test_load_manifest_rejects_malformed_shapes(tmp_path, manifest, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_manifest(str(path))
+    assert str(err.value) == f"{path}: {message}"
+

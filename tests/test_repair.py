@@ -80,19 +80,7 @@ def test_stage1_prompt_without_references():
     _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
     prompt = build_stage1_prompt(fn, VulnClass.REENTRANCY, [])
     assert "none retrieved" in prompt.user_text
-    assert prompt.slots["references"] == []
-
-
-def test_stage1_slots_carry_the_inputs(kb):
-    graph, _, _ = kb
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    refs = _references(graph, fn)
-    prompt = build_stage1_prompt(fn, VulnClass.REENTRANCY, refs)
-    assert prompt.slots["vulnerable_code"] == fn.source_text
-    assert prompt.slots["vuln_class"] == "Reentrancy"
-    assert prompt.slots["stage"] == "knowledge-guided"
-    assert prompt.slots["failure_feedback"] is None
-    assert len(prompt.slots["references"]) == len(refs)
+    assert prompt.stage is RepairStage.KNOWLEDGE_GUIDED
 
 
 def test_reference_scores_rendered_at_four_decimals(kb):
@@ -118,8 +106,7 @@ def test_cot_prompt_extends_stage1_verbatim(kb):
         assert line in cot.user_text
     for step in ("1.", "2.", "3.", "4."):
         assert step in cot.user_text
-    assert cot.slots["stage"] == "chain-of-thought"
-    assert cot.slots["failure_feedback"] == feedback
+    assert cot.stage is RepairStage.CHAIN_OF_THOUGHT
 
 
 def test_cot_prompt_requires_feedback(kb):
@@ -161,7 +148,6 @@ def test_generate_uses_digest_rules(kb):
     assert patch.patched_source == "contract X {}\n"
     assert patch.stage is RepairStage.KNOWLEDGE_GUIDED
     assert patch.prompt_digest == prompt.digest()
-    assert backend.calls == [prompt.digest()]
 
 
 def test_generate_rejects_blank_response(kb):

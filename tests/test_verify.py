@@ -1,19 +1,14 @@
 import json
-import stat
 from pathlib import Path
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpatcher import ingest, verify
 from scpatcher.ingest import load_source, parse_source
 from scpatcher.model import PatchCandidate, RepairStage, VulnClass, VulnerabilityReport
-from scpatcher.verify import (
-    VerifierError,
-    check_compiles,
-    detect,
-    external_compiler,
-    verify_patch,
-)
+from scpatcher.verify import check_compiles, detect, verify_patch
+from solidity_strategies import SOURCE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DETECTORS = FIXTURES / "detectors"
@@ -40,8 +35,15 @@ def _patch(source):
                           prompt_digest="0" * 64)
 
 
-def _report(path, vuln_class):
-    return VulnerabilityReport(contract_path=str(path), function_id="a" * 16,
+def _original(name):
+    return load_source(DETECTORS / name)
+
+
+def _report(unit, vuln_class, function=None):
+    """A report on ``function`` of ``unit``; with none, an id that resolves
+    to no function."""
+    fn_id = unit.find_function_by_name(function).id if function else "a" * 16
+    return VulnerabilityReport(contract_path=unit.path, function_id=fn_id,
                                vuln_class=vuln_class)
 
 
@@ -50,59 +52,26 @@ def _report(path, vuln_class):
 # ---------------------------------------------------------------------------
 
 def test_builtin_check_accepts_wellformed_source():
-    ok, _ = check_compiles("pragma solidity ^0.8.0;\ncontract A { function f() public {} }")
-    assert ok
+    unit, _ = check_compiles("pragma solidity ^0.8.0;\ncontract A { function f() public {} }")
+    assert [c.name for c in unit.contracts] == ["A"]
 
 
 def test_builtin_check_rejects_unbalanced_braces():
-    ok, diags = check_compiles("contract A { function f() public {")
-    assert not ok
+    unit, diags = check_compiles("contract A { function f() public {")
+    assert unit is None
     assert any("UnbalancedBraces" in d for d in diags)
 
 
 def test_builtin_check_rejects_malformed_signature():
-    ok, diags = check_compiles(MALFORMED)
-    assert not ok
+    unit, diags = check_compiles(MALFORMED)
+    assert unit is None
     assert any("MalformedDeclaration" in d for d in diags)
 
 
 def test_builtin_check_requires_a_contract():
-    ok, diags = check_compiles("uint256 x = 1;")
-    assert not ok
+    unit, diags = check_compiles("uint256 x = 1;")
+    assert unit is None
     assert any("no contract declaration" in d for d in diags)
-
-
-def test_external_compiler_success(tmp_path):
-    script = tmp_path / "fakesolc"
-    script.write_text("#!/bin/sh\nexit 0\n")
-    script.chmod(script.stat().st_mode | stat.S_IXUSR)
-    ok, _ = check_compiles("contract A {}", external_compiler(str(script)))
-    assert ok
-
-
-def test_external_compiler_failure_captures_output(tmp_path):
-    script = tmp_path / "fakesolc"
-    script.write_text("#!/bin/sh\necho 'TypeError: bad thing' >&2\nexit 1\n")
-    script.chmod(script.stat().st_mode | stat.S_IXUSR)
-    ok, diags = check_compiles("contract A {}", external_compiler(str(script)))
-    assert not ok
-    assert any("TypeError: bad thing" in d for d in diags)
-
-
-def test_external_compiler_missing_binary(tmp_path):
-    with pytest.raises(VerifierError) as err:
-        check_compiles("contract A {}", external_compiler(str(tmp_path / "absent")))
-    assert err.value.code == "CompilerNotFound"
-
-
-def test_external_compiler_timeout(tmp_path):
-    script = tmp_path / "fakesolc"
-    script.write_text("#!/bin/sh\nsleep 5\n")
-    script.chmod(script.stat().st_mode | stat.S_IXUSR)
-    ok, diags = check_compiles("contract A {}",
-                               external_compiler(str(script), timeout=0.3))
-    assert not ok
-    assert any("timed out" in d for d in diags)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +121,9 @@ def test_detection_identity_is_class_and_function():
 
 def test_identity_patch_never_creates_new_issues():
     for vuln_class, (vuln_name, _, function) in PAIRS.items():
-        source = (DETECTORS / vuln_name).read_text()
-        result = verify_patch(source, _patch(source),
-                              _report(vuln_name, vuln_class), target_name=function)
+        unit = _original(vuln_name)
+        result = verify_patch(unit, _patch(unit.source_text),
+                              _report(unit, vuln_class, function))
         assert result.compiled
         assert result.new_issues == []
         assert not result.target_vuln_cleared
@@ -164,10 +133,10 @@ def test_identity_patch_never_creates_new_issues():
 
 def test_fixed_variants_pass_verification():
     for vuln_class, (vuln_name, fixed_name, function) in PAIRS.items():
-        original = (DETECTORS / vuln_name).read_text()
+        original = _original(vuln_name)
         patched = (DETECTORS / fixed_name).read_text()
         result = verify_patch(original, _patch(patched),
-                              _report(vuln_name, vuln_class), target_name=function)
+                              _report(original, vuln_class, function))
         assert result.passed, (vuln_name, result.failure_feedback())
         assert result.failure_feedback() == []
 
@@ -183,15 +152,14 @@ def test_eval_case_patches_pass_verification():
         fn = unit.find_function_by_name(entry["function"])
         report = VulnerabilityReport(contract_path=entry["path"], function_id=fn.id,
                                      vuln_class=VulnClass.parse(entry["vuln_class"]))
-        result = verify_patch(unit.source_text, _patch(patch_path.read_text()), report)
+        result = verify_patch(unit, _patch(patch_path.read_text()), report)
         assert result.passed, (patch_path.name, result.failure_feedback())
 
 
 def test_uncompilable_patch_fails_with_feedback():
-    original = (DETECTORS / "reentrancy_vuln.sol").read_text()
+    original = _original("reentrancy_vuln.sol")
     result = verify_patch(original, _patch("contract Broken { function f() {"),
-                          _report("reentrancy_vuln.sol", VulnClass.REENTRANCY),
-                          target_name="withdraw")
+                          _report(original, VulnClass.REENTRANCY, "withdraw"))
     assert not result.compiled
     assert not result.passed
     feedback = result.failure_feedback()
@@ -199,17 +167,17 @@ def test_uncompilable_patch_fails_with_feedback():
 
 
 def test_malformed_signature_patch_does_not_compile():
-    original = (DETECTORS / "reentrancy_vuln.sol").read_text()
+    original = _original("reentrancy_vuln.sol")
     result = verify_patch(original, _patch(MALFORMED),
-                          _report("reentrancy_vuln.sol", VulnClass.REENTRANCY))
+                          _report(original, VulnClass.REENTRANCY))
     assert not result.compiled
     assert any("MalformedDeclaration" in line for line in result.failure_feedback())
 
 
 def test_new_issue_blocks_an_otherwise_clean_patch():
-    original = (DETECTORS / "reentrancy_vuln.sol").read_text()
+    original = _original("reentrancy_vuln.sol")
     # clears the reentrancy but authenticates with tx.origin
-    patched = original.replace(
+    patched = original.source_text.replace(
         'require(balances[msg.sender] >= amount, "insufficient");',
         'require(tx.origin == msg.sender, "no contracts");\n'
         '        require(balances[msg.sender] >= amount, "insufficient");',
@@ -222,8 +190,7 @@ def test_new_issue_blocks_an_otherwise_clean_patch():
         '        require(ok, "send failed");',
     )
     result = verify_patch(original, _patch(patched),
-                          _report("reentrancy_vuln.sol", VulnClass.REENTRANCY),
-                          target_name="withdraw")
+                          _report(original, VulnClass.REENTRANCY, "withdraw"))
     assert result.compiled
     assert result.target_vuln_cleared
     assert [d.key() for d in result.new_issues] == [("AccessControl", "withdraw")]
@@ -233,15 +200,14 @@ def test_new_issue_blocks_an_otherwise_clean_patch():
 
 def test_preexisting_issues_elsewhere_do_not_block():
     # patch clears the target; an untouched sibling vulnerability remains
-    original = (DETECTORS / "overflow_vuln.sol").read_text()
-    patched = original.replace(
+    original = _original("overflow_vuln.sol")
+    patched = original.source_text.replace(
         "credits[user] += amount;",
         'require(credits[user] + amount >= credits[user], "overflow");\n'
         "        credits[user] += amount;",
     )
     result = verify_patch(original, _patch(patched),
-                          _report("overflow_vuln.sol", VulnClass.INTEGER_OVERFLOW),
-                          target_name="grant")
+                          _report(original, VulnClass.INTEGER_OVERFLOW, "grant"))
     assert result.target_vuln_cleared
     assert result.new_issues == []
     assert result.passed
@@ -283,11 +249,34 @@ def test_detection_lines_are_file_lines():
 
 
 def test_verify_patch_parses_a_compiled_patch_once(monkeypatch):
-    original = (DETECTORS / "reentrancy_vuln.sol").read_text()
+    original = _original("reentrancy_vuln.sol")
     patched = (DETECTORS / "reentrancy_fixed.sol").read_text()
+    report = _report(original, VulnClass.REENTRANCY, "withdraw")
     parses = _count_calls(monkeypatch, verify, "parse_source")
-    result = verify_patch(original, _patch(patched),
-                          _report("reentrancy_vuln.sol", VulnClass.REENTRANCY),
-                          target_name="withdraw", original_detections=lambda: [])
+    result = verify_patch(original, _patch(patched), report)
     assert result.passed
-    assert len(parses) == 1
+    assert len(parses) == 1  # the patch's; the original's unit is reused
+
+
+# ---------------------------------------------------------------------------
+# Error contract: the compile check, detect and verify_patch never raise
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200)
+@given(SOURCE)
+def test_check_compiles_and_detect_never_raise(source):
+    unit, diagnostics = check_compiles(source)
+    assert unit is not None or diagnostics
+    assert detect(source) == (detect(unit) if unit is not None else [])
+
+
+_REENTRANT = _original("reentrancy_vuln.sol")
+_REENTRANT_REPORT = _report(_REENTRANT, VulnClass.REENTRANCY, "withdraw")
+
+
+@settings(max_examples=200)
+@given(st.one_of(SOURCE, st.text()).filter(bool))
+def test_verify_patch_never_raises(patched):
+    result = verify_patch(_REENTRANT, _patch(patched), _REENTRANT_REPORT)
+    assert result.compiled or not result.passed
+    assert result.target_function == "withdraw"
