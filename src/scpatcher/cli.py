@@ -73,7 +73,7 @@ def build_parser() -> _Parser:
     p_build.add_argument("--corpus", required=True, help="directory of .sol files")
     p_build.add_argument("--out", required=True, help="knowledge base output file")
     p_build.add_argument("--embedder", choices=("hash", "remote"), default="hash")
-    p_build.add_argument("--dimension", type=int, default=DEFAULT_DIMENSION)
+    p_build.add_argument("--dimension", type=_positive_int, default=DEFAULT_DIMENSION)
     p_build.add_argument("--clone-min-tokens", type=int, default=12)
     p_build.set_defaults(func=_cmd_build_kb)
 
@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--llm", choices=("mock", "remote"), default="mock")
     p_eval.add_argument("--mock-script", help="JSON rule script for the mock backend")
     p_eval.add_argument("--model", default="default")
-    p_eval.add_argument("--jobs", type=int, default=1)
+    p_eval.add_argument("--jobs", type=_positive_int, default=1)
     p_eval.add_argument("--no-dedup", action="store_true",
                         help="skip corpus/test deduplication")
     p_eval.set_defaults(func=_cmd_evaluate)

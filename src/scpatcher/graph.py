@@ -17,6 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from .embedding import HashingEmbedder, RemoteEmbedder
 from .ingest import (
     IngestError,
     NodeKind,
@@ -339,9 +340,16 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         raise FormatError("Corrupt", f"{path}: {len(blob) - offset} trailing byte(s)")
 
     node_records, edge_records, clone_section, meta = sections
-    graph = PropertyGraph()
+    # the metadata must name a provider that retrieve can rebuild
+    if not isinstance(meta, dict):
+        raise FormatError("Corrupt", f"{path}: metadata is not an object")
+    if meta.get("name", HashingEmbedder.name) not in (HashingEmbedder.name, RemoteEmbedder.name):
+        raise FormatError("Corrupt", f"{path}: unknown embedder {meta['name']!r}")
     # every vector has the metadata's dimension, or else the first vector's
-    dimension = meta.get("dimension") if isinstance(meta, dict) else None
+    dimension = meta.get("dimension")
+    if "dimension" in meta and (type(dimension) is not int or dimension < 1):
+        raise FormatError("Corrupt", f"{path}: dimension {dimension!r} is not a positive int")
+    graph = PropertyGraph()
     try:
         for record in node_records:
             payload = None

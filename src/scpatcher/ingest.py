@@ -6,6 +6,12 @@ bodies, modifiers, state variables, call sites, and state reads/writes.
 It is not a compiler; unparseable regions are skipped with a diagnostic
 rather than failing the file.
 
+``lex`` is one ``finditer`` scan of a single regular expression whose
+last alternative takes any character nothing else does, so unexpected
+characters become diagnostics without a second pass. Comments and
+whitespace yield no token; every other match becomes a ``Token``, an
+immutable named tuple of kind, text, start and end offset, and line.
+
 ``parse_source`` lexes a file once and keeps the tokens on the
 ``SourceUnit``. Each function's ``FunctionDecl`` records where its
 declaration and body lie in them, with its parsed header and normalized
@@ -21,7 +27,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .model import FunctionUnit, SignatureFeatures, function_id
 
@@ -79,6 +85,7 @@ _TOKEN_RE = re.compile(
     | (?P<op><<=|>>=|\*\*|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<|>>|=>|->
              |[{}()\[\];,.?:~!<>=+\-*/%&|^])
     | (?P<ws>\s+)
+    | (?P<bad>.)
     """,
     re.DOTALL | re.VERBOSE,
 )
@@ -100,8 +107,7 @@ _LOW_LEVEL_CALLS = {"call", "delegatecall", "staticcall"}
 _BUILTIN_NAMESPACES = {"abi", "msg", "block", "tx"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | ident | number | string | op
     text: str
     start: int
@@ -110,28 +116,31 @@ class Token:
 
 
 def lex(text: str, diagnostics: Optional[list[str]] = None) -> list[Token]:
-    """Tokenize, dropping comments and whitespace. Never raises."""
+    """Tokenize, dropping comments and whitespace. Never raises.
+
+    Only whitespace, comments and string literals can hold a newline, so
+    only their matches are counted for ``Token.line``.
+    """
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
+    new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
     line = 1
-    n = len(text)
-    while pos < n:
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if diagnostics is not None:
-                diagnostics.append(f"line {line}: skipped unexpected character {text[pos]!r}")
-            pos += 1
-            continue
+    for match in _TOKEN_RE.finditer(text):
         group = match.lastgroup
+        if group == "ws" or group == "comment":
+            line += match.group().count("\n")
+            continue
         value = match.group()
-        if group == "ident":
-            kind = "keyword" if value in _KEYWORDS else "ident"
-            tokens.append(Token(kind, value, match.start(), match.end(), line))
-        elif group in ("number", "string", "op"):
-            tokens.append(Token(group, value, match.start(), match.end(), line))
-        # comments and whitespace are dropped
-        line += value.count("\n")
-        pos = match.end()
+        if group == "bad":
+            if diagnostics is not None:
+                diagnostics.append(f"line {line}: skipped unexpected character {value!r}")
+            continue
+        if group == "ident" and value in _KEYWORDS:
+            group = "keyword"
+        start, end = match.span()
+        append(new(Token, (group, value, start, end, line)))
+        if group == "string":
+            line += value.count("\n")
     return tokens
 
 

@@ -151,12 +151,16 @@ class RemoteLlmBackend:
             payload = response.json()
             text = payload["choices"][0]["message"]["content"]
             usage = payload.get("usage", {})
+            if not isinstance(text, (str, type(None))) or not isinstance(usage, dict):
+                raise TypeError("content is not a string or usage is not an object")
+            prompt_tokens = int(usage.get("prompt_tokens", 0))
+            completion_tokens = int(usage.get("completion_tokens", 0))
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LlmError("HttpStatus",
                            f"{self.url}: malformed completion payload ({exc})") from None
         return LlmResponse(
             text=text or "",
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
             latency_ms=elapsed_ms,
         )

@@ -9,6 +9,7 @@ a proof of behavioral or functional correctness.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -69,6 +70,10 @@ class RepairStage(Enum):
         return self.value
 
 
+#: What ``str.isspace`` calls whitespace, as one search per feature.
+_WHITESPACE_RE = re.compile(r"\s")
+
+
 @dataclass(frozen=True)
 class SignatureFeatures:
     """Normalized signature facets of a function.
@@ -83,7 +88,7 @@ class SignatureFeatures:
     def __post_init__(self) -> None:
         for item in self.feature_set:
             if not isinstance(item, str) or item != item.lower() \
-                    or any(ch.isspace() for ch in item):
+                    or _WHITESPACE_RE.search(item):
                 raise ValueError(f"signature feature not normalized: {item!r}")
 
     def __contains__(self, item: str) -> bool:

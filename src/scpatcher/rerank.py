@@ -88,19 +88,20 @@ def rerank(c_init: list[Candidate], sig_req: SignatureFeatures, cfg: RerankConfi
     candidate had the required signature, so the whole pool was ranked.
     """
     filtered, fallback = filter_syntactic(c_init, sig_req)
-    rescored = [
-        dataclasses.replace(c, s_final=score_trust(c.s_sem, c.guf, cfg.epsilon))
-        for c in filtered
-    ]
-    rescored.sort(key=lambda c: (c.s_final, c.s_sem, c.function_id))
+    # The pool position breaks any remaining tie, so two candidates are
+    # never compared and the order is that of a stable key sort.
+    rescored = sorted(
+        (score_trust(c.s_sem, c.guf, cfg.epsilon), c.s_sem, c.function_id, i, c)
+        for i, c in enumerate(filtered)
+    )
     selected: list[Candidate] = []
     seen_clones: set[str] = set()
-    for candidate in rescored:
+    for s_final, _s_sem, _fn_id, _i, candidate in rescored:
         if candidate.clone_id is not None:
             if candidate.clone_id in seen_clones:
                 continue
             seen_clones.add(candidate.clone_id)
-        selected.append(candidate)
+        selected.append(dataclasses.replace(candidate, s_final=s_final))
         if len(selected) == cfg.k:
             break
     return selected, fallback

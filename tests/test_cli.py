@@ -53,6 +53,16 @@ def test_exit_codes(kb_file, tmp_path, capsys):
     for flag, value in (("--k", "0"), ("--top-n", "0"), ("--epsilon", "0"),
                         ("--epsilon", "nan")):
         assert main(retrieve + [LOCATOR, flag, value]) == 1
+    for value in ("0", "-5"):
+        assert main(["build-kb", "--corpus", str(FIXTURES / "corpus"),
+                     "--out", str(tmp_path / "unused.scpk"), "--dimension", value]) == 1
+    for value in ("0", "-4"):
+        assert main(["evaluate", "--kb", str(kb_file),
+                     "--manifest", str(EVAL_CASES / "manifest.json"),
+                     "--report", str(tmp_path / "unused.txt"),
+                     "--mock-script", str(EVAL_CASES / "mock_script.json"),
+                     "--jobs", value]) == 1
+    assert not (tmp_path / "unused.scpk").exists() and not (tmp_path / "unused.txt").exists()
     assert main(["repair", "--kb", str(kb_file),
                  "--contract", str(EVAL_CASES / "case2_reentrancy.sol"),
                  "--vuln", "Reentrancy", "--function", "withdraw"]) == 1

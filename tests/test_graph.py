@@ -25,6 +25,7 @@ from scpatcher.ingest import (
     normalize_source,
     parse_source,
 )
+from scpatcher.repair import retrieve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -260,14 +261,15 @@ def test_load_missing_file_is_io_error(tmp_path):
 
 
 def _rewrite_kb(kb_file, path, mutate):
-    """Decode the four JSON sections, let ``mutate`` edit them, re-encode."""
+    """Decode the four JSON sections, pass them to ``mutate`` and write the
+    sections it returns (or, if it returns None, the ones it edited)."""
     blob = kb_file.read_bytes()
     offset, sections = 6, []
     for _ in range(4):
         (length,) = struct.unpack_from("<I", blob, offset)
         sections.append(json.loads(blob[offset + 4:offset + 4 + length]))
         offset += 4 + length
-    mutate(*sections)
+    sections = mutate(*sections) or sections
     out = bytearray(blob[:6])
     for section in sections:
         payload = json.dumps(section).encode("utf-8")
@@ -299,8 +301,20 @@ def _function_record(nodes, index=0):
     lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(
         3, float("-inf")),
     lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(3, "0.5"),
+    # the metadata is an object that names a known embedder and, if it has
+    # one, a positive int dimension
+    lambda nodes, edges, clones, meta: [nodes, edges, clones, []],
+    lambda nodes, edges, clones, meta: [nodes, edges, clones, None],
+    lambda nodes, edges, clones, meta: meta.update(name="word2vec"),
+    lambda nodes, edges, clones, meta: meta.update(name=None),
+    lambda nodes, edges, clones, meta: meta.update(dimension=0),
+    lambda nodes, edges, clones, meta: meta.update(dimension=256.0),
+    lambda nodes, edges, clones, meta: meta.update(dimension=True),
+    lambda nodes, edges, clones, meta: meta.update(dimension=None),
 ], ids=["groups-list", "feature-int", "vector-empty", "vector-scalar", "vector-short",
-        "vector-long", "vector-nan", "vector-inf", "vector-minus-inf", "vector-string"])
+        "vector-long", "vector-nan", "vector-inf", "vector-minus-inf", "vector-string",
+        "meta-list", "meta-null", "embedder-unknown", "embedder-null", "dimension-zero",
+        "dimension-float", "dimension-bool", "dimension-null"])
 def test_load_rejects_malformed_sections_as_corrupt(kb_file, tmp_path, mutate):
     path = _rewrite_kb(kb_file, tmp_path / "bad.scpk", mutate)
     with pytest.raises(FormatError) as err:
@@ -323,6 +337,15 @@ def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, 
     with pytest.raises(FormatError) as err:
         load_kb(path)
     assert err.value.code == "Corrupt"
+
+
+def test_empty_metadata_loads_and_queries_with_the_default_embedder(kb, kb_file, tmp_path):
+    path = _rewrite_kb(kb_file, tmp_path / "nometa.scpk",
+                       lambda nodes, edges, clones, meta: [nodes, edges, clones, {}])
+    graph, _clones = load_kb(path)
+    assert graph.embedder_meta is None
+    fn = kb[0].functions()[0]
+    assert retrieve(graph, fn, k=3) == retrieve(kb[0], fn, k=3)
 
 
 def test_rewritten_but_unchanged_kb_still_loads(kb, kb_file, tmp_path):

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpatcher.ingest import (
+    _KEYWORDS,
+    _TOKEN_RE,
     IngestError,
+    Token,
     canonical_source_hash,
     check_brace_balance,
     extract_triples_with_diagnostics,
@@ -16,7 +19,7 @@ from scpatcher.ingest import (
     normalize_source,
     parse_source,
 )
-from solidity_strategies import CONTRACT, NOISE
+from solidity_strategies import CONTRACT, NOISE, SOURCE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -81,6 +84,80 @@ def test_canonical_hash_ignores_layout_but_not_names():
     c = "contract A { uint256 y; }"
     assert canonical_source_hash(a) == canonical_source_hash(b)
     assert canonical_source_hash(a) != canonical_source_hash(c)
+
+
+def _reference_lex(text):
+    """The per-position lexer ``lex`` replaced: one ``_TOKEN_RE.match`` per
+    token, comment or whitespace run, and a diagnostic for each character
+    where no alternative but ``bad`` (which it did not have) matches.
+    Returns (tokens as five-field tuples, diagnostics)."""
+    tokens, diagnostics = [], []
+    pos, line = 0, 1
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None or match.lastgroup == "bad":
+            diagnostics.append(f"line {line}: skipped unexpected character {text[pos]!r}")
+            pos += 1
+            continue
+        group, value = match.lastgroup, match.group()
+        if group == "ident":
+            kind = "keyword" if value in _KEYWORDS else "ident"
+            tokens.append((kind, value, match.start(), match.end(), line))
+        elif group in ("number", "string", "op"):
+            tokens.append((group, value, match.start(), match.end(), line))
+        line += value.count("\n")
+        pos = match.end()
+    return tokens, diagnostics
+
+
+def _assert_lex_matches_reference(text):
+    diagnostics = []
+    tokens = lex(text, diagnostics)
+    assert all(type(tok) is Token for tok in tokens)
+    assert ([(t.kind, t.text, t.start, t.end, t.line) for t in tokens], diagnostics) == \
+        _reference_lex(text)
+
+
+def test_lex_matches_the_reference_lexer_on_every_fixture():
+    paths = sorted(FIXTURES.rglob("*.sol"))
+    assert len(paths) >= 30
+    for path in paths:
+        _assert_lex_matches_reference(path.read_text(encoding="utf-8"))
+
+
+#: Pieces that stress the lexer's edges: unterminated strings and comments,
+#: literals that span lines, characters no alternative takes, and Unicode
+#: whitespace and digits.
+_LEX_PIECES = ['"', "'", "\\", "\n", "\r\n", "/*", "*/", "//", 'hex"', 'unicode"', "#", "@",
+               'hex"0\n1"', '"a\\\nb"', "'\\\n'", 'unicode"\u2028\n"', "/*\n*/",
+               "\x1c", "\u00a0", "\u2028", "\t", " ", "x", "_$1", "0x", "1.5e3", "\u0663",
+               "=", "<<=", "{", "}", "é"]
+
+
+@settings(max_examples=300)
+@given(st.one_of(SOURCE,
+                 st.text(),
+                 st.lists(st.sampled_from(_LEX_PIECES + NOISE), max_size=30).map("".join)))
+def test_lex_matches_the_reference_lexer(text):
+    _assert_lex_matches_reference(text)
+
+
+def test_lex_tokens_are_immutable_hashable_tuples():
+    tok = lex("uint256 x")[1]
+    assert tok == Token("ident", "x", 8, 9, 1)
+    assert repr(tok) == "Token(kind='ident', text='x', start=8, end=9, line=1)"
+    assert Token._fields == ("kind", "text", "start", "end", "line")
+    assert hash(tok) == hash(Token("ident", "x", 8, 9, 1))
+    with pytest.raises(AttributeError):
+        tok.line = 2
+
+
+def test_lex_counts_lines_inside_literals_and_reports_stray_characters():
+    diagnostics = []
+    tokens = lex('hex"00\n11" /* a\nb */ "x\\\ny" #\nz', diagnostics)
+    assert [(t.text, t.line) for t in tokens] == \
+        [('hex"00\n11"', 1), ('"x\\\ny"', 3), ("z", 5)]
+    assert diagnostics == ["line 4: skipped unexpected character '#'"]
 
 
 def test_brace_balance_ignores_strings_and_comments():

@@ -69,7 +69,12 @@ def test_reply_with_usage_gives_text_and_counts():
     (requests.Timeout("slow"), "Timeout"),
     (requests.ConnectionError("refused"), "HttpStatus"),
     (_FakeResponse({"choices": []}), "HttpStatus"),
-], ids=["http-500", "timeout", "connection", "malformed"])
+    (_FakeResponse({"choices": [{"message": {"content": "x"}}], "usage": None}), "HttpStatus"),
+    (_FakeResponse({"choices": [{"message": {"content": "x"}}],
+                    "usage": {"prompt_tokens": "many"}}), "HttpStatus"),
+    (_FakeResponse({"choices": [{"message": {"content": ["x"]}}]}), "HttpStatus"),
+], ids=["http-500", "timeout", "connection", "malformed", "usage-null", "usage-not-a-count",
+        "content-list"])
 def test_failures_raise_llm_errors(reply, code):
     backend, session = _backend(reply)
     with pytest.raises(LlmError) as err:

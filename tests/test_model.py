@@ -40,6 +40,9 @@ def test_signature_features_normalized_lowercase():
         SignatureFeatures(frozenset({"Public"}))
     with pytest.raises(ValueError):
         SignatureFeatures(frozenset({"has space"}))
+    for space in ("\x1c", "\u00a0", "\u2028"):
+        with pytest.raises(ValueError):
+            SignatureFeatures(frozenset({"public", f"param:uint{space}256"}))
 
 
 def test_signature_subset():

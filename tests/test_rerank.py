@@ -242,3 +242,18 @@ def test_rerank_scale_invariance():
 
 def test_rerank_empty_pool_is_empty():
     assert _run([], _sig({"public"}), DEFAULT_EPSILON, 3) == []
+
+
+def test_rerank_breaks_score_ties_by_function_id_before_clone_dedup():
+    # every candidate has the same s_sem and guf, so the same s_final
+    pool = [_cand(f"f{i:015d}", 1.5, 3, ("g1", "g2", None)[i % 3], {"public"})
+            for i in range(20)]
+    random.Random(5).shuffle(pool)
+    got = _run(pool, _sig({"public"}), DEFAULT_EPSILON, 6)
+    assert [c.function_id for c in got] == [f"f{i:015d}" for i in (0, 1, 2, 5, 8, 11)]
+    assert {c.s_final for c in got} == {score_trust(1.5, 3, DEFAULT_EPSILON)}
+    assert all(c.s_final is None for c in pool)
+    # a repeated candidate ties on every key, yet is never compared with itself
+    solo = _cand("e" * 16, 1.0, 1, None, {"public"})
+    assert [c.function_id for c in _run([solo, solo], _sig(set()), DEFAULT_EPSILON, 3)] == \
+        ["e" * 16] * 2
