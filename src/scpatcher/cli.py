@@ -74,7 +74,7 @@ def build_parser() -> _Parser:
     p_build.add_argument("--out", required=True, help="knowledge base output file")
     p_build.add_argument("--embedder", choices=("hash", "remote"), default="hash")
     p_build.add_argument("--dimension", type=_positive_int, default=DEFAULT_DIMENSION)
-    p_build.add_argument("--clone-min-tokens", type=int, default=12)
+    p_build.add_argument("--clone-min-tokens", type=_positive_int, default=12)
     p_build.set_defaults(func=_cmd_build_kb)
 
     p_retrieve = sub.add_parser("retrieve", help="rank reference functions for a query")
@@ -117,10 +117,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _make_backend(args, parser_error) -> object:
+def _make_backend(args) -> object:
     if args.llm == "mock":
         if not args.mock_script:
-            parser_error("--llm mock requires --mock-script")
+            raise _UsageError("--llm mock requires --mock-script")
         return MockLlmBackend.from_script(args.mock_script)
     return RemoteLlmBackend()
 
@@ -158,7 +158,7 @@ def _cmd_retrieve(args) -> int:
     fn = unit.find_function(contract_name, function_name)
     if fn is None:
         raise ValueError(f"{contract_name}.{function_name} not found in {path}")
-    retrieval = retrieve(graph, fn, args.k, args.top_n, args.epsilon)
+    retrieval = retrieve(graph, unit, fn, args.k, args.top_n, args.epsilon)
     print(f"references for {contract_name}.{function_name} "
           f"(k={args.k}, pool={retrieval.pool_size}, "
           f"fallback={'yes' if retrieval.fallback else 'no'})")
@@ -173,7 +173,7 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    backend = _make_backend(args, lambda msg: _usage_fail(msg))
+    backend = _make_backend(args)
     graph, _clones = load_kb(args.kb)
     unit = load_source(args.contract)
     fn = unit.find_function_by_name(args.function)
@@ -206,7 +206,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    backend = _make_backend(args, lambda msg: _usage_fail(msg))
+    backend = _make_backend(args)
     graph, _clones = load_kb(args.kb)
     manifest = load_manifest(args.manifest)
     cfg = RepairConfig(backend=backend, model=args.model)
@@ -224,10 +224,6 @@ def _cmd_evaluate(args) -> int:
               f"err {err_text} orr {render_rate(metrics.orr())}")
     print(f"report written to {args.report}")
     return 0
-
-
-def _usage_fail(message: str):
-    raise _UsageError(message)
 
 
 def main(argv=None) -> int:

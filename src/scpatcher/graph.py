@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -80,7 +81,6 @@ class PropertyGraph:
         self.vectors: dict[str, tuple[float, ...]] = {}
         self.embedder_meta: Optional[dict] = None
         self._edge_set: set[tuple[str, Relation, str]] = set()
-        self._in: dict[str, list[tuple[Relation, str]]] = {}
         self._functions: list[EntityNode] = []  # FUNCTION nodes, in insertion order
         self._index = None  # see vector_index
 
@@ -103,23 +103,12 @@ class PropertyGraph:
             return
         self._edge_set.add(key)
         self.edges.append(key)
-        self._in.setdefault(object_id, []).append((relation, subject_id))
 
     def node(self, node_id: str) -> EntityNode:
         try:
             return self.nodes[node_id]
         except KeyError:
             raise GraphError("UnknownNode", f"no node with id {node_id!r}") from None
-
-    def in_edges(self, node_id: str, relation: Optional[Relation] = None
-                 ) -> list[tuple[Relation, str]]:
-        pairs = self._in.get(node_id, [])
-        if relation is None:
-            return list(pairs)
-        return [(rel, other) for rel, other in pairs if rel is relation]
-
-    def in_degree(self, node_id: str, relation: Optional[Relation] = None) -> int:
-        return len(self.in_edges(node_id, relation))
 
     def function_nodes(self) -> list[EntityNode]:
         return list(self._functions)
@@ -250,12 +239,17 @@ def assign_clone_groups(graph: PropertyGraph, clone_min_tokens: int = 12,
 
 
 def compute_guf(graph: PropertyGraph, clones: CloneGroupTable) -> PropertyGraph:
-    """Stamp guf = clone-group size + CALLS in-degree on every function."""
+    """Stamp guf = clone-group size + CALLS in-degree on every function.
+
+    The edges are deduplicated, so each caller counts once.
+    """
+    callers = Counter(object_id for _subject_id, relation, object_id in graph.edges
+                      if relation is Relation.CALLS)
     for node in graph.function_nodes():
         fn = node.payload
         if fn is None:
             continue
-        guf = clones.size_of(fn.clone_id) + graph.in_degree(fn.id, Relation.CALLS)
+        guf = clones.size_of(fn.clone_id) + callers[fn.id]
         graph.update_payload(fn.id, guf=guf)
     return graph
 
@@ -355,6 +349,8 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
             payload = None
             if "payload" in record:
                 raw = record["payload"]
+                if not isinstance(raw["clone_id"], (str, type(None))):
+                    raise ValueError(f"node {record['id']!r}: clone_id is not a string or null")
                 payload = FunctionUnit(
                     id=record["id"],
                     contract_name=raw["contract_name"],
@@ -426,9 +422,10 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
 
     ``embedder`` is any provider with name/dimension attributes and an
     ``embed_functions(pairs)`` method that returns one vector per
-    (source text, declaration tokens) pair. Files that fail to parse or
-    duplicate an earlier file (by canonical token hash) are skipped with a
-    report entry.
+    (source text, declaration tokens) pair; ``repair.retrieve`` embeds
+    its queries with the same call on the provider the metadata names.
+    Files that fail to parse or duplicate an earlier file (by canonical
+    token hash) are skipped with a report entry.
 
     Files are processed one at a time: each is lexed and parsed once, and
     its hash, triples, clone keys and embeddings all come from that parse
@@ -468,12 +465,11 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
         triples.extend(unit_triples)
         triple_diagnostics.extend(f"{unit.path}: {line}" for line in diagnostics)
         new: dict[str, tuple[str, list[Token]]] = {}
-        for contract in unit.contracts:
-            functions.extend(contract.functions)
-            for fn, decl in zip(contract.functions, contract.decls):
-                keys[fn.id] = clone_key(decl.normalized)
-                if fn.id not in vectors and fn.id not in new:
-                    new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
+        for fn, decl in unit.declarations():
+            functions.append(fn)
+            keys[fn.id] = clone_key(decl.normalized)
+            if fn.id not in vectors and fn.id not in new:
+                new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
         if new:
             for fn_id, vector in zip(new, embedder.embed_functions(list(new.values()))):
                 vectors[fn_id] = vector.values

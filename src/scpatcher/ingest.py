@@ -27,7 +27,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import FunctionUnit, SignatureFeatures, function_id
 
@@ -102,9 +102,6 @@ _BUILTIN_CALLABLES = {
 
 #: Low-level member calls recorded as diagnostics, never as CALLS edges.
 _LOW_LEVEL_CALLS = {"call", "delegatecall", "staticcall"}
-
-#: Namespaces whose member calls are language built-ins (abi.encode, ...).
-_BUILTIN_NAMESPACES = {"abi", "msg", "block", "tx"}
 
 
 class Token(NamedTuple):
@@ -251,29 +248,33 @@ class SourceUnit:
     def body_tokens(self, decl: FunctionDecl) -> list[Token]:
         return self.tokens[decl.body_start:decl.body_end]
 
-    def find_function(self, contract_name: str, function_name: str) -> Optional[FunctionUnit]:
+    def declarations(self) -> Iterator[tuple[FunctionUnit, FunctionDecl]]:
+        """Every function with its declaration, in file order."""
         for contract in self.contracts:
-            if contract.name != contract_name:
-                continue
-            for fn in contract.functions:
-                if fn.name == function_name:
-                    return fn
-        return None
+            yield from zip(contract.functions, contract.decls)
+
+    def _first(self, match: Callable[[FunctionUnit], bool]
+               ) -> tuple[Optional[FunctionUnit], Optional[FunctionDecl]]:
+        return next(((fn, decl) for fn, decl in self.declarations() if match(fn)), (None, None))
+
+    def find_function(self, contract_name: str, function_name: str) -> Optional[FunctionUnit]:
+        return self._first(lambda fn: fn.contract_name == contract_name
+                           and fn.name == function_name)[0]
 
     def find_function_by_name(self, function_name: str) -> Optional[FunctionUnit]:
         """First function called ``function_name``, in any contract."""
-        for contract in self.contracts:
-            for fn in contract.functions:
-                if fn.name == function_name:
-                    return fn
-        return None
+        return self._first(lambda fn: fn.name == function_name)[0]
 
     def find_function_by_id(self, fn_id: str) -> Optional[FunctionUnit]:
-        for contract in self.contracts:
-            for fn in contract.functions:
-                if fn.id == fn_id:
-                    return fn
-        return None
+        return self._first(lambda fn: fn.id == fn_id)[0]
+
+    def declaration_tokens(self, fn: FunctionUnit) -> list[Token]:
+        """The tokens of the first declaration with ``fn``'s id, the slice
+        ``build_kb`` embeds. Raises ValueError if this unit has none."""
+        decl = self._first(lambda other: other.id == fn.id)[1]
+        if decl is None:
+            raise ValueError(f"function {fn.qualified_name} ({fn.id}) not found in {self.path}")
+        return self.tokens[decl.start:decl.end]
 
 
 class NodeKind(Enum):

@@ -1,7 +1,8 @@
 """Reference retrieval, prompt assembly and the two-stage repair orchestrator.
 
 ``retrieve`` is the one query path into the knowledge base, shared by
-``repair`` and the ``retrieve`` command: it embeds the target function,
+``repair`` and the ``retrieve`` command: it embeds the target function from
+its parse's declaration tokens with the provider call that built the KB,
 takes its nearest KB functions by exact k-NN over the index the KB builds
 once, and reranks them. The result records the pool size, whether the
 signature filter fell back to the whole pool, and the selected references.
@@ -97,36 +98,36 @@ class Retrieval:
     selected: list[Candidate]  # reranked, at most k
 
 
-def retrieve(kb: PropertyGraph, fn: FunctionUnit, k: int = DEFAULT_K,
+def retrieve(kb: PropertyGraph, unit: SourceUnit, fn: FunctionUnit, k: int = DEFAULT_K,
              pool_size: int = DEFAULT_POOL_SIZE, epsilon: float = DEFAULT_EPSILON
              ) -> Retrieval:
     """Embed ``fn``, take its ``pool_size`` nearest KB functions, rerank to ``k``.
 
-    The KB keeps its vector index across calls. The provider is made per
-    call, because a remote one holds an HTTP session that concurrent
+    ``unit`` is the parse that holds ``fn`` (matched by id); ``fn`` is
+    embedded from its declaration tokens there with ``embed_functions``,
+    as ``build_kb`` embeds every KB row, so nothing is lexed again. The KB
+    keeps its vector index across calls. The provider is made per call,
+    because a remote one holds an HTTP session that concurrent
     ``evaluate`` workers must not share.
     """
     config = RerankConfig(epsilon=epsilon, k=k)
-    query_vector = provider_from_meta(kb.embedder_meta).embed(fn.source_text)
+    provider = provider_from_meta(kb.embedder_meta)
+    [query_vector] = provider.embed_functions([(fn.source_text, unit.declaration_tokens(fn))])
     pool = knn(kb.vector_index(index_from_graph), query_vector, pool_size)
     selected, fallback = rerank(pool, required_signature(fn), config)
     return Retrieval(pool_size=len(pool), fallback=fallback, selected=selected)
 
 
 def references_from(candidates: list[Candidate], graph: PropertyGraph) -> list[Reference]:
-    """Resolve reranked candidates to their source text via the graph."""
-    refs = []
-    for candidate in candidates:
-        payload = graph.node(candidate.function_id).payload
-        if payload is None:
-            continue
-        refs.append(Reference(
-            code=payload.source_text,
-            s_final=candidate.s_final if candidate.s_final is not None else candidate.s_sem,
-            guf=candidate.guf,
-            signature=candidate.signature,
-        ))
-    return refs
+    """Resolve reranked candidates to their source text via the graph.
+
+    Every candidate is a KB function with a payload, and ``rerank`` sets
+    ``s_final`` on every candidate it selects.
+    """
+    return [Reference(code=graph.node(candidate.function_id).payload.source_text,
+                      s_final=candidate.s_final, guf=candidate.guf,
+                      signature=candidate.signature)
+            for candidate in candidates]
 
 
 def required_signature(fn: FunctionUnit) -> SignatureFeatures:
@@ -275,7 +276,7 @@ def repair(contract: SourceUnit, report: VulnerabilityReport,
             f"function {report.function_id!r} not found in {contract.path}")
     diagnostics: list[str] = []
 
-    retrieval = retrieve(kb, fn, cfg.k, cfg.top_n, cfg.epsilon)
+    retrieval = retrieve(kb, contract, fn, cfg.k, cfg.top_n, cfg.epsilon)
     refs = references_from(retrieval.selected, kb)
     log.debug("repair %s: %d references after rerank", fn.qualified_name, len(refs))
 

@@ -53,9 +53,10 @@ def test_exit_codes(kb_file, tmp_path, capsys):
     for flag, value in (("--k", "0"), ("--top-n", "0"), ("--epsilon", "0"),
                         ("--epsilon", "nan")):
         assert main(retrieve + [LOCATOR, flag, value]) == 1
-    for value in ("0", "-5"):
-        assert main(["build-kb", "--corpus", str(FIXTURES / "corpus"),
-                     "--out", str(tmp_path / "unused.scpk"), "--dimension", value]) == 1
+    for flag in ("--dimension", "--clone-min-tokens"):
+        for value in ("0", "-5"):
+            assert main(["build-kb", "--corpus", str(FIXTURES / "corpus"),
+                         "--out", str(tmp_path / "unused.scpk"), flag, value]) == 1
     for value in ("0", "-4"):
         assert main(["evaluate", "--kb", str(kb_file),
                      "--manifest", str(EVAL_CASES / "manifest.json"),

@@ -3,12 +3,14 @@ import json
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scpatcher import embedding
 from scpatcher.embedding import (
     DEFAULT_POOL_SIZE,
     Candidate,
@@ -126,6 +128,18 @@ def test_embed_tokens_of_a_declaration_equals_embed_of_its_text():
                 assert from_tokens.values == _dense_reference(fn.source_text, 256)
                 functions += 1
     assert functions >= 70
+
+
+def test_a_new_embedder_reuses_the_buckets_an_earlier_one_computed(monkeypatch):
+    text = "function bucketMemoProbe(uint256 q) external { q += 1; }"
+    first = HashingEmbedder(48).embed(text)
+    hashed = []
+    monkeypatch.setattr(embedding, "hashlib", SimpleNamespace(
+        sha256=lambda data: hashed.append(data) or hashlib.sha256(data)))
+    assert HashingEmbedder(48).embed(text) == first
+    assert hashed == []
+    HashingEmbedder(47).embed(text)  # one memo per dimension
+    assert hashed
 
 
 _TOKEN_TEXT = st.one_of(

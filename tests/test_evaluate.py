@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scpatcher import evaluate, ingest
+from scpatcher import embedding, evaluate, ingest, verify
 from scpatcher.ingest import IngestError
 from scpatcher.evaluate import DatasetManifest, ManifestEntry, load_manifest, run_dataset
 from scpatcher.graph import load_kb
@@ -37,11 +37,13 @@ def test_each_entry_is_loaded_once_per_run(kb, monkeypatch):
 
 
 def test_a_sweep_reads_and_lexes_each_entry_once(kb, monkeypatch):
+    """Every lex in a sweep is an entry file's, once, or a parsed patch's:
+    queries are embedded from the entry's tokens, not lexed again."""
     graph, _, _ = kb
     manifest = load_manifest(str(EVAL_CASES / "manifest.json"))
     paths = {entry.resolved_path for entry in manifest.entries}
-    texts = {Path(path).read_text(encoding="utf-8") for path in paths}
-    reads, lexes = [], []
+    texts = [Path(path).read_text(encoding="utf-8") for path in sorted(paths)]
+    reads, lexes, patches = [], [], []
 
     def counting_open(file, *args, **kwargs):
         if str(file) in paths:
@@ -50,12 +52,15 @@ def test_a_sweep_reads_and_lexes_each_entry_once(kb, monkeypatch):
 
     for module in (evaluate, ingest):  # every reader of an entry file
         monkeypatch.setattr(module, "open", counting_open, raising=False)
-    original_lex = ingest.lex
-    monkeypatch.setattr(ingest, "lex", lambda text, *args: (
-        lexes.append(text) if text in texts else None) or original_lex(text, *args))
+    original_lex, original_parse = ingest.lex, verify.parse_source
+    for module in (ingest, embedding):  # every module that binds lex
+        monkeypatch.setattr(module, "lex", lambda text, *args: (
+            lexes.append(text) or original_lex(text, *args)))
+    monkeypatch.setattr(verify, "parse_source", lambda text, *args: (
+        patches.append(text) or original_parse(text, *args)))
     run_dataset(manifest, graph, _cfg(), k_values=[1, 3, 5])
     assert sorted(reads) == sorted(paths) and len(reads) == 6
-    assert len(lexes) == 6
+    assert patches and sorted(lexes) == sorted(texts + patches)
 
 
 def test_every_fixed_outcome_compiled_and_carries_a_patch(kb, monkeypatch):

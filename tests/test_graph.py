@@ -282,6 +282,12 @@ def _function_record(nodes, index=0):
     return [record for record in nodes if "payload" in record][index]
 
 
+def _clone_ids_as_lists(nodes, edges, clones, meta):
+    for record in nodes:
+        if "payload" in record:
+            record["payload"]["clone_id"] = [record["payload"]["clone_id"]]
+
+
 @pytest.mark.parametrize("mutate", [
     # the clone section's groups must be an object
     lambda nodes, edges, clones, meta: clones.update(groups=[["a", ["b"]]]),
@@ -311,10 +317,12 @@ def _function_record(nodes, index=0):
     lambda nodes, edges, clones, meta: meta.update(dimension=256.0),
     lambda nodes, edges, clones, meta: meta.update(dimension=True),
     lambda nodes, edges, clones, meta: meta.update(dimension=None),
+    # a clone id is a string or null (a list loaded, then broke rerank's set)
+    _clone_ids_as_lists,
 ], ids=["groups-list", "feature-int", "vector-empty", "vector-scalar", "vector-short",
         "vector-long", "vector-nan", "vector-inf", "vector-minus-inf", "vector-string",
         "meta-list", "meta-null", "embedder-unknown", "embedder-null", "dimension-zero",
-        "dimension-float", "dimension-bool", "dimension-null"])
+        "dimension-float", "dimension-bool", "dimension-null", "clone-id-list"])
 def test_load_rejects_malformed_sections_as_corrupt(kb_file, tmp_path, mutate):
     path = _rewrite_kb(kb_file, tmp_path / "bad.scpk", mutate)
     with pytest.raises(FormatError) as err:
@@ -339,13 +347,15 @@ def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, 
     assert err.value.code == "Corrupt"
 
 
-def test_empty_metadata_loads_and_queries_with_the_default_embedder(kb, kb_file, tmp_path):
+def test_empty_metadata_loads_and_queries_with_the_default_embedder(
+        kb, kb_file, corpus_paths, tmp_path):
     path = _rewrite_kb(kb_file, tmp_path / "nometa.scpk",
                        lambda nodes, edges, clones, meta: [nodes, edges, clones, {}])
     graph, _clones = load_kb(path)
     assert graph.embedder_meta is None
-    fn = kb[0].functions()[0]
-    assert retrieve(graph, fn, k=3) == retrieve(kb[0], fn, k=3)
+    unit = load_source(corpus_paths[0])
+    fn = unit.contracts[0].functions[0]
+    assert retrieve(graph, unit, fn, k=3) == retrieve(kb[0], unit, fn, k=3)
 
 
 def test_rewritten_but_unchanged_kb_still_loads(kb, kb_file, tmp_path):

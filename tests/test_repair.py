@@ -34,8 +34,8 @@ def _case(name, contract, function):
     return unit, fn
 
 
-def _references(kb_graph, fn):
-    return references_from(retrieve(kb_graph, fn).selected, kb_graph)
+def _references(kb_graph, unit, fn):
+    return references_from(retrieve(kb_graph, unit, fn).selected, kb_graph)
 
 
 def _mock(path="mock_script.json"):
@@ -48,16 +48,16 @@ def _mock(path="mock_script.json"):
 
 def test_stage1_prompt_matches_golden(kb):
     graph, _, _ = kb
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    prompt = build_stage1_prompt(fn, VulnClass.REENTRANCY, _references(graph, fn))
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    prompt = build_stage1_prompt(fn, VulnClass.REENTRANCY, _references(graph, unit, fn))
     expected = (GOLDEN / "stage1_prompt.txt").read_text()
     assert prompt.system_text + "\n===USER===\n" + prompt.user_text == expected
 
 
 def test_cot_prompt_matches_golden(kb):
     graph, _, _ = kb
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    refs = _references(graph, fn)
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    refs = _references(graph, unit, fn)
     feedback = ["target vulnerability still detected: UncheckedCallReturn in "
                 "function payout at line 13 (rule unchecked-call/result-unused)"]
     prompt = build_cot_prompt(fn, VulnClass.REENTRANCY, refs, feedback)
@@ -67,9 +67,9 @@ def test_cot_prompt_matches_golden(kb):
 
 def test_prompt_is_deterministic(kb):
     graph, _, _ = kb
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    a = build_stage1_prompt(fn, VulnClass.REENTRANCY, _references(graph, fn))
-    b = build_stage1_prompt(fn, VulnClass.REENTRANCY, _references(graph, fn))
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    a = build_stage1_prompt(fn, VulnClass.REENTRANCY, _references(graph, unit, fn))
+    b = build_stage1_prompt(fn, VulnClass.REENTRANCY, _references(graph, unit, fn))
     assert a.user_text == b.user_text
     assert a.digest() == b.digest()
     assert len(a.digest()) == 64
@@ -85,8 +85,8 @@ def test_stage1_prompt_without_references():
 
 def test_reference_scores_rendered_at_four_decimals(kb):
     graph, _, _ = kb
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    refs = _references(graph, fn)
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    refs = _references(graph, unit, fn)
     prompt = build_stage1_prompt(fn, VulnClass.REENTRANCY, refs)
     for ref in refs:
         assert f"trust-adjusted distance {ref.s_final:.4f}" in prompt.user_text
@@ -95,8 +95,8 @@ def test_reference_scores_rendered_at_four_decimals(kb):
 
 def test_cot_prompt_extends_stage1_verbatim(kb):
     graph, _, _ = kb
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    refs = _references(graph, fn)
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    refs = _references(graph, unit, fn)
     stage1 = build_stage1_prompt(fn, VulnClass.REENTRANCY, refs)
     feedback = ["patch failed to compile: UnbalancedBraces: brace never closed",
                 "second diagnostic line"]
@@ -138,8 +138,8 @@ def test_extract_patch_source_variants():
 
 def test_generate_uses_digest_rules(kb):
     graph, _, _ = kb
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    prompt = build_stage1_prompt(fn, VulnClass.REENTRANCY, _references(graph, fn))
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    prompt = build_stage1_prompt(fn, VulnClass.REENTRANCY, _references(graph, unit, fn))
     backend = MockLlmBackend(rules=[
         MockRule(response="```solidity\ncontract X {}\n```",
                  digest=prompt.digest(), substrings=()),
@@ -189,29 +189,39 @@ def _counted(monkeypatch, module, name):
 def test_retrieve_builds_the_index_once_per_kb(kb_file, monkeypatch):
     graph, _ = load_kb(kb_file)
     builds = _counted(monkeypatch, repair_module, "index_from_graph")
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    results = [retrieve(graph, fn, k) for k in (1, 2, 3, 4, 5) * 2]
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    results = [retrieve(graph, unit, fn, k) for k in (1, 2, 3, 4, 5) * 2]
     assert len(builds) == 1
     assert results[:5] == results[5:]
 
 
+def test_retrieve_finds_the_query_in_its_unit_by_id(kb_file):
+    graph, _ = load_kb(kb_file)
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    reparsed = load_source(EVAL_CASES / "case2_reentrancy.sol")
+    assert retrieve(graph, reparsed, fn, 3) == retrieve(graph, unit, fn, 3)
+    other, _ = _case("case5_unchecked.sol", "EvalDesk", "payout")
+    with pytest.raises(ValueError, match="EvalFaucet.withdraw"):
+        retrieve(graph, other, fn)
+
+
 def test_retrieve_sees_payload_updates(kb_file):
     graph, _ = load_kb(kb_file)
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    top = retrieve(graph, fn, 1).selected[0]
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    top = retrieve(graph, unit, fn, 1).selected[0]
     graph.update_payload(top.function_id, guf=top.guf + 1000)
-    again = retrieve(graph, fn, 1).selected[0]
+    again = retrieve(graph, unit, fn, 1).selected[0]
     assert (again.function_id, again.guf) == (top.function_id, top.guf + 1000)
 
 
 def test_retrieve_sees_added_function(kb_file):
     graph, _ = load_kb(kb_file)
-    _, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    assert all(c.s_sem > 0 for c in retrieve(graph, fn, 5).selected)
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    assert all(c.s_sem > 0 for c in retrieve(graph, unit, fn, 5).selected)
     twin = dataclasses.replace(fn, id="f" * 16, clone_id=None, guf=1000)
     graph.vectors[twin.id] = HashingEmbedder(256).embed(fn.source_text).values
     graph.add_node(EntityNode(twin.id, NodeKind.FUNCTION, twin.qualified_name, twin))
-    first = retrieve(graph, fn, 1).selected[0]
+    first = retrieve(graph, unit, fn, 1).selected[0]
     assert (first.function_id, first.s_sem) == (twin.id, 0.0)
 
 
