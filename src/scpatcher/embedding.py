@@ -7,20 +7,28 @@ for the KB rows, and ``repair.retrieve`` one per query, both with the
 tokens the function's parse already holds, so a query vector and a KB
 vector come from the same computation and neither lexes again.
 
+Vectors are sparse up to the index: an ``EmbeddingVector`` is the pair
+(buckets, values) of its nonzero buckets, in ascending order, and their
+values; every other bucket is 0.0. Providers return such pairs,
+``PropertyGraph.vectors`` holds them and the knowledge-base file stores
+them. Only ``build_index`` pads them out to dense rows, once per knowledge
+base, and ``knn`` pads its query.
+
 The reference provider is a deterministic hashing embedder: tokens are
 hashed into a fixed number of buckets, counts are log-damped, and the
 vector is L2-normalized. It reads tokens, not text: ``embed_tokens``
 counts each distinct token text once, looks its bucket up in a memo shared
 by every instance of the same dimension (one SHA-256 per distinct text per
 process), and computes weights and the norm over the nonzero buckets only,
-in ascending bucket order, so the result is bit-identical to the dense
-formula over every bucket. ``embed(text)`` is ``embed_tokens(lex(text))``.
-The remote HTTP provider embeds the source texts, one request per call.
+in ascending bucket order, so its values are bit-identical to the dense
+formula's over every bucket. ``embed(text)`` is ``embed_tokens(lex(text))``.
+The remote HTTP provider embeds the source texts, one request per call, and
+drops the zeros of the dense vectors it receives.
 
 Retrieval is exact: ``knn`` returns the ids and ``math.dist`` distances
-that a flat L2 scan of every row returns, bit for bit. The index is built
-once per knowledge base (``PropertyGraph.vector_index`` keeps it) and also
-holds the rows column by column, with each row's squared norm. A hashing
+that a flat L2 scan of every dense row returns, bit for bit. The index is
+built once per knowledge base (``PropertyGraph.vector_index`` keeps it) and
+also holds the rows column by column, with each row's squared norm. A hashing
 vector has about 18 nonzero buckets of 256, so ``knn`` filters and then
 refines, after the VA-file's exact search: it scores every row on the
 query's nonzero buckets only, through a few compact columns that stay in
@@ -29,11 +37,11 @@ squared distance in real arithmetic. The rows within a margin of
 1e-9 * (|q|**2 + max |r|**2 + 1) of the n-th smallest such score survive;
 the margin dwarfs the scores' float error, about 10 * 2**-53 *
 (|q|**2 + |r|**2), so no true top-n row is lost. Only the survivors are
-rescored with ``math.dist`` over the full vectors and selected stably,
+rescored with ``math.dist`` over the dense rows and selected stably,
 ties going to the lower id. The filter is skipped, and every row
 rescored, when ``n`` covers the index, when the query has more than
 ``dimension // FILTER_DIVISOR`` nonzero buckets (dense vectors, as a
-remote provider returns, where the filter costs more than it saves), or
+remote provider may return, where the filter costs more than it saves), or
 when a squared norm is not finite or near overflow.
 """
 
@@ -47,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat, starmap
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import requests
 
@@ -85,17 +93,35 @@ class EmptyIndexError(Exception):
     """Retrieval attempted against an index with no entries."""
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
+class EmbeddingVector(NamedTuple):
+    """A sparse vector: its nonzero buckets, ascending, and their values.
+
+    Every bucket it does not list is 0.0; the dimension is the provider's
+    (or the index's), not the vector's.
+    """
+
+    buckets: tuple[int, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("embedding vector must be non-empty")
+    @classmethod
+    def from_dense(cls, values: Sequence[float]) -> "EmbeddingVector":
+        """The pair of a dense vector, with its zeros dropped."""
+        buckets = tuple(compress(range(len(values)), values))
+        return cls(buckets, tuple(map(values.__getitem__, buckets)))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
+    def dense(self, dimension: int) -> tuple[float, ...]:
+        """All ``dimension`` values, every zero the one shared 0.0.
+
+        Raises DimensionMismatchError for a bucket outside ``range(dimension)``.
+        """
+        buckets = self.buckets
+        if buckets and (min(buckets) < 0 or max(buckets) >= dimension):
+            raise DimensionMismatchError(
+                f"buckets {min(buckets)}..{max(buckets)} outside dimension {dimension}")
+        values = [0.0] * dimension
+        for bucket, value in zip(buckets, self.values):
+            values[bucket] = value
+        return tuple(values)
 
 
 #: dimension -> {token text: bucket}, shared by every HashingEmbedder. It
@@ -118,11 +144,12 @@ class HashingEmbedder:
         return self.embed_tokens(lex(code_text))
 
     def embed_tokens(self, tokens: Iterable[Token]) -> EmbeddingVector:
-        """The vector of a lexed text; equal to the dense formula's.
+        """The sparse vector of a lexed text; its values equal the dense formula's.
 
         A zero bucket adds exactly 0.0 to the norm's sum and divides to
         0.0, so summing the nonzero weights in ascending bucket order gives
-        the same floats as summing all of them.
+        the same floats as summing all of them. A text with no tokens is
+        the basis vector of bucket 0.
         """
         # literal values carry no structure
         counts = Counter("LIT" if tok.kind in ("number", "string") else tok.text
@@ -136,16 +163,12 @@ class HashingEmbedder:
                 digest = hashlib.sha256(text.encode("utf-8")).digest()
                 bucket = buckets[text] = int.from_bytes(digest[:8], "big") % dimension
             per_bucket[bucket] = per_bucket.get(bucket, 0) + count
-        values = [0.0] * dimension
         if not per_bucket:
-            values[0] = 1.0
-            return EmbeddingVector(tuple(values))
-        order = sorted(per_bucket)
+            return EmbeddingVector((0,), (1.0,))
+        order = tuple(sorted(per_bucket))
         weights = [math.log1p(per_bucket[bucket]) for bucket in order]
         norm = math.sqrt(sum(w * w for w in weights))
-        for bucket, w in zip(order, weights):
-            values[bucket] = w / norm
-        return EmbeddingVector(tuple(values))
+        return EmbeddingVector(order, tuple(w / norm for w in weights))
 
     def embed_functions(self, functions: Sequence[tuple[str, Sequence[Token]]]
                         ) -> list[EmbeddingVector]:
@@ -156,8 +179,9 @@ class HashingEmbedder:
 class RemoteEmbedder:
     """HTTP adapter: POST {model, input} to a vector endpoint.
 
-    The endpoint must answer {"vectors": [[...], ...]}, one vector per
-    input text, each of the configured dimension.
+    The endpoint must answer {"vectors": [[...], ...]}, one dense vector
+    per input text, each of the configured dimension and made of JSON
+    numbers; each is returned with its zeros dropped.
     """
 
     name = "remote"
@@ -204,23 +228,27 @@ class RemoteEmbedder:
                 raise ProviderError(
                     "DimensionMismatch",
                     f"provider returned dimension {len(values)}, expected {self.dimension}")
-            try:
-                vector = tuple(float(v) for v in values)
-            except (TypeError, ValueError):
+            # a JSON number, not a string or a bool (float() would take both)
+            if not set(map(type, values)) <= {int, float}:
                 raise ProviderError("RemoteUnavailable",
-                                    f"{self.url}: non-numeric vector value") from None
-            if not math.isfinite(math.hypot(*vector)):
+                                    f"{self.url}: non-numeric vector value")
+            vector = EmbeddingVector.from_dense([float(v) for v in values])
+            if not math.isfinite(math.hypot(*vector.values)):
                 raise ProviderError("RemoteUnavailable",
                                     f"{self.url}: non-finite vector value")
-            out.append(EmbeddingVector(vector))
+            out.append(vector)
         return out
+
+
+def meta_dimension(meta: Optional[dict]) -> int:
+    """The vector dimension KB metadata records, or DEFAULT_DIMENSION."""
+    return int((meta or {}).get("dimension", DEFAULT_DIMENSION))
 
 
 def provider_from_meta(meta: Optional[dict]):
     """Reconstruct the embedding provider recorded in KB metadata."""
-    meta = meta or {}
-    name = meta.get("name", HashingEmbedder.name)
-    dimension = int(meta.get("dimension", DEFAULT_DIMENSION))
+    name = (meta or {}).get("name", HashingEmbedder.name)
+    dimension = meta_dimension(meta)
     if name == HashingEmbedder.name:
         return HashingEmbedder(dimension)
     if name == RemoteEmbedder.name:
@@ -244,8 +272,11 @@ class Candidate:
 class VectorIndex:
     """Exact-search index: one row per function, in function-id order.
 
+    The functions' vectors arrive as sparse pairs; the index is where they
+    become dense. ``rows`` holds each vector padded out to ``dimension``
+    values for ``knn``'s rescore, every zero the one shared 0.0.
     ``columns`` lays the same values out bucket by bucket for ``knn``'s
-    filter: every zero is one shared float, and each column's nonzero
+    filter: every zero is again the shared float, and each column's nonzero
     values are copied together so that a scan over a few columns stays in
     cache. ``sq_norms`` holds each row's squared norm, and ``max_sq_norm``
     the largest of them (infinite if any is not finite). Columns and norms
@@ -264,27 +295,25 @@ class VectorIndex:
         return len(self.rows)
 
 
-def build_index(functions: Sequence[FunctionUnit],
-                vectors: dict[str, tuple[float, ...]]) -> VectorIndex:
-    """Pair every function with its vector; all dimensions must agree."""
-    dimension = 0
+def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, EmbeddingVector],
+                dimension: int) -> VectorIndex:
+    """Pair every function that has a vector with its dense row and columns.
+
+    Rows, columns and norms all come from the sparse pairs; a bucket
+    outside ``range(dimension)`` raises DimensionMismatchError.
+    """
     kept: list[FunctionUnit] = []
-    rows: list[tuple[float, ...]] = []
+    pairs: list[EmbeddingVector] = []
     for fn in sorted(functions, key=lambda f: f.id):
-        if fn.id not in vectors:
-            continue
-        vector = EmbeddingVector(tuple(vectors[fn.id]))
-        if dimension == 0:
-            dimension = vector.dimension
-        elif vector.dimension != dimension:
-            raise DimensionMismatchError(
-                f"{fn.qualified_name}: dimension {vector.dimension}, index has {dimension}")
-        kept.append(fn)
-        rows.append(vector.values)
-    buckets = range(dimension)
-    nonzero: list[list[int]] = [[] for _ in buckets]  # bucket -> rows with a nonzero value
-    for i, row in enumerate(rows):
-        for j in compress(buckets, row):
+        vector = vectors.get(fn.id)
+        if vector is not None:
+            kept.append(fn)
+            pairs.append(vector)
+    rows = []
+    nonzero: list[list[int]] = [[] for _ in range(dimension)]  # bucket -> rows with a value
+    for i, vector in enumerate(pairs):
+        rows.append(vector.dense(dimension))
+        for j in vector.buckets:
             nonzero[j].append(i)
     columns = []
     for j, members in enumerate(nonzero):
@@ -292,14 +321,15 @@ def build_index(functions: Sequence[FunctionUnit],
         for i in members:
             column[i] = rows[i][j] + 0.0  # a fresh float, allocated next to its column's others
         columns.append(tuple(column))
-    sq_norms = tuple(math.hypot(*row) ** 2 for row in rows)
+    # a zero adds exactly nothing to hypot, so the nonzero values give the row's norm
+    sq_norms = tuple(math.hypot(*vector.values) ** 2 for vector in pairs)
     max_sq_norm = max(sq_norms, default=0.0) if all(map(math.isfinite, sq_norms)) else math.inf
     return VectorIndex(dimension, kept, rows, columns, sq_norms, max_sq_norm)
 
 
 def index_from_graph(graph) -> VectorIndex:
-    """Build the index straight from a loaded knowledge base."""
-    return build_index(graph.functions(), graph.vectors)
+    """Build the index straight from a knowledge base's sparse vectors."""
+    return build_index(graph.functions(), graph.vectors, meta_dimension(graph.embedder_meta))
 
 
 def _survivors(index: VectorIndex, query: tuple[float, ...], support: list[int],
@@ -331,10 +361,12 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
         ) -> list[Candidate]:
     """Exact nearest neighbors, ascending distance, id tiebreak.
 
-    Filter and refine: ``_survivors`` scores every row on the query's
-    nonzero buckets only and keeps those that can still be among the
-    ``n`` nearest; only they are rescored with ``math.dist`` over the full
-    vectors, so ids and ``s_sem`` equal a full scan's bit for bit. Every
+    The sparse ``query`` is padded out to the index's dimension (a bucket
+    outside it raises DimensionMismatchError). Filter and refine:
+    ``_survivors`` scores every row on the query's nonzero buckets only and
+    keeps those that can still be among the ``n`` nearest; only they are
+    rescored with ``math.dist`` over the full dense rows, so ids and
+    ``s_sem`` equal a full scan's bit for bit. Every
     row is rescored, with no filter, when ``n`` covers the index, when the
     query has more than ``dimension // FILTER_DIVISOR`` nonzero buckets
     (the filter would cost more than the full scan), or when a squared
@@ -345,10 +377,7 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
         raise ValueError("n must be >= 1")
     if not index.rows:
         raise EmptyIndexError("vector index has no entries")
-    if query.dimension != index.dimension:
-        raise DimensionMismatchError(
-            f"dimension {query.dimension} vs {index.dimension}")
-    values = query.values
+    values = query.dense(index.dimension)
     rows, functions = index.rows, index.functions
     if n < len(rows):
         support = list(compress(range(index.dimension), values))

@@ -5,6 +5,16 @@ edges are the extracted triples (deduplicated). Function nodes carry their
 FunctionUnit payload, a clone-group id, and a usage frequency used by the
 trust rescorer. The whole bundle serializes to a canonical binary container
 so that saving the same knowledge base twice yields byte-identical files.
+
+The container (format 2) is the magic ``SCPK``, a little-endian u16
+version, and four sections, each a u32 length and canonical JSON: the node
+records, the edges, the clone groups and the embedder metadata. Every
+function node's record, and no other, holds its embedding as a sparse pair
+``"vector": [[buckets...], [values...]]``: the nonzero buckets in strictly
+ascending order, each below the metadata's ``dimension`` (256 when it has
+none), and their float values. Every other bucket is 0.0, so a dense vector
+is stored with its zeros dropped. Format 1 stored every vector densely; it
+is not read, and a format-1 file is rebuilt from its corpus.
 """
 
 from __future__ import annotations
@@ -16,9 +26,11 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .embedding import HashingEmbedder, RemoteEmbedder
+from .embedding import EmbeddingVector, HashingEmbedder, RemoteEmbedder, meta_dimension
 from .ingest import (
     IngestError,
     NodeKind,
@@ -33,7 +45,7 @@ from .ingest import (
 from .model import FunctionUnit, SignatureFeatures
 
 _MAGIC = b"SCPK"
-_VERSION = 1
+_VERSION = 2
 
 
 class GraphError(Exception):
@@ -70,15 +82,16 @@ class EntityNode:
 class PropertyGraph:
     """In-memory indexed graph with deduplicated edges.
 
-    ``vectors`` maps function ids to their embeddings. Only ``build_kb``
-    and ``load_kb`` write it, and both finish before the first query, so
-    the vector index cached by ``vector_index`` never sees it change.
+    ``vectors`` maps function ids to their sparse embeddings, (buckets,
+    values) pairs. Only ``build_kb`` and ``load_kb`` write it, and both
+    finish before the first query, so the vector index cached by
+    ``vector_index`` never sees it change.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[str, EntityNode] = {}
         self.edges: list[tuple[str, Relation, str]] = []
-        self.vectors: dict[str, tuple[float, ...]] = {}
+        self.vectors: dict[str, EmbeddingVector] = {}
         self.embedder_meta: Optional[dict] = None
         self._edge_set: set[tuple[str, Relation, str]] = set()
         self._functions: list[EntityNode] = []  # FUNCTION nodes, in insertion order
@@ -262,7 +275,7 @@ def _canonical_json(value) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _node_record(node: EntityNode, vectors: dict[str, tuple[float, ...]]) -> dict:
+def _node_record(node: EntityNode, vectors: dict[str, EmbeddingVector]) -> dict:
     record: dict = {"id": node.id, "kind": node.kind.value, "label": node.label}
     fn = node.payload
     if fn is not None:
@@ -276,12 +289,18 @@ def _node_record(node: EntityNode, vectors: dict[str, tuple[float, ...]]) -> dic
             "guf": fn.guf,
         }
     if node.id in vectors:
-        record["vector"] = list(vectors[node.id])
+        buckets, values = vectors[node.id]
+        record["vector"] = [buckets, values]
     return record
 
 
 def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
-    """Write the knowledge base; canonical, so double-save is byte-identical."""
+    """Write the knowledge base in format 2; canonical, so double-save is byte-identical.
+
+    Nodes are sorted by id and edges by their three fields; JSON keys are
+    sorted. Each function's vector is written as it is held, the pair
+    ``[[buckets...], [values...]]``, with no dense copy made.
+    """
     nodes = [_node_record(graph.nodes[nid], graph.vectors)
              for nid in sorted(graph.nodes)]
     edges = sorted([s, r.value, o] for s, r, o in graph.edges)
@@ -301,8 +320,66 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
         handle.write(bytes(blob))
 
 
+#: payload field -> the JSON types save_kb writes for it (exact types: a bool is no int)
+_PAYLOAD_TYPES = {
+    "contract_name": (str,),
+    "name": (str,),
+    "source_text": (str,),
+    "signature": (list,),
+    "token_count": (int,),
+    "clone_id": (str, type(None)),
+    "guf": (int,),
+}
+
+
+def _function_unit(node_id: str, raw) -> FunctionUnit:
+    """The payload of a function record, if every field has its saved type."""
+    for name, types in _PAYLOAD_TYPES.items():
+        if type(raw[name]) not in types:
+            raise ValueError(
+                f"node {node_id!r}: payload {name} has type {type(raw[name]).__name__}")
+    if not set(map(type, raw["signature"])) <= {str}:
+        raise ValueError(f"node {node_id!r}: a signature feature is not a string")
+    return FunctionUnit(
+        id=node_id,
+        contract_name=raw["contract_name"],
+        name=raw["name"],
+        source_text=raw["source_text"],
+        signature=SignatureFeatures(frozenset(raw["signature"])),
+        token_count=raw["token_count"],
+        clone_id=raw["clone_id"],
+        guf=raw["guf"],
+    )
+
+
+def _sparse_vector(node_id: str, raw, dimension: int) -> EmbeddingVector:
+    """A record's ``[[buckets...], [values...]]``, if it is one save_kb wrote:
+    int buckets strictly ascending in ``range(dimension)``, finite floats."""
+    if type(raw) is not list or len(raw) != 2:
+        raise ValueError(f"node {node_id!r}: vector is not a [buckets, values] pair")
+    buckets, values = raw
+    if type(buckets) is not list or type(values) is not list or len(buckets) != len(values):
+        raise ValueError(f"node {node_id!r}: vector buckets and values are not lists "
+                         f"of one length")
+    if buckets and not (set(map(type, buckets)) <= {int} and 0 <= buckets[0]
+                        and buckets[-1] < dimension
+                        and all(map(lt, buckets, islice(buckets, 1, None)))):
+        raise ValueError(f"node {node_id!r}: vector buckets are not ints strictly "
+                         f"ascending below {dimension}")
+    if not set(map(type, values)) <= {float} or not math.isfinite(math.hypot(*values)):
+        raise ValueError(f"node {node_id!r}: vector values are not finite floats")
+    return EmbeddingVector(tuple(buckets), tuple(values))
+
+
 def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
-    """Read a knowledge base written by save_kb; never yields a partial graph."""
+    """Read a format-2 knowledge base written by save_kb; never yields a partial graph.
+
+    FormatError("Corrupt") is raised, among other cases, for a payload
+    field of the wrong type, a malformed vector, a function node without a
+    payload or a vector, another node with either, a repeated node id, or
+    clone groups that differ from the functions' ``clone_id``s. A format-1
+    file raises FormatError("VersionMismatch").
+    """
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < 4 or blob[:4] != _MAGIC:
@@ -313,8 +390,8 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         raise FormatError("Truncated", f"{path}: missing version field")
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != _VERSION:
-        raise FormatError("VersionMismatch",
-                          f"{path}: version {version}, expected {_VERSION}")
+        raise FormatError("VersionMismatch", f"{path}: version {version}, expected "
+                          f"{_VERSION}; rebuild the knowledge base from its corpus")
     offset = 6
     sections = []
     for index in range(4):
@@ -339,51 +416,43 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         raise FormatError("Corrupt", f"{path}: metadata is not an object")
     if meta.get("name", HashingEmbedder.name) not in (HashingEmbedder.name, RemoteEmbedder.name):
         raise FormatError("Corrupt", f"{path}: unknown embedder {meta['name']!r}")
-    # every vector has the metadata's dimension, or else the first vector's
-    dimension = meta.get("dimension")
-    if "dimension" in meta and (type(dimension) is not int or dimension < 1):
-        raise FormatError("Corrupt", f"{path}: dimension {dimension!r} is not a positive int")
+    if "dimension" in meta and (type(meta["dimension"]) is not int or meta["dimension"] < 1):
+        raise FormatError("Corrupt",
+                          f"{path}: dimension {meta['dimension']!r} is not a positive int")
+    dimension = meta_dimension(meta)  # the bucket bound; provider_from_meta's dimension too
     graph = PropertyGraph()
     try:
         for record in node_records:
-            payload = None
-            if "payload" in record:
-                raw = record["payload"]
-                if not isinstance(raw["clone_id"], (str, type(None))):
-                    raise ValueError(f"node {record['id']!r}: clone_id is not a string or null")
-                payload = FunctionUnit(
-                    id=record["id"],
-                    contract_name=raw["contract_name"],
-                    name=raw["name"],
-                    source_text=raw["source_text"],
-                    signature=SignatureFeatures(frozenset(raw["signature"])),
-                    token_count=raw["token_count"],
-                    clone_id=raw["clone_id"],
-                    guf=raw["guf"],
-                )
-            kind = NodeKind(record["kind"])
-            graph.add_node(EntityNode(record["id"], kind, record["label"], payload))
-            if "vector" in record:
-                vector = record["vector"]
-                if not isinstance(vector, list) or not vector:
-                    raise ValueError(f"node {record['id']!r}: vector is not a non-empty list")
-                if dimension is None:
-                    dimension = len(vector)
-                if len(vector) != dimension:
-                    raise ValueError(f"node {record['id']!r}: vector has {len(vector)} "
-                                     f"values, expected {dimension}")
-                if not math.isfinite(math.hypot(*vector)):  # TypeError for a non-number
-                    raise ValueError(f"node {record['id']!r}: vector is not finite")
-                graph.vectors[record["id"]] = tuple(vector)
+            node_id, kind, label = record["id"], NodeKind(record["kind"]), record["label"]
+            if type(node_id) is not str or type(label) is not str:
+                raise ValueError(f"node {node_id!r}: id or label is not a string")
+            if node_id in graph.nodes:
+                raise ValueError(f"node {node_id!r} appears twice")
+            is_function = kind is NodeKind.FUNCTION
+            if ("payload" in record) is not is_function or ("vector" in record) is not is_function:
+                raise ValueError(f"node {node_id!r}: a function node, and no other, "
+                                 f"has a payload and a vector")
+            if not is_function:
+                graph.add_node(EntityNode(node_id, kind, label))
+                continue
+            payload = _function_unit(node_id, record["payload"])
+            graph.add_node(EntityNode(node_id, kind, label, payload))
+            graph.vectors[node_id] = _sparse_vector(node_id, record["vector"], dimension)
         for subject_id, relation_name, object_id in edge_records:
             graph.add_edge(subject_id, Relation(relation_name), object_id)
-        groups = clone_section["groups"]
-        if not isinstance(groups, dict):
-            raise ValueError("clone groups are not an object")
-        clones = CloneGroupTable(
-            min_tokens=clone_section["min_tokens"],
-            groups={cid: list(members) for cid, members in groups.items()},
-        )
+        min_tokens, groups = clone_section["min_tokens"], clone_section["groups"]
+        if type(min_tokens) is not int:
+            raise ValueError("clone min_tokens is not an int")
+        # the groups are exactly the functions' clone ids, members sorted, as saved
+        members: dict[str, list[str]] = {}
+        for fn in graph.functions():
+            if fn.clone_id is not None:
+                members.setdefault(fn.clone_id, []).append(fn.id)
+        for ids in members.values():
+            ids.sort()
+        if groups != members:
+            raise ValueError("clone groups differ from the functions' clone ids")
+        clones = CloneGroupTable(min_tokens=min_tokens, groups=members)
     except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise FormatError("Corrupt", f"{path}: inconsistent payload ({exc})") from None
     graph.embedder_meta = meta or None
@@ -421,9 +490,10 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     """Parse a corpus, build the graph, group clones, score usage, embed.
 
     ``embedder`` is any provider with name/dimension attributes and an
-    ``embed_functions(pairs)`` method that returns one vector per
-    (source text, declaration tokens) pair; ``repair.retrieve`` embeds
-    its queries with the same call on the provider the metadata names.
+    ``embed_functions(pairs)`` method that returns one sparse
+    ``EmbeddingVector`` per (source text, declaration tokens) pair, which
+    ``graph.vectors`` keeps as it is; ``repair.retrieve`` embeds its
+    queries with the same call on the provider the metadata names.
     Files that fail to parse or duplicate an earlier file (by canonical
     token hash) are skipped with a report entry.
 
@@ -441,7 +511,7 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     triple_diagnostics: list[str] = []
     functions: list[FunctionUnit] = []
     keys: dict[str, str] = {}
-    vectors: dict[str, tuple[float, ...]] = {}
+    vectors: dict[str, EmbeddingVector] = {}
     for path in paths:
         report.files_seen += 1
         try:
@@ -471,8 +541,7 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
             if fn.id not in vectors and fn.id not in new:
                 new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
         if new:
-            for fn_id, vector in zip(new, embedder.embed_functions(list(new.values()))):
-                vectors[fn_id] = vector.values
+            vectors.update(zip(new, embedder.embed_functions(list(new.values()))))
     report.diagnostics.extend(triple_diagnostics)
 
     graph = build_graph(triples, functions)

@@ -33,7 +33,7 @@ CORPUS = FIXTURES / "corpus"
 
 
 def _oracle_distance(a, b):
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.values, b.values)))
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +50,10 @@ def test_distance_against_elementwise_oracle():
     rng = random.Random(7)
     for _ in range(100):
         dim = rng.randrange(2, 40)
-        a = EmbeddingVector(tuple(rng.uniform(-5, 5) for _ in range(dim)))
-        b = EmbeddingVector(tuple(rng.uniform(-5, 5) for _ in range(dim)))
-        assert abs(math.dist(a.values, b.values) - _oracle_distance(a, b)) < 1e-12
-        assert math.dist(a.values, b.values) == math.dist(b.values, a.values)
+        a = tuple(rng.uniform(-5, 5) for _ in range(dim))
+        b = tuple(rng.uniform(-5, 5) for _ in range(dim))
+        assert abs(math.dist(a, b) - _oracle_distance(a, b)) < 1e-12
+        assert math.dist(a, b) == math.dist(b, a)
 
 
 def test_distance_triangle_inequality():
@@ -73,7 +73,7 @@ def test_distance_triangle_inequality():
 def test_embed_is_deterministic():
     provider = HashingEmbedder(64)
     text = "function f() public { x = x + 1; }"
-    assert provider.embed(text).values == provider.embed(text).values
+    assert provider.embed(text) == provider.embed(text)
 
 
 def test_embed_unit_norm_on_corpus(corpus_paths):
@@ -88,16 +88,15 @@ def test_embed_unit_norm_on_corpus(corpus_paths):
 
 def test_embed_empty_input_is_basis_vector():
     vector = HashingEmbedder(16).embed("")
-    assert vector.values[0] == 1.0
-    assert all(v == 0.0 for v in vector.values[1:])
-    assert abs(math.hypot(*vector.values) - 1.0) < 1e-9
+    assert vector == EmbeddingVector((0,), (1.0,))
+    assert vector.dense(16) == (1.0,) + (0.0,) * 15
 
 
 def test_embed_ignores_literal_values_and_comments():
     provider = HashingEmbedder(128)
     a = provider.embed('x = 5; s = "north";')
     b = provider.embed('x = 900; /* note */ s = "south";')
-    assert a.values == b.values
+    assert a == b
 
 
 def _dense_reference(text, dimension):
@@ -116,6 +115,11 @@ def _dense_reference(text, dimension):
     return tuple(w / norm for w in weights)
 
 
+def _sparse_reference(text, dimension):
+    """The dense formula's vector with its zeros dropped."""
+    return EmbeddingVector.from_dense(_dense_reference(text, dimension))
+
+
 def test_embed_tokens_of_a_declaration_equals_embed_of_its_text():
     provider = HashingEmbedder(256)
     functions = 0
@@ -124,8 +128,8 @@ def test_embed_tokens_of_a_declaration_equals_embed_of_its_text():
         for contract in unit.contracts:
             for fn, decl in zip(contract.functions, contract.decls):
                 from_tokens = provider.embed_tokens(unit.tokens[decl.start:decl.end])
-                assert from_tokens.values == provider.embed(fn.source_text).values
-                assert from_tokens.values == _dense_reference(fn.source_text, 256)
+                assert from_tokens == provider.embed(fn.source_text)
+                assert from_tokens == _sparse_reference(fn.source_text, 256)
                 functions += 1
     assert functions >= 70
 
@@ -156,16 +160,18 @@ _TOKEN_TEXT = st.one_of(
 def test_embed_equals_the_dense_formula(dimension, texts):
     provider = HashingEmbedder(dimension)  # shared, so later texts reuse its bucket memo
     for text in texts:
-        values = provider.embed(text).values
-        assert values == _dense_reference(text, dimension)
+        vector = provider.embed(text)
+        # the nonzero buckets, ascending, of the dense formula's vector
+        assert vector == _sparse_reference(text, dimension)
+        assert vector.dense(dimension) == _dense_reference(text, dimension)
         if not lex(text):
-            assert values == (1.0,) + (0.0,) * (dimension - 1)
+            assert vector == ((0,), (1.0,))
 
 
 def test_clone_pairs_embed_closer_than_strangers(kb):
     graph, _, _ = kb
     fns = {f.qualified_name: f for f in graph.functions()}
-    vec = {q: EmbeddingVector(graph.vectors[f.id]) for q, f in fns.items()}
+    vec = {q: graph.vectors[f.id].dense(256) for q, f in fns.items()}
     pairs = [("SimpleToken.transfer", "MiniToken.move"),
              ("SafeVault.withdraw", "SteadyVault.pull"),
              ("Ownable.setOwner", "Managed.setAdmin")]
@@ -187,11 +193,17 @@ def _fn(i, dim_tokens=20):
                         signature=sig, token_count=dim_tokens, guf=1)
 
 
+def _index(functions, dense_vectors, dimension):
+    """The index over dense test vectors, given to it as sparse pairs."""
+    sparse = {fid: EmbeddingVector.from_dense(vector) for fid, vector in dense_vectors.items()}
+    return build_index(functions, sparse, dimension)
+
+
 def _random_index(rng, count, dim):
     functions = [_fn(i) for i in range(count)]
     vectors = {f.id: tuple(rng.uniform(-1, 1) for _ in range(dim))
                for f in functions}
-    return build_index(functions, vectors), functions, vectors
+    return _index(functions, vectors, dim), functions, vectors
 
 
 def _dense_knn(vectors, query, n):
@@ -203,11 +215,10 @@ def test_knn_matches_full_sort_oracle():
     rng = random.Random(500)
     index, functions, vectors = _random_index(rng, 500, 256)
     for _ in range(5):
-        query = EmbeddingVector(tuple(rng.uniform(-1, 1) for _ in range(256)))
-        got = knn(index, query, 50)
+        query = tuple(rng.uniform(-1, 1) for _ in range(256))
+        got = knn(index, EmbeddingVector.from_dense(query), 50)
         oracle = sorted(
-            ((_oracle_distance(query, EmbeddingVector(vectors[f.id])), f.id)
-             for f in functions),
+            ((_oracle_distance(query, vectors[f.id]), f.id) for f in functions),
         )[:50]
         assert [c.function_id for c in got] == [fid for _, fid in oracle]
         assert len(got) == 50
@@ -217,10 +228,11 @@ def test_knn_matches_loop_reference_on_fixture_kb(kb):
     graph, _, _ = kb
     index = index_from_graph(graph)
     provider = HashingEmbedder(256)
+    dense = {fid: vector.dense(256) for fid, vector in graph.vectors.items()}
     for fn in graph.functions():
         query = provider.embed(fn.source_text)
         for n in (1, 5, DEFAULT_POOL_SIZE):
-            reference = _dense_knn(graph.vectors, query.values, n)
+            reference = _dense_knn(dense, query.dense(256), n)
             got = knn(index, query, n)
             assert [c.function_id for c in got] == [fid for _, fid in reference]
             assert [c.s_sem for c in got] == [distance for distance, _ in reference]
@@ -259,14 +271,14 @@ def _index_and_query(draw):
         query = draw(st.sampled_from(rows))
     n = draw(st.integers(1, len(rows) + 3))
     functions = [_fn(i) for i in range(len(rows))]
-    return {f.id: row for f, row in zip(functions, rows)}, functions, query, n
+    return {f.id: row for f, row in zip(functions, rows)}, functions, query, n, dimension
 
 
 @settings(max_examples=150)
 @given(_index_and_query())
 def test_knn_equals_the_dense_scan(case):
-    vectors, functions, query, n = case
-    got = knn(build_index(functions, vectors), EmbeddingVector(query), n)
+    vectors, functions, query, n, dimension = case
+    got = knn(_index(functions, vectors, dimension), EmbeddingVector.from_dense(query), n)
     reference = _dense_knn(vectors, query, n)
     assert [c.function_id for c in got] == [fid for _, fid in reference]
     assert [c.s_sem for c in got] == [distance for distance, _ in reference]
@@ -284,7 +296,7 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
 
     functions = [_fn(i) for i in range(300)]
     vectors = {f.id: sparse(rng.randrange(10, 37)) for f in functions}
-    index = build_index(functions, vectors)
+    index = _index(functions, vectors, dimension)
     rescored = []
     dist = math.dist
 
@@ -299,7 +311,7 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
         rescored.clear()
         with monkeypatch.context() as patch:
             patch.setattr(math, "dist", counting_dist)
-            got = knn(index, EmbeddingVector(query), n)
+            got = knn(index, EmbeddingVector.from_dense(query), n)
         assert [(c.s_sem, c.function_id) for c in got] == _dense_knn(vectors, query, n)
         if filtered:
             assert n <= len(rescored) <= 30
@@ -310,16 +322,17 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
 def test_knn_rejects_query_of_wrong_dimension(kb):
     graph, _, _ = kb
     index = index_from_graph(graph)
-    for dimension in (255, 257):
+    # a sparse query of another dimension shows as a bucket outside the index's
+    for buckets in ((256,), (3, 300), (-1, 3)):
         with pytest.raises(DimensionMismatchError):
-            knn(index, EmbeddingVector(tuple([0.0] * dimension)), 5)
+            knn(index, EmbeddingVector(buckets, (0.5,) * len(buckets)), 5)
 
 
 def test_knn_breaks_distance_ties_by_function_id():
     functions = [_fn(i) for i in (3, 1, 2)]
-    vectors = {f.id: (1.0, 0.0) for f in functions}
-    index = build_index(functions, vectors)
-    got = knn(index, EmbeddingVector((0.0, 0.0)), 3)
+    vectors = {f.id: EmbeddingVector((0,), (1.0,)) for f in functions}
+    index = build_index(functions, vectors, 2)
+    got = knn(index, EmbeddingVector((), ()), 3)
     assert [c.function_id for c in got] == sorted(f.id for f in functions)
 
 
@@ -327,7 +340,7 @@ def test_knn_self_query_ranks_itself_first(kb):
     graph, _, _ = kb
     index = index_from_graph(graph)
     target = sorted(graph.vectors)[0]
-    got = knn(index, EmbeddingVector(graph.vectors[target]), 5)
+    got = knn(index, graph.vectors[target], 5)
     assert got[0].function_id == target
     assert got[0].s_sem == 0.0
 
@@ -356,29 +369,46 @@ def test_knn_carries_payload_fields(kb):
 def test_knn_clamps_zero_guf_to_one():
     fn = _fn(1)
     object.__setattr__(fn, "guf", 0)
-    index = build_index([fn], {fn.id: (1.0, 0.0)})
-    got = knn(index, EmbeddingVector((0.0, 1.0)), 1)
+    index = build_index([fn], {fn.id: EmbeddingVector((0,), (1.0,))}, 2)
+    got = knn(index, EmbeddingVector((1,), (1.0,)), 1)
     assert got[0].guf == 1
 
 
 def test_knn_empty_index_raises():
-    index = build_index([], {})
+    index = build_index([], {}, 1)
     with pytest.raises(EmptyIndexError):
-        knn(index, EmbeddingVector((1.0,)), 5)
+        knn(index, EmbeddingVector((0,), (1.0,)), 5)
 
 
 def test_knn_rejects_nonpositive_n(kb):
     graph, _, _ = kb
     index = index_from_graph(graph)
     with pytest.raises(ValueError):
-        knn(index, EmbeddingVector(tuple([0.0] * 256)), 0)
+        knn(index, EmbeddingVector((), ()), 0)
 
 
 def test_build_index_rejects_mixed_dimensions():
+    # a vector of a larger dimension shows as a bucket outside the index's
     functions = [_fn(1), _fn(2)]
-    vectors = {functions[0].id: (1.0, 0.0), functions[1].id: (1.0, 0.0, 0.0)}
+    vectors = {functions[0].id: EmbeddingVector((0,), (1.0,)),
+               functions[1].id: EmbeddingVector((0, 2), (0.6, 0.8))}
     with pytest.raises(DimensionMismatchError):
-        build_index(functions, vectors)
+        build_index(functions, vectors, 2)
+    assert len(build_index(functions, vectors, 3)) == 2
+
+
+def test_build_index_rows_and_columns_are_the_dense_vectors():
+    functions = [_fn(i) for i in range(3)]
+    dense = [(0.0, 0.5, 0.0, -2.0), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 3.0)]
+    index = _index(functions, {f.id: row for f, row in zip(functions, dense)}, 4)
+    assert index.rows == dense
+    assert index.columns == [tuple(column) for column in zip(*dense)]
+    assert index.sq_norms == tuple(math.hypot(*row) ** 2 for row in dense)
+    assert index.max_sq_norm == max(index.sq_norms)
+    # every zero, in the rows and the columns, is one shared float
+    zeros = {id(v) for table in (index.rows, index.columns) for line in table
+             for v in line if v == 0.0}
+    assert len(zeros) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +448,8 @@ class _FakeSession:
 def _hashing_reply(dimension):
     provider = HashingEmbedder(dimension)
     return lambda payload: _FakeResponse(
-        {"vectors": [list(provider.embed(text).values) for text in payload["input"]]})
+        {"vectors": [list(provider.embed(text).dense(dimension))
+                     for text in payload["input"]]})
 
 
 def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_paths, tmp_path):
@@ -455,12 +486,18 @@ def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_pa
     (lambda payload: _FakeResponse([[0.5] * 16, [0.5] * 16]), "RemoteUnavailable"),
     (lambda payload: _FakeResponse({"vectors": [7, 7]}), "RemoteUnavailable"),
     (lambda payload: _FakeResponse({"vectors": [["x"] * 16, [0.5] * 16]}), "RemoteUnavailable"),
+    # float() would take the string "0.5" and true; load_kb takes neither
+    (lambda payload: _FakeResponse({"vectors": [[0.5] * 15 + ["0.5"], [0.5] * 16]}),
+     "RemoteUnavailable"),
+    (lambda payload: _FakeResponse({"vectors": [[0.5] * 16, [True] + [0.5] * 15]}),
+     "RemoteUnavailable"),
     # json.loads, which requests' Response.json uses, accepts NaN
     (lambda payload: _FakeResponse(json.loads(
         '{"vectors": [[0.5, NaN%s], [0.5%s]]}' % (", 0.5" * 14, ", 0.5" * 15))),
      "RemoteUnavailable"),
 ], ids=["wrong-dimension", "non-json", "connection", "timeout", "http-503", "wrong-count",
-        "vectors-object", "body-list", "vector-scalar", "non-numeric", "non-finite"])
+        "vectors-object", "body-list", "vector-scalar", "non-numeric", "value-string",
+        "value-bool", "non-finite"])
 def test_remote_failures_raise_provider_errors(reply, code):
     session = _FakeSession(reply)
     remote = RemoteEmbedder(url="http://embed.test/v1", dimension=16, session=session)
@@ -468,3 +505,13 @@ def test_remote_failures_raise_provider_errors(reply, code):
         remote.embed_functions([("function a() {}", []), ("function b() {}", [])])
     assert err.value.code == code
     assert [post["input"] for post in session.posts] == [["function a() {}", "function b() {}"]]
+
+
+def test_remote_vectors_are_sparse_floats_with_their_zeros_dropped():
+    reply = {"vectors": [[0, 0.5, 0.0, -0.0, 2, 0, 0, 0], [0] * 8]}
+    session = _FakeSession(lambda payload: _FakeResponse(reply))
+    remote = RemoteEmbedder(url="http://embed.test/v1", dimension=8, session=session)
+    first, zero = remote.embed_functions([("function a() {}", []), ("function b() {}", [])])
+    assert first == ((1, 4), (0.5, 2.0))
+    assert all(type(v) is float for v in first.values)
+    assert zero == ((), ())

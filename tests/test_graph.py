@@ -4,10 +4,14 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpatcher import embedding, ingest
-from scpatcher.embedding import HashingEmbedder
+from scpatcher.embedding import EmbeddingVector, HashingEmbedder, index_from_graph
 from scpatcher.graph import (
+    CloneGroupTable,
+    EntityNode,
     FormatError,
     GraphError,
     PropertyGraph,
@@ -20,11 +24,13 @@ from scpatcher.graph import (
 )
 from scpatcher.ingest import (
     NodeKind,
+    Relation,
     extract_triples_with_diagnostics,
     load_source,
     normalize_source,
     parse_source,
 )
+from scpatcher.model import FunctionUnit, SignatureFeatures
 from scpatcher.repair import retrieve
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -211,7 +217,6 @@ def test_double_save_is_byte_identical(kb, tmp_path):
 
 
 def test_empty_kb_round_trip(tmp_path):
-    from scpatcher.graph import CloneGroupTable
     path = tmp_path / "empty.scpk"
     save_kb(PropertyGraph(), CloneGroupTable(min_tokens=12, groups={}), path)
     graph, clones = load_kb(path)
@@ -231,6 +236,22 @@ def test_load_rejects_version_mismatch(kb_file, tmp_path):
     blob = bytearray(kb_file.read_bytes())
     blob[4:6] = (999).to_bytes(2, "little")
     path = tmp_path / "v.scpk"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        load_kb(path)
+    assert err.value.code == "VersionMismatch"
+
+
+def test_format_1_file_raises_version_mismatch(kb_file, tmp_path):
+    # format 1 held every vector densely; it is rebuilt from its corpus, not read
+    def dense_vectors(nodes, edges, clones, meta):
+        for record in nodes:
+            if "vector" in record:
+                record["vector"] = list(EmbeddingVector(*record["vector"]).dense(256))
+
+    path = _rewrite_kb(kb_file, tmp_path / "v1.scpk", dense_vectors)
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = (1).to_bytes(2, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError) as err:
         load_kb(path)
@@ -282,47 +303,123 @@ def _function_record(nodes, index=0):
     return [record for record in nodes if "payload" in record][index]
 
 
+def _node_record(nodes, kind):
+    return next(record for record in nodes if record["kind"] == kind)
+
+
 def _clone_ids_as_lists(nodes, edges, clones, meta):
     for record in nodes:
         if "payload" in record:
             record["payload"]["clone_id"] = [record["payload"]["clone_id"]]
 
 
-@pytest.mark.parametrize("mutate", [
+def _grouped_record(nodes, clones):
+    """The first function record with a clone id, and its group's members."""
+    record = next(r for r in nodes if "payload" in r and r["payload"]["clone_id"])
+    return record, clones["groups"][record["payload"]["clone_id"]]
+
+
+def _vector_of(index=0, buckets=None, values=None):
+    """A mutation that edits, in place, the buckets or the values of the
+    ``index``-th function's vector."""
+    def mutate(nodes, edges, clones, meta):
+        pair = _function_record(nodes, index)["vector"]
+        for edit, part in ((buckets, pair[0]), (values, pair[1])):
+            if edit is not None:
+                edit(part)
+    return mutate
+
+
+def _drop(container, *key):
+    """Remove one item; unlike ``pop``, return None, so that ``_rewrite_kb``
+    writes the edited sections."""
+    container.pop(*key)
+
+
+def _payload_of(**changes):
+    return lambda nodes, edges, clones, meta: _function_record(nodes)["payload"].update(changes)
+
+
+_MALFORMED = {
     # the clone section's groups must be an object
-    lambda nodes, edges, clones, meta: clones.update(groups=[["a", ["b"]]]),
+    "groups-list": lambda nodes, edges, clones, meta: clones.update(groups=[["a", ["b"]]]),
     # every signature feature must be a string
-    lambda nodes, edges, clones, meta: _function_record(nodes)["payload"].update(
-        signature=["public", 7]),
-    # vectors are non-empty lists of the metadata's dimension
-    lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=[]),
-    lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=0.5),
-    lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=[0.6, 0.8, 0.0]),
-    lambda nodes, edges, clones, meta: _function_record(nodes, 5).update(vector=[1.0] * 257),
-    # every vector value is a finite number (json.loads accepts NaN and the infinities)
-    lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(
-        3, float("nan")),
-    lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(
-        3, float("inf")),
-    lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(
-        3, float("-inf")),
-    lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].__setitem__(3, "0.5"),
+    "feature-int": _payload_of(signature=["public", 7]),
+    # a vector is a [buckets, values] pair: not an empty list, a scalar, a
+    # list of three or of one, or a list and a scalar
+    "vector-empty": lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=[]),
+    "vector-scalar": lambda nodes, edges, clones, meta: _function_record(nodes).update(
+        vector=0.5),
+    "vector-triple": lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].append(
+        []),
+    "vector-single": lambda nodes, edges, clones, meta: _drop(_function_record(nodes)["vector"]),
+    "values-scalar": lambda nodes, edges, clones, meta: _function_record(nodes)["vector"]
+    .__setitem__(1, 0.5),
+    # as many values as buckets (in format 1: as many values as the dimension)
+    "vector-short": _vector_of(values=_drop),
+    "buckets-short": _vector_of(buckets=_drop),
+    # every bucket an int in range(dimension) (in format 1: at most that many values)
+    "vector-long": _vector_of(5, buckets=lambda buckets: buckets.__setitem__(-1, 256)),
+    "bucket-negative": _vector_of(buckets=lambda buckets: buckets.__setitem__(0, -1)),
+    "bucket-bool": _vector_of(buckets=lambda buckets: buckets.__setitem__(0, False)),
+    "bucket-float": _vector_of(buckets=lambda buckets: buckets.__setitem__(0, float(buckets[0]))),
+    # buckets strictly ascending
+    "buckets-unsorted": _vector_of(buckets=lambda buckets: buckets.reverse()),
+    "bucket-duplicate": _vector_of(buckets=lambda buckets: buckets.__setitem__(1, buckets[0])),
+    # every value a finite float (json.loads accepts NaN and the infinities)
+    "vector-nan": _vector_of(values=lambda values: values.__setitem__(0, float("nan"))),
+    "vector-inf": _vector_of(values=lambda values: values.__setitem__(0, float("inf"))),
+    "vector-minus-inf": _vector_of(values=lambda values: values.__setitem__(0, float("-inf"))),
+    "vector-string": _vector_of(values=lambda values: values.__setitem__(0, "0.5")),
+    "value-bool": _vector_of(values=lambda values: values.__setitem__(0, True)),
+    "value-int": _vector_of(values=lambda values: values.__setitem__(0, 1)),
     # the metadata is an object that names a known embedder and, if it has
     # one, a positive int dimension
-    lambda nodes, edges, clones, meta: [nodes, edges, clones, []],
-    lambda nodes, edges, clones, meta: [nodes, edges, clones, None],
-    lambda nodes, edges, clones, meta: meta.update(name="word2vec"),
-    lambda nodes, edges, clones, meta: meta.update(name=None),
-    lambda nodes, edges, clones, meta: meta.update(dimension=0),
-    lambda nodes, edges, clones, meta: meta.update(dimension=256.0),
-    lambda nodes, edges, clones, meta: meta.update(dimension=True),
-    lambda nodes, edges, clones, meta: meta.update(dimension=None),
+    "meta-list": lambda nodes, edges, clones, meta: [nodes, edges, clones, []],
+    "meta-null": lambda nodes, edges, clones, meta: [nodes, edges, clones, None],
+    "embedder-unknown": lambda nodes, edges, clones, meta: meta.update(name="word2vec"),
+    "embedder-null": lambda nodes, edges, clones, meta: meta.update(name=None),
+    "dimension-zero": lambda nodes, edges, clones, meta: meta.update(dimension=0),
+    "dimension-float": lambda nodes, edges, clones, meta: meta.update(dimension=256.0),
+    "dimension-bool": lambda nodes, edges, clones, meta: meta.update(dimension=True),
+    "dimension-null": lambda nodes, edges, clones, meta: meta.update(dimension=None),
+    # a smaller dimension leaves saved buckets out of range
+    "dimension-small": lambda nodes, edges, clones, meta: meta.update(dimension=16),
     # a clone id is a string or null (a list loaded, then broke rerank's set)
-    _clone_ids_as_lists,
-], ids=["groups-list", "feature-int", "vector-empty", "vector-scalar", "vector-short",
-        "vector-long", "vector-nan", "vector-inf", "vector-minus-inf", "vector-string",
-        "meta-list", "meta-null", "embedder-unknown", "embedder-null", "dimension-zero",
-        "dimension-float", "dimension-bool", "dimension-null", "clone-id-list"])
+    "clone-id-list": _clone_ids_as_lists,
+    # each payload field has the type save_kb writes (a string signature
+    # loaded as a set of characters, and the others loaded as they were)
+    "signature-string": _payload_of(signature="public"),
+    "source-text-int": _payload_of(source_text=7),
+    "name-list": _payload_of(name=["f"]),
+    "contract-name-null": _payload_of(contract_name=None),
+    "guf-float": _payload_of(guf=1.5),
+    "guf-bool": _payload_of(guf=True),
+    "token-count-bool": _payload_of(token_count=True),
+    "min-tokens-float": lambda nodes, edges, clones, meta: clones.update(min_tokens=12.0),
+    # a function node has one payload and one vector, and no other node has either
+    "function-without-vector": lambda nodes, edges, clones, meta: _drop(
+        _function_record(nodes), "vector"),
+    "function-without-payload": lambda nodes, edges, clones, meta: _drop(
+        _function_record(nodes), "payload"),
+    "vector-on-variable": lambda nodes, edges, clones, meta: _node_record(nodes, "variable")
+    .update(vector=[[0], [1.0]]),
+    "payload-on-variable": lambda nodes, edges, clones, meta: _node_record(nodes, "variable")
+    .update(payload=_function_record(nodes)["payload"]),
+    "node-twice": lambda nodes, edges, clones, meta: nodes.append(_function_record(nodes)),
+    # the clone groups are exactly the functions' clone ids
+    "group-unknown-id": lambda nodes, edges, clones, meta: _grouped_record(nodes, clones)[1]
+    .append("f" * 16),
+    "group-wrong-clone-id": lambda nodes, edges, clones, meta: _grouped_record(nodes, clones)[0]
+    ["payload"].update(clone_id="0" * 16),
+    "group-missing-member": lambda nodes, edges, clones, meta: _drop(
+        _grouped_record(nodes, clones)[1]),
+    "group-extra": lambda nodes, edges, clones, meta: clones["groups"].update(
+        {"0" * 16: [_function_record(nodes)["id"]]}),
+}
+
+
+@pytest.mark.parametrize("mutate", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_load_rejects_malformed_sections_as_corrupt(kb_file, tmp_path, mutate):
     path = _rewrite_kb(kb_file, tmp_path / "bad.scpk", mutate)
     with pytest.raises(FormatError) as err:
@@ -331,17 +428,22 @@ def test_load_rejects_malformed_sections_as_corrupt(kb_file, tmp_path, mutate):
 
 
 def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, tmp_path):
+    # with no dimension in the metadata, buckets are bounded by the default, 256
     def drop_dimension(nodes, edges, clones, meta):
         del meta["dimension"]
 
     path = _rewrite_kb(kb_file, tmp_path / "nodim.scpk", drop_dimension)
-    assert len(next(iter(load_kb(path)[0].vectors.values()))) == 256
+    graph = load_kb(path)[0]
+    assert max(bucket for buckets, _values in graph.vectors.values() for bucket in buckets) < 256
+    assert index_from_graph(graph).dimension == 256
 
-    def short_second_row(nodes, edges, clones, meta):
+    def long_second_row(nodes, edges, clones, meta):
         drop_dimension(nodes, edges, clones, meta)
-        _function_record(nodes, 1).update(vector=[1.0] * 255)
+        buckets, values = _function_record(nodes, 1)["vector"]
+        buckets.append(256)
+        values.append(0.5)
 
-    path = _rewrite_kb(kb_file, tmp_path / "ragged.scpk", short_second_row)
+    path = _rewrite_kb(kb_file, tmp_path / "ragged.scpk", long_second_row)
     with pytest.raises(FormatError) as err:
         load_kb(path)
     assert err.value.code == "Corrupt"
@@ -363,6 +465,71 @@ def test_rewritten_but_unchanged_kb_still_loads(kb, kb_file, tmp_path):
     assert load_kb(path)[0] == kb[0]
 
 
+def test_loaded_kb_retrieves_as_the_built_one(kb, kb_file, corpus_paths):
+    built, loaded = kb[0], load_kb(kb_file)[0]
+    queries = 0
+    for path in corpus_paths:
+        unit = load_source(path)
+        for fn in (f for contract in unit.contracts for f in contract.functions):
+            for k in (1, 3, 5):
+                assert retrieve(loaded, unit, fn, k) == retrieve(built, unit, fn, k)
+            queries += 1
+    assert queries == 28
+
+
+def test_loaded_kb_index_equals_the_built_one(kb, kb_file):
+    built = index_from_graph(kb[0])
+    loaded = index_from_graph(load_kb(kb_file)[0])
+    assert len(built) == 28
+    assert loaded.rows == built.rows
+    assert loaded.columns == built.columns
+    assert loaded.sq_norms == built.sq_norms
+    assert (loaded.dimension, loaded.max_sq_norm) == (built.dimension, built.max_sq_norm)
+    assert [f.id for f in loaded.functions] == [f.id for f in built.functions]
+
+
+@st.composite
+def _sparse_graphs(draw):
+    """A graph of functions whose vectors are random sparse pairs, among
+    them all-zero and full-dimension ones, linked by CALLS edges."""
+    dimension = draw(st.sampled_from([1, 2, 7, 64, 256]))
+    value = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False).filter(bool)
+    buckets = st.one_of(st.just(frozenset()), st.just(frozenset(range(dimension))),
+                        st.frozensets(st.integers(0, dimension - 1)))
+    graph = PropertyGraph()
+    for i in range(draw(st.integers(0, 6))):
+        fn = FunctionUnit(id=f"{i:016x}", contract_name="C", name=f"f{i}",
+                          source_text=f"function f{i}() public {{}}",
+                          signature=SignatureFeatures(frozenset({"public"})),
+                          token_count=draw(st.integers(1, 40)), guf=draw(st.integers(0, 9)))
+        graph.add_node(EntityNode(fn.id, NodeKind.FUNCTION, fn.qualified_name, fn))
+        chosen = tuple(sorted(draw(buckets)))
+        values = tuple(draw(st.lists(value, min_size=len(chosen), max_size=len(chosen))))
+        graph.vectors[fn.id] = EmbeddingVector(chosen, values)
+    if graph.nodes:
+        ids = st.sampled_from(sorted(graph.nodes))
+        for subject_id, object_id in draw(st.lists(st.tuples(ids, ids), max_size=4)):
+            graph.add_edge(subject_id, Relation.CALLS, object_id)
+    graph.embedder_meta = {"name": HashingEmbedder.name, "dimension": dimension,
+                           "corpus_hashes": {}}
+    return graph
+
+
+@settings(max_examples=60)
+@given(_sparse_graphs())
+def test_sparse_vectors_round_trip_byte_identically(tmp_path_factory, graph):
+    tmp_path = tmp_path_factory.mktemp("round")
+    clones = CloneGroupTable(min_tokens=12)
+    first, second = tmp_path / "first.scpk", tmp_path / "second.scpk"
+    save_kb(graph, clones, first)
+    loaded, loaded_clones = load_kb(first)
+    save_kb(loaded, loaded_clones, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded == graph
+    assert loaded_clones == clones
+    assert all(type(v) is float for _buckets, values in loaded.vectors.values() for v in values)
+
+
 # ---------------------------------------------------------------------------
 # KB build
 # ---------------------------------------------------------------------------
@@ -382,9 +549,10 @@ def test_build_kb_report_counts(kb):
 def test_build_kb_embeds_every_function(kb):
     graph, _, _ = kb
     for node in graph.function_nodes():
-        vector = graph.vectors[node.id]
-        assert len(vector) == 256
-        norm = sum(v * v for v in vector) ** 0.5
+        buckets, values = graph.vectors[node.id]
+        assert list(buckets) == sorted(set(buckets)) and 0 <= buckets[0] <= buckets[-1] < 256
+        assert len(values) == len(buckets) and all(values)
+        norm = sum(v * v for v in values) ** 0.5
         assert abs(norm - 1.0) < 1e-9
 
 
@@ -414,7 +582,7 @@ def test_build_kb_records_failures_and_continues(corpus_paths, tmp_path):
 # ---------------------------------------------------------------------------
 
 #: SHA-256 of the KB saved from the fixture corpus with HashingEmbedder().
-FIXTURE_KB_SHA256 = "0d26055eac4a5599fdc19b71dc7edbddeaf45aa5c4bf37030529714d20d72ee9"
+FIXTURE_KB_SHA256 = "9176367b1333c578849ed99079e54cee5b851df2e90a09627468d2dfe7a3df6f"
 
 
 def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
