@@ -27,22 +27,21 @@ drops the zeros of the dense vectors it receives.
 
 Retrieval is exact: ``knn`` returns the ids and ``math.dist`` distances
 that a flat L2 scan of every dense row returns, bit for bit. The index is
-built once per knowledge base (``PropertyGraph.vector_index`` keeps it) and
-also holds the rows column by column, with each row's squared norm. A hashing
-vector has about 18 nonzero buckets of 256, so ``knn`` filters and then
-refines, after the VA-file's exact search: it scores every row on the
-query's nonzero buckets only, through a few compact columns that stay in
-cache, as ``dist(q_S, r_S)**2 + |r|**2 - hypot(*r_S)**2``, which is the
-squared distance in real arithmetic. The rows within a margin of
-1e-9 * (|q|**2 + max |r|**2 + 1) of the n-th smallest such score survive;
-the margin dwarfs the scores' float error, about 10 * 2**-53 *
-(|q|**2 + |r|**2), so no true top-n row is lost. Only the survivors are
-rescored with ``math.dist`` over the dense rows and selected stably,
-ties going to the lower id. The filter is skipped, and every row
-rescored, when ``n`` covers the index, when the query has more than
-``dimension // FILTER_DIVISOR`` nonzero buckets (dense vectors, as a
-remote provider may return, where the filter costs more than it saves), or
-when a squared norm is not finite or near overflow.
+built once per knowledge base (``PropertyGraph.vector_index`` keeps it).
+Next to the dense rows it holds each row's squared norm and, per bucket,
+one packed int: the bucket's column quantized to fixed point, row ``i`` in
+64-bit lane ``i``, so that one big-int multiply-add scores every row on
+that bucket at once. ``knn`` filters and then refines, after the
+VA-file's exact search: it scores every row on the query's nonzero buckets
+only, as ``|r|**2 - 2 q.r`` with q and r quantized, in one multiply-add per
+such bucket and one ``to_bytes`` that reads every row's lane out. The rows
+within twice the quantization error bound E, plus a float margin of 1e-9 *
+(|q|**2 + max |r|**2 + 1), of the n-th smallest score survive, which
+provably keeps every true top-n row (``_survivors`` has the bound and the
+proof). Only the survivors are rescored with ``math.dist`` over the dense
+rows and selected stably, ties going to the lower id. Every row is
+rescored, with no filter, when ``n`` covers the index or when a squared
+norm is not finite or near overflow.
 """
 
 from __future__ import annotations
@@ -51,10 +50,12 @@ import hashlib
 import heapq
 import math
 import os
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat, starmap
-from operator import add, mul, sub
+from itertools import compress, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import requests
@@ -64,11 +65,6 @@ from .model import FunctionUnit, SignatureFeatures
 
 DEFAULT_DIMENSION = 256
 DEFAULT_POOL_SIZE = 50
-# knn filters only queries with at most dimension // FILTER_DIVISOR nonzero
-# buckets. Over 2,800 rows of 256 on a 2-vCPU VM the filter and refine take
-# 2.2 ms at 18 nonzero buckets, 3.7 ms at 42 and 5.5 ms at 64; the full
-# scan takes 4.7 ms.
-FILTER_DIVISOR = 6
 
 EMBED_URL_VAR = "SCPATCHER_EMBED_URL"
 EMBED_KEY_VAR = "SCPATCHER_EMBED_KEY"
@@ -275,19 +271,33 @@ class VectorIndex:
     The functions' vectors arrive as sparse pairs; the index is where they
     become dense. ``rows`` holds each vector padded out to ``dimension``
     values for ``knn``'s rescore, every zero the one shared 0.0.
-    ``columns`` lays the same values out bucket by bucket for ``knn``'s
-    filter: every zero is again the shared float, and each column's nonzero
-    values are copied together so that a scan over a few columns stays in
-    cache. ``sq_norms`` holds each row's squared norm, and ``max_sq_norm``
-    the largest of them (infinite if any is not finite). Columns and norms
-    are tuples of floats, which the garbage collector stops tracking, so
-    its full collections do not walk them.
+
+    ``packed`` holds, for ``knn``'s filter, one int per bucket: the
+    bucket's column of quantized values, row ``i`` in 64-bit lane ``i``
+    (bits ``64 * i`` up to ``64 * i + 63``). With ``M = 2 ** scale``, the
+    smallest power of two at least every ``|value|`` in the index (and at
+    least ``2**(F - 1074)``, see ``build_index``), and ``F =
+    _fraction_bits(dimension)``, a value ``v`` is stored as the int
+    ``round(v * 2**F / M)``, at most ``2**F`` in magnitude. The int is the
+    exact sum of ``round(v * 2**F / M) << 64 * i`` over the column's rows,
+    so a negative value borrows from the lanes above it; that is harmless,
+    because the filter only adds such ints, scaled, and reads the lanes
+    out of the sum (see ``_survivors``). A column with no nonzero value is
+    the int 0.
+
+    ``sq_norms`` holds each row's squared norm, and ``max_sq_norm`` the
+    largest of them (infinite if any is not finite; ``packed`` is then
+    empty and ``scale`` 0, because ``knn`` never filters). The garbage
+    collector does not track ints, and stops tracking a tuple of floats or
+    ints at the first collection it survives, so its full collections walk
+    neither the packed columns nor the rows.
     """
 
     dimension: int
     functions: list[FunctionUnit]
     rows: list[tuple[float, ...]]
-    columns: list[tuple[float, ...]]
+    packed: tuple[int, ...]
+    scale: int
     sq_norms: tuple[float, ...]
     max_sq_norm: float
 
@@ -295,12 +305,47 @@ class VectorIndex:
         return len(self.rows)
 
 
+def _fraction_bits(dimension: int) -> int:
+    """F, the fraction bits of a quantized value, for vectors of ``dimension``.
+
+    A lane sums at most ``dimension`` products of two values each at most
+    ``2**F`` in magnitude, so its magnitude is at most ``dimension *
+    2**(2F)``; with ``dimension <= 2**c``, ``2F <= 62 - c`` keeps that at
+    most ``2**62``, inside the signed 64-bit range the filter reads.
+    """
+    return (62 - (dimension - 1).bit_length()) // 2
+
+
+def _scale(magnitude: float) -> int:
+    """The exponent of the smallest power of two at least ``magnitude``
+    (a finite float >= 0); 0 for 0.0."""
+    mantissa, exponent = math.frexp(magnitude)
+    return exponent - (mantissa == 0.5)
+
+
+def _little_endian(lanes: array) -> array:
+    """``lanes``, with each item's bytes little-endian (swapped in place if need be)."""
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
 def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, EmbeddingVector],
                 dimension: int) -> VectorIndex:
-    """Pair every function that has a vector with its dense row and columns.
+    """Pair every function that has a vector with its dense row and packed columns.
 
-    Rows, columns and norms all come from the sparse pairs; a bucket
+    Rows, packed columns and norms all come from the sparse pairs; a bucket
     outside ``range(dimension)`` raises DimensionMismatchError.
+
+    Each column is rounded by float addition. With ``R = 1.5 * 2**52 * M /
+    2**F``, a float ``v`` with ``|v| <= M`` gives ``v + R`` in ``[2**52,
+    2**53) * M / 2**F``, where floats are spaced ``M / 2**F`` apart, so the
+    addition rounds ``v * 2**F / M`` to the nearest integer, ties to even,
+    as ``round`` does, and adds it to R's bits. A column's values go into an
+    array of floats as ``v + R``, every other slot holds R, and the array
+    read as one int is the packed column plus R's bits in every lane, which
+    one subtraction removes. R must be a normal float, so M is at least
+    ``2**(F - 1074)``.
     """
     kept: list[FunctionUnit] = []
     pairs: list[EmbeddingVector] = []
@@ -309,22 +354,30 @@ def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, Embeddi
         if vector is not None:
             kept.append(fn)
             pairs.append(vector)
-    rows = []
-    nonzero: list[list[int]] = [[] for _ in range(dimension)]  # bucket -> rows with a value
-    for i, vector in enumerate(pairs):
-        rows.append(vector.dense(dimension))
-        for j in vector.buckets:
-            nonzero[j].append(i)
-    columns = []
-    for j, members in enumerate(nonzero):
-        column = [0.0] * len(rows)  # one shared zero
-        for i in members:
-            column[i] = rows[i][j] + 0.0  # a fresh float, allocated next to its column's others
-        columns.append(tuple(column))
     # a zero adds exactly nothing to hypot, so the nonzero values give the row's norm
     sq_norms = tuple(math.hypot(*vector.values) ** 2 for vector in pairs)
-    max_sq_norm = max(sq_norms, default=0.0) if all(map(math.isfinite, sq_norms)) else math.inf
-    return VectorIndex(dimension, kept, rows, columns, sq_norms, max_sq_norm)
+    if not all(map(math.isfinite, sq_norms)):
+        rows = [vector.dense(dimension) for vector in pairs]
+        return VectorIndex(dimension, kept, rows, (), 0, sq_norms, math.inf)
+    fraction_bits = _fraction_bits(dimension)
+    nonzero = [values for _buckets, values in pairs if values]
+    top = max(max(map(max, nonzero), default=0.0), -min(map(min, nonzero), default=0.0))
+    scale = max(_scale(top), fraction_bits - 1074)
+    rounder = math.ldexp(1.5, 52 + scale - fraction_bits)
+    blank = array("d", [rounder]) * len(pairs)
+    columns = [array("d", blank) for _ in range(dimension)]
+    rows = []
+    for i, vector in enumerate(pairs):
+        rows.append(vector.dense(dimension))
+        for j, value in zip(*vector):
+            columns[j][i] = value + rounder
+    rounders = int.from_bytes(_little_endian(blank), "little")
+    packed = []
+    for j, column in enumerate(columns):
+        packed.append(int.from_bytes(_little_endian(column), "little") - rounders)
+        columns[j] = None  # free each array once it is read
+    return VectorIndex(dimension, kept, rows, tuple(packed), scale, sq_norms,
+                       max(sq_norms, default=0.0))
 
 
 def index_from_graph(graph) -> VectorIndex:
@@ -332,28 +385,73 @@ def index_from_graph(graph) -> VectorIndex:
     return build_index(graph.functions(), graph.vectors, meta_dimension(graph.embedder_meta))
 
 
-def _survivors(index: VectorIndex, query: tuple[float, ...], support: list[int],
-               q_sq: float, n: int) -> list[int]:
+def _survivors(index: VectorIndex, query: EmbeddingVector, q_sq: float, n: int) -> list[int]:
     """The rows that may be among the ``n`` nearest to ``query``, ascending.
 
-    For each row r, with q_S and r_S the query and the row restricted to
-    the query's nonzero buckets ``support``, ``dist(q_S, r_S)**2 + |r|**2
-    - hypot(*r_S)**2`` equals |q - r|**2 in real arithmetic; its float
-    error is about 10 * 2**-53 * (|q|**2 + |r|**2). A row survives when
-    this value is within 1e-9 * (|q|**2 + max |r|**2 + 1) of the n-th
-    smallest, a margin so far above the error that every true top-n row
-    survives.
+    Every row r is scored as ``a(r) = |r|**2 - 2 q'.r'``, where q' and r'
+    are the query and the row quantized, restricted to the query's nonzero
+    buckets S. The query is quantized like the rows, with its own
+    ``Mq = 2**eq`` (its largest ``|value|`` rounded up to a power of two),
+    so each of its ints is at most ``2**F`` too. In one big-int
+    multiply-add per bucket of S,
+
+        acc = OFFSET + sum over j in S of q_int[j] * packed[j]
+
+    where OFFSET has bit 63 of every lane set, holds in lane i the sum
+    ``s_i`` of q_int[j] * r_int[j], with
+    ``|s_i| <= |S| * 2**(2F) <= 2**62`` (see ``_fraction_bits``), plus
+    ``2**63`` from OFFSET. Big-int arithmetic is exact and linear, so the
+    borrows of negative columns and products cancel, and each lane of acc
+    is ``2**63 + s_i``, in ``[0, 2**64)``: the lanes are the base-2**64
+    digits of acc. Flipping bit 63 of each lane turns ``2**63 + s_i`` into
+    the two's complement of ``s_i``, and one ``to_bytes`` reads every
+    ``s_i`` out at once. Then ``q'.r' = s_i * M * Mq / 2**(2F)``.
+
+    Error bound. Rounding moves each value by at most half a unit, so
+    ``|r' - r| <= dr = M * 2**-(F+1)`` and ``|q' - q| <= dq = Mq *
+    2**-(F+1)`` per bucket. On S, ``q'.r' - q.r = q.(r' - r) + (q' - q).r
+    + (q' - q).(r' - r)``, and q is 0 off S, so by Cauchy-Schwarz
+
+        E = 2 * (dr * sqrt(|S|) * |q| + dq * sqrt(|S|) * max |r|
+                 + |S| * dr * dq)
+
+    bounds ``|a(r) - d(r)|`` for ``d(r) = |r|**2 - 2 q.r = |q - r|**2 -
+    |q|**2``, in real arithmetic. The floats add at most about
+    ``2**-50 * (|q|**2 + max |r|**2)``: the squared norms, the product and
+    the sum in a(r), and E itself; where the scale of ``q'.r'`` underflows,
+    they lose less than ``2**-1000``. ``math.dist``, which ranks the
+    survivors, differs from the real distance by as little.
+
+    Survival. Let t be the n-th smallest a(r). The n rows scored at most t
+    have d(r) <= t + E, so the n-th smallest d is at most t + E. A row of
+    the dense scan's top n has d(r) at most that n-th smallest, up to the
+    float error of ``math.dist``, so a(r) <= t + 2E + that error. Every row
+    with a(r) <= t + 2E + 1e-9 * (|q|**2 + max |r|**2 + 1) survives; the
+    margin is far above the float errors (its 1 above the underflow), so
+    every true top-n row survives.
     """
     count = len(index.rows)
-    if support:
-        r_s = list(zip(*[index.columns[j] for j in support]))
-        apart = list(map(math.dist, repeat(tuple(query[j] for j in support), count), r_s))
-        within = list(starmap(math.hypot, r_s))
-        approx = list(map(sub, map(add, map(mul, apart, apart), index.sq_norms),
-                          map(mul, within, within)))
-    else:
+    buckets, values = query
+    if not buckets:
         approx = index.sq_norms
-    bound = heapq.nsmallest(n, approx)[-1] + 1e-9 * (q_sq + index.max_sq_norm + 1.0)
+        error = 0.0
+    else:
+        fraction_bits = _fraction_bits(index.dimension)
+        q_scale = _scale(max(map(abs, values)))
+        shift = fraction_bits - q_scale
+        offset = int.from_bytes((bytes(7) + b"\x80") * count, "little")  # bit 63 of each lane
+        acc = sum(map(mul, [round(math.ldexp(v, shift)) for v in values],
+                      map(index.packed.__getitem__, buckets)), offset)
+        lanes = _little_endian(array("q", (acc ^ offset).to_bytes(8 * count, "little")))
+        unit = math.ldexp(-2.0, index.scale + q_scale - 2 * fraction_bits)
+        approx = list(map(add, index.sq_norms, map(mul, lanes, repeat(unit))))
+        root = math.sqrt(len(buckets))
+        d_r = math.ldexp(1.0, index.scale - fraction_bits - 1)
+        d_q = math.ldexp(1.0, q_scale - fraction_bits - 1)
+        error = 2.0 * (d_r * root * math.sqrt(q_sq) + d_q * root * math.sqrt(index.max_sq_norm)
+                       + len(buckets) * d_r * d_q)
+    bound = (heapq.nsmallest(n, approx)[-1] + 2.0 * error
+             + 1e-9 * (q_sq + index.max_sq_norm + 1.0))
     return list(compress(range(count), map(bound.__ge__, approx)))
 
 
@@ -363,15 +461,14 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
 
     The sparse ``query`` is padded out to the index's dimension (a bucket
     outside it raises DimensionMismatchError). Filter and refine:
-    ``_survivors`` scores every row on the query's nonzero buckets only and
-    keeps those that can still be among the ``n`` nearest; only they are
+    ``_survivors`` scores every row at once, in one big-int multiply-add
+    per nonzero query bucket over the packed fixed-point columns, and keeps
+    the rows that can still be among the ``n`` nearest; only they are
     rescored with ``math.dist`` over the full dense rows, so ids and
-    ``s_sem`` equal a full scan's bit for bit. Every
-    row is rescored, with no filter, when ``n`` covers the index, when the
-    query has more than ``dimension // FILTER_DIVISOR`` nonzero buckets
-    (the filter would cost more than the full scan), or when a squared
-    norm is not finite or so large that the filter's sums, which stay
-    below 4 * (|q|**2 + max |r|**2), could overflow.
+    ``s_sem`` equal a full scan's bit for bit. Every row is rescored, with
+    no filter, when ``n`` covers the index, or when a squared norm is not
+    finite or so large that the scores, which stay below
+    ``4 * (|q|**2 + max |r|**2)``, could overflow.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -380,11 +477,9 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
     values = query.dense(index.dimension)
     rows, functions = index.rows, index.functions
     if n < len(rows):
-        support = list(compress(range(index.dimension), values))
-        q_sq = math.hypot(*values) ** 2
-        if (len(support) <= index.dimension // FILTER_DIVISOR
-                and math.isfinite(4.0 * (q_sq + index.max_sq_norm))):
-            survivors = _survivors(index, values, support, q_sq, n)
+        q_sq = math.hypot(*query.values) ** 2
+        if math.isfinite(4.0 * (q_sq + index.max_sq_norm)):
+            survivors = _survivors(index, query, q_sq, n)
             rows = list(map(rows.__getitem__, survivors))
             functions = list(map(functions.__getitem__, survivors))
     distances = list(map(math.dist, repeat(values), rows))

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .embedding import EmbeddingVector, HashingEmbedder, RemoteEmbedder, meta_dimension
 from .ingest import (
+    RELATION_TYPING,
     IngestError,
     NodeKind,
     Relation,
@@ -93,7 +94,8 @@ class PropertyGraph:
         self.edges: list[tuple[str, Relation, str]] = []
         self.vectors: dict[str, EmbeddingVector] = {}
         self.embedder_meta: Optional[dict] = None
-        self._edge_set: set[tuple[str, Relation, str]] = set()
+        # None: load_kb stored the edges, unique, without indexing them
+        self._edge_set: Optional[set[tuple[str, Relation, str]]] = set()
         self._functions: list[EntityNode] = []  # FUNCTION nodes, in insertion order
         self._index = None  # see vector_index
 
@@ -112,6 +114,8 @@ class PropertyGraph:
                 raise GraphError("DanglingEndpoint",
                                  f"edge endpoint {endpoint!r} is not a known node")
         key = (subject_id, relation, object_id)
+        if self._edge_set is None:
+            self._edge_set = set(self.edges)
         if key in self._edge_set:
             return
         self._edge_set.add(key)
@@ -251,13 +255,15 @@ def assign_clone_groups(graph: PropertyGraph, clone_min_tokens: int = 12,
     return table
 
 
-def compute_guf(graph: PropertyGraph, clones: CloneGroupTable) -> PropertyGraph:
-    """Stamp guf = clone-group size + CALLS in-degree on every function.
+def _calls_in_degree(edges: Iterable[tuple[str, Relation, str]]) -> Counter:
+    """Each function's CALLS in-degree; edges are unique, so each caller counts once."""
+    return Counter(object_id for _subject_id, relation, object_id in edges
+                   if relation is Relation.CALLS)
 
-    The edges are deduplicated, so each caller counts once.
-    """
-    callers = Counter(object_id for _subject_id, relation, object_id in graph.edges
-                      if relation is Relation.CALLS)
+
+def compute_guf(graph: PropertyGraph, clones: CloneGroupTable) -> PropertyGraph:
+    """Stamp guf = clone-group size + CALLS in-degree on every function."""
+    callers = _calls_in_degree(graph.edges)
     for node in graph.function_nodes():
         fn = node.payload
         if fn is None:
@@ -338,18 +344,30 @@ def _function_unit(node_id: str, raw) -> FunctionUnit:
         if type(raw[name]) not in types:
             raise ValueError(
                 f"node {node_id!r}: payload {name} has type {type(raw[name]).__name__}")
-    if not set(map(type, raw["signature"])) <= {str}:
-        raise ValueError(f"node {node_id!r}: a signature feature is not a string")
+    signature = raw["signature"]
+    if not (set(map(type, signature)) <= {str} and _ascending(signature)):
+        raise ValueError(f"node {node_id!r}: signature features are not strings "
+                         f"in strictly ascending order")
     return FunctionUnit(
         id=node_id,
         contract_name=raw["contract_name"],
         name=raw["name"],
         source_text=raw["source_text"],
-        signature=SignatureFeatures(frozenset(raw["signature"])),
+        signature=SignatureFeatures(frozenset(signature)),
         token_count=raw["token_count"],
         clone_id=raw["clone_id"],
         guf=raw["guf"],
     )
+
+
+def _ascending(items: list) -> bool:
+    """Whether ``items`` are strictly ascending, so also free of repeats."""
+    return all(map(lt, items, islice(items, 1, None)))
+
+
+#: relation name -> (relation, subject kind, object kinds), as every triple has them
+_EDGE_KINDS = {relation.value: (relation, subject_kind, tuple(object_kinds))
+               for relation, (subject_kind, object_kinds) in RELATION_TYPING.items()}
 
 
 def _sparse_vector(node_id: str, raw, dimension: int) -> EmbeddingVector:
@@ -362,8 +380,7 @@ def _sparse_vector(node_id: str, raw, dimension: int) -> EmbeddingVector:
         raise ValueError(f"node {node_id!r}: vector buckets and values are not lists "
                          f"of one length")
     if buckets and not (set(map(type, buckets)) <= {int} and 0 <= buckets[0]
-                        and buckets[-1] < dimension
-                        and all(map(lt, buckets, islice(buckets, 1, None)))):
+                        and buckets[-1] < dimension and _ascending(buckets)):
         raise ValueError(f"node {node_id!r}: vector buckets are not ints strictly "
                          f"ascending below {dimension}")
     if not set(map(type, values)) <= {float} or not math.isfinite(math.hypot(*values)):
@@ -374,11 +391,16 @@ def _sparse_vector(node_id: str, raw, dimension: int) -> EmbeddingVector:
 def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     """Read a format-2 knowledge base written by save_kb; never yields a partial graph.
 
-    FormatError("Corrupt") is raised, among other cases, for a payload
-    field of the wrong type, a malformed vector, a function node without a
-    payload or a vector, another node with either, a repeated node id, or
-    clone groups that differ from the functions' ``clone_id``s. A format-1
-    file raises FormatError("VersionMismatch").
+    Every section must be as save_kb writes it for a graph that build_kb
+    made. FormatError("Corrupt") is raised, among other cases, for node
+    records or edges out of strictly ascending order (so also for a
+    repeat), signature features out of it, a payload field of the wrong
+    type, a malformed vector, a function node without a payload or a
+    vector, another node with either, an edge whose relation does not fit
+    its endpoints' kinds, clone groups that differ from the functions'
+    ``clone_id``s, or a ``guf`` other than the function's clone-group size
+    plus its CALLS in-degree. A format-1 file raises
+    FormatError("VersionMismatch").
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -422,12 +444,13 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     dimension = meta_dimension(meta)  # the bucket bound; provider_from_meta's dimension too
     graph = PropertyGraph()
     try:
+        ids = [record["id"] for record in node_records]
+        if not (set(map(type, ids)) <= {str} and _ascending(ids)):
+            raise ValueError("node ids are not strings in strictly ascending order")
         for record in node_records:
             node_id, kind, label = record["id"], NodeKind(record["kind"]), record["label"]
-            if type(node_id) is not str or type(label) is not str:
-                raise ValueError(f"node {node_id!r}: id or label is not a string")
-            if node_id in graph.nodes:
-                raise ValueError(f"node {node_id!r} appears twice")
+            if type(label) is not str:
+                raise ValueError(f"node {node_id!r}: label is not a string")
             is_function = kind is NodeKind.FUNCTION
             if ("payload" in record) is not is_function or ("vector" in record) is not is_function:
                 raise ValueError(f"node {node_id!r}: a function node, and no other, "
@@ -438,8 +461,19 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
             payload = _function_unit(node_id, record["payload"])
             graph.add_node(EntityNode(node_id, kind, label, payload))
             graph.vectors[node_id] = _sparse_vector(node_id, record["vector"], dimension)
+        if not _ascending(edge_records):
+            raise ValueError("edges are not in strictly ascending order")
+        # each a known relation between known nodes of the kinds it joins
+        # (an unknown name or endpoint is a KeyError)
+        nodes, edges = graph.nodes, []
         for subject_id, relation_name, object_id in edge_records:
-            graph.add_edge(subject_id, Relation(relation_name), object_id)
+            relation, subject_kind, object_kinds = _EDGE_KINDS[relation_name]
+            if nodes[subject_id].kind is not subject_kind \
+                    or nodes[object_id].kind not in object_kinds:
+                raise ValueError(f"edge {subject_id!r} -{relation_name}-> {object_id!r} "
+                                 f"joins nodes of other kinds")
+            edges.append((subject_id, relation, object_id))
+        graph.edges, graph._edge_set = edges, None
         min_tokens, groups = clone_section["min_tokens"], clone_section["groups"]
         if type(min_tokens) is not int:
             raise ValueError("clone min_tokens is not an int")
@@ -453,7 +487,12 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         if groups != members:
             raise ValueError("clone groups differ from the functions' clone ids")
         clones = CloneGroupTable(min_tokens=min_tokens, groups=members)
-    except (KeyError, TypeError, ValueError, GraphError) as exc:
+        callers = _calls_in_degree(graph.edges)
+        for fn in graph.functions():
+            if fn.guf != clones.size_of(fn.clone_id) + callers[fn.id]:
+                raise ValueError(f"function {fn.id!r}: guf {fn.guf} is not its clone-group "
+                                 f"size plus its CALLS in-degree")
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("Corrupt", f"{path}: inconsistent payload ({exc})") from None
     graph.embedder_meta = meta or None
     return graph, clones

@@ -294,8 +294,8 @@ class Relation(Enum):
     WRITES = "WRITES"
 
 
-#: Allowed (subject kind, object kinds) per relation.
-_RELATION_TYPING = {
+#: Allowed (subject kind, object kinds) per relation: every triple fits it.
+RELATION_TYPING = {
     Relation.OWNS: (NodeKind.CONTRACT, {NodeKind.FUNCTION, NodeKind.VARIABLE, NodeKind.MODIFIER}),
     Relation.CALLS: (NodeKind.FUNCTION, {NodeKind.FUNCTION}),
     Relation.RETURNS: (NodeKind.FUNCTION, {NodeKind.TYPE_NAME}),
@@ -319,7 +319,7 @@ class Triple:
     obj: NodeRef
 
     def __post_init__(self) -> None:
-        subject_kind, object_kinds = _RELATION_TYPING[self.relation]
+        subject_kind, object_kinds = RELATION_TYPING[self.relation]
         if self.subject.kind is not subject_kind or self.obj.kind not in object_kinds:
             raise ValueError(
                 f"ill-typed triple: {self.subject.kind.value} "

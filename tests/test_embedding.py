@@ -240,22 +240,32 @@ def test_knn_matches_loop_reference_on_fixture_kb(kb):
 
 @st.composite
 def _index_and_query(draw):
-    """Sparse, duplicate and all-zero rows; a sparse, dense, all-zero or
-    row-equal query; signed values of one magnitude from 1e-152 to 1e152."""
+    """Sparse, duplicate, near-duplicate and all-zero rows; a sparse, dense,
+    all-zero or row-equal query; signed values of two magnitudes from
+    1e-166 to 1e152, so that one column can hold 1e-12 and 1.0; and ``n``
+    anywhere, or where the n-th and the next distance tie."""
     dimension = draw(st.sampled_from([1, 3, 12, 36, 64]))
     exponent = draw(st.integers(-150, 150))
-    value = st.builds(lambda m, e: m * 10.0 ** (exponent + e),
-                      st.floats(-1.0, 1.0), st.integers(-2, 2))
+    small = exponent - draw(st.integers(0, 14))
+    value = st.builds(lambda m, e, low: m * 10.0 ** ((small if low else exponent) + e),
+                      st.floats(-1.0, 1.0), st.integers(-2, 2), st.booleans())
 
     def sparse(most):
         picked = draw(st.dictionaries(st.integers(0, dimension - 1), value, max_size=most))
         return tuple(picked.get(j, 0.0) for j in range(dimension))
 
+    def near(row):
+        # one value moved by a relative 2**-30 to 2**-52, less than a quantum
+        j = draw(st.integers(0, dimension - 1))
+        moved = row[j] + row[j] * 2.0 ** -draw(st.integers(30, 52))
+        return row[:j] + (moved,) + row[j + 1:]
+
     rows = []
     for _ in range(draw(st.integers(1, 24))):
-        kind = draw(st.sampled_from(["sparse", "sparse", "duplicate", "zero"]))
-        if kind == "duplicate" and rows:
-            rows.append(draw(st.sampled_from(rows)))
+        kind = draw(st.sampled_from(["sparse", "sparse", "duplicate", "near", "zero"]))
+        if kind in ("duplicate", "near") and rows:
+            row = draw(st.sampled_from(rows))
+            rows.append(row if kind == "duplicate" else near(row))
         elif kind == "zero":
             rows.append((0.0,) * dimension)
         else:
@@ -269,7 +279,12 @@ def _index_and_query(draw):
         query = (0.0,) * dimension
     else:
         query = draw(st.sampled_from(rows))
-    n = draw(st.integers(1, len(rows) + 3))
+    distances = sorted(math.dist(query, row) for row in rows)
+    ties = [n for n in range(1, len(rows)) if distances[n - 1] == distances[n]]
+    if ties and draw(st.booleans()):
+        n = draw(st.sampled_from(ties))
+    else:
+        n = draw(st.integers(1, len(rows) + 3))
     functions = [_fn(i) for i in range(len(rows))]
     return {f.id: row for f, row in zip(functions, rows)}, functions, query, n, dimension
 
@@ -306,7 +321,7 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
         return dist(p, q)
 
     dense = tuple(rng.uniform(-1, 1) for _ in range(dimension))
-    for query, n, filtered in ((sparse(18), 5, True), (dense, 5, False),
+    for query, n, filtered in ((sparse(18), 5, True), (dense, 5, True),
                                (sparse(18), 300, False), (sparse(18), 400, False)):
         rescored.clear()
         with monkeypatch.context() as patch:
@@ -314,9 +329,51 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
             got = knn(index, EmbeddingVector.from_dense(query), n)
         assert [(c.s_sem, c.function_id) for c in got] == _dense_knn(vectors, query, n)
         if filtered:
+            # measured: 5 of the 300 rows for the sparse query and for the dense one
             assert n <= len(rescored) <= 30
         else:
             assert len(rescored) == 300
+
+
+def test_knn_keeps_the_nearest_row_when_rounding_ranks_it_behind():
+    """At dimension 64, F = 28, and values just above 1/8 make M = 1/4, so a
+    quantum is u = 2**-30. Every value of the nearer row rounds down by
+    0.49u and every value of the farther row up by 0.49u: the filter's
+    scores misrank them by about 15.7u, more than the float margin, and
+    only the 2E term keeps the nearer row."""
+    dimension = 64
+    u = 2.0 ** -30
+    functions = [_fn(i) for i in range(4)]
+    rows = [(0.125 + 0.51 * u,) * dimension, (0.125 + 0.49 * u,) * dimension,
+            (0.0,) * dimension, (-0.125,) * dimension]
+    vectors = {f.id: row for f, row in zip(functions, rows)}
+    index = _index(functions, vectors, dimension)
+    query = (0.125,) * dimension
+    got = knn(index, EmbeddingVector.from_dense(query), 1)
+    assert [(c.s_sem, c.function_id) for c in got] == _dense_knn(vectors, query, 1)
+    assert got[0].function_id == functions[1].id
+
+
+def test_knn_equals_the_dense_scan_at_the_largest_lane_sums():
+    """Every value of a dense query at the index's largest magnitude, a power
+    of two, against rows all at that magnitude: a lane sums 2048 products
+    of 2**F each, the largest sum the fraction bits allow at this dimension."""
+    rng = random.Random(2048)
+    dimension = 2048
+    top = 0.5
+    rows = [(top,) * dimension, (-top,) * dimension,
+            tuple(rng.choice((top, -top)) for _ in range(dimension)),
+            (0.0,) * dimension]
+    rows += [tuple(rng.uniform(-top, top) if rng.random() < 0.1 else 0.0
+                   for _ in range(dimension)) for _ in range(12)]
+    rows.append(rows[0])
+    functions = [_fn(i) for i in range(len(rows))]
+    vectors = {f.id: row for f, row in zip(functions, rows)}
+    index = _index(functions, vectors, dimension)
+    for query in ((top,) * dimension, (-top,) * dimension):
+        for n in (1, 2, 3, 8):
+            got = knn(index, EmbeddingVector.from_dense(query), n)
+            assert [(c.s_sem, c.function_id) for c in got] == _dense_knn(vectors, query, n)
 
 
 def test_knn_rejects_query_of_wrong_dimension(kb):
@@ -402,12 +459,18 @@ def test_build_index_rows_and_columns_are_the_dense_vectors():
     dense = [(0.0, 0.5, 0.0, -2.0), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 3.0)]
     index = _index(functions, {f.id: row for f, row in zip(functions, dense)}, 4)
     assert index.rows == dense
-    assert index.columns == [tuple(column) for column in zip(*dense)]
+    # M = 2**2, the smallest power of two at or above 3.0, and F = (62 - 2) // 2
+    # at dimension 4: row i holds round(v * 2**F / M) from bit 64 * i up
+    assert index.scale == 2
+    assert index.packed == tuple(
+        sum(round(row[j] * 2 ** 30 / 4) << 64 * i for i, row in enumerate(dense))
+        for j in range(4))
+    # a negative value borrows from the lanes above it
+    assert index.packed[3] == -(2 ** 29) + (3 * 2 ** 28 << 128)
     assert index.sq_norms == tuple(math.hypot(*row) ** 2 for row in dense)
     assert index.max_sq_norm == max(index.sq_norms)
-    # every zero, in the rows and the columns, is one shared float
-    zeros = {id(v) for table in (index.rows, index.columns) for line in table
-             for v in line if v == 0.0}
+    # every zero in the rows is one shared float
+    zeros = {id(v) for line in index.rows for v in line if v == 0.0}
     assert len(zeros) == 1
 
 

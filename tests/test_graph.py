@@ -340,6 +340,32 @@ def _payload_of(**changes):
     return lambda nodes, edges, clones, meta: _function_record(nodes)["payload"].update(changes)
 
 
+def _signature_of(edit):
+    """A mutation that edits, in place, the first function's signature features."""
+    return lambda nodes, edges, clones, meta: edit(_function_record(nodes)["payload"]["signature"])
+
+
+def _with_edge(subject_kind, relation, object_kind):
+    """A mutation that adds an edge, in sorted place, from the first node of
+    ``subject_kind`` to the first of ``object_kind``; a CALLS edge also
+    raises the callee's guf by one, as compute_guf would."""
+    def mutate(nodes, edges, clones, meta):
+        subject, obj = _node_record(nodes, subject_kind), _node_record(nodes, object_kind)
+        edges.append([subject["id"], relation, obj["id"]])
+        edges.sort()
+        if relation == "CALLS":
+            obj["payload"]["guf"] += 1
+    return mutate
+
+
+def _calls_edge_dropped(nodes, edges, clones, meta):
+    edges.remove(next(edge for edge in edges if edge[1] == "CALLS"))
+
+
+def _guf_raised(nodes, edges, clones, meta):
+    _function_record(nodes)["payload"]["guf"] += 1
+
+
 _MALFORMED = {
     # the clone section's groups must be an object
     "groups-list": lambda nodes, edges, clones, meta: clones.update(groups=[["a", ["b"]]]),
@@ -407,6 +433,23 @@ _MALFORMED = {
     "payload-on-variable": lambda nodes, edges, clones, meta: _node_record(nodes, "variable")
     .update(payload=_function_record(nodes)["payload"]),
     "node-twice": lambda nodes, edges, clones, meta: nodes.append(_function_record(nodes)),
+    # node records, edges and signature features in strictly ascending order,
+    # as save_kb writes them (out of it, they loaded and re-saved to other bytes)
+    "nodes-unsorted": lambda nodes, edges, clones, meta: nodes.insert(0, nodes.pop(1)),
+    "edges-unsorted": lambda nodes, edges, clones, meta: edges.reverse(),
+    "edge-twice": lambda nodes, edges, clones, meta: edges.insert(0, list(edges[0])),
+    "signature-unsorted": _signature_of(lambda features: features.reverse()),
+    "signature-repeated": _signature_of(lambda features: features.append(features[-1])),
+    # an edge joins known nodes by a known relation of the kinds extract_triples
+    # emits (a CALLS edge from a variable, and the guf it adds, loaded)
+    "edge-unknown-endpoint": lambda nodes, edges, clones, meta: edges.append(
+        [edges[-1][0], edges[-1][1], "~"]),
+    "relation-unknown": _with_edge("function", "INVOKES", "function"),
+    "calls-from-variable": _with_edge("variable", "CALLS", "function"),
+    "reads-a-function": _with_edge("function", "READS", "function"),
+    # guf is the clone-group size plus the CALLS in-degree (any other loaded as stored)
+    "guf-raised": _guf_raised,
+    "calls-edge-dropped": _calls_edge_dropped,
     # the clone groups are exactly the functions' clone ids
     "group-unknown-id": lambda nodes, edges, clones, meta: _grouped_record(nodes, clones)[1]
     .append("f" * 16),
@@ -465,6 +508,19 @@ def test_rewritten_but_unchanged_kb_still_loads(kb, kb_file, tmp_path):
     assert load_kb(path)[0] == kb[0]
 
 
+def test_a_loaded_graph_still_deduplicates_added_edges(kb_file):
+    graph = load_kb(kb_file)[0]
+    edges = list(graph.edges)
+    graph.add_edge(*edges[0])
+    assert graph.edges == edges
+    caller, callee = sorted(graph.vectors)[:2]
+    added = (caller, Relation.CALLS, callee)
+    assert added not in edges
+    graph.add_edge(*added)
+    graph.add_edge(*added)
+    assert graph.edges == edges + [added]
+
+
 def test_loaded_kb_retrieves_as_the_built_one(kb, kb_file, corpus_paths):
     built, loaded = kb[0], load_kb(kb_file)[0]
     queries = 0
@@ -482,16 +538,18 @@ def test_loaded_kb_index_equals_the_built_one(kb, kb_file):
     loaded = index_from_graph(load_kb(kb_file)[0])
     assert len(built) == 28
     assert loaded.rows == built.rows
-    assert loaded.columns == built.columns
+    assert loaded.packed == built.packed
     assert loaded.sq_norms == built.sq_norms
-    assert (loaded.dimension, loaded.max_sq_norm) == (built.dimension, built.max_sq_norm)
+    assert ((loaded.dimension, loaded.scale, loaded.max_sq_norm)
+            == (built.dimension, built.scale, built.max_sq_norm))
     assert [f.id for f in loaded.functions] == [f.id for f in built.functions]
 
 
 @st.composite
 def _sparse_graphs(draw):
     """A graph of functions whose vectors are random sparse pairs, among
-    them all-zero and full-dimension ones, linked by CALLS edges."""
+    them all-zero and full-dimension ones, linked by CALLS edges, with the
+    gufs compute_guf gives them."""
     dimension = draw(st.sampled_from([1, 2, 7, 64, 256]))
     value = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False).filter(bool)
     buckets = st.one_of(st.just(frozenset()), st.just(frozenset(range(dimension))),
@@ -501,7 +559,7 @@ def _sparse_graphs(draw):
         fn = FunctionUnit(id=f"{i:016x}", contract_name="C", name=f"f{i}",
                           source_text=f"function f{i}() public {{}}",
                           signature=SignatureFeatures(frozenset({"public"})),
-                          token_count=draw(st.integers(1, 40)), guf=draw(st.integers(0, 9)))
+                          token_count=draw(st.integers(1, 40)))
         graph.add_node(EntityNode(fn.id, NodeKind.FUNCTION, fn.qualified_name, fn))
         chosen = tuple(sorted(draw(buckets)))
         values = tuple(draw(st.lists(value, min_size=len(chosen), max_size=len(chosen))))
@@ -510,6 +568,7 @@ def _sparse_graphs(draw):
         ids = st.sampled_from(sorted(graph.nodes))
         for subject_id, object_id in draw(st.lists(st.tuples(ids, ids), max_size=4)):
             graph.add_edge(subject_id, Relation.CALLS, object_id)
+    compute_guf(graph, CloneGroupTable(min_tokens=12))
     graph.embedder_meta = {"name": HashingEmbedder.name, "dimension": dimension,
                            "corpus_hashes": {}}
     return graph
