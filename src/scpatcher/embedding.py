@@ -1,11 +1,12 @@
 """Embedding providers and the exact nearest-neighbor index.
 
-A provider is a ``name``, a ``dimension`` and ``embed_functions``, which
+A provider has a ``name``, a ``dimension`` and ``embed(pairs)``, which
 returns one vector per (source text, declaration tokens) pair. It is the
 one embedding call on the pipeline: ``build_kb`` makes one per corpus file
 for the KB rows, and ``repair.retrieve`` one per query, both with the
 tokens the function's parse already holds, so a query vector and a KB
-vector come from the same computation and neither lexes again.
+vector come from the same computation and neither lexes again. KB
+metadata records the provider's name, a key of ``PROVIDERS``.
 
 Vectors are sparse up to the index: an ``EmbeddingVector`` is the pair
 (buckets, values) of its nonzero buckets, in ascending order, and their
@@ -14,16 +15,20 @@ values; every other bucket is 0.0. Providers return such pairs,
 them. Only ``build_index`` pads them out to dense rows, once per knowledge
 base, and ``knn`` pads its query.
 
+Every vector enters through a provider's ``embed`` or ``load_kb``, and
+both hold it to ``within_bound``: finite values of a norm at most
+``MAX_NORM = 2**510``. Then ``|q|**2 + |r|**2 <= 2**1021``, so ``knn``'s
+scores, below ``4 * (|q|**2 + max |r|**2)``, cannot overflow.
+
 The reference provider is a deterministic hashing embedder: tokens are
 hashed into a fixed number of buckets, counts are log-damped, and the
-vector is L2-normalized. It reads tokens, not text: ``embed_tokens``
-counts each distinct token text once, looks its bucket up in a memo shared
-by every instance of the same dimension (one SHA-256 per distinct text per
-process), and computes weights and the norm over the nonzero buckets only,
-in ascending bucket order, so its values are bit-identical to the dense
-formula's over every bucket. ``embed(text)`` is ``embed_tokens(lex(text))``.
-The remote HTTP provider embeds the source texts, one request per call, and
-drops the zeros of the dense vectors it receives.
+vector is L2-normalized. It reads tokens, not text: it counts each distinct
+token text once, looks its bucket up in a memo shared by every instance of
+the same dimension (one SHA-256 per distinct text per process), and
+computes weights and the norm over the nonzero buckets only, in ascending
+bucket order, so its values are bit-identical to the dense formula's over
+every bucket. The remote HTTP provider embeds the source texts, one request
+per call, and drops the zeros of the dense vectors it receives.
 
 Retrieval is exact: ``knn`` returns the ids and ``math.dist`` distances
 that a flat L2 scan of every dense row returns, bit for bit. The index is
@@ -40,8 +45,7 @@ within twice the quantization error bound E, plus a float margin of 1e-9 *
 provably keeps every true top-n row (``_survivors`` has the bound and the
 proof). Only the survivors are rescored with ``math.dist`` over the dense
 rows and selected stably, ties going to the lower id. Every row is
-rescored, with no filter, when ``n`` covers the index or when a squared
-norm is not finite or near overflow.
+rescored, with no filter, when ``n`` covers the index.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import requests
 
-from .ingest import Token, lex
+from .ingest import Token, lex  # noqa: F401  (bench/run.py's traced run wraps this lex)
 from .model import FunctionUnit, SignatureFeatures
 
 DEFAULT_DIMENSION = 256
@@ -68,6 +72,9 @@ DEFAULT_POOL_SIZE = 50
 
 EMBED_URL_VAR = "SCPATCHER_EMBED_URL"
 EMBED_KEY_VAR = "SCPATCHER_EMBED_KEY"
+
+#: The largest norm a vector may have (see the module docstring).
+MAX_NORM = 2.0 ** 510
 
 
 class ProviderError(Exception):
@@ -120,6 +127,11 @@ class EmbeddingVector(NamedTuple):
         return tuple(values)
 
 
+def within_bound(values: Sequence[float]) -> bool:
+    """Whether ``values`` are finite with a norm of at most MAX_NORM (a NaN compares false)."""
+    return math.hypot(*values) <= MAX_NORM
+
+
 #: dimension -> {token text: bucket}, shared by every HashingEmbedder. It
 #: holds one entry per distinct token text seen (3,384, about 0.3 MB, for
 #: the 1,000-file seed-7 benchmark corpus).
@@ -136,10 +148,12 @@ class HashingEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
 
-    def embed(self, code_text: str) -> EmbeddingVector:
-        return self.embed_tokens(lex(code_text))
+    def embed(self, functions: Sequence[tuple[str, Sequence[Token]]]
+              ) -> list[EmbeddingVector]:
+        """One vector per (source text, declaration tokens) pair, from the tokens."""
+        return [self._embed_tokens(tokens) for _text, tokens in functions]
 
-    def embed_tokens(self, tokens: Iterable[Token]) -> EmbeddingVector:
+    def _embed_tokens(self, tokens: Iterable[Token]) -> EmbeddingVector:
         """The sparse vector of a lexed text; its values equal the dense formula's.
 
         A zero bucket adds exactly 0.0 to the norm's sum and divides to
@@ -166,18 +180,13 @@ class HashingEmbedder:
         norm = math.sqrt(sum(w * w for w in weights))
         return EmbeddingVector(order, tuple(w / norm for w in weights))
 
-    def embed_functions(self, functions: Sequence[tuple[str, Sequence[Token]]]
-                        ) -> list[EmbeddingVector]:
-        """One vector per (source text, declaration tokens) pair, from the tokens."""
-        return [self.embed_tokens(tokens) for _text, tokens in functions]
-
 
 class RemoteEmbedder:
     """HTTP adapter: POST {model, input} to a vector endpoint.
 
     The endpoint must answer {"vectors": [[...], ...]}, one dense vector
-    per input text, each of the configured dimension and made of JSON
-    numbers; each is returned with its zeros dropped.
+    per input text, of the configured dimension, made of JSON numbers and
+    ``within_bound``; each is returned with its zeros dropped.
     """
 
     name = "remote"
@@ -195,8 +204,8 @@ class RemoteEmbedder:
             raise ProviderError("RemoteUnavailable",
                                 f"no endpoint configured (set {EMBED_URL_VAR})")
 
-    def embed_functions(self, functions: Sequence[tuple[str, Sequence[Token]]]
-                        ) -> list[EmbeddingVector]:
+    def embed(self, functions: Sequence[tuple[str, Sequence[Token]]]
+              ) -> list[EmbeddingVector]:
         """One vector per (source text, declaration tokens) pair, in one request."""
         texts = [text for text, _tokens in functions]
         headers = {"Content-Type": "application/json"}
@@ -228,10 +237,13 @@ class RemoteEmbedder:
             if not set(map(type, values)) <= {int, float}:
                 raise ProviderError("RemoteUnavailable",
                                     f"{self.url}: non-numeric vector value")
-            vector = EmbeddingVector.from_dense([float(v) for v in values])
-            if not math.isfinite(math.hypot(*vector.values)):
-                raise ProviderError("RemoteUnavailable",
-                                    f"{self.url}: non-finite vector value")
+            try:
+                vector = EmbeddingVector.from_dense([float(v) for v in values])
+            except OverflowError:  # a JSON int beyond every float
+                vector = None
+            if vector is None or not within_bound(vector.values):
+                raise ProviderError("RemoteUnavailable", f"{self.url}: vector not finite "
+                                    f"or of a norm above 2**510")
             out.append(vector)
         return out
 
@@ -241,15 +253,16 @@ def meta_dimension(meta: Optional[dict]) -> int:
     return int((meta or {}).get("dimension", DEFAULT_DIMENSION))
 
 
+#: provider name, as KB metadata records it -> provider class
+PROVIDERS = {provider.name: provider for provider in (HashingEmbedder, RemoteEmbedder)}
+
+
 def provider_from_meta(meta: Optional[dict]):
     """Reconstruct the embedding provider recorded in KB metadata."""
     name = (meta or {}).get("name", HashingEmbedder.name)
-    dimension = meta_dimension(meta)
-    if name == HashingEmbedder.name:
-        return HashingEmbedder(dimension)
-    if name == RemoteEmbedder.name:
-        return RemoteEmbedder(dimension=dimension)
-    raise ProviderError("RemoteUnavailable", f"unknown embedder {name!r} in KB metadata")
+    if name not in PROVIDERS:
+        raise ProviderError("RemoteUnavailable", f"unknown embedder {name!r} in KB metadata")
+    return PROVIDERS[name](dimension=meta_dimension(meta))
 
 
 @dataclass(frozen=True)
@@ -286,11 +299,10 @@ class VectorIndex:
     the int 0.
 
     ``sq_norms`` holds each row's squared norm, and ``max_sq_norm`` the
-    largest of them (infinite if any is not finite; ``packed`` is then
-    empty and ``scale`` 0, because ``knn`` never filters). The garbage
-    collector does not track ints, and stops tracking a tuple of floats or
-    ints at the first collection it survives, so its full collections walk
-    neither the packed columns nor the rows.
+    largest of them, at most ``MAX_NORM ** 2``. The garbage collector does
+    not track ints, and stops tracking a tuple of floats or ints at the
+    first collection it survives, so its full collections walk neither the
+    packed columns nor the rows.
     """
 
     dimension: int
@@ -334,8 +346,8 @@ def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, Embeddi
                 dimension: int) -> VectorIndex:
     """Pair every function that has a vector with its dense row and packed columns.
 
-    Rows, packed columns and norms all come from the sparse pairs; a bucket
-    outside ``range(dimension)`` raises DimensionMismatchError.
+    Rows, packed columns and norms all come from the (``within_bound``)
+    sparse pairs; a bucket outside ``range(dimension)`` raises DimensionMismatchError.
 
     Each column is rounded by float addition. With ``R = 1.5 * 2**52 * M /
     2**F``, a float ``v`` with ``|v| <= M`` gives ``v + R`` in ``[2**52,
@@ -356,9 +368,6 @@ def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, Embeddi
             pairs.append(vector)
     # a zero adds exactly nothing to hypot, so the nonzero values give the row's norm
     sq_norms = tuple(math.hypot(*vector.values) ** 2 for vector in pairs)
-    if not all(map(math.isfinite, sq_norms)):
-        rows = [vector.dense(dimension) for vector in pairs]
-        return VectorIndex(dimension, kept, rows, (), 0, sq_norms, math.inf)
     fraction_bits = _fraction_bits(dimension)
     nonzero = [values for _buckets, values in pairs if values]
     top = max(max(map(max, nonzero), default=0.0), -min(map(min, nonzero), default=0.0))
@@ -466,9 +475,8 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
     the rows that can still be among the ``n`` nearest; only they are
     rescored with ``math.dist`` over the full dense rows, so ids and
     ``s_sem`` equal a full scan's bit for bit. Every row is rescored, with
-    no filter, when ``n`` covers the index, or when a squared norm is not
-    finite or so large that the scores, which stay below
-    ``4 * (|q|**2 + max |r|**2)``, could overflow.
+    no filter, when ``n`` covers the index. The query, like every row, must
+    be ``within_bound``, so the scores cannot overflow.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -477,11 +485,9 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
     values = query.dense(index.dimension)
     rows, functions = index.rows, index.functions
     if n < len(rows):
-        q_sq = math.hypot(*query.values) ** 2
-        if math.isfinite(4.0 * (q_sq + index.max_sq_norm)):
-            survivors = _survivors(index, query, q_sq, n)
-            rows = list(map(rows.__getitem__, survivors))
-            functions = list(map(functions.__getitem__, survivors))
+        survivors = _survivors(index, query, math.hypot(*query.values) ** 2, n)
+        rows = list(map(rows.__getitem__, survivors))
+        functions = list(map(functions.__getitem__, survivors))
     distances = list(map(math.dist, repeat(values), rows))
     # nsmallest is stable and the rows stay in id order, so ties go to the lower id
     nearest = heapq.nsmallest(n, range(len(distances)), key=distances.__getitem__)

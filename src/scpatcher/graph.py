@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from itertools import islice
 from operator import lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .embedding import EmbeddingVector, HashingEmbedder, RemoteEmbedder, meta_dimension
+from .embedding import PROVIDERS, EmbeddingVector, HashingEmbedder, meta_dimension, within_bound
 from .ingest import (
     RELATION_TYPING,
     IngestError,
@@ -204,21 +203,16 @@ class CloneGroupTable:
 def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> PropertyGraph:
     """Materialize nodes from functions and triple endpoints, dedup edges.
 
-    A Function-kind endpoint whose id is not among ``functions`` means the
-    triples and the function list disagree; that raises DanglingEndpoint.
+    Function nodes come from ``functions`` only: a Function-kind endpoint
+    whose id is not among them means the triples and the function list
+    disagree, and ``add_edge`` raises DanglingEndpoint.
     """
     graph = PropertyGraph()
-    known = {fn.id: fn for fn in functions}
     for fn in functions:
         graph.add_node(EntityNode(fn.id, NodeKind.FUNCTION, fn.qualified_name, fn))
     for triple in triples:
         for ref in (triple.subject, triple.obj):
-            if ref.kind is NodeKind.FUNCTION:
-                if ref.id not in known:
-                    raise GraphError(
-                        "DanglingEndpoint",
-                        f"triple references unknown function {ref.label!r} ({ref.id})")
-            else:
+            if ref.kind is not NodeKind.FUNCTION:
                 graph.add_node(EntityNode(ref.id, ref.kind, ref.label))
         graph.add_edge(triple.subject.id, triple.relation, triple.obj.id)
     return graph
@@ -372,7 +366,7 @@ _EDGE_KINDS = {relation.value: (relation, subject_kind, tuple(object_kinds))
 
 def _sparse_vector(node_id: str, raw, dimension: int) -> EmbeddingVector:
     """A record's ``[[buckets...], [values...]]``, if it is one save_kb wrote:
-    int buckets strictly ascending in ``range(dimension)``, finite floats."""
+    int buckets strictly ascending in ``range(dimension)``, floats ``within_bound``."""
     if type(raw) is not list or len(raw) != 2:
         raise ValueError(f"node {node_id!r}: vector is not a [buckets, values] pair")
     buckets, values = raw
@@ -383,8 +377,8 @@ def _sparse_vector(node_id: str, raw, dimension: int) -> EmbeddingVector:
                         and buckets[-1] < dimension and _ascending(buckets)):
         raise ValueError(f"node {node_id!r}: vector buckets are not ints strictly "
                          f"ascending below {dimension}")
-    if not set(map(type, values)) <= {float} or not math.isfinite(math.hypot(*values)):
-        raise ValueError(f"node {node_id!r}: vector values are not finite floats")
+    if not set(map(type, values)) <= {float} or not within_bound(values):
+        raise ValueError(f"node {node_id!r}: vector values are not floats of norm <= 2**510")
     return EmbeddingVector(tuple(buckets), tuple(values))
 
 
@@ -399,8 +393,11 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     vector, another node with either, an edge whose relation does not fit
     its endpoints' kinds, clone groups that differ from the functions'
     ``clone_id``s, or a ``guf`` other than the function's clone-group size
-    plus its CALLS in-degree. A format-1 file raises
-    FormatError("VersionMismatch").
+    plus its CALLS in-degree, or a vector not ``within_bound``: not finite or
+    of a norm above 2**510, the bound every provider's ``embed`` holds, so
+    that ``knn`` cannot overflow. The metadata must name a provider
+    (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``. A
+    format-1 file raises FormatError("VersionMismatch").
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -436,8 +433,9 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     # the metadata must name a provider that retrieve can rebuild
     if not isinstance(meta, dict):
         raise FormatError("Corrupt", f"{path}: metadata is not an object")
-    if meta.get("name", HashingEmbedder.name) not in (HashingEmbedder.name, RemoteEmbedder.name):
-        raise FormatError("Corrupt", f"{path}: unknown embedder {meta['name']!r}")
+    name = meta.get("name", HashingEmbedder.name)
+    if type(name) is not str or name not in PROVIDERS:
+        raise FormatError("Corrupt", f"{path}: unknown embedder {name!r}")
     if "dimension" in meta and (type(meta["dimension"]) is not int or meta["dimension"] < 1):
         raise FormatError("Corrupt",
                           f"{path}: dimension {meta['dimension']!r} is not a positive int")
@@ -528,9 +526,9 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
              ) -> tuple[PropertyGraph, CloneGroupTable, BuildReport]:
     """Parse a corpus, build the graph, group clones, score usage, embed.
 
-    ``embedder`` is any provider with name/dimension attributes and an
-    ``embed_functions(pairs)`` method that returns one sparse
-    ``EmbeddingVector`` per (source text, declaration tokens) pair, which
+    ``embedder`` is a provider: ``name`` and ``dimension`` attributes and an
+    ``embed(pairs)`` method that returns one sparse ``EmbeddingVector`` per
+    (source text, declaration tokens) pair, ``within_bound``, which
     ``graph.vectors`` keeps as it is; ``repair.retrieve`` embeds its
     queries with the same call on the provider the metadata names.
     Files that fail to parse or duplicate an earlier file (by canonical
@@ -541,7 +539,7 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     before the next file is read, so only one file's tokens are alive at a
     time. Each file's functions that have no vector yet (the first payload
     of an id wins, as in ``PropertyGraph.add_node``) are embedded with one
-    ``embed_functions`` call. The report lists every parse diagnostic
+    ``embed`` call. The report lists every parse diagnostic
     before every triple diagnostic.
     """
     report = BuildReport()
@@ -580,7 +578,7 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
             if fn.id not in vectors and fn.id not in new:
                 new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
         if new:
-            vectors.update(zip(new, embedder.embed_functions(list(new.values()))))
+            vectors.update(zip(new, embedder.embed(list(new.values()))))
     report.diagnostics.extend(triple_diagnostics)
 
     graph = build_graph(triples, functions)

@@ -91,7 +91,7 @@ _TOKEN_RE = re.compile(
 )
 
 #: Assignment operators that mark a state-variable write.
-_ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="}
+ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="}
 
 #: Built-in callables that are never corpus call targets.
 _BUILTIN_CALLABLES = {
@@ -493,7 +493,7 @@ def access_kind(body_tokens: list[Token], index: int) -> str:
         j = match_group(body_tokens, j, "[", "]")
     if j < len(body_tokens):
         text = body_tokens[j].text
-        if text in _ASSIGN_OPS or text in ("++", "--"):
+        if text in ASSIGN_OPS or text in ("++", "--"):
             return "write"
         if text == "." and j + 1 < len(body_tokens) \
                 and body_tokens[j + 1].text in ("push", "pop"):

@@ -39,7 +39,7 @@ from .model import (
     VulnClass,
     VulnerabilityReport,
 )
-from .rerank import DEFAULT_EPSILON, DEFAULT_K, RerankConfig, rerank
+from .rerank import DEFAULT_EPSILON, DEFAULT_K, rerank
 from .verify import Detection, VerificationResult, verify_patch
 
 log = logging.getLogger(__name__)
@@ -103,18 +103,18 @@ def retrieve(kb: PropertyGraph, unit: SourceUnit, fn: FunctionUnit, k: int = DEF
              ) -> Retrieval:
     """Embed ``fn``, take its ``pool_size`` nearest KB functions, rerank to ``k``.
 
-    ``unit`` is the parse that holds ``fn`` (matched by id); ``fn`` is
-    embedded from its declaration tokens there with ``embed_functions``,
-    as ``build_kb`` embeds every KB row, so nothing is lexed again. The KB
-    keeps its vector index across calls. The provider is made per call,
-    because a remote one holds an HTTP session that concurrent
-    ``evaluate`` workers must not share.
+    ``unit`` is the parse that holds ``fn`` (matched by id); the provider
+    the KB metadata names (``name``, ``dimension``, ``embed``) embeds ``fn``
+    from its declaration tokens there, as ``build_kb`` embeds every KB row,
+    so nothing is lexed again, into a vector of a norm at most 2**510. The
+    KB keeps its vector index across calls. The provider is made per call,
+    because a remote one holds an HTTP session that concurrent ``evaluate``
+    workers must not share.
     """
-    config = RerankConfig(epsilon=epsilon, k=k)
     provider = provider_from_meta(kb.embedder_meta)
-    [query_vector] = provider.embed_functions([(fn.source_text, unit.declaration_tokens(fn))])
+    [query_vector] = provider.embed([(fn.source_text, unit.declaration_tokens(fn))])
     pool = knn(kb.vector_index(index_from_graph), query_vector, pool_size)
-    selected, fallback = rerank(pool, required_signature(fn), config)
+    selected, fallback = rerank(pool, required_signature(fn), k, epsilon)
     return Retrieval(pool_size=len(pool), fallback=fallback, selected=selected)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 from .embedding import Candidate
 from .model import SignatureFeatures
@@ -35,18 +34,6 @@ class ScoreError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RerankConfig:
-    epsilon: float = DEFAULT_EPSILON
-    k: int = DEFAULT_K
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 def filter_syntactic(c_init: list[Candidate], sig_req: SignatureFeatures
@@ -77,7 +64,7 @@ def score_trust(s_sem: float, guf: int, epsilon: float) -> float:
     return s_sem / denominator
 
 
-def rerank(c_init: list[Candidate], sig_req: SignatureFeatures, cfg: RerankConfig
+def rerank(c_init: list[Candidate], sig_req: SignatureFeatures, k: int, epsilon: float
            ) -> tuple[list[Candidate], bool]:
     """Filter, rescore, deduplicate clone groups, and cut to k references.
 
@@ -86,12 +73,17 @@ def rerank(c_init: list[Candidate], sig_req: SignatureFeatures, cfg: RerankConfi
     candidate per clone group survives, while candidates without a clone
     group are always eligible. ``fallback`` is the filter's flag: no
     candidate had the required signature, so the whole pool was ranked.
+    A nonpositive ``epsilon`` or a ``k`` below 1 raises ValueError.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     filtered, fallback = filter_syntactic(c_init, sig_req)
     # The pool position breaks any remaining tie, so two candidates are
     # never compared and the order is that of a stable key sort.
     rescored = sorted(
-        (score_trust(c.s_sem, c.guf, cfg.epsilon), c.s_sem, c.function_id, i, c)
+        (score_trust(c.s_sem, c.guf, epsilon), c.s_sem, c.function_id, i, c)
         for i, c in enumerate(filtered)
     )
     selected: list[Candidate] = []
@@ -102,6 +94,6 @@ def rerank(c_init: list[Candidate], sig_req: SignatureFeatures, cfg: RerankConfi
                 continue
             seen_clones.add(candidate.clone_id)
         selected.append(dataclasses.replace(candidate, s_final=s_final))
-        if len(selected) == cfg.k:
+        if len(selected) == k:
             break
     return selected, fallback

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .ingest import (
+    ASSIGN_OPS,
     IngestError,
     SourceUnit,
     Token,
@@ -33,7 +34,6 @@ _GUARD_MODIFIER_RE = re.compile(r"only|auth|owner|admin", re.IGNORECASE)
 _PRAGMA_VERSION_RE = re.compile(r"(\d+)\.(\d+)")
 
 _ARITH_OPS = {"+", "-", "*", "+=", "-=", "*=", "++", "--"}
-_ASSIGNING = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="}
 _CONDITION_INTROS = {"if", "require", "while", "assert"}
 
 
@@ -192,7 +192,7 @@ def _rule_unchecked_call(view: _FunctionView) -> list[Detection]:
         start, end = view.statement_of(i)
         statement = body[start:end]
         used = any(
-            t.text in _ASSIGNING or t.text in ("require", "assert", "if", "return", "while")
+            t.text in ASSIGN_OPS or t.text in ("require", "assert", "if", "return", "while")
             for t in statement
         )
         if not used:
@@ -343,14 +343,12 @@ def _first_only(detections: list[Detection]) -> list[Detection]:
     return sorted(detections, key=lambda d: d.line)[:1]
 
 
-def detect(source: Union[str, SourceUnit],
-           classes: Optional[set[VulnClass]] = None) -> list[Detection]:
+def detect(source: Union[str, SourceUnit]) -> list[Detection]:
     """Run the per-class rules over every function of the source.
 
     ``source`` is source text, or its unit from ``parse_source``, which the
     rules then read without parsing again.
     """
-    wanted = classes if classes is not None else set(VulnClass)
     if isinstance(source, SourceUnit):
         unit = source
     else:
@@ -361,16 +359,11 @@ def detect(source: Union[str, SourceUnit],
             return []
     out: list[Detection] = []
     for view in _function_views(unit):
-        if VulnClass.INTEGER_OVERFLOW in wanted:
-            out.extend(_rule_overflow(view, unit.pragma_version))
-        if VulnClass.REENTRANCY in wanted:
-            out.extend(_rule_reentrancy(view))
-        if VulnClass.ACCESS_CONTROL in wanted:
-            out.extend(_rule_access_control(view))
-        if VulnClass.TIMESTAMP_MANIPULATION in wanted:
-            out.extend(_rule_timestamp(view))
-        if VulnClass.UNCHECKED_CALL_RETURN in wanted:
-            out.extend(_rule_unchecked_call(view))
+        out.extend(_rule_overflow(view, unit.pragma_version))
+        out.extend(_rule_reentrancy(view))
+        out.extend(_rule_access_control(view))
+        out.extend(_rule_timestamp(view))
+        out.extend(_rule_unchecked_call(view))
     return out
 
 

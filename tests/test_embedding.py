@@ -70,10 +70,16 @@ def test_distance_triangle_inequality():
 # Hashing embedder
 # ---------------------------------------------------------------------------
 
+def _embed_text(provider, text):
+    """The vector ``provider.embed`` gives ``text``, lexed whole."""
+    [vector] = provider.embed([(text, lex(text))])
+    return vector
+
+
 def test_embed_is_deterministic():
     provider = HashingEmbedder(64)
     text = "function f() public { x = x + 1; }"
-    assert provider.embed(text) == provider.embed(text)
+    assert _embed_text(provider, text) == _embed_text(provider, text)
 
 
 def test_embed_unit_norm_on_corpus(corpus_paths):
@@ -82,20 +88,20 @@ def test_embed_unit_norm_on_corpus(corpus_paths):
         unit = load_source(path)
         for contract in unit.contracts:
             for fn in contract.functions:
-                vector = provider.embed(fn.source_text)
+                vector = _embed_text(provider, fn.source_text)
                 assert abs(math.hypot(*vector.values) - 1.0) < 1e-9
 
 
 def test_embed_empty_input_is_basis_vector():
-    vector = HashingEmbedder(16).embed("")
+    vector = _embed_text(HashingEmbedder(16), "")
     assert vector == EmbeddingVector((0,), (1.0,))
     assert vector.dense(16) == (1.0,) + (0.0,) * 15
 
 
 def test_embed_ignores_literal_values_and_comments():
     provider = HashingEmbedder(128)
-    a = provider.embed('x = 5; s = "north";')
-    b = provider.embed('x = 900; /* note */ s = "south";')
+    a = _embed_text(provider, 'x = 5; s = "north";')
+    b = _embed_text(provider, 'x = 900; /* note */ s = "south";')
     assert a == b
 
 
@@ -127,8 +133,9 @@ def test_embed_tokens_of_a_declaration_equals_embed_of_its_text():
         unit = load_source(path)
         for contract in unit.contracts:
             for fn, decl in zip(contract.functions, contract.decls):
-                from_tokens = provider.embed_tokens(unit.tokens[decl.start:decl.end])
-                assert from_tokens == provider.embed(fn.source_text)
+                [from_tokens] = provider.embed([(fn.source_text,
+                                                 unit.tokens[decl.start:decl.end])])
+                assert from_tokens == _embed_text(provider, fn.source_text)
                 assert from_tokens == _sparse_reference(fn.source_text, 256)
                 functions += 1
     assert functions >= 70
@@ -136,13 +143,13 @@ def test_embed_tokens_of_a_declaration_equals_embed_of_its_text():
 
 def test_a_new_embedder_reuses_the_buckets_an_earlier_one_computed(monkeypatch):
     text = "function bucketMemoProbe(uint256 q) external { q += 1; }"
-    first = HashingEmbedder(48).embed(text)
+    first = _embed_text(HashingEmbedder(48), text)
     hashed = []
     monkeypatch.setattr(embedding, "hashlib", SimpleNamespace(
         sha256=lambda data: hashed.append(data) or hashlib.sha256(data)))
-    assert HashingEmbedder(48).embed(text) == first
+    assert _embed_text(HashingEmbedder(48), text) == first
     assert hashed == []
-    HashingEmbedder(47).embed(text)  # one memo per dimension
+    _embed_text(HashingEmbedder(47), text)  # one memo per dimension
     assert hashed
 
 
@@ -160,7 +167,7 @@ _TOKEN_TEXT = st.one_of(
 def test_embed_equals_the_dense_formula(dimension, texts):
     provider = HashingEmbedder(dimension)  # shared, so later texts reuse its bucket memo
     for text in texts:
-        vector = provider.embed(text)
+        vector = _embed_text(provider, text)
         # the nonzero buckets, ascending, of the dense formula's vector
         assert vector == _sparse_reference(text, dimension)
         assert vector.dense(dimension) == _dense_reference(text, dimension)
@@ -230,7 +237,7 @@ def test_knn_matches_loop_reference_on_fixture_kb(kb):
     provider = HashingEmbedder(256)
     dense = {fid: vector.dense(256) for fid, vector in graph.vectors.items()}
     for fn in graph.functions():
-        query = provider.embed(fn.source_text)
+        query = _embed_text(provider, fn.source_text)
         for n in (1, 5, DEFAULT_POOL_SIZE):
             reference = _dense_knn(dense, query.dense(256), n)
             got = knn(index, query, n)
@@ -405,7 +412,7 @@ def test_knn_self_query_ranks_itself_first(kb):
 def test_knn_pool_larger_than_index(kb):
     graph, _, _ = kb
     index = index_from_graph(graph)
-    query = HashingEmbedder(256).embed("function q() public {}")
+    query = _embed_text(HashingEmbedder(256), "function q() public {}")
     got = knn(index, query, 1000)
     assert len(got) == len(graph.function_nodes())
     distances = [c.s_sem for c in got]
@@ -415,7 +422,7 @@ def test_knn_pool_larger_than_index(kb):
 def test_knn_carries_payload_fields(kb):
     graph, _, _ = kb
     index = index_from_graph(graph)
-    query = HashingEmbedder(256).embed("function q() public {}")
+    query = _embed_text(HashingEmbedder(256), "function q() public {}")
     for cand in knn(index, query, 10):
         assert isinstance(cand, Candidate)
         assert cand.guf >= 1
@@ -511,7 +518,7 @@ class _FakeSession:
 def _hashing_reply(dimension):
     provider = HashingEmbedder(dimension)
     return lambda payload: _FakeResponse(
-        {"vectors": [list(provider.embed(text).dense(dimension))
+        {"vectors": [list(_embed_text(provider, text).dense(dimension))
                      for text in payload["input"]]})
 
 
@@ -558,14 +565,20 @@ def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_pa
     (lambda payload: _FakeResponse(json.loads(
         '{"vectors": [[0.5, NaN%s], [0.5%s]]}' % (", 0.5" * 14, ", 0.5" * 15))),
      "RemoteUnavailable"),
+    # finite, but of a norm above 2**510, where knn's scores could overflow
+    (lambda payload: _FakeResponse({"vectors": [[1e200] * 16 for _ in payload["input"]]}),
+     "RemoteUnavailable"),
+    # an int no float can hold (float() raised OverflowError)
+    (lambda payload: _FakeResponse({"vectors": [[10 ** 400] + [0.5] * 15,
+                                                [0.5] * 16]}), "RemoteUnavailable"),
 ], ids=["wrong-dimension", "non-json", "connection", "timeout", "http-503", "wrong-count",
         "vectors-object", "body-list", "vector-scalar", "non-numeric", "value-string",
-        "value-bool", "non-finite"])
+        "value-bool", "non-finite", "huge-norm", "int-beyond-float"])
 def test_remote_failures_raise_provider_errors(reply, code):
     session = _FakeSession(reply)
     remote = RemoteEmbedder(url="http://embed.test/v1", dimension=16, session=session)
     with pytest.raises(ProviderError) as err:
-        remote.embed_functions([("function a() {}", []), ("function b() {}", [])])
+        remote.embed([("function a() {}", []), ("function b() {}", [])])
     assert err.value.code == code
     assert [post["input"] for post in session.posts] == [["function a() {}", "function b() {}"]]
 
@@ -574,7 +587,7 @@ def test_remote_vectors_are_sparse_floats_with_their_zeros_dropped():
     reply = {"vectors": [[0, 0.5, 0.0, -0.0, 2, 0, 0, 0], [0] * 8]}
     session = _FakeSession(lambda payload: _FakeResponse(reply))
     remote = RemoteEmbedder(url="http://embed.test/v1", dimension=8, session=session)
-    first, zero = remote.embed_functions([("function a() {}", []), ("function b() {}", [])])
+    first, zero = remote.embed([("function a() {}", []), ("function b() {}", [])])
     assert first == ((1, 4), (0.5, 2.0))
     assert all(type(v) is float for v in first.values)
     assert zero == ((), ())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpatcher import embedding, ingest
-from scpatcher.embedding import EmbeddingVector, HashingEmbedder, index_from_graph
+from scpatcher.embedding import EmbeddingVector, HashingEmbedder, index_from_graph, knn
 from scpatcher.graph import (
     CloneGroupTable,
     EntityNode,
@@ -396,6 +397,10 @@ _MALFORMED = {
     "vector-nan": _vector_of(values=lambda values: values.__setitem__(0, float("nan"))),
     "vector-inf": _vector_of(values=lambda values: values.__setitem__(0, float("inf"))),
     "vector-minus-inf": _vector_of(values=lambda values: values.__setitem__(0, float("-inf"))),
+    # a norm of at most 2**510, so that knn's scores stay finite (this one
+    # loaded, and then retrieve overflowed)
+    "vector-huge-norm": _vector_of(values=lambda values: values.__setitem__(
+        slice(None), [value * 1e200 for value in values])),
     "vector-string": _vector_of(values=lambda values: values.__setitem__(0, "0.5")),
     "value-bool": _vector_of(values=lambda values: values.__setitem__(0, True)),
     "value-int": _vector_of(values=lambda values: values.__setitem__(0, 1)),
@@ -545,13 +550,39 @@ def test_loaded_kb_index_equals_the_built_one(kb, kb_file):
     assert [f.id for f in loaded.functions] == [f.id for f in built.functions]
 
 
+def test_a_vector_of_norm_2_to_the_510_loads_and_retrieves_as_the_dense_scan(
+        kb_file, corpus_paths, tmp_path):
+    def largest_vector(nodes, edges, clones, meta):
+        _function_record(nodes)["vector"] = [[0, 1, 2, 3], [2.0 ** 509] * 4]
+
+    graph = load_kb(_rewrite_kb(kb_file, tmp_path / "edge.scpk", largest_vector))[0]
+    largest = [values for _buckets, values in graph.vectors.values()
+               if math.hypot(*values) == 2.0 ** 510]
+    assert len(largest) == 1
+    index = index_from_graph(graph)
+    dense = {fid: vector.dense(256) for fid, vector in graph.vectors.items()}
+    provider = HashingEmbedder(256)
+    queries = list(graph.vectors.values())
+    for path in corpus_paths:
+        unit = load_source(path)
+        for fn in (f for contract in unit.contracts for f in contract.functions):
+            queries += provider.embed([(fn.source_text, unit.declaration_tokens(fn))])
+            assert retrieve(graph, unit, fn, k=3).pool_size == 28
+    for query in queries:
+        for n in (1, 5, 27):
+            scan = sorted((math.dist(query.dense(256), row), fid)
+                          for fid, row in dense.items())[:n]
+            assert [(c.s_sem, c.function_id) for c in knn(index, query, n)] == scan
+
+
 @st.composite
 def _sparse_graphs(draw):
     """A graph of functions whose vectors are random sparse pairs, among
     them all-zero and full-dimension ones, linked by CALLS edges, with the
-    gufs compute_guf gives them."""
+    gufs compute_guf gives them. Values reach 1e152, so that 256 of them
+    keep a norm below 2**510 (about 3.4e153), the most load_kb accepts."""
     dimension = draw(st.sampled_from([1, 2, 7, 64, 256]))
-    value = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False).filter(bool)
+    value = st.floats(min_value=-1e152, max_value=1e152, allow_nan=False).filter(bool)
     buckets = st.one_of(st.just(frozenset()), st.just(frozenset(range(dimension))),
                         st.frozensets(st.integers(0, dimension - 1)))
     graph = PropertyGraph()
@@ -587,6 +618,43 @@ def test_sparse_vectors_round_trip_byte_identically(tmp_path_factory, graph):
     assert loaded == graph
     assert loaded_clones == clones
     assert all(type(v) is float for _buckets, values in loaded.vectors.values() for v in values)
+
+
+#: one bit flipped, or one byte replaced, inserted or deleted, at a position
+#: taken modulo the file size (a flip takes ``value % 8`` as its bit)
+_MUTATION = st.tuples(st.sampled_from(["flip", "flip", "replace", "insert", "delete"]),
+                      st.integers(0, 2 ** 20), st.integers(0, 255))
+
+
+@settings(max_examples=100)
+@given(_MUTATION)
+def test_a_mutated_kb_file_is_rejected_or_round_trips_and_answers(
+        kb_file, corpus_paths, tmp_path_factory, mutation):
+    """Each byte-level mutation of the fixture KB file makes load_kb raise
+    FormatError or OSError, or loads a graph that save_kb and load_kb give
+    back unchanged and that retrieve answers."""
+    kind, position, value = mutation
+    blob = bytearray(kb_file.read_bytes())
+    position %= len(blob)
+    if kind == "flip":
+        blob[position] ^= 1 << value % 8
+    elif kind == "replace":
+        blob[position] = value
+    elif kind == "insert":
+        blob.insert(position, value)
+    else:
+        del blob[position]
+    path = tmp_path_factory.getbasetemp() / "mutated.scpk"
+    path.write_bytes(bytes(blob))
+    try:
+        graph, clones = load_kb(path)
+    except (FormatError, OSError):
+        return
+    again = tmp_path_factory.getbasetemp() / "resaved.scpk"
+    save_kb(graph, clones, again)
+    assert load_kb(again) == (graph, clones)
+    unit = load_source(corpus_paths[0])
+    retrieve(graph, unit, unit.contracts[0].functions[0], k=3)
 
 
 # ---------------------------------------------------------------------------

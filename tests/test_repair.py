@@ -219,7 +219,8 @@ def test_retrieve_sees_added_function(kb_file):
     unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
     assert all(c.s_sem > 0 for c in retrieve(graph, unit, fn, 5).selected)
     twin = dataclasses.replace(fn, id="f" * 16, clone_id=None, guf=1000)
-    graph.vectors[twin.id] = HashingEmbedder(256).embed(fn.source_text)
+    [graph.vectors[twin.id]] = HashingEmbedder(256).embed(
+        [(fn.source_text, unit.declaration_tokens(fn))])
     graph.add_node(EntityNode(twin.id, NodeKind.FUNCTION, twin.qualified_name, twin))
     first = retrieve(graph, unit, fn, 1).selected[0]
     assert (first.function_id, first.s_sem) == (twin.id, 0.0)

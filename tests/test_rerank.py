@@ -7,7 +7,6 @@ from scpatcher.embedding import Candidate
 from scpatcher.model import SignatureFeatures
 from scpatcher.rerank import (
     DEFAULT_EPSILON,
-    RerankConfig,
     ScoreError,
     filter_syntactic,
     rerank,
@@ -100,10 +99,13 @@ def test_score_rejects_nonpositive_denominator():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RerankConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        RerankConfig(k=0)
+    pool = [_cand("a" * 16, 1.0, 1, None, {"public"})]
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        rerank(pool, _sig(set()), 3, 0.0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        rerank(pool, _sig(set()), 0, DEFAULT_EPSILON)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        rerank([], _sig(set()), 0, DEFAULT_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def test_filter_matches_subset_oracle():
 # ---------------------------------------------------------------------------
 
 def _run(candidates, sig_req, epsilon, k):
-    selected, fallback = rerank(candidates, sig_req, RerankConfig(epsilon=epsilon, k=k))
+    selected, fallback = rerank(candidates, sig_req, k, epsilon)
     assert fallback == filter_syntactic(candidates, sig_req)[1]
     return selected
 
