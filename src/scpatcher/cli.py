@@ -3,6 +3,10 @@
 Subcommands: build-kb (corpus -> knowledge base file), retrieve (ranked
 references for one function), repair (single contract through the
 two-stage pipeline), evaluate (batch run over a manifest with k sweep).
+``--k`` (or ``evaluate``'s ``--k-sweep``) is the only retrieval option: the
+k-NN pool of 50 and the rescoring ε = e - 1 are constants of the library.
+``retrieve`` prints each reference from the KB's ``FunctionUnit`` that its
+``Candidate`` holds.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -10,11 +14,10 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from pathlib import Path
 
-from .embedding import DEFAULT_DIMENSION, DEFAULT_POOL_SIZE, HashingEmbedder, RemoteEmbedder
+from .embedding import DEFAULT_DIMENSION, HashingEmbedder, RemoteEmbedder
 from .evaluate import load_manifest, run_dataset
 from .graph import build_kb, load_kb, save_kb
 from .ingest import load_source
@@ -22,7 +25,7 @@ from .llm import MockLlmBackend, RemoteLlmBackend
 from .metrics import render_rate
 from .model import VulnClass, VulnerabilityReport
 from .repair import RepairConfig, repair, retrieve
-from .rerank import DEFAULT_EPSILON, DEFAULT_K
+from .rerank import DEFAULT_K
 
 log = logging.getLogger(__name__)
 
@@ -43,16 +46,6 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
 
 
@@ -82,8 +75,6 @@ def build_parser() -> _Parser:
     p_retrieve.add_argument("--function", required=True,
                             metavar="PATH#Contract.func", help="query function locator")
     p_retrieve.add_argument("--k", type=_positive_int, default=DEFAULT_K)
-    p_retrieve.add_argument("--top-n", type=_positive_int, default=DEFAULT_POOL_SIZE)
-    p_retrieve.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON)
     p_retrieve.set_defaults(func=_cmd_retrieve)
 
     p_repair = sub.add_parser("repair", help="repair one vulnerable function")
@@ -96,8 +87,6 @@ def build_parser() -> _Parser:
     p_repair.add_argument("--mock-script", help="JSON rule script for the mock backend")
     p_repair.add_argument("--model", default="default")
     p_repair.add_argument("--k", type=_positive_int, default=DEFAULT_K)
-    p_repair.add_argument("--top-n", type=_positive_int, default=DEFAULT_POOL_SIZE)
-    p_repair.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON)
     p_repair.add_argument("--out", help="write the final patch to this file")
     p_repair.set_defaults(func=_cmd_repair)
 
@@ -158,17 +147,15 @@ def _cmd_retrieve(args) -> int:
     fn = unit.find_function(contract_name, function_name)
     if fn is None:
         raise ValueError(f"{contract_name}.{function_name} not found in {path}")
-    retrieval = retrieve(graph, unit, fn, args.k, args.top_n, args.epsilon)
+    retrieval = retrieve(graph, unit, fn, args.k)
     print(f"references for {contract_name}.{function_name} "
           f"(k={args.k}, pool={retrieval.pool_size}, "
           f"fallback={'yes' if retrieval.fallback else 'no'})")
     print("rank  s_sem   s_final  guf  clone             function")
     for rank, candidate in enumerate(retrieval.selected, start=1):
-        payload = graph.node(candidate.function_id).payload
-        label = payload.qualified_name if payload else candidate.function_id
-        clone = candidate.clone_id or "-"
+        ref = candidate.fn
         print(f"{rank:>4}  {candidate.s_sem:.4f}  {candidate.s_final:.4f}   "
-              f"{candidate.guf:>3}  {clone:<16}  {label}")
+              f"{ref.guf:>3}  {ref.clone_id or '-':<16}  {ref.qualified_name}")
     return 0
 
 
@@ -184,8 +171,7 @@ def _cmd_repair(args) -> int:
         function_id=fn.id,
         vuln_class=args.vuln,
     )
-    cfg = RepairConfig(k=args.k, top_n=args.top_n, epsilon=args.epsilon,
-                       backend=backend, model=args.model)
+    cfg = RepairConfig(k=args.k, backend=backend, model=args.model)
     outcome = repair(unit, report, graph, cfg)
     stage = outcome.stage_used.value if outcome.stage_used else "-"
     print(f"stage: {stage}")

@@ -46,6 +46,10 @@ provably keeps every true top-n row (``_survivors`` has the bound and the
 proof). Only the survivors are rescored with ``math.dist`` over the dense
 rows and selected stably, ties going to the lower id. Every row is
 rescored, with no filter, when ``n`` covers the index.
+
+``knn`` returns each neighbor as a ``Candidate`` that holds the KB's own
+``FunctionUnit`` and its distance. ``repair.retrieve`` always asks for
+``DEFAULT_POOL_SIZE`` (50) neighbors, a constant, not an option.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import requests
 
 from .ingest import Token, lex  # noqa: F401  (bench/run.py's traced run wraps this lex)
-from .model import FunctionUnit, SignatureFeatures
+from .model import FunctionUnit
 
 DEFAULT_DIMENSION = 256
 DEFAULT_POOL_SIZE = 50
@@ -267,13 +271,14 @@ def provider_from_meta(meta: Optional[dict]):
 
 @dataclass(frozen=True)
 class Candidate:
-    """One retrieved reference function plus its ranking fields."""
+    """One retrieved reference: the KB's own function and its two scores.
 
-    function_id: str
+    ``s_sem`` is the query distance ``knn`` measured; ``s_final`` is the
+    rescored distance ``rerank`` sets on the references it selects.
+    """
+
+    fn: FunctionUnit
     s_sem: float
-    guf: int
-    clone_id: Optional[str]
-    signature: SignatureFeatures
     s_final: Optional[float] = None
 
 
@@ -468,6 +473,9 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
         ) -> list[Candidate]:
     """Exact nearest neighbors, ascending distance, id tiebreak.
 
+    Each is a ``Candidate`` of the index's ``FunctionUnit`` itself (for an
+    index from ``index_from_graph``, the KB payload) and its distance.
+
     The sparse ``query`` is padded out to the index's dimension (a bucket
     outside it raises DimensionMismatchError). Filter and refine:
     ``_survivors`` scores every row at once, in one big-int multiply-add
@@ -491,14 +499,4 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
     distances = list(map(math.dist, repeat(values), rows))
     # nsmallest is stable and the rows stay in id order, so ties go to the lower id
     nearest = heapq.nsmallest(n, range(len(distances)), key=distances.__getitem__)
-    out = []
-    for position in nearest:
-        fn = functions[position]
-        out.append(Candidate(
-            function_id=fn.id,
-            s_sem=distances[position],
-            guf=max(fn.guf, 1),
-            clone_id=fn.clone_id,
-            signature=fn.signature,
-        ))
-    return out
+    return [Candidate(functions[position], distances[position]) for position in nearest]

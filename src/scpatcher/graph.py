@@ -157,23 +157,12 @@ class PropertyGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PropertyGraph):
             return NotImplemented
-        return (self.nodes.keys() == other.nodes.keys()
-                and all(_node_equal(self.nodes[k], other.nodes[k]) for k in self.nodes)
-                and sorted(_edge_key(e) for e in self.edges)
-                == sorted(_edge_key(e) for e in other.edges)
+        return (self.nodes == other.nodes
+                and Counter(self.edges) == Counter(other.edges)
                 and self.vectors == other.vectors
                 and self.embedder_meta == other.embedder_meta)
 
     __hash__ = None  # type: ignore[assignment]
-
-
-def _node_equal(a: EntityNode, b: EntityNode) -> bool:
-    return (a.id, a.kind, a.label, a.payload) == (b.id, b.kind, b.label, b.payload)
-
-
-def _edge_key(edge: tuple[str, Relation, str]) -> tuple[str, str, str]:
-    subject_id, relation, object_id = edge
-    return (subject_id, relation.value, object_id)
 
 
 @dataclass
@@ -392,8 +381,10 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     type, a malformed vector, a function node without a payload or a
     vector, another node with either, an edge whose relation does not fit
     its endpoints' kinds, clone groups that differ from the functions'
-    ``clone_id``s, or a ``guf`` other than the function's clone-group size
-    plus its CALLS in-degree, or a vector not ``within_bound``: not finite or
+    ``clone_id``s, a ``clone_id`` on a function below the clone section's
+    ``min_tokens`` or none on one at or above it, a ``guf`` other than the
+    function's clone-group size plus its CALLS in-degree (so every loaded
+    ``guf`` is at least 1), or a vector not ``within_bound``: not finite or
     of a norm above 2**510, the bound every provider's ``embed`` holds, so
     that ``knn`` cannot overflow. The metadata must name a provider
     (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``. A
@@ -475,9 +466,13 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         min_tokens, groups = clone_section["min_tokens"], clone_section["groups"]
         if type(min_tokens) is not int:
             raise ValueError("clone min_tokens is not an int")
-        # the groups are exactly the functions' clone ids, members sorted, as saved
+        # the groups are exactly the functions' clone ids, members sorted, as
+        # saved, and a function has a clone id exactly if it reaches min_tokens
         members: dict[str, list[str]] = {}
         for fn in graph.functions():
+            if (fn.clone_id is None) is not (fn.token_count < min_tokens):
+                raise ValueError(f"function {fn.id!r}: clone id {fn.clone_id!r} at "
+                                 f"{fn.token_count} tokens, clone min_tokens {min_tokens}")
             if fn.clone_id is not None:
                 members.setdefault(fn.clone_id, []).append(fn.id)
         for ids in members.values():

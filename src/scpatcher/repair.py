@@ -3,9 +3,13 @@
 ``retrieve`` is the one query path into the knowledge base, shared by
 ``repair`` and the ``retrieve`` command: it embeds the target function from
 its parse's declaration tokens with the provider call that built the KB,
-takes its nearest KB functions by exact k-NN over the index the KB builds
-once, and reranks them. The result records the pool size, whether the
-signature filter fell back to the whole pool, and the selected references.
+takes its ``DEFAULT_POOL_SIZE`` (50) nearest KB functions by exact k-NN over
+the index the KB builds once, and reranks them with the constant ε = e - 1
+(``rerank.EPSILON``); ``k`` is the only retrieval knob. The result records
+the pool size, whether the signature filter fell back to the whole pool,
+and the selected references, each a ``Candidate`` that holds the KB's own
+``FunctionUnit``, so the prompts render its source text, guf and signature
+with no graph lookup.
 
 Stage 1 asks for a patch guided by the retrieved reference implementations,
 their trust scores, and the target's signature constraints. If the patch
@@ -39,7 +43,7 @@ from .model import (
     VulnClass,
     VulnerabilityReport,
 )
-from .rerank import DEFAULT_EPSILON, DEFAULT_K, rerank
+from .rerank import DEFAULT_K, rerank
 from .verify import Detection, VerificationResult, verify_patch
 
 log = logging.getLogger(__name__)
@@ -69,16 +73,6 @@ _VISIBILITY_AND_MUTABILITY = {
 
 
 @dataclass(frozen=True)
-class Reference:
-    """One retrieved reference implementation, ready for prompting."""
-
-    code: str
-    s_final: float
-    guf: int
-    signature: SignatureFeatures
-
-
-@dataclass(frozen=True)
 class Prompt:
     system_text: str
     user_text: str
@@ -98,10 +92,9 @@ class Retrieval:
     selected: list[Candidate]  # reranked, at most k
 
 
-def retrieve(kb: PropertyGraph, unit: SourceUnit, fn: FunctionUnit, k: int = DEFAULT_K,
-             pool_size: int = DEFAULT_POOL_SIZE, epsilon: float = DEFAULT_EPSILON
+def retrieve(kb: PropertyGraph, unit: SourceUnit, fn: FunctionUnit, k: int = DEFAULT_K
              ) -> Retrieval:
-    """Embed ``fn``, take its ``pool_size`` nearest KB functions, rerank to ``k``.
+    """Embed ``fn``, take its DEFAULT_POOL_SIZE nearest KB functions, rerank to ``k``.
 
     ``unit`` is the parse that holds ``fn`` (matched by id); the provider
     the KB metadata names (``name``, ``dimension``, ``embed``) embeds ``fn``
@@ -113,21 +106,9 @@ def retrieve(kb: PropertyGraph, unit: SourceUnit, fn: FunctionUnit, k: int = DEF
     """
     provider = provider_from_meta(kb.embedder_meta)
     [query_vector] = provider.embed([(fn.source_text, unit.declaration_tokens(fn))])
-    pool = knn(kb.vector_index(index_from_graph), query_vector, pool_size)
-    selected, fallback = rerank(pool, required_signature(fn), k, epsilon)
+    pool = knn(kb.vector_index(index_from_graph), query_vector, DEFAULT_POOL_SIZE)
+    selected, fallback = rerank(pool, required_signature(fn), k)
     return Retrieval(pool_size=len(pool), fallback=fallback, selected=selected)
-
-
-def references_from(candidates: list[Candidate], graph: PropertyGraph) -> list[Reference]:
-    """Resolve reranked candidates to their source text via the graph.
-
-    Every candidate is a KB function with a payload, and ``rerank`` sets
-    ``s_final`` on every candidate it selects.
-    """
-    return [Reference(code=graph.node(candidate.function_id).payload.source_text,
-                      s_final=candidate.s_final, guf=candidate.guf,
-                      signature=candidate.signature)
-            for candidate in candidates]
 
 
 def required_signature(fn: FunctionUnit) -> SignatureFeatures:
@@ -136,22 +117,22 @@ def required_signature(fn: FunctionUnit) -> SignatureFeatures:
     return SignatureFeatures(frozenset(kept))
 
 
-def _render_references(refs: list[Reference]) -> str:
+def _render_references(refs: list[Candidate]) -> str:
     if not refs:
         return "none retrieved"
     blocks = []
     for rank, ref in enumerate(refs, start=1):
-        features = ", ".join(ref.signature.sorted_features()) or "(none)"
+        features = ", ".join(ref.fn.signature.sorted_features()) or "(none)"
         blocks.append(
             f"[{rank}] trust-adjusted distance {ref.s_final:.4f}, "
-            f"usage frequency {ref.guf}, signature: {features}\n"
-            f"```solidity\n{ref.code}\n```"
+            f"usage frequency {ref.fn.guf}, signature: {features}\n"
+            f"```solidity\n{ref.fn.source_text}\n```"
         )
     return "\n".join(blocks)
 
 
 def _stage1_user_text(vuln_fn: FunctionUnit, vuln_class: VulnClass,
-                      refs: list[Reference]) -> str:
+                      refs: list[Candidate]) -> str:
     constraints = ", ".join(vuln_fn.signature.sorted_features()) or "(none)"
     return (
         "Task: repair the vulnerability below and return the complete patched "
@@ -175,7 +156,7 @@ def _stage1_user_text(vuln_fn: FunctionUnit, vuln_class: VulnClass,
 
 
 def build_stage1_prompt(vuln_fn: FunctionUnit, vuln_class: VulnClass,
-                        refs: list[Reference]) -> Prompt:
+                        refs: list[Candidate]) -> Prompt:
     """Knowledge-guided prompt: class, target code, references, constraints."""
     return Prompt(system_text=_SYSTEM_TEXT,
                   user_text=_stage1_user_text(vuln_fn, vuln_class, refs),
@@ -183,7 +164,7 @@ def build_stage1_prompt(vuln_fn: FunctionUnit, vuln_class: VulnClass,
 
 
 def build_cot_prompt(vuln_fn: FunctionUnit, vuln_class: VulnClass,
-                     refs: list[Reference], feedback: list[str]) -> Prompt:
+                     refs: list[Candidate], feedback: list[str]) -> Prompt:
     """Stage-2 prompt: stage-1 content plus scaffold and verbatim feedback."""
     if not feedback:
         raise ValueError("chain-of-thought prompt requires non-empty feedback")
@@ -229,8 +210,6 @@ def generate(prompt: Prompt, backend, model: str = "default") -> PatchCandidate:
 @dataclass
 class RepairConfig:
     k: int = DEFAULT_K
-    top_n: int = DEFAULT_POOL_SIZE
-    epsilon: float = DEFAULT_EPSILON
     backend: object = None
     model: str = "default"
 
@@ -276,8 +255,7 @@ def repair(contract: SourceUnit, report: VulnerabilityReport,
             f"function {report.function_id!r} not found in {contract.path}")
     diagnostics: list[str] = []
 
-    retrieval = retrieve(kb, contract, fn, cfg.k, cfg.top_n, cfg.epsilon)
-    refs = references_from(retrieval.selected, kb)
+    refs = retrieve(kb, contract, fn, cfg.k).selected
     log.debug("repair %s: %d references after rerank", fn.qualified_name, len(refs))
 
     # Both attempts compare against the same original: detect it once, on

@@ -50,9 +50,16 @@ def test_exit_codes(kb_file, tmp_path, capsys):
                  "--report", "r.txt", "--k-sweep", "0"]) == 1
     assert main(retrieve + ["nope"]) == 1
     assert main(retrieve + ["file.sol#Contract"]) == 1
-    for flag, value in (("--k", "0"), ("--top-n", "0"), ("--epsilon", "0"),
-                        ("--epsilon", "nan")):
-        assert main(retrieve + [LOCATOR, flag, value]) == 1
+    assert main(retrieve + [LOCATOR, "--k", "0"]) == 1
+    # the pool size and epsilon are library constants, not options
+    repair = ["repair", "--kb", str(kb_file),
+              "--contract", str(EVAL_CASES / "case2_reentrancy.sol"),
+              "--vuln", "Reentrancy", "--function", "withdraw",
+              "--mock-script", str(EVAL_CASES / "mock_script.json")]
+    for command in (retrieve + [LOCATOR], repair):
+        for flag, value in (("--top-n", "5"), ("--epsilon", "1.0")):
+            assert main(command + [flag, value]) == 1
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     for flag in ("--dimension", "--clone-min-tokens"):
         for value in ("0", "-5"):
             assert main(["build-kb", "--corpus", str(FIXTURES / "corpus"),

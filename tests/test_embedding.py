@@ -227,7 +227,7 @@ def test_knn_matches_full_sort_oracle():
         oracle = sorted(
             ((_oracle_distance(query, vectors[f.id]), f.id) for f in functions),
         )[:50]
-        assert [c.function_id for c in got] == [fid for _, fid in oracle]
+        assert [c.fn.id for c in got] == [fid for _, fid in oracle]
         assert len(got) == 50
 
 
@@ -241,7 +241,7 @@ def test_knn_matches_loop_reference_on_fixture_kb(kb):
         for n in (1, 5, DEFAULT_POOL_SIZE):
             reference = _dense_knn(dense, query.dense(256), n)
             got = knn(index, query, n)
-            assert [c.function_id for c in got] == [fid for _, fid in reference]
+            assert [c.fn.id for c in got] == [fid for _, fid in reference]
             assert [c.s_sem for c in got] == [distance for distance, _ in reference]
 
 
@@ -302,7 +302,7 @@ def test_knn_equals_the_dense_scan(case):
     vectors, functions, query, n, dimension = case
     got = knn(_index(functions, vectors, dimension), EmbeddingVector.from_dense(query), n)
     reference = _dense_knn(vectors, query, n)
-    assert [c.function_id for c in got] == [fid for _, fid in reference]
+    assert [c.fn.id for c in got] == [fid for _, fid in reference]
     assert [c.s_sem for c in got] == [distance for distance, _ in reference]
 
 
@@ -334,7 +334,7 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(math, "dist", counting_dist)
             got = knn(index, EmbeddingVector.from_dense(query), n)
-        assert [(c.s_sem, c.function_id) for c in got] == _dense_knn(vectors, query, n)
+        assert [(c.s_sem, c.fn.id) for c in got] == _dense_knn(vectors, query, n)
         if filtered:
             # measured: 5 of the 300 rows for the sparse query and for the dense one
             assert n <= len(rescored) <= 30
@@ -357,8 +357,8 @@ def test_knn_keeps_the_nearest_row_when_rounding_ranks_it_behind():
     index = _index(functions, vectors, dimension)
     query = (0.125,) * dimension
     got = knn(index, EmbeddingVector.from_dense(query), 1)
-    assert [(c.s_sem, c.function_id) for c in got] == _dense_knn(vectors, query, 1)
-    assert got[0].function_id == functions[1].id
+    assert [(c.s_sem, c.fn.id) for c in got] == _dense_knn(vectors, query, 1)
+    assert got[0].fn.id == functions[1].id
 
 
 def test_knn_equals_the_dense_scan_at_the_largest_lane_sums():
@@ -380,7 +380,7 @@ def test_knn_equals_the_dense_scan_at_the_largest_lane_sums():
     for query in ((top,) * dimension, (-top,) * dimension):
         for n in (1, 2, 3, 8):
             got = knn(index, EmbeddingVector.from_dense(query), n)
-            assert [(c.s_sem, c.function_id) for c in got] == _dense_knn(vectors, query, n)
+            assert [(c.s_sem, c.fn.id) for c in got] == _dense_knn(vectors, query, n)
 
 
 def test_knn_rejects_query_of_wrong_dimension(kb):
@@ -397,7 +397,7 @@ def test_knn_breaks_distance_ties_by_function_id():
     vectors = {f.id: EmbeddingVector((0,), (1.0,)) for f in functions}
     index = build_index(functions, vectors, 2)
     got = knn(index, EmbeddingVector((), ()), 3)
-    assert [c.function_id for c in got] == sorted(f.id for f in functions)
+    assert [c.fn.id for c in got] == sorted(f.id for f in functions)
 
 
 def test_knn_self_query_ranks_itself_first(kb):
@@ -405,7 +405,7 @@ def test_knn_self_query_ranks_itself_first(kb):
     index = index_from_graph(graph)
     target = sorted(graph.vectors)[0]
     got = knn(index, graph.vectors[target], 5)
-    assert got[0].function_id == target
+    assert got[0].fn.id == target
     assert got[0].s_sem == 0.0
 
 
@@ -425,17 +425,10 @@ def test_knn_carries_payload_fields(kb):
     query = _embed_text(HashingEmbedder(256), "function q() public {}")
     for cand in knn(index, query, 10):
         assert isinstance(cand, Candidate)
-        assert cand.guf >= 1
+        assert cand.fn is graph.node(cand.fn.id).payload
+        assert cand.fn.guf >= 1
         assert cand.s_final is None
-        assert cand.signature.sorted_features()
-
-
-def test_knn_clamps_zero_guf_to_one():
-    fn = _fn(1)
-    object.__setattr__(fn, "guf", 0)
-    index = build_index([fn], {fn.id: EmbeddingVector((0,), (1.0,))}, 2)
-    got = knn(index, EmbeddingVector((1,), (1.0,)), 1)
-    assert got[0].guf == 1
+        assert cand.fn.signature.sorted_features()
 
 
 def test_knn_empty_index_raises():

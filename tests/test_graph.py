@@ -209,6 +209,16 @@ def test_kb_round_trip(kb, kb_file):
     assert loaded_graph.vectors == graph.vectors
 
 
+def test_kb_round_trip_at_the_extreme_clone_thresholds(corpus_paths, tmp_path):
+    path = tmp_path / "kb.scpk"
+    for min_tokens in (0, 10_000):
+        graph, clones, _ = build_kb(corpus_paths, HashingEmbedder(64), min_tokens)
+        save_kb(graph, clones, path)
+        loaded, loaded_clones = load_kb(path)
+        assert loaded == graph
+        assert (loaded_clones.min_tokens, loaded_clones.groups) == (min_tokens, clones.groups)
+
+
 def test_double_save_is_byte_identical(kb, tmp_path):
     graph, clones, _ = kb
     a, b = tmp_path / "a.scpk", tmp_path / "b.scpk"
@@ -464,6 +474,11 @@ _MALFORMED = {
         _grouped_record(nodes, clones)[1]),
     "group-extra": lambda nodes, edges, clones, meta: clones["groups"].update(
         {"0" * 16: [_function_record(nodes)["id"]]}),
+    # a function has a clone id exactly if its token count reaches min_tokens
+    # (999 left functions below it grouped, 0 left two at or above it
+    # ungrouped; both loaded)
+    "min-tokens-raised": lambda nodes, edges, clones, meta: clones.update(min_tokens=999),
+    "min-tokens-zero": lambda nodes, edges, clones, meta: clones.update(min_tokens=0),
 }
 
 
@@ -572,15 +587,16 @@ def test_a_vector_of_norm_2_to_the_510_loads_and_retrieves_as_the_dense_scan(
         for n in (1, 5, 27):
             scan = sorted((math.dist(query.dense(256), row), fid)
                           for fid, row in dense.items())[:n]
-            assert [(c.s_sem, c.function_id) for c in knn(index, query, n)] == scan
+            assert [(c.s_sem, c.fn.id) for c in knn(index, query, n)] == scan
 
 
 @st.composite
 def _sparse_graphs(draw):
     """A graph of functions whose vectors are random sparse pairs, among
     them all-zero and full-dimension ones, linked by CALLS edges, with the
-    gufs compute_guf gives them. Values reach 1e152, so that 256 of them
-    keep a norm below 2**510 (about 3.4e153), the most load_kb accepts."""
+    clone groups and gufs build_kb gives them, and its clone table. Values
+    reach 1e152, so that 256 of them keep a norm below 2**510 (about
+    3.4e153), the most load_kb accepts."""
     dimension = draw(st.sampled_from([1, 2, 7, 64, 256]))
     value = st.floats(min_value=-1e152, max_value=1e152, allow_nan=False).filter(bool)
     buckets = st.one_of(st.just(frozenset()), st.just(frozenset(range(dimension))),
@@ -599,17 +615,18 @@ def _sparse_graphs(draw):
         ids = st.sampled_from(sorted(graph.nodes))
         for subject_id, object_id in draw(st.lists(st.tuples(ids, ids), max_size=4)):
             graph.add_edge(subject_id, Relation.CALLS, object_id)
-    compute_guf(graph, CloneGroupTable(min_tokens=12))
+    clones = assign_clone_groups(graph, 12)
+    compute_guf(graph, clones)
     graph.embedder_meta = {"name": HashingEmbedder.name, "dimension": dimension,
                            "corpus_hashes": {}}
-    return graph
+    return graph, clones
 
 
 @settings(max_examples=60)
 @given(_sparse_graphs())
-def test_sparse_vectors_round_trip_byte_identically(tmp_path_factory, graph):
+def test_sparse_vectors_round_trip_byte_identically(tmp_path_factory, graph_and_clones):
     tmp_path = tmp_path_factory.mktemp("round")
-    clones = CloneGroupTable(min_tokens=12)
+    graph, clones = graph_and_clones
     first, second = tmp_path / "first.scpk", tmp_path / "second.scpk"
     save_kb(graph, clones, first)
     loaded, loaded_clones = load_kb(first)

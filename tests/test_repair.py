@@ -16,7 +16,6 @@ from scpatcher.repair import (
     build_stage1_prompt,
     extract_patch_source,
     generate,
-    references_from,
     repair,
     required_signature,
     retrieve,
@@ -35,7 +34,7 @@ def _case(name, contract, function):
 
 
 def _references(kb_graph, unit, fn):
-    return references_from(retrieve(kb_graph, unit, fn).selected, kb_graph)
+    return retrieve(kb_graph, unit, fn).selected
 
 
 def _mock(path="mock_script.json"):
@@ -90,7 +89,7 @@ def test_reference_scores_rendered_at_four_decimals(kb):
     prompt = build_stage1_prompt(fn, VulnClass.REENTRANCY, refs)
     for ref in refs:
         assert f"trust-adjusted distance {ref.s_final:.4f}" in prompt.user_text
-        assert f"usage frequency {ref.guf}" in prompt.user_text
+        assert f"usage frequency {ref.fn.guf}" in prompt.user_text
 
 
 def test_cot_prompt_extends_stage1_verbatim(kb):
@@ -209,9 +208,9 @@ def test_retrieve_sees_payload_updates(kb_file):
     graph, _ = load_kb(kb_file)
     unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
     top = retrieve(graph, unit, fn, 1).selected[0]
-    graph.update_payload(top.function_id, guf=top.guf + 1000)
+    graph.update_payload(top.fn.id, guf=top.fn.guf + 1000)
     again = retrieve(graph, unit, fn, 1).selected[0]
-    assert (again.function_id, again.guf) == (top.function_id, top.guf + 1000)
+    assert (again.fn.id, again.fn.guf) == (top.fn.id, top.fn.guf + 1000)
 
 
 def test_retrieve_sees_added_function(kb_file):
@@ -223,7 +222,18 @@ def test_retrieve_sees_added_function(kb_file):
         [(fn.source_text, unit.declaration_tokens(fn))])
     graph.add_node(EntityNode(twin.id, NodeKind.FUNCTION, twin.qualified_name, twin))
     first = retrieve(graph, unit, fn, 1).selected[0]
-    assert (first.function_id, first.s_sem) == (twin.id, 0.0)
+    assert (first.fn, first.s_sem) == (twin, 0.0)
+
+
+def test_retrieve_selects_the_kb_payloads_themselves(kb, kb_file):
+    loaded, _ = load_kb(kb_file)
+    for graph in (kb[0], loaded):
+        for path in sorted(EVAL_CASES.glob("*.sol")):
+            unit = load_source(path)
+            for fn, _decl in unit.declarations():
+                selected = retrieve(graph, unit, fn, 5).selected
+                assert selected
+                assert all(c.fn is graph.node(c.fn.id).payload for c in selected)
 
 
 def test_repair_detects_the_original_at_most_once(kb, monkeypatch):
