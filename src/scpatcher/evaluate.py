@@ -71,6 +71,8 @@ def load_manifest(path: str) -> DatasetManifest:
             raise ValueError(f"{path}: entry {position}: {exc}") from None
         if not isinstance(rel, str):
             raise ValueError(f"{path}: entry {position}: path must be a string")
+        if not isinstance(function_name, str):
+            raise ValueError(f"{path}: entry {position}: function must be a string")
         resolved = rel if os.path.isabs(rel) else os.path.join(base, rel)
         if not os.path.exists(resolved):
             raise ValueError(f"{path}: entry {position}: no such file {rel!r}")

@@ -567,7 +567,8 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
         triples.extend(unit_triples)
         triple_diagnostics.extend(f"{unit.path}: {line}" for line in diagnostics)
         new: dict[str, tuple[str, list[Token]]] = {}
-        for fn, decl in unit.declarations():
+        for decl in unit.declarations():
+            fn = decl.fn
             functions.append(fn)
             keys[fn.id] = clone_key(decl.normalized)
             if fn.id not in vectors and fn.id not in new:

@@ -13,12 +13,17 @@ whitespace yield no token; every other match becomes a ``Token``, an
 immutable named tuple of kind, text, start and end offset, and line.
 
 ``parse_source`` lexes a file once and keeps the tokens on the
-``SourceUnit``. Each function's ``FunctionDecl`` records where its
-declaration and body lie in them, with its parsed header and normalized
-tokens. Everything downstream derives from those tokens without lexing
-again: the function ID, token count and signature, the canonical file
-hash (``canonical_source_hash(unit.tokens)``), the clone key, the triples,
-the hashing embedder's vectors, and the detectors' per-function views.
+``SourceUnit``. Each function gets one ``FunctionDecl`` record: its
+``FunctionUnit``, where its declaration and body lie in the tokens, its
+parsed header and normalized tokens, and the facts its body states. Those
+facts are worked out once per parse, after every contract of the file is
+known: the state variables it reads and writes, the modifiers it uses with
+the contract that declares each, and its call sites, each classified and
+resolved. Everything downstream reads the record without lexing again: the
+function ID, token count and signature, the canonical file hash
+(``canonical_source_hash(unit.tokens)``), the clone key, the hashing
+embedder's vectors, the triples (``extract_triples_with_diagnostics``
+emits them from the records) and the detectors' rules.
 """
 
 from __future__ import annotations
@@ -102,6 +107,9 @@ _BUILTIN_CALLABLES = {
 
 #: Low-level member calls recorded as diagnostics, never as CALLS edges.
 _LOW_LEVEL_CALLS = {"call", "delegatecall", "staticcall"}
+
+#: Pre-0.7 options of a low-level call: ``x.call.value(v).gas(g)(...)``.
+_CALL_OPTIONS = {"value", "gas"}
 
 
 class Token(NamedTuple):
@@ -206,37 +214,80 @@ class FunctionHeader:
     modifiers: list[str]
 
 
+class CallSite(NamedTuple):
+    """One call in a function body, classified once by ``parse_source``.
+
+    ``index`` is the called name's position in the body and ``token`` that
+    token. ``kind`` is one of:
+    - ``"resolved"``: ``callee`` is the function of that name in the
+      caller's contract, or else the unit's only one;
+    - ``"unresolved"`` or ``"ambiguous"``: no such function, or several
+      outside the caller's contract;
+    - ``"builtin"``, ``"emit"`` or ``"new"``: never a corpus function;
+    - ``"low-level"``: a member ``call``, ``delegatecall`` or
+      ``staticcall`` with its arguments, its ``{...}`` options or its
+      ``.value(...)``/``.gas(...)`` options.
+    ``value`` marks a value transfer: a member ``send(...)`` or
+    ``transfer(...)``, or a low-level ``call`` whose options set a value.
+    ``send`` and ``transfer`` are otherwise named calls like any other.
+    """
+
+    index: int
+    token: Token
+    kind: str
+    callee: Optional[FunctionUnit]
+    value: bool
+
+
 @dataclass
 class FunctionDecl:
-    """Where one parsed function lies in its file's tokens.
+    """One parsed function: its unit, where it lies, and what its body does.
 
     ``SourceUnit.tokens[start:end]`` is the whole declaration and
     ``tokens[body_start:body_end]`` the inside of its outermost braces
     (empty for a declaration without a body). ``normalized`` is the
     declaration's ``normalize_source`` sequence.
+
+    ``parse_source`` fills the facts once the whole file is parsed:
+    - ``accesses``: each occurrence of its contract's state variables in
+      the body, tagged ``"read"`` or ``"write"``; a parameter of the same
+      name shadows the variable;
+    - ``modifiers``: each header modifier with the contract that declares
+      it (the function's own, else the unit's only one), or None;
+    - ``calls``: each call site in the body, in order.
     """
 
+    fn: FunctionUnit
     start: int
     end: int
     body_start: int
     body_end: int
     header: FunctionHeader
     normalized: list[str]
+    accesses: list[tuple[Token, str]] = field(default_factory=list)
+    modifiers: list[tuple[str, Optional[str]]] = field(default_factory=list)
+    calls: list[CallSite] = field(default_factory=list)
 
 
 @dataclass
 class ContractDecl:
     name: str
     kind: str  # contract | library | interface
-    functions: list[FunctionUnit] = field(default_factory=list)
+    functions: list[FunctionDecl] = field(default_factory=list)
     modifiers: list[str] = field(default_factory=list)
     state_vars: list[tuple[str, str]] = field(default_factory=list)
-    #: One per function, parallel to ``functions``.
-    decls: list[FunctionDecl] = field(default_factory=list, repr=False)
 
 
 @dataclass
 class SourceUnit:
+    """One parsed file: its contracts, each holding one ``FunctionDecl``
+    record per function, its tokens, and what the parse skipped.
+
+    ``diagnostics`` holds only the parse's own lines, which the compile
+    check reports. Unresolved calls and modifiers stay in the records;
+    ``extract_triples_with_diagnostics`` reports them for the graph.
+    """
+
     path: str
     pragma_version: Optional[str] = None
     contracts: list[ContractDecl] = field(default_factory=list)
@@ -248,30 +299,29 @@ class SourceUnit:
     def body_tokens(self, decl: FunctionDecl) -> list[Token]:
         return self.tokens[decl.body_start:decl.body_end]
 
-    def declarations(self) -> Iterator[tuple[FunctionUnit, FunctionDecl]]:
-        """Every function with its declaration, in file order."""
+    def declarations(self) -> Iterator[FunctionDecl]:
+        """Every function's record, in file order."""
         for contract in self.contracts:
-            yield from zip(contract.functions, contract.decls)
+            yield from contract.functions
 
-    def _first(self, match: Callable[[FunctionUnit], bool]
-               ) -> tuple[Optional[FunctionUnit], Optional[FunctionDecl]]:
-        return next(((fn, decl) for fn, decl in self.declarations() if match(fn)), (None, None))
+    def _first(self, match: Callable[[FunctionUnit], bool]) -> Optional[FunctionUnit]:
+        return next((decl.fn for decl in self.declarations() if match(decl.fn)), None)
 
     def find_function(self, contract_name: str, function_name: str) -> Optional[FunctionUnit]:
         return self._first(lambda fn: fn.contract_name == contract_name
-                           and fn.name == function_name)[0]
+                           and fn.name == function_name)
 
     def find_function_by_name(self, function_name: str) -> Optional[FunctionUnit]:
         """First function called ``function_name``, in any contract."""
-        return self._first(lambda fn: fn.name == function_name)[0]
+        return self._first(lambda fn: fn.name == function_name)
 
     def find_function_by_id(self, fn_id: str) -> Optional[FunctionUnit]:
-        return self._first(lambda fn: fn.id == fn_id)[0]
+        return self._first(lambda fn: fn.id == fn_id)
 
     def declaration_tokens(self, fn: FunctionUnit) -> list[Token]:
         """The tokens of the first declaration with ``fn``'s id, the slice
         ``build_kb`` embeds. Raises ValueError if this unit has none."""
-        decl = self._first(lambda other: other.id == fn.id)[1]
+        decl = next((decl for decl in self.declarations() if decl.fn.id == fn.id), None)
         if decl is None:
             raise ValueError(f"function {fn.qualified_name} ({fn.id}) not found in {self.path}")
         return self.tokens[decl.start:decl.end]
@@ -501,17 +551,14 @@ def access_kind(body_tokens: list[Token], index: int) -> str:
     return "read"
 
 
-def find_state_accesses(body_tokens: list[Token], var_names: set[str],
-                        skip_names: frozenset[str] = frozenset()
-                        ) -> list[tuple[Token, str]]:
+def _state_accesses(body_tokens: list[Token], var_names: set[str]) -> list[tuple[Token, str]]:
     """State-variable occurrences in a body, each tagged 'read' or 'write'.
 
-    ``skip_names`` holds identifiers shadowed by parameters. Call sites and
-    member accesses on other values are not variable accesses.
+    Call sites and member accesses on other values are not variable accesses.
     """
     out = []
     for i, tok in enumerate(body_tokens):
-        if tok.kind != "ident" or tok.text not in var_names or tok.text in skip_names:
+        if tok.kind != "ident" or tok.text not in var_names:
             continue
         nxt = body_tokens[i + 1] if i + 1 < len(body_tokens) else None
         if nxt is not None and nxt.text == "(":
@@ -550,6 +597,7 @@ def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
             i = _parse_contract(text, tokens, i, tok.text, unit)
         else:
             i += 1
+    _resolve_facts(unit)
     return unit
 
 
@@ -657,9 +705,8 @@ def _parse_function(text: str, body: list[Token], start: int, offset: int,
         signature=signature,
         token_count=len(normalized),
     )
-    contract.functions.append(fn)
-    contract.decls.append(FunctionDecl(offset + start, offset + end, offset + body_start,
-                                       offset + body_end, header, normalized))
+    contract.functions.append(FunctionDecl(fn, offset + start, offset + end, offset + body_start,
+                                           offset + body_end, header, normalized))
     return end
 
 
@@ -718,122 +765,116 @@ def _parse_state_var(body: list[Token], start: int, contract: ContractDecl,
 
 
 # ---------------------------------------------------------------------------
+# Per-function facts
+# ---------------------------------------------------------------------------
+
+def _resolve_facts(unit: SourceUnit) -> None:
+    """Fill every record's accesses, modifiers and call sites.
+
+    A call by name resolves to the caller's own contract's function of that
+    name, else to the unit's only function of that name; a modifier
+    likewise to its own contract, else to the unit's only declarer.
+    """
+    own_functions = {c.name: {decl.fn.name: decl.fn for decl in c.functions}
+                     for c in unit.contracts}
+    own_modifiers = {c.name: set(c.modifiers) for c in unit.contracts}
+    functions_named: dict[str, list[FunctionUnit]] = {}
+    modifier_owners: dict[str, list[str]] = {}
+    for contract in unit.contracts:
+        for decl in contract.functions:
+            functions_named.setdefault(decl.fn.name, []).append(decl.fn)
+        for mod in contract.modifiers:
+            modifier_owners.setdefault(mod, []).append(contract.name)
+
+    for contract in unit.contracts:
+        state_var_names = {name for name, _ in contract.state_vars}
+        for decl in contract.functions:
+            body = unit.body_tokens(decl)
+            unshadowed = state_var_names.difference(decl.header.param_names)
+            decl.accesses = _state_accesses(body, unshadowed)
+            for mod in decl.header.modifiers:
+                owners = ([contract.name] if mod in own_modifiers[contract.name]
+                          else modifier_owners.get(mod, []))
+                decl.modifiers.append((mod, owners[0] if len(owners) == 1 else None))
+            for index, kind, value in _call_sites(body):
+                callee = None
+                if kind is None:  # a call by name
+                    named = functions_named.get(body[index].text, [])
+                    callee = own_functions[contract.name].get(body[index].text)
+                    if callee is None and len(named) == 1:
+                        callee = named[0]
+                    kind = ("resolved" if callee is not None
+                            else "ambiguous" if len(named) > 1 else "unresolved")
+                decl.calls.append(CallSite(index, body[index], kind, callee, value))
+
+
+def _call_sites(body: list[Token]) -> list[tuple[int, Optional[str], bool]]:
+    """``(index, kind, value)`` of each call in a body, as in ``CallSite``;
+    the kind of a call by name is None, left to resolve."""
+    out: list[tuple[int, Optional[str], bool]] = []
+    options: set[int] = set()  # the .value/.gas names of low-level calls
+    for i, tok in enumerate(body):
+        if tok.kind != "ident" or i + 1 >= len(body) or i in options:
+            continue
+        name, nxt = tok.text, body[i + 1].text
+        prev = body[i - 1].text if i > 0 else ""
+        if prev == "." and name in _LOW_LEVEL_CALLS:
+            value = False
+            if nxt == "{":  # x.call{value: v}(...)
+                end = match_group(body, i + 1, "{", "}")
+                value = any(t.text == "value" for t in body[i + 2:end - 1])
+            j = i + 1
+            while (j + 2 < len(body) and body[j].text == "."
+                   and body[j + 1].text in _CALL_OPTIONS and body[j + 2].text == "("):
+                options.add(j + 1)
+                value = value or body[j + 1].text == "value"
+                j = match_group(body, j + 2, "(", ")")
+            if nxt in ("(", "{") or j > i + 1:
+                out.append((i, "low-level", value and name == "call"))
+        elif nxt == "(":
+            kind = prev if prev in ("emit", "new") else \
+                "builtin" if name in _BUILTIN_CALLABLES else None
+            out.append((i, kind, prev == "." and name in ("send", "transfer")))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Triple extraction
 # ---------------------------------------------------------------------------
 
 def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], list[str]]:
     """Entity-relationship triples of one parsed source unit, and its
-    unresolved-reference diagnostics."""
+    unresolved-reference diagnostics, emitted from the function records."""
     triples: list[Triple] = []
     diagnostics: list[str] = []
-
-    functions_by_contract: dict[str, dict[str, FunctionUnit]] = {}
-    function_name_index: dict[str, list[FunctionUnit]] = {}
-    modifiers_by_contract: dict[str, set[str]] = {}
-    modifier_owner_index: dict[str, list[str]] = {}
-    for contract in unit.contracts:
-        functions_by_contract[contract.name] = {fn.name: fn for fn in contract.functions}
-        modifiers_by_contract[contract.name] = set(contract.modifiers)
-        for fn in contract.functions:
-            function_name_index.setdefault(fn.name, []).append(fn)
-        for mod in contract.modifiers:
-            modifier_owner_index.setdefault(mod, []).append(contract.name)
-
     for contract in unit.contracts:
         c_ref = contract_ref(contract.name)
         for var_name, _var_type in contract.state_vars:
             triples.append(Triple(c_ref, Relation.OWNS, variable_ref(contract.name, var_name)))
         for mod in contract.modifiers:
             triples.append(Triple(c_ref, Relation.OWNS, modifier_ref(contract.name, mod)))
-        state_var_names = {name for name, _ in contract.state_vars}
-        for fn, decl in zip(contract.functions, contract.decls):
-            triples.append(Triple(c_ref, Relation.OWNS, function_ref(fn)))
-            _extract_function_triples(
-                fn, decl.header, unit.body_tokens(decl), contract, state_var_names,
-                functions_by_contract, function_name_index,
-                modifiers_by_contract, modifier_owner_index,
-                triples, diagnostics,
-            )
+        for decl in contract.functions:
+            fn = decl.fn
+            f_ref = function_ref(fn)
+            triples.append(Triple(c_ref, Relation.OWNS, f_ref))
+            for rtype in decl.header.return_types:
+                triples.append(Triple(f_ref, Relation.RETURNS, type_ref(rtype)))
+            for mod, owner in decl.modifiers:
+                if owner is None:
+                    diagnostics.append(
+                        f"{fn.qualified_name}: modifier {mod!r} not declared in this unit")
+                else:
+                    triples.append(Triple(f_ref, Relation.USES_MODIFIER, modifier_ref(owner, mod)))
+            for site in decl.calls:
+                if site.kind == "resolved":
+                    triples.append(Triple(f_ref, Relation.CALLS, function_ref(site.callee)))
+                elif site.kind == "low-level":
+                    diagnostics.append(
+                        f"{fn.qualified_name}: low-level .{site.token.text}() left unresolved")
+                elif site.kind in ("unresolved", "ambiguous"):
+                    diagnostics.append(
+                        f"{fn.qualified_name}: {site.kind} call target {site.token.text!r}")
+            for tok, kind in decl.accesses:
+                relation = Relation.WRITES if kind == "write" else Relation.READS
+                triples.append(Triple(f_ref, relation, variable_ref(contract.name, tok.text)))
     return triples, diagnostics
-
-
-def _resolve_call(name: str, contract_name: str,
-                  functions_by_contract: dict[str, dict[str, FunctionUnit]],
-                  function_name_index: dict[str, list[FunctionUnit]]) -> Optional[FunctionUnit]:
-    local = functions_by_contract.get(contract_name, {})
-    if name in local:
-        return local[name]
-    candidates = function_name_index.get(name, [])
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
-
-
-def _extract_function_triples(fn: FunctionUnit, header: FunctionHeader,
-                              body_tokens: list[Token], contract: ContractDecl,
-                              state_var_names: set[str],
-                              functions_by_contract: dict[str, dict[str, FunctionUnit]],
-                              function_name_index: dict[str, list[FunctionUnit]],
-                              modifiers_by_contract: dict[str, set[str]],
-                              modifier_owner_index: dict[str, list[str]],
-                              triples: list[Triple], diagnostics: list[str]) -> None:
-    f_ref = function_ref(fn)
-
-    for rtype in header.return_types:
-        triples.append(Triple(f_ref, Relation.RETURNS, type_ref(rtype)))
-
-    for mod in header.modifiers:
-        if mod in modifiers_by_contract.get(contract.name, set()):
-            triples.append(Triple(f_ref, Relation.USES_MODIFIER, modifier_ref(contract.name, mod)))
-        else:
-            owners = modifier_owner_index.get(mod, [])
-            if len(owners) == 1:
-                triples.append(Triple(f_ref, Relation.USES_MODIFIER, modifier_ref(owners[0], mod)))
-            else:
-                diagnostics.append(
-                    f"{fn.qualified_name}: modifier {mod!r} not declared in this unit")
-
-    for i, tok in enumerate(body_tokens):
-        if tok.kind != "ident":
-            continue
-        nxt = body_tokens[i + 1] if i + 1 < len(body_tokens) else None
-        if nxt is None:
-            continue
-        prev = body_tokens[i - 1] if i > 0 else None
-        # `x.call{value: v}(...)` carries options before the argument list
-        low_level_options = (nxt.text == "{" and prev is not None
-                             and prev.text == "." and tok.text in _LOW_LEVEL_CALLS)
-        if nxt.text == "(" or low_level_options:
-            _extract_call_site(tok, prev, fn, contract, functions_by_contract,
-                               function_name_index, triples, diagnostics, f_ref)
-
-    param_names = frozenset(header.param_names)
-    for tok, kind in find_state_accesses(body_tokens, state_var_names, param_names):
-        relation = Relation.WRITES if kind == "write" else Relation.READS
-        triples.append(Triple(f_ref, relation, variable_ref(contract.name, tok.text)))
-
-
-def _extract_call_site(tok: Token, prev: Optional[Token], fn: FunctionUnit,
-                       contract: ContractDecl,
-                       functions_by_contract: dict[str, dict[str, FunctionUnit]],
-                       function_name_index: dict[str, list[FunctionUnit]],
-                       triples: list[Triple], diagnostics: list[str],
-                       f_ref: NodeRef) -> None:
-    name = tok.text
-    if prev is not None and prev.text in ("emit", "new"):
-        return
-    if name in _BUILTIN_CALLABLES:
-        return
-    is_member = prev is not None and prev.text == "."
-    if is_member and name in _LOW_LEVEL_CALLS:
-        diagnostics.append(f"{fn.qualified_name}: low-level .{name}() left unresolved")
-        return
-    callee = _resolve_call(name, contract.name, functions_by_contract, function_name_index)
-    if callee is None:
-        count = len(function_name_index.get(name, []))
-        reason = "ambiguous" if count > 1 else "unresolved"
-        diagnostics.append(f"{fn.qualified_name}: {reason} call target {name!r}")
-        return
-    triples.append(Triple(f_ref, Relation.CALLS, function_ref(callee)))
-
-

@@ -3,7 +3,11 @@
 ``check_compiles`` is the pipeline's only compile gate, a syntactic proxy:
 the source must lex, brace-balance, and declare at least one contract.
 Detection is a deterministic token-pattern rule engine over the five
-supported vulnerability classes. ``verify_patch`` is the one place a patch
+supported vulnerability classes. The rules read each function's record from
+the parse (``ingest.FunctionDecl``): its header, its state-variable reads
+and writes with parameter shadowing applied, its modifiers and its
+classified call sites, so they share those facts with the knowledge graph's
+triples. ``verify_patch`` is the one place a patch
 is checked: it reads the unit the compile check parsed, so a patch is
 parsed once. Neither check proves behavioral correctness — they gate on
 the same signals the pipeline optimizes for.
@@ -13,19 +17,19 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .ingest import (
     ASSIGN_OPS,
+    FunctionDecl,
     IngestError,
     SourceUnit,
     Token,
-    find_state_accesses,
     match_group,
     parse_source,
 )
-from .model import FunctionUnit, PatchCandidate, VulnClass, VulnerabilityReport
+from .model import PatchCandidate, VulnClass, VulnerabilityReport
 
 log = logging.getLogger(__name__)
 
@@ -72,17 +76,13 @@ def check_compiles(source: str) -> tuple[Optional[SourceUnit], list[str]]:
 
 @dataclass
 class _FunctionView:
-    """Per-function token context shared by all rules."""
+    """A function's record with the token spans its rules share."""
 
-    fn: FunctionUnit
+    decl: FunctionDecl
     body: list[Token]  # from the file's tokens, so tok.line is a file line
-    visibility: str
-    param_names: frozenset[str]
-    modifiers: list[str]
-    state_var_names: set[str]
     unsigned_state_vars: set[str]
-    condition_spans: list[tuple[int, int, str]] = field(default_factory=list)
-    statement_spans: list[tuple[int, int]] = field(default_factory=list)
+    condition_spans: list[tuple[int, int, str]]
+    statement_spans: list[tuple[int, int]]
 
     def in_condition(self, index: int, intros: Optional[set[str]] = None) -> bool:
         for start, end, intro in self.condition_spans:
@@ -122,83 +122,38 @@ def _statement_spans(body: list[Token]) -> list[tuple[int, int]]:
 def _function_views(unit: SourceUnit) -> list[_FunctionView]:
     views = []
     for contract in unit.contracts:
-        state_var_names = {name for name, _ in contract.state_vars}
         unsigned = {name for name, vtype in contract.state_vars if "uint" in vtype}
-        for fn, decl in zip(contract.functions, contract.decls):
-            header = decl.header
+        for decl in contract.functions:
             body = unit.body_tokens(decl)
-            view = _FunctionView(
-                fn=fn,
-                body=body,
-                visibility=header.visibility,
-                param_names=frozenset(header.param_names),
-                modifiers=header.modifiers,
-                state_var_names=state_var_names,
-                unsigned_state_vars=unsigned,
-            )
-            view.condition_spans = _condition_spans(body)
-            view.statement_spans = _statement_spans(body)
-            views.append(view)
+            views.append(_FunctionView(decl, body, unsigned,
+                                       _condition_spans(body), _statement_spans(body)))
     return views
 
 
-def _value_call_sites(body: list[Token]) -> list[int]:
-    """Indexes of member tokens for value-transferring external calls."""
-    sites = []
-    for i, tok in enumerate(body):
-        if tok.text != "." or i + 2 >= len(body):
-            continue
-        name = body[i + 1].text
-        after = body[i + 2].text
-        if name in ("send", "transfer") and after == "(":
-            sites.append(i + 1)
-        elif name == "call":
-            if after == "{":
-                end = match_group(body, i + 2, "{", "}")
-                if any(t.text == "value" for t in body[i + 3:end - 1]):
-                    sites.append(i + 1)
-            elif after == "." and i + 4 < len(body) \
-                    and body[i + 3].text == "value" and body[i + 4].text == "(":
-                sites.append(i + 1)
-    return sites
-
-
 def _rule_reentrancy(view: _FunctionView) -> list[Detection]:
-    sites = _value_call_sites(view.body)
-    if not sites:
-        return []
-    accesses = find_state_accesses(view.body, view.state_var_names, view.param_names)
-    for site in sites:
-        call_tok = view.body[site]
-        for tok, kind in accesses:
-            if kind == "write" and tok.start > call_tok.start:
-                return [Detection(VulnClass.REENTRANCY, view.fn.name,
-                                  call_tok.line,
-                                  "reentrancy/external-call-before-state-write")]
+    for site in view.decl.calls:
+        if site.value and any(kind == "write" and tok.start > site.token.start
+                              for tok, kind in view.decl.accesses):
+            return [Detection(VulnClass.REENTRANCY, view.decl.fn.name, site.token.line,
+                              "reentrancy/external-call-before-state-write")]
     return []
 
 
 def _rule_unchecked_call(view: _FunctionView) -> list[Detection]:
-    body = view.body
+    """A low-level ``call`` or a ``send`` whose result the statement drops."""
     out = []
-    for i, tok in enumerate(body):
-        if tok.text != "." or i + 1 >= len(body):
+    for site in view.decl.calls:
+        name = site.token.text
+        if not (site.kind == "low-level" and name == "call" or site.value and name == "send"):
             continue
-        if body[i + 1].text not in ("call", "send"):
-            continue
-        nxt = body[i + 2].text if i + 2 < len(body) else ""
-        if nxt not in ("(", "{", "."):
-            continue
-        start, end = view.statement_of(i)
-        statement = body[start:end]
+        start, end = view.statement_of(site.index)
         used = any(
             t.text in ASSIGN_OPS or t.text in ("require", "assert", "if", "return", "while")
-            for t in statement
+            for t in view.body[start:end]
         )
         if not used:
-            out.append(Detection(VulnClass.UNCHECKED_CALL_RETURN, view.fn.name,
-                                 body[i + 1].line,
-                                 "unchecked-call/result-unused"))
+            out.append(Detection(VulnClass.UNCHECKED_CALL_RETURN, view.decl.fn.name,
+                                 site.token.line, "unchecked-call/result-unused"))
     return _first_only(out)
 
 
@@ -218,12 +173,12 @@ def _rule_timestamp(view: _FunctionView) -> list[Detection]:
     for index in _timestamp_occurrences(view.body):
         tok = view.body[index]
         if view.in_condition(index):
-            out.append(Detection(VulnClass.TIMESTAMP_MANIPULATION, view.fn.name,
+            out.append(Detection(VulnClass.TIMESTAMP_MANIPULATION, view.decl.fn.name,
                                  tok.line, "timestamp/condition-dependence"))
             continue
         start, end = view.statement_of(index)
         if any(t.text == "%" for t in view.body[start:end]):
-            out.append(Detection(VulnClass.TIMESTAMP_MANIPULATION, view.fn.name,
+            out.append(Detection(VulnClass.TIMESTAMP_MANIPULATION, view.decl.fn.name,
                                  tok.line, "timestamp/modulo-randomness"))
     return _first_only(out)
 
@@ -254,25 +209,19 @@ def _rule_access_control(view: _FunctionView) -> list[Detection]:
                 or (i + 3 < len(body) and body[i + 3].text in ("==", "!="))
             )
             if view.in_condition(i) or adjacent_cmp:
-                return [Detection(VulnClass.ACCESS_CONTROL, view.fn.name,
+                return [Detection(VulnClass.ACCESS_CONTROL, view.decl.fn.name,
                                   tok.line, "access-control/tx-origin-auth")]
     # unguarded owner-variable write in an externally callable function
-    if view.visibility not in ("public", "external") or view.fn.name == "constructor":
+    decl = view.decl
+    if decl.header.visibility not in ("public", "external") or decl.fn.name == "constructor":
         return []
-    owner_vars = {name for name in view.state_var_names if _OWNER_NAME_RE.search(name)}
-    if not owner_vars:
+    owner_writes = [tok for tok, kind in decl.accesses
+                    if kind == "write" and _OWNER_NAME_RE.search(tok.text)]
+    if not owner_writes or any(_GUARD_MODIFIER_RE.search(mod) for mod, _ in decl.modifiers) \
+            or _has_sender_guard(view):
         return []
-    guarded = (
-        any(_GUARD_MODIFIER_RE.search(m) for m in view.modifiers)
-        or _has_sender_guard(view)
-    )
-    if guarded:
-        return []
-    for tok, kind in find_state_accesses(body, owner_vars, view.param_names):
-        if kind == "write":
-            return [Detection(VulnClass.ACCESS_CONTROL, view.fn.name,
-                              tok.line, "access-control/unguarded-owner-write")]
-    return []
+    return [Detection(VulnClass.ACCESS_CONTROL, decl.fn.name,
+                      owner_writes[0].line, "access-control/unguarded-owner-write")]
 
 
 def _pragma_below_08(pragma_version: Optional[str]) -> bool:
@@ -300,14 +249,12 @@ def _rule_overflow(view: _FunctionView, pragma_version: Optional[str]) -> list[D
     for start, end in _unchecked_spans(body):
         for i in range(start, end):
             if body[i].text in _ARITH_OPS:
-                out.append(Detection(VulnClass.INTEGER_OVERFLOW, view.fn.name,
+                out.append(Detection(VulnClass.INTEGER_OVERFLOW, view.decl.fn.name,
                                      body[i].line, "overflow/unchecked-block"))
                 break
     if _pragma_below_08(pragma_version):
-        unsigned_positions = {
-            tok.start for tok, _ in
-            find_state_accesses(body, view.unsigned_state_vars, view.param_names)
-        }
+        unsigned_positions = {tok.start for tok, _ in view.decl.accesses
+                              if tok.text in view.unsigned_state_vars}
         for i, tok in enumerate(body):
             if tok.text not in _ARITH_OPS:
                 continue
@@ -323,7 +270,7 @@ def _rule_overflow(view: _FunctionView, pragma_version: Optional[str]) -> list[D
                 or _safemath_in(statement)
             )
             if not guarded:
-                out.append(Detection(VulnClass.INTEGER_OVERFLOW, view.fn.name,
+                out.append(Detection(VulnClass.INTEGER_OVERFLOW, view.decl.fn.name,
                                      tok.line, "overflow/pre-0.8-unguarded-arith"))
                 break
     return _first_only(out)

@@ -87,7 +87,7 @@ def test_embed_unit_norm_on_corpus(corpus_paths):
     for path in corpus_paths:
         unit = load_source(path)
         for contract in unit.contracts:
-            for fn in contract.functions:
+            for fn in (decl.fn for decl in contract.functions):
                 vector = _embed_text(provider, fn.source_text)
                 assert abs(math.hypot(*vector.values) - 1.0) < 1e-9
 
@@ -132,7 +132,8 @@ def test_embed_tokens_of_a_declaration_equals_embed_of_its_text():
     for path in sorted(FIXTURES.rglob("*.sol")):
         unit = load_source(path)
         for contract in unit.contracts:
-            for fn, decl in zip(contract.functions, contract.decls):
+            for decl in contract.functions:
+                fn = decl.fn
                 [from_tokens] = provider.embed([(fn.source_text,
                                                  unit.tokens[decl.start:decl.end])])
                 assert from_tokens == _embed_text(provider, fn.source_text)
@@ -526,7 +527,7 @@ def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_pa
     expected = []
     for path in corpus_paths:
         unit = load_source(path)
-        texts = [fn.source_text for c in unit.contracts for fn in c.functions]
+        texts = [decl.fn.source_text for decl in unit.declarations()]
         if texts:
             expected.append(texts)
     assert report.function_count == 28

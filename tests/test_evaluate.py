@@ -183,7 +183,9 @@ _GOOD_ENTRY = {"path": str(EVAL_CASES / "case2_reentrancy.sol"),
     ({"entries": _GOOD_ENTRY}, '"entries" must be a list'),
     ({"entries": [_GOOD_ENTRY, "case2_reentrancy.sol"]}, "entry 1: must be an object"),
     ({"entries": [_GOOD_ENTRY, {**_GOOD_ENTRY, "path": 7}]}, "entry 1: path must be a string"),
-], ids=["top-level-list", "entries-object", "entry-string", "path-number"])
+    ({"entries": [_GOOD_ENTRY, {**_GOOD_ENTRY, "function": 5}]},
+     "entry 1: function must be a string"),
+], ids=["top-level-list", "entries-object", "entry-string", "path-number", "function-number"])
 def test_load_manifest_rejects_malformed_shapes(tmp_path, manifest, message):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")

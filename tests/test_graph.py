@@ -44,7 +44,7 @@ def _corpus_graph(corpus_paths):
     for path in corpus_paths:
         unit = load_source(path)
         triples.extend(extract_triples_with_diagnostics(unit)[0])
-        functions.extend(f for c in unit.contracts for f in c.functions)
+        functions.extend(d.fn for d in unit.declarations())
     return build_graph(triples, functions), functions
 
 
@@ -70,7 +70,7 @@ def test_corpus_graph_matches_hand_trace(corpus_paths):
 def test_duplicate_triples_collapse():
     unit = parse_source("contract A { uint256 x;\nfunction f() public { x = 1; x = 2; } }")
     triples, _ = extract_triples_with_diagnostics(unit)
-    functions = [f for c in unit.contracts for f in c.functions]
+    functions = [d.fn for d in unit.declarations()]
     graph = build_graph(triples, functions)
     writes = [e for e in graph.edges if e[1].value == "WRITES"]
     assert len(writes) == 1
@@ -181,7 +181,7 @@ def test_guf_grows_with_new_caller():
     unit_two = parse_source(base + "function two() public { helper(); }\n}")
 
     def guf_of_helper(unit):
-        functions = [f for c in unit.contracts for f in c.functions]
+        functions = [d.fn for d in unit.declarations()]
         graph = build_graph(extract_triples_with_diagnostics(unit)[0], functions)
         graph = compute_guf(graph, assign_clone_groups(graph, 12))
         return next(f.guf for f in graph.functions() if f.name == "helper")
@@ -519,7 +519,7 @@ def test_empty_metadata_loads_and_queries_with_the_default_embedder(
     graph, _clones = load_kb(path)
     assert graph.embedder_meta is None
     unit = load_source(corpus_paths[0])
-    fn = unit.contracts[0].functions[0]
+    fn = unit.contracts[0].functions[0].fn
     assert retrieve(graph, unit, fn, k=3) == retrieve(kb[0], unit, fn, k=3)
 
 
@@ -546,7 +546,7 @@ def test_loaded_kb_retrieves_as_the_built_one(kb, kb_file, corpus_paths):
     queries = 0
     for path in corpus_paths:
         unit = load_source(path)
-        for fn in (f for contract in unit.contracts for f in contract.functions):
+        for fn in (d.fn for d in unit.declarations()):
             for k in (1, 3, 5):
                 assert retrieve(loaded, unit, fn, k) == retrieve(built, unit, fn, k)
             queries += 1
@@ -580,7 +580,7 @@ def test_a_vector_of_norm_2_to_the_510_loads_and_retrieves_as_the_dense_scan(
     queries = list(graph.vectors.values())
     for path in corpus_paths:
         unit = load_source(path)
-        for fn in (f for contract in unit.contracts for f in contract.functions):
+        for fn in (d.fn for d in unit.declarations()):
             queries += provider.embed([(fn.source_text, unit.declaration_tokens(fn))])
             assert retrieve(graph, unit, fn, k=3).pool_size == 28
     for query in queries:
@@ -671,7 +671,7 @@ def test_a_mutated_kb_file_is_rejected_or_round_trips_and_answers(
     save_kb(graph, clones, again)
     assert load_kb(again) == (graph, clones)
     unit = load_source(corpus_paths[0])
-    retrieve(graph, unit, unit.contracts[0].functions[0], k=3)
+    retrieve(graph, unit, unit.contracts[0].functions[0].fn, k=3)
 
 
 # ---------------------------------------------------------------------------

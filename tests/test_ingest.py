@@ -173,7 +173,7 @@ def test_parse_minimal_contract():
     unit = parse_source("pragma solidity ^0.8.0;\ncontract A { function f() public {} }")
     assert unit.pragma_version == "^0.8.0"
     assert [c.name for c in unit.contracts] == ["A"]
-    fn = unit.contracts[0].functions[0]
+    fn = unit.contracts[0].functions[0].fn
     assert fn.name == "f"
     assert "public" in fn.signature
 
@@ -182,8 +182,8 @@ def test_parse_twice_is_deterministic(corpus_paths):
     for path in corpus_paths:
         first = load_source(path)
         second = load_source(path)
-        ids_a = [f.id for c in first.contracts for f in c.functions]
-        ids_b = [f.id for c in second.contracts for f in c.functions]
+        ids_a = [d.fn.id for d in first.declarations()]
+        ids_b = [d.fn.id for d in second.declarations()]
         assert ids_a == ids_b
 
 
@@ -191,7 +191,7 @@ def test_function_source_is_a_file_slice(corpus_paths):
     for path in corpus_paths:
         unit = load_source(path)
         for contract in unit.contracts:
-            for fn in contract.functions:
+            for fn in (decl.fn for decl in contract.functions):
                 assert fn.source_text in unit.source_text
 
 
@@ -219,7 +219,7 @@ def test_string_literal_in_signature_raises_malformed_declaration():
 
 def test_unparseable_member_becomes_diagnostic():
     unit = parse_source("contract A { @ %% ; function f() public {} }")
-    assert [f.name for f in unit.contracts[0].functions] == ["f"]
+    assert [d.fn.name for d in unit.contracts[0].functions] == ["f"]
     assert unit.diagnostics
 
 
@@ -233,7 +233,7 @@ def test_signature_oracle(corpus_paths):
     for path in corpus_paths:
         unit = load_source(path)
         for contract in unit.contracts:
-            for fn in contract.functions:
+            for fn in (decl.fn for decl in contract.functions):
                 seen[fn.qualified_name] = fn.signature.sorted_features()
     for qualified, expected in oracle.items():
         assert seen[qualified] == expected, qualified
@@ -284,6 +284,24 @@ def test_low_level_call_is_a_diagnostic_not_an_edge():
     assert any("call" in d for d in diags)
 
 
+@pytest.mark.parametrize("call", ['msg.sender.call.value(1)("")',
+                                  'msg.sender.call.gas(5000).value(1)("")'])
+def test_pre_07_call_options_are_a_low_level_call_not_an_edge(call):
+    # `value` and `gas` here are options of the low-level call, never
+    # calls of the contract's own `value()`
+    unit = parse_source(
+        "pragma solidity ^0.4.24;\n"
+        "contract V { uint256 x;\n"
+        "function value() public returns (uint256) { return x; }\n"
+        f"function w() public {{ {call}; x = 0; }} }}"
+    )
+    triples, diags = extract_triples_with_diagnostics(unit)
+    assert not any(rel == "CALLS" for _, rel, _ in (_labels(t) for t in triples))
+    assert diags == ["V.w: low-level .call() left unresolved"]
+    [site] = next(d for d in unit.declarations() if d.fn.name == "w").calls
+    assert (site.token.text, site.kind, site.value) == ("call", "low-level", True)
+
+
 def test_require_and_builtins_never_resolve_as_calls():
     unit = parse_source(
         "contract A { uint256 x;\n"
@@ -309,8 +327,8 @@ def test_parameter_shadowing_suppresses_state_access():
 def _assert_declarations_index_the_tokens(unit):
     text = unit.source_text
     for contract in unit.contracts:
-        assert len(contract.decls) == len(contract.functions)
-        for fn, decl in zip(contract.functions, contract.decls):
+        for decl in contract.functions:
+            fn = decl.fn
             recorded = unit.tokens[decl.start:decl.end]
             assert [(t.kind, t.text) for t in recorded] == \
                 [(t.kind, t.text) for t in lex(fn.source_text)]
@@ -321,6 +339,9 @@ def _assert_declarations_index_the_tokens(unit):
             assert decl.normalized == normalize_source(fn.source_text)
             assert len(decl.normalized) == fn.token_count
             assert decl.start <= decl.body_start <= decl.body_end <= decl.end
+            body = unit.body_tokens(decl)
+            assert all(body[site.index] is site.token for site in decl.calls)
+            assert {id(tok) for tok, _ in decl.accesses} <= {id(tok) for tok in body}
 
 
 def test_declaration_tokens_equal_a_lex_of_the_function():
@@ -338,7 +359,7 @@ def test_body_tokens_are_inside_the_outer_braces():
     unit = parse_source("contract A {\n  function f(uint a) public returns (uint) {\n"
                         "    if (a > 0) { a = 1; }\n    return a;\n  }\n"
                         "  function g() external;\n}")
-    f_decl, g_decl = unit.contracts[0].decls
+    f_decl, g_decl = unit.contracts[0].functions
     body = [t.text for t in unit.body_tokens(f_decl)]
     assert body == ["if", "(", "a", ">", "0", ")", "{", "a", "=", "1", ";", "}",
                     "return", "a", ";"]

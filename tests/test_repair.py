@@ -230,7 +230,7 @@ def test_retrieve_selects_the_kb_payloads_themselves(kb, kb_file):
     for graph in (kb[0], loaded):
         for path in sorted(EVAL_CASES.glob("*.sol")):
             unit = load_source(path)
-            for fn, _decl in unit.declarations():
+            for fn in (decl.fn for decl in unit.declarations()):
                 selected = retrieve(graph, unit, fn, 5).selected
                 assert selected
                 assert all(c.fn is graph.node(c.fn.id).payload for c in selected)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,6 +238,31 @@ def test_detect_lexes_each_source_once(monkeypatch):
         lexes.clear()
         assert detect(parse_source(source)) == detections
         assert len(lexes) == 1, path.name  # the parse above, none in detect
+
+
+_SENDS_THEN = ('(bool ok, ) = msg.sender.call{value: 1}(""); require(ok); ')
+
+
+@pytest.mark.parametrize("source, rules", [
+    ("contract A { address owner;\n"
+     "function setOwner(address owner) public { owner = owner; } }", []),
+    ("contract A { address owner;\n"
+     "function setOwner(address o) public { owner = o; } }",
+     ["access-control/unguarded-owner-write"]),
+    ("pragma solidity ^0.8.0; contract B { mapping(address => uint256) balances;\n"
+     f"function f(uint256 balances) public {{ {_SENDS_THEN}balances = 0; }} }}", []),
+    ("pragma solidity ^0.8.0; contract B { mapping(address => uint256) balances;\n"
+     f"function f() public {{ {_SENDS_THEN}balances[msg.sender] = 0; }} }}",
+     ["reentrancy/external-call-before-state-write"]),
+    ("pragma solidity ^0.4.24; contract C { uint256 total;\n"
+     "function f(uint256 total) public { total = total + 1; } }", []),
+    ("pragma solidity ^0.4.24; contract C { uint256 total;\n"
+     "function f() public { total = total + 1; } }",
+     ["overflow/pre-0.8-unguarded-arith"]),
+], ids=["owner-shadowed", "owner-written", "balances-shadowed", "balances-written",
+        "total-shadowed", "total-written"])
+def test_a_parameter_shadows_the_state_variable_it_names(source, rules):
+    assert [d.rule_id for d in detect(source)] == rules
 
 
 def test_detection_lines_are_file_lines():
