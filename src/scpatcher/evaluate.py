@@ -3,9 +3,11 @@
 A manifest lists vulnerable contracts with their class and function. Each
 entry is read and parsed once per run. Before running, entries whose
 canonical source hash (taken from the parse's tokens) already appears in
-the KB are excluded (train/test hygiene). Each kept entry then goes through
-the full repair pipeline once per requested k; the resulting report renders
-to a stable text format suitable for golden-file comparison.
+the KB are excluded (train/test hygiene). Each kept entry then retrieves its
+references once, at the largest requested k, and goes through the repair
+pipeline once per requested k with that many of them (the selection at k is
+a prefix of the selection at any larger k); the resulting report renders to
+a stable text format suitable for golden-file comparison.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .graph import PropertyGraph
 from .ingest import IngestError, SourceUnit, canonical_source_hash, load_source
 from .metrics import MetricsReport, compute_metrics
 from .model import RepairOutcome, VulnClass, VulnerabilityReport
-from .repair import RepairConfig, repair
+from .repair import RepairConfig, repair, retrieve
 
 log = logging.getLogger(__name__)
 
@@ -223,23 +225,41 @@ class EvaluationReport:
             handle.write(self.render())
 
 
-def _run_entry(item: _Loaded, kb: PropertyGraph, cfg: RepairConfig) -> RepairOutcome:
-    """One repair job; any failure becomes a not-compiled outcome row."""
+def _run_entry(item: _Loaded, kb: PropertyGraph, cfg: RepairConfig,
+               k_values: list[int]) -> list[RepairOutcome]:
+    """One entry's repair at each k, from one retrieval at the largest k;
+    any failure becomes a not-compiled outcome row."""
     if isinstance(item, RepairOutcome):
-        return item
+        return [item] * len(k_values)
     unit, report = item
-    try:
-        return repair(unit, report, kb, cfg)
-    except Exception as exc:  # record, never abort the batch
+
+    def failed(exc: Exception) -> RepairOutcome:
         log.warning("entry %s failed: %s", report.contract_path, exc)
         return _failed(dataclasses.replace(report, function_id="(unresolved)"),
                        f"entry failed: {exc}")
+
+    try:
+        retrieval = retrieve(kb, unit, unit.find_function_by_id(report.function_id),
+                             max(k_values))
+    except Exception as exc:  # record, never abort the batch
+        return [failed(exc)] * len(k_values)
+    outcomes = []
+    for k in k_values:
+        try:
+            outcomes.append(repair(unit, report, kb, dataclasses.replace(cfg, k=k), retrieval))
+        except Exception as exc:  # record, never abort the batch
+            outcomes.append(failed(exc))
+    return outcomes
 
 
 def run_dataset(manifest: DatasetManifest, kb: PropertyGraph, cfg: RepairConfig,
                 k_values: Optional[list[int]] = None, jobs: int = 1,
                 dedup: bool = True) -> EvaluationReport:
-    """Repair every kept entry once per k and collect one report per k."""
+    """Repair every kept entry once per k and collect one report per k.
+
+    Each kept entry is retrieved for once, at the largest k; with ``jobs``
+    above 1, that many threads take one entry each at a time.
+    """
     if k_values is None or not k_values:
         k_values = [cfg.k]
     units = [_read_entry(entry, strict=dedup) for entry in manifest.entries]
@@ -249,14 +269,14 @@ def run_dataset(manifest: DatasetManifest, kb: PropertyGraph, cfg: RepairConfig,
         kept, excluded_pairs = list(manifest.entries), []
     read = dict(zip(manifest.entries, units))  # equal entries name the same file
     loaded = [_load_entry(entry, read[entry]) for entry in kept]
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_entry = list(pool.map(lambda item: _run_entry(item, kb, cfg, k_values), loaded))
+    else:
+        per_entry = [_run_entry(item, kb, cfg, k_values) for item in loaded]
     k_reports = []
-    for k in k_values:
-        run_cfg = dataclasses.replace(cfg, k=k)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(lambda item: _run_entry(item, kb, run_cfg), loaded))
-        else:
-            outcomes = [_run_entry(item, kb, run_cfg) for item in loaded]
+    for position, k in enumerate(k_values):
+        outcomes = [entry_outcomes[position] for entry_outcomes in per_entry]
         rows = []
         for entry, outcome in zip(kept, outcomes):
             rows.append(CaseRow(

@@ -224,12 +224,14 @@ class CallSite(NamedTuple):
     - ``"unresolved"`` or ``"ambiguous"``: no such function, or several
       outside the caller's contract;
     - ``"builtin"``, ``"emit"`` or ``"new"``: never a corpus function;
+    - ``"value"``: a member ``send(...)`` or ``transfer(...)``, a value
+      transfer that is never a corpus function either, even where the unit
+      declares a function of that name;
     - ``"low-level"``: a member ``call``, ``delegatecall`` or
       ``staticcall`` with its arguments, its ``{...}`` options or its
       ``.value(...)``/``.gas(...)`` options.
-    ``value`` marks a value transfer: a member ``send(...)`` or
-    ``transfer(...)``, or a low-level ``call`` whose options set a value.
-    ``send`` and ``transfer`` are otherwise named calls like any other.
+    ``value`` marks a value transfer: a ``"value"`` site, or a low-level
+    ``call`` whose options set a value.
     """
 
     index: int
@@ -831,10 +833,12 @@ def _call_sites(body: list[Token]) -> list[tuple[int, Optional[str], bool]]:
                 j = match_group(body, j + 2, "(", ")")
             if nxt in ("(", "{") or j > i + 1:
                 out.append((i, "low-level", value and name == "call"))
+        elif nxt == "(" and prev == "." and name in ("send", "transfer"):
+            out.append((i, "value", True))
         elif nxt == "(":
             kind = prev if prev in ("emit", "new") else \
                 "builtin" if name in _BUILTIN_CALLABLES else None
-            out.append((i, kind, prev == "." and name in ("send", "transfer")))
+            out.append((i, kind, False))
     return out
 
 
@@ -868,9 +872,9 @@ def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], li
             for site in decl.calls:
                 if site.kind == "resolved":
                     triples.append(Triple(f_ref, Relation.CALLS, function_ref(site.callee)))
-                elif site.kind == "low-level":
+                elif site.kind in ("low-level", "value"):
                     diagnostics.append(
-                        f"{fn.qualified_name}: low-level .{site.token.text}() left unresolved")
+                        f"{fn.qualified_name}: {site.kind} .{site.token.text}() left unresolved")
                 elif site.kind in ("unresolved", "ambiguous"):
                     diagnostics.append(
                         f"{fn.qualified_name}: {site.kind} call target {site.token.text!r}")

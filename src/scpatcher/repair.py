@@ -1,15 +1,16 @@
 """Reference retrieval, prompt assembly and the two-stage repair orchestrator.
 
 ``retrieve`` is the one query path into the knowledge base, shared by
-``repair`` and the ``retrieve`` command: it embeds the target function from
-its parse's declaration tokens with the provider call that built the KB,
-takes its ``DEFAULT_POOL_SIZE`` (50) nearest KB functions by exact k-NN over
-the index the KB builds once, and reranks them with the constant ε = e - 1
-(``rerank.EPSILON``); ``k`` is the only retrieval knob. The result records
-the pool size, whether the signature filter fell back to the whole pool,
-and the selected references, each a ``Candidate`` that holds the KB's own
-``FunctionUnit``, so the prompts render its source text, guf and signature
-with no graph lookup.
+``repair``, ``evaluate.run_dataset`` (once per entry of a sweep over k,
+whose smaller k take ``Retrieval.prefix``) and the ``retrieve`` command:
+it embeds the target function from its parse's declaration tokens with
+the provider call that built the KB, takes its ``DEFAULT_POOL_SIZE`` (50)
+nearest KB functions by exact k-NN over the index the KB builds once, and
+reranks them with the constant ε = e - 1 (``rerank.EPSILON``); ``k`` is
+the only retrieval knob. The result records the pool size, whether the
+signature filter fell back to the whole pool, and the selected references,
+each a ``Candidate`` that holds the KB's own ``FunctionUnit``, so the
+prompts render its source text, guf and signature with no graph lookup.
 
 Stage 1 asks for a patch guided by the retrieved reference implementations,
 their trust scores, and the target's signature constraints. If the patch
@@ -21,6 +22,7 @@ when changing it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import logging
@@ -90,6 +92,17 @@ class Retrieval:
     pool_size: int             # candidates k-NN returned before reranking
     fallback: bool             # no candidate matched the required signature
     selected: list[Candidate]  # reranked, at most k
+
+    def prefix(self, k: int) -> "Retrieval":
+        """This retrieval cut to ``k``, for a ``k`` at most the one it was made at.
+
+        The pool and the fallback flag do not depend on k, and ``rerank``'s
+        selection at k is a prefix of its selection at any larger k, so this
+        equals ``retrieve`` at ``k``. A ``k`` below 1 raises ValueError.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return dataclasses.replace(self, selected=self.selected[:k])
 
 
 def retrieve(kb: PropertyGraph, unit: SourceUnit, fn: FunctionUnit, k: int = DEFAULT_K
@@ -247,15 +260,24 @@ def _attempt(prompt: Prompt, original: SourceUnit,
 
 
 def repair(contract: SourceUnit, report: VulnerabilityReport,
-           kb: PropertyGraph, cfg: RepairConfig) -> RepairOutcome:
-    """Retrieve references, prompt, verify; escalate to stage 2 on failure."""
+           kb: PropertyGraph, cfg: RepairConfig,
+           retrieval: Optional[Retrieval] = None) -> RepairOutcome:
+    """Retrieve references, prompt, verify; escalate to stage 2 on failure.
+
+    ``retrieval``, if given, is ``retrieve``'s result for the report's
+    function at a k of at least ``cfg.k``; its first ``cfg.k`` references
+    are used, so a sweep over k retrieves once. Otherwise it is retrieved
+    here at ``cfg.k``.
+    """
     fn = contract.find_function_by_id(report.function_id)
     if fn is None:
         raise ValueError(
             f"function {report.function_id!r} not found in {contract.path}")
     diagnostics: list[str] = []
 
-    refs = retrieve(kb, contract, fn, cfg.k).selected
+    if retrieval is None:
+        retrieval = retrieve(kb, contract, fn, cfg.k)
+    refs = retrieval.prefix(cfg.k).selected
     log.debug("repair %s: %d references after rerank", fn.qualified_name, len(refs))
 
     # Both attempts compare against the same original: detect it once, on

@@ -262,13 +262,15 @@ def _rule_overflow(view: _FunctionView, pragma_version: Optional[str]) -> list[D
                 continue  # the guard itself
             start, end = view.statement_of(i)
             statement = body[start:end]
-            touches_unsigned = any(t.start in unsigned_positions for t in statement)
-            if not touches_unsigned:
+            touched = {t.text for t in statement if t.start in unsigned_positions}
+            if not touched:
                 continue
-            guarded = (
-                any(b.text in ("require", "assert") for b in body[:i])
-                or _safemath_in(statement)
-            )
+            # a guard must read a variable whose arithmetic it guards
+            guarded = _safemath_in(statement) or any(
+                intro in ("require", "assert") and guard_start < i and any(
+                    t.start in unsigned_positions and t.text in touched
+                    for t in body[guard_start:guard_end])
+                for guard_start, guard_end, intro in view.condition_spans)
             if not guarded:
                 out.append(Detection(VulnClass.INTEGER_OVERFLOW, view.decl.fn.name,
                                      tok.line, "overflow/pre-0.8-unguarded-arith"))

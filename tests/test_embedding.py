@@ -1,13 +1,15 @@
 import hashlib
+import heapq
 import json
 import math
 import random
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scpatcher import embedding
@@ -247,13 +249,14 @@ def test_knn_matches_loop_reference_on_fixture_kb(kb):
 
 
 @st.composite
-def _index_and_query(draw):
+def _index_and_query(draw, exponents=st.integers(-150, 150)):
     """Sparse, duplicate, near-duplicate and all-zero rows; a sparse, dense,
     all-zero or row-equal query; signed values of two magnitudes from
-    1e-166 to 1e152, so that one column can hold 1e-12 and 1.0; and ``n``
-    anywhere, or where the n-th and the next distance tie."""
+    1e-166 to 1e152 (or as ``exponents`` sets them), so that one column
+    can hold 1e-12 and 1.0; and ``n`` anywhere, or where the n-th and the
+    next distance tie."""
     dimension = draw(st.sampled_from([1, 3, 12, 36, 64]))
-    exponent = draw(st.integers(-150, 150))
+    exponent = draw(exponents)
     small = exponent - draw(st.integers(0, 14))
     value = st.builds(lambda m, e, low: m * 10.0 ** ((small if low else exponent) + e),
                       st.floats(-1.0, 1.0), st.integers(-2, 2), st.booleans())
@@ -382,6 +385,88 @@ def test_knn_equals_the_dense_scan_at_the_largest_lane_sums():
         for n in (1, 2, 3, 8):
             got = knn(index, EmbeddingVector.from_dense(query), n)
             assert [(c.s_sem, c.fn.id) for c in got] == _dense_knn(vectors, query, n)
+
+
+def _float_lanes(index, query):
+    """The lane sums s_i, the unit and the error bound E of ``_survivors``."""
+    buckets, values = query
+    fraction_bits = embedding._fraction_bits(index.dimension)
+    q_scale = embedding._scale(max(map(abs, values)))
+    count = len(index.rows)
+    offset = int.from_bytes((bytes(7) + b"\x80") * count, "little")
+    acc = sum((round(math.ldexp(v, fraction_bits - q_scale)) * index.packed[j]
+               for j, v in zip(buckets, values)), offset)
+    lanes = embedding._little_endian(
+        array("q", (acc ^ offset).to_bytes(8 * count, "little"))).tolist()
+    unit = math.ldexp(-2.0, index.scale + q_scale - 2 * fraction_bits)
+    q_sq = math.hypot(*values) ** 2
+    root = math.sqrt(len(buckets))
+    d_r = math.ldexp(1.0, index.scale - fraction_bits - 1)
+    d_q = math.ldexp(1.0, q_scale - fraction_bits - 1)
+    error = 2.0 * (d_r * root * math.sqrt(q_sq) + d_q * root * math.sqrt(index.max_sq_norm)
+                   + len(buckets) * d_r * d_q)
+    return lanes, unit, error
+
+
+def _float_filter(index, query, q_sq, n):
+    """The filter that scores every row in floats: the reference for the
+    candidates that ``_survivors`` picks from the lanes first."""
+    if query.buckets:
+        lanes, unit, error = _float_lanes(index, query)
+        approx = [norm + lane * unit for norm, lane in zip(index.sq_norms, lanes)]
+    else:
+        approx, error = index.sq_norms, 0.0
+    bound = (heapq.nsmallest(n, approx)[-1] + 2.0 * error
+             + 1e-9 * (q_sq + index.max_sq_norm + 1.0))
+    return [i for i, score in enumerate(approx) if score <= bound]
+
+
+_EXPONENTS = {"drawn": st.integers(-150, 150), "near-one": st.integers(-2, 2),
+              "lane-tie": st.integers(-2, 2), "underflow": st.integers(-158, -150)}
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(_EXPONENTS)), st.data())
+def test_survivors_equal_the_float_filter_over_every_row(kind, data):
+    """Rows of unequal norms at magnitudes up to 14 decades apart, anywhere
+    from 1e-166 to 1e152 or near 1, where the scores exceed the float
+    margin and the lanes pick the candidates; ``n`` at a tie of the n-th
+    and the next largest lane sum; and values near 1e-160, where ``unit``
+    underflows to 0. The rows the candidate step keeps are the rows the
+    float scores of every row keep, in order."""
+    vectors, functions, dense_query, n, dimension = data.draw(_index_and_query(_EXPONENTS[kind]))
+    query = EmbeddingVector.from_dense(dense_query)
+    assume(len(functions) >= 2 and query.buckets)
+    index = _index(functions, vectors, dimension)
+    n = min(n, len(functions) - 1)
+    if kind == "lane-tie":
+        lanes = sorted(_float_lanes(index, query)[0], reverse=True)
+        ties = [m for m in range(1, len(lanes)) if lanes[m - 1] == lanes[m]]
+        assume(ties)
+        n = data.draw(st.sampled_from(ties))
+    q_sq = math.hypot(*query.values) ** 2
+    assert embedding._survivors(index, query, q_sq, n) == _float_filter(index, query, q_sq, n)
+
+
+def test_fixture_kb_candidates_are_the_survivors(kb, monkeypatch):
+    """For every unit-norm query on the fixture KB, the lanes pick out no row
+    that the float scores then drop."""
+    graph, _, _ = kb
+    index = index_from_graph(graph)
+    assert index.min_sq_norm == min(index.sq_norms)
+    assert index.offset == sum(1 << 64 * i + 63 for i in range(len(index)))
+    picked = []
+    candidates = embedding._candidates
+    monkeypatch.setattr(embedding, "_candidates",
+                        lambda *args: picked.append(candidates(*args)) or picked[-1])
+    provider = HashingEmbedder(256)
+    for fn in graph.functions():
+        query = _embed_text(provider, fn.source_text)
+        q_sq = math.hypot(*query.values) ** 2
+        for n in (1, 5, 12):
+            picked.clear()
+            survivors = embedding._survivors(index, query, q_sq, n)
+            assert [list(rows) for rows in picked] == [survivors]
 
 
 def test_knn_rejects_query_of_wrong_dimension(kb):

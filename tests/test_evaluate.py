@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from scpatcher import embedding, evaluate, ingest, verify
+from scpatcher import embedding, evaluate, ingest, repair, verify
 from scpatcher.ingest import IngestError
 from scpatcher.evaluate import DatasetManifest, ManifestEntry, load_manifest, run_dataset
 from scpatcher.graph import load_kb
 from scpatcher.llm import MockLlmBackend
 from scpatcher.model import VulnClass
-from scpatcher.repair import RepairConfig
+from scpatcher.repair import RepairConfig, retrieve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EVAL_CASES = FIXTURES / "eval_cases"
@@ -61,6 +61,25 @@ def test_a_sweep_reads_and_lexes_each_entry_once(kb, monkeypatch):
     run_dataset(manifest, graph, _cfg(), k_values=[1, 3, 5])
     assert sorted(reads) == sorted(paths) and len(reads) == 6
     assert patches and sorted(lexes) == sorted(texts + patches)
+
+
+def test_a_sweep_retrieves_once_per_entry_and_prompts_each_k_with_its_prefix(kb, monkeypatch):
+    """One retrieval per kept entry, at the largest k; each k's prompts
+    carry the references a retrieval at that k selects."""
+    graph, _, _ = kb
+    manifest = load_manifest(str(EVAL_CASES / "manifest.json"))
+    retrievals, prompted = [], []
+    original_retrieve = evaluate.retrieve
+    monkeypatch.setattr(evaluate, "retrieve", lambda kb_, unit, fn, k: retrievals.append(
+        (unit, fn, k)) or original_retrieve(kb_, unit, fn, k))
+    original_prompt = repair.build_stage1_prompt
+    monkeypatch.setattr(repair, "build_stage1_prompt", lambda fn, vuln_class, refs: prompted.append(
+        (fn.id, refs)) or original_prompt(fn, vuln_class, refs))
+    report = run_dataset(manifest, graph, _cfg(), k_values=[3, 1, 5])
+    assert [k for _unit, _fn, k in retrievals] == [5] * report.kept_count == [5] * 6
+    expected = [(fn.id, retrieve(graph, unit, fn, k).selected)
+                for unit, fn, _ in retrievals for k in (3, 1, 5)]
+    assert sorted(prompted, key=repr) == sorted(expected, key=repr)
 
 
 def test_every_fixed_outcome_compiled_and_carries_a_patch(kb, monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scpatcher.embedding import HashingEmbedder
+from scpatcher.graph import build_kb
 from scpatcher.ingest import (
     _KEYWORDS,
     _TOKEN_RE,
@@ -274,6 +276,32 @@ def test_member_transfer_call_is_a_diagnostic_not_an_edge():
     labels = [_labels(t) for t in triples]
     assert not any(rel == "CALLS" for _, rel, _ in labels)
     assert any("transfer" in d for d in diags)
+
+
+def test_member_send_and_transfer_never_call_a_same_named_function(tmp_path):
+    """A member ``.transfer(...)`` or ``.send(...)`` moves value and has no
+    callee, even where the unit declares ``transfer`` and ``send``; only the
+    call by name is a CALLS edge, and only it counts towards GUF."""
+    source = (
+        "contract T { function transfer(address to, uint a) public {}\n"
+        "function send(address to) public {}\n"
+        "function pay(address payable p) public { p.transfer(1); p.send(1); }\n"
+        "function move(address to) public { transfer(to, 1); } }"
+    )
+    unit = parse_source(source)
+    triples, diags = extract_triples_with_diagnostics(unit)
+    calls = [(s, o) for s, rel, o in map(_labels, triples) if rel == "CALLS"]
+    assert calls == [("function:T.move", "function:T.transfer")]
+    assert diags == ["T.pay: value .transfer() left unresolved",
+                     "T.pay: value .send() left unresolved"]
+    pay = next(d for d in unit.declarations() if d.fn.name == "pay")
+    assert [(site.token.text, site.kind, site.callee, site.value) for site in pay.calls] == \
+        [("transfer", "value", None, True), ("send", "value", None, True)]
+    path = tmp_path / "t.sol"
+    path.write_text(source, encoding="utf-8")
+    graph, _clones, _report = build_kb([str(path)], HashingEmbedder(256))
+    guf = {fn.name: fn.guf for fn in graph.functions()}
+    assert guf["transfer"] == guf["move"] + 1 and guf["send"] == guf["move"]
 
 
 def test_low_level_call_is_a_diagnostic_not_an_edge():

@@ -265,6 +265,21 @@ def test_a_parameter_shadows_the_state_variable_it_names(source, rules):
     assert [d.rule_id for d in detect(source)] == rules
 
 
+@pytest.mark.parametrize("body, rules", [
+    ("require(a > 0); total = total + a;", ["overflow/pre-0.8-unguarded-arith"]),
+    ("require(total + a >= total); total = total + a;", []),
+    ("assert(total < 2 ** 128); total += a;", []),
+    ("total = total + a; require(total > 0);", ["overflow/pre-0.8-unguarded-arith"]),
+    ("total = total + a;", ["overflow/pre-0.8-unguarded-arith"]),
+], ids=["unrelated-require", "require-on-total", "assert-on-total", "require-after",
+        "no-guard"])
+def test_a_guard_reads_the_state_variable_whose_arithmetic_it_guards(body, rules):
+    # a require that reads only the parameter does not bound total + a
+    source = ("pragma solidity ^0.4.24; contract C { uint256 total;\n"
+              f"function f(uint256 a) public {{ {body} }} }}")
+    assert [d.rule_id for d in detect(source)] == rules
+
+
 def test_detection_lines_are_file_lines():
     # the function's text also appears earlier, in a comment and in
     # another contract; each finding is on its own function's line
