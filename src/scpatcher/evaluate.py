@@ -54,7 +54,10 @@ def load_manifest(path: str) -> DatasetManifest:
     entry's position where there is one.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: manifest is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
     items = raw.get("entries", [])

@@ -6,15 +6,20 @@ FunctionUnit payload, a clone-group id, and a usage frequency used by the
 trust rescorer. The whole bundle serializes to a canonical binary container
 so that saving the same knowledge base twice yields byte-identical files.
 
-The container (format 2) is the magic ``SCPK``, a little-endian u16
-version, and four sections, each a u32 length and canonical JSON: the node
-records, the edges, the clone groups and the embedder metadata. Every
-function node's record, and no other, holds its embedding as a sparse pair
-``"vector": [[buckets...], [values...]]``: the nonzero buckets in strictly
-ascending order, each below the metadata's ``dimension`` (256 when it has
-none), and their float values. Every other bucket is 0.0, so a dense vector
-is stored with its zeros dropped. Format 1 stored every vector densely; it
-is not read, and a format-1 file is rebuilt from its corpus.
+The container (format 3) is the magic ``SCPK``, a little-endian u16
+version, and five sections, each a u32 length and its bytes. The first
+four are canonical JSON: the node records, the edges, the clone groups and
+the embedder metadata. The fifth holds every function's embedding as a
+sparse vector, in the order the node section lists the function records:
+one u32 count of nonzero buckets per function, then all their buckets as
+u32, then all their values as f64, everything little-endian, so its length
+is exactly ``4 * functions + 12 * sum(counts)``. A vector's buckets are
+strictly ascending, each below the metadata's ``dimension`` (256 when it
+has none); every other bucket is 0.0, so a dense vector is stored with its
+zeros dropped, and every value round-trips bit for bit. Format 1 stored
+every vector densely in its node record, and format 2 as a
+``[[buckets...], [values...]]`` pair there; neither is read, and such a
+file is rebuilt from its corpus.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -45,7 +50,7 @@ from .ingest import (
 from .model import FunctionUnit, SignatureFeatures
 
 _MAGIC = b"SCPK"
-_VERSION = 2
+_VERSION = 3
 
 
 class GraphError(Exception):
@@ -264,7 +269,7 @@ def _canonical_json(value) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _node_record(node: EntityNode, vectors: dict[str, EmbeddingVector]) -> dict:
+def _node_record(node: EntityNode) -> dict:
     record: dict = {"id": node.id, "kind": node.kind.value, "label": node.label}
     fn = node.payload
     if fn is not None:
@@ -277,21 +282,45 @@ def _node_record(node: EntityNode, vectors: dict[str, EmbeddingVector]) -> dict:
             "clone_id": fn.clone_id,
             "guf": fn.guf,
         }
-    if node.id in vectors:
-        buckets, values = vectors[node.id]
-        record["vector"] = [buckets, values]
     return record
 
 
+def _vector_section(function_ids: list[str], vectors: Mapping[str, EmbeddingVector]) -> bytes:
+    """The vectors of ``function_ids``, in that order, as the fifth section.
+
+    Raises ValueError for a function without a vector, a vector with more
+    buckets than values or fewer, or a bucket or value that a u32 or an
+    f64 cannot hold (a bucket of 2**32 or more, or below 0).
+    """
+    try:
+        pairs = [vectors[function_id] for function_id in function_ids]
+    except KeyError as exc:
+        raise ValueError(f"function {exc.args[0]!r} has no vector") from None
+    counts = [len(buckets) for buckets, _values in pairs]
+    if any(len(values) != count for count, (_buckets, values) in zip(counts, pairs)):
+        raise ValueError("a vector has more buckets than values, or fewer")
+    total = sum(counts)
+    try:
+        return struct.pack(f"<{len(counts)}I{total}I{total}d", *counts,
+                           *chain.from_iterable(buckets for buckets, _values in pairs),
+                           *chain.from_iterable(values for _buckets, values in pairs))
+    except struct.error as exc:
+        raise ValueError(f"a vector does not fit u32 buckets and f64 values ({exc})") from None
+
+
 def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
-    """Write the knowledge base in format 2; canonical, so double-save is byte-identical.
+    """Write the knowledge base in format 3; canonical, so double-save is byte-identical.
 
     Nodes are sorted by id and edges by their three fields; JSON keys are
-    sorted. Each function's vector is written as it is held, the pair
-    ``[[buckets...], [values...]]``, with no dense copy made.
+    sorted. The function nodes' vectors go to the binary fifth section in
+    node order, each as it is held, with no dense copy made. Raises
+    ValueError, before the file is opened, if a function node has no
+    vector or one that section cannot hold (see ``_vector_section``).
     """
-    nodes = [_node_record(graph.nodes[nid], graph.vectors)
-             for nid in sorted(graph.nodes)]
+    ids = sorted(graph.nodes)
+    nodes = [_node_record(graph.nodes[nid]) for nid in ids]
+    vectors = _vector_section(
+        [nid for nid in ids if graph.nodes[nid].kind is NodeKind.FUNCTION], graph.vectors)
     edges = sorted([s, r.value, o] for s, r, o in graph.edges)
     clone_section = {
         "min_tokens": clones.min_tokens,
@@ -301,8 +330,7 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<H", _VERSION)
-    for section in (nodes, edges, clone_section, meta):
-        payload = _canonical_json(section)
+    for payload in (*map(_canonical_json, (nodes, edges, clone_section, meta)), vectors):
         blob += struct.pack("<I", len(payload))
         blob += payload
     with open(path, "wb") as handle:
@@ -322,7 +350,10 @@ _PAYLOAD_TYPES = {
 
 
 def _function_unit(node_id: str, raw) -> FunctionUnit:
-    """The payload of a function record, if every field has its saved type."""
+    """The payload of a function record, if it has exactly the saved fields,
+    each of its saved type."""
+    if type(raw) is not dict or raw.keys() != _PAYLOAD_TYPES.keys():
+        raise ValueError(f"node {node_id!r}: payload fields are not {sorted(_PAYLOAD_TYPES)}")
     for name, types in _PAYLOAD_TYPES.items():
         if type(raw[name]) not in types:
             raise ValueError(
@@ -353,42 +384,64 @@ _EDGE_KINDS = {relation.value: (relation, subject_kind, tuple(object_kinds))
                for relation, (subject_kind, object_kinds) in RELATION_TYPING.items()}
 
 
-def _sparse_vector(node_id: str, raw, dimension: int) -> EmbeddingVector:
-    """A record's ``[[buckets...], [values...]]``, if it is one save_kb wrote:
-    int buckets strictly ascending in ``range(dimension)``, floats ``within_bound``."""
-    if type(raw) is not list or len(raw) != 2:
-        raise ValueError(f"node {node_id!r}: vector is not a [buckets, values] pair")
-    buckets, values = raw
-    if type(buckets) is not list or type(values) is not list or len(buckets) != len(values):
-        raise ValueError(f"node {node_id!r}: vector buckets and values are not lists "
-                         f"of one length")
-    if buckets and not (set(map(type, buckets)) <= {int} and 0 <= buckets[0]
-                        and buckets[-1] < dimension and _ascending(buckets)):
-        raise ValueError(f"node {node_id!r}: vector buckets are not ints strictly "
-                         f"ascending below {dimension}")
-    if not set(map(type, values)) <= {float} or not within_bound(values):
-        raise ValueError(f"node {node_id!r}: vector values are not floats of norm <= 2**510")
-    return EmbeddingVector(tuple(buckets), tuple(values))
+def _vectors(section: bytes, function_ids: list[str],
+             dimension: int) -> dict[str, EmbeddingVector]:
+    """The fifth section's vectors by function id, if save_kb could have
+    written it for ``function_ids``: one count for each of them, a length of
+    exactly ``4 * len(function_ids) + 12 * sum(counts)``, and each vector's
+    buckets strictly ascending below ``dimension`` and its values
+    ``within_bound``."""
+    head = 4 * len(function_ids)
+    if len(section) < head:
+        raise ValueError(f"vector section of {len(section)} bytes is shorter than "
+                         f"{len(function_ids)} counts")
+    counts = struct.unpack_from(f"<{len(function_ids)}I", section)
+    total = sum(counts)
+    # checked before anything else is unpacked, so a corrupt count allocates nothing
+    if len(section) != head + 12 * total:
+        raise ValueError(f"vector section of {len(section)} bytes, where its counts "
+                         f"make {head + 12 * total}")
+    buckets = struct.unpack_from(f"<{total}I", section, head)
+    values = struct.unpack_from(f"<{total}d", section, head + 4 * total)
+    vectors, start = {}, 0
+    for function_id, count in zip(function_ids, counts):
+        end = start + count
+        vector = EmbeddingVector(buckets[start:end], values[start:end])
+        start = end
+        if count and not (vector.buckets[-1] < dimension and _ascending(vector.buckets)):
+            raise ValueError(f"node {function_id!r}: vector buckets are not strictly "
+                             f"ascending below {dimension}")
+        if not within_bound(vector.values):
+            raise ValueError(f"node {function_id!r}: vector values are not of norm <= 2**510")
+        vectors[function_id] = vector
+    return vectors
 
 
 def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
-    """Read a format-2 knowledge base written by save_kb; never yields a partial graph.
+    """Read a format-3 knowledge base written by save_kb; never yields a partial graph.
 
     Every section must be as save_kb writes it for a graph that build_kb
-    made. FormatError("Corrupt") is raised, among other cases, for node
-    records or edges out of strictly ascending order (so also for a
-    repeat), signature features out of it, a payload field of the wrong
-    type, a malformed vector, a function node without a payload or a
-    vector, another node with either, an edge whose relation does not fit
-    its endpoints' kinds, clone groups that differ from the functions'
-    ``clone_id``s, a ``clone_id`` on a function below the clone section's
-    ``min_tokens`` or none on one at or above it, a ``guf`` other than the
-    function's clone-group size plus its CALLS in-degree (so every loaded
-    ``guf`` is at least 1), or a vector not ``within_bound``: not finite or
-    of a norm above 2**510, the bound every provider's ``embed`` holds, so
-    that ``knn`` cannot overflow. The metadata must name a provider
-    (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``. A
-    format-1 file raises FormatError("VersionMismatch").
+    made. FormatError("Corrupt") is raised, among other cases, for a JSON
+    section that does not decode (so also for one nested too deeply or
+    holding an integer of more digits than ``int`` converts), node records
+    or edges out of strictly ascending order (so also for a repeat),
+    signature features out of it, a payload field of the wrong type, a node
+    record, payload or clone section with a field save_kb does not write (a
+    format-2 ``"vector"`` among them), a function node without a payload or
+    another node with one, a vector section whose counts do not cover
+    exactly the function records or whose length is not the one its counts
+    make (checked before any bucket or value is read), vector buckets not
+    strictly ascending below the metadata's dimension, an edge whose
+    relation does not fit its endpoints' kinds, clone groups that differ
+    from the functions' ``clone_id``s, a ``clone_id`` on a function below
+    the clone section's ``min_tokens`` or none on one at or above it, a
+    ``guf`` other than the function's clone-group size plus its CALLS
+    in-degree (so every loaded ``guf`` is at least 1), or a vector not
+    ``within_bound``: not finite or of a norm above 2**510, the bound every
+    provider's ``embed`` holds, so that ``knn`` cannot overflow. The
+    metadata must name a provider (``name``, ``dimension``, ``embed``) in
+    ``embedding.PROVIDERS``. A format-1 or format-2 file raises
+    FormatError("VersionMismatch").
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -403,22 +456,25 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         raise FormatError("VersionMismatch", f"{path}: version {version}, expected "
                           f"{_VERSION}; rebuild the knowledge base from its corpus")
     offset = 6
-    sections = []
-    for index in range(4):
+    payloads = []
+    for index in range(5):
         if offset + 4 > len(blob):
             raise FormatError("Truncated", f"{path}: section {index} length missing")
         (length,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         if offset + length > len(blob):
             raise FormatError("Truncated", f"{path}: section {index} payload cut short")
-        payload = blob[offset:offset + length]
+        payloads.append(blob[offset:offset + length])
         offset += length
-        try:
-            sections.append(json.loads(payload.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError("Corrupt", f"{path}: section {index} undecodable ({exc})") from None
     if offset != len(blob):
         raise FormatError("Corrupt", f"{path}: {len(blob) - offset} trailing byte(s)")
+    *texts, vector_section = payloads
+    sections = []
+    for index, text in enumerate(texts):
+        try:
+            sections.append(json.loads(text.decode("utf-8")))
+        except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8, huge ints
+            raise FormatError("Corrupt", f"{path}: section {index} undecodable ({exc})") from None
 
     node_records, edge_records, clone_section, meta = sections
     # the metadata must name a provider that retrieve can rebuild
@@ -441,15 +497,19 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
             if type(label) is not str:
                 raise ValueError(f"node {node_id!r}: label is not a string")
             is_function = kind is NodeKind.FUNCTION
-            if ("payload" in record) is not is_function or ("vector" in record) is not is_function:
-                raise ValueError(f"node {node_id!r}: a function node, and no other, "
-                                 f"has a payload and a vector")
+            # a function node, and no other, has a payload; a format-2
+            # "vector" or any other field is not one save_kb writes
+            if record.keys() != ({"id", "kind", "label", "payload"} if is_function
+                                 else {"id", "kind", "label"}):
+                raise ValueError(f"node {node_id!r}: fields {sorted(record)} are not "
+                                 f"those of a {kind.value} node")
             if not is_function:
                 graph.add_node(EntityNode(node_id, kind, label))
                 continue
             payload = _function_unit(node_id, record["payload"])
             graph.add_node(EntityNode(node_id, kind, label, payload))
-            graph.vectors[node_id] = _sparse_vector(node_id, record["vector"], dimension)
+        graph.vectors = _vectors(vector_section, [node.id for node in graph.function_nodes()],
+                                 dimension)
         if not _ascending(edge_records):
             raise ValueError("edges are not in strictly ascending order")
         # each a known relation between known nodes of the kinds it joins
@@ -464,6 +524,8 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
             edges.append((subject_id, relation, object_id))
         graph.edges, graph._edge_set = edges, None
         min_tokens, groups = clone_section["min_tokens"], clone_section["groups"]
+        if clone_section.keys() != {"min_tokens", "groups"}:
+            raise ValueError(f"clone section fields {sorted(clone_section)}")
         if type(min_tokens) is not int:
             raise ValueError("clone min_tokens is not an int")
         # the groups are exactly the functions' clone ids, members sorted, as

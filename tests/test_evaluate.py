@@ -212,3 +212,12 @@ def test_load_manifest_rejects_malformed_shapes(tmp_path, manifest, message):
         load_manifest(str(path))
     assert str(err.value) == f"{path}: {message}"
 
+
+
+def test_load_manifest_rejects_a_manifest_nested_too_deeply(tmp_path):
+    # json raises RecursionError here, which is no ValueError
+    path = tmp_path / "manifest.json"
+    path.write_text('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_manifest(str(path))
+    assert str(err.value) == f"{path}: manifest is nested too deeply"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from scpatcher import embedding, ingest
 from scpatcher.embedding import EmbeddingVector, HashingEmbedder, index_from_graph, knn
+from scpatcher.graph import _VERSION as KB_VERSION
 from scpatcher.graph import (
     CloneGroupTable,
     EntityNode,
@@ -253,20 +254,35 @@ def test_load_rejects_version_mismatch(kb_file, tmp_path):
     assert err.value.code == "VersionMismatch"
 
 
-def test_format_1_file_raises_version_mismatch(kb_file, tmp_path):
-    # format 1 held every vector densely; it is rebuilt from its corpus, not read
-    def dense_vectors(nodes, edges, clones, meta):
-        for record in nodes:
-            if "vector" in record:
-                record["vector"] = list(EmbeddingVector(*record["vector"]).dense(256))
+def _assert_older_format_is_rejected(kb_file, path, version, vector_of):
+    """Write the fixture KB in the four-section layout of formats 1 and 2,
+    with ``vector_of(buckets, values)`` as each function record's
+    ``"vector"``, and check that load_kb rejects it by its version."""
+    def vectors_in_records(nodes, edges, clones, meta, vectors):
+        for record, (buckets, values) in zip(
+                [record for record in nodes if record["kind"] == "function"], vectors):
+            record["vector"] = vector_of(buckets, values)
+        return [nodes, edges, clones, meta]
 
-    path = _rewrite_kb(kb_file, tmp_path / "v1.scpk", dense_vectors)
-    blob = bytearray(path.read_bytes())
-    blob[4:6] = (1).to_bytes(2, "little")
+    blob = bytearray(_rewrite_kb(kb_file, path, vectors_in_records).read_bytes())
+    blob[4:6] = version.to_bytes(2, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError) as err:
         load_kb(path)
     assert err.value.code == "VersionMismatch"
+
+
+def test_format_1_file_raises_version_mismatch(kb_file, tmp_path):
+    # format 1 held every vector densely; it is rebuilt from its corpus, not read
+    _assert_older_format_is_rejected(
+        kb_file, tmp_path / "v1.scpk", 1,
+        lambda buckets, values: list(EmbeddingVector(buckets, values).dense(256)))
+
+
+def test_format_2_file_raises_version_mismatch(kb_file, tmp_path):
+    # format 2 held every vector as a sparse pair in its node record
+    _assert_older_format_is_rejected(kb_file, tmp_path / "v2.scpk", 2,
+                                     lambda buckets, values: [buckets, values])
 
 
 def test_load_rejects_truncation_everywhere(kb_file, tmp_path):
@@ -292,19 +308,50 @@ def test_load_missing_file_is_io_error(tmp_path):
         load_kb(tmp_path / "absent.scpk")
 
 
+def _vector_parts(vectors, bucket_code="I", value_code="d"):
+    """The vector section of ``[buckets, values]`` pairs, as format 3 lays it
+    out, in three parts: a little-endian u32 bucket count per vector, every
+    bucket as a u32 and every value as an f64 (or each in the ``struct``
+    code given)."""
+    buckets = [bucket for pair in vectors for bucket in pair[0]]
+    values = [value for pair in vectors for value in pair[1]]
+    return (struct.pack(f"<{len(vectors)}I", *(len(pair[0]) for pair in vectors)),
+            struct.pack(f"<{len(buckets)}{bucket_code}", *buckets),
+            struct.pack(f"<{len(values)}{value_code}", *values))
+
+
 def _rewrite_kb(kb_file, path, mutate):
-    """Decode the four JSON sections, pass them to ``mutate`` and write the
-    sections it returns (or, if it returns None, the ones it edited)."""
+    """Decode the four JSON sections and the vector section, pass them to
+    ``mutate`` and write the sections it returns (or, if it returns None, the
+    ones it edited). The vectors come as ``[buckets, values]`` lists in the
+    order of the function records. A fifth section that is bytes is written
+    as it is, as is any other section that is bytes; returning only four
+    sections writes the format-2 layout."""
     blob = kb_file.read_bytes()
-    offset, sections = 6, []
-    for _ in range(4):
+    offset, payloads = 6, []
+    for _ in range(5):
         (length,) = struct.unpack_from("<I", blob, offset)
-        sections.append(json.loads(blob[offset + 4:offset + 4 + length]))
+        payloads.append(blob[offset + 4:offset + 4 + length])
         offset += 4 + length
-    sections = mutate(*sections) or sections
+    sections = [json.loads(payload) for payload in payloads[:4]]
+    functions = sum(1 for record in sections[0] if record["kind"] == "function")
+    counts = struct.unpack_from(f"<{functions}I", payloads[4])
+    total = sum(counts)
+    buckets = struct.unpack_from(f"<{total}I", payloads[4], 4 * functions)
+    values = struct.unpack_from(f"<{total}d", payloads[4], 4 * functions + 4 * total)
+    vectors, start = [], 0
+    for count in counts:
+        vectors.append([list(buckets[start:start + count]), list(values[start:start + count])])
+        start += count
+    sections = mutate(*sections, vectors) or sections + [vectors]
     out = bytearray(blob[:6])
-    for section in sections:
-        payload = json.dumps(section).encode("utf-8")
+    for index, section in enumerate(sections):
+        if isinstance(section, bytes):
+            payload = section
+        elif index < 4:
+            payload = json.dumps(section).encode("utf-8")
+        else:
+            payload = b"".join(_vector_parts(section))
         out += struct.pack("<I", len(payload)) + payload
     path.write_bytes(bytes(out))
     return path
@@ -318,7 +365,7 @@ def _node_record(nodes, kind):
     return next(record for record in nodes if record["kind"] == kind)
 
 
-def _clone_ids_as_lists(nodes, edges, clones, meta):
+def _clone_ids_as_lists(nodes, edges, clones, meta, vectors):
     for record in nodes:
         if "payload" in record:
             record["payload"]["clone_id"] = [record["payload"]["clone_id"]]
@@ -333,12 +380,42 @@ def _grouped_record(nodes, clones):
 def _vector_of(index=0, buckets=None, values=None):
     """A mutation that edits, in place, the buckets or the values of the
     ``index``-th function's vector."""
-    def mutate(nodes, edges, clones, meta):
-        pair = _function_record(nodes, index)["vector"]
+    def mutate(nodes, edges, clones, meta, vectors):
+        pair = vectors[index]
         for edit, part in ((buckets, pair[0]), (values, pair[1])):
             if edit is not None:
                 edit(part)
     return mutate
+
+
+def _vector_bytes(edit):
+    """A mutation that writes as the vector section what ``edit`` makes of
+    its three parts: the counts, the buckets and the values."""
+    return lambda nodes, edges, clones, meta, vectors: [
+        nodes, edges, clones, meta, edit(*_vector_parts(vectors))]
+
+
+#: struct code -> the type its items are converted to before packing
+_CODE_TYPES = {"?": bool, "i": int, "I": int, "d": float}
+
+
+def _repacked(bucket_code="I", value_code="d"):
+    """A mutation that writes the vector section with the buckets or the
+    values packed in another ``struct`` code, each item of its type."""
+    def mutate(nodes, edges, clones, meta, vectors):
+        converted = [[list(map(_CODE_TYPES[bucket_code], buckets)),
+                      list(map(_CODE_TYPES[value_code], values))]
+                     for buckets, values in vectors]
+        section = b"".join(_vector_parts(converted, bucket_code, value_code))
+        return [nodes, edges, clones, meta, section]
+    return mutate
+
+
+def _values_as_text(nodes, edges, clones, meta, vectors):
+    """The values written as JSON text, as format 2 held them."""
+    counts, buckets, _values = _vector_parts(vectors)
+    text = json.dumps([value for _buckets, values in vectors for value in values])
+    return [nodes, edges, clones, meta, counts + buckets + text.encode("utf-8")]
 
 
 def _drop(container, *key):
@@ -348,19 +425,21 @@ def _drop(container, *key):
 
 
 def _payload_of(**changes):
-    return lambda nodes, edges, clones, meta: _function_record(nodes)["payload"].update(changes)
+    return lambda nodes, edges, clones, meta, vectors: _function_record(
+        nodes)["payload"].update(changes)
 
 
 def _signature_of(edit):
     """A mutation that edits, in place, the first function's signature features."""
-    return lambda nodes, edges, clones, meta: edit(_function_record(nodes)["payload"]["signature"])
+    return lambda nodes, edges, clones, meta, vectors: edit(
+        _function_record(nodes)["payload"]["signature"])
 
 
 def _with_edge(subject_kind, relation, object_kind):
     """A mutation that adds an edge, in sorted place, from the first node of
     ``subject_kind`` to the first of ``object_kind``; a CALLS edge also
     raises the callee's guf by one, as compute_guf would."""
-    def mutate(nodes, edges, clones, meta):
+    def mutate(nodes, edges, clones, meta, vectors):
         subject, obj = _node_record(nodes, subject_kind), _node_record(nodes, object_kind)
         edges.append([subject["id"], relation, obj["id"]])
         edges.sort()
@@ -369,41 +448,63 @@ def _with_edge(subject_kind, relation, object_kind):
     return mutate
 
 
-def _calls_edge_dropped(nodes, edges, clones, meta):
+def _calls_edge_dropped(nodes, edges, clones, meta, vectors):
     edges.remove(next(edge for edge in edges if edge[1] == "CALLS"))
 
 
-def _guf_raised(nodes, edges, clones, meta):
+def _guf_raised(nodes, edges, clones, meta, vectors):
     _function_record(nodes)["payload"]["guf"] += 1
 
 
 _MALFORMED = {
     # the clone section's groups must be an object
-    "groups-list": lambda nodes, edges, clones, meta: clones.update(groups=[["a", ["b"]]]),
+    "groups-list": lambda nodes, edges, clones, meta, vectors: clones.update(
+        groups=[["a", ["b"]]]),
     # every signature feature must be a string
     "feature-int": _payload_of(signature=["public", 7]),
-    # a vector is a [buckets, values] pair: not an empty list, a scalar, a
-    # list of three or of one, or a list and a scalar
-    "vector-empty": lambda nodes, edges, clones, meta: _function_record(nodes).update(vector=[]),
-    "vector-scalar": lambda nodes, edges, clones, meta: _function_record(nodes).update(
-        vector=0.5),
-    "vector-triple": lambda nodes, edges, clones, meta: _function_record(nodes)["vector"].append(
-        []),
-    "vector-single": lambda nodes, edges, clones, meta: _drop(_function_record(nodes)["vector"]),
-    "values-scalar": lambda nodes, edges, clones, meta: _function_record(nodes)["vector"]
-    .__setitem__(1, 0.5),
+    # the vector section is a count per function record, the buckets and the
+    # values, so its length is exactly the one its counts make (the format-2
+    # JSON pair could also be an empty list, a scalar, a list of three or of
+    # one, or a list and a scalar: here they are nothing, one f64, a fourth
+    # part, no values and one value for all), checked before a count of
+    # 2**32 - 1 could allocate gigabytes
+    "vector-empty": _vector_bytes(lambda counts, buckets, values: b""),
+    "vector-scalar": _vector_bytes(lambda counts, buckets, values: struct.pack("<d", 0.5)),
+    "vector-triple": _vector_bytes(
+        lambda counts, buckets, values: counts + buckets + values + values),
+    "vector-single": _vector_bytes(lambda counts, buckets, values: counts + buckets),
+    "values-scalar": _vector_bytes(
+        lambda counts, buckets, values: counts + buckets + struct.pack("<d", 0.5)),
+    "section-one-byte-short": _vector_bytes(
+        lambda counts, buckets, values: (counts + buckets + values)[:-1]),
+    "section-one-byte-long": _vector_bytes(
+        lambda counts, buckets, values: counts + buckets + values + b"\0"),
+    "count-max-u32": _vector_bytes(lambda counts, buckets, values: struct.pack(
+        "<I", 2 ** 32 - 1) + counts[4:] + buckets + values),
+    "counts-one-fewer": _vector_bytes(
+        lambda counts, buckets, values: counts[4:] + buckets + values),
+    "counts-one-more": _vector_bytes(
+        lambda counts, buckets, values: counts + struct.pack("<I", 0) + buckets + values),
     # as many values as buckets (in format 1: as many values as the dimension)
     "vector-short": _vector_of(values=_drop),
     "buckets-short": _vector_of(buckets=_drop),
-    # every bucket an int in range(dimension) (in format 1: at most that many values)
+    # every bucket below the dimension (in format 1: at most that many values);
+    # -1 is stored as the u32 2**32 - 1
     "vector-long": _vector_of(5, buckets=lambda buckets: buckets.__setitem__(-1, 256)),
-    "bucket-negative": _vector_of(buckets=lambda buckets: buckets.__setitem__(0, -1)),
-    "bucket-bool": _vector_of(buckets=lambda buckets: buckets.__setitem__(0, False)),
-    "bucket-float": _vector_of(buckets=lambda buckets: buckets.__setitem__(0, float(buckets[0]))),
+    "bucket-negative": _vector_of(buckets=lambda buckets: buckets.__setitem__(-1, 2 ** 32 - 1)),
+    # every bucket a u32 and every value an f64 (format 2's JSON could hold a
+    # bool or a float bucket and a string, a bool or an int value; written
+    # here in another width, as decimal text for the string, each frames the
+    # section wrongly)
+    "bucket-bool": _repacked(bucket_code="?"),
+    "bucket-float": _repacked(bucket_code="d"),
+    "vector-string": _values_as_text,
+    "value-bool": _repacked(value_code="?"),
+    "value-int": _repacked(value_code="i"),
     # buckets strictly ascending
     "buckets-unsorted": _vector_of(buckets=lambda buckets: buckets.reverse()),
     "bucket-duplicate": _vector_of(buckets=lambda buckets: buckets.__setitem__(1, buckets[0])),
-    # every value a finite float (json.loads accepts NaN and the infinities)
+    # every value finite (any eight bytes are an f64, NaN and the infinities too)
     "vector-nan": _vector_of(values=lambda values: values.__setitem__(0, float("nan"))),
     "vector-inf": _vector_of(values=lambda values: values.__setitem__(0, float("inf"))),
     "vector-minus-inf": _vector_of(values=lambda values: values.__setitem__(0, float("-inf"))),
@@ -411,21 +512,19 @@ _MALFORMED = {
     # loaded, and then retrieve overflowed)
     "vector-huge-norm": _vector_of(values=lambda values: values.__setitem__(
         slice(None), [value * 1e200 for value in values])),
-    "vector-string": _vector_of(values=lambda values: values.__setitem__(0, "0.5")),
-    "value-bool": _vector_of(values=lambda values: values.__setitem__(0, True)),
-    "value-int": _vector_of(values=lambda values: values.__setitem__(0, 1)),
     # the metadata is an object that names a known embedder and, if it has
     # one, a positive int dimension
-    "meta-list": lambda nodes, edges, clones, meta: [nodes, edges, clones, []],
-    "meta-null": lambda nodes, edges, clones, meta: [nodes, edges, clones, None],
-    "embedder-unknown": lambda nodes, edges, clones, meta: meta.update(name="word2vec"),
-    "embedder-null": lambda nodes, edges, clones, meta: meta.update(name=None),
-    "dimension-zero": lambda nodes, edges, clones, meta: meta.update(dimension=0),
-    "dimension-float": lambda nodes, edges, clones, meta: meta.update(dimension=256.0),
-    "dimension-bool": lambda nodes, edges, clones, meta: meta.update(dimension=True),
-    "dimension-null": lambda nodes, edges, clones, meta: meta.update(dimension=None),
+    "meta-list": lambda nodes, edges, clones, meta, vectors: [nodes, edges, clones, [], vectors],
+    "meta-null": lambda nodes, edges, clones, meta, vectors: [
+        nodes, edges, clones, None, vectors],
+    "embedder-unknown": lambda nodes, edges, clones, meta, vectors: meta.update(name="word2vec"),
+    "embedder-null": lambda nodes, edges, clones, meta, vectors: meta.update(name=None),
+    "dimension-zero": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=0),
+    "dimension-float": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=256.0),
+    "dimension-bool": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=True),
+    "dimension-null": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=None),
     # a smaller dimension leaves saved buckets out of range
-    "dimension-small": lambda nodes, edges, clones, meta: meta.update(dimension=16),
+    "dimension-small": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=16),
     # a clone id is a string or null (a list loaded, then broke rerank's set)
     "clone-id-list": _clone_ids_as_lists,
     # each payload field has the type save_kb writes (a string signature
@@ -437,27 +536,35 @@ _MALFORMED = {
     "guf-float": _payload_of(guf=1.5),
     "guf-bool": _payload_of(guf=True),
     "token-count-bool": _payload_of(token_count=True),
-    "min-tokens-float": lambda nodes, edges, clones, meta: clones.update(min_tokens=12.0),
-    # a function node has one payload and one vector, and no other node has either
-    "function-without-vector": lambda nodes, edges, clones, meta: _drop(
-        _function_record(nodes), "vector"),
-    "function-without-payload": lambda nodes, edges, clones, meta: _drop(
+    "min-tokens-float": lambda nodes, edges, clones, meta, vectors: clones.update(min_tokens=12.0),
+    # a function node has one payload and one vector, and no other node has
+    # either (a vector for a variable is one vector more than function records)
+    "function-without-vector": lambda nodes, edges, clones, meta, vectors: _drop(vectors, 0),
+    "function-without-payload": lambda nodes, edges, clones, meta, vectors: _drop(
         _function_record(nodes), "payload"),
-    "vector-on-variable": lambda nodes, edges, clones, meta: _node_record(nodes, "variable")
-    .update(vector=[[0], [1.0]]),
-    "payload-on-variable": lambda nodes, edges, clones, meta: _node_record(nodes, "variable")
-    .update(payload=_function_record(nodes)["payload"]),
-    "node-twice": lambda nodes, edges, clones, meta: nodes.append(_function_record(nodes)),
+    "vector-on-variable": lambda nodes, edges, clones, meta, vectors: vectors.append(
+        [[0], [1.0]]),
+    "payload-on-variable": lambda nodes, edges, clones, meta, vectors: _node_record(
+        nodes, "variable").update(payload=_function_record(nodes)["payload"]),
+    # a node record, a payload and the clone section have exactly the fields
+    # save_kb writes (an unknown payload or clone field loaded, and re-saving
+    # dropped it; a format-2 vector in a function record would be ignored)
+    "vector-in-record": lambda nodes, edges, clones, meta, vectors: _function_record(
+        nodes).update(vector=vectors[0]),
+    "payload-unknown-field": _payload_of(detected=[]),
+    "clones-unknown-field": lambda nodes, edges, clones, meta, vectors: clones.update(
+        stale=True),
+    "node-twice": lambda nodes, edges, clones, meta, vectors: nodes.append(_function_record(nodes)),
     # node records, edges and signature features in strictly ascending order,
     # as save_kb writes them (out of it, they loaded and re-saved to other bytes)
-    "nodes-unsorted": lambda nodes, edges, clones, meta: nodes.insert(0, nodes.pop(1)),
-    "edges-unsorted": lambda nodes, edges, clones, meta: edges.reverse(),
-    "edge-twice": lambda nodes, edges, clones, meta: edges.insert(0, list(edges[0])),
+    "nodes-unsorted": lambda nodes, edges, clones, meta, vectors: nodes.insert(0, nodes.pop(1)),
+    "edges-unsorted": lambda nodes, edges, clones, meta, vectors: edges.reverse(),
+    "edge-twice": lambda nodes, edges, clones, meta, vectors: edges.insert(0, list(edges[0])),
     "signature-unsorted": _signature_of(lambda features: features.reverse()),
     "signature-repeated": _signature_of(lambda features: features.append(features[-1])),
     # an edge joins known nodes by a known relation of the kinds extract_triples
     # emits (a CALLS edge from a variable, and the guf it adds, loaded)
-    "edge-unknown-endpoint": lambda nodes, edges, clones, meta: edges.append(
+    "edge-unknown-endpoint": lambda nodes, edges, clones, meta, vectors: edges.append(
         [edges[-1][0], edges[-1][1], "~"]),
     "relation-unknown": _with_edge("function", "INVOKES", "function"),
     "calls-from-variable": _with_edge("variable", "CALLS", "function"),
@@ -466,19 +573,19 @@ _MALFORMED = {
     "guf-raised": _guf_raised,
     "calls-edge-dropped": _calls_edge_dropped,
     # the clone groups are exactly the functions' clone ids
-    "group-unknown-id": lambda nodes, edges, clones, meta: _grouped_record(nodes, clones)[1]
-    .append("f" * 16),
-    "group-wrong-clone-id": lambda nodes, edges, clones, meta: _grouped_record(nodes, clones)[0]
-    ["payload"].update(clone_id="0" * 16),
-    "group-missing-member": lambda nodes, edges, clones, meta: _drop(
+    "group-unknown-id": lambda nodes, edges, clones, meta, vectors: _grouped_record(
+        nodes, clones)[1].append("f" * 16),
+    "group-wrong-clone-id": lambda nodes, edges, clones, meta, vectors: _grouped_record(
+        nodes, clones)[0]["payload"].update(clone_id="0" * 16),
+    "group-missing-member": lambda nodes, edges, clones, meta, vectors: _drop(
         _grouped_record(nodes, clones)[1]),
-    "group-extra": lambda nodes, edges, clones, meta: clones["groups"].update(
+    "group-extra": lambda nodes, edges, clones, meta, vectors: clones["groups"].update(
         {"0" * 16: [_function_record(nodes)["id"]]}),
     # a function has a clone id exactly if its token count reaches min_tokens
     # (999 left functions below it grouped, 0 left two at or above it
     # ungrouped; both loaded)
-    "min-tokens-raised": lambda nodes, edges, clones, meta: clones.update(min_tokens=999),
-    "min-tokens-zero": lambda nodes, edges, clones, meta: clones.update(min_tokens=0),
+    "min-tokens-raised": lambda nodes, edges, clones, meta, vectors: clones.update(min_tokens=999),
+    "min-tokens-zero": lambda nodes, edges, clones, meta, vectors: clones.update(min_tokens=0),
 }
 
 
@@ -490,9 +597,42 @@ def test_load_rejects_malformed_sections_as_corrupt(kb_file, tmp_path, mutate):
     assert err.value.code == "Corrupt"
 
 
+@pytest.mark.parametrize("index, text", [
+    (1, "[" * 100_000 + "]" * 100_000),
+    (2, '{"groups": {}, "min_tokens": ' + "9" * 5_000 + "}"),
+], ids=["nested-100000-deep", "int-of-5000-digits"])
+def test_load_rejects_json_that_does_not_decode_as_corrupt(kb_file, tmp_path, index, text):
+    # json.loads raises RecursionError for the first and ValueError, not
+    # JSONDecodeError, for the second (Python's int conversion limit)
+    def replace_section(*sections):
+        sections = list(sections)
+        sections[index] = text.encode("utf-8")
+        return sections
+
+    with pytest.raises(FormatError) as err:
+        load_kb(_rewrite_kb(kb_file, tmp_path / "undecodable.scpk", replace_section))
+    assert err.value.code == "Corrupt"
+
+
+def test_save_rejects_a_bucket_beyond_u32_before_opening_the_file(kb_file, tmp_path):
+    wide, clones = load_kb(kb_file)
+    wide.embedder_meta["dimension"] = 2 ** 33
+    first = sorted(wide.vectors)[0]
+    path = tmp_path / "wide.scpk"
+    for bucket in (2 ** 32, -1):
+        wide.vectors[first] = EmbeddingVector((0, bucket), (0.6, 0.8))
+        with pytest.raises(ValueError):
+            save_kb(wide, clones, path)
+        assert not path.exists()
+    # the largest u32 is a bucket below a dimension of 2**33
+    wide.vectors[first] = EmbeddingVector((0, 2 ** 32 - 1), (0.6, 0.8))
+    save_kb(wide, clones, path)
+    assert load_kb(path)[0] == wide
+
+
 def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, tmp_path):
     # with no dimension in the metadata, buckets are bounded by the default, 256
-    def drop_dimension(nodes, edges, clones, meta):
+    def drop_dimension(nodes, edges, clones, meta, vectors):
         del meta["dimension"]
 
     path = _rewrite_kb(kb_file, tmp_path / "nodim.scpk", drop_dimension)
@@ -500,9 +640,9 @@ def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, 
     assert max(bucket for buckets, _values in graph.vectors.values() for bucket in buckets) < 256
     assert index_from_graph(graph).dimension == 256
 
-    def long_second_row(nodes, edges, clones, meta):
-        drop_dimension(nodes, edges, clones, meta)
-        buckets, values = _function_record(nodes, 1)["vector"]
+    def long_second_row(nodes, edges, clones, meta, vectors):
+        drop_dimension(nodes, edges, clones, meta, vectors)
+        buckets, values = vectors[1]
         buckets.append(256)
         values.append(0.5)
 
@@ -515,7 +655,8 @@ def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, 
 def test_empty_metadata_loads_and_queries_with_the_default_embedder(
         kb, kb_file, corpus_paths, tmp_path):
     path = _rewrite_kb(kb_file, tmp_path / "nometa.scpk",
-                       lambda nodes, edges, clones, meta: [nodes, edges, clones, {}])
+                       lambda nodes, edges, clones, meta, vectors: [
+                           nodes, edges, clones, {}, vectors])
     graph, _clones = load_kb(path)
     assert graph.embedder_meta is None
     unit = load_source(corpus_paths[0])
@@ -567,8 +708,8 @@ def test_loaded_kb_index_equals_the_built_one(kb, kb_file):
 
 def test_a_vector_of_norm_2_to_the_510_loads_and_retrieves_as_the_dense_scan(
         kb_file, corpus_paths, tmp_path):
-    def largest_vector(nodes, edges, clones, meta):
-        _function_record(nodes)["vector"] = [[0, 1, 2, 3], [2.0 ** 509] * 4]
+    def largest_vector(nodes, edges, clones, meta, vectors):
+        vectors[0] = [[0, 1, 2, 3], [2.0 ** 509] * 4]
 
     graph = load_kb(_rewrite_kb(kb_file, tmp_path / "edge.scpk", largest_vector))[0]
     largest = [values for _buckets, values in graph.vectors.values()
@@ -635,6 +776,37 @@ def test_sparse_vectors_round_trip_byte_identically(tmp_path_factory, graph_and_
     assert loaded == graph
     assert loaded_clones == clones
     assert all(type(v) is float for _buckets, values in loaded.vectors.values() for v in values)
+
+
+#: finite doubles of magnitude at most 2**509, so that four of them keep a
+#: norm within 2**510: any bit pattern, any value in range, and the edge
+#: cases of the f64 encoding (signed zeros, the smallest and largest
+#: subnormals, the smallest normal, the bound, and values whose repr needs
+#: 17 significant digits)
+_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     2.2250738585072014e-308, 2.0 ** 509, -2.0 ** 509, 0.1 + 0.2,
+                     1 + 2 ** -52, -(2 + 2 ** -51), 123456789.12345679]),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    .filter(lambda value: abs(value) <= 2.0 ** 509),
+    st.floats(min_value=-2.0 ** 509, max_value=2.0 ** 509))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(_DOUBLES, max_size=4), min_size=1, max_size=28))
+def test_finite_doubles_round_trip_bit_for_bit(kb_file, tmp_path_factory, rows):
+    graph, clones = load_kb(kb_file)
+    for function_id, values in zip(sorted(graph.vectors), rows):
+        graph.vectors[function_id] = EmbeddingVector(tuple(range(len(values))), tuple(values))
+    tmp_path = tmp_path_factory.mktemp("doubles")
+    first, second = tmp_path / "first.scpk", tmp_path / "second.scpk"
+    save_kb(graph, clones, first)
+    loaded, loaded_clones = load_kb(first)
+    save_kb(loaded, loaded_clones, second)
+    assert first.read_bytes() == second.read_bytes()
+    for function_id, (_buckets, values) in graph.vectors.items():
+        expected = struct.pack(f"<{len(values)}d", *values)
+        assert struct.pack(f"<{len(values)}d", *loaded.vectors[function_id].values) == expected
 
 
 #: one bit flipped, or one byte replaced, inserted or deleted, at a position
@@ -725,15 +897,23 @@ def test_build_kb_records_failures_and_continues(corpus_paths, tmp_path):
 # One lex per file
 # ---------------------------------------------------------------------------
 
-#: SHA-256 of the KB saved from the fixture corpus with HashingEmbedder().
-FIXTURE_KB_SHA256 = "9176367b1333c578849ed99079e54cee5b851df2e90a09627468d2dfe7a3df6f"
+#: SHA-256 of the KB saved from the fixture corpus with HashingEmbedder(),
+#: and the format version it was saved in.
+FIXTURE_KB_SHA256 = "8bf9d058046cd0c2e129ee515ebbd78218b933e1d1b832f054f7d7865cb5dabe"
+FIXTURE_KB_VERSION = 3
 
 
 def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
     graph, clones, _ = build_kb(corpus_paths, HashingEmbedder())
     path = tmp_path / "kb.scpk"
     save_kb(graph, clones, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_KB_SHA256
+    blob = path.read_bytes()
+    version = int.from_bytes(blob[4:6], "little")
+    assert version == KB_VERSION
+    assert version == FIXTURE_KB_VERSION, (
+        f"the KB format is now {version}: pin FIXTURE_KB_SHA256 and FIXTURE_KB_VERSION "
+        f"anew for it, and say why in CHANGES.md")
+    assert hashlib.sha256(blob).hexdigest() == FIXTURE_KB_SHA256
 
 
 def test_build_kb_lexes_each_file_once(corpus_paths, monkeypatch):
