@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .embedding import DEFAULT_DIMENSION, HashingEmbedder, RemoteEmbedder
 from .evaluate import load_manifest, run_dataset
-from .graph import build_kb, load_kb, save_kb
+from .graph import MAX_DIMENSION, build_kb, load_kb, save_kb
 from .ingest import load_source
 from .llm import MockLlmBackend, RemoteLlmBackend
 from .metrics import render_rate
@@ -49,6 +49,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _dimension(text: str) -> int:
+    """A positive int that a knowledge base can hold as its dimension, so that
+    a bad value is refused before the corpus is read."""
+    value = _positive_int(text)
+    if value > MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(f"expected an integer <= 2**32, got {text!r}")
+    return value
+
+
 def _parse_k_sweep(text: str) -> list[int]:
     values = [_positive_int(part) for part in text.split(",") if part.strip()]
     if not values:
@@ -66,7 +75,7 @@ def build_parser() -> _Parser:
     p_build.add_argument("--corpus", required=True, help="directory of .sol files")
     p_build.add_argument("--out", required=True, help="knowledge base output file")
     p_build.add_argument("--embedder", choices=("hash", "remote"), default="hash")
-    p_build.add_argument("--dimension", type=_positive_int, default=DEFAULT_DIMENSION)
+    p_build.add_argument("--dimension", type=_dimension, default=DEFAULT_DIMENSION)
     p_build.add_argument("--clone-min-tokens", type=_positive_int, default=12)
     p_build.set_defaults(func=_cmd_build_kb)
 

@@ -6,20 +6,30 @@ FunctionUnit payload, a clone-group id, and a usage frequency used by the
 trust rescorer. The whole bundle serializes to a canonical binary container
 so that saving the same knowledge base twice yields byte-identical files.
 
-The container (format 3) is the magic ``SCPK``, a little-endian u16
+The container (format 4) is the magic ``SCPK``, a little-endian u16
 version, and five sections, each a u32 length and its bytes. The first
-four are canonical JSON: the node records, the edges, the clone groups and
-the embedder metadata. The fifth holds every function's embedding as a
-sparse vector, in the order the node section lists the function records:
-one u32 count of nonzero buckets per function, then all their buckets as
-u32, then all their values as f64, everything little-endian, so its length
-is exactly ``4 * functions + 12 * sum(counts)``. A vector's buckets are
-strictly ascending, each below the metadata's ``dimension`` (256 when it
-has none); every other bucket is 0.0, so a dense vector is stored with its
-zeros dropped, and every value round-trips bit for bit. Format 1 stored
-every vector densely in its node record, and format 2 as a
-``[[buckets...], [values...]]`` pair there; neither is read, and such a
-file is rebuilt from its corpus.
+four are canonical JSON: the nodes, the edges, the clone groups and the
+embedder metadata. The node and edge sections are columns: objects of
+equal-length arrays, one per field. The node section's ``id``, ``kind``
+and ``label`` run over every node in ascending id order; its
+``contract_name``, ``name``, ``source_text``, ``signature``,
+``token_count``, ``clone_id`` and ``guf`` run over the function nodes
+only, in that same order. A signature is its sorted features joined by
+single spaces (a feature holds no whitespace; ``""`` has none). The edge
+section's ``subject`` and ``object`` are positions in the ``id`` array and
+its ``relation`` the relation's name, sorted by (subject, relation,
+object), which is also the order of the edges' ids. The fifth section
+holds every function's embedding as a sparse vector, in the order of the
+function nodes: one u32 count of nonzero buckets per function, then all
+their buckets as u32, then all their values as f64, everything
+little-endian, so its length is exactly ``4 * functions + 12 *
+sum(counts)``. A vector's buckets are strictly ascending, each below the
+metadata's ``dimension`` (256 when it has none); every other bucket is
+0.0, so a dense vector is stored with its zeros dropped, and every value
+round-trips bit for bit. Format 1 stored every vector densely in its node
+record, format 2 as a ``[[buckets...], [values...]]`` pair there, and
+format 3 held one JSON record per node and one list per edge; none of
+them is read, and such a file is rebuilt from its corpus.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from .ingest import (
 from .model import FunctionUnit, SignatureFeatures
 
 _MAGIC = b"SCPK"
-_VERSION = 3
+_VERSION = 4
 
 
 class GraphError(Exception):
@@ -265,24 +275,78 @@ def compute_guf(graph: PropertyGraph, clones: CloneGroupTable) -> PropertyGraph:
 # Serialization
 # ---------------------------------------------------------------------------
 
+#: The largest embedding dimension a knowledge base can hold: every bucket
+#: lies below it and is stored as a u32.
+MAX_DIMENSION = 2 ** 32
+
+#: node-section column -> the JSON types save_kb writes in it (exact types: a
+#: bool is no int). These three run over every node, in ascending id order.
+_NODE_COLUMNS = {"id": {str}, "kind": {str}, "label": {str}}
+#: The columns that run over the function nodes only, in that same order;
+#: they are FunctionUnit's fields after ``id``, in its order.
+_FUNCTION_COLUMNS = {
+    "contract_name": {str},
+    "name": {str},
+    "source_text": {str},
+    "signature": {str},
+    "token_count": {int},
+    "clone_id": {str, type(None)},
+    "guf": {int},
+}
+#: edge-section column -> its JSON type: the subject's and the object's
+#: positions in the id column, and the relation's name
+_EDGE_COLUMNS = {"subject": {int}, "relation": {str}, "object": {int}}
+
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
+#: relation name -> (relation, its subject's kind name, its objects' kind names)
+_EDGE_KINDS = {
+    relation.value: (relation, subject_kind.value, {kind.value for kind in object_kinds})
+    for relation, (subject_kind, object_kinds) in RELATION_TYPING.items()}
+
+
 def _canonical_json(value) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _node_record(node: EntityNode) -> dict:
-    record: dict = {"id": node.id, "kind": node.kind.value, "label": node.label}
-    fn = node.payload
-    if fn is not None:
-        record["payload"] = {
-            "contract_name": fn.contract_name,
-            "name": fn.name,
-            "source_text": fn.source_text,
-            "signature": fn.signature.sorted_features(),
-            "token_count": fn.token_count,
-            "clone_id": fn.clone_id,
-            "guf": fn.guf,
-        }
-    return record
+def _signature_text(signature: SignatureFeatures) -> str:
+    """The signature's features, sorted, joined by single spaces. A feature
+    holds no whitespace, so splitting the text gives them back exactly;
+    ValueError for an empty feature, which the text cannot hold."""
+    if "" in signature:
+        raise ValueError("a signature has an empty feature")
+    return " ".join(signature.sorted_features())
+
+
+def _node_section(nodes: list[EntityNode]) -> dict:
+    """The node section of ``nodes``, which are in ascending id order.
+
+    Raises ValueError for a function node without a payload, or a signature
+    that ``_signature_text`` cannot write.
+    """
+    functions = [node.payload for node in nodes if node.kind is NodeKind.FUNCTION]
+    if any(fn is None for fn in functions):
+        raise ValueError("a function node has no payload")
+    return {
+        "id": [node.id for node in nodes],
+        "kind": [node.kind.value for node in nodes],
+        "label": [node.label for node in nodes],
+        "contract_name": [fn.contract_name for fn in functions],
+        "name": [fn.name for fn in functions],
+        "source_text": [fn.source_text for fn in functions],
+        "signature": [_signature_text(fn.signature) for fn in functions],
+        "token_count": [fn.token_count for fn in functions],
+        "clone_id": [fn.clone_id for fn in functions],
+        "guf": [fn.guf for fn in functions],
+    }
+
+
+def _edge_section(ids: list[str], edges: Iterable[tuple[str, Relation, str]]) -> dict:
+    """The edge section: the edges as (subject position, relation name, object
+    position) rows, sorted, one column per field. A position indexes ``ids``,
+    which ascend, so this is also the order of the edges' ids."""
+    position = {node_id: index for index, node_id in enumerate(ids)}
+    rows = sorted((position[s], r.value, position[o]) for s, r, o in edges)
+    return dict(zip(_EDGE_COLUMNS, map(list, zip(*rows)) if rows else ([], [], [])))
 
 
 def _vector_section(function_ids: list[str], vectors: Mapping[str, EmbeddingVector]) -> bytes:
@@ -309,19 +373,21 @@ def _vector_section(function_ids: list[str], vectors: Mapping[str, EmbeddingVect
 
 
 def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
-    """Write the knowledge base in format 3; canonical, so double-save is byte-identical.
+    """Write the knowledge base in format 4; canonical, so double-save is byte-identical.
 
-    Nodes are sorted by id and edges by their three fields; JSON keys are
-    sorted. The function nodes' vectors go to the binary fifth section in
-    node order, each as it is held, with no dense copy made. Raises
+    The node section lists the nodes in ascending id order and the edge
+    section the edges sorted by their positions and relation; JSON keys
+    are sorted. The function nodes' vectors go to the binary fifth section
+    in node order, each as it is held, with no dense copy made. Raises
     ValueError, before the file is opened, if a function node has no
-    vector or one that section cannot hold (see ``_vector_section``).
+    payload or no vector, a signature has an empty feature, or a vector
+    does not fit its section (see ``_vector_section``).
     """
     ids = sorted(graph.nodes)
-    nodes = [_node_record(graph.nodes[nid]) for nid in ids]
+    nodes = [graph.nodes[nid] for nid in ids]
+    node_section = _node_section(nodes)
     vectors = _vector_section(
-        [nid for nid in ids if graph.nodes[nid].kind is NodeKind.FUNCTION], graph.vectors)
-    edges = sorted([s, r.value, o] for s, r, o in graph.edges)
+        [node.id for node in nodes if node.kind is NodeKind.FUNCTION], graph.vectors)
     clone_section = {
         "min_tokens": clones.min_tokens,
         "groups": {cid: sorted(members) for cid, members in clones.groups.items()},
@@ -330,48 +396,31 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<H", _VERSION)
-    for payload in (*map(_canonical_json, (nodes, edges, clone_section, meta)), vectors):
+    sections = (node_section, _edge_section(ids, graph.edges), clone_section, meta)
+    for payload in (*map(_canonical_json, sections), vectors):
         blob += struct.pack("<I", len(payload))
         blob += payload
     with open(path, "wb") as handle:
         handle.write(bytes(blob))
 
 
-#: payload field -> the JSON types save_kb writes for it (exact types: a bool is no int)
-_PAYLOAD_TYPES = {
-    "contract_name": (str,),
-    "name": (str,),
-    "source_text": (str,),
-    "signature": (list,),
-    "token_count": (int,),
-    "clone_id": (str, type(None)),
-    "guf": (int,),
-}
-
-
-def _function_unit(node_id: str, raw) -> FunctionUnit:
-    """The payload of a function record, if it has exactly the saved fields,
-    each of its saved type."""
-    if type(raw) is not dict or raw.keys() != _PAYLOAD_TYPES.keys():
-        raise ValueError(f"node {node_id!r}: payload fields are not {sorted(_PAYLOAD_TYPES)}")
-    for name, types in _PAYLOAD_TYPES.items():
-        if type(raw[name]) not in types:
-            raise ValueError(
-                f"node {node_id!r}: payload {name} has type {type(raw[name]).__name__}")
-    signature = raw["signature"]
-    if not (set(map(type, signature)) <= {str} and _ascending(signature)):
-        raise ValueError(f"node {node_id!r}: signature features are not strings "
-                         f"in strictly ascending order")
-    return FunctionUnit(
-        id=node_id,
-        contract_name=raw["contract_name"],
-        name=raw["name"],
-        source_text=raw["source_text"],
-        signature=SignatureFeatures(frozenset(signature)),
-        token_count=raw["token_count"],
-        clone_id=raw["clone_id"],
-        guf=raw["guf"],
-    )
+def _columns(section: dict, types: Mapping[str, set], length: Optional[int] = None,
+             ) -> list[list]:
+    """The columns of ``section`` that ``types`` names, in its order, if each
+    is a list of ``length`` items (by default, as many as the first column
+    has) and each item is of exactly one of its column's types."""
+    columns = [section[name] for name in types]
+    for name, column in zip(types, columns):
+        if type(column) is not list:
+            raise ValueError(f"column {name!r} is not a list")
+        if length is None:
+            length = len(column)
+        if len(column) != length:
+            raise ValueError(f"column {name!r} has {len(column)} items, not {length}")
+        if not set(map(type, column)) <= types[name]:
+            raise ValueError(f"column {name!r} holds an item of another type than "
+                             f"{sorted(kind.__name__ for kind in types[name])}")
+    return columns
 
 
 def _ascending(items: list) -> bool:
@@ -379,9 +428,73 @@ def _ascending(items: list) -> bool:
     return all(map(lt, items, islice(items, 1, None)))
 
 
-#: relation name -> (relation, subject kind, object kinds), as every triple has them
-_EDGE_KINDS = {relation.value: (relation, subject_kind, tuple(object_kinds))
-               for relation, (subject_kind, object_kinds) in RELATION_TYPING.items()}
+def _signature(text: str) -> SignatureFeatures:
+    """The signature that ``_signature_text`` wrote as ``text``, if its
+    features are nonempty and strictly ascending (``""`` has none)."""
+    features = text.split(" ") if text else []
+    # "" sorts first, so of strictly ascending features only the first can be empty
+    if features and not (features[0] and _ascending(features)):
+        raise ValueError(f"signature {text!r} is not nonempty features in strictly "
+                         f"ascending order")
+    return SignatureFeatures(frozenset(features))
+
+
+def _read_nodes(graph: PropertyGraph, section) -> tuple[list[str], list[str]]:
+    """Add the node section's nodes to ``graph``, if save_kb could have
+    written it, and return its ids and their kind names.
+
+    The function columns must hold one entry per function node, so a
+    function node without a payload, or a payload for a node of another
+    kind, makes them one entry short or long.
+    """
+    if type(section) is not dict \
+            or section.keys() != _NODE_COLUMNS.keys() | _FUNCTION_COLUMNS.keys():
+        raise ValueError("the node section does not have exactly the node and function columns")
+    ids, kind_names, labels = _columns(section, _NODE_COLUMNS)
+    if not _ascending(ids):
+        raise ValueError("node ids are not in strictly ascending order")
+    kinds = [_NODE_KINDS[name] for name in kind_names]  # KeyError: an unknown kind
+    function_ids = [nid for nid, kind in zip(ids, kinds) if kind is NodeKind.FUNCTION]
+    contract_names, names, sources, signatures, token_counts, clone_ids, gufs = _columns(
+        section, _FUNCTION_COLUMNS, len(function_ids))
+    # few distinct signatures recur over many functions: each is read once,
+    # and its functions share the immutable SignatureFeatures
+    read = {text: _signature(text) for text in set(signatures)}
+    payloads = dict(zip(function_ids, map(
+        FunctionUnit, function_ids, contract_names, names, sources,
+        map(read.__getitem__, signatures), token_counts, clone_ids, gufs)))
+    for node_id, kind, label in zip(ids, kinds, labels):
+        graph.add_node(EntityNode(node_id, kind, label, payloads.get(node_id)))
+    return ids, kind_names
+
+
+def _read_edges(section, ids: list[str], kind_names: list[str],
+                ) -> list[tuple[str, Relation, str]]:
+    """The edge section's edges, if save_kb could have written it for nodes
+    of ``ids`` and ``kind_names``: each position an index of ``ids``, the
+    rows in strictly ascending order, and each relation a known one between
+    nodes of the kinds it joins."""
+    if type(section) is not dict or section.keys() != _EDGE_COLUMNS.keys():
+        raise ValueError(f"the edge section's columns are not {sorted(_EDGE_COLUMNS)}")
+    subjects, relation_names, objects = _columns(section, _EDGE_COLUMNS)
+    # checked explicitly: a negative position would index from the end
+    for positions in (subjects, objects):
+        if positions and not (0 <= min(positions) and max(positions) < len(ids)):
+            raise ValueError(f"an edge position is outside 0..{len(ids) - 1}")
+    rows = zip(subjects, relation_names, objects)
+    later_rows = zip(*(islice(column, 1, None) for column in (subjects, relation_names, objects)))
+    if not all(map(lt, rows, later_rows)):
+        raise ValueError("edges are not in strictly ascending order")
+    # each distinct (subject kind, relation, object kind) is checked once
+    for subject_kind, relation_name, object_kind in set(zip(
+            map(kind_names.__getitem__, subjects), relation_names,
+            map(kind_names.__getitem__, objects))):
+        _relation, kind, object_kinds = _EDGE_KINDS[relation_name]  # KeyError: an unknown one
+        if subject_kind != kind or object_kind not in object_kinds:
+            raise ValueError(f"a {relation_name} edge joins a {subject_kind} node "
+                             f"to a {object_kind} node")
+    relations = [_EDGE_KINDS[name][0] for name in relation_names]
+    return list(zip(map(ids.__getitem__, subjects), relations, map(ids.__getitem__, objects)))
 
 
 def _vectors(section: bytes, function_ids: list[str],
@@ -418,30 +531,34 @@ def _vectors(section: bytes, function_ids: list[str],
 
 
 def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
-    """Read a format-3 knowledge base written by save_kb; never yields a partial graph.
+    """Read a format-4 knowledge base written by save_kb; never yields a partial graph.
 
     Every section must be as save_kb writes it for a graph that build_kb
     made. FormatError("Corrupt") is raised, among other cases, for a JSON
     section that does not decode (so also for one nested too deeply or
-    holding an integer of more digits than ``int`` converts), node records
-    or edges out of strictly ascending order (so also for a repeat),
-    signature features out of it, a payload field of the wrong type, a node
-    record, payload or clone section with a field save_kb does not write (a
-    format-2 ``"vector"`` among them), a function node without a payload or
-    another node with one, a vector section whose counts do not cover
-    exactly the function records or whose length is not the one its counts
-    make (checked before any bucket or value is read), vector buckets not
-    strictly ascending below the metadata's dimension, an edge whose
-    relation does not fit its endpoints' kinds, clone groups that differ
-    from the functions' ``clone_id``s, a ``clone_id`` on a function below
-    the clone section's ``min_tokens`` or none on one at or above it, a
-    ``guf`` other than the function's clone-group size plus its CALLS
-    in-degree (so every loaded ``guf`` is at least 1), or a vector not
-    ``within_bound``: not finite or of a norm above 2**510, the bound every
-    provider's ``embed`` holds, so that ``knn`` cannot overflow. The
-    metadata must name a provider (``name``, ``dimension``, ``embed``) in
-    ``embedding.PROVIDERS``. A format-1 or format-2 file raises
-    FormatError("VersionMismatch").
+    holding an integer of more digits than ``int`` converts); a node or edge
+    section or clone section without exactly the columns or fields save_kb
+    writes (a format-2 ``"vector"`` among them); a column that is not a
+    list, is not as long as the others of its section (a function column
+    must have one entry per function node, so a function node without a
+    payload, or another node with one, makes it one entry short or long), or
+    holds an item of another type than save_kb writes there (a bool is no
+    int); ids, edges or signature features out of strictly ascending order
+    (so also a repeat); an empty signature feature; an unknown node kind or
+    relation; an edge position outside the id column (a negative one too);
+    an edge whose relation does not fit its endpoints' kinds; a vector
+    section whose counts do not cover exactly the function nodes or whose
+    length is not the one its counts make (checked before any bucket or
+    value is read); vector buckets not strictly ascending below the
+    metadata's dimension; clone groups that differ from the functions'
+    ``clone_id``s, a ``clone_id`` on a function below the clone section's
+    ``min_tokens`` or none on one at or above it; a ``guf`` other than the
+    function's clone-group size plus its CALLS in-degree (so every loaded
+    ``guf`` is at least 1); or a vector not ``within_bound``: not finite or
+    of a norm above 2**510, the bound every provider's ``embed`` holds, so
+    that ``knn`` cannot overflow. The metadata must name a provider
+    (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``. A file
+    of format 1, 2 or 3 raises FormatError("VersionMismatch").
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -476,7 +593,7 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8, huge ints
             raise FormatError("Corrupt", f"{path}: section {index} undecodable ({exc})") from None
 
-    node_records, edge_records, clone_section, meta = sections
+    node_section, edge_section, clone_section, meta = sections
     # the metadata must name a provider that retrieve can rebuild
     if not isinstance(meta, dict):
         raise FormatError("Corrupt", f"{path}: metadata is not an object")
@@ -489,40 +606,10 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     dimension = meta_dimension(meta)  # the bucket bound; provider_from_meta's dimension too
     graph = PropertyGraph()
     try:
-        ids = [record["id"] for record in node_records]
-        if not (set(map(type, ids)) <= {str} and _ascending(ids)):
-            raise ValueError("node ids are not strings in strictly ascending order")
-        for record in node_records:
-            node_id, kind, label = record["id"], NodeKind(record["kind"]), record["label"]
-            if type(label) is not str:
-                raise ValueError(f"node {node_id!r}: label is not a string")
-            is_function = kind is NodeKind.FUNCTION
-            # a function node, and no other, has a payload; a format-2
-            # "vector" or any other field is not one save_kb writes
-            if record.keys() != ({"id", "kind", "label", "payload"} if is_function
-                                 else {"id", "kind", "label"}):
-                raise ValueError(f"node {node_id!r}: fields {sorted(record)} are not "
-                                 f"those of a {kind.value} node")
-            if not is_function:
-                graph.add_node(EntityNode(node_id, kind, label))
-                continue
-            payload = _function_unit(node_id, record["payload"])
-            graph.add_node(EntityNode(node_id, kind, label, payload))
+        ids, kind_names = _read_nodes(graph, node_section)
         graph.vectors = _vectors(vector_section, [node.id for node in graph.function_nodes()],
                                  dimension)
-        if not _ascending(edge_records):
-            raise ValueError("edges are not in strictly ascending order")
-        # each a known relation between known nodes of the kinds it joins
-        # (an unknown name or endpoint is a KeyError)
-        nodes, edges = graph.nodes, []
-        for subject_id, relation_name, object_id in edge_records:
-            relation, subject_kind, object_kinds = _EDGE_KINDS[relation_name]
-            if nodes[subject_id].kind is not subject_kind \
-                    or nodes[object_id].kind not in object_kinds:
-                raise ValueError(f"edge {subject_id!r} -{relation_name}-> {object_id!r} "
-                                 f"joins nodes of other kinds")
-            edges.append((subject_id, relation, object_id))
-        graph.edges, graph._edge_set = edges, None
+        graph.edges, graph._edge_set = _read_edges(edge_section, ids, kind_names), None
         min_tokens, groups = clone_section["min_tokens"], clone_section["groups"]
         if clone_section.keys() != {"min_tokens", "groups"}:
             raise ValueError(f"clone section fields {sorted(clone_section)}")
@@ -537,8 +624,8 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
                                  f"{fn.token_count} tokens, clone min_tokens {min_tokens}")
             if fn.clone_id is not None:
                 members.setdefault(fn.clone_id, []).append(fn.id)
-        for ids in members.values():
-            ids.sort()
+        for group in members.values():
+            group.sort()
         if groups != members:
             raise ValueError("clone groups differ from the functions' clone ids")
         clones = CloneGroupTable(min_tokens=min_tokens, groups=members)

@@ -155,7 +155,8 @@ class RemoteLlmBackend:
                 raise TypeError("content is not a string or usage is not an object")
             prompt_tokens = int(usage.get("prompt_tokens", 0))
             completion_tokens = int(usage.get("completion_tokens", 0))
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        # OverflowError: a count of Infinity or 1e400, which JSON decodes as inf
+        except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
             raise LlmError("HttpStatus",
                            f"{self.url}: malformed completion payload ({exc})") from None
         return LlmResponse(

@@ -60,10 +60,13 @@ def test_exit_codes(kb_file, tmp_path, capsys):
         for flag, value in (("--top-n", "5"), ("--epsilon", "1.0")):
             assert main(command + [flag, value]) == 1
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-    for flag in ("--dimension", "--clone-min-tokens"):
-        for value in ("0", "-5"):
-            assert main(["build-kb", "--corpus", str(FIXTURES / "corpus"),
-                         "--out", str(tmp_path / "unused.scpk"), flag, value]) == 1
+    # a dimension above 2**32 leaves buckets that a u32 cannot hold; it is
+    # refused before the corpus is read
+    for flag, value in (("--dimension", "0"), ("--dimension", "-5"),
+                        ("--dimension", str(2 ** 32 + 1)), ("--dimension", "5000000000"),
+                        ("--clone-min-tokens", "0"), ("--clone-min-tokens", "-5")):
+        assert main(["build-kb", "--corpus", str(FIXTURES / "corpus"),
+                     "--out", str(tmp_path / "unused.scpk"), flag, value]) == 1
     for value in ("0", "-4"):
         assert main(["evaluate", "--kb", str(kb_file),
                      "--manifest", str(EVAL_CASES / "manifest.json"),

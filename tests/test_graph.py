@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -254,17 +255,89 @@ def test_load_rejects_version_mismatch(kb_file, tmp_path):
     assert err.value.code == "VersionMismatch"
 
 
-def _assert_older_format_is_rejected(kb_file, path, version, vector_of):
-    """Write the fixture KB in the four-section layout of formats 1 and 2,
-    with ``vector_of(buckets, values)`` as each function record's
-    ``"vector"``, and check that load_kb rejects it by its version."""
-    def vectors_in_records(nodes, edges, clones, meta, vectors):
-        for record, (buckets, values) in zip(
-                [record for record in nodes if record["kind"] == "function"], vectors):
-            record["vector"] = vector_of(buckets, values)
-        return [nodes, edges, clones, meta]
+#: the node section's columns over every node, and those over the function
+#: nodes only (format 3's payload fields)
+_NODE_FIELDS = ("id", "kind", "label")
+_PAYLOAD_FIELDS = ("contract_name", "name", "source_text", "signature", "token_count",
+                   "clone_id", "guf")
+_EDGE_FIELDS = ("subject", "relation", "object")
 
-    blob = bytearray(_rewrite_kb(kb_file, path, vectors_in_records).read_bytes())
+
+def _records(nodes):
+    """The node columns as format 3's node records: one dict per node, and a
+    function's with its payload dict."""
+    payloads = (dict(zip(_PAYLOAD_FIELDS, entries))
+                for entries in zip(*(nodes[name] for name in _PAYLOAD_FIELDS)))
+    records = []
+    for entries in zip(*(nodes[name] for name in _NODE_FIELDS)):
+        record = dict(zip(_NODE_FIELDS, entries))
+        if record["kind"] == "function":
+            record["payload"] = next(payloads)
+        records.append(record)
+    return records
+
+
+def _with_records(edit):
+    """A mutation that edits the nodes as ``_records`` gives them and writes
+    them back as columns: a node column over every record, and a function
+    column over the records that have a payload, in their order."""
+    def mutate(nodes, edges, clones, meta, vectors):
+        records = _records(nodes)
+        edit(records)
+        payloads = [record["payload"] for record in records if "payload" in record]
+        nodes.update({name: [record[name] for record in records] for name in _NODE_FIELDS})
+        nodes.update({name: [payload[name] for payload in payloads]
+                      for name in _PAYLOAD_FIELDS})
+    return mutate
+
+
+def _edge_rows(edges):
+    return [list(row) for row in zip(*(edges[name] for name in _EDGE_FIELDS))]
+
+
+def _set_edge_rows(edges, rows):
+    edges.update(zip(_EDGE_FIELDS, (list(column) for column in zip(*rows))))
+
+
+def _with_edge_rows(edit):
+    """A mutation that edits the edges as [subject, relation, object] rows of
+    positions and writes them back as columns."""
+    def mutate(nodes, edges, clones, meta, vectors):
+        rows = _edge_rows(edges)
+        edit(rows, nodes)
+        _set_edge_rows(edges, rows)
+    return mutate
+
+
+def _format_3_layout(nodes, edges):
+    """The node and edge sections as format 3 wrote them: one record per
+    node, a function's with its payload and the payload's signature as a
+    list of features, and one [subject id, relation, object id] list per
+    edge, in the same order."""
+    records = _records(nodes)
+    for record in records:
+        if "payload" in record:
+            record["payload"]["signature"] = record["payload"]["signature"].split()
+    ids = nodes["id"]
+    return records, [[ids[subject], relation, ids[obj]]
+                     for subject, relation, obj in _edge_rows(edges)]
+
+
+def _assert_older_format_is_rejected(kb_file, path, version, vector_of=None):
+    """Write the fixture KB in format 3's record layout, and check that
+    load_kb rejects it by its ``version``. With ``vector_of``, each function
+    record holds ``vector_of(buckets, values)`` as its ``"vector"`` and there
+    is no vector section, as in formats 1 and 2."""
+    def older_layout(nodes, edges, clones, meta, vectors):
+        records, edge_lists = _format_3_layout(nodes, edges)
+        if vector_of is None:
+            return [records, edge_lists, clones, meta, vectors]
+        for record, (buckets, values) in zip(
+                [record for record in records if "payload" in record], vectors):
+            record["vector"] = vector_of(buckets, values)
+        return [records, edge_lists, clones, meta]
+
+    blob = bytearray(_rewrite_kb(kb_file, path, older_layout).read_bytes())
     blob[4:6] = version.to_bytes(2, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError) as err:
@@ -283,6 +356,12 @@ def test_format_2_file_raises_version_mismatch(kb_file, tmp_path):
     # format 2 held every vector as a sparse pair in its node record
     _assert_older_format_is_rejected(kb_file, tmp_path / "v2.scpk", 2,
                                      lambda buckets, values: [buckets, values])
+
+
+def test_format_3_file_raises_version_mismatch(kb_file, tmp_path):
+    # format 3 held one JSON record per node and one list per edge, and the
+    # vectors in the binary section that format 4 keeps
+    _assert_older_format_is_rejected(kb_file, tmp_path / "v3.scpk", 3)
 
 
 def test_load_rejects_truncation_everywhere(kb_file, tmp_path):
@@ -309,10 +388,10 @@ def test_load_missing_file_is_io_error(tmp_path):
 
 
 def _vector_parts(vectors, bucket_code="I", value_code="d"):
-    """The vector section of ``[buckets, values]`` pairs, as format 3 lays it
-    out, in three parts: a little-endian u32 bucket count per vector, every
-    bucket as a u32 and every value as an f64 (or each in the ``struct``
-    code given)."""
+    """The vector section of ``[buckets, values]`` pairs, as formats 3 and 4
+    lay it out, in three parts: a little-endian u32 bucket count per vector,
+    every bucket as a u32 and every value as an f64 (or each in the
+    ``struct`` code given)."""
     buckets = [bucket for pair in vectors for bucket in pair[0]]
     values = [value for pair in vectors for value in pair[1]]
     return (struct.pack(f"<{len(vectors)}I", *(len(pair[0]) for pair in vectors)),
@@ -323,10 +402,11 @@ def _vector_parts(vectors, bucket_code="I", value_code="d"):
 def _rewrite_kb(kb_file, path, mutate):
     """Decode the four JSON sections and the vector section, pass them to
     ``mutate`` and write the sections it returns (or, if it returns None, the
-    ones it edited). The vectors come as ``[buckets, values]`` lists in the
-    order of the function records. A fifth section that is bytes is written
-    as it is, as is any other section that is bytes; returning only four
-    sections writes the format-2 layout."""
+    ones it edited). The node and edge sections come as their column
+    objects, the vectors as ``[buckets, values]`` lists in the order of the
+    function nodes. A fifth section that is bytes is written as it is, as is
+    any other section that is bytes; returning only four sections writes
+    the layout of formats 1 and 2."""
     blob = kb_file.read_bytes()
     offset, payloads = 6, []
     for _ in range(5):
@@ -334,7 +414,7 @@ def _rewrite_kb(kb_file, path, mutate):
         payloads.append(blob[offset + 4:offset + 4 + length])
         offset += 4 + length
     sections = [json.loads(payload) for payload in payloads[:4]]
-    functions = sum(1 for record in sections[0] if record["kind"] == "function")
+    functions = sections[0]["kind"].count("function")
     counts = struct.unpack_from(f"<{functions}I", payloads[4])
     total = sum(counts)
     buckets = struct.unpack_from(f"<{total}I", payloads[4], 4 * functions)
@@ -357,24 +437,27 @@ def _rewrite_kb(kb_file, path, mutate):
     return path
 
 
-def _function_record(nodes, index=0):
-    return [record for record in nodes if "payload" in record][index]
+def _function_record(records, index=0):
+    return [record for record in records if "payload" in record][index]
 
 
-def _node_record(nodes, kind):
-    return next(record for record in nodes if record["kind"] == kind)
+def _node_record(records, kind):
+    return next(record for record in records if record["kind"] == kind)
+
+
+def _function_ids(nodes):
+    return [nid for nid, kind in zip(nodes["id"], nodes["kind"]) if kind == "function"]
 
 
 def _clone_ids_as_lists(nodes, edges, clones, meta, vectors):
-    for record in nodes:
-        if "payload" in record:
-            record["payload"]["clone_id"] = [record["payload"]["clone_id"]]
+    nodes["clone_id"] = [[clone_id] for clone_id in nodes["clone_id"]]
 
 
-def _grouped_record(nodes, clones):
-    """The first function record with a clone id, and its group's members."""
-    record = next(r for r in nodes if "payload" in r and r["payload"]["clone_id"])
-    return record, clones["groups"][record["payload"]["clone_id"]]
+def _grouped_function(nodes, clones):
+    """The function-column index of the first function with a clone id, and
+    its group's members."""
+    index = next(i for i, clone_id in enumerate(nodes["clone_id"]) if clone_id)
+    return index, clones["groups"][nodes["clone_id"][index]]
 
 
 def _vector_of(index=0, buckets=None, values=None):
@@ -425,14 +508,21 @@ def _drop(container, *key):
 
 
 def _payload_of(**changes):
-    return lambda nodes, edges, clones, meta, vectors: _function_record(
-        nodes)["payload"].update(changes)
+    """A mutation that sets the first function's entry in each named column."""
+    def mutate(nodes, edges, clones, meta, vectors):
+        for name, value in changes.items():
+            nodes[name][0] = value
+    return mutate
 
 
 def _signature_of(edit):
-    """A mutation that edits, in place, the first function's signature features."""
-    return lambda nodes, edges, clones, meta, vectors: edit(
-        _function_record(nodes)["payload"]["signature"])
+    """A mutation that edits, in place, the first function's signature
+    features, and writes them back joined by single spaces."""
+    def mutate(nodes, edges, clones, meta, vectors):
+        features = nodes["signature"][0].split(" ")
+        edit(features)
+        nodes["signature"][0] = " ".join(features)
+    return mutate
 
 
 def _with_edge(subject_kind, relation, object_kind):
@@ -440,29 +530,32 @@ def _with_edge(subject_kind, relation, object_kind):
     ``subject_kind`` to the first of ``object_kind``; a CALLS edge also
     raises the callee's guf by one, as compute_guf would."""
     def mutate(nodes, edges, clones, meta, vectors):
-        subject, obj = _node_record(nodes, subject_kind), _node_record(nodes, object_kind)
-        edges.append([subject["id"], relation, obj["id"]])
-        edges.sort()
+        subject, obj = nodes["kind"].index(subject_kind), nodes["kind"].index(object_kind)
+        _set_edge_rows(edges, sorted(_edge_rows(edges) + [[subject, relation, obj]]))
         if relation == "CALLS":
-            obj["payload"]["guf"] += 1
+            nodes["guf"][_function_ids(nodes).index(nodes["id"][obj])] += 1
     return mutate
 
 
 def _calls_edge_dropped(nodes, edges, clones, meta, vectors):
-    edges.remove(next(edge for edge in edges if edge[1] == "CALLS"))
+    index = edges["relation"].index("CALLS")
+    for name in _EDGE_FIELDS:
+        _drop(edges[name], index)
 
 
 def _guf_raised(nodes, edges, clones, meta, vectors):
-    _function_record(nodes)["payload"]["guf"] += 1
+    nodes["guf"][0] += 1
 
 
 _MALFORMED = {
     # the clone section's groups must be an object
     "groups-list": lambda nodes, edges, clones, meta, vectors: clones.update(
         groups=[["a", ["b"]]]),
-    # every signature feature must be a string
-    "feature-int": _payload_of(signature=["public", 7]),
-    # the vector section is a count per function record, the buckets and the
+    # every signature is a string of features (format 3 held a list of them,
+    # and one could be an int)
+    "feature-int": _payload_of(signature=7),
+    "signature-list": _payload_of(signature=["nonpayable", "public"]),
+    # the vector section is a count per function node, the buckets and the
     # values, so its length is exactly the one its counts make (the format-2
     # JSON pair could also be an empty list, a scalar, a list of three or of
     # one, or a list and a scalar: here they are nothing, one f64, a fourth
@@ -527,9 +620,7 @@ _MALFORMED = {
     "dimension-small": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=16),
     # a clone id is a string or null (a list loaded, then broke rerank's set)
     "clone-id-list": _clone_ids_as_lists,
-    # each payload field has the type save_kb writes (a string signature
-    # loaded as a set of characters, and the others loaded as they were)
-    "signature-string": _payload_of(signature="public"),
+    # each column item has the type save_kb writes (a bool is no int)
     "source-text-int": _payload_of(source_text=7),
     "name-list": _payload_of(name=["f"]),
     "contract-name-null": _payload_of(contract_name=None),
@@ -537,35 +628,54 @@ _MALFORMED = {
     "guf-bool": _payload_of(guf=True),
     "token-count-bool": _payload_of(token_count=True),
     "min-tokens-float": lambda nodes, edges, clones, meta, vectors: clones.update(min_tokens=12.0),
-    # a function node has one payload and one vector, and no other node has
-    # either (a vector for a variable is one vector more than function records)
+    # a known node kind
+    "kind-unknown": lambda nodes, edges, clones, meta, vectors: nodes["kind"].__setitem__(
+        -1, "event"),
+    # a function node has one vector and one entry in each function column,
+    # and no other node has either: a function node without a payload makes
+    # every function column one entry short, and a payload on a variable one
+    # entry long (a vector for a variable is one vector more than function
+    # nodes)
     "function-without-vector": lambda nodes, edges, clones, meta, vectors: _drop(vectors, 0),
-    "function-without-payload": lambda nodes, edges, clones, meta, vectors: _drop(
-        _function_record(nodes), "payload"),
+    "function-without-payload": _with_records(
+        lambda records: _drop(_function_record(records), "payload")),
     "vector-on-variable": lambda nodes, edges, clones, meta, vectors: vectors.append(
         [[0], [1.0]]),
-    "payload-on-variable": lambda nodes, edges, clones, meta, vectors: _node_record(
-        nodes, "variable").update(payload=_function_record(nodes)["payload"]),
-    # a node record, a payload and the clone section have exactly the fields
-    # save_kb writes (an unknown payload or clone field loaded, and re-saving
-    # dropped it; a format-2 vector in a function record would be ignored)
-    "vector-in-record": lambda nodes, edges, clones, meta, vectors: _function_record(
-        nodes).update(vector=vectors[0]),
-    "payload-unknown-field": _payload_of(detected=[]),
+    "payload-on-variable": _with_records(lambda records: _node_record(
+        records, "variable").update(payload=_function_record(records)["payload"])),
+    # every column of a section as long as the others of its kind: a reader
+    # that zipped them would drop the last node, the last edge or the last
+    # function's payload, or ignore an extra entry, and load
+    "label-column-short": lambda nodes, edges, clones, meta, vectors: _drop(nodes["label"]),
+    "relation-column-short": lambda nodes, edges, clones, meta, vectors: _drop(
+        edges["relation"]),
+    "guf-column-short": lambda nodes, edges, clones, meta, vectors: _drop(nodes["guf"]),
+    "guf-column-long": lambda nodes, edges, clones, meta, vectors: nodes["guf"].append(1),
+    # a section has exactly the columns or fields save_kb writes (an unknown
+    # payload or clone field loaded, and re-saving dropped it; a format-2
+    # vector, here as a column of the node section, would be ignored)
+    "vector-in-record": lambda nodes, edges, clones, meta, vectors: nodes.update(
+        vector=vectors),
+    "payload-unknown-field": lambda nodes, edges, clones, meta, vectors: nodes.update(
+        detected=[[] for _ in _function_ids(nodes)]),
     "clones-unknown-field": lambda nodes, edges, clones, meta, vectors: clones.update(
         stale=True),
-    "node-twice": lambda nodes, edges, clones, meta, vectors: nodes.append(_function_record(nodes)),
-    # node records, edges and signature features in strictly ascending order,
-    # as save_kb writes them (out of it, they loaded and re-saved to other bytes)
-    "nodes-unsorted": lambda nodes, edges, clones, meta, vectors: nodes.insert(0, nodes.pop(1)),
-    "edges-unsorted": lambda nodes, edges, clones, meta, vectors: edges.reverse(),
-    "edge-twice": lambda nodes, edges, clones, meta, vectors: edges.insert(0, list(edges[0])),
+    "node-twice": _with_records(lambda records: records.append(_function_record(records))),
+    # ids, edges and signature features in strictly ascending order, as
+    # save_kb writes them (out of it, they loaded and re-saved to other bytes)
+    "nodes-unsorted": _with_records(lambda records: records.insert(0, records.pop(1))),
+    "edges-unsorted": _with_edge_rows(lambda rows, nodes: rows.reverse()),
+    "edge-twice": _with_edge_rows(lambda rows, nodes: rows.insert(0, list(rows[0]))),
     "signature-unsorted": _signature_of(lambda features: features.reverse()),
     "signature-repeated": _signature_of(lambda features: features.append(features[-1])),
+    # no empty feature: " nonpayable public" still splits into ascending
+    # features, and without this check it loaded and re-saved unchanged
+    "signature-empty-first-feature": _signature_of(lambda features: features.insert(0, "")),
     # an edge joins known nodes by a known relation of the kinds extract_triples
-    # emits (a CALLS edge from a variable, and the guf it adds, loaded)
-    "edge-unknown-endpoint": lambda nodes, edges, clones, meta, vectors: edges.append(
-        [edges[-1][0], edges[-1][1], "~"]),
+    # emits (a CALLS edge from a variable, and the guf it adds, loaded); an
+    # endpoint is a position, not an id as in format 3
+    "edge-unknown-endpoint": _with_edge_rows(lambda rows, nodes: rows.append(
+        [rows[-1][0], rows[-1][1], "~"])),
     "relation-unknown": _with_edge("function", "INVOKES", "function"),
     "calls-from-variable": _with_edge("variable", "CALLS", "function"),
     "reads-a-function": _with_edge("function", "READS", "function"),
@@ -573,14 +683,14 @@ _MALFORMED = {
     "guf-raised": _guf_raised,
     "calls-edge-dropped": _calls_edge_dropped,
     # the clone groups are exactly the functions' clone ids
-    "group-unknown-id": lambda nodes, edges, clones, meta, vectors: _grouped_record(
+    "group-unknown-id": lambda nodes, edges, clones, meta, vectors: _grouped_function(
         nodes, clones)[1].append("f" * 16),
-    "group-wrong-clone-id": lambda nodes, edges, clones, meta, vectors: _grouped_record(
-        nodes, clones)[0]["payload"].update(clone_id="0" * 16),
+    "group-wrong-clone-id": lambda nodes, edges, clones, meta, vectors: nodes[
+        "clone_id"].__setitem__(_grouped_function(nodes, clones)[0], "0" * 16),
     "group-missing-member": lambda nodes, edges, clones, meta, vectors: _drop(
-        _grouped_record(nodes, clones)[1]),
+        _grouped_function(nodes, clones)[1]),
     "group-extra": lambda nodes, edges, clones, meta, vectors: clones["groups"].update(
-        {"0" * 16: [_function_record(nodes)["id"]]}),
+        {"0" * 16: [_function_ids(nodes)[0]]}),
     # a function has a clone id exactly if its token count reaches min_tokens
     # (999 left functions below it grouped, 0 left two at or above it
     # ungrouped; both loaded)
@@ -592,6 +702,42 @@ _MALFORMED = {
 @pytest.mark.parametrize("mutate", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_load_rejects_malformed_sections_as_corrupt(kb_file, tmp_path, mutate):
     path = _rewrite_kb(kb_file, tmp_path / "bad.scpk", mutate)
+    with pytest.raises(FormatError) as err:
+        load_kb(path)
+    assert err.value.code == "Corrupt"
+
+
+def _last_position_as(value_of):
+    """A mutation that writes ``value_of(last)`` for the object position of
+    an edge to the last node, ``last``, and sorts the edges again."""
+    def edit(rows, nodes):
+        last = len(nodes["id"]) - 1
+        next(row for row in rows if row[2] == last)[2] = value_of(last)
+        rows.sort()
+    return _with_edge_rows(edit)
+
+
+def _position_one_as(value):
+    """A mutation that writes ``value``, which sorts as 1 does, for every edge
+    position 1."""
+    def edit(rows, nodes):
+        for row in rows:
+            for slot in (0, 2):
+                if row[slot] == 1:
+                    row[slot] = value
+    return _with_edge_rows(edit)
+
+
+@pytest.mark.parametrize("mutate", [
+    _last_position_as(lambda last: -1), _last_position_as(lambda last: last + 1),
+    _position_one_as(True), _position_one_as(1.0),
+], ids=["minus-one", "len-ids", "true", "one-point-zero"])
+def test_load_rejects_an_edge_position_that_is_not_an_index_of_the_ids(
+        kb_file, tmp_path, mutate):
+    # -1 and true would index the node that the saved position names, so a
+    # reader that only indexed the id column with them would load the same
+    # graph; len(ids) would index past its end
+    path = _rewrite_kb(kb_file, tmp_path / "position.scpk", mutate)
     with pytest.raises(FormatError) as err:
         load_kb(path)
     assert err.value.code == "Corrupt"
@@ -628,6 +774,21 @@ def test_save_rejects_a_bucket_beyond_u32_before_opening_the_file(kb_file, tmp_p
     wide.vectors[first] = EmbeddingVector((0, 2 ** 32 - 1), (0.6, 0.8))
     save_kb(wide, clones, path)
     assert load_kb(path)[0] == wide
+
+
+def test_save_rejects_what_the_function_columns_cannot_hold_before_opening_the_file(
+        kb_file, tmp_path):
+    # a function node without a payload has no entry in the function columns,
+    # and an empty feature would vanish from its signature's text
+    path = tmp_path / "unwritable.scpk"
+    for edit in (lambda node: setattr(node, "payload", None),
+                 lambda node: setattr(node, "payload", dataclasses.replace(
+                     node.payload, signature=SignatureFeatures(frozenset({"", "public"}))))):
+        graph, clones = load_kb(kb_file)
+        edit(graph.function_nodes()[0])
+        with pytest.raises(ValueError):
+            save_kb(graph, clones, path)
+        assert not path.exists()
 
 
 def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, tmp_path):
@@ -899,8 +1060,8 @@ def test_build_kb_records_failures_and_continues(corpus_paths, tmp_path):
 
 #: SHA-256 of the KB saved from the fixture corpus with HashingEmbedder(),
 #: and the format version it was saved in.
-FIXTURE_KB_SHA256 = "8bf9d058046cd0c2e129ee515ebbd78218b933e1d1b832f054f7d7865cb5dabe"
-FIXTURE_KB_VERSION = 3
+FIXTURE_KB_SHA256 = "d03aca52f0af1bbb42ba93b3cc5e2ea98cd0bf1df3617716e038fc02bb011516"
+FIXTURE_KB_VERSION = 4
 
 
 def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):

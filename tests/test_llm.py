@@ -73,8 +73,11 @@ def test_reply_with_usage_gives_text_and_counts():
     (_FakeResponse({"choices": [{"message": {"content": "x"}}],
                     "usage": {"prompt_tokens": "many"}}), "HttpStatus"),
     (_FakeResponse({"choices": [{"message": {"content": ["x"]}}]}), "HttpStatus"),
+    # JSON's Infinity and 1e400 both decode as inf, which int() cannot convert
+    (_FakeResponse({"choices": [{"message": {"content": "x"}}],
+                    "usage": {"prompt_tokens": float("inf")}}), "HttpStatus"),
 ], ids=["http-500", "timeout", "connection", "malformed", "usage-null", "usage-not-a-count",
-        "content-list"])
+        "content-list", "usage-infinite"])
 def test_failures_raise_llm_errors(reply, code):
     backend, session = _backend(reply)
     with pytest.raises(LlmError) as err:
