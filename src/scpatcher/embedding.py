@@ -22,13 +22,14 @@ scores, below ``4 * (|q|**2 + max |r|**2)``, cannot overflow.
 
 The reference provider is a deterministic hashing embedder: tokens are
 hashed into a fixed number of buckets, counts are log-damped, and the
-vector is L2-normalized. It reads tokens, not text: it counts each distinct
-token text once, looks its bucket up in a memo shared by every instance of
-the same dimension (one SHA-256 per distinct text per process), and
-computes weights and the norm over the nonzero buckets only, in ascending
-bucket order, so its values are bit-identical to the dense formula's over
-every bucket. The remote HTTP provider embeds the source texts, one request
-per call, and drops the zeros of the dense vectors it receives.
+vector is L2-normalized. It reads tokens, not text: it looks each token's
+bucket up in a table shared by every instance of the same dimension (one
+SHA-256 per distinct text per process), counts the tokens per bucket in one
+``Counter`` call, and computes weights and the norm over the nonzero
+buckets only, in ascending bucket order, so its values are bit-identical
+to the dense formula's over every bucket. The remote HTTP provider embeds
+the source texts, one request per call, and drops the zeros of the dense
+vectors it receives.
 
 Retrieval is exact: ``knn`` returns the ids and ``math.dist`` distances
 that a flat L2 scan of every dense row returns, bit for bit. The index is
@@ -67,7 +68,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, mul
+from operator import add, mul, truediv
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import requests
@@ -86,9 +87,10 @@ MAX_NORM = 2.0 ** 510
 
 
 class ProviderError(Exception):
-    """Remote embedding provider failure.
+    """Embedding provider failure.
 
-    ``code`` is one of ``RemoteUnavailable`` or ``DimensionMismatch``.
+    ``code`` is one of ``RemoteUnavailable`` or ``DimensionMismatch``, or
+    ``MalformedReply`` when ``build_kb`` gets a reply it cannot store.
     """
 
     def __init__(self, code: str, message: str):
@@ -140,10 +142,24 @@ def within_bound(values: Sequence[float]) -> bool:
     return math.hypot(*values) <= MAX_NORM
 
 
-#: dimension -> {token text: bucket}, shared by every HashingEmbedder. It
+class _BucketTable(dict):
+    """token text -> its bucket of ``dimension``: the first 8 bytes of the
+    text's SHA-256, big-endian, modulo ``dimension``, hashed on first use."""
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, text: str) -> int:
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        bucket = self[text] = int.from_bytes(digest[:8], "big") % self.dimension
+        return bucket
+
+
+#: dimension -> its bucket table, shared by every HashingEmbedder. A table
 #: holds one entry per distinct token text seen (3,384, about 0.3 MB, for
 #: the 1,000-file seed-7 benchmark corpus).
-_BUCKETS: dict[int, dict[str, int]] = {}
+_BUCKETS: dict[int, _BucketTable] = {}
 
 
 class HashingEmbedder:
@@ -164,29 +180,25 @@ class HashingEmbedder:
     def _embed_tokens(self, tokens: Iterable[Token]) -> EmbeddingVector:
         """The sparse vector of a lexed text; its values equal the dense formula's.
 
-        A zero bucket adds exactly 0.0 to the norm's sum and divides to
-        0.0, so summing the nonzero weights in ascending bucket order gives
-        the same floats as summing all of them. A text with no tokens is
-        the basis vector of bucket 0.
+        Each bucket's count is the number of its tokens, counted in one
+        ``Counter`` call over the tokens' buckets. A zero bucket adds
+        exactly 0.0 to the norm's sum and divides to 0.0, so summing the
+        nonzero weights in ascending bucket order gives the same floats as
+        summing all of them. A text with no tokens is the basis vector of
+        bucket 0.
         """
+        table = _BUCKETS.get(self.dimension)
+        if table is None:
+            table = _BUCKETS[self.dimension] = _BucketTable(self.dimension)
         # literal values carry no structure
-        counts = Counter("LIT" if tok.kind in ("number", "string") else tok.text
-                         for tok in tokens)
-        dimension = self.dimension
-        buckets = _BUCKETS.setdefault(dimension, {})
-        per_bucket: dict[int, int] = {}
-        for text, count in counts.items():
-            bucket = buckets.get(text)
-            if bucket is None:
-                digest = hashlib.sha256(text.encode("utf-8")).digest()
-                bucket = buckets[text] = int.from_bytes(digest[:8], "big") % dimension
-            per_bucket[bucket] = per_bucket.get(bucket, 0) + count
+        per_bucket = Counter(map(table.__getitem__, (
+            "LIT" if tok.kind in ("number", "string") else tok.text for tok in tokens)))
         if not per_bucket:
             return EmbeddingVector((0,), (1.0,))
-        order = tuple(sorted(per_bucket))
-        weights = [math.log1p(per_bucket[bucket]) for bucket in order]
-        norm = math.sqrt(sum(w * w for w in weights))
-        return EmbeddingVector(order, tuple(w / norm for w in weights))
+        order = sorted(per_bucket)
+        weights = list(map(math.log1p, map(per_bucket.__getitem__, order)))
+        norm = math.sqrt(sum(map(mul, weights, weights)))
+        return EmbeddingVector(tuple(order), tuple(map(truediv, weights, repeat(norm))))
 
 
 class RemoteEmbedder:

@@ -34,7 +34,6 @@ them is read, and such a file is rebuilt from its corpus.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import struct
@@ -44,7 +43,14 @@ from itertools import chain, islice
 from operator import lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .embedding import PROVIDERS, EmbeddingVector, HashingEmbedder, meta_dimension, within_bound
+from .embedding import (
+    PROVIDERS,
+    EmbeddingVector,
+    HashingEmbedder,
+    ProviderError,
+    meta_dimension,
+    within_bound,
+)
 from .ingest import (
     RELATION_TYPING,
     IngestError,
@@ -148,10 +154,20 @@ class PropertyGraph:
         return [n.payload for n in self.function_nodes() if n.payload is not None]
 
     def update_payload(self, function_id: str, **changes) -> FunctionUnit:
+        """Give a function node a payload with ``changes`` to its fields.
+
+        The new payload goes through FunctionUnit's constructor, so it is
+        validated. Changes that alter nothing keep the payload, and the
+        cached index, as they are.
+        """
         node = self.node(function_id)
-        if node.payload is None:
+        fn = node.payload
+        if fn is None:
             raise GraphError("UnknownNode", f"node {function_id!r} has no function payload")
-        node.payload = dataclasses.replace(node.payload, **changes)
+        fields = vars(fn)  # exactly a FunctionUnit's fields, by name
+        if changes.items() <= fields.items():
+            return fn
+        node.payload = FunctionUnit(**{**fields, **changes})
         self._index = None
         return node.payload
 
@@ -214,11 +230,13 @@ def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> Propert
     graph = PropertyGraph()
     for fn in functions:
         graph.add_node(EntityNode(fn.id, NodeKind.FUNCTION, fn.qualified_name, fn))
-    for triple in triples:
-        for ref in (triple.subject, triple.obj):
-            if ref.kind is not NodeKind.FUNCTION:
+    nodes = graph.nodes
+    for subject, relation, obj in triples:
+        for ref in (subject, obj):
+            # add_node keeps a known id's first node, so that id needs no new one
+            if ref.id not in nodes and ref.kind is not NodeKind.FUNCTION:
                 graph.add_node(EntityNode(ref.id, ref.kind, ref.label))
-        graph.add_edge(triple.subject.id, triple.relation, triple.obj.id)
+        graph.add_edge(subject.id, relation, obj.id)
     return graph
 
 
@@ -298,6 +316,9 @@ _FUNCTION_COLUMNS = {
 _EDGE_COLUMNS = {"subject": {int}, "relation": {str}, "object": {int}}
 
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
+#: node kind -> its name, and relation -> its name, as save_kb writes them
+_KIND_NAMES = {kind: kind.value for kind in NodeKind}
+_RELATION_NAMES = {relation: relation.value for relation in Relation}
 #: relation name -> (relation, its subject's kind name, its objects' kind names)
 _EDGE_KINDS = {
     relation.value: (relation, subject_kind.value, {kind.value for kind in object_kinds})
@@ -328,7 +349,7 @@ def _node_section(nodes: list[EntityNode]) -> dict:
         raise ValueError("a function node has no payload")
     return {
         "id": [node.id for node in nodes],
-        "kind": [node.kind.value for node in nodes],
+        "kind": [_KIND_NAMES[node.kind] for node in nodes],
         "label": [node.label for node in nodes],
         "contract_name": [fn.contract_name for fn in functions],
         "name": [fn.name for fn in functions],
@@ -345,7 +366,8 @@ def _edge_section(ids: list[str], edges: Iterable[tuple[str, Relation, str]]) ->
     position) rows, sorted, one column per field. A position indexes ``ids``,
     which ascend, so this is also the order of the edges' ids."""
     position = {node_id: index for index, node_id in enumerate(ids)}
-    rows = sorted((position[s], r.value, position[o]) for s, r, o in edges)
+    names = _RELATION_NAMES
+    rows = sorted((position[s], names[r], position[o]) for s, r, o in edges)
     return dict(zip(_EDGE_COLUMNS, map(list, zip(*rows)) if rows else ([], [], [])))
 
 
@@ -497,13 +519,27 @@ def _read_edges(section, ids: list[str], kind_names: list[str],
     return list(zip(map(ids.__getitem__, subjects), relations, map(ids.__getitem__, objects)))
 
 
+def _vector_fault(vector: EmbeddingVector, dimension: int) -> Optional[str]:
+    """Why ``vector`` cannot be a row of a knowledge base of ``dimension``,
+    or None: it needs one value per bucket, its buckets strictly ascending
+    in ``range(dimension)`` and its values ``within_bound``."""
+    buckets, values = vector
+    if len(buckets) != len(values):
+        return "vector has more buckets than values, or fewer"
+    if buckets and not (0 <= buckets[0] and buckets[-1] < dimension and _ascending(buckets)):
+        return f"vector buckets are not strictly ascending in range({dimension})"
+    if not within_bound(values):
+        return "vector values are not of norm <= 2**510"
+    return None
+
+
 def _vectors(section: bytes, function_ids: list[str],
              dimension: int) -> dict[str, EmbeddingVector]:
     """The fifth section's vectors by function id, if save_kb could have
     written it for ``function_ids``: one count for each of them, a length of
     exactly ``4 * len(function_ids) + 12 * sum(counts)``, and each vector's
     buckets strictly ascending below ``dimension`` and its values
-    ``within_bound``."""
+    ``within_bound`` (see ``_vector_fault``)."""
     head = 4 * len(function_ids)
     if len(section) < head:
         raise ValueError(f"vector section of {len(section)} bytes is shorter than "
@@ -521,11 +557,9 @@ def _vectors(section: bytes, function_ids: list[str],
         end = start + count
         vector = EmbeddingVector(buckets[start:end], values[start:end])
         start = end
-        if count and not (vector.buckets[-1] < dimension and _ascending(vector.buckets)):
-            raise ValueError(f"node {function_id!r}: vector buckets are not strictly "
-                             f"ascending below {dimension}")
-        if not within_bound(vector.values):
-            raise ValueError(f"node {function_id!r}: vector values are not of norm <= 2**510")
+        fault = _vector_fault(vector, dimension)
+        if fault is not None:
+            raise ValueError(f"node {function_id!r}: {fault}")
         vectors[function_id] = vector
     return vectors
 
@@ -666,6 +700,20 @@ class BuildReport:
         ]
 
 
+def _check_reply(reply: Sequence[EmbeddingVector], count: int, dimension: int,
+                 path: str) -> None:
+    """Raise ProviderError("MalformedReply"), naming ``path``, unless the
+    provider's ``reply`` holds ``count`` vectors, each one that a knowledge
+    base of ``dimension`` can hold (see ``_vector_fault``)."""
+    if len(reply) != count:
+        raise ProviderError("MalformedReply", f"{path}: provider reply rejected: "
+                            f"{len(reply)} vectors for {count} functions")
+    for vector in reply:
+        fault = _vector_fault(vector, dimension)
+        if fault is not None:
+            raise ProviderError("MalformedReply", f"{path}: provider reply rejected: {fault}")
+
+
 def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
              ) -> tuple[PropertyGraph, CloneGroupTable, BuildReport]:
     """Parse a corpus, build the graph, group clones, score usage, embed.
@@ -674,7 +722,9 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     ``embed(pairs)`` method that returns one sparse ``EmbeddingVector`` per
     (source text, declaration tokens) pair, ``within_bound``, which
     ``graph.vectors`` keeps as it is; ``repair.retrieve`` embeds its
-    queries with the same call on the provider the metadata names.
+    queries with the same call on the provider the metadata names. A reply
+    of another length, or with a vector that the knowledge base cannot
+    hold, raises ProviderError("MalformedReply") naming the file.
     Files that fail to parse or duplicate an earlier file (by canonical
     token hash) are skipped with a report entry.
 
@@ -723,7 +773,9 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
             if fn.id not in vectors and fn.id not in new:
                 new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
         if new:
-            vectors.update(zip(new, embedder.embed(list(new.values()))))
+            reply = embedder.embed(list(new.values()))
+            _check_reply(reply, len(new), embedder.dimension, path)
+            vectors.update(zip(new, reply))
     report.diagnostics.extend(triple_diagnostics)
 
     graph = build_graph(triples, functions)

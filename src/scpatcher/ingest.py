@@ -6,11 +6,16 @@ bodies, modifiers, state variables, call sites, and state reads/writes.
 It is not a compiler; unparseable regions are skipped with a diagnostic
 rather than failing the file.
 
-``lex`` is one ``finditer`` scan of a single regular expression whose
-last alternative takes any character nothing else does, so unexpected
-characters become diagnostics without a second pass. Comments and
-whitespace yield no token; every other match becomes a ``Token``, an
-immutable named tuple of kind, text, start and end offset, and line.
+``lex`` is one ``findall`` of a single regular expression with two
+groups: the run of whitespace and comments before a token, and the token.
+The token group's last alternatives take any one character nothing else
+does and the end of the text, so it always matches, unexpected characters
+become diagnostics without a second pass, and the skipped run never
+backtracks. A token's kind follows from its first character, its offsets
+from the running lengths of the runs and tokens, and its line from the
+newlines counted in the runs and in string literals. Every token becomes a
+``Token``, an immutable named tuple of kind, text, start and end offset,
+and line.
 
 ``parse_source`` lexes a file once and keeps the tokens on the
 ``SourceUnit``. Each function gets one ``FunctionDecl`` record: its
@@ -30,9 +35,11 @@ from __future__ import annotations
 
 import hashlib
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import FunctionUnit, SignatureFeatures, function_id
 
@@ -80,20 +87,33 @@ _KEYWORDS = _TYPE_KEYWORDS | {
     "wei", "gwei", "ether", "seconds", "minutes", "hours", "days", "weeks", "years",
 }
 
+#: Group 1 is the whitespace and comments before a token, group 2 the token:
+#: a string, number, identifier or keyword, or operator, in that order of
+#: precedence, else one unexpected character, else the empty end of the text.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<string>hex"(?:[^"\\]|\\.)*"|unicode"(?:[^"\\]|\\.)*"
-                 |"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-    | (?P<number>0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<op><<=|>>=|\*\*|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<|>>|=>|->
-             |[{}()\[\];,.?:~!<>=+\-*/%&|^])
-    | (?P<ws>\s+)
-    | (?P<bad>.)
+      ((?:\s+|//[^\n]*|/\*.*?\*/)*)
+      ( hex"(?:[^"\\]|\\.)*"|unicode"(?:[^"\\]|\\.)*"
+      | "(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*'
+      | 0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?
+      | [A-Za-z_$][A-Za-z0-9_$]*
+      | <<=|>>=|\*\*|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<|>>|=>|->
+      | [{}()\[\];,.?:~!<>=+\-*/%&|^]
+      | .
+      | \Z )
     """,
     re.DOTALL | re.VERBOSE,
 )
+
+#: A token's first character -> its kind. An identifier that is a keyword,
+#: or that ends in a quote (``hex"..."``, ``unicode"..."``), a lone quote,
+#: and a non-ASCII decimal digit, which ``\d`` takes, are told apart in ``lex``.
+_FIRST_KIND = {
+    **dict.fromkeys(string.ascii_letters + "_$", "ident"),
+    **dict.fromkeys(string.digits, "number"),
+    **dict.fromkeys("\"'", "string"),
+    **dict.fromkeys("{}()[];,.?:~!<>=+-*/%&|^", "op"),
+}
 
 #: Assignment operators that mark a state-variable write.
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="}
@@ -123,28 +143,41 @@ class Token(NamedTuple):
 def lex(text: str, diagnostics: Optional[list[str]] = None) -> list[Token]:
     """Tokenize, dropping comments and whitespace. Never raises.
 
-    Only whitespace, comments and string literals can hold a newline, so
-    only their matches are counted for ``Token.line``.
+    One ``findall`` yields each (skipped run, token) pair. A token starts
+    where the run before it ends; only the runs and string literals can
+    hold a newline, so only they are counted for ``Token.line``.
     """
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
+    first_kind = _FIRST_KIND.get
+    keywords = _KEYWORDS
     line = 1
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastgroup
-        if group == "ws" or group == "comment":
-            line += match.group().count("\n")
-            continue
-        value = match.group()
-        if group == "bad":
+    end = 0
+    for skipped, value in _TOKEN_RE.findall(text):
+        if skipped:
+            end += len(skipped)
+            line += skipped.count("\n")
+        if not value:  # the end of the text
+            break
+        start = end
+        end += len(value)
+        kind = first_kind(value[0])
+        if kind == "ident":
+            if value in keywords:
+                kind = "keyword"
+            elif value[-1] == '"':
+                kind = "string"
+        elif kind is None and value[0].isdecimal():
+            kind = "number"
+        elif kind == "string" and len(value) == 1:
+            kind = None
+        if kind is None:
             if diagnostics is not None:
                 diagnostics.append(f"line {line}: skipped unexpected character {value!r}")
             continue
-        if group == "ident" and value in _KEYWORDS:
-            group = "keyword"
-        start, end = match.span()
-        append(new(Token, (group, value, start, end, line)))
-        if group == "string":
+        append(new(Token, (kind, value, start, end, line)))
+        if kind == "string":
             line += value.count("\n")
     return tokens
 
@@ -168,6 +201,11 @@ def check_brace_balance(tokens: list[Token]) -> Optional[str]:
 # Normalization and hashing
 # ---------------------------------------------------------------------------
 
+#: token kind -> what ``normalize_source`` puts in its place; any other
+#: kind keeps its text
+_PLACEHOLDERS = {"ident": "ID", "number": "LIT", "string": "LIT"}
+
+
 def normalize_source(source: Union[str, Sequence[Token]]) -> list[str]:
     """Normalized token sequence of a source snippet, or of its tokens.
 
@@ -176,15 +214,9 @@ def normalize_source(source: Union[str, Sequence[Token]]) -> list[str]:
     are kept verbatim. Two functions differing only in identifier names or
     literal values normalize identically (the clone-group relation).
     """
-    out = []
-    for tok in lex(source) if isinstance(source, str) else source:
-        if tok.kind == "ident":
-            out.append("ID")
-        elif tok.kind in ("number", "string"):
-            out.append("LIT")
-        else:
-            out.append(tok.text)
-    return out
+    placeholder = _PLACEHOLDERS.get
+    return [placeholder(tok.kind, tok.text)
+            for tok in (lex(source) if isinstance(source, str) else source)]
 
 
 def canonical_source_hash(source: Union[str, Sequence[Token]]) -> str:
@@ -195,7 +227,7 @@ def canonical_source_hash(source: Union[str, Sequence[Token]]) -> str:
     Used for corpus/test deduplication.
     """
     tokens = lex(source) if isinstance(source, str) else source
-    canonical = " ".join(tok.text for tok in tokens)
+    canonical = " ".join(map(itemgetter(1), tokens))  # each token's text
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -357,26 +389,43 @@ RELATION_TYPING = {
 }
 
 
-@dataclass(frozen=True)
-class NodeRef:
+class NodeRef(NamedTuple):
+    """One endpoint of a triple: its kind, graph node id and label. A named
+    tuple, so it hashes and compares by its fields."""
+
     kind: NodeKind
     id: str
     label: str
 
 
-@dataclass(frozen=True)
-class Triple:
+class _TripleFields(NamedTuple):
     subject: NodeRef
     relation: Relation
     obj: NodeRef
 
-    def __post_init__(self) -> None:
-        subject_kind, object_kinds = RELATION_TYPING[self.relation]
-        if self.subject.kind is not subject_kind or self.obj.kind not in object_kinds:
+
+class Triple(_TripleFields):
+    """One typed edge: subject, relation and object.
+
+    A named tuple that hashes and compares by its fields. Every way to build
+    one (the constructor, ``_make`` and ``_replace``) checks it against
+    ``RELATION_TYPING`` and raises ValueError for an ill-typed triple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject: NodeRef, relation: Relation, obj: NodeRef) -> "Triple":
+        subject_kind, object_kinds = RELATION_TYPING[relation]
+        if subject.kind is not subject_kind or obj.kind not in object_kinds:
             raise ValueError(
-                f"ill-typed triple: {self.subject.kind.value} "
-                f"-{self.relation.value}-> {self.obj.kind.value}"
+                f"ill-typed triple: {subject.kind.value} "
+                f"-{relation.value}-> {obj.kind.value}"
             )
+        return tuple.__new__(cls, (subject, relation, obj))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Triple":
+        return cls(*iterable)
 
 
 def contract_ref(name: str) -> NodeRef:
@@ -412,15 +461,14 @@ _FN_INTRO = {"function", "constructor", "receive", "fallback"}
 def match_group(tokens: list[Token], start: int, open_text: str, close_text: str) -> int:
     """Index just past the group closer, assuming tokens[start] opens it."""
     depth = 0
-    i = start
-    while i < len(tokens):
-        if tokens[i].text == open_text:
+    for i in range(start, len(tokens)):
+        text = tokens[i].text
+        if text == open_text:
             depth += 1
-        elif tokens[i].text == close_text:
+        elif text == close_text:
             depth -= 1
             if depth == 0:
                 return i + 1
-        i += 1
     return len(tokens)
 
 
@@ -853,8 +901,11 @@ def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], li
     diagnostics: list[str] = []
     for contract in unit.contracts:
         c_ref = contract_ref(contract.name)
+        # one ref per state variable, shared by its OWNS, READS and WRITES triples:
+        # a fresh ref per access, held until build_graph, costs time and peak memory
+        var_refs = {name: variable_ref(contract.name, name) for name, _type in contract.state_vars}
         for var_name, _var_type in contract.state_vars:
-            triples.append(Triple(c_ref, Relation.OWNS, variable_ref(contract.name, var_name)))
+            triples.append(Triple(c_ref, Relation.OWNS, var_refs[var_name]))
         for mod in contract.modifiers:
             triples.append(Triple(c_ref, Relation.OWNS, modifier_ref(contract.name, mod)))
         for decl in contract.functions:
@@ -880,5 +931,5 @@ def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], li
                         f"{fn.qualified_name}: {site.kind} call target {site.token.text!r}")
             for tok, kind in decl.accesses:
                 relation = Relation.WRITES if kind == "write" else Relation.READS
-                triples.append(Triple(f_ref, relation, variable_ref(contract.name, tok.text)))
+                triples.append(Triple(f_ref, relation, var_refs[tok.text]))
     return triples, diagnostics

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpatcher import embedding, ingest
-from scpatcher.embedding import EmbeddingVector, HashingEmbedder, index_from_graph, knn
+from scpatcher.embedding import (
+    EmbeddingVector,
+    HashingEmbedder,
+    ProviderError,
+    index_from_graph,
+    knn,
+)
 from scpatcher.graph import _VERSION as KB_VERSION
 from scpatcher.graph import (
     CloneGroupTable,
@@ -1052,6 +1058,35 @@ def test_build_kb_records_failures_and_continues(corpus_paths, tmp_path):
                             HashingEmbedder(256), 12)
     assert report.files_used == 10
     assert [Path(p).name for p in report.files_failed] == ["broken.sol"]
+
+
+class _FaultyProvider(HashingEmbedder):
+    """The hashing provider, with ``fault`` applied to each ``embed`` reply."""
+
+    def __init__(self, fault):
+        super().__init__(256)
+        self.fault = fault
+
+    def embed(self, functions):
+        return self.fault(super().embed(functions))
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda reply: reply[:-1], "2 vectors for 3 functions"),
+    (lambda reply: [EmbeddingVector(v.buckets, (math.inf,) + v.values[1:]) for v in reply],
+     "vector values are not of norm <= 2**510"),
+    (lambda reply: [EmbeddingVector(v.buckets[::-1], v.values[::-1]) for v in reply],
+     "vector buckets are not strictly ascending in range(256)"),
+    (lambda reply: [EmbeddingVector(v.buckets[:-1] + (256,), v.values) for v in reply],
+     "vector buckets are not strictly ascending in range(256)"),
+    (lambda reply: [EmbeddingVector(v.buckets, v.values[:-1]) for v in reply],
+     "vector has more buckets than values, or fewer"),
+], ids=["one-short", "inf", "reversed-buckets", "bucket-past-dimension", "value-short"])
+def test_build_kb_rejects_a_provider_reply_it_cannot_store(corpus_paths, fault, message):
+    with pytest.raises(ProviderError) as err:
+        build_kb(corpus_paths, _FaultyProvider(fault), 12)
+    assert err.value.code == "MalformedReply"
+    assert str(err.value) == f"{corpus_paths[0]}: provider reply rejected: {message}"
 
 
 # ---------------------------------------------------------------------------

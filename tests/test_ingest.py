@@ -1,25 +1,34 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scpatcher.embedding import HashingEmbedder
 from scpatcher.graph import build_kb
 from scpatcher.ingest import (
     _KEYWORDS,
-    _TOKEN_RE,
+    RELATION_TYPING,
     IngestError,
+    NodeKind,
+    NodeRef,
+    Relation,
     Token,
+    Triple,
     canonical_source_hash,
     check_brace_balance,
+    contract_ref,
     extract_triples_with_diagnostics,
     lex,
     load_source,
+    modifier_ref,
     normalize_source,
     parse_source,
+    type_ref,
+    variable_ref,
 )
 from solidity_strategies import CONTRACT, NOISE, SOURCE
 
@@ -88,15 +97,33 @@ def test_canonical_hash_ignores_layout_but_not_names():
     assert canonical_source_hash(a) != canonical_source_hash(c)
 
 
+#: The lexer's regular expression before ``lex`` became one ``findall``, one
+#: named group per token kind, kept here unchanged as the oracle's.
+_REFERENCE_RE = re.compile(
+    r"""
+      (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<string>hex"(?:[^"\\]|\\.)*"|unicode"(?:[^"\\]|\\.)*"
+                 |"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
+    | (?P<number>0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<op><<=|>>=|\*\*|\+\+|--|&&|\|\||==|!=|<=|>=|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<|>>|=>|->
+             |[{}()\[\];,.?:~!<>=+\-*/%&|^])
+    | (?P<ws>\s+)
+    | (?P<bad>.)
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+
+
 def _reference_lex(text):
-    """The per-position lexer ``lex`` replaced: one ``_TOKEN_RE.match`` per
-    token, comment or whitespace run, and a diagnostic for each character
-    where no alternative but ``bad`` (which it did not have) matches.
-    Returns (tokens as five-field tuples, diagnostics)."""
+    """A per-position lexer: one ``_REFERENCE_RE.match`` per token, comment
+    or whitespace run, and a diagnostic for each character where no
+    alternative but ``bad`` matches. Returns (tokens as five-field tuples,
+    diagnostics)."""
     tokens, diagnostics = [], []
     pos, line = 0, 1
     while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
+        match = _REFERENCE_RE.match(text, pos)
         if match is None or match.lastgroup == "bad":
             diagnostics.append(f"line {line}: skipped unexpected character {text[pos]!r}")
             pos += 1
@@ -133,10 +160,14 @@ def test_lex_matches_the_reference_lexer_on_every_fixture():
 _LEX_PIECES = ['"', "'", "\\", "\n", "\r\n", "/*", "*/", "//", 'hex"', 'unicode"', "#", "@",
                'hex"0\n1"', '"a\\\nb"', "'\\\n'", 'unicode"\u2028\n"', "/*\n*/",
                "\x1c", "\u00a0", "\u2028", "\t", " ", "x", "_$1", "0x", "1.5e3", "\u0663",
-               "=", "<<=", "{", "}", "é"]
+               "=", "<<=", "{", "}", "é", "hexa", 'hex"ab"x', 'unicode"é"', "$a1",
+               "/*\r\n*/", "//c", " \t\n "]
 
 
 @settings(max_examples=300)
+@example("")
+@example("x //c")
+@example("x \t\n ")
 @given(st.one_of(SOURCE,
                  st.text(),
                  st.lists(st.sampled_from(_LEX_PIECES + NOISE), max_size=30).map("".join)))
@@ -268,6 +299,47 @@ def test_per_file_triple_counts_match_hand_trace(corpus_paths):
         assert len(triples) == oracle["triples_per_file"][path.name], path.name
         total += len(triples)
     assert total == oracle["triples_total"]
+
+
+#: One endpoint of each kind.
+_REFS = {
+    NodeKind.CONTRACT: contract_ref("A"),
+    NodeKind.FUNCTION: NodeRef(NodeKind.FUNCTION, "0123456789abcdef", "A.f"),
+    NodeKind.VARIABLE: variable_ref("A", "x"),
+    NodeKind.MODIFIER: modifier_ref("A", "onlyOwner"),
+    NodeKind.TYPE_NAME: type_ref("uint256"),
+}
+
+
+@pytest.mark.parametrize("relation", list(Relation))
+def test_every_way_to_build_an_ill_typed_triple_raises(relation):
+    subject_kind, object_kinds = RELATION_TYPING[relation]
+    subject, obj = _REFS[subject_kind], _REFS[sorted(object_kinds, key=str)[0]]
+    good = Triple(subject, relation, obj)
+    assert good == (subject, relation, obj) and type(good) is Triple
+    wrong = [(ref, obj) for kind, ref in _REFS.items() if kind is not subject_kind]
+    wrong += [(subject, ref) for kind, ref in _REFS.items() if kind not in object_kinds]
+    assert wrong
+    for bad_subject, bad_obj in wrong:
+        message = (f"ill-typed triple: {bad_subject.kind.value} -{relation.value}-> "
+                   f"{bad_obj.kind.value}")
+        for build in (lambda: Triple(bad_subject, relation, bad_obj),
+                      lambda: Triple._make([bad_subject, relation, bad_obj]),
+                      lambda: good._replace(subject=bad_subject, obj=bad_obj)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
+
+def test_triples_hash_and_compare_by_field(corpus_paths):
+    for path in corpus_paths:
+        triples = extract_triples_with_diagnostics(load_source(path))[0]
+        rebuilt = [Triple(NodeRef(*t.subject), t.relation, NodeRef(*t.obj)) for t in triples]
+        assert rebuilt == triples
+        assert [hash(t) for t in rebuilt] == [hash(t) for t in triples]
+        assert set(rebuilt) == set(triples)
+        assert all(type(t) is Triple and type(t.subject) is type(t.obj) is NodeRef
+                   for t in triples)
 
 
 def test_member_transfer_call_is_a_diagnostic_not_an_edge():
