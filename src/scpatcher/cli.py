@@ -4,7 +4,9 @@ Subcommands: build-kb (corpus -> knowledge base file), retrieve (ranked
 references for one function), repair (single contract through the
 two-stage pipeline), evaluate (batch run over a manifest with k sweep).
 ``--k`` (or ``evaluate``'s ``--k-sweep``) is the only retrieval option: the
-k-NN pool of 50 and the rescoring ε = e - 1 are constants of the library.
+k-NN pool of 50 and the rescoring ε = e - 1 are constants of the library,
+and so is ``build-kb``'s clone threshold of 12 normalized tokens
+(``graph.CLONE_MIN_TOKENS``).
 ``retrieve`` prints each reference from the KB's ``FunctionUnit`` that its
 ``Candidate`` holds.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
@@ -76,7 +78,6 @@ def build_parser() -> _Parser:
     p_build.add_argument("--out", required=True, help="knowledge base output file")
     p_build.add_argument("--embedder", choices=("hash", "remote"), default="hash")
     p_build.add_argument("--dimension", type=_dimension, default=DEFAULT_DIMENSION)
-    p_build.add_argument("--clone-min-tokens", type=_positive_int, default=12)
     p_build.set_defaults(func=_cmd_build_kb)
 
     p_retrieve = sub.add_parser("retrieve", help="rank reference functions for a query")
@@ -131,8 +132,7 @@ def _cmd_build_kb(args) -> int:
         embedder = HashingEmbedder(args.dimension)
     else:
         embedder = RemoteEmbedder(dimension=args.dimension)
-    graph, clones, report = build_kb(paths, embedder,
-                                     clone_min_tokens=args.clone_min_tokens)
+    graph, clones, report = build_kb(paths, embedder)
     save_kb(graph, clones, args.out)
     for line in report.lines():
         print(line)

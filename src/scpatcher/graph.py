@@ -61,7 +61,6 @@ from .ingest import (
     canonical_source_hash,
     extract_triples_with_diagnostics,
     load_source,
-    normalize_source,
 )
 from .model import FunctionUnit, SignatureFeatures
 
@@ -104,9 +103,9 @@ class PropertyGraph:
     """In-memory indexed graph with deduplicated edges.
 
     ``vectors`` maps function ids to their sparse embeddings, (buckets,
-    values) pairs. Only ``build_kb`` and ``load_kb`` write it, and both
-    finish before the first query, so the vector index cached by
-    ``vector_index`` never sees it change.
+    values) pairs. Only ``build_kb`` and ``load_kb`` write it or give a
+    function node its payload, and both finish before the first query, so
+    the vector index cached by ``vector_index`` never sees either change.
     """
 
     def __init__(self) -> None:
@@ -153,32 +152,13 @@ class PropertyGraph:
     def functions(self) -> list[FunctionUnit]:
         return [n.payload for n in self.function_nodes() if n.payload is not None]
 
-    def update_payload(self, function_id: str, **changes) -> FunctionUnit:
-        """Give a function node a payload with ``changes`` to its fields.
-
-        The new payload goes through FunctionUnit's constructor, so it is
-        validated. Changes that alter nothing keep the payload, and the
-        cached index, as they are.
-        """
-        node = self.node(function_id)
-        fn = node.payload
-        if fn is None:
-            raise GraphError("UnknownNode", f"node {function_id!r} has no function payload")
-        fields = vars(fn)  # exactly a FunctionUnit's fields, by name
-        if changes.items() <= fields.items():
-            return fn
-        node.payload = FunctionUnit(**{**fields, **changes})
-        self._index = None
-        return node.payload
-
     def vector_index(self, build: Callable[["PropertyGraph"], object]):
         """The index over this graph's functions, from ``build(self)`` on a miss.
 
-        ``add_node`` and ``update_payload``, the only methods that change
-        what ``functions()`` returns, drop the cached index. Concurrent
-        callers may all miss and build at once; that race is benign,
-        because each uses the index it built or read and all of them are
-        equal, and the last store wins.
+        ``add_node``, the only method that changes what ``functions()``
+        returns, drops the cached index. Concurrent callers may all miss and
+        build at once; that race is benign, because each uses the index it
+        built or read and all of them are equal, and the last store wins.
         """
         index = self._index
         if index is None:
@@ -206,11 +186,6 @@ class CloneGroupTable:
 
     min_tokens: int
     groups: dict[str, list[str]] = field(default_factory=dict)
-
-    def size_of(self, clone_id: Optional[str]) -> int:
-        if clone_id is None:
-            return 1
-        return len(self.groups.get(clone_id, [])) or 1
 
     def multi_member_groups(self) -> dict[str, list[str]]:
         return {cid: members for cid, members in self.groups.items() if len(members) >= 2}
@@ -240,53 +215,64 @@ def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> Propert
     return graph
 
 
+#: The fewest normalized tokens a function needs to join a clone group.
+CLONE_MIN_TOKENS = 12
+
+
 def clone_key(normalized: Sequence[str]) -> str:
     """Clone-group key: hash of a function's normalized token sequence."""
     joined = " ".join(normalized)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
-def assign_clone_groups(graph: PropertyGraph, clone_min_tokens: int = 12,
-                        keys: Optional[Mapping[str, str]] = None) -> CloneGroupTable:
-    """Group functions by normalized-token hash and stamp clone_id payloads.
-
-    Functions below the token threshold get clone_id = None and appear in no
-    group; everything else lands in exactly one group (possibly singleton).
-    ``keys`` maps function ids to their ``clone_key``s when the caller has
-    them from the parse; without it each key comes from the source text.
-    """
-    table = CloneGroupTable(min_tokens=clone_min_tokens)
-    for node in sorted(graph.function_nodes(), key=lambda n: n.id):
-        fn = node.payload
-        if fn is None:
-            continue
-        if fn.token_count < clone_min_tokens:
-            graph.update_payload(fn.id, clone_id=None)
-            continue
-        cid = keys[fn.id] if keys is not None else clone_key(normalize_source(fn.source_text))
-        table.groups.setdefault(cid, []).append(fn.id)
-        graph.update_payload(fn.id, clone_id=cid)
-    for members in table.groups.values():
+def _clone_groups(functions: Iterable[FunctionUnit], keys: Mapping[str, Optional[str]],
+                  min_tokens: int) -> CloneGroupTable:
+    """The clone groups of ``functions``: each one of ``min_tokens`` tokens or
+    more joins the group of its key, ``keys[fn.id]``; members ascend by id."""
+    groups: dict[Optional[str], list[str]] = {}
+    for fn in functions:
+        if fn.token_count >= min_tokens:
+            groups.setdefault(keys[fn.id], []).append(fn.id)
+    for members in groups.values():
         members.sort()
-    return table
+    return CloneGroupTable(min_tokens, groups)
 
 
-def _calls_in_degree(edges: Iterable[tuple[str, Relation, str]]) -> Counter:
-    """Each function's CALLS in-degree; edges are unique, so each caller counts once."""
-    return Counter(object_id for _subject_id, relation, object_id in edges
-                   if relation is Relation.CALLS)
-
-
-def compute_guf(graph: PropertyGraph, clones: CloneGroupTable) -> PropertyGraph:
-    """Stamp guf = clone-group size + CALLS in-degree on every function."""
-    callers = _calls_in_degree(graph.edges)
+def _stamps(graph: PropertyGraph, clones: CloneGroupTable) -> list[tuple[Optional[str], int]]:
+    """Each function node's (clone_id, guf), in ``function_nodes()`` order:
+    its group in ``clones``, or None, and guf = that group's size (1 without
+    one) + its CALLS in-degree."""
+    groups = clones.groups
+    clone_of = {member: cid for cid, members in groups.items() for member in members}
+    calls = Relation.CALLS  # looked up once: an enum member's lookup is slow
+    # edges are unique, so each caller counts once
+    callers = Counter(object_id for _subject_id, relation, object_id in graph.edges
+                      if relation is calls)
+    stamps = []
     for node in graph.function_nodes():
-        fn = node.payload
-        if fn is None:
-            continue
-        guf = clones.size_of(fn.clone_id) + callers[fn.id]
-        graph.update_payload(fn.id, guf=guf)
-    return graph
+        cid = clone_of.get(node.id)
+        stamps.append((cid, (1 if cid is None else len(groups[cid])) + callers.get(node.id, 0)))
+    return stamps
+
+
+def assign_clone_groups(functions: Iterable[FunctionUnit], keys: Mapping[str, str],
+                        min_tokens: int = CLONE_MIN_TOKENS) -> CloneGroupTable:
+    """Group functions by their ``clone_key``s, ``keys`` by function id.
+
+    Functions below the token threshold appear in no group; everything else
+    lands in exactly one group (possibly singleton). ``load_kb`` checks a
+    file through the same private helper, so a wrapper around this name
+    times the build alone.
+    """
+    return _clone_groups(functions, keys, min_tokens)
+
+
+def compute_guf(graph: PropertyGraph, clones: CloneGroupTable,
+                ) -> list[tuple[Optional[str], int]]:
+    """Each function node's (clone_id, guf), in ``function_nodes()`` order,
+    from ``clones`` and the CALLS edges: guf = clone-group size + CALLS
+    in-degree, where a function in no group counts as a group of one."""
+    return _stamps(graph, clones)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +570,12 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     section whose counts do not cover exactly the function nodes or whose
     length is not the one its counts make (checked before any bucket or
     value is read); vector buckets not strictly ascending below the
-    metadata's dimension; clone groups that differ from the functions'
-    ``clone_id``s, a ``clone_id`` on a function below the clone section's
-    ``min_tokens`` or none on one at or above it; a ``guf`` other than the
-    function's clone-group size plus its CALLS in-degree (so every loaded
-    ``guf`` is at least 1); or a vector not ``within_bound``: not finite or
+    metadata's dimension; clone groups, ``clone_id``s or ``guf``s other
+    than the ones ``build_kb`` derives, at the clone section's
+    ``min_tokens``, from the functions' ``clone_id``s as their clone keys
+    and the CALLS edges (so also a ``clone_id`` on a function below
+    ``min_tokens`` or none on one at or above it, and every loaded ``guf``
+    is at least 1); or a vector not ``within_bound``: not finite or
     of a norm above 2**510, the bound every provider's ``embed`` holds, so
     that ``knn`` cannot overflow. The metadata must name a provider
     (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``. A file
@@ -649,25 +636,19 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
             raise ValueError(f"clone section fields {sorted(clone_section)}")
         if type(min_tokens) is not int:
             raise ValueError("clone min_tokens is not an int")
-        # the groups are exactly the functions' clone ids, members sorted, as
-        # saved, and a function has a clone id exactly if it reaches min_tokens
-        members: dict[str, list[str]] = {}
-        for fn in graph.functions():
-            if (fn.clone_id is None) is not (fn.token_count < min_tokens):
-                raise ValueError(f"function {fn.id!r}: clone id {fn.clone_id!r} at "
-                                 f"{fn.token_count} tokens, clone min_tokens {min_tokens}")
-            if fn.clone_id is not None:
-                members.setdefault(fn.clone_id, []).append(fn.id)
-        for group in members.values():
-            group.sort()
-        if groups != members:
-            raise ValueError("clone groups differ from the functions' clone ids")
-        clones = CloneGroupTable(min_tokens=min_tokens, groups=members)
-        callers = _calls_in_degree(graph.edges)
-        for fn in graph.functions():
-            if fn.guf != clones.size_of(fn.clone_id) + callers[fn.id]:
-                raise ValueError(f"function {fn.id!r}: guf {fn.guf} is not its clone-group "
-                                 f"size plus its CALLS in-degree")
+        # build_kb's derivation, each stored clone id standing for its
+        # function's clone key: a clone id below min_tokens, or None at or
+        # above it (a None group), makes the groups or the stamps differ
+        functions = graph.functions()
+        clones = _clone_groups(functions, {fn.id: fn.clone_id for fn in functions}, min_tokens)
+        if groups != clones.groups:
+            raise ValueError(f"clone groups differ from the functions' clone ids at "
+                             f"min_tokens {min_tokens}")
+        for fn, stamp in zip(functions, _stamps(graph, clones)):
+            if stamp != (fn.clone_id, fn.guf):
+                raise ValueError(f"function {fn.id!r}: clone id {fn.clone_id!r} and guf "
+                                 f"{fn.guf} are not its clone group and its group size plus "
+                                 f"its CALLS in-degree")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("Corrupt", f"{path}: inconsistent payload ({exc})") from None
     graph.embedder_meta = meta or None
@@ -714,7 +695,7 @@ def _check_reply(reply: Sequence[EmbeddingVector], count: int, dimension: int,
             raise ProviderError("MalformedReply", f"{path}: provider reply rejected: {fault}")
 
 
-def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
+def build_kb(paths: Iterable[str], embedder,
              ) -> tuple[PropertyGraph, CloneGroupTable, BuildReport]:
     """Parse a corpus, build the graph, group clones, score usage, embed.
 
@@ -733,8 +714,10 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     before the next file is read, so only one file's tokens are alive at a
     time. Each file's functions that have no vector yet (the first payload
     of an id wins, as in ``PropertyGraph.add_node``) are embedded with one
-    ``embed`` call. The report lists every parse diagnostic
-    before every triple diagnostic.
+    ``embed`` call. Functions of ``CLONE_MIN_TOKENS`` or more are grouped by
+    their clone keys, and each function node then gets its payload with
+    its clone id and guf from one ``FunctionUnit`` constructor call. The
+    report lists every parse diagnostic before every triple diagnostic.
     """
     report = BuildReport()
     corpus_hashes: dict[str, str] = {}
@@ -779,8 +762,12 @@ def build_kb(paths: Iterable[str], embedder, clone_min_tokens: int = 12,
     report.diagnostics.extend(triple_diagnostics)
 
     graph = build_graph(triples, functions)
-    clones = assign_clone_groups(graph, clone_min_tokens, keys)
-    compute_guf(graph, clones)
+    clones = assign_clone_groups(graph.functions(), keys)
+    stamps = compute_guf(graph, clones)
+    for node, (clone_id, guf) in zip(graph.function_nodes(), stamps):
+        fn = node.payload
+        node.payload = FunctionUnit(fn.id, fn.contract_name, fn.name, fn.source_text,
+                                    fn.signature, fn.token_count, clone_id, guf)
     graph.vectors = vectors
     graph.embedder_meta = {
         "name": embedder.name,

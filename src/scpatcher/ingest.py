@@ -39,7 +39,7 @@ import string
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import FunctionUnit, SignatureFeatures, function_id
 
@@ -206,27 +206,27 @@ def check_brace_balance(tokens: list[Token]) -> Optional[str]:
 _PLACEHOLDERS = {"ident": "ID", "number": "LIT", "string": "LIT"}
 
 
-def normalize_source(source: Union[str, Sequence[Token]]) -> list[str]:
-    """Normalized token sequence of a source snippet, or of its tokens.
+def normalize_source(tokens: Sequence[Token]) -> list[str]:
+    """Normalized token sequence of a snippet's ``tokens``.
 
-    Comments and whitespace are dropped, identifiers become ``ID``, numeric
-    and string literals become ``LIT``; keywords, operators, and punctuation
-    are kept verbatim. Two functions differing only in identifier names or
-    literal values normalize identically (the clone-group relation).
+    Identifiers become ``ID``, numeric and string literals become ``LIT``;
+    keywords, operators, and punctuation are kept verbatim. Tokens hold no
+    comments or whitespace, so two functions differing only in layout,
+    comments, identifier names or literal values normalize identically (the
+    clone-group relation).
     """
     placeholder = _PLACEHOLDERS.get
-    return [placeholder(tok.kind, tok.text)
-            for tok in (lex(source) if isinstance(source, str) else source)]
+    return [placeholder(tok.kind, tok.text) for tok in tokens]
 
 
-def canonical_source_hash(source: Union[str, Sequence[Token]]) -> str:
-    """Hash of the canonical byte form of a source file, or of its tokens.
+def canonical_source_hash(tokens: Sequence[Token]) -> str:
+    """Hash of the canonical byte form of a source file's ``tokens``.
 
-    Comments and whitespace are stripped, identifiers and literals are kept
-    verbatim, so only exact duplicates (modulo layout and comments) collide.
+    Tokens hold no comments or whitespace, and identifiers and literals are
+    kept verbatim, so only exact duplicates (modulo layout and comments)
+    collide.
     Used for corpus/test deduplication.
     """
-    tokens = lex(source) if isinstance(source, str) else source
     canonical = " ".join(map(itemgetter(1), tokens))  # each token's text
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

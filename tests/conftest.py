@@ -52,7 +52,7 @@ def corpus_paths():
 @pytest.fixture(scope="session")
 def kb(corpus_paths):
     """(graph, clones, report) built once from the ten-file corpus."""
-    return build_kb(corpus_paths, HashingEmbedder(256), clone_min_tokens=12)
+    return build_kb(corpus_paths, HashingEmbedder(256))
 
 
 @pytest.fixture(scope="session")

@@ -63,10 +63,14 @@ def test_exit_codes(kb_file, tmp_path, capsys):
     # a dimension above 2**32 leaves buckets that a u32 cannot hold; it is
     # refused before the corpus is read
     for flag, value in (("--dimension", "0"), ("--dimension", "-5"),
-                        ("--dimension", str(2 ** 32 + 1)), ("--dimension", "5000000000"),
-                        ("--clone-min-tokens", "0"), ("--clone-min-tokens", "-5")):
+                        ("--dimension", str(2 ** 32 + 1)), ("--dimension", "5000000000")):
         assert main(["build-kb", "--corpus", str(FIXTURES / "corpus"),
                      "--out", str(tmp_path / "unused.scpk"), flag, value]) == 1
+    # the clone threshold is a library constant, not an option
+    capsys.readouterr()
+    assert main(["build-kb", "--corpus", str(FIXTURES / "corpus"),
+                 "--out", str(tmp_path / "unused.scpk"), "--clone-min-tokens", "12"]) == 1
+    assert "unrecognized arguments: --clone-min-tokens 12" in capsys.readouterr().err
     for value in ("0", "-4"):
         assert main(["evaluate", "--kb", str(kb_file),
                      "--manifest", str(EVAL_CASES / "manifest.json"),

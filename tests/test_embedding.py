@@ -607,7 +607,7 @@ def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_pa
     paths = list(corpus_paths) + [no_functions]
     session = _FakeSession(_hashing_reply(16))
     remote = RemoteEmbedder(url="http://embed.test/v1", dimension=16, session=session)
-    graph, _, report = build_kb(paths, remote, 12)
+    graph, _, report = build_kb(paths, remote)
 
     expected = []
     for path in corpus_paths:
@@ -619,7 +619,7 @@ def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_pa
     assert len(session.posts) == len(expected) <= 10
     assert [post["input"] for post in session.posts] == expected
     assert all(post["model"] == "default" for post in session.posts)
-    assert graph.vectors == build_kb(paths, HashingEmbedder(16), 12)[0].vectors
+    assert graph.vectors == build_kb(paths, HashingEmbedder(16))[0].vectors
     assert graph.embedder_meta["name"] == "remote"
 
 

@@ -27,6 +27,7 @@ from scpatcher.graph import (
     assign_clone_groups,
     build_graph,
     build_kb,
+    clone_key,
     compute_guf,
     load_kb,
     save_kb,
@@ -35,6 +36,7 @@ from scpatcher.ingest import (
     NodeKind,
     Relation,
     extract_triples_with_diagnostics,
+    lex,
     load_source,
     normalize_source,
     parse_source,
@@ -48,12 +50,28 @@ ORACLES = FIXTURES / "oracles"
 
 
 def _corpus_graph(corpus_paths):
-    triples, functions = [], []
+    """The corpus's graph from build_graph, and its functions' clone keys
+    from the parse, by function id."""
+    triples, functions, keys = [], [], {}
     for path in corpus_paths:
         unit = load_source(path)
         triples.extend(extract_triples_with_diagnostics(unit)[0])
-        functions.extend(d.fn for d in unit.declarations())
-    return build_graph(triples, functions), functions
+        for decl in unit.declarations():
+            functions.append(decl.fn)
+            keys[decl.fn.id] = clone_key(decl.normalized)
+    return build_graph(triples, functions), keys
+
+
+def _text_keys(graph):
+    """Each function's clone key, from its source text lexed anew."""
+    return {fn.id: clone_key(normalize_source(lex(fn.source_text))) for fn in graph.functions()}
+
+
+def _stamped(graph, clones):
+    """``graph`` with each function's clone id and guf from compute_guf."""
+    for node, (clone_id, guf) in zip(graph.function_nodes(), compute_guf(graph, clones)):
+        node.payload = dataclasses.replace(node.payload, clone_id=clone_id, guf=guf)
+    return graph
 
 
 def _counts_oracle():
@@ -100,8 +118,8 @@ def test_dangling_function_endpoint_rejected():
 
 def test_planted_clone_pairs(corpus_paths):
     oracle = _counts_oracle()
-    graph, _ = _corpus_graph(corpus_paths)
-    clones = assign_clone_groups(graph, 12)
+    graph, keys = _corpus_graph(corpus_paths)
+    clones = assign_clone_groups(graph.functions(), keys)
     assert len(clones.groups) == oracle["clone_groups_total"]
     multi = clones.multi_member_groups()
     pairs = sorted(
@@ -113,8 +131,8 @@ def test_planted_clone_pairs(corpus_paths):
 
 def test_below_threshold_functions_have_no_clone_id(corpus_paths):
     oracle = _counts_oracle()
-    graph, _ = _corpus_graph(corpus_paths)
-    clones = assign_clone_groups(graph, 12)
+    graph, keys = _corpus_graph(corpus_paths)
+    _stamped(graph, assign_clone_groups(graph.functions(), keys))
     nones = sorted(n.payload.qualified_name for n in graph.function_nodes()
                    if n.payload.clone_id is None)
     assert nones == oracle["clone_id_none"]
@@ -124,27 +142,29 @@ def test_below_threshold_functions_have_no_clone_id(corpus_paths):
 
 
 def test_clone_members_normalize_identically(corpus_paths):
-    graph, _ = _corpus_graph(corpus_paths)
-    clones = assign_clone_groups(graph, 12)
+    graph, keys = _corpus_graph(corpus_paths)
+    clones = assign_clone_groups(graph.functions(), keys)
     for members in clones.groups.values():
-        sequences = {tuple(normalize_source(graph.node(m).payload.source_text))
+        sequences = {tuple(normalize_source(lex(graph.node(m).payload.source_text)))
                      for m in members}
         assert len(sequences) == 1
 
 
 def test_huge_threshold_empties_the_table(corpus_paths):
-    graph, _ = _corpus_graph(corpus_paths)
-    clones = assign_clone_groups(graph, 10_000)
+    graph, keys = _corpus_graph(corpus_paths)
+    clones = assign_clone_groups(graph.functions(), keys, 10_000)
     assert clones.groups == {}
-    assert all(n.payload.clone_id is None for n in graph.function_nodes())
-    assert clones.size_of(None) == 1
+    # every function counts as a group of one
+    callers = {fn.id: sum(1 for _s, rel, o in graph.edges if rel is Relation.CALLS and o == fn.id)
+               for fn in graph.functions()}
+    assert compute_guf(graph, clones) == [(None, 1 + callers[fn.id]) for fn in graph.functions()]
 
 
 def test_clone_assignment_is_deterministic(corpus_paths):
-    graph_a, _ = _corpus_graph(corpus_paths)
-    graph_b, _ = _corpus_graph(corpus_paths)
-    a = assign_clone_groups(graph_a, 12)
-    b = assign_clone_groups(graph_b, 12)
+    graph_a, keys_a = _corpus_graph(corpus_paths)
+    graph_b, keys_b = _corpus_graph(corpus_paths)
+    a = assign_clone_groups(graph_a.functions(), keys_a)
+    b = assign_clone_groups(graph_b.functions(), keys_b)
     assert a.groups == b.groups
 
 
@@ -153,13 +173,12 @@ def test_clone_assignment_is_deterministic(corpus_paths):
 # ---------------------------------------------------------------------------
 
 def test_guf_matches_independent_recount(corpus_paths):
-    graph, functions = _corpus_graph(corpus_paths)
-    clones = assign_clone_groups(graph, 12)
-    graph = compute_guf(graph, clones)
+    graph, keys = _corpus_graph(corpus_paths)
+    graph = _stamped(graph, assign_clone_groups(graph.functions(), keys))
 
     # recount from raw parts: clone-group size by normalized-sequence
     # equality, call in-degree straight off the edge list
-    sequences = {f.id: tuple(normalize_source(f.source_text)) for f in functions}
+    sequences = {f.id: tuple(normalize_source(lex(f.source_text))) for f in graph.functions()}
     for node in graph.function_nodes():
         fn = node.payload
         if fn.token_count >= 12:
@@ -173,8 +192,8 @@ def test_guf_matches_independent_recount(corpus_paths):
 
 def test_guf_spot_values(corpus_paths):
     oracle = _counts_oracle()["guf"]
-    graph, _ = _corpus_graph(corpus_paths)
-    graph = compute_guf(graph, assign_clone_groups(graph, 12))
+    graph, keys = _corpus_graph(corpus_paths)
+    graph = _stamped(graph, assign_clone_groups(graph.functions(), keys))
     gufs = {f.qualified_name: f.guf for f in graph.functions()}
     for name, expected in oracle.items():
         assert gufs[name] == expected, name
@@ -190,8 +209,9 @@ def test_guf_grows_with_new_caller():
 
     def guf_of_helper(unit):
         functions = [d.fn for d in unit.declarations()]
+        keys = {d.fn.id: clone_key(d.normalized) for d in unit.declarations()}
         graph = build_graph(extract_triples_with_diagnostics(unit)[0], functions)
-        graph = compute_guf(graph, assign_clone_groups(graph, 12))
+        graph = _stamped(graph, assign_clone_groups(graph.functions(), keys))
         return next(f.guf for f in graph.functions() if f.name == "helper")
 
     assert guf_of_helper(unit_two) == guf_of_helper(unit_one) + 1
@@ -217,10 +237,15 @@ def test_kb_round_trip(kb, kb_file):
     assert loaded_graph.vectors == graph.vectors
 
 
-def test_kb_round_trip_at_the_extreme_clone_thresholds(corpus_paths, tmp_path):
+def test_kb_round_trip_at_the_extreme_clone_thresholds(kb, corpus_paths, tmp_path):
+    """build_kb groups at CLONE_MIN_TOKENS only; load_kb takes a file's own
+    threshold, so a file grouped at any other one still loads."""
     path = tmp_path / "kb.scpk"
     for min_tokens in (0, 10_000):
-        graph, clones, _ = build_kb(corpus_paths, HashingEmbedder(64), min_tokens)
+        graph, keys = _corpus_graph(corpus_paths)
+        graph.vectors, graph.embedder_meta = kb[0].vectors, kb[0].embedder_meta
+        clones = assign_clone_groups(graph.functions(), keys, min_tokens)
+        _stamped(graph, clones)
         save_kb(graph, clones, path)
         loaded, loaded_clones = load_kb(path)
         assert loaded == graph
@@ -923,8 +948,8 @@ def _sparse_graphs(draw):
         ids = st.sampled_from(sorted(graph.nodes))
         for subject_id, object_id in draw(st.lists(st.tuples(ids, ids), max_size=4)):
             graph.add_edge(subject_id, Relation.CALLS, object_id)
-    clones = assign_clone_groups(graph, 12)
-    compute_guf(graph, clones)
+    clones = assign_clone_groups(graph.functions(), _text_keys(graph))
+    _stamped(graph, clones)
     graph.embedder_meta = {"name": HashingEmbedder.name, "dimension": dimension,
                            "corpus_hashes": {}}
     return graph, clones
@@ -1044,7 +1069,7 @@ def test_build_kb_skips_duplicate_files(corpus_paths, tmp_path):
     original = (CORPUS / "token.sol").read_text()
     copy.write_text("// mirrored\n" + original)
     graph, _, report = build_kb(list(corpus_paths) + [copy],
-                                HashingEmbedder(256), 12)
+                                HashingEmbedder(256))
     assert report.files_seen == 11
     assert report.files_used == 10
     assert [Path(p).name for p in report.duplicates_skipped] == ["token_copy.sol"]
@@ -1055,7 +1080,7 @@ def test_build_kb_records_failures_and_continues(corpus_paths, tmp_path):
     broken = tmp_path / "broken.sol"
     broken.write_text("contract Broken { function f() public {")
     _, _, report = build_kb(list(corpus_paths) + [broken],
-                            HashingEmbedder(256), 12)
+                            HashingEmbedder(256))
     assert report.files_used == 10
     assert [Path(p).name for p in report.files_failed] == ["broken.sol"]
 
@@ -1084,7 +1109,7 @@ class _FaultyProvider(HashingEmbedder):
 ], ids=["one-short", "inf", "reversed-buckets", "bucket-past-dimension", "value-short"])
 def test_build_kb_rejects_a_provider_reply_it_cannot_store(corpus_paths, fault, message):
     with pytest.raises(ProviderError) as err:
-        build_kb(corpus_paths, _FaultyProvider(fault), 12)
+        build_kb(corpus_paths, _FaultyProvider(fault))
     assert err.value.code == "MalformedReply"
     assert str(err.value) == f"{corpus_paths[0]}: provider reply rejected: {message}"
 
@@ -1118,7 +1143,7 @@ def test_build_kb_lexes_each_file_once(corpus_paths, monkeypatch):
         original = module.lex
         monkeypatch.setattr(module, "lex", lambda *args, _lex=original, **kwargs:
                             calls.append(args[0]) or _lex(*args, **kwargs))
-    _, _, report = build_kb(corpus_paths, HashingEmbedder(256), 12)
+    _, _, report = build_kb(corpus_paths, HashingEmbedder(256))
     # one parse per file; functions are embedded from the parse's tokens
     assert (report.files_used, report.function_count) == (10, 28)
     assert len(calls) == 10
@@ -1134,12 +1159,27 @@ def test_function_nodes_are_the_function_kind_nodes_in_insertion_order(kb, kb_fi
 
 
 def test_build_kb_clone_groups_match_standalone_grouping(kb, corpus_paths):
+    """The parse's clone keys group the functions as their source texts,
+    lexed anew, do."""
     _, clones, _ = kb
     graph, _ = _corpus_graph(corpus_paths)
-    standalone = assign_clone_groups(graph, 12)
+    standalone = assign_clone_groups(graph.functions(), _text_keys(graph))
     assert standalone.groups == clones.groups
-    assert {f.id: f.clone_id for f in graph.functions()} == \
+    assert {f.id: f.clone_id for f in _stamped(graph, standalone).functions()} == \
         {f.id: f.clone_id for f in kb[0].functions()}
+
+
+def test_build_kb_makes_one_payload_per_function_node_after_the_parse(corpus_paths,
+                                                                    monkeypatch):
+    made = []
+    post_init = FunctionUnit.__post_init__
+    monkeypatch.setattr(FunctionUnit, "__post_init__",
+                        lambda self: made.append(self) or post_init(self))
+    for path in corpus_paths:
+        load_source(path)
+    parsed = len(made)  # build_kb's own parse makes as many
+    graph, _, _ = build_kb(corpus_paths, HashingEmbedder(16))
+    assert 0 < len(made) - 2 * parsed <= len(graph.function_nodes()) == 28
 
 
 def test_build_kb_lists_parse_diagnostics_before_triple_diagnostics(tmp_path):
@@ -1149,7 +1189,7 @@ def test_build_kb_lists_parse_diagnostics_before_triple_diagnostics(tmp_path):
         path.write_text(f"contract {name.upper()} {{ @ ;\n"
                         f"function f() public {{ missing_{name}(); }} }}")
         paths.append(path)
-    _, _, report = build_kb(paths, HashingEmbedder(16), 12)
+    _, _, report = build_kb(paths, HashingEmbedder(16))
     assert [line.split(": ", 1)[-1] if line.startswith(str(tmp_path)) else line
             for line in report.diagnostics] == [
         "line 1: skipped unexpected character '@'",

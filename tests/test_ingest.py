@@ -48,19 +48,19 @@ def test_lex_spans_reconstruct_source():
 
 
 def test_normalize_masks_identifiers_and_literals():
-    assert normalize_source("x = y + 1;") == ["ID", "=", "ID", "+", "LIT", ";"]
-    assert normalize_source('emit Paid(msg.sender, "hi");') == \
+    assert normalize_source(lex("x = y + 1;")) == ["ID", "=", "ID", "+", "LIT", ";"]
+    assert normalize_source(lex('emit Paid(msg.sender, "hi");')) == \
         ["emit", "ID", "(", "ID", ".", "ID", ",", "LIT", ")", ";"]
 
 
 def test_normalize_drops_comments_and_whitespace():
-    a = normalize_source("uint256 x = 2;")
-    b = normalize_source("// note\nuint256   x /* inline */ = 2;   ")
+    a = normalize_source(lex("uint256 x = 2;"))
+    b = normalize_source(lex("// note\nuint256   x /* inline */ = 2;   "))
     assert a == b == ["uint256", "ID", "=", "LIT", ";"]
 
 
 def test_elementary_types_are_kept_verbatim():
-    assert normalize_source("uint8 a; bytes32 b; address c;") == \
+    assert normalize_source(lex("uint8 a; bytes32 b; address c;")) == \
         ["uint8", "ID", ";", "bytes32", "ID", ";", "address", "ID", ";"]
 
 
@@ -80,21 +80,21 @@ def test_renaming_identifiers_preserves_normalization():
             renamed.append(mapping[tok.text] if tok.kind == "ident" else tok.text)
             cursor = tok.end
         renamed.append(text[cursor:])
-        assert normalize_source("".join(renamed)) == normalize_source(text)
+        assert normalize_source(lex("".join(renamed))) == normalize_source(lex(text))
 
 
 def test_changing_literals_preserves_normalization():
     a = 'function f() public { x = 10; s = "left"; }'
     b = 'function f() public { x = 999; s = "right"; }'
-    assert normalize_source(a) == normalize_source(b)
+    assert normalize_source(lex(a)) == normalize_source(lex(b))
 
 
 def test_canonical_hash_ignores_layout_but_not_names():
     a = "contract A { uint256 x; }"
     b = "contract A {\n    // state\n    uint256 x;\n}"
     c = "contract A { uint256 y; }"
-    assert canonical_source_hash(a) == canonical_source_hash(b)
-    assert canonical_source_hash(a) != canonical_source_hash(c)
+    assert canonical_source_hash(lex(a)) == canonical_source_hash(lex(b))
+    assert canonical_source_hash(lex(a)) != canonical_source_hash(lex(c))
 
 
 #: The lexer's regular expression before ``lex`` became one ``findall``, one
@@ -436,7 +436,7 @@ def _assert_declarations_index_the_tokens(unit):
             for tok in recorded:
                 assert text[tok.start:tok.end] == tok.text
                 assert tok.line == text.count("\n", 0, tok.start) + 1
-            assert decl.normalized == normalize_source(fn.source_text)
+            assert decl.normalized == normalize_source(lex(fn.source_text))
             assert len(decl.normalized) == fn.token_count
             assert decl.start <= decl.body_start <= decl.body_end <= decl.end
             body = unit.body_tokens(decl)

@@ -204,15 +204,6 @@ def test_retrieve_finds_the_query_in_its_unit_by_id(kb_file):
         retrieve(graph, other, fn)
 
 
-def test_retrieve_sees_payload_updates(kb_file):
-    graph, _ = load_kb(kb_file)
-    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
-    top = retrieve(graph, unit, fn, 1).selected[0]
-    graph.update_payload(top.fn.id, guf=top.fn.guf + 1000)
-    again = retrieve(graph, unit, fn, 1).selected[0]
-    assert (again.fn.id, again.fn.guf) == (top.fn.id, top.fn.guf + 1000)
-
-
 def test_retrieve_sees_added_function(kb_file):
     graph, _ = load_kb(kb_file)
     unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
