@@ -1,10 +1,10 @@
 """Lightweight Solidity source extractor.
 
-A tokenizer plus a brace-matching walker covering the subset the pipeline
-needs: contract/library/interface declarations, functions and their verbatim
-bodies, modifiers, state variables, call sites, and state reads/writes.
-It is not a compiler; unparseable regions are skipped with a diagnostic
-rather than failing the file.
+A tokenizer plus a walker over bracket groups covering the subset the
+pipeline needs: contract/library/interface declarations, functions and their
+verbatim bodies, modifiers, state variables, call sites, and state
+reads/writes. It is not a compiler; unparseable regions are skipped with a
+diagnostic rather than failing the file.
 
 ``lex`` is one ``findall`` of a single regular expression with two
 groups: the run of whitespace and comments before a token, and the token.
@@ -18,7 +18,14 @@ newlines counted in the runs and in string literals. Every token becomes a
 and line.
 
 ``parse_source`` lexes a file once and keeps the tokens on the
-``SourceUnit``. Each function gets one ``FunctionDecl`` record: its
+``SourceUnit``, with its group table: one pass with a stack per bracket kind
+records, for every ``(``, ``[`` and ``{``, the index just past its partner of
+the same kind, and refuses a file whose braces do not balance. Every end the
+parser, the per-function facts and the detectors look for comes from two
+methods over that table: ``group_end``, the end of the group a token opens,
+and ``scan``, the next token with one of some texts, stepping over whole
+groups. The parsers walk ``unit.tokens`` by absolute index, each within the
+range of the group it is in. Each function gets one ``FunctionDecl`` record: its
 ``FunctionUnit``, where its declaration and body lie in the tokens, its
 parsed header and normalized tokens, and the facts its body states. Those
 facts are worked out once per parse, after every contract of the file is
@@ -39,7 +46,7 @@ import string
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import FunctionUnit, SignatureFeatures, function_id
 
@@ -182,21 +189,6 @@ def lex(text: str, diagnostics: Optional[list[str]] = None) -> list[Token]:
     return tokens
 
 
-def check_brace_balance(tokens: list[Token]) -> Optional[str]:
-    """Return an error message if braces are unbalanced, else None."""
-    depth = 0
-    for tok in tokens:
-        if tok.text == "{":
-            depth += 1
-        elif tok.text == "}":
-            depth -= 1
-            if depth < 0:
-                return f"line {tok.line}: closing brace without opener"
-    if depth != 0:
-        return f"end of file: {depth} unclosed brace(s)"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Normalization and hashing
 # ---------------------------------------------------------------------------
@@ -329,6 +321,24 @@ class SourceUnit:
     source_text: str = ""
     #: The file's tokens from its one ``lex``, with absolute offsets and lines.
     tokens: list[Token] = field(default_factory=list, repr=False, compare=False)
+    #: The group table: ``ends[i]`` is the index just past the group that
+    #: ``tokens[i]`` opens, or ``i + 1`` for a token that opens none; one
+    #: more entry past the last token keeps ``group_end(stop, stop)`` in range.
+    ends: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def group_end(self, i: int, stop: int) -> int:
+        """Index just past the group that ``tokens[i]`` opens, or past the
+        token if it opens none, counting only ``tokens[:stop]``: ``stop`` if
+        the group does not close before it."""
+        return min(self.ends[i], stop)
+
+    def scan(self, i: int, stop: int, texts: Container[str]) -> int:
+        """Index of the first token in ``tokens[i:stop]`` whose text is in
+        ``texts``, stepping over whole groups, else ``stop``."""
+        tokens, ends = self.tokens, self.ends
+        while i < stop and tokens[i].text not in texts:
+            i = ends[i]
+        return min(i, stop)
 
     def body_tokens(self, decl: FunctionDecl) -> list[Token]:
         return self.tokens[decl.body_start:decl.body_end]
@@ -458,34 +468,46 @@ _LOCATIONS = {"memory", "storage", "calldata"}
 _FN_INTRO = {"function", "constructor", "receive", "fallback"}
 
 
-def match_group(tokens: list[Token], start: int, open_text: str, close_text: str) -> int:
-    """Index just past the group closer, assuming tokens[start] opens it."""
-    depth = 0
-    for i in range(start, len(tokens)):
-        text = tokens[i].text
-        if text == open_text:
-            depth += 1
-        elif text == close_text:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(tokens)
+def _group_ends(tokens: list[Token], path: str) -> list[int]:
+    """``SourceUnit.ends`` of a file's tokens, from one pass.
+
+    The pass keeps one stack of open positions per bracket kind, so a group
+    closes at the first closer of its own kind that brings that kind's depth
+    back to zero, whatever other kinds lie between; a group left open ends
+    at ``len(tokens)``, and a closer without an opener opens nothing. Raises
+    IngestError(UnbalancedBraces) at the first ``}`` without an opener, or
+    at the end of the file while a ``{`` is left open.
+    """
+    ends = list(range(1, len(tokens) + 2))
+    opened: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+    closes = {")": opened["("], "]": opened["["], "}": opened["{"]}
+    for i, text in enumerate(map(itemgetter(1), tokens)):  # each token's text
+        if text in opened:
+            opened[text].append(i)
+        elif text in closes:
+            stack = closes[text]
+            if stack:
+                ends[stack.pop()] = i + 1
+            elif text == "}":
+                raise IngestError("UnbalancedBraces",
+                                  f"{path}: line {tokens[i].line}: closing brace without opener")
+    if opened["{"]:
+        raise IngestError("UnbalancedBraces",
+                          f"{path}: end of file: {len(opened['{'])} unclosed brace(s)")
+    for i in opened["("] + opened["["]:
+        ends[i] = len(tokens)
+    return ends
 
 
-def _split_top_level(tokens: list[Token], separator: str = ",") -> list[list[Token]]:
-    parts: list[list[Token]] = [[]]
-    depth = 0
-    for tok in tokens:
-        if tok.text in "([{":
-            depth += 1
-        elif tok.text in ")]}":
-            depth -= 1
-        if tok.text == separator and depth == 0:
-            parts.append([])
-        else:
-            parts[-1].append(tok)
-    if parts == [[]]:
-        return []
+def _split_top_level(unit: SourceUnit, start: int, stop: int) -> list[list[Token]]:
+    """The nonempty comma-separated parts of ``unit.tokens[start:stop]``,
+    stepping over groups."""
+    parts = []
+    while start < stop:
+        comma = unit.scan(start, stop, (",",))
+        if comma > start:
+            parts.append(unit.tokens[start:comma])
+        start = comma + 1
     return parts
 
 
@@ -497,13 +519,14 @@ def _type_string(tokens: list[Token]) -> str:
     return "".join(t.text for t in kept).lower()
 
 
-def _parse_header(tokens: list[Token]) -> FunctionHeader:
-    """Interpret a function's header token list (intro keyword onward)."""
-    intro = tokens[0].text if tokens else "function"
-    i = 1
+def _parse_header(unit: SourceUnit, start: int, stop: int) -> FunctionHeader:
+    """Interpret the function header ``unit.tokens[start:stop]``, from its
+    intro keyword up to its body or ``;``."""
+    tokens = unit.tokens
+    intro = tokens[start].text
+    i = start + 1
     name = intro if intro != "function" else ""
-    if intro == "function" and i < len(tokens) and tokens[i].kind in ("ident", "keyword") \
-            and tokens[i].text != "(":
+    if intro == "function" and i < stop and tokens[i].kind in ("ident", "keyword"):
         name = tokens[i].text
         i += 1
     if not name:
@@ -511,11 +534,9 @@ def _parse_header(tokens: list[Token]) -> FunctionHeader:
 
     param_types: list[str] = []
     param_names: list[str] = []
-    if i < len(tokens) and tokens[i].text == "(":
-        end = match_group(tokens, i, "(", ")")
-        for part in _split_top_level(tokens[i + 1:end - 1]):
-            if not part:
-                continue
+    if i < stop and tokens[i].text == "(":
+        end = unit.group_end(i, stop)
+        for part in _split_top_level(unit, i + 1, end - 1):
             param_types.append(_type_string(part))
             without_location = [t for t in part if t.text not in _LOCATIONS]
             if len(without_location) >= 2 and without_location[-1].kind == "ident":
@@ -526,7 +547,7 @@ def _parse_header(tokens: list[Token]) -> FunctionHeader:
     mutability = ""
     return_types: list[str] = []
     modifiers: list[str] = []
-    while i < len(tokens):
+    while i < stop:
         tok = tokens[i]
         if tok.text in _VISIBILITY:
             visibility = tok.text
@@ -536,21 +557,19 @@ def _parse_header(tokens: list[Token]) -> FunctionHeader:
             i += 1
         elif tok.text == "returns":
             i += 1
-            if i < len(tokens) and tokens[i].text == "(":
-                end = match_group(tokens, i, "(", ")")
-                for part in _split_top_level(tokens[i + 1:end - 1]):
-                    if part:
-                        return_types.append(_type_string(part))
+            if i < stop and tokens[i].text == "(":
+                end = unit.group_end(i, stop)
+                return_types.extend(map(_type_string, _split_top_level(unit, i + 1, end - 1)))
                 i = end
         elif tok.text in ("virtual", "override"):
             i += 1
-            if i < len(tokens) and tokens[i].text == "(":  # override(Base, ...)
-                i = match_group(tokens, i, "(", ")")
+            if i < stop and tokens[i].text == "(":  # override(Base, ...)
+                i = unit.group_end(i, stop)
         elif tok.kind == "ident":
             modifiers.append(tok.text)
             i += 1
-            if i < len(tokens) and tokens[i].text == "(":  # modifier arguments
-                i = match_group(tokens, i, "(", ")")
+            if i < stop and tokens[i].text == "(":  # modifier arguments
+                i = unit.group_end(i, stop)
         else:
             i += 1
 
@@ -573,50 +592,42 @@ def _signature_from_header(header: FunctionHeader) -> SignatureFeatures:
     return SignatureFeatures(frozenset(features))
 
 
-def _header_end(tokens: list[Token], start: int) -> int:
-    """Index of the '{' or ';' that ends the function header at ``start``,
-    or ``len(tokens)`` if there is none."""
-    i = start
-    while i < len(tokens) and tokens[i].text not in ("{", ";"):
-        i += 1
-    return i
-
-
-def access_kind(body_tokens: list[Token], index: int) -> str:
-    """'read' or 'write' for the identifier occurrence at ``index``."""
-    prev = body_tokens[index - 1] if index > 0 else None
-    if prev is not None and prev.text in ("++", "--", "delete"):
+def access_kind(unit: SourceUnit, index: int, stop: int) -> str:
+    """'read' or 'write' for the identifier at ``unit.tokens[index]``, in a
+    function body that ends at ``stop``, its closing brace."""
+    tokens = unit.tokens
+    if tokens[index - 1].text in ("++", "--", "delete"):
         return "write"
     # skip index chains: balances[msg.sender][k] = ...
     j = index + 1
-    while j < len(body_tokens) and body_tokens[j].text == "[":
-        j = match_group(body_tokens, j, "[", "]")
-    if j < len(body_tokens):
-        text = body_tokens[j].text
-        if text in ASSIGN_OPS or text in ("++", "--"):
-            return "write"
-        if text == "." and j + 1 < len(body_tokens) \
-                and body_tokens[j + 1].text in ("push", "pop"):
-            return "write"
+    while j < stop and tokens[j].text == "[":
+        j = unit.group_end(j, stop)
+    text = tokens[j].text
+    if text in ASSIGN_OPS or text in ("++", "--"):
+        return "write"
+    if text == "." and tokens[j + 1].text in ("push", "pop"):
+        return "write"
     return "read"
 
 
-def _state_accesses(body_tokens: list[Token], var_names: set[str]) -> list[tuple[Token, str]]:
-    """State-variable occurrences in a body, each tagged 'read' or 'write'.
+def _state_accesses(unit: SourceUnit, decl: FunctionDecl,
+                    var_names: set[str]) -> list[tuple[Token, str]]:
+    """State-variable occurrences in a function body, each tagged 'read' or
+    'write'. A body lies between its braces, so the tokens just before and
+    after it exist.
 
     Call sites and member accesses on other values are not variable accesses.
     """
+    tokens, stop = unit.tokens, decl.body_end
     out = []
-    for i, tok in enumerate(body_tokens):
+    for i, tok in enumerate(tokens[decl.body_start:stop], decl.body_start):
         if tok.kind != "ident" or tok.text not in var_names:
             continue
-        nxt = body_tokens[i + 1] if i + 1 < len(body_tokens) else None
-        if nxt is not None and nxt.text == "(":
+        if tokens[i + 1].text == "(":
             continue  # call site, handled separately
-        prev = body_tokens[i - 1] if i > 0 else None
-        if prev is not None and prev.text == ".":
+        if tokens[i - 1].text == ".":
             continue  # member access on some other value
-        out.append((tok, access_kind(body_tokens, i)))
+        out.append((tok, access_kind(unit, i, stop)))
     return out
 
 
@@ -629,22 +640,18 @@ def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
     """
     unit = SourceUnit(path=path, source_text=text)
     unit.tokens = tokens = lex(text, unit.diagnostics)
-    balance_error = check_brace_balance(tokens)
-    if balance_error is not None:
-        raise IngestError("UnbalancedBraces", f"{path}: {balance_error}")
+    unit.ends = _group_ends(tokens, path)
 
     i = 0
     while i < len(tokens):
         tok = tokens[i]
         if tok.text == "pragma":
-            end = i
-            while end < len(tokens) and tokens[end].text != ";":
-                end += 1
+            end = unit.scan(i, len(tokens), (";",))
             if end - i >= 2 and tokens[i + 1].text == "solidity":
                 unit.pragma_version = "".join(t.text for t in tokens[i + 2:end])
             i = end + 1
         elif tok.text in ("contract", "library", "interface"):
-            i = _parse_contract(text, tokens, i, tok.text, unit)
+            i = _parse_contract(unit, i, tok.text)
         else:
             i += 1
     _resolve_facts(unit)
@@ -662,85 +669,57 @@ def load_source(path: str) -> SourceUnit:
     return parse_source(text, path)
 
 
-def _parse_contract(text: str, tokens: list[Token], start: int, kind: str,
-                    unit: SourceUnit) -> int:
-    """Parse one contract/library/interface block; return the next index."""
+def _parse_contract(unit: SourceUnit, start: int, kind: str) -> int:
+    """Parse one contract/library/interface block and its members; return
+    the index past it."""
+    tokens = unit.tokens
     i = start + 1
     if i >= len(tokens) or tokens[i].kind not in ("ident", "keyword"):
         unit.diagnostics.append(f"line {tokens[start].line}: {kind} without a name, skipped")
         return i
-    name = tokens[i].text
-    i += 1
-    while i < len(tokens) and tokens[i].text != "{":
-        i += 1  # inheritance clause
-    if i >= len(tokens):
+    contract = ContractDecl(name=tokens[i].text, kind=kind)
+    i = unit.scan(i + 1, len(tokens), ("{",))  # past the inheritance clause
+    if i == len(tokens):
         return i
-    body_end = match_group(tokens, i, "{", "}")
-    body = tokens[i + 1:body_end - 1]
-    contract = ContractDecl(name=name, kind=kind)
-    _parse_members(text, body, i + 1, contract, unit)
+    body_end = unit.group_end(i, len(tokens))
+    stop = body_end - 1  # the closing brace
+    i += 1
+    while i < stop:
+        tok = tokens[i]
+        if tok.text in _FN_INTRO:
+            i = _parse_function(unit, i, stop, contract)
+        elif tok.text == "modifier":
+            i = _parse_modifier(unit, i, stop, contract)
+        elif tok.text in ("event", "error", "using", "import"):
+            i = unit.scan(i, stop, (";",)) + 1
+        elif tok.text in ("struct", "enum"):
+            i = unit.group_end(unit.scan(i, stop, ("{",)), stop)
+        elif tok.text == ";":
+            i += 1
+        elif tok.kind in ("keyword", "ident"):
+            i = _parse_state_var(unit, i, stop, contract)
+        else:
+            unit.diagnostics.append(
+                f"line {tok.line}: unexpected {tok.text!r} in contract {contract.name}, skipped")
+            i = unit.scan(i, stop, (";",)) + 1
     unit.contracts.append(contract)
     return body_end
 
 
-def _parse_members(text: str, body: list[Token], offset: int, contract: ContractDecl,
-                   unit: SourceUnit) -> None:
-    """Parse a contract body; ``body[0]`` is ``unit.tokens[offset]``."""
-    i = 0
-    while i < len(body):
-        tok = body[i]
-        if tok.text in _FN_INTRO:
-            i = _parse_function(text, body, i, offset, contract, unit)
-        elif tok.text == "modifier":
-            i = _parse_modifier(body, i, contract, unit)
-        elif tok.text in ("event", "error", "using", "import"):
-            i = _skip_statement(body, i)
-        elif tok.text in ("struct", "enum"):
-            i += 1
-            while i < len(body) and body[i].text != "{":
-                i += 1
-            i = match_group(body, i, "{", "}") if i < len(body) else i
-        elif tok.text == ";":
-            i += 1
-        elif tok.kind in ("keyword", "ident"):
-            i = _parse_state_var(body, i, contract, unit)
-        else:
-            unit.diagnostics.append(
-                f"line {tok.line}: unexpected {tok.text!r} in contract {contract.name}, skipped")
-            i = _skip_statement(body, i)
-
-
-def _skip_statement(tokens: list[Token], start: int) -> int:
-    """Advance past the next ';' at the current brace depth."""
-    depth = 0
-    i = start
-    while i < len(tokens):
-        text = tokens[i].text
-        if text == "{":
-            depth += 1
-        elif text == "}":
-            depth -= 1
-        elif text == ";" and depth <= 0:
-            return i + 1
-        i += 1
-    return i
-
-
-def _parse_function(text: str, body: list[Token], start: int, offset: int,
-                    contract: ContractDecl, unit: SourceUnit) -> int:
+def _parse_function(unit: SourceUnit, start: int, stop: int, contract: ContractDecl) -> int:
     """Slice one function/constructor/receive/fallback declaration.
 
     The declaration holds at least its intro keyword, so it is never empty.
     """
-    i = _header_end(body, start)
-    header = _parse_header(body[start:i])
-    if i < len(body) and body[i].text == "{":
-        end = match_group(body, i, "{", "}")
+    tokens = unit.tokens
+    i = unit.scan(start, stop, ("{", ";"))
+    header = _parse_header(unit, start, i)
+    end = unit.group_end(i, stop)  # past the body, past the ';', or ``stop``
+    if i < stop and tokens[i].text == "{":
         body_start, body_end = i + 1, end - 1
     else:
-        end = min(i + 1, len(body))  # past the ';', if there is one
         body_start = body_end = i
-    decl = body[start:end]
+    decl = tokens[start:end]
     normalized = normalize_source(decl)
     try:
         signature = _signature_from_header(header)
@@ -751,47 +730,29 @@ def _parse_function(text: str, body: list[Token], start: int, offset: int,
         id=function_id(contract.name, header.name, normalized),
         contract_name=contract.name,
         name=header.name,
-        source_text=text[decl[0].start:decl[-1].end],
+        source_text=unit.source_text[decl[0].start:decl[-1].end],
         signature=signature,
         token_count=len(normalized),
     )
-    contract.functions.append(FunctionDecl(fn, offset + start, offset + end, offset + body_start,
-                                           offset + body_end, header, normalized))
+    contract.functions.append(FunctionDecl(fn, start, end, body_start, body_end,
+                                           header, normalized))
     return end
 
 
-def _parse_modifier(body: list[Token], start: int, contract: ContractDecl,
-                    unit: SourceUnit) -> int:
+def _parse_modifier(unit: SourceUnit, start: int, stop: int, contract: ContractDecl) -> int:
+    tokens = unit.tokens
     i = start + 1
-    if i >= len(body) or body[i].kind not in ("ident", "keyword"):
-        unit.diagnostics.append(f"line {body[start].line}: modifier without a name, skipped")
-        return _skip_statement(body, start)
-    contract.modifiers.append(body[i].text)
-    i += 1
-    if i < len(body) and body[i].text == "(":
-        i = match_group(body, i, "(", ")")
-    while i < len(body) and body[i].text not in ("{", ";"):
-        i += 1
-    if i < len(body) and body[i].text == "{":
-        return match_group(body, i, "{", "}")
-    return i + 1
+    if i >= stop or tokens[i].kind not in ("ident", "keyword"):
+        unit.diagnostics.append(f"line {tokens[start].line}: modifier without a name, skipped")
+        return unit.scan(start, stop, (";",)) + 1
+    contract.modifiers.append(tokens[i].text)
+    return unit.group_end(unit.scan(i + 1, stop, ("{", ";")), stop)
 
 
-def _parse_state_var(body: list[Token], start: int, contract: ContractDecl,
-                     unit: SourceUnit) -> int:
+def _parse_state_var(unit: SourceUnit, start: int, stop: int, contract: ContractDecl) -> int:
     """Parse one state-variable declaration ending at ';'."""
-    end = start
-    depth = 0
-    while end < len(body):
-        text = body[end].text
-        if text in "{([":
-            depth += 1
-        elif text in "})]":
-            depth -= 1
-        elif text == ";" and depth == 0:
-            break
-        end += 1
-    decl = body[start:end]
+    end = unit.scan(start, stop, (";",))
+    decl = unit.tokens[start:end]
     # declaration part is everything left of '=' (initializer excluded)
     for idx, tok in enumerate(decl):
         if tok.text == "=" :
@@ -800,7 +761,7 @@ def _parse_state_var(body: list[Token], start: int, contract: ContractDecl,
     names = [t for t in decl if t.kind == "ident"]
     if not names:
         unit.diagnostics.append(
-            f"line {body[start].line}: unrecognized declaration in {contract.name}, skipped")
+            f"line {unit.tokens[start].line}: unrecognized declaration in {contract.name}, skipped")
         return end + 1
     var_name = names[-1].text
     type_tokens = []
@@ -836,49 +797,51 @@ def _resolve_facts(unit: SourceUnit) -> None:
         for mod in contract.modifiers:
             modifier_owners.setdefault(mod, []).append(contract.name)
 
+    tokens = unit.tokens
     for contract in unit.contracts:
         state_var_names = {name for name, _ in contract.state_vars}
         for decl in contract.functions:
-            body = unit.body_tokens(decl)
             unshadowed = state_var_names.difference(decl.header.param_names)
-            decl.accesses = _state_accesses(body, unshadowed)
+            decl.accesses = _state_accesses(unit, decl, unshadowed)
             for mod in decl.header.modifiers:
                 owners = ([contract.name] if mod in own_modifiers[contract.name]
                           else modifier_owners.get(mod, []))
                 decl.modifiers.append((mod, owners[0] if len(owners) == 1 else None))
-            for index, kind, value in _call_sites(body):
+            for i, kind, value in _call_sites(unit, decl):
                 callee = None
                 if kind is None:  # a call by name
-                    named = functions_named.get(body[index].text, [])
-                    callee = own_functions[contract.name].get(body[index].text)
+                    named = functions_named.get(tokens[i].text, [])
+                    callee = own_functions[contract.name].get(tokens[i].text)
                     if callee is None and len(named) == 1:
                         callee = named[0]
                     kind = ("resolved" if callee is not None
                             else "ambiguous" if len(named) > 1 else "unresolved")
-                decl.calls.append(CallSite(index, body[index], kind, callee, value))
+                decl.calls.append(CallSite(i - decl.body_start, tokens[i], kind, callee, value))
 
 
-def _call_sites(body: list[Token]) -> list[tuple[int, Optional[str], bool]]:
-    """``(index, kind, value)`` of each call in a body, as in ``CallSite``;
-    the kind of a call by name is None, left to resolve."""
+def _call_sites(unit: SourceUnit, decl: FunctionDecl) -> list[tuple[int, Optional[str], bool]]:
+    """``(i, kind, value)`` of each call in a function body, ``i`` the called
+    name's index in ``unit.tokens`` and ``kind`` and ``value`` as in
+    ``CallSite``; the kind of a call by name is None, left to resolve. A body
+    lies between its braces, so the tokens just before and after it exist."""
+    tokens, stop = unit.tokens, decl.body_end
     out: list[tuple[int, Optional[str], bool]] = []
     options: set[int] = set()  # the .value/.gas names of low-level calls
-    for i, tok in enumerate(body):
-        if tok.kind != "ident" or i + 1 >= len(body) or i in options:
+    for i, tok in enumerate(tokens[decl.body_start:stop], decl.body_start):
+        if tok.kind != "ident" or i in options:
             continue
-        name, nxt = tok.text, body[i + 1].text
-        prev = body[i - 1].text if i > 0 else ""
+        name, nxt, prev = tok.text, tokens[i + 1].text, tokens[i - 1].text
         if prev == "." and name in _LOW_LEVEL_CALLS:
             value = False
             if nxt == "{":  # x.call{value: v}(...)
-                end = match_group(body, i + 1, "{", "}")
-                value = any(t.text == "value" for t in body[i + 2:end - 1])
+                end = unit.group_end(i + 1, stop)
+                value = any(t.text == "value" for t in tokens[i + 2:end - 1])
             j = i + 1
-            while (j + 2 < len(body) and body[j].text == "."
-                   and body[j + 1].text in _CALL_OPTIONS and body[j + 2].text == "("):
+            while (j + 2 < stop and tokens[j].text == "."
+                   and tokens[j + 1].text in _CALL_OPTIONS and tokens[j + 2].text == "("):
                 options.add(j + 1)
-                value = value or body[j + 1].text == "value"
-                j = match_group(body, j + 2, "(", ")")
+                value = value or tokens[j + 1].text == "value"
+                j = unit.group_end(j + 2, stop)
             if nxt in ("(", "{") or j > i + 1:
                 out.append((i, "low-level", value and name == "call"))
         elif nxt == "(" and prev == "." and name in ("send", "transfer"):

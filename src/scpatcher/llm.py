@@ -84,21 +84,40 @@ class MockLlmBackend:
         Format: {"rules": [{"match": {"digest": HEX} or
         {"substring": S} or {"substrings": [S, ...]} or omitted (catch-all),
         "response": TEXT}, ...]}. Rules apply in order; first match wins.
+        Any other shape raises ``ValueError``, naming the rule's position
+        where there is one: a script that is not an object with a "rules"
+        list, a rule or its "match" that is not an object, a "response",
+        "digest" or "substring" that is not a string, or "substrings" that is
+        not a list of strings. An empty "match" is a catch-all.
         """
         with open(path, "r", encoding="utf-8") as handle:
-            script = json.load(handle)
+            try:
+                script = json.load(handle)
+            except RecursionError:
+                raise ValueError(f"{path}: script is nested too deeply") from None
+        items = script.get("rules") if isinstance(script, dict) else None
+        if not isinstance(items, list):
+            raise ValueError(f"{path}: script must be an object with a \"rules\" list")
         rules = []
-        for raw in script.get("rules", []):
+        for position, raw in enumerate(items):
+            where = f"{path}: rule {position}"
+            if not isinstance(raw, dict):
+                raise ValueError(f"{where}: must be an object")
             match = raw.get("match", {})
-            substrings: tuple[str, ...] = ()
-            if "substring" in match:
-                substrings = (match["substring"],)
-            elif "substrings" in match:
-                substrings = tuple(match["substrings"])
+            if not isinstance(match, dict):
+                raise ValueError(f"{where}: \"match\" must be an object")
+            texts = {"response": raw.get("response"),
+                     **{key: match[key] for key in ("digest", "substring") if key in match}}
+            for key, value in texts.items():
+                if not isinstance(value, str):
+                    raise ValueError(f"{where}: \"{key}\" must be a string")
+            substrings = match.get("substrings", [])
+            if not isinstance(substrings, list) or not all(isinstance(s, str) for s in substrings):
+                raise ValueError(f"{where}: \"substrings\" must be a list of strings")
             rules.append(MockRule(
-                response=raw["response"],
-                digest=match.get("digest"),
-                substrings=substrings,
+                response=texts["response"],
+                digest=texts.get("digest"),
+                substrings=(texts["substring"],) if "substring" in texts else tuple(substrings),
             ))
         return cls(rules=rules)
 

@@ -26,7 +26,6 @@ from .ingest import (
     IngestError,
     SourceUnit,
     Token,
-    match_group,
     parse_source,
 )
 from .model import PatchCandidate, VulnClass, VulnerabilityReport
@@ -97,13 +96,15 @@ class _FunctionView:
         return (index, index + 1)
 
 
-def _condition_spans(body: list[Token]) -> list[tuple[int, int, str]]:
-    spans = []
-    for i, tok in enumerate(body):
-        if tok.text in _CONDITION_INTROS and i + 1 < len(body) and body[i + 1].text == "(":
-            end = match_group(body, i + 1, "(", ")")
-            spans.append((i + 2, end - 1, tok.text))
-    return spans
+def _group_spans(unit: SourceUnit, decl: FunctionDecl, intros: set[str],
+                 opener: str) -> list[tuple[int, int, str]]:
+    """``(start, end, intro)`` of the inside of each ``opener`` group that
+    directly follows a token in ``intros`` in a function body, as indices
+    into the body."""
+    tokens, base, stop = unit.tokens, decl.body_start, decl.body_end
+    return [(i + 2 - base, unit.group_end(i + 1, stop) - 1 - base, tok.text)
+            for i, tok in enumerate(tokens[base:stop - 1], base)
+            if tok.text in intros and tokens[i + 1].text == opener]
 
 
 def _statement_spans(body: list[Token]) -> list[tuple[int, int]]:
@@ -126,7 +127,8 @@ def _function_views(unit: SourceUnit) -> list[_FunctionView]:
         for decl in contract.functions:
             body = unit.body_tokens(decl)
             views.append(_FunctionView(decl, body, unsigned,
-                                       _condition_spans(body), _statement_spans(body)))
+                                       _group_spans(unit, decl, _CONDITION_INTROS, "("),
+                                       _statement_spans(body)))
     return views
 
 
@@ -234,25 +236,16 @@ def _pragma_below_08(pragma_version: Optional[str]) -> bool:
     return (major, minor) < (0, 8)
 
 
-def _unchecked_spans(body: list[Token]) -> list[tuple[int, int]]:
-    spans = []
-    for i, tok in enumerate(body):
-        if tok.text == "unchecked" and i + 1 < len(body) and body[i + 1].text == "{":
-            end = match_group(body, i + 1, "{", "}")
-            spans.append((i + 2, end - 1))
-    return spans
-
-
-def _rule_overflow(view: _FunctionView, pragma_version: Optional[str]) -> list[Detection]:
+def _rule_overflow(view: _FunctionView, unit: SourceUnit) -> list[Detection]:
     body = view.body
     out = []
-    for start, end in _unchecked_spans(body):
+    for start, end, _intro in _group_spans(unit, view.decl, {"unchecked"}, "{"):
         for i in range(start, end):
             if body[i].text in _ARITH_OPS:
                 out.append(Detection(VulnClass.INTEGER_OVERFLOW, view.decl.fn.name,
                                      body[i].line, "overflow/unchecked-block"))
                 break
-    if _pragma_below_08(pragma_version):
+    if _pragma_below_08(unit.pragma_version):
         unsigned_positions = {tok.start for tok, _ in view.decl.accesses
                               if tok.text in view.unsigned_state_vars}
         for i, tok in enumerate(body):
@@ -308,7 +301,7 @@ def detect(source: Union[str, SourceUnit]) -> list[Detection]:
             return []
     out: list[Detection] = []
     for view in _function_views(unit):
-        out.extend(_rule_overflow(view, unit.pragma_version))
+        out.extend(_rule_overflow(view, unit))
         out.extend(_rule_reentrancy(view))
         out.extend(_rule_access_control(view))
         out.extend(_rule_timestamp(view))

@@ -19,7 +19,6 @@ from scpatcher.ingest import (
     Token,
     Triple,
     canonical_source_hash,
-    check_brace_balance,
     contract_ref,
     extract_triples_with_diagnostics,
     lex,
@@ -194,8 +193,18 @@ def test_lex_counts_lines_inside_literals_and_reports_stray_characters():
 
 
 def test_brace_balance_ignores_strings_and_comments():
-    assert check_brace_balance(lex('contract A { string s = "}{"; /* } */ }')) is None
-    assert check_brace_balance(lex("contract A { function f() { }")) is not None
+    """Braces in strings and comments are not tokens. The two
+    ``UnbalancedBraces`` texts are pinned whole: the compile check passes
+    them verbatim into the stage-2 feedback."""
+    unit = parse_source('contract A { string s = "}{"; /* } */ }')
+    assert [(c.name, c.state_vars) for c in unit.contracts] == [("A", [("s", "string")])]
+    for source, message in [
+        ("contract A { function f() { }", "a.sol: end of file: 1 unclosed brace(s)"),
+        ("contract A {\n}\n} /* { */ {", "a.sol: line 3: closing brace without opener"),
+    ]:
+        with pytest.raises(IngestError) as err:
+            parse_source(source, "a.sol")
+        assert (err.value.code, str(err.value)) == ("UnbalancedBraces", message)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +263,157 @@ def test_unparseable_member_becomes_diagnostic():
     unit = parse_source("contract A { @ %% ; function f() public {} }")
     assert [d.fn.name for d in unit.contracts[0].functions] == ["f"]
     assert unit.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# The group table
+# ---------------------------------------------------------------------------
+
+_CLOSER = {"(": ")", "[": "]", "{": "}"}
+
+#: Token soups: every bracket kind, both separators and a name.
+_SOUP = st.lists(st.sampled_from(list("()[]{};,x")), max_size=40)
+
+
+def _reference_group_end(texts, i, stop):
+    """A same-kind depth count over ``texts[i:stop]`` from the opener at ``i``."""
+    depth = 0
+    for j in range(i, stop):
+        if texts[j] == texts[i]:
+            depth += 1
+        elif texts[j] == _CLOSER[texts[i]]:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return stop
+
+
+def _reference_scan(texts, i, stop, targets):
+    """A walk to the first text in ``targets`` that steps over each group."""
+    while i < stop and texts[i] not in targets:
+        i = _reference_group_end(texts, i, stop) if texts[i] in _CLOSER else i + 1
+    return i
+
+
+def _reference_brace_error(soup):
+    """The first brace fault of a soup laid out one token per line."""
+    depth = 0
+    for line, text in enumerate(soup, 1):
+        depth += (text == "{") - (text == "}")
+        if depth < 0:
+            return f"soup: line {line}: closing brace without opener"
+    return f"soup: end of file: {depth} unclosed brace(s)" if depth else None
+
+
+def _balance_braces(soup):
+    """The soup without its unpaired '}', and with a '}' for each open '{'."""
+    out, depth = [], 0
+    for text in soup:
+        if text == "}" and depth == 0:
+            continue
+        depth += (text == "{") - (text == "}")
+        out.append(text)
+    return out + ["}"] * depth
+
+
+@settings(max_examples=300)
+@given(_SOUP)
+def test_brace_faults_match_a_depth_count(soup):
+    expected = _reference_brace_error(soup)
+    try:
+        parse_source("\n".join(soup), "soup")
+    except IngestError as err:
+        assert (err.code, str(err)) == ("UnbalancedBraces", expected)
+    else:
+        assert expected is None
+
+
+@settings(max_examples=300)
+@example(list("([)]{(}"))
+@given(_SOUP.map(_balance_braces))
+def test_group_end_and_scan_match_a_walk_over_the_tokens(soup):
+    unit = parse_source(" ".join(soup))
+    texts = [tok.text for tok in unit.tokens]
+    assert texts == soup
+    for i, text in enumerate(texts):
+        for stop in range(i + 1, len(texts) + 1):
+            expected = _reference_group_end(texts, i, stop) if text in _CLOSER else i + 1
+            assert unit.group_end(i, stop) == expected
+    for i in range(len(texts) + 1):
+        for stop in range(i, len(texts) + 1):
+            for targets in ((";",), (",",), ("{", ";"), ("(", "]")):
+                assert unit.scan(i, stop, targets) == _reference_scan(texts, i, stop, targets)
+
+
+def _function_facts(decl):
+    header = decl.header
+    return (header.name, header.param_types, header.param_names, header.return_types,
+            header.modifiers, decl.fn.signature.sorted_features())
+
+
+#: Valid members whose scan crosses a group, and what each parses to:
+#: (source, state variables, modifiers, per function (name, parameter types,
+#: parameter names, return types, modifiers, signature features)).
+_GROUP_CROSSING_CASES = {
+    "inheritance-arguments": (
+        "contract A is B(1, 2) { uint x; function f() public {} }",
+        [("x", "uint")], [],
+        [("f", [], [], [], [], ["nonpayable", "public"])]),
+    "modifier-parameters": (
+        "contract A { modifier m(uint a) { require(a > 0); _; }\n"
+        "function g(uint a) public m(a) {} }",
+        [], ["m"],
+        [("g", ["uint"], ["a"], [], ["m"], ["mod:m", "nonpayable", "param:uint", "public"])]),
+    "mapping-of-arrays": (
+        "contract A { mapping(address => uint[]) public m; uint y; }",
+        [("m", "mapping(address=>uint[])"), ("y", "uint")], [], []),
+    "array-initializer": (
+        "contract A { uint[2] public xs = [1, 2]; uint y; }",
+        [("xs", "uint[2]"), ("y", "uint")], [], []),
+    "event": (
+        "contract A { event E(uint indexed a); uint y; }",
+        [("y", "uint")], [], []),
+    "error": (
+        "contract A { error Err(uint a); uint y; }",
+        [("y", "uint")], [], []),
+    "using-for": (
+        "contract A { using L for uint; uint y; }",
+        [("y", "uint")], [], []),
+    "array-and-return-list": (
+        "contract A { function f(uint[2] memory a, bytes calldata b) external "
+        "returns (uint, bool) { return (a[0], b.length > 0); } }",
+        [], [],
+        [("f", ["uint[2]", "bytes"], ["a", "b"], ["uint", "bool"], [],
+          ["external", "nonpayable", "param:bytes", "param:uint[2]", "ret:bool", "ret:uint"])]),
+    "nested-struct": (
+        "contract A { struct P { uint x; } struct Q { P p; mapping(uint => P) ps; }\n"
+        "Q q; function f() public view returns (uint) { return q.p.x; } }",
+        [("q", "Q")], [],
+        [("f", [], [], ["uint"], [], ["public", "ret:uint", "view"])]),
+}
+
+
+@pytest.mark.parametrize("case", list(_GROUP_CROSSING_CASES))
+def test_valid_members_that_cross_a_group_keep_their_parse(case):
+    source, state_vars, modifiers, functions = _GROUP_CROSSING_CASES[case]
+    unit = parse_source(source)
+    [contract] = unit.contracts
+    assert (contract.name, unit.diagnostics) == ("A", [])
+    assert contract.state_vars == state_vars
+    assert contract.modifiers == modifiers
+    assert [_function_facts(decl) for decl in contract.functions] == functions
+
+
+def test_named_arguments_in_a_header_stay_inside_their_group():
+    """A ``{`` of named arguments inside an inheritance specifier's or a
+    modifier invocation's parentheses does not open the body."""
+    unit = parse_source("contract A is B({x: 1}) { uint y;\n"
+                        "function f() public m({a: 1}) { y = 2; } }")
+    [contract] = unit.contracts
+    assert (contract.state_vars, unit.diagnostics) == ([("y", "uint")], [])
+    [decl] = contract.functions
+    assert decl.header.modifiers == ["m"]
+    assert [t.text for t in unit.body_tokens(decl)] == ["y", "=", "2", ";"]
 
 
 # ---------------------------------------------------------------------------

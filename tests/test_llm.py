@@ -1,10 +1,13 @@
-"""The remote chat-completion backend, against a fake session."""
+"""The remote chat-completion backend, against a fake session, and the
+mock backend's script loading."""
+
+import json
 
 import pytest
 import requests
 
 from scpatcher import llm
-from scpatcher.llm import LlmError, LlmRequest, RemoteLlmBackend
+from scpatcher.llm import LlmError, LlmRequest, MockLlmBackend, RemoteLlmBackend
 
 REQUEST = LlmRequest(messages=(("system", "be brief"), ("user", "fix it")), model="m1")
 
@@ -84,3 +87,49 @@ def test_failures_raise_llm_errors(reply, code):
         backend.complete(REQUEST)
     assert err.value.code == code
     assert len(session.posts) == 1
+
+
+@pytest.mark.parametrize("script, message", [
+    ([], 'script must be an object with a "rules" list'),
+    ({"rules": {"match": {}, "response": "x"}}, 'script must be an object with a "rules" list'),
+    ({}, 'script must be an object with a "rules" list'),
+    ({"rules": ["x"]}, "rule 0: must be an object"),
+    ({"rules": [{"response": "x"}, {"match": ["a"], "response": "x"}]},
+     'rule 1: "match" must be an object'),
+    ({"rules": [{"match": {"substrings": "exploit path"}, "response": "x"}]},
+     'rule 0: "substrings" must be a list of strings'),
+    ({"rules": [{"match": {"substrings": ["a", 1]}, "response": "x"}]},
+     'rule 0: "substrings" must be a list of strings'),
+    ({"rules": [{"match": {"substring": ["a"]}, "response": "x"}]},
+     'rule 0: "substring" must be a string'),
+    ({"rules": [{"match": {"digest": 7}, "response": "x"}]}, 'rule 0: "digest" must be a string'),
+    ({"rules": [{"match": {}, "response": ["x"]}]}, 'rule 0: "response" must be a string'),
+    ({"rules": [{"match": {}}]}, 'rule 0: "response" must be a string'),
+], ids=["not-an-object", "rules-not-a-list", "no-rules", "rule-not-an-object",
+        "match-not-an-object", "substrings-a-string", "substrings-not-all-strings",
+        "substring-a-list", "digest-not-a-string", "response-not-a-string", "no-response"])
+def test_mock_script_of_the_wrong_shape_is_refused(tmp_path, script, message):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        MockLlmBackend.from_script(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_mock_script_rules_match_as_written(tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"rules": [
+        {"match": {"digest": "d1"}, "response": "by digest"},
+        {"match": {"substring": "exploit path"}, "response": "by substring"},
+        {"match": {"substrings": ["a", "b"]}, "response": "by substrings"},
+        {"match": {}, "response": "catch-all"},
+    ]}), encoding="utf-8")
+    backend = MockLlmBackend.from_script(str(path))
+
+    def reply(text, digest=""):
+        return backend.complete(LlmRequest(messages=(("user", text),)), digest).text
+
+    assert reply("anything", "d1") == "by digest"
+    assert reply("an exploit path here") == "by substring"
+    assert reply("b then a") == "by substrings"
+    assert reply("exploit") == "catch-all"
