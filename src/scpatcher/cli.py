@@ -2,7 +2,10 @@
 
 Subcommands: build-kb (corpus -> knowledge base file), retrieve (ranked
 references for one function), repair (single contract through the
-two-stage pipeline), evaluate (batch run over a manifest with k sweep).
+two-stage pipeline), evaluate (batch run over a manifest with k sweep;
+an entry whose canonical token hash equals a KB corpus file's is always
+excluded, and a manifest file that cannot be read or is not UTF-8 stops
+the run before any repair).
 ``--k`` (or ``evaluate``'s ``--k-sweep``) is the only retrieval option: the
 k-NN pool of 50 and the rescoring ε = e - 1 are constants of the library,
 and so is ``build-kb``'s clone threshold of 12 normalized tokens
@@ -100,7 +103,8 @@ def build_parser() -> _Parser:
     p_repair.add_argument("--out", help="write the final patch to this file")
     p_repair.set_defaults(func=_cmd_repair)
 
-    p_eval = sub.add_parser("evaluate", help="batch-evaluate a dataset manifest")
+    p_eval = sub.add_parser("evaluate", help="batch-evaluate a dataset manifest, "
+                            "excluding entries that duplicate a KB corpus file")
     p_eval.add_argument("--kb", required=True)
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--report", required=True, help="report output file")
@@ -110,8 +114,6 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--mock-script", help="JSON rule script for the mock backend")
     p_eval.add_argument("--model", default="default")
     p_eval.add_argument("--jobs", type=_positive_int, default=1)
-    p_eval.add_argument("--no-dedup", action="store_true",
-                        help="skip corpus/test deduplication")
     p_eval.set_defaults(func=_cmd_evaluate)
     return parser
 
@@ -205,8 +207,7 @@ def _cmd_evaluate(args) -> int:
     graph, _clones = load_kb(args.kb)
     manifest = load_manifest(args.manifest)
     cfg = RepairConfig(backend=backend, model=args.model)
-    report = run_dataset(manifest, graph, cfg, k_values=args.k_sweep,
-                         jobs=args.jobs, dedup=not args.no_dedup)
+    report = run_dataset(manifest, graph, cfg, k_values=args.k_sweep, jobs=args.jobs)
     report.save(args.report)
     for k_report in report.k_reports:
         metrics = k_report.metrics

@@ -109,19 +109,18 @@ _Read = Union[SourceUnit, RepairOutcome]
 _Loaded = Union[tuple[SourceUnit, VulnerabilityReport], RepairOutcome]
 
 
-def _read_entry(entry: ManifestEntry, strict: bool) -> _Read:
+def _read_entry(entry: ManifestEntry) -> _Read:
     """Read and parse one entry's file, once per run.
 
-    A failure becomes the row every k reports, except that with ``strict``
-    (dedup, which must hash every entry) an unreadable or non-UTF-8 file
-    raises before any repair starts.
+    A failure becomes the row every k reports, except that an unreadable or
+    non-UTF-8 file, which dedup cannot hash, raises before any repair starts.
     """
     try:
         return load_source(entry.resolved_path)
     except Exception as exc:  # record, never abort the batch
-        if strict and isinstance(exc, OSError):
+        if isinstance(exc, OSError):
             raise
-        if strict and isinstance(exc, IngestError) and exc.code == "NonUtf8":
+        if isinstance(exc, IngestError) and exc.code == "NonUtf8":
             # dedup's message: the path and the decoding error
             raise IngestError("NonUtf8", f"{entry.resolved_path}: {exc.__cause__}") from None
         log.warning("entry %s failed: %s", entry.path, exc)
@@ -146,14 +145,14 @@ def dedup_against_kb(manifest: DatasetManifest, kb: PropertyGraph,
 
     A test contract is excluded when its canonical token hash equals the
     stored hash of any corpus file the KB was built from. ``units`` holds
-    each entry's ``_read_entry(entry, strict=True)``, in manifest order,
-    when the caller has read them; otherwise they are read here. An
+    each entry's ``_read_entry(entry)``, in manifest order, when the
+    caller has read them; otherwise they are read here. An
     unreadable or non-UTF-8 entry raises. An entry that does not parse is
     kept: the KB holds hashes of parsed files only, and files with equal
     hashes have equal tokens, so they parse alike.
     """
     if units is None:
-        units = [_read_entry(entry, strict=True) for entry in manifest.entries]
+        units = [_read_entry(entry) for entry in manifest.entries]
     meta = kb.embedder_meta or {}
     corpus_hashes: dict[str, str] = meta.get("corpus_hashes", {})
     kept: list[ManifestEntry] = []
@@ -256,20 +255,17 @@ def _run_entry(item: _Loaded, kb: PropertyGraph, cfg: RepairConfig,
 
 
 def run_dataset(manifest: DatasetManifest, kb: PropertyGraph, cfg: RepairConfig,
-                k_values: Optional[list[int]] = None, jobs: int = 1,
-                dedup: bool = True) -> EvaluationReport:
+                k_values: Optional[list[int]] = None, jobs: int = 1) -> EvaluationReport:
     """Repair every kept entry once per k and collect one report per k.
 
-    Each kept entry is retrieved for once, at the largest k; with ``jobs``
-    above 1, that many threads take one entry each at a time.
+    An entry is kept unless ``dedup_against_kb`` finds it among the KB's
+    corpus files. Each kept entry is retrieved for once, at the largest k;
+    with ``jobs`` above 1, that many threads take one entry each at a time.
     """
     if k_values is None or not k_values:
         k_values = [cfg.k]
-    units = [_read_entry(entry, strict=dedup) for entry in manifest.entries]
-    if dedup:
-        kept, excluded_pairs = dedup_against_kb(manifest, kb, units)
-    else:
-        kept, excluded_pairs = list(manifest.entries), []
+    units = [_read_entry(entry) for entry in manifest.entries]
+    kept, excluded_pairs = dedup_against_kb(manifest, kb, units)
     read = dict(zip(manifest.entries, units))  # equal entries name the same file
     loaded = [_load_entry(entry, read[entry]) for entry in kept]
     if jobs > 1:

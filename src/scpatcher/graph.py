@@ -3,7 +3,9 @@
 Nodes are contracts, functions, state variables, modifiers, and type names;
 edges are the extracted triples (deduplicated). Function nodes carry their
 FunctionUnit payload, a clone-group id, and a usage frequency used by the
-trust rescorer. The whole bundle serializes to a canonical binary container
+trust rescorer. A graph is made whole, once: by ``build_graph`` from a
+corpus's triples and functions, or by ``load_kb`` from a file, and is only
+read after that. The whole bundle serializes to a canonical binary container
 so that saving the same knowledge base twice yields byte-identical files.
 
 The container (format 4) is the magic ``SCPK``, a little-endian u16
@@ -69,10 +71,7 @@ _VERSION = 4
 
 
 class GraphError(Exception):
-    """Graph construction/lookup failure.
-
-    ``code`` is one of ``DanglingEndpoint`` or ``UnknownNode``.
-    """
+    """Graph construction failure; ``code`` is ``DanglingEndpoint``."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -100,51 +99,26 @@ class EntityNode:
 
 
 class PropertyGraph:
-    """In-memory indexed graph with deduplicated edges.
+    """A knowledge graph, made whole by ``build_graph`` or ``load_kb``.
 
-    ``vectors`` maps function ids to their sparse embeddings, (buckets,
-    values) pairs. Only ``build_kb`` and ``load_kb`` write it or give a
-    function node its payload, and both finish before the first query, so
-    the vector index cached by ``vector_index`` never sees either change.
+    ``nodes`` maps each id to its node, ``edges`` holds each (subject id,
+    relation, object id) once, ``vectors`` maps function ids to their
+    sparse embeddings, (buckets, values) pairs, and ``embedder_meta`` names
+    the provider that made them. Nodes are never added or removed: only
+    ``build_kb`` stamps the function payloads and sets the vectors and the
+    metadata, before the first query, so the function-node list worked out
+    here and the index that ``vector_index`` caches never go stale.
     """
 
-    def __init__(self) -> None:
-        self.nodes: dict[str, EntityNode] = {}
-        self.edges: list[tuple[str, Relation, str]] = []
-        self.vectors: dict[str, EmbeddingVector] = {}
-        self.embedder_meta: Optional[dict] = None
-        # None: load_kb stored the edges, unique, without indexing them
-        self._edge_set: Optional[set[tuple[str, Relation, str]]] = set()
-        self._functions: list[EntityNode] = []  # FUNCTION nodes, in insertion order
+    def __init__(self, nodes: dict[str, EntityNode], edges: list[tuple[str, Relation, str]],
+                 vectors: dict[str, EmbeddingVector], embedder_meta: Optional[dict]) -> None:
+        self.nodes = nodes
+        self.edges = edges
+        self.vectors = vectors
+        self.embedder_meta = embedder_meta
+        function = NodeKind.FUNCTION  # looked up once: an enum member's lookup is slow
+        self._functions = [node for node in nodes.values() if node.kind is function]
         self._index = None  # see vector_index
-
-    def add_node(self, node: EntityNode) -> None:
-        existing = self.nodes.get(node.id)
-        if existing is None:
-            self.nodes[node.id] = node
-            if node.kind is NodeKind.FUNCTION:
-                self._functions.append(node)
-            self._index = None
-        # identical re-adds are a no-op; first payload wins
-
-    def add_edge(self, subject_id: str, relation: Relation, object_id: str) -> None:
-        for endpoint in (subject_id, object_id):
-            if endpoint not in self.nodes:
-                raise GraphError("DanglingEndpoint",
-                                 f"edge endpoint {endpoint!r} is not a known node")
-        key = (subject_id, relation, object_id)
-        if self._edge_set is None:
-            self._edge_set = set(self.edges)
-        if key in self._edge_set:
-            return
-        self._edge_set.add(key)
-        self.edges.append(key)
-
-    def node(self, node_id: str) -> EntityNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise GraphError("UnknownNode", f"no node with id {node_id!r}") from None
 
     def function_nodes(self) -> list[EntityNode]:
         return list(self._functions)
@@ -153,12 +127,12 @@ class PropertyGraph:
         return [n.payload for n in self.function_nodes() if n.payload is not None]
 
     def vector_index(self, build: Callable[["PropertyGraph"], object]):
-        """The index over this graph's functions, from ``build(self)`` on a miss.
+        """The index over this graph's functions, from ``build(self)`` on the
+        first call and kept from then on.
 
-        ``add_node``, the only method that changes what ``functions()``
-        returns, drops the cached index. Concurrent callers may all miss and
-        build at once; that race is benign, because each uses the index it
-        built or read and all of them are equal, and the last store wins.
+        Concurrent first callers may all build at once; that race is
+        benign, because each uses the index it built or read and all of
+        them are equal, and the last store wins.
         """
         index = self._index
         if index is None:
@@ -196,23 +170,27 @@ class CloneGroupTable:
 # ---------------------------------------------------------------------------
 
 def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> PropertyGraph:
-    """Materialize nodes from functions and triple endpoints, dedup edges.
+    """The graph of ``functions``, which hold each id once, and the nodes and
+    edges that ``triples`` name, each once, in their first order.
 
     Function nodes come from ``functions`` only: a Function-kind endpoint
     whose id is not among them means the triples and the function list
-    disagree, and ``add_edge`` raises DanglingEndpoint.
+    disagree, and raises GraphError("DanglingEndpoint"). Another endpoint's
+    node comes from the first triple that names its id. The graph has no
+    vectors and no metadata yet.
     """
-    graph = PropertyGraph()
-    for fn in functions:
-        graph.add_node(EntityNode(fn.id, NodeKind.FUNCTION, fn.qualified_name, fn))
-    nodes = graph.nodes
-    for subject, relation, obj in triples:
-        for ref in (subject, obj):
-            # add_node keeps a known id's first node, so that id needs no new one
-            if ref.id not in nodes and ref.kind is not NodeKind.FUNCTION:
-                graph.add_node(EntityNode(ref.id, ref.kind, ref.label))
-        graph.add_edge(subject.id, relation, obj.id)
-    return graph
+    function = NodeKind.FUNCTION
+    nodes = {fn.id: EntityNode(fn.id, function, fn.qualified_name, fn) for fn in functions}
+    for ref in dict.fromkeys(chain.from_iterable((subject, obj)
+                                                 for subject, _relation, obj in triples)):
+        if ref.id not in nodes:
+            if ref.kind is function:
+                raise GraphError("DanglingEndpoint",
+                                 f"edge endpoint {ref.id!r} is not a known node")
+            nodes[ref.id] = EntityNode(ref.id, ref.kind, ref.label)
+    edges = list(dict.fromkeys((subject.id, relation, obj.id)
+                               for subject, relation, obj in triples))
+    return PropertyGraph(nodes, edges, {}, None)
 
 
 #: The fewest normalized tokens a function needs to join a clone group.
@@ -447,9 +425,9 @@ def _signature(text: str) -> SignatureFeatures:
     return SignatureFeatures(frozenset(features))
 
 
-def _read_nodes(graph: PropertyGraph, section) -> tuple[list[str], list[str]]:
-    """Add the node section's nodes to ``graph``, if save_kb could have
-    written it, and return its ids and their kind names.
+def _read_nodes(section) -> tuple[dict[str, EntityNode], list[str], list[str], list[str]]:
+    """The node section's nodes by id, if save_kb could have written it,
+    with its ids, their kind names and the function nodes' ids.
 
     The function columns must hold one entry per function node, so a
     function node without a payload, or a payload for a node of another
@@ -471,9 +449,8 @@ def _read_nodes(graph: PropertyGraph, section) -> tuple[list[str], list[str]]:
     payloads = dict(zip(function_ids, map(
         FunctionUnit, function_ids, contract_names, names, sources,
         map(read.__getitem__, signatures), token_counts, clone_ids, gufs)))
-    for node_id, kind, label in zip(ids, kinds, labels):
-        graph.add_node(EntityNode(node_id, kind, label, payloads.get(node_id)))
-    return ids, kind_names
+    nodes = dict(zip(ids, map(EntityNode, ids, kinds, labels, map(payloads.get, ids))))
+    return nodes, ids, kind_names, function_ids
 
 
 def _read_edges(section, ids: list[str], kind_names: list[str],
@@ -625,12 +602,11 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         raise FormatError("Corrupt",
                           f"{path}: dimension {meta['dimension']!r} is not a positive int")
     dimension = meta_dimension(meta)  # the bucket bound; provider_from_meta's dimension too
-    graph = PropertyGraph()
     try:
-        ids, kind_names = _read_nodes(graph, node_section)
-        graph.vectors = _vectors(vector_section, [node.id for node in graph.function_nodes()],
-                                 dimension)
-        graph.edges, graph._edge_set = _read_edges(edge_section, ids, kind_names), None
+        nodes, ids, kind_names, function_ids = _read_nodes(node_section)
+        vectors = _vectors(vector_section, function_ids, dimension)
+        graph = PropertyGraph(nodes, _read_edges(edge_section, ids, kind_names), vectors,
+                              meta or None)
         min_tokens, groups = clone_section["min_tokens"], clone_section["groups"]
         if clone_section.keys() != {"min_tokens", "groups"}:
             raise ValueError(f"clone section fields {sorted(clone_section)}")
@@ -651,7 +627,6 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
                                  f"its CALLS in-degree")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("Corrupt", f"{path}: inconsistent payload ({exc})") from None
-    graph.embedder_meta = meta or None
     return graph, clones
 
 
@@ -712,18 +687,20 @@ def build_kb(paths: Iterable[str], embedder,
     Files are processed one at a time: each is lexed and parsed once, and
     its hash, triples, clone keys and embeddings all come from that parse
     before the next file is read, so only one file's tokens are alive at a
-    time. Each file's functions that have no vector yet (the first payload
-    of an id wins, as in ``PropertyGraph.add_node``) are embedded with one
-    ``embed`` call. Functions of ``CLONE_MIN_TOKENS`` or more are grouped by
-    their clone keys, and each function node then gets its payload with
-    its clone id and guf from one ``FunctionUnit`` constructor call. The
-    report lists every parse diagnostic before every triple diagnostic.
+    time. The first payload of an id wins, here and nowhere else: a later
+    function of the same id (the same contract, name and normalized
+    tokens) adds only its triples. Each file's functions of new ids are
+    embedded with one ``embed`` call. ``build_graph`` then makes the graph
+    of the kept payloads, functions of ``CLONE_MIN_TOKENS`` or more are
+    grouped by their clone keys, and each function node gets its payload
+    with its clone id and guf from one ``FunctionUnit`` constructor call.
+    The report lists every parse diagnostic before every triple diagnostic.
     """
     report = BuildReport()
     corpus_hashes: dict[str, str] = {}
     triples: list[Triple] = []
     triple_diagnostics: list[str] = []
-    functions: list[FunctionUnit] = []
+    payloads: dict[str, FunctionUnit] = {}
     keys: dict[str, str] = {}
     vectors: dict[str, EmbeddingVector] = {}
     for path in paths:
@@ -751,9 +728,9 @@ def build_kb(paths: Iterable[str], embedder,
         new: dict[str, tuple[str, list[Token]]] = {}
         for decl in unit.declarations():
             fn = decl.fn
-            functions.append(fn)
-            keys[fn.id] = clone_key(decl.normalized)
-            if fn.id not in vectors and fn.id not in new:
+            if fn.id not in payloads:
+                payloads[fn.id] = fn
+                keys[fn.id] = clone_key(decl.normalized)
                 new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
         if new:
             reply = embedder.embed(list(new.values()))
@@ -761,7 +738,7 @@ def build_kb(paths: Iterable[str], embedder,
             vectors.update(zip(new, reply))
     report.diagnostics.extend(triple_diagnostics)
 
-    graph = build_graph(triples, functions)
+    graph = build_graph(triples, list(payloads.values()))
     clones = assign_clone_groups(graph.functions(), keys)
     stamps = compute_guf(graph, clones)
     for node, (clone_id, guf) in zip(graph.function_nodes(), stamps):

@@ -466,6 +466,9 @@ _VISIBILITY = {"public", "private", "internal", "external"}
 _MUTABILITY = {"pure", "view", "payable", "constant"}
 _LOCATIONS = {"memory", "storage", "calldata"}
 _FN_INTRO = {"function", "constructor", "receive", "fallback"}
+#: where a pragma ends: its ';', or else the next top-level declaration
+_PRAGMA_ENDS = {";", "contract", "library", "interface", "abstract", "import", "pragma",
+                "function"}
 
 
 def _group_ends(tokens: list[Token], path: str) -> list[int]:
@@ -646,12 +649,22 @@ def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
     while i < len(tokens):
         tok = tokens[i]
         if tok.text == "pragma":
-            end = unit.scan(i, len(tokens), (";",))
+            end = unit.scan(i + 1, len(tokens), _PRAGMA_ENDS)
             if end - i >= 2 and tokens[i + 1].text == "solidity":
                 unit.pragma_version = "".join(t.text for t in tokens[i + 2:end])
-            i = end + 1
+            if end < len(tokens) and tokens[end].text == ";":
+                i = end + 1
+            else:  # a missing ';' ends the pragma at the next declaration
+                unit.diagnostics.append(f"line {tok.line}: pragma without ';'")
+                i = end
         elif tok.text in ("contract", "library", "interface"):
             i = _parse_contract(unit, i, tok.text)
+        elif tok.text == "function" and i + 1 < len(tokens) and tokens[i + 1].kind == "ident":
+            # a free function gets no node, and its body is not walked as
+            # top level; a nameless ``function (`` is a function type
+            unit.diagnostics.append(
+                f"line {tok.line}: file-level function {tokens[i + 1].text!r} skipped")
+            i = unit.group_end(unit.scan(i, len(tokens), ("{", ";")), len(tokens))
         else:
             i += 1
     _resolve_facts(unit)

@@ -64,8 +64,10 @@ def test_traced_repairs_record_every_span_the_layer_metrics_read(monkeypatch, tm
     assert bench.failures == []
     recorded = {span.name for span in bench.tracer.spans}
     assert [name for name in LAYER_SPANS if name not in recorded] == []
-    # one build and one load: load_kb derives the clone groups and gufs it
-    # checks without the two build stages' names, so they time the build alone
+    # one build and one load: load_kb makes its graph and derives the clone
+    # groups and gufs it checks without the three build stages' names, so
+    # they time the build alone
     names = [span.name for span in bench.tracer.spans]
-    assert [names.count("graph.build_kb"), names.count("graph.assign_clone_groups"),
-            names.count("graph.compute_guf")] == [1, 1, 1]
+    assert [names.count("graph.build_kb"), names.count("graph.build_graph"),
+            names.count("graph.assign_clone_groups"),
+            names.count("graph.compute_guf")] == [1, 1, 1, 1]

@@ -77,6 +77,12 @@ def test_exit_codes(kb_file, tmp_path, capsys):
                      "--report", str(tmp_path / "unused.txt"),
                      "--mock-script", str(EVAL_CASES / "mock_script.json"),
                      "--jobs", value]) == 1
+    # corpus/test deduplication is always on, not an option
+    assert main(["evaluate", "--kb", str(kb_file),
+                 "--manifest", str(EVAL_CASES / "manifest.json"),
+                 "--report", str(tmp_path / "unused.txt"),
+                 "--mock-script", str(EVAL_CASES / "mock_script.json"), "--no-dedup"]) == 1
+    assert "unrecognized arguments: --no-dedup" in capsys.readouterr().err
     assert not (tmp_path / "unused.scpk").exists() and not (tmp_path / "unused.txt").exists()
     assert main(["repair", "--kb", str(kb_file),
                  "--contract", str(EVAL_CASES / "case2_reentrancy.sol"),

@@ -511,7 +511,7 @@ def test_knn_carries_payload_fields(kb):
     query = _embed_text(HashingEmbedder(256), "function q() public {}")
     for cand in knn(index, query, 10):
         assert isinstance(cand, Candidate)
-        assert cand.fn is graph.node(cand.fn.id).payload
+        assert cand.fn is graph.nodes[cand.fn.id].payload
         assert cand.fn.guf >= 1
         assert cand.s_final is None
         assert cand.fn.signature.sorted_features()

@@ -133,16 +133,6 @@ def test_non_utf8_entry_stops_a_deduplicated_run_before_any_repair(kb, tmp_path,
     assert err.value.code == "NonUtf8"
     assert str(err.value) == f"{bad}: {decode_error.value}"
     assert repairs == []
-    monkeypatch.undo()
-
-    # without dedup the entry is a failure row instead
-    outcomes = []
-    original = evaluate.compute_metrics
-    monkeypatch.setattr(evaluate, "compute_metrics",
-                        lambda batch: outcomes.append(batch) or original(batch))
-    run_dataset(manifest, graph, _cfg(), k_values=[1, 3], dedup=False)
-    assert [batch[1].diagnostics for batch in outcomes] == \
-        [(f"entry failed: {bad}: not valid UTF-8 ({decode_error.value})",)] * 2
 
 
 def test_unloadable_entries_fail_alike_at_every_k(kb, tmp_path, monkeypatch):
@@ -158,7 +148,8 @@ def test_unloadable_entries_fail_alike_at_every_k(kb, tmp_path, monkeypatch):
     original = evaluate.compute_metrics
     monkeypatch.setattr(evaluate, "compute_metrics",
                         lambda batch: outcomes.append(batch) or original(batch))
-    report = run_dataset(manifest, graph, _cfg(), k_values=[1, 3, 5], dedup=False)
+    report = run_dataset(manifest, graph, _cfg(), k_values=[1, 3, 5])
+    assert report.kept_count == 2 and report.excluded == []
     assert len(outcomes) == 3
     assert outcomes[0] == outcomes[1] == outcomes[2]
     broken_outcome, missing_outcome = outcomes[0]

@@ -123,7 +123,7 @@ def test_planted_clone_pairs(corpus_paths):
     assert len(clones.groups) == oracle["clone_groups_total"]
     multi = clones.multi_member_groups()
     pairs = sorted(
-        sorted(graph.node(m).payload.qualified_name for m in members)
+        sorted(graph.nodes[m].payload.qualified_name for m in members)
         for members in multi.values()
     )
     assert pairs == [sorted(p) for p in oracle["clone_pairs"]]
@@ -145,7 +145,7 @@ def test_clone_members_normalize_identically(corpus_paths):
     graph, keys = _corpus_graph(corpus_paths)
     clones = assign_clone_groups(graph.functions(), keys)
     for members in clones.groups.values():
-        sequences = {tuple(normalize_source(lex(graph.node(m).payload.source_text)))
+        sequences = {tuple(normalize_source(lex(graph.nodes[m].payload.source_text)))
                      for m in members}
         assert len(sequences) == 1
 
@@ -217,12 +217,6 @@ def test_guf_grows_with_new_caller():
     assert guf_of_helper(unit_two) == guf_of_helper(unit_one) + 1
 
 
-def test_node_lookup_of_unknown_id_raises():
-    with pytest.raises(GraphError) as err:
-        PropertyGraph().node("missing")
-    assert err.value.code == "UnknownNode"
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -262,7 +256,7 @@ def test_double_save_is_byte_identical(kb, tmp_path):
 
 def test_empty_kb_round_trip(tmp_path):
     path = tmp_path / "empty.scpk"
-    save_kb(PropertyGraph(), CloneGroupTable(min_tokens=12, groups={}), path)
+    save_kb(PropertyGraph({}, [], {}, None), CloneGroupTable(min_tokens=12, groups={}), path)
     graph, clones = load_kb(path)
     assert graph.nodes == {} and graph.edges == []
     assert clones.groups == {}
@@ -861,19 +855,6 @@ def test_rewritten_but_unchanged_kb_still_loads(kb, kb_file, tmp_path):
     assert load_kb(path)[0] == kb[0]
 
 
-def test_a_loaded_graph_still_deduplicates_added_edges(kb_file):
-    graph = load_kb(kb_file)[0]
-    edges = list(graph.edges)
-    graph.add_edge(*edges[0])
-    assert graph.edges == edges
-    caller, callee = sorted(graph.vectors)[:2]
-    added = (caller, Relation.CALLS, callee)
-    assert added not in edges
-    graph.add_edge(*added)
-    graph.add_edge(*added)
-    assert graph.edges == edges + [added]
-
-
 def test_loaded_kb_retrieves_as_the_built_one(kb, kb_file, corpus_paths):
     built, loaded = kb[0], load_kb(kb_file)[0]
     queries = 0
@@ -934,25 +915,25 @@ def _sparse_graphs(draw):
     value = st.floats(min_value=-1e152, max_value=1e152, allow_nan=False).filter(bool)
     buckets = st.one_of(st.just(frozenset()), st.just(frozenset(range(dimension))),
                         st.frozensets(st.integers(0, dimension - 1)))
-    graph = PropertyGraph()
+    nodes, vectors = {}, {}
     for i in range(draw(st.integers(0, 6))):
         fn = FunctionUnit(id=f"{i:016x}", contract_name="C", name=f"f{i}",
                           source_text=f"function f{i}() public {{}}",
                           signature=SignatureFeatures(frozenset({"public"})),
                           token_count=draw(st.integers(1, 40)))
-        graph.add_node(EntityNode(fn.id, NodeKind.FUNCTION, fn.qualified_name, fn))
+        nodes[fn.id] = EntityNode(fn.id, NodeKind.FUNCTION, fn.qualified_name, fn)
         chosen = tuple(sorted(draw(buckets)))
         values = tuple(draw(st.lists(value, min_size=len(chosen), max_size=len(chosen))))
-        graph.vectors[fn.id] = EmbeddingVector(chosen, values)
-    if graph.nodes:
-        ids = st.sampled_from(sorted(graph.nodes))
-        for subject_id, object_id in draw(st.lists(st.tuples(ids, ids), max_size=4)):
-            graph.add_edge(subject_id, Relation.CALLS, object_id)
+        vectors[fn.id] = EmbeddingVector(chosen, values)
+    edges = []
+    if nodes:
+        ids = st.sampled_from(sorted(nodes))
+        pairs = draw(st.lists(st.tuples(ids, ids), max_size=4, unique=True))
+        edges = [(subject_id, Relation.CALLS, object_id) for subject_id, object_id in pairs]
+    graph = PropertyGraph(nodes, edges, vectors, {"name": HashingEmbedder.name,
+                                                  "dimension": dimension, "corpus_hashes": {}})
     clones = assign_clone_groups(graph.functions(), _text_keys(graph))
-    _stamped(graph, clones)
-    graph.embedder_meta = {"name": HashingEmbedder.name, "dimension": dimension,
-                           "corpus_hashes": {}}
-    return graph, clones
+    return _stamped(graph, clones), clones
 
 
 @settings(max_examples=60)
@@ -1180,6 +1161,38 @@ def test_build_kb_makes_one_payload_per_function_node_after_the_parse(corpus_pat
     parsed = len(made)  # build_kb's own parse makes as many
     graph, _, _ = build_kb(corpus_paths, HashingEmbedder(16))
     assert 0 < len(made) - 2 * parsed <= len(graph.function_nodes()) == 28
+
+
+class _TextLengthProvider(HashingEmbedder):
+    """The hashing provider's name, with one vector per source-text length,
+    so that two layouts of one function embed apart."""
+
+    def embed(self, functions):
+        return [EmbeddingVector((len(text) % self.dimension,), (1.0,))
+                for text, _tokens in functions]
+
+
+def test_build_kb_keeps_the_first_payload_and_vector_of_a_function_id(tmp_path):
+    # A.f has the same id in both files (same contract, name and normalized
+    # tokens), but its layout and literal differ, and so does g's presence,
+    # so the file hashes differ and both files are used
+    first, second = tmp_path / "a.sol", tmp_path / "b.sol"
+    first.write_text("contract A { uint256 x;\nfunction f() public { x = 1; } }")
+    second.write_text("contract A { uint256 x;\nfunction f() public {\n    x = 2;\n}\n"
+                      "function g() public { x = 3; } }")
+    provider = _TextLengthProvider(256)
+    graph, clones, report = build_kb([first, second], provider)
+    assert (report.files_used, report.function_count) == (2, 2)
+    [fn_a, fn_b] = [load_source(path).contracts[0].functions[0].fn for path in (first, second)]
+    assert fn_a.id == fn_b.id and fn_a.source_text != fn_b.source_text
+    [vector_a, vector_b] = provider.embed([(fn_a.source_text, []), (fn_b.source_text, [])])
+    assert vector_a != vector_b
+    kept = graph.nodes[fn_a.id].payload
+    assert dataclasses.replace(kept, clone_id=None, guf=0) == fn_a
+    assert graph.vectors[fn_a.id] == vector_a
+    path = tmp_path / "kb.scpk"
+    save_kb(graph, clones, path)
+    assert load_kb(path) == (graph, clones)
 
 
 def test_build_kb_lists_parse_diagnostics_before_triple_diagnostics(tmp_path):

@@ -29,6 +29,7 @@ from scpatcher.ingest import (
     type_ref,
     variable_ref,
 )
+from scpatcher.verify import check_compiles
 from solidity_strategies import CONTRACT, NOISE, SOURCE
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -263,6 +264,31 @@ def test_unparseable_member_becomes_diagnostic():
     unit = parse_source("contract A { @ %% ; function f() public {} }")
     assert [d.fn.name for d in unit.contracts[0].functions] == ["f"]
     assert unit.diagnostics
+
+
+@pytest.mark.parametrize("source, version", [
+    ("pragma solidity ^0.8.0\ncontract A { function f() public {} }", "^0.8.0"),
+    ("pragma solidity >=0.7.0 <0.9.0\nabstract contract A { function f() public {} }",
+     ">=0.7.0<0.9.0"),
+    ("pragma solidity 0.8.19\npragma abicoder v2;\nlibrary A { function f() public {} }",
+     "0.8.19"),
+], ids=["contract", "abstract-contract", "next-pragma"])
+def test_pragma_without_a_semicolon_ends_at_the_next_declaration(source, version):
+    unit = parse_source(source)
+    assert [decl.fn.qualified_name for decl in unit.declarations()] == ["A.f"]
+    assert (unit.pragma_version, unit.diagnostics) == (version, ["line 1: pragma without ';'"])
+    compiled, diagnostics = check_compiles(source)
+    assert compiled is not None and diagnostics == ["line 1: pragma without ';'"]
+
+
+def test_file_level_function_is_skipped_whole_with_a_diagnostic():
+    # a function type in a file-level struct is no free function
+    unit = parse_source("pragma solidity ^0.8.0;\n"
+                        "struct S { function (uint) external cb; }\n"
+                        "function g() pure returns (uint) { return 1; }\n"
+                        "contract A { function f() public { g(); } }")
+    assert [decl.fn.qualified_name for decl in unit.declarations()] == ["A.f"]
+    assert unit.diagnostics == ["line 3: file-level function 'g' skipped"]
 
 
 # ---------------------------------------------------------------------------

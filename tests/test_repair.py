@@ -5,7 +5,7 @@ import pytest
 
 from scpatcher import repair as repair_module
 from scpatcher import verify
-from scpatcher.graph import EntityNode, load_kb
+from scpatcher.graph import EntityNode, PropertyGraph, load_kb
 from scpatcher.ingest import NodeKind, load_source
 from scpatcher.embedding import HashingEmbedder
 from scpatcher.llm import LlmError, MockLlmBackend, MockRule
@@ -209,9 +209,10 @@ def test_retrieve_sees_added_function(kb_file):
     unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
     assert all(c.s_sem > 0 for c in retrieve(graph, unit, fn, 5).selected)
     twin = dataclasses.replace(fn, id="f" * 16, clone_id=None, guf=1000)
-    [graph.vectors[twin.id]] = HashingEmbedder(256).embed(
-        [(fn.source_text, unit.declaration_tokens(fn))])
-    graph.add_node(EntityNode(twin.id, NodeKind.FUNCTION, twin.qualified_name, twin))
+    [vector] = HashingEmbedder(256).embed([(fn.source_text, unit.declaration_tokens(fn))])
+    graph = PropertyGraph(
+        {**graph.nodes, twin.id: EntityNode(twin.id, NodeKind.FUNCTION, twin.qualified_name, twin)},
+        graph.edges, {**graph.vectors, twin.id: vector}, graph.embedder_meta)
     first = retrieve(graph, unit, fn, 1).selected[0]
     assert (first.fn, first.s_sem) == (twin, 0.0)
 
@@ -224,7 +225,7 @@ def test_retrieve_selects_the_kb_payloads_themselves(kb, kb_file):
             for fn in (decl.fn for decl in unit.declarations()):
                 selected = retrieve(graph, unit, fn, 5).selected
                 assert selected
-                assert all(c.fn is graph.node(c.fn.id).payload for c in selected)
+                assert all(c.fn is graph.nodes[c.fn.id].payload for c in selected)
 
 
 def test_repair_detects_the_original_at_most_once(kb, monkeypatch):
