@@ -74,7 +74,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import requests
 
 from .ingest import Token, lex  # noqa: F401  (bench/run.py's traced run wraps this lex)
-from .model import FunctionUnit
+from .model import CodedError, FunctionUnit
 
 DEFAULT_DIMENSION = 256
 DEFAULT_POOL_SIZE = 50
@@ -86,16 +86,12 @@ EMBED_KEY_VAR = "SCPATCHER_EMBED_KEY"
 MAX_NORM = 2.0 ** 510
 
 
-class ProviderError(Exception):
+class ProviderError(CodedError):
     """Embedding provider failure.
 
     ``code`` is one of ``RemoteUnavailable`` or ``DimensionMismatch``, or
     ``MalformedReply`` when ``build_kb`` gets a reply it cannot store.
     """
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 class DimensionMismatchError(Exception):

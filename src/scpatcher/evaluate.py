@@ -60,7 +60,7 @@ def load_manifest(path: str) -> DatasetManifest:
             raise ValueError(f"{path}: manifest is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
-    items = raw.get("entries", [])
+    items = raw.get("entries")
     if not isinstance(items, list):
         raise ValueError(f"{path}: \"entries\" must be a list")
     base = os.path.dirname(os.path.abspath(path))

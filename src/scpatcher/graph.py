@@ -1,12 +1,14 @@
 """Property graph over contract entities and its on-disk knowledge base.
 
 Nodes are contracts, functions, state variables, modifiers, and type names;
-edges are the extracted triples (deduplicated). Function nodes carry their
-FunctionUnit payload, a clone-group id, and a usage frequency used by the
-trust rescorer. A graph is made whole, once: by ``build_graph`` from a
-corpus's triples and functions, or by ``load_kb`` from a file, and is only
-read after that. The whole bundle serializes to a canonical binary container
-so that saving the same knowledge base twice yields byte-identical files.
+edges are the extracted triples (deduplicated). A node's kind and an edge's
+relation are their names, the plain strings that ``ingest.RELATION_TYPING``
+lists and the file stores. Function nodes carry their FunctionUnit payload,
+a clone-group id, and a usage frequency used by the trust rescorer. A graph
+is made whole, once: by ``build_graph`` from a corpus's triples and
+functions, or by ``load_kb`` from a file, and is only read after that. The
+whole bundle serializes to a canonical binary container so that saving the
+same knowledge base twice yields byte-identical files.
 
 The container (format 4) is the magic ``SCPK``, a little-endian u16
 version, and five sections, each a u32 length and its bytes. The first
@@ -56,44 +58,34 @@ from .embedding import (
 from .ingest import (
     RELATION_TYPING,
     IngestError,
-    NodeKind,
-    Relation,
     Token,
     Triple,
     canonical_source_hash,
     extract_triples_with_diagnostics,
     load_source,
 )
-from .model import FunctionUnit, SignatureFeatures
+from .model import CodedError, FunctionUnit, SignatureFeatures
 
 _MAGIC = b"SCPK"
 _VERSION = 4
 
 
-class GraphError(Exception):
+class GraphError(CodedError):
     """Graph construction failure; ``code`` is ``DanglingEndpoint``."""
 
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
-
-class FormatError(Exception):
+class FormatError(CodedError):
     """Knowledge-base file rejected.
 
     ``code`` is one of ``BadMagic``, ``VersionMismatch``, ``Truncated``,
     or ``Corrupt``.
     """
 
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
 
 @dataclass
 class EntityNode:
     id: str
-    kind: NodeKind
+    kind: str  # a node kind's name in RELATION_TYPING
     label: str
     payload: Optional[FunctionUnit] = None
 
@@ -102,7 +94,7 @@ class PropertyGraph:
     """A knowledge graph, made whole by ``build_graph`` or ``load_kb``.
 
     ``nodes`` maps each id to its node, ``edges`` holds each (subject id,
-    relation, object id) once, ``vectors`` maps function ids to their
+    relation name, object id) once, ``vectors`` maps function ids to their
     sparse embeddings, (buckets, values) pairs, and ``embedder_meta`` names
     the provider that made them. Nodes are never added or removed: only
     ``build_kb`` stamps the function payloads and sets the vectors and the
@@ -110,14 +102,13 @@ class PropertyGraph:
     here and the index that ``vector_index`` caches never go stale.
     """
 
-    def __init__(self, nodes: dict[str, EntityNode], edges: list[tuple[str, Relation, str]],
+    def __init__(self, nodes: dict[str, EntityNode], edges: list[tuple[str, str, str]],
                  vectors: dict[str, EmbeddingVector], embedder_meta: Optional[dict]) -> None:
         self.nodes = nodes
         self.edges = edges
         self.vectors = vectors
         self.embedder_meta = embedder_meta
-        function = NodeKind.FUNCTION  # looked up once: an enum member's lookup is slow
-        self._functions = [node for node in nodes.values() if node.kind is function]
+        self._functions = [node for node in nodes.values() if node.kind == "function"]
         self._index = None  # see vector_index
 
     def function_nodes(self) -> list[EntityNode]:
@@ -179,12 +170,11 @@ def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> Propert
     node comes from the first triple that names its id. The graph has no
     vectors and no metadata yet.
     """
-    function = NodeKind.FUNCTION
-    nodes = {fn.id: EntityNode(fn.id, function, fn.qualified_name, fn) for fn in functions}
+    nodes = {fn.id: EntityNode(fn.id, "function", fn.qualified_name, fn) for fn in functions}
     for ref in dict.fromkeys(chain.from_iterable((subject, obj)
                                                  for subject, _relation, obj in triples)):
         if ref.id not in nodes:
-            if ref.kind is function:
+            if ref.kind == "function":
                 raise GraphError("DanglingEndpoint",
                                  f"edge endpoint {ref.id!r} is not a known node")
             nodes[ref.id] = EntityNode(ref.id, ref.kind, ref.label)
@@ -222,10 +212,9 @@ def _stamps(graph: PropertyGraph, clones: CloneGroupTable) -> list[tuple[Optiona
     one) + its CALLS in-degree."""
     groups = clones.groups
     clone_of = {member: cid for cid, members in groups.items() for member in members}
-    calls = Relation.CALLS  # looked up once: an enum member's lookup is slow
     # edges are unique, so each caller counts once
     callers = Counter(object_id for _subject_id, relation, object_id in graph.edges
-                      if relation is calls)
+                      if relation == "CALLS")
     stamps = []
     for node in graph.function_nodes():
         cid = clone_of.get(node.id)
@@ -279,14 +268,12 @@ _FUNCTION_COLUMNS = {
 #: positions in the id column, and the relation's name
 _EDGE_COLUMNS = {"subject": {int}, "relation": {str}, "object": {int}}
 
-_NODE_KINDS = {kind.value: kind for kind in NodeKind}
-#: node kind -> its name, and relation -> its name, as save_kb writes them
-_KIND_NAMES = {kind: kind.value for kind in NodeKind}
-_RELATION_NAMES = {relation: relation.value for relation in Relation}
-#: relation name -> (relation, its subject's kind name, its objects' kind names)
-_EDGE_KINDS = {
-    relation.value: (relation, subject_kind.value, {kind.value for kind in object_kinds})
-    for relation, (subject_kind, object_kinds) in RELATION_TYPING.items()}
+#: Each node kind's name -> that name, and each relation's -> that name: a name
+#: load_kb reads maps to the one str of the vocabulary, so the graph holds one
+#: object per name, not one per node or edge, and an unknown one is a KeyError.
+_KINDS = {kind: kind for subject_kind, object_kinds in RELATION_TYPING.values()
+          for kind in (subject_kind, *object_kinds)}
+_RELATIONS = {relation: relation for relation in RELATION_TYPING}
 
 
 def _canonical_json(value) -> bytes:
@@ -308,12 +295,12 @@ def _node_section(nodes: list[EntityNode]) -> dict:
     Raises ValueError for a function node without a payload, or a signature
     that ``_signature_text`` cannot write.
     """
-    functions = [node.payload for node in nodes if node.kind is NodeKind.FUNCTION]
+    functions = [node.payload for node in nodes if node.kind == "function"]
     if any(fn is None for fn in functions):
         raise ValueError("a function node has no payload")
     return {
         "id": [node.id for node in nodes],
-        "kind": [_KIND_NAMES[node.kind] for node in nodes],
+        "kind": [node.kind for node in nodes],
         "label": [node.label for node in nodes],
         "contract_name": [fn.contract_name for fn in functions],
         "name": [fn.name for fn in functions],
@@ -325,13 +312,12 @@ def _node_section(nodes: list[EntityNode]) -> dict:
     }
 
 
-def _edge_section(ids: list[str], edges: Iterable[tuple[str, Relation, str]]) -> dict:
+def _edge_section(ids: list[str], edges: Iterable[tuple[str, str, str]]) -> dict:
     """The edge section: the edges as (subject position, relation name, object
     position) rows, sorted, one column per field. A position indexes ``ids``,
     which ascend, so this is also the order of the edges' ids."""
     position = {node_id: index for index, node_id in enumerate(ids)}
-    names = _RELATION_NAMES
-    rows = sorted((position[s], names[r], position[o]) for s, r, o in edges)
+    rows = sorted((position[s], r, position[o]) for s, r, o in edges)
     return dict(zip(_EDGE_COLUMNS, map(list, zip(*rows)) if rows else ([], [], [])))
 
 
@@ -373,7 +359,7 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
     nodes = [graph.nodes[nid] for nid in ids]
     node_section = _node_section(nodes)
     vectors = _vector_section(
-        [node.id for node in nodes if node.kind is NodeKind.FUNCTION], graph.vectors)
+        [node.id for node in nodes if node.kind == "function"], graph.vectors)
     clone_section = {
         "min_tokens": clones.min_tokens,
         "groups": {cid: sorted(members) for cid, members in clones.groups.items()},
@@ -427,7 +413,7 @@ def _signature(text: str) -> SignatureFeatures:
 
 def _read_nodes(section) -> tuple[dict[str, EntityNode], list[str], list[str], list[str]]:
     """The node section's nodes by id, if save_kb could have written it,
-    with its ids, their kind names and the function nodes' ids.
+    with its ids, their kinds and the function nodes' ids.
 
     The function columns must hold one entry per function node, so a
     function node without a payload, or a payload for a node of another
@@ -439,8 +425,8 @@ def _read_nodes(section) -> tuple[dict[str, EntityNode], list[str], list[str], l
     ids, kind_names, labels = _columns(section, _NODE_COLUMNS)
     if not _ascending(ids):
         raise ValueError("node ids are not in strictly ascending order")
-    kinds = [_NODE_KINDS[name] for name in kind_names]  # KeyError: an unknown kind
-    function_ids = [nid for nid, kind in zip(ids, kinds) if kind is NodeKind.FUNCTION]
+    kinds = list(map(_KINDS.__getitem__, kind_names))  # KeyError: an unknown kind
+    function_ids = [nid for nid, kind in zip(ids, kinds) if kind == "function"]
     contract_names, names, sources, signatures, token_counts, clone_ids, gufs = _columns(
         section, _FUNCTION_COLUMNS, len(function_ids))
     # few distinct signatures recur over many functions: each is read once,
@@ -450,13 +436,12 @@ def _read_nodes(section) -> tuple[dict[str, EntityNode], list[str], list[str], l
         FunctionUnit, function_ids, contract_names, names, sources,
         map(read.__getitem__, signatures), token_counts, clone_ids, gufs)))
     nodes = dict(zip(ids, map(EntityNode, ids, kinds, labels, map(payloads.get, ids))))
-    return nodes, ids, kind_names, function_ids
+    return nodes, ids, kinds, function_ids
 
 
-def _read_edges(section, ids: list[str], kind_names: list[str],
-                ) -> list[tuple[str, Relation, str]]:
+def _read_edges(section, ids: list[str], kinds: list[str]) -> list[tuple[str, str, str]]:
     """The edge section's edges, if save_kb could have written it for nodes
-    of ``ids`` and ``kind_names``: each position an index of ``ids``, the
+    of ``ids`` and ``kinds``: each position an index of ``ids``, the
     rows in strictly ascending order, and each relation a known one between
     nodes of the kinds it joins."""
     if type(section) is not dict or section.keys() != _EDGE_COLUMNS.keys():
@@ -471,15 +456,14 @@ def _read_edges(section, ids: list[str], kind_names: list[str],
     if not all(map(lt, rows, later_rows)):
         raise ValueError("edges are not in strictly ascending order")
     # each distinct (subject kind, relation, object kind) is checked once
-    for subject_kind, relation_name, object_kind in set(zip(
-            map(kind_names.__getitem__, subjects), relation_names,
-            map(kind_names.__getitem__, objects))):
-        _relation, kind, object_kinds = _EDGE_KINDS[relation_name]  # KeyError: an unknown one
+    for subject_kind, relation, object_kind in set(zip(
+            map(kinds.__getitem__, subjects), relation_names, map(kinds.__getitem__, objects))):
+        kind, object_kinds = RELATION_TYPING[relation]  # KeyError: an unknown relation
         if subject_kind != kind or object_kind not in object_kinds:
-            raise ValueError(f"a {relation_name} edge joins a {subject_kind} node "
+            raise ValueError(f"a {relation} edge joins a {subject_kind} node "
                              f"to a {object_kind} node")
-    relations = [_EDGE_KINDS[name][0] for name in relation_names]
-    return list(zip(map(ids.__getitem__, subjects), relations, map(ids.__getitem__, objects)))
+    return list(zip(map(ids.__getitem__, subjects), map(_RELATIONS.__getitem__, relation_names),
+                    map(ids.__getitem__, objects)))
 
 
 def _vector_fault(vector: EmbeddingVector, dimension: int) -> Optional[str]:
@@ -555,7 +539,8 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     is at least 1); or a vector not ``within_bound``: not finite or
     of a norm above 2**510, the bound every provider's ``embed`` holds, so
     that ``knn`` cannot overflow. The metadata must name a provider
-    (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``. A file
+    (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``, and its
+    ``corpus_hashes``, if it has them, must be an object of strings. A file
     of format 1, 2 or 3 raises FormatError("VersionMismatch").
     """
     with open(path, "rb") as handle:
@@ -602,10 +587,13 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         raise FormatError("Corrupt",
                           f"{path}: dimension {meta['dimension']!r} is not a positive int")
     dimension = meta_dimension(meta)  # the bucket bound; provider_from_meta's dimension too
+    hashes = meta.get("corpus_hashes", {})
+    if type(hashes) is not dict or not all(type(value) is str for value in hashes.values()):
+        raise FormatError("Corrupt", f"{path}: corpus_hashes is not an object of strings")
     try:
-        nodes, ids, kind_names, function_ids = _read_nodes(node_section)
+        nodes, ids, kinds, function_ids = _read_nodes(node_section)
         vectors = _vectors(vector_section, function_ids, dimension)
-        graph = PropertyGraph(nodes, _read_edges(edge_section, ids, kind_names), vectors,
+        graph = PropertyGraph(nodes, _read_edges(edge_section, ids, kinds), vectors,
                               meta or None)
         min_tokens, groups = clone_section["min_tokens"], clone_section["groups"]
         if clone_section.keys() != {"min_tokens", "groups"}:

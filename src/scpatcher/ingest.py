@@ -36,6 +36,11 @@ function ID, token count and signature, the canonical file hash
 (``canonical_source_hash(unit.tokens)``), the clone key, the hashing
 embedder's vectors, the triples (``extract_triples_with_diagnostics``
 emits them from the records) and the detectors' rules.
+
+A triple's node kinds and relation are their names, plain strings such as
+``"function"`` and ``"CALLS"``, the names a knowledge-base file stores.
+``RELATION_TYPING`` is the one place they are listed, each relation with the
+kinds it joins.
 """
 
 from __future__ import annotations
@@ -44,24 +49,19 @@ import hashlib
 import re
 import string
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .model import FunctionUnit, SignatureFeatures, function_id
+from .model import CodedError, FunctionUnit, SignatureFeatures, function_id
 
 
-class IngestError(Exception):
+class IngestError(CodedError):
     """Raised when a file cannot be sliced at all.
 
     ``code`` is one of ``UnbalancedBraces``, ``NonUtf8`` or
     ``MalformedDeclaration`` (a function header whose signature cannot be
     normalized, such as a string literal in its parameter list).
     """
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 # ---------------------------------------------------------------------------
@@ -371,66 +371,54 @@ class SourceUnit:
         return self.tokens[decl.start:decl.end]
 
 
-class NodeKind(Enum):
-    CONTRACT = "contract"
-    FUNCTION = "function"
-    VARIABLE = "variable"
-    MODIFIER = "modifier"
-    TYPE_NAME = "type"
-
-
-class Relation(Enum):
-    OWNS = "OWNS"
-    CALLS = "CALLS"
-    RETURNS = "RETURNS"
-    USES_MODIFIER = "USES_MODIFIER"
-    READS = "READS"
-    WRITES = "WRITES"
-
-
-#: Allowed (subject kind, object kinds) per relation: every triple fits it.
+#: Each relation's name -> (its subject's kind, the kinds of its objects): the
+#: one listing of the graph's vocabulary, a node kind or relation being its
+#: name. Every triple fits it.
 RELATION_TYPING = {
-    Relation.OWNS: (NodeKind.CONTRACT, {NodeKind.FUNCTION, NodeKind.VARIABLE, NodeKind.MODIFIER}),
-    Relation.CALLS: (NodeKind.FUNCTION, {NodeKind.FUNCTION}),
-    Relation.RETURNS: (NodeKind.FUNCTION, {NodeKind.TYPE_NAME}),
-    Relation.USES_MODIFIER: (NodeKind.FUNCTION, {NodeKind.MODIFIER}),
-    Relation.READS: (NodeKind.FUNCTION, {NodeKind.VARIABLE}),
-    Relation.WRITES: (NodeKind.FUNCTION, {NodeKind.VARIABLE}),
+    "OWNS": ("contract", {"function", "variable", "modifier"}),
+    "CALLS": ("function", {"function"}),
+    "RETURNS": ("function", {"type"}),
+    "USES_MODIFIER": ("function", {"modifier"}),
+    "READS": ("function", {"variable"}),
+    "WRITES": ("function", {"variable"}),
 }
 
 
 class NodeRef(NamedTuple):
-    """One endpoint of a triple: its kind, graph node id and label. A named
-    tuple, so it hashes and compares by its fields."""
+    """One endpoint of a triple: its kind (a node kind's name in
+    ``RELATION_TYPING``, such as ``"function"``), graph node id and label. A
+    named tuple, so it hashes and compares by its fields."""
 
-    kind: NodeKind
+    kind: str
     id: str
     label: str
 
 
 class _TripleFields(NamedTuple):
     subject: NodeRef
-    relation: Relation
+    relation: str
     obj: NodeRef
 
 
 class Triple(_TripleFields):
-    """One typed edge: subject, relation and object.
+    """One typed edge: subject, relation (its name, such as ``"CALLS"``) and
+    object.
 
     A named tuple that hashes and compares by its fields. Every way to build
     one (the constructor, ``_make`` and ``_replace``) checks it against
-    ``RELATION_TYPING`` and raises ValueError for an ill-typed triple.
+    ``RELATION_TYPING`` and raises ValueError for a relation not named there
+    or an ill-typed triple.
     """
 
     __slots__ = ()
 
-    def __new__(cls, subject: NodeRef, relation: Relation, obj: NodeRef) -> "Triple":
-        subject_kind, object_kinds = RELATION_TYPING[relation]
-        if subject.kind is not subject_kind or obj.kind not in object_kinds:
-            raise ValueError(
-                f"ill-typed triple: {subject.kind.value} "
-                f"-{relation.value}-> {obj.kind.value}"
-            )
+    def __new__(cls, subject: NodeRef, relation: str, obj: NodeRef) -> "Triple":
+        try:
+            subject_kind, object_kinds = RELATION_TYPING[relation]
+        except KeyError:
+            raise ValueError(f"unknown relation {relation!r}") from None
+        if subject.kind != subject_kind or obj.kind not in object_kinds:
+            raise ValueError(f"ill-typed triple: {subject.kind} -{relation}-> {obj.kind}")
         return tuple.__new__(cls, (subject, relation, obj))
 
     @classmethod
@@ -439,23 +427,23 @@ class Triple(_TripleFields):
 
 
 def contract_ref(name: str) -> NodeRef:
-    return NodeRef(NodeKind.CONTRACT, f"contract:{name}", name)
+    return NodeRef("contract", f"contract:{name}", name)
 
 
 def function_ref(fn: FunctionUnit) -> NodeRef:
-    return NodeRef(NodeKind.FUNCTION, fn.id, fn.qualified_name)
+    return NodeRef("function", fn.id, fn.qualified_name)
 
 
 def variable_ref(contract_name: str, var_name: str) -> NodeRef:
-    return NodeRef(NodeKind.VARIABLE, f"var:{contract_name}.{var_name}", f"{contract_name}.{var_name}")
+    return NodeRef("variable", f"var:{contract_name}.{var_name}", f"{contract_name}.{var_name}")
 
 
 def modifier_ref(contract_name: str, mod_name: str) -> NodeRef:
-    return NodeRef(NodeKind.MODIFIER, f"mod:{contract_name}.{mod_name}", f"{contract_name}.{mod_name}")
+    return NodeRef("modifier", f"mod:{contract_name}.{mod_name}", f"{contract_name}.{mod_name}")
 
 
 def type_ref(type_name: str) -> NodeRef:
-    return NodeRef(NodeKind.TYPE_NAME, f"type:{type_name}", type_name)
+    return NodeRef("type", f"type:{type_name}", type_name)
 
 
 # ---------------------------------------------------------------------------
@@ -881,24 +869,24 @@ def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], li
         # a fresh ref per access, held until build_graph, costs time and peak memory
         var_refs = {name: variable_ref(contract.name, name) for name, _type in contract.state_vars}
         for var_name, _var_type in contract.state_vars:
-            triples.append(Triple(c_ref, Relation.OWNS, var_refs[var_name]))
+            triples.append(Triple(c_ref, "OWNS", var_refs[var_name]))
         for mod in contract.modifiers:
-            triples.append(Triple(c_ref, Relation.OWNS, modifier_ref(contract.name, mod)))
+            triples.append(Triple(c_ref, "OWNS", modifier_ref(contract.name, mod)))
         for decl in contract.functions:
             fn = decl.fn
             f_ref = function_ref(fn)
-            triples.append(Triple(c_ref, Relation.OWNS, f_ref))
+            triples.append(Triple(c_ref, "OWNS", f_ref))
             for rtype in decl.header.return_types:
-                triples.append(Triple(f_ref, Relation.RETURNS, type_ref(rtype)))
+                triples.append(Triple(f_ref, "RETURNS", type_ref(rtype)))
             for mod, owner in decl.modifiers:
                 if owner is None:
                     diagnostics.append(
                         f"{fn.qualified_name}: modifier {mod!r} not declared in this unit")
                 else:
-                    triples.append(Triple(f_ref, Relation.USES_MODIFIER, modifier_ref(owner, mod)))
+                    triples.append(Triple(f_ref, "USES_MODIFIER", modifier_ref(owner, mod)))
             for site in decl.calls:
                 if site.kind == "resolved":
-                    triples.append(Triple(f_ref, Relation.CALLS, function_ref(site.callee)))
+                    triples.append(Triple(f_ref, "CALLS", function_ref(site.callee)))
                 elif site.kind in ("low-level", "value"):
                     diagnostics.append(
                         f"{fn.qualified_name}: {site.kind} .{site.token.text}() left unresolved")
@@ -906,6 +894,6 @@ def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], li
                     diagnostics.append(
                         f"{fn.qualified_name}: {site.kind} call target {site.token.text!r}")
             for tok, kind in decl.accesses:
-                relation = Relation.WRITES if kind == "write" else Relation.READS
+                relation = "WRITES" if kind == "write" else "READS"
                 triples.append(Triple(f_ref, relation, var_refs[tok.text]))
     return triples, diagnostics

@@ -16,6 +16,8 @@ from typing import Optional
 
 import requests
 
+from .model import CodedError
+
 LLM_URL_VAR = "SCPATCHER_LLM_URL"
 LLM_KEY_VAR = "SCPATCHER_LLM_KEY"
 
@@ -23,17 +25,13 @@ DEFAULT_TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 4096
 
 
-class LlmError(Exception):
+class LlmError(CodedError):
     """Backend failure.
 
     ``code`` is one of ``NotConfigured`` (no endpoint URL), ``Timeout``,
     ``HttpStatus`` (transport failure, non-200 reply or malformed payload),
     ``EmptyResponse``, or ``ScriptMiss``.
     """
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .model import RepairOutcome
+from .model import CodedError, RepairOutcome
 
 
-class MetricsError(Exception):
+class MetricsError(CodedError):
     """Metric undefined for these counts.
 
     ``code`` is ``NoCompilable``: the effective repair rate has a zero
     denominator because no patch compiled.
     """
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def render_rate(value: float) -> str:

@@ -1,6 +1,7 @@
 """Shared domain types for contracts, vulnerabilities, patches, and outcomes.
 
-Everything here is an immutable value object; the only logic is invariant
+Everything here is an immutable value object, apart from ``CodedError``, the
+base of the package's errors that carry a code; the only logic is invariant
 checking. A "fixed" outcome means the static detectors no longer flag the
 target class and nothing new is flagged among the five classes — it is not
 a proof of behavioral or functional correctness.
@@ -13,6 +14,15 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+
+
+class CodedError(Exception):
+    """An error with a machine-readable ``code`` besides its message; each
+    subclass's docstring lists its codes."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 class VulnClass(Enum):

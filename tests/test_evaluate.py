@@ -191,17 +191,26 @@ _GOOD_ENTRY = {"path": str(EVAL_CASES / "case2_reentrancy.sol"),
 @pytest.mark.parametrize("manifest, message", [
     ([_GOOD_ENTRY], "manifest must be a JSON object"),
     ({"entries": _GOOD_ENTRY}, '"entries" must be a list'),
+    # a misspelt key loaded as an empty manifest, and evaluate exited 0
+    ({"entires": [_GOOD_ENTRY]}, '"entries" must be a list'),
     ({"entries": [_GOOD_ENTRY, "case2_reentrancy.sol"]}, "entry 1: must be an object"),
     ({"entries": [_GOOD_ENTRY, {**_GOOD_ENTRY, "path": 7}]}, "entry 1: path must be a string"),
     ({"entries": [_GOOD_ENTRY, {**_GOOD_ENTRY, "function": 5}]},
      "entry 1: function must be a string"),
-], ids=["top-level-list", "entries-object", "entry-string", "path-number", "function-number"])
+], ids=["top-level-list", "entries-object", "entries-missing", "entry-string", "path-number",
+        "function-number"])
 def test_load_manifest_rejects_malformed_shapes(tmp_path, manifest, message):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(ValueError) as err:
         load_manifest(str(path))
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_load_manifest_reads_an_empty_entries_list_as_an_empty_manifest(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"entries": []}', encoding="utf-8")
+    assert load_manifest(str(path)).entries == []
 
 
 

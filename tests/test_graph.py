@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import struct
@@ -33,8 +34,7 @@ from scpatcher.graph import (
     save_kb,
 )
 from scpatcher.ingest import (
-    NodeKind,
-    Relation,
+    RELATION_TYPING,
     extract_triples_with_diagnostics,
     lex,
     load_source,
@@ -89,7 +89,7 @@ def test_corpus_graph_matches_hand_trace(corpus_paths):
     assert len(graph.edges) == oracle["edges_total"]
     by_kind = {}
     for node in graph.nodes.values():
-        by_kind[node.kind.value] = by_kind.get(node.kind.value, 0) + 1
+        by_kind[node.kind] = by_kind.get(node.kind, 0) + 1
     assert by_kind == oracle["nodes_by_kind"]
 
 
@@ -98,7 +98,7 @@ def test_duplicate_triples_collapse():
     triples, _ = extract_triples_with_diagnostics(unit)
     functions = [d.fn for d in unit.declarations()]
     graph = build_graph(triples, functions)
-    writes = [e for e in graph.edges if e[1].value == "WRITES"]
+    writes = [e for e in graph.edges if e[1] == "WRITES"]
     assert len(writes) == 1
     again = build_graph(triples + triples, functions)
     assert len(again.edges) == len(graph.edges)
@@ -155,7 +155,7 @@ def test_huge_threshold_empties_the_table(corpus_paths):
     clones = assign_clone_groups(graph.functions(), keys, 10_000)
     assert clones.groups == {}
     # every function counts as a group of one
-    callers = {fn.id: sum(1 for _s, rel, o in graph.edges if rel is Relation.CALLS and o == fn.id)
+    callers = {fn.id: sum(1 for _s, rel, o in graph.edges if rel == "CALLS" and o == fn.id)
                for fn in graph.functions()}
     assert compute_guf(graph, clones) == [(None, 1 + callers[fn.id]) for fn in graph.functions()]
 
@@ -186,7 +186,7 @@ def test_guf_matches_independent_recount(corpus_paths):
         else:
             size = 1
         in_calls = sum(1 for s, rel, o in graph.edges
-                       if rel.value == "CALLS" and o == fn.id)
+                       if rel == "CALLS" and o == fn.id)
         assert fn.guf == size + in_calls, fn.qualified_name
 
 
@@ -260,6 +260,35 @@ def test_empty_kb_round_trip(tmp_path):
     graph, clones = load_kb(path)
     assert graph.nodes == {} and graph.edges == []
     assert clones.groups == {}
+
+
+def test_kinds_and_relations_are_the_names_in_the_file(kb, kb_file, tmp_path):
+    saved = {}
+    _rewrite_kb(kb_file, tmp_path / "same.scpk",
+                lambda nodes, edges, *rest: saved.update(nodes=nodes, edges=edges))
+    ids, edges = saved["nodes"]["id"], saved["edges"]
+    kinds = dict(zip(ids, saved["nodes"]["kind"]))
+    rows = sorted(zip(map(ids.__getitem__, edges["subject"]), edges["relation"],
+                      map(ids.__getitem__, edges["object"])))
+    for graph in (kb[0], load_kb(kb_file)[0]):
+        assert {nid: node.kind for nid, node in graph.nodes.items()} == kinds
+        assert sorted(graph.edges) == rows
+
+
+def test_loaded_kinds_and_relations_are_one_shared_str_per_name(kb_file):
+    # a fresh str per node and edge held 0.9 MB more after loading the
+    # bench's 1,000-file knowledge base
+    graph = load_kb(kb_file)[0]
+    names = [node.kind for node in graph.nodes.values()]
+    names += [relation for _s, relation, _o in graph.edges]
+    assert {type(name) for name in names} == {str}
+    kinds = {id(node.kind) for node in graph.nodes.values()}
+    relations = {id(relation) for _s, relation, _o in graph.edges}
+    assert len(kinds) <= 5 and len(relations) <= 6
+    # each is the vocabulary's own str
+    assert kinds <= {id(kind) for subject_kind, object_kinds in RELATION_TYPING.values()
+                     for kind in (subject_kind, *object_kinds)}
+    assert relations <= set(map(id, RELATION_TYPING))
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -637,6 +666,14 @@ _MALFORMED = {
         nodes, edges, clones, None, vectors],
     "embedder-unknown": lambda nodes, edges, clones, meta, vectors: meta.update(name="word2vec"),
     "embedder-null": lambda nodes, edges, clones, meta, vectors: meta.update(name=None),
+    # corpus_hashes, if present, is an object of strings (an int loaded, and
+    # evaluate's dedup then raised TypeError; a non-string value loaded too)
+    "corpus-hashes-int": lambda nodes, edges, clones, meta, vectors: meta.update(
+        corpus_hashes=5),
+    "corpus-hashes-list": lambda nodes, edges, clones, meta, vectors: meta.update(
+        corpus_hashes=[]),
+    "corpus-hashes-int-value": lambda nodes, edges, clones, meta, vectors: meta.update(
+        corpus_hashes={"h": 7}),
     "dimension-zero": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=0),
     "dimension-float": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=256.0),
     "dimension-bool": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=True),
@@ -921,7 +958,7 @@ def _sparse_graphs(draw):
                           source_text=f"function f{i}() public {{}}",
                           signature=SignatureFeatures(frozenset({"public"})),
                           token_count=draw(st.integers(1, 40)))
-        nodes[fn.id] = EntityNode(fn.id, NodeKind.FUNCTION, fn.qualified_name, fn)
+        nodes[fn.id] = EntityNode(fn.id, "function", fn.qualified_name, fn)
         chosen = tuple(sorted(draw(buckets)))
         values = tuple(draw(st.lists(value, min_size=len(chosen), max_size=len(chosen))))
         vectors[fn.id] = EmbeddingVector(chosen, values)
@@ -929,7 +966,7 @@ def _sparse_graphs(draw):
     if nodes:
         ids = st.sampled_from(sorted(nodes))
         pairs = draw(st.lists(st.tuples(ids, ids), max_size=4, unique=True))
-        edges = [(subject_id, Relation.CALLS, object_id) for subject_id, object_id in pairs]
+        edges = [(subject_id, "CALLS", object_id) for subject_id, object_id in pairs]
     graph = PropertyGraph(nodes, edges, vectors, {"name": HashingEmbedder.name,
                                                   "dimension": dimension, "corpus_hashes": {}})
     clones = assign_clone_groups(graph.functions(), _text_keys(graph))
@@ -1118,6 +1155,30 @@ def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
     assert hashlib.sha256(blob).hexdigest() == FIXTURE_KB_SHA256
 
 
+#: Size and SHA-256 of the KB saved from the benchmark's large corpus: seed 7,
+#: 100 copies of the fixture corpus (1,000 files), with HashingEmbedder(256).
+LARGE_KB_BYTES = 2_077_894
+LARGE_KB_SHA256 = "ca2eeabce3be774e7d2f053ae08140e1715c62cd21a62ac2e95ed82b32e1e839"
+
+
+def test_seed_7_large_kb_bytes_are_pinned(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the generator reads the fixtures by relative path
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    generate = importlib.import_module("generate")
+    inputs = generate.generate(tmp_path / "inputs", 7, corpus_copies=100, case_copies=0)
+    graph, clones, _ = build_kb([str(path) for path in inputs.corpus_paths],
+                                HashingEmbedder(256))
+    path = tmp_path / "large.scpk"
+    save_kb(graph, clones, path)
+    blob = path.read_bytes()
+    version = int.from_bytes(blob[4:6], "little")
+    assert version == FIXTURE_KB_VERSION, (
+        f"the KB format is now {version}: pin LARGE_KB_BYTES, LARGE_KB_SHA256 and "
+        f"FIXTURE_KB_VERSION anew for it, and say why in CHANGES.md")
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == (LARGE_KB_BYTES, LARGE_KB_SHA256)
+
+
 def test_build_kb_lexes_each_file_once(corpus_paths, monkeypatch):
     calls = []
     for module in (ingest, embedding):
@@ -1133,7 +1194,7 @@ def test_build_kb_lexes_each_file_once(corpus_paths, monkeypatch):
 def test_function_nodes_are_the_function_kind_nodes_in_insertion_order(kb, kb_file):
     for graph in (kb[0], load_kb(kb_file)[0]):
         assert graph.function_nodes() == [
-            n for n in graph.nodes.values() if n.kind is NodeKind.FUNCTION]
+            n for n in graph.nodes.values() if n.kind == "function"]
         assert len(graph.function_nodes()) == 28
         graph.function_nodes().clear()  # a copy: the graph keeps its list
         assert len(graph.function_nodes()) == 28

@@ -13,9 +13,7 @@ from scpatcher.ingest import (
     _KEYWORDS,
     RELATION_TYPING,
     IngestError,
-    NodeKind,
     NodeRef,
-    Relation,
     Token,
     Triple,
     canonical_source_hash,
@@ -464,9 +462,9 @@ def test_signature_oracle(corpus_paths):
 
 def _labels(triple):
     """A triple as ("kind:label", relation name, "kind:label")."""
-    return (f"{triple.subject.kind.value}:{triple.subject.label}",
-            triple.relation.value,
-            f"{triple.obj.kind.value}:{triple.obj.label}")
+    return (f"{triple.subject.kind}:{triple.subject.label}",
+            triple.relation,
+            f"{triple.obj.kind}:{triple.obj.label}")
 
 
 def test_multi_contract_triples_match_hand_trace():
@@ -489,32 +487,49 @@ def test_per_file_triple_counts_match_hand_trace(corpus_paths):
 
 #: One endpoint of each kind.
 _REFS = {
-    NodeKind.CONTRACT: contract_ref("A"),
-    NodeKind.FUNCTION: NodeRef(NodeKind.FUNCTION, "0123456789abcdef", "A.f"),
-    NodeKind.VARIABLE: variable_ref("A", "x"),
-    NodeKind.MODIFIER: modifier_ref("A", "onlyOwner"),
-    NodeKind.TYPE_NAME: type_ref("uint256"),
+    "contract": contract_ref("A"),
+    "function": NodeRef("function", "0123456789abcdef", "A.f"),
+    "variable": variable_ref("A", "x"),
+    "modifier": modifier_ref("A", "onlyOwner"),
+    "type": type_ref("uint256"),
 }
 
 
-@pytest.mark.parametrize("relation", list(Relation))
+@pytest.mark.parametrize("relation", list(RELATION_TYPING), ids="Relation.{}".format)
 def test_every_way_to_build_an_ill_typed_triple_raises(relation):
     subject_kind, object_kinds = RELATION_TYPING[relation]
-    subject, obj = _REFS[subject_kind], _REFS[sorted(object_kinds, key=str)[0]]
+    subject, obj = _REFS[subject_kind], _REFS[sorted(object_kinds)[0]]
     good = Triple(subject, relation, obj)
     assert good == (subject, relation, obj) and type(good) is Triple
-    wrong = [(ref, obj) for kind, ref in _REFS.items() if kind is not subject_kind]
+    wrong = [(ref, obj) for kind, ref in _REFS.items() if kind != subject_kind]
     wrong += [(subject, ref) for kind, ref in _REFS.items() if kind not in object_kinds]
     assert wrong
     for bad_subject, bad_obj in wrong:
-        message = (f"ill-typed triple: {bad_subject.kind.value} -{relation.value}-> "
-                   f"{bad_obj.kind.value}")
+        message = f"ill-typed triple: {bad_subject.kind} -{relation}-> {bad_obj.kind}"
         for build in (lambda: Triple(bad_subject, relation, bad_obj),
                       lambda: Triple._make([bad_subject, relation, bad_obj]),
                       lambda: good._replace(subject=bad_subject, obj=bad_obj)):
             with pytest.raises(ValueError) as err:
                 build()
             assert str(err.value) == message
+
+
+def test_the_relations_join_every_node_kind():
+    kinds = {kind for subject_kind, object_kinds in RELATION_TYPING.values()
+             for kind in (subject_kind, *object_kinds)}
+    assert kinds == _REFS.keys()
+
+
+@pytest.mark.parametrize("relation", ["INVOKES", "calls", ""])
+def test_a_triple_of_an_unknown_relation_raises(relation):
+    subject = _REFS["function"]
+    good = Triple(subject, "CALLS", subject)
+    for build in (lambda: Triple(subject, relation, subject),
+                  lambda: Triple._make([subject, relation, subject]),
+                  lambda: good._replace(relation=relation)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"unknown relation {relation!r}"
 
 
 def test_triples_hash_and_compare_by_field(corpus_paths):

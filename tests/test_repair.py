@@ -6,7 +6,7 @@ import pytest
 from scpatcher import repair as repair_module
 from scpatcher import verify
 from scpatcher.graph import EntityNode, PropertyGraph, load_kb
-from scpatcher.ingest import NodeKind, load_source
+from scpatcher.ingest import load_source
 from scpatcher.embedding import HashingEmbedder
 from scpatcher.llm import LlmError, MockLlmBackend, MockRule
 from scpatcher.model import RepairStage, VulnClass, VulnerabilityReport
@@ -211,7 +211,7 @@ def test_retrieve_sees_added_function(kb_file):
     twin = dataclasses.replace(fn, id="f" * 16, clone_id=None, guf=1000)
     [vector] = HashingEmbedder(256).embed([(fn.source_text, unit.declaration_tokens(fn))])
     graph = PropertyGraph(
-        {**graph.nodes, twin.id: EntityNode(twin.id, NodeKind.FUNCTION, twin.qualified_name, twin)},
+        {**graph.nodes, twin.id: EntityNode(twin.id, "function", twin.qualified_name, twin)},
         graph.edges, {**graph.vectors, twin.id: vector}, graph.embedder_meta)
     first = retrieve(graph, unit, fn, 1).selected[0]
     assert (first.fn, first.s_sem) == (twin, 0.0)
