@@ -29,7 +29,8 @@ SHA-256 per distinct text per process), counts the tokens per bucket in one
 buckets only, in ascending bucket order, so its values are bit-identical
 to the dense formula's over every bucket. The remote HTTP provider embeds
 the source texts, one request per call, and drops the zeros of the dense
-vectors it receives.
+vectors it receives. It imports ``requests`` on first use, so a run that
+never makes one loads no HTTP client.
 
 Retrieval is exact: ``knn`` returns the ids and ``math.dist`` distances
 that a flat L2 scan of every dense row returns, bit for bit. The index is
@@ -69,12 +70,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, mul, truediv
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .ingest import Token, lex  # noqa: F401  (bench/run.py's traced run wraps this lex)
 from .model import CodedError, FunctionUnit
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_DIMENSION = 256
 DEFAULT_POOL_SIZE = 50
@@ -211,18 +213,23 @@ class RemoteEmbedder:
                  model: str = "default", dimension: int = DEFAULT_DIMENSION,
                  timeout: float = 30.0, session: Optional[requests.Session] = None):
         self.url = url or os.environ.get(EMBED_URL_VAR, "")
+        if not self.url:
+            raise ProviderError("RemoteUnavailable",
+                                f"no endpoint configured (set {EMBED_URL_VAR})")
         self.api_key = api_key if api_key is not None else os.environ.get(EMBED_KEY_VAR)
         self.model = model
         self.dimension = dimension
         self.timeout = timeout
-        self._session = session or requests.Session()
-        if not self.url:
-            raise ProviderError("RemoteUnavailable",
-                                f"no endpoint configured (set {EMBED_URL_VAR})")
+        if session is None:
+            import requests
+            session = requests.Session()
+        self._session = session
 
     def embed(self, functions: Sequence[tuple[str, Sequence[Token]]]
               ) -> list[EmbeddingVector]:
         """One vector per (source text, declaration tokens) pair, in one request."""
+        import requests
+
         texts = [text for text, _tokens in functions]
         headers = {"Content-Type": "application/json"}
         if self.api_key:

@@ -352,12 +352,19 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
     are sorted. The function nodes' vectors go to the binary fifth section
     in node order, each as it is held, with no dense copy made. Raises
     ValueError, before the file is opened, if a function node has no
-    payload or no vector, a signature has an empty feature, or a vector
-    does not fit its section (see ``_vector_section``).
+    payload or no vector, a node kind or relation is not in
+    ``RELATION_TYPING``'s vocabulary, a signature has an empty feature, or
+    a vector does not fit its section (see ``_vector_section``).
     """
     ids = sorted(graph.nodes)
     nodes = [graph.nodes[nid] for nid in ids]
     node_section = _node_section(nodes)
+    edge_section = _edge_section(ids, graph.edges)
+    for what, names, vocabulary in (("node kind", node_section["kind"], _KINDS),
+                                    ("relation", edge_section["relation"], _RELATIONS)):
+        unknown = set(names).difference(vocabulary)
+        if unknown:
+            raise ValueError(f"unknown {what} {min(map(repr, unknown))}")
     vectors = _vector_section(
         [node.id for node in nodes if node.kind == "function"], graph.vectors)
     clone_section = {
@@ -368,7 +375,7 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<H", _VERSION)
-    sections = (node_section, _edge_section(ids, graph.edges), clone_section, meta)
+    sections = (node_section, edge_section, clone_section, meta)
     for payload in (*map(_canonical_json, sections), vectors):
         blob += struct.pack("<I", len(payload))
         blob += payload

@@ -3,20 +3,23 @@
 The mock backend replays canned responses from a JSON rule script so the
 whole repair pipeline runs deterministically with no network. Rules are
 ordered; each matches on the exact prompt digest or on substrings of the
-prompt text, and the first match wins.
+prompt text, and the first match wins. The remote backend imports
+``requests`` on first use, so a run with the mock loads no HTTP client.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
-
-import requests
+from typing import TYPE_CHECKING, Optional
 
 from .model import CodedError
+
+if TYPE_CHECKING:
+    import requests
 
 LLM_URL_VAR = "SCPATCHER_LLM_URL"
 LLM_KEY_VAR = "SCPATCHER_LLM_KEY"
@@ -129,7 +132,12 @@ class MockLlmBackend:
 
 
 class RemoteLlmBackend:
-    """HTTP chat-completion client (OpenAI-style response shape)."""
+    """HTTP chat-completion client (OpenAI-style response shape).
+
+    An injected ``session`` serves every thread. Without one, each thread
+    that calls ``complete`` makes its own ``requests.Session`` on its first
+    call, so concurrent ``evaluate`` workers share no connection pool.
+    """
 
     def __init__(self, url: Optional[str] = None, api_key: Optional[str] = None,
                  timeout: float = 120.0, session: Optional[requests.Session] = None):
@@ -139,9 +147,15 @@ class RemoteLlmBackend:
                            f"no endpoint configured (set {LLM_URL_VAR})")
         self.api_key = api_key if api_key is not None else os.environ.get(LLM_KEY_VAR)
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
 
     def complete(self, request: LlmRequest, prompt_digest: str = "") -> LlmResponse:
+        import requests
+
+        session = self._session or getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -154,8 +168,8 @@ class RemoteLlmBackend:
         }
         started = time.monotonic()
         try:
-            response = self._session.post(self.url, json=body, headers=headers,
-                                          timeout=self.timeout)
+            response = session.post(self.url, json=body, headers=headers,
+                                    timeout=self.timeout)
         except requests.Timeout as exc:
             raise LlmError("Timeout", f"{self.url}: {exc}") from None
         except requests.RequestException as exc:

@@ -601,6 +601,17 @@ def _hashing_reply(dimension):
                      for text in payload["input"]]})
 
 
+def test_remote_with_no_url_is_unavailable_before_any_session_is_made(monkeypatch):
+    sessions = []
+    monkeypatch.setattr(requests, "Session", lambda: sessions.append(1))
+    monkeypatch.delenv(embedding.EMBED_URL_VAR, raising=False)
+    with pytest.raises(ProviderError) as err:
+        RemoteEmbedder()
+    assert err.value.code == "RemoteUnavailable"
+    assert str(err.value) == f"no endpoint configured (set {embedding.EMBED_URL_VAR})"
+    assert sessions == []
+
+
 def test_remote_build_kb_sends_one_request_per_file_with_new_functions(corpus_paths, tmp_path):
     no_functions = tmp_path / "state_only.sol"
     no_functions.write_text("contract StateOnly { uint256 total; }")

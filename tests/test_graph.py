@@ -853,6 +853,22 @@ def test_save_rejects_what_the_function_columns_cannot_hold_before_opening_the_f
         assert not path.exists()
 
 
+@pytest.mark.parametrize("nodes, edges, message", [
+    ({"c": EntityNode("c", "Contract", "C")}, [("c", "calls", "c")],
+     "unknown node kind 'Contract'"),
+    ({"c": EntityNode("c", "contract", "C")}, [("c", "calls", "c")],
+     "unknown relation 'calls'"),
+], ids=["kind", "relation"])
+def test_save_rejects_a_name_outside_the_vocabulary_before_opening_the_file(
+        tmp_path, nodes, edges, message):
+    # load_kb would refuse such a file as Corrupt, so it is never written
+    path = tmp_path / "misnamed.scpk"
+    with pytest.raises(ValueError) as err:
+        save_kb(PropertyGraph(nodes, edges, {}, None), CloneGroupTable(12, {}), path)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
 def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, tmp_path):
     # with no dimension in the metadata, buckets are bounded by the default, 256
     def drop_dimension(nodes, edges, clones, meta, vectors):

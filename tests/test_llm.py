@@ -2,6 +2,7 @@
 mock backend's script loading."""
 
 import json
+import threading
 
 import pytest
 import requests
@@ -87,6 +88,67 @@ def test_failures_raise_llm_errors(reply, code):
         backend.complete(REQUEST)
     assert err.value.code == code
     assert len(session.posts) == 1
+
+
+_OK = _FakeResponse({"choices": [{"message": {"content": "x"}}]})
+
+
+@pytest.fixture
+def counted_sessions(monkeypatch):
+    """Every session ``requests.Session()`` makes, each a fake that answers _OK."""
+    made = []
+
+    def session():
+        made.append(_FakeSession(_OK))
+        return made[-1]
+
+    monkeypatch.setattr(requests, "Session", session)
+    return made
+
+
+def test_without_a_session_one_thread_makes_one_on_its_first_call(counted_sessions):
+    backend = RemoteLlmBackend(url="http://llm.test/v1")
+    assert counted_sessions == []
+    backend.complete(REQUEST)
+    backend.complete(REQUEST)
+    assert len(counted_sessions) == 1
+    assert len(counted_sessions[0].posts) == 2
+
+
+def test_without_a_session_each_thread_makes_its_own(counted_sessions):
+    backend = RemoteLlmBackend(url="http://llm.test/v1")
+    barrier = threading.Barrier(2, timeout=10)
+
+    def call():
+        backend.complete(REQUEST)
+        barrier.wait()  # both threads are alive, and have called, at once
+        backend.complete(REQUEST)
+
+    threads = [threading.Thread(target=call) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    # each thread posted both of its calls through the one session it made
+    assert [len(session.posts) for session in counted_sessions] == [2, 2]
+
+
+def test_an_injected_session_serves_every_thread(counted_sessions):
+    backend, session = _backend(_OK)
+    barrier = threading.Barrier(2, timeout=10)
+
+    def call():
+        backend.complete(REQUEST)
+        barrier.wait()
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    call()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(session.posts) == 2
+    assert counted_sessions == []
 
 
 @pytest.mark.parametrize("script, message", [
