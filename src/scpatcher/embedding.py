@@ -8,12 +8,12 @@ tokens the function's parse already holds, so a query vector and a KB
 vector come from the same computation and neither lexes again. KB
 metadata records the provider's name, a key of ``PROVIDERS``.
 
-Vectors are sparse up to the index: an ``EmbeddingVector`` is the pair
+Vectors are sparse up to the rescore: an ``EmbeddingVector`` is the pair
 (buckets, values) of its nonzero buckets, in ascending order, and their
 values; every other bucket is 0.0. Providers return such pairs,
-``PropertyGraph.vectors`` holds them and the knowledge-base file stores
-them. Only ``build_index`` pads them out to dense rows, once per knowledge
-base, and ``knn`` pads its query.
+``PropertyGraph.vectors`` holds them, the knowledge-base file stores them
+and the index keeps them, not copies. Only ``knn`` pads a vector out to
+a dense row: its query, and an index row the first time it rescores it.
 
 Every vector enters through a provider's ``embed`` or ``load_kb``, and
 both hold it to ``within_bound``: finite values of a norm at most
@@ -34,24 +34,27 @@ never makes one loads no HTTP client.
 
 Retrieval is exact: ``knn`` returns the ids and ``math.dist`` distances
 that a flat L2 scan of every dense row returns, bit for bit. The index is
-built once per knowledge base (``PropertyGraph.vector_index`` keeps it).
-Next to the dense rows it holds each row's squared norm and, per bucket,
-one packed int: the bucket's column quantized to fixed point, row ``i`` in
-64-bit lane ``i``, so that one big-int multiply-add scores every row on
-that bucket at once. ``knn`` filters and then refines, after the
-VA-file's exact search: it scores every row on the query's nonzero buckets
-only, as ``|r|**2 - 2 q.r`` with q and r quantized, in one multiply-add per
-such bucket and one ``to_bytes`` that reads every row's lane out. The rows
-within twice the quantization error bound E, plus a float margin of 1e-9 *
-(|q|**2 + max |r|**2 + 1), of the n-th smallest score survive, which
-provably keeps every true top-n row (``_survivors`` has the bound and the
-proof). The first cut stays in the integer lanes: from the n-th largest
-lane sum and the smallest and largest squared norms it derives a lane
-threshold, and one big-int subtract-and-mask reads out the rows at or
-above it; only those candidates, about as many as survive, are scored in
-floats. Only the survivors are rescored with ``math.dist`` over the dense
-rows and selected stably, ties going to the lower id. Every row is
-rescored, with no filter, when ``n`` covers the index.
+built once per knowledge base (``repair.retrieve`` keeps it on the graph).
+Next to the sparse vectors it holds each row's squared norm and, per
+bucket, one packed int: the bucket's column quantized to fixed point, row
+``i`` in lane ``i`` of W bits, so that one big-int multiply-add scores
+every row on that bucket at once. W is 32 unless the index's dimension or
+vectors would leave a row or a query fewer than 10 fraction bits, and then
+64. ``knn`` filters and then refines, after the VA-file's exact search
+(Weber, Schek and Blott, VLDB 1998): it scores every row on the query's
+nonzero buckets only, as ``|r|**2 - 2 q.r`` with q and r quantized, in one
+multiply-add per such bucket and one ``to_bytes`` that reads every row's
+lane out. The rows within twice the quantization error bound E, plus a
+float margin of 1e-9 * (|q|**2 + max |r|**2 + 1), of the n-th smallest
+score survive, which provably keeps every true top-n row (``_survivors``
+has the bound and the proof). The first cut stays in the integer lanes:
+from the n-th largest lane sum and the smallest and largest squared norms
+it derives a lane threshold, and one big-int subtract-and-mask reads out
+the rows at or above it; only those candidates, about as many as survive,
+are scored in floats. Only the survivors are rescored with ``math.dist``
+over their dense rows, each padded on its first rescore and kept, and
+selected stably, ties going to the lower id. Every row is rescored, with
+no filter, when ``n`` covers the index.
 
 ``knn`` returns each neighbor as a ``Candidate`` that holds the KB's own
 ``FunctionUnit`` and its distance. ``repair.retrieve`` always asks for
@@ -65,9 +68,10 @@ import heapq
 import math
 import os
 import sys
+import threading
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -205,6 +209,10 @@ class RemoteEmbedder:
     The endpoint must answer {"vectors": [[...], ...]}, one dense vector
     per input text, of the configured dimension, made of JSON numbers and
     ``within_bound``; each is returned with its zeros dropped.
+
+    An injected ``session`` serves every thread. Without one, each thread
+    that calls ``embed`` makes its own ``requests.Session`` on its first
+    call, so concurrent ``evaluate`` workers share no connection pool.
     """
 
     name = "remote"
@@ -220,22 +228,23 @@ class RemoteEmbedder:
         self.model = model
         self.dimension = dimension
         self.timeout = timeout
-        if session is None:
-            import requests
-            session = requests.Session()
         self._session = session
+        self._local = threading.local()
 
     def embed(self, functions: Sequence[tuple[str, Sequence[Token]]]
               ) -> list[EmbeddingVector]:
         """One vector per (source text, declaration tokens) pair, in one request."""
         import requests
 
+        session = self._session or getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
         texts = [text for text, _tokens in functions]
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            response = self._session.post(
+            response = session.post(
                 self.url, json={"model": self.model, "input": texts},
                 headers=headers, timeout=self.timeout)
             response.raise_for_status()
@@ -301,61 +310,99 @@ class Candidate:
     s_final: Optional[float] = None
 
 
+class _PaddedRows(dict):
+    """row position -> that row's vector padded out to ``dimension`` values,
+    every zero the one shared 0.0: padded on the first lookup and kept."""
+
+    def __init__(self, vectors: Sequence[EmbeddingVector], dimension: int):
+        super().__init__()
+        self.vectors = vectors
+        self.dimension = dimension
+
+    def __missing__(self, position: int) -> tuple[float, ...]:
+        row = self[position] = self.vectors[position].dense(self.dimension)
+        return row
+
+
 @dataclass(frozen=True)
 class VectorIndex:
     """Exact-search index: one row per function, in function-id order.
 
-    The functions' vectors arrive as sparse pairs; the index is where they
-    become dense. ``rows`` holds each vector padded out to ``dimension``
-    values for ``knn``'s rescore, every zero the one shared 0.0.
+    ``vectors`` holds each function's sparse vector, the knowledge base's
+    own objects, not copies. ``rows`` maps a row's position to its dense
+    row, ``dimension`` values, every zero the one shared 0.0: ``knn`` pads
+    a row there the first time it rescores it, so it holds only the rows
+    that some query has rescored. Two threads may pad one row at once;
+    both pads are equal, and either is kept.
 
     ``packed`` holds, for ``knn``'s filter, one int per bucket: the
-    bucket's column of quantized values, row ``i`` in 64-bit lane ``i``
-    (bits ``64 * i`` up to ``64 * i + 63``). With ``M = 2 ** scale``, the
-    smallest power of two at least every ``|value|`` in the index (and at
-    least ``2**(F - 1074)``, see ``build_index``), and ``F =
-    _fraction_bits(dimension)``, a value ``v`` is stored as the int
-    ``round(v * 2**F / M)``, at most ``2**F`` in magnitude. The int is the
-    exact sum of ``round(v * 2**F / M) << 64 * i`` over the column's rows,
-    so a negative value borrows from the lanes above it; that is harmless,
-    because the filter only adds such ints, scaled, and reads the lanes
-    out of the sum (see ``_survivors``). A column with no nonzero value is
-    the int 0.
+    bucket's column of quantized values, row ``i`` in lane ``i`` of
+    ``width`` (W) bits, bits ``W * i`` up to ``W * i + W - 1``. With ``M =
+    2 ** scale``, the smallest power of two at least every ``|value|`` in
+    the index, and ``d_r = row_bits``, a value ``v`` is stored as the int
+    ``round(v * 2**d_r / M)``. The int is the exact sum of those ints, row
+    i's shifted left by ``W * i``, so a negative value borrows from the
+    lanes above it; that is harmless, because the filter only adds such
+    ints, scaled, and reads the lanes out of the sum (see ``_survivors``).
+    A column with no nonzero value is the int 0. ``build_index`` picks W
+    and d_r so that every row's ints have a norm of at most ``2**(W/2 -
+    1)``, and ``query_limit`` is the largest norm a query's ints may have
+    for every lane sum to stay within ``2**(W - 2)`` in magnitude.
 
     ``sq_norms`` holds each row's squared norm, ``max_sq_norm`` the
     largest of them, at most ``MAX_NORM ** 2``, and ``min_sq_norm`` the
     smallest: a row's filter score lies between the scores its lane sum
     gets with those two norms, which lets ``_survivors`` pick its
-    candidates from the lanes. ``offset`` is the int with bit 63 of every
-    lane set, which the filter adds to its sum and masks its lanes with.
-    The garbage collector does not track ints, and stops tracking a tuple
-    of floats or ints at the first collection it survives, so its full
-    collections walk neither the packed columns nor the rows.
+    candidates from the lanes. ``offset`` is the int with bit W - 1 of
+    every lane set, which the filter adds to its sum and masks its lanes
+    with. The garbage collector does not track ints, and stops tracking a
+    tuple of floats at the first collection it survives, so its full
+    collections walk neither the packed columns nor the padded rows.
     """
 
     dimension: int
     functions: list[FunctionUnit]
-    rows: list[tuple[float, ...]]
+    vectors: list[EmbeddingVector]
+    rows: _PaddedRows = field(compare=False)  # what some query has padded so far
     packed: tuple[int, ...]
+    width: int
     scale: int
+    row_bits: int
+    query_limit: float
     sq_norms: tuple[float, ...]
     max_sq_norm: float
     min_sq_norm: float
     offset: int
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.functions)
 
 
-def _fraction_bits(dimension: int) -> int:
-    """F, the fraction bits of a quantized value, for vectors of ``dimension``.
+#: The fewest fraction bits a row or a query may get in 32-bit lanes: an
+#: index that would give either fewer has 64-bit lanes.
+MIN_FRACTION_BITS = 10
 
-    A lane sums at most ``dimension`` products of two values each at most
-    ``2**F`` in magnitude, so its magnitude is at most ``dimension *
-    2**(2F)``; with ``dimension <= 2**c``, ``2F <= 62 - c`` keeps that at
-    most ``2**62``, inside the signed 64-bit range the filter reads.
+#: lane width in bits -> the ``array`` type code of a signed int that wide
+_LANE_TYPES = {8 * array(code).itemsize: code for code in "hilq"}
+
+
+def _fraction_bits(ratio: float, count: int, limit: float) -> int:
+    """The most fraction bits d with ``ratio * 2**d + sqrt(count) / 2 <= limit``,
+    or -1 if there are none.
+
+    A vector of at most ``count`` nonzero values, each at most ``M = 2**e``
+    in magnitude, and of a norm of at most ``ratio * M``, quantized as
+    ``round(v * 2**d / M)`` per value, has ints of a norm of at most that
+    sum, since rounding moves each value by at most 1/2; so at most
+    ``limit``. A ``ratio`` taken as ``math.hypot`` of the values, plus
+    2**-1074, over M is such a bound up to one unit in its last place,
+    which the relative slack of 2**-40 taken off here covers, as it covers
+    the float steps below. A nonzero vector has ``ratio > 1/2``, because
+    M is less than twice its largest value, and an all-zero one quantizes
+    to zeros at any d, so a smaller ratio is taken as 1/2.
     """
-    return (62 - (dimension - 1).bit_length()) // 2
+    room = (limit - math.sqrt(count) / 2) / max(ratio, 0.5) * (1 - 2.0 ** -40)
+    return math.frexp(room)[1] - 1 if room > 0 else -1
 
 
 def _scale(magnitude: float) -> int:
@@ -372,22 +419,45 @@ def _little_endian(lanes: array) -> array:
     return lanes
 
 
+def _lanes(column: array, width: int) -> int:
+    """The int whose ``width``-bit lanes, lowest first, are the low
+    ``width`` bits of the floats in ``column``, in order."""
+    view = memoryview(_little_endian(column)).cast("B").cast(_LANE_TYPES[width])
+    return int.from_bytes(view[::64 // width], "little")
+
+
 def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, EmbeddingVector],
                 dimension: int) -> VectorIndex:
-    """Pair every function that has a vector with its dense row and packed columns.
+    """Index every function that has a vector: its vector, its squared norm
+    and its values in the packed columns. No row is padded here.
 
-    Rows, packed columns and norms all come from the (``within_bound``)
-    sparse pairs; a bucket outside ``range(dimension)`` raises DimensionMismatchError.
+    The vectors must be ``within_bound``; a bucket outside
+    ``range(dimension)`` raises DimensionMismatchError.
 
-    Each column is rounded by float addition. With ``R = 1.5 * 2**52 * M /
-    2**F``, a float ``v`` with ``|v| <= M`` gives ``v + R`` in ``[2**52,
-    2**53) * M / 2**F``, where floats are spaced ``M / 2**F`` apart, so the
-    addition rounds ``v * 2**F / M`` to the nearest integer, ties to even,
-    as ``round`` does, and adds it to R's bits. A column's values go into an
-    array of floats as ``v + R``, every other slot holds R, and the array
-    read as one int is the packed column plus R's bits in every lane, which
-    one subtraction removes. R must be a normal float, so M is at least
-    ``2**(F - 1074)``.
+    Lane width and row bits. Let ``ratio`` be ``max |r| / M`` and ``most``
+    the most nonzero values a row has. For W = 32, and then 64, ``d_r =
+    _fraction_bits(ratio, most, 2**(W/2 - 1))`` keeps every row's ints
+    within ``row_norm = ratio * 2**d_r + sqrt(most) / 2 <= 2**(W/2 - 1)``,
+    and ``query_limit = 2**(W - 2) / row_norm``. A query's ints get the
+    most fraction bits ``d_q`` that keep them within ``query_limit``
+    (``_query_ints``), at least those of a dense query of ``dimension``
+    equal values, whose ratio, ``sqrt(dimension)``, is the largest any
+    query can have. W = 32 is taken if d_r and those worst-case d_q are
+    both at least ``MIN_FRACTION_BITS``.
+
+    Rounding. Each column is rounded by float addition. With ``u = M /
+    2**d_r`` and ``R = (1.5 * 2**52 + 2**31) * u``, a float ``v`` with
+    ``|v| <= M`` gives ``v + R`` in ``[2**52, 2**53) * u``, where floats
+    are spaced u apart, so the addition rounds ``v / u`` to the nearest
+    integer q, ties to even, as ``round`` does (R / u is even), and ``v +
+    R`` is ``(1.5 * 2**52 + 2**31 + q) * u``. Its 64 bits are R's plus q,
+    and its low 32 bits, the low bits of its significand ``2**51 + 2**31 +
+    q``, are ``2**31 + q``, R's plus q again (``|q| <= 2**(W/2 - 1)``). A
+    column's values go into an array of floats as ``v + R``, every other
+    slot holds R, and the array read as one int of W-bit lanes, each the
+    low W bits of a float, is the packed column plus R's lanes, which one
+    subtraction removes. R must be a normal float, so d_r is at most
+    ``scale + 1074``.
     """
     kept: list[FunctionUnit] = []
     pairs: list[EmbeddingVector] = []
@@ -396,27 +466,41 @@ def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, Embeddi
         if vector is not None:
             kept.append(fn)
             pairs.append(vector)
+    nonzero = [vector for vector in pairs if vector.buckets]
+    low = min((min(buckets) for buckets, _values in nonzero), default=0)
+    high = max((max(buckets) for buckets, _values in nonzero), default=-1)
+    if low < 0 or high >= dimension:
+        raise DimensionMismatchError(f"buckets {low}..{high} outside dimension {dimension}")
     # a zero adds exactly nothing to hypot, so the nonzero values give the row's norm
-    sq_norms = tuple(math.hypot(*vector.values) ** 2 for vector in pairs)
-    fraction_bits = _fraction_bits(dimension)
-    nonzero = [values for _buckets, values in pairs if values]
-    top = max(max(map(max, nonzero), default=0.0), -min(map(min, nonzero), default=0.0))
-    scale = max(_scale(top), fraction_bits - 1074)
-    rounder = math.ldexp(1.5, 52 + scale - fraction_bits)
+    norms = [math.hypot(*values) for _buckets, values in pairs]
+    sq_norms = tuple(norm ** 2 for norm in norms)
+    top = max(max((max(values) for _buckets, values in nonzero), default=0.0),
+              -min((min(values) for _buckets, values in nonzero), default=0.0))
+    scale = _scale(top)
+    ratio = math.ldexp(max(norms, default=0.0) + 2.0 ** -1074, -scale)
+    most = max((len(buckets) for buckets, _values in nonzero), default=0)
+    for width in (32, 64):
+        row_bits = _fraction_bits(ratio, most, 2.0 ** (width // 2 - 1))
+        row_norm = math.ldexp(max(ratio, 0.5), row_bits) + math.sqrt(most) / 2
+        query_limit = 2.0 ** (width - 2) / row_norm
+        worst_query = _fraction_bits(math.sqrt(dimension), dimension, query_limit)
+        if min(row_bits, worst_query) >= MIN_FRACTION_BITS:
+            break
+    row_bits = min(row_bits, scale + 1074)
+    rounder = math.ldexp(1.5 * 2 ** 52 + 2 ** 31, scale - row_bits)
     blank = array("d", [rounder]) * len(pairs)
     columns = [array("d", blank) for _ in range(dimension)]
-    rows = []
     for i, vector in enumerate(pairs):
-        rows.append(vector.dense(dimension))
         for j, value in zip(*vector):
             columns[j][i] = value + rounder
-    rounders = int.from_bytes(_little_endian(blank), "little")
+    rounders = _lanes(blank, width)
     packed = []
     for j, column in enumerate(columns):
-        packed.append(int.from_bytes(_little_endian(column), "little") - rounders)
+        packed.append(_lanes(column, width) - rounders)
         columns[j] = None  # free each array once it is read
-    offset = int.from_bytes((bytes(7) + b"\x80") * len(pairs), "little")  # bit 63 of each lane
-    return VectorIndex(dimension, kept, rows, tuple(packed), scale, sq_norms,
+    offset = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * len(pairs), "little")
+    return VectorIndex(dimension, kept, pairs, _PaddedRows(pairs, dimension), tuple(packed),
+                       width, scale, row_bits, query_limit, sq_norms,
                        max(sq_norms, default=0.0), min(sq_norms, default=0.0), offset)
 
 
@@ -425,34 +509,51 @@ def index_from_graph(graph) -> VectorIndex:
     return build_index(graph.functions(), graph.vectors, meta_dimension(graph.embedder_meta))
 
 
+def _query_ints(index: VectorIndex, values: Sequence[float]) -> tuple[int, int, list[int]]:
+    """A query's ``eq``, its fraction bits ``d_q`` and its values quantized.
+
+    With ``Mq = 2**eq``, its largest ``|value|`` rounded up to a power of
+    two, each value ``v`` becomes ``round(v * 2**d_q / Mq)``; d_q is the
+    most fraction bits that keep the norm of those ints within
+    ``index.query_limit`` (see ``_fraction_bits``).
+    """
+    q_scale = _scale(max(map(abs, values)))
+    ratio = math.ldexp(math.hypot(*values) + 2.0 ** -1074, -q_scale)
+    q_bits = _fraction_bits(ratio, len(values), index.query_limit)
+    shift = q_bits - q_scale
+    return q_scale, q_bits, [round(math.ldexp(v, shift)) for v in values]
+
+
 def _survivors(index: VectorIndex, query: EmbeddingVector, q_sq: float, n: int) -> list[int]:
     """The rows that may be among the ``n`` nearest to ``query``, ascending.
 
     Every row r is scored as ``a(r) = |r|**2 - 2 q'.r'``, where q' and r'
     are the query and the row quantized, restricted to the query's nonzero
-    buckets S. The query is quantized like the rows, with its own
-    ``Mq = 2**eq`` (its largest ``|value|`` rounded up to a power of two),
-    so each of its ints is at most ``2**F`` too. In one big-int
-    multiply-add per bucket of S,
+    buckets S. The query is quantized like the rows, with its own ``Mq =
+    2**eq`` and its own fraction bits d_q (``_query_ints``). The norm of
+    its ints is at most ``index.query_limit``, which is ``2**(W-2)`` over
+    a bound on the norm of every row's ints (see ``build_index``), so by
+    Cauchy-Schwarz the lane sum ``s_i``, the sum of q_int[j] * r_int[j]
+    over S, has ``|s_i| <= 2**(W-2)``: a W-bit lane could hold twice as
+    much, and the bit left over is the headroom that ``_candidates``'
+    subtraction of L needs. In one big-int multiply-add per bucket of S,
 
         acc = OFFSET + sum over j in S of q_int[j] * packed[j]
 
-    where OFFSET (``index.offset``) has bit 63 of every lane set, holds in
-    lane i the sum ``s_i`` of q_int[j] * r_int[j], with
-    ``|s_i| <= |S| * 2**(2F) <= 2**62`` (see ``_fraction_bits``), plus
-    ``2**63`` from OFFSET. Big-int arithmetic is exact and linear, so the
-    borrows of negative columns and products cancel, and each lane of acc
-    is ``2**63 + s_i``, in ``[0, 2**64)``: the lanes are the base-2**64
-    digits of acc. Flipping bit 63 of each lane turns ``2**63 + s_i`` into
-    the two's complement of ``s_i``, and one ``to_bytes`` reads every
-    ``s_i`` out at once. Then ``q'.r' = s_i * M * Mq / 2**(2F)``, and the
-    float score is ``a(r) = |r|**2 + s_i * unit`` with ``unit = -2 * M * Mq
-    / 2**(2F)``, a negative power of two.
+    where OFFSET (``index.offset``) has bit W-1 of every lane set, holds
+    ``2**(W-1) + s_i`` in lane i. Big-int arithmetic is exact and linear,
+    so the borrows of negative columns and products cancel, and each lane
+    of acc is in ``[0, 2**W)``: the lanes are the base-2**W digits of acc.
+    Flipping bit W-1 of each lane turns ``2**(W-1) + s_i`` into the two's
+    complement of ``s_i``, and one ``to_bytes`` reads every ``s_i`` out at
+    once. Then ``q'.r' = s_i * M * Mq / 2**(d_r + d_q)``, and the float
+    score is ``a(r) = |r|**2 + s_i * unit`` with ``unit = -2 * M * Mq /
+    2**(d_r + d_q)``, a negative power of two.
 
     Error bound. Rounding moves each value by at most half a unit, so
-    ``|r' - r| <= dr = M * 2**-(F+1)`` and ``|q' - q| <= dq = Mq *
-    2**-(F+1)`` per bucket. On S, ``q'.r' - q.r = q.(r' - r) + (q' - q).r
-    + (q' - q).(r' - r)``, and q is 0 off S, so by Cauchy-Schwarz
+    ``|r' - r| <= dr = M * 2**-(d_r+1)`` and ``|q' - q| <= dq = Mq *
+    2**-(d_q+1)`` per bucket. On S, ``q'.r' - q.r = q.(r' - r) + (q' -
+    q).r + (q' - q).(r' - r)``, and q is 0 off S, so by Cauchy-Schwarz
 
         E = 2 * (dr * sqrt(|S|) * |q| + dq * sqrt(|S|) * max |r|
                  + |S| * dr * dq)
@@ -489,30 +590,29 @@ def _survivors(index: VectorIndex, query: EmbeddingVector, q_sq: float, n: int) 
 
     L is ``floor((B' - min |r|**2) / unit)``, where B' is B widened by
     ``2**-40 * (|B| + min |r|**2)``. The division, the conversion of an
-    s_i of up to 2**62 to a float and the sum in A each round by at most
-    2**-53 of those magnitudes, so with the widening ``A(L - 1) > B``
+    s_i of up to 2**(W-2) to a float and the sum in A each round by at
+    most 2**-53 of those magnitudes, so with the widening ``A(L - 1) > B``
     holds unless a step underflows. The widening is far below the 1e-9
     margin, so it adds no candidate in practice: on the seed-7 benchmark
     KB, as many rows are candidates as survive. Where ``unit`` underflows
-    to 0, the quotient is not finite, ``L <= -2**62`` or ``A(L - 1) > B``
-    fails, every row is a candidate, as every row was scored before.
+    to 0, the quotient is not finite, ``L <= -2**(W-2)`` or ``A(L - 1) >
+    B`` fails, every row is a candidate, as every row was scored before.
     """
-    count = len(index.rows)
+    count = len(index.vectors)
     buckets, values = query
     margin = 1e-9 * (q_sq + index.max_sq_norm + 1.0)
     if not buckets:
         rows, approx, error = range(count), index.sq_norms, 0.0
     else:
-        fraction_bits = _fraction_bits(index.dimension)
-        q_scale = _scale(max(map(abs, values)))
-        shift = fraction_bits - q_scale
-        acc = sum(map(mul, [round(math.ldexp(v, shift)) for v in values],
-                      map(index.packed.__getitem__, buckets)), index.offset)
-        lanes = _little_endian(array("q", (acc ^ index.offset).to_bytes(8 * count, "little")))
-        unit = math.ldexp(-2.0, index.scale + q_scale - 2 * fraction_bits)
+        q_scale, q_bits, ints = _query_ints(index, values)
+        width = index.width
+        acc = sum(map(mul, ints, map(index.packed.__getitem__, buckets)), index.offset)
+        lanes = _little_endian(array(_LANE_TYPES[width],
+                                     (acc ^ index.offset).to_bytes(width // 8 * count, "little")))
+        unit = math.ldexp(-2.0, index.scale + q_scale - index.row_bits - q_bits)
         root = math.sqrt(len(buckets))
-        d_r = math.ldexp(1.0, index.scale - fraction_bits - 1)
-        d_q = math.ldexp(1.0, q_scale - fraction_bits - 1)
+        d_r = math.ldexp(1.0, index.scale - index.row_bits - 1)
+        d_q = math.ldexp(1.0, q_scale - q_bits - 1)
         error = 2.0 * (d_r * root * math.sqrt(q_sq) + d_q * root * math.sqrt(index.max_sq_norm)
                        + len(buckets) * d_r * d_q)
         rows = range(count)
@@ -530,19 +630,20 @@ def _candidates(index: VectorIndex, acc: int, unit: float, limit: float) -> Sequ
     can score ``|r|**2 + s_i * unit <= limit`` (see ``_survivors``).
 
     Lane i of ``acc - L * ones``, with a 1 at the bottom of every lane, is
-    ``2**63 + s_i - L``; for ``-2**62 < L <= 2**62`` it lies in ``[0,
-    2**64)``, so no lane borrows, and its bit 63 is set exactly when ``s_i
-    >= L``. Masked with OFFSET, the top byte of each lane is that bit.
+    ``2**(W-1) + s_i - L``; for ``-2**(W-2) < L <= 2**(W-2)`` it lies in
+    ``[0, 2**W)``, so no lane borrows, and its bit W-1 is set exactly when
+    ``s_i >= L``. Masked with OFFSET, the top byte of each lane is that bit.
     """
-    count = len(index.rows)
+    count, width = len(index.vectors), index.width
     low = index.min_sq_norm
     quotient = (limit + (abs(limit) + low) * 2.0 ** -40 - low) / unit
     if math.isfinite(quotient):
         threshold = math.floor(quotient)
-        if threshold > -2 ** 62 and low + (threshold - 1) * unit > limit:
+        if threshold > -2 ** (width - 2) and low + (threshold - 1) * unit > limit:
             offset = index.offset
-            flags = ((acc - threshold * (offset >> 63)) & offset).to_bytes(8 * count, "little")
-            return list(compress(range(count), flags[7::8]))
+            flags = ((acc - threshold * (offset >> width - 1)) & offset).to_bytes(
+                width // 8 * count, "little")
+            return list(compress(range(count), flags[width // 8 - 1::width // 8]))
     return range(count)
 
 
@@ -558,22 +659,21 @@ def knn(index: VectorIndex, query: EmbeddingVector, n: int = DEFAULT_POOL_SIZE
     ``_survivors`` scores every row at once, in one big-int multiply-add
     per nonzero query bucket over the packed fixed-point columns, and keeps
     the rows that can still be among the ``n`` nearest; only they are
-    rescored with ``math.dist`` over the full dense rows, so ids and
-    ``s_sem`` equal a full scan's bit for bit. Every row is rescored, with
-    no filter, when ``n`` covers the index. The query, like every row, must
+    rescored with ``math.dist`` over their dense rows, which
+    ``index.rows`` pads on a row's first rescore, so ids and ``s_sem``
+    equal a full scan's bit for bit. Every row is rescored, with no
+    filter, when ``n`` covers the index. The query, like every row, must
     be ``within_bound``, so the scores cannot overflow.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not index.rows:
+    if not index.vectors:
         raise EmptyIndexError("vector index has no entries")
     values = query.dense(index.dimension)
-    rows, functions = index.rows, index.functions
-    if n < len(rows):
-        survivors = _survivors(index, query, math.hypot(*query.values) ** 2, n)
-        rows = list(map(rows.__getitem__, survivors))
-        functions = list(map(functions.__getitem__, survivors))
-    distances = list(map(math.dist, repeat(values), rows))
+    positions: Sequence[int] = range(len(index.vectors))
+    if n < len(positions):
+        positions = _survivors(index, query, math.hypot(*query.values) ** 2, n)
+    distances = list(map(math.dist, repeat(values), map(index.rows.__getitem__, positions)))
     # nsmallest is stable and the rows stay in id order, so ties go to the lower id
     nearest = heapq.nsmallest(n, range(len(distances)), key=distances.__getitem__)
-    return [Candidate(functions[position], distances[position]) for position in nearest]
+    return [Candidate(index.functions[positions[p]], distances[p]) for p in nearest]

@@ -99,7 +99,7 @@ class PropertyGraph:
     the provider that made them. Nodes are never added or removed: only
     ``build_kb`` stamps the function payloads and sets the vectors and the
     metadata, before the first query, so the function-node list worked out
-    here and the index that ``vector_index`` caches never go stale.
+    here and what ``retriever`` keeps never go stale.
     """
 
     def __init__(self, nodes: dict[str, EntityNode], edges: list[tuple[str, str, str]],
@@ -109,7 +109,7 @@ class PropertyGraph:
         self.vectors = vectors
         self.embedder_meta = embedder_meta
         self._functions = [node for node in nodes.values() if node.kind == "function"]
-        self._index = None  # see vector_index
+        self._retriever = None  # see retriever
 
     def function_nodes(self) -> list[EntityNode]:
         return list(self._functions)
@@ -117,18 +117,19 @@ class PropertyGraph:
     def functions(self) -> list[FunctionUnit]:
         return [n.payload for n in self.function_nodes() if n.payload is not None]
 
-    def vector_index(self, build: Callable[["PropertyGraph"], object]):
-        """The index over this graph's functions, from ``build(self)`` on the
-        first call and kept from then on.
+    def retriever(self, build: Callable[["PropertyGraph"], object]):
+        """What ``build(self)`` returns on the first call, kept from then on:
+        ``repair.retrieve`` keeps this graph's vector index and query
+        provider here.
 
         Concurrent first callers may all build at once; that race is
-        benign, because each uses the index it built or read and all of
-        them are equal, and the last store wins.
+        benign, because each uses what it built or read, all of them are
+        equal, and the last store wins.
         """
-        index = self._index
-        if index is None:
-            index = self._index = build(self)
-        return index
+        retriever = self._retriever
+        if retriever is None:
+            retriever = self._retriever = build(self)
+        return retriever
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PropertyGraph):
@@ -298,6 +299,9 @@ def _node_section(nodes: list[EntityNode]) -> dict:
     functions = [node.payload for node in nodes if node.kind == "function"]
     if any(fn is None for fn in functions):
         raise ValueError("a function node has no payload")
+    signatures = [fn.signature for fn in functions]
+    # few distinct signatures recur over many functions: each is rendered once
+    texts = {signature: _signature_text(signature) for signature in set(signatures)}
     return {
         "id": [node.id for node in nodes],
         "kind": [node.kind for node in nodes],
@@ -305,7 +309,7 @@ def _node_section(nodes: list[EntityNode]) -> dict:
         "contract_name": [fn.contract_name for fn in functions],
         "name": [fn.name for fn in functions],
         "source_text": [fn.source_text for fn in functions],
-        "signature": [_signature_text(fn.signature) for fn in functions],
+        "signature": list(map(texts.__getitem__, signatures)),
         "token_count": [fn.token_count for fn in functions],
         "clone_id": [fn.clone_id for fn in functions],
         "guf": [fn.guf for fn in functions],
@@ -350,7 +354,10 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
     The node section lists the nodes in ascending id order and the edge
     section the edges sorted by their positions and relation; JSON keys
     are sorted. The function nodes' vectors go to the binary fifth section
-    in node order, each as it is held, with no dense copy made. Raises
+    in node order, each as it is held, with no dense copy made. The file
+    is streamed: the header, then each section as soon as it is encoded,
+    with no copy of the whole file in memory; only the metadata is encoded
+    before the file is opened. Raises
     ValueError, before the file is opened, if a function node has no
     payload or no vector, a node kind or relation is not in
     ``RELATION_TYPING``'s vocabulary, a signature has an empty feature, or
@@ -371,16 +378,16 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
         "min_tokens": clones.min_tokens,
         "groups": {cid: sorted(members) for cid, members in clones.groups.items()},
     }
-    meta = graph.embedder_meta or {}
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<H", _VERSION)
-    sections = (node_section, edge_section, clone_section, meta)
-    for payload in (*map(_canonical_json, sections), vectors):
-        blob += struct.pack("<I", len(payload))
-        blob += payload
+    # the metadata, the one section of arbitrary JSON, is encoded before the
+    # file is opened, so a value JSON cannot hold raises with no file written
+    meta = _canonical_json(graph.embedder_meta or {})
     with open(path, "wb") as handle:
-        handle.write(bytes(blob))
+        handle.write(_MAGIC + struct.pack("<H", _VERSION))
+        # each other section is written as soon as it is encoded, and let go before the next
+        for payload in chain(map(_canonical_json, (node_section, edge_section, clone_section)),
+                             [meta, vectors]):
+            handle.write(struct.pack("<I", len(payload)))
+            handle.write(payload)
 
 
 def _columns(section: dict, types: Mapping[str, set], length: Optional[int] = None,
@@ -487,7 +494,7 @@ def _vector_fault(vector: EmbeddingVector, dimension: int) -> Optional[str]:
     return None
 
 
-def _vectors(section: bytes, function_ids: list[str],
+def _vectors(section: memoryview, function_ids: list[str],
              dimension: int) -> dict[str, EmbeddingVector]:
     """The fifth section's vectors by function id, if save_kb could have
     written it for ``function_ids``: one count for each of them, a length of
@@ -552,6 +559,7 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     """
     with open(path, "rb") as handle:
         blob = handle.read()
+    view = memoryview(blob)  # the sections are slices of it, not copies
     if len(blob) < 4 or blob[:4] != _MAGIC:
         if len(blob) < 4:
             raise FormatError("Truncated", f"{path}: too short for a header")
@@ -571,7 +579,7 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         offset += 4
         if offset + length > len(blob):
             raise FormatError("Truncated", f"{path}: section {index} payload cut short")
-        payloads.append(blob[offset:offset + length])
+        payloads.append(view[offset:offset + length])
         offset += length
     if offset != len(blob):
         raise FormatError("Corrupt", f"{path}: {len(blob) - offset} trailing byte(s)")
@@ -579,7 +587,7 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     sections = []
     for index, text in enumerate(texts):
         try:
-            sections.append(json.loads(text.decode("utf-8")))
+            sections.append(json.loads(str(text, "utf-8")))
         except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8, huge ints
             raise FormatError("Corrupt", f"{path}: section {index} undecodable ({exc})") from None
 
@@ -688,7 +696,9 @@ def build_kb(paths: Iterable[str], embedder,
     embedded with one ``embed`` call. ``build_graph`` then makes the graph
     of the kept payloads, functions of ``CLONE_MIN_TOKENS`` or more are
     grouped by their clone keys, and each function node gets its payload
-    with its clone id and guf from one ``FunctionUnit`` constructor call.
+    with its clone id and guf from one ``FunctionUnit`` constructor call;
+    the payloads of equal signatures share one ``SignatureFeatures``, as
+    ``load_kb``'s do.
     The report lists every parse diagnostic before every triple diagnostic.
     """
     report = BuildReport()
@@ -736,10 +746,13 @@ def build_kb(paths: Iterable[str], embedder,
     graph = build_graph(triples, list(payloads.values()))
     clones = assign_clone_groups(graph.functions(), keys)
     stamps = compute_guf(graph, clones)
+    # one SignatureFeatures per distinct signature, shared by its functions
+    signatures: dict[SignatureFeatures, SignatureFeatures] = {}
     for node, (clone_id, guf) in zip(graph.function_nodes(), stamps):
         fn = node.payload
+        signature = signatures.setdefault(fn.signature, fn.signature)
         node.payload = FunctionUnit(fn.id, fn.contract_name, fn.name, fn.source_text,
-                                    fn.signature, fn.token_count, clone_id, guf)
+                                    signature, fn.token_count, clone_id, guf)
     graph.vectors = vectors
     graph.embedder_meta = {
         "name": embedder.name,

@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import verify
-from .embedding import DEFAULT_POOL_SIZE, Candidate, index_from_graph, knn, provider_from_meta
+from .embedding import (
+    DEFAULT_POOL_SIZE,
+    Candidate,
+    VectorIndex,
+    index_from_graph,
+    knn,
+    provider_from_meta,
+)
 from .graph import PropertyGraph
 from .ingest import SourceUnit
 from .llm import LlmError, LlmRequest
@@ -105,6 +112,11 @@ class Retrieval:
         return dataclasses.replace(self, selected=self.selected[:k])
 
 
+def _retriever(kb: PropertyGraph) -> tuple[VectorIndex, object]:
+    """The KB's vector index and the query provider its metadata names."""
+    return index_from_graph(kb), provider_from_meta(kb.embedder_meta)
+
+
 def retrieve(kb: PropertyGraph, unit: SourceUnit, fn: FunctionUnit, k: int = DEFAULT_K
              ) -> Retrieval:
     """Embed ``fn``, take its DEFAULT_POOL_SIZE nearest KB functions, rerank to ``k``.
@@ -113,13 +125,14 @@ def retrieve(kb: PropertyGraph, unit: SourceUnit, fn: FunctionUnit, k: int = DEF
     the KB metadata names (``name``, ``dimension``, ``embed``) embeds ``fn``
     from its declaration tokens there, as ``build_kb`` embeds every KB row,
     so nothing is lexed again, into a vector of a norm at most 2**510. The
-    KB keeps its vector index across calls. The provider is made per call,
-    because a remote one holds an HTTP session that concurrent ``evaluate``
-    workers must not share.
+    KB keeps its vector index and that provider across calls
+    (``_retriever``); a remote provider gives each thread its own HTTP
+    session, so concurrent ``evaluate`` workers share one provider but no
+    connection pool.
     """
-    provider = provider_from_meta(kb.embedder_meta)
+    index, provider = kb.retriever(_retriever)
     [query_vector] = provider.embed([(fn.source_text, unit.declaration_tokens(fn))])
-    pool = knn(kb.vector_index(index_from_graph), query_vector, DEFAULT_POOL_SIZE)
+    pool = knn(index, query_vector, DEFAULT_POOL_SIZE)
     selected, fallback = rerank(pool, required_signature(fn), k)
     return Retrieval(pool_size=len(pool), fallback=fallback, selected=selected)
 

@@ -3,6 +3,7 @@ import heapq
 import json
 import math
 import random
+import threading
 from array import array
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from scpatcher.embedding import (
 from scpatcher.graph import build_kb
 from scpatcher.ingest import lex, load_source
 from scpatcher.model import FunctionUnit, SignatureFeatures
+from scpatcher.repair import retrieve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -250,19 +252,22 @@ def test_knn_matches_loop_reference_on_fixture_kb(kb):
 
 @st.composite
 def _index_and_query(draw, exponents=st.integers(-150, 150)):
-    """Sparse, duplicate, near-duplicate and all-zero rows; a sparse, dense,
-    all-zero or row-equal query; signed values of two magnitudes from
-    1e-166 to 1e152 (or as ``exponents`` sets them), so that one column
-    can hold 1e-12 and 1.0; and ``n`` anywhere, or where the n-th and the
-    next distance tie."""
-    dimension = draw(st.sampled_from([1, 3, 12, 36, 64]))
+    """Sparse, duplicate, near-duplicate, flat (every bucket one value) and
+    all-zero rows; a sparse, dense, flat, all-zero or row-equal query;
+    signed values of two magnitudes from 1e-166 to 1e152 (or as
+    ``exponents`` sets them), so that one column can hold 1e-12 and 1.0;
+    dimensions up to 256, whose index has 32-bit lanes, and 4096, whose
+    has 64-bit ones; and ``n`` anywhere, or where the n-th and the next
+    distance tie."""
+    dimension = draw(st.sampled_from([1, 3, 12, 36, 64, 256, 4096]))
     exponent = draw(exponents)
     small = exponent - draw(st.integers(0, 14))
     value = st.builds(lambda m, e, low: m * 10.0 ** ((small if low else exponent) + e),
                       st.floats(-1.0, 1.0), st.integers(-2, 2), st.booleans())
 
     def sparse(most):
-        picked = draw(st.dictionaries(st.integers(0, dimension - 1), value, max_size=most))
+        picked = draw(st.dictionaries(st.integers(0, dimension - 1), value,
+                                      max_size=min(most, 16)))
         return tuple(picked.get(j, 0.0) for j in range(dimension))
 
     def near(row):
@@ -273,19 +278,23 @@ def _index_and_query(draw, exponents=st.integers(-150, 150)):
 
     rows = []
     for _ in range(draw(st.integers(1, 24))):
-        kind = draw(st.sampled_from(["sparse", "sparse", "duplicate", "near", "zero"]))
+        kind = draw(st.sampled_from(["sparse", "sparse", "duplicate", "near", "zero", "flat"]))
         if kind in ("duplicate", "near") and rows:
             row = draw(st.sampled_from(rows))
             rows.append(row if kind == "duplicate" else near(row))
         elif kind == "zero":
             rows.append((0.0,) * dimension)
+        elif kind == "flat":
+            rows.append((draw(value),) * dimension)
         else:
             rows.append(sparse(max(1, dimension // 4)))
-    kind = draw(st.sampled_from(["sparse", "dense", "zero", "row"]))
+    kind = draw(st.sampled_from(["sparse", "dense", "flat", "zero", "row"]))
     if kind == "sparse":
         query = sparse(max(1, dimension // 6))
-    elif kind == "dense":
+    elif kind == "dense" and dimension <= 256:
         query = tuple(draw(st.lists(value, min_size=dimension, max_size=dimension)))
+    elif kind in ("dense", "flat"):
+        query = (draw(value),) * dimension
     elif kind == "zero":
         query = (0.0,) * dimension
     else:
@@ -304,7 +313,9 @@ def _index_and_query(draw, exponents=st.integers(-150, 150)):
 @given(_index_and_query())
 def test_knn_equals_the_dense_scan(case):
     vectors, functions, query, n, dimension = case
-    got = knn(_index(functions, vectors, dimension), EmbeddingVector.from_dense(query), n)
+    index = _index(functions, vectors, dimension)
+    assert index.width == (64 if dimension > 256 else 32)
+    got = knn(index, EmbeddingVector.from_dense(query), n)
     reference = _dense_knn(vectors, query, n)
     assert [c.fn.id for c in got] == [fid for _, fid in reference]
     assert [c.s_sem for c in got] == [distance for distance, _ in reference]
@@ -323,15 +334,17 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
     functions = [_fn(i) for i in range(300)]
     vectors = {f.id: sparse(rng.randrange(10, 37)) for f in functions}
     index = _index(functions, vectors, dimension)
+    assert index.rows == {}
     rescored = []
     dist = math.dist
 
     def counting_dist(p, q):
         if len(p) == dimension:
-            rescored.append(p)
+            rescored.append(q)
         return dist(p, q)
 
     dense = tuple(rng.uniform(-1, 1) for _ in range(dimension))
+    padded = {}
     for query, n, filtered in ((sparse(18), 5, True), (dense, 5, True),
                                (sparse(18), 300, False), (sparse(18), 400, False)):
         rescored.clear()
@@ -344,21 +357,29 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
             assert n <= len(rescored) <= 30
         else:
             assert len(rescored) == 300
+        # a query pads only the rows it rescores, each once: a row padded
+        # before is rescored as that same tuple
+        padded.update((id(row), row) for row in rescored)
+        assert {id(row) for row in index.rows.values()} == set(padded)
+    assert all(row == index.vectors[i].dense(dimension) for i, row in index.rows.items())
 
 
 def test_knn_keeps_the_nearest_row_when_rounding_ranks_it_behind():
-    """At dimension 64, F = 28, and values just above 1/8 make M = 1/4, so a
-    quantum is u = 2**-30. Every value of the nearer row rounds down by
-    0.49u and every value of the farther row up by 0.49u: the filter's
-    scores misrank them by about 15.7u, more than the float margin, and
-    only the 2E term keeps the nearer row."""
+    """At dimension 64, values just above 1/8 make M = 1/4, and rows of 64
+    such values have a norm of 4M, so d_r = 12, the most with 4 * 2**d_r +
+    sqrt(64) / 2 <= 2**15, and a quantum is u = M / 2**12 = 2**-14. Every
+    value of the nearer row rounds down by 0.49u and every value of the
+    farther row up by 0.51u: the filter's scores misrank them by about
+    15.7u, more than the float margin, and only the 2E term keeps the
+    nearer row."""
     dimension = 64
-    u = 2.0 ** -30
+    u = 2.0 ** -14
     functions = [_fn(i) for i in range(4)]
     rows = [(0.125 + 0.51 * u,) * dimension, (0.125 + 0.49 * u,) * dimension,
             (0.0,) * dimension, (-0.125,) * dimension]
     vectors = {f.id: row for f, row in zip(functions, rows)}
     index = _index(functions, vectors, dimension)
+    assert (index.width, index.scale, index.row_bits) == (32, -2, 12)
     query = (0.125,) * dimension
     got = knn(index, EmbeddingVector.from_dense(query), 1)
     assert [(c.s_sem, c.fn.id) for c in got] == _dense_knn(vectors, query, 1)
@@ -367,8 +388,10 @@ def test_knn_keeps_the_nearest_row_when_rounding_ranks_it_behind():
 
 def test_knn_equals_the_dense_scan_at_the_largest_lane_sums():
     """Every value of a dense query at the index's largest magnitude, a power
-    of two, against rows all at that magnitude: a lane sums 2048 products
-    of 2**F each, the largest sum the fraction bits allow at this dimension."""
+    of two, against rows all at that magnitude. Rows of 2048 such values
+    would get 9 fraction bits in 32-bit lanes, so the index has 64-bit
+    ones, with d_r = 25; the query gets d_q = 25 too, and a lane sums 2048
+    products of 2**25 * 2**25, 2**61, half the 2**62 that the lanes allow."""
     rng = random.Random(2048)
     dimension = 2048
     top = 0.5
@@ -381,28 +404,32 @@ def test_knn_equals_the_dense_scan_at_the_largest_lane_sums():
     functions = [_fn(i) for i in range(len(rows))]
     vectors = {f.id: row for f, row in zip(functions, rows)}
     index = _index(functions, vectors, dimension)
+    assert (index.width, index.row_bits) == (64, 25)
+    assert embedding._query_ints(index, (top,) * dimension)[1] == 25
     for query in ((top,) * dimension, (-top,) * dimension):
         for n in (1, 2, 3, 8):
             got = knn(index, EmbeddingVector.from_dense(query), n)
             assert [(c.s_sem, c.fn.id) for c in got] == _dense_knn(vectors, query, n)
 
 
+def _row_ints(index):
+    """Each row's values quantized, ``round(v * 2**d_r / M)``, by bucket."""
+    shift = index.row_bits - index.scale
+    return [{j: round(math.ldexp(v, shift)) for j, v in zip(*vector)}
+            for vector in index.vectors]
+
+
 def _float_lanes(index, query):
-    """The lane sums s_i, the unit and the error bound E of ``_survivors``."""
+    """The lane sums s_i, the unit and the error bound E of ``_survivors``,
+    with each s_i summed from the quantized values, not read from the lanes."""
     buckets, values = query
-    fraction_bits = embedding._fraction_bits(index.dimension)
-    q_scale = embedding._scale(max(map(abs, values)))
-    count = len(index.rows)
-    offset = int.from_bytes((bytes(7) + b"\x80") * count, "little")
-    acc = sum((round(math.ldexp(v, fraction_bits - q_scale)) * index.packed[j]
-               for j, v in zip(buckets, values)), offset)
-    lanes = embedding._little_endian(
-        array("q", (acc ^ offset).to_bytes(8 * count, "little"))).tolist()
-    unit = math.ldexp(-2.0, index.scale + q_scale - 2 * fraction_bits)
+    q_scale, q_bits, ints = embedding._query_ints(index, values)
+    lanes = [sum(q * row.get(j, 0) for j, q in zip(buckets, ints)) for row in _row_ints(index)]
+    unit = math.ldexp(-2.0, index.scale + q_scale - index.row_bits - q_bits)
     q_sq = math.hypot(*values) ** 2
     root = math.sqrt(len(buckets))
-    d_r = math.ldexp(1.0, index.scale - fraction_bits - 1)
-    d_q = math.ldexp(1.0, q_scale - fraction_bits - 1)
+    d_r = math.ldexp(1.0, index.scale - index.row_bits - 1)
+    d_q = math.ldexp(1.0, q_scale - q_bits - 1)
     error = 2.0 * (d_r * root * math.sqrt(q_sq) + d_q * root * math.sqrt(index.max_sq_norm)
                    + len(buckets) * d_r * d_q)
     return lanes, unit, error
@@ -448,13 +475,43 @@ def test_survivors_equal_the_float_filter_over_every_row(kind, data):
     assert embedding._survivors(index, query, q_sq, n) == _float_filter(index, query, q_sq, n)
 
 
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(_EXPONENTS)), st.data())
+def test_lane_sums_are_the_quantized_dot_products_within_the_lane(kind, data):
+    """The lanes that ``_survivors`` reads out of the packed columns are the
+    dot products of the quantized query and rows, each within ``2**(W-2)``,
+    so inside the signed W-bit lane; the rows' ints have a norm of at most
+    2**(W/2 - 1), the query's fit ``query_limit``, and neither side gets
+    fewer than MIN_FRACTION_BITS."""
+    vectors, functions, dense_query, _n, dimension = data.draw(_index_and_query(_EXPONENTS[kind]))
+    query = EmbeddingVector.from_dense(dense_query)
+    assume(query.buckets)
+    index = _index(functions, vectors, dimension)
+    width = index.width
+    _q_scale, q_bits, ints = embedding._query_ints(index, query.values)
+    assert min(index.row_bits, q_bits) >= embedding.MIN_FRACTION_BITS
+    rows = _row_ints(index)
+    row_sq = [sum(r * r for r in row.values()) for row in rows]
+    assert max(row_sq) <= 2 ** (width - 2)
+    q_sq = sum(q * q for q in ints)
+    assert q_sq <= index.query_limit ** 2
+    assert q_sq * max(row_sq) <= 2 ** (2 * width - 4)  # Cauchy-Schwarz: |s_i| <= 2**(W-2)
+    acc = sum((q * index.packed[j] for j, q in zip(query.buckets, ints)), index.offset)
+    raw = (acc ^ index.offset).to_bytes(width // 8 * len(index), "little")
+    lanes = [int.from_bytes(raw[k:k + width // 8], "little", signed=True)
+             for k in range(0, len(raw), width // 8)]
+    assert lanes == _float_lanes(index, query)[0]
+    assert all(abs(lane) <= 2 ** (width - 2) for lane in lanes)
+
+
 def test_fixture_kb_candidates_are_the_survivors(kb, monkeypatch):
     """For every unit-norm query on the fixture KB, the lanes pick out no row
     that the float scores then drop."""
     graph, _, _ = kb
     index = index_from_graph(graph)
     assert index.min_sq_norm == min(index.sq_norms)
-    assert index.offset == sum(1 << 64 * i + 63 for i in range(len(index)))
+    assert index.width == 32
+    assert index.offset == sum(1 << 32 * i + 31 for i in range(len(index)))
     picked = []
     candidates = embedding._candidates
     monkeypatch.setattr(embedding, "_candidates",
@@ -543,20 +600,26 @@ def test_build_index_rejects_mixed_dimensions():
 def test_build_index_rows_and_columns_are_the_dense_vectors():
     functions = [_fn(i) for i in range(3)]
     dense = [(0.0, 0.5, 0.0, -2.0), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 3.0)]
-    index = _index(functions, {f.id: row for f, row in zip(functions, dense)}, 4)
-    assert index.rows == dense
-    # M = 2**2, the smallest power of two at or above 3.0, and F = (62 - 2) // 2
-    # at dimension 4: row i holds round(v * 2**F / M) from bit 64 * i up
-    assert index.scale == 2
+    sparse = {f.id: EmbeddingVector.from_dense(row) for f, row in zip(functions, dense)}
+    index = build_index(functions, sparse, 4)
+    # the index keeps the vectors it was given, and pads no row until one is read
+    assert all(vector is sparse[f.id] for f, vector in zip(functions, index.vectors))
+    assert index.rows == {}
+    assert [index.rows[i] for i in range(3)] == dense
+    # M = 2**2, the smallest power of two at or above 3.0; the largest row
+    # norm is sqrt(10) = 0.79 M over at most 2 values, so d_r = 15, the most
+    # with 0.79 * 2**d_r + sqrt(2) / 2 <= 2**15, in 32-bit lanes: row i
+    # holds round(v * 2**15 / M) from bit 32 * i up
+    assert (index.width, index.scale, index.row_bits) == (32, 2, 15)
     assert index.packed == tuple(
-        sum(round(row[j] * 2 ** 30 / 4) << 64 * i for i, row in enumerate(dense))
+        sum(round(row[j] * 2 ** 15 / 4) << 32 * i for i, row in enumerate(dense))
         for j in range(4))
     # a negative value borrows from the lanes above it
-    assert index.packed[3] == -(2 ** 29) + (3 * 2 ** 28 << 128)
+    assert index.packed[3] == -(2 ** 14) + (3 * 2 ** 13 << 64)
     assert index.sq_norms == tuple(math.hypot(*row) ** 2 for row in dense)
     assert index.max_sq_norm == max(index.sq_norms)
-    # every zero in the rows is one shared float
-    zeros = {id(v) for line in index.rows for v in line if v == 0.0}
+    # every zero in the padded rows is one shared float
+    zeros = {id(v) for line in index.rows.values() for v in line if v == 0.0}
     assert len(zeros) == 1
 
 
@@ -681,3 +744,52 @@ def test_remote_vectors_are_sparse_floats_with_their_zeros_dropped():
     assert first == ((1, 4), (0.5, 2.0))
     assert all(type(v) is float for v in first.values)
     assert zero == ((), ())
+
+
+def _counted_sessions(monkeypatch, dimension):
+    """Every session ``requests.Session()`` makes, each a fake that answers
+    with the hashing embedder's vectors of ``dimension``."""
+    made = []
+
+    def session():
+        made.append(_FakeSession(_hashing_reply(dimension)))
+        return made[-1]
+
+    monkeypatch.setattr(requests, "Session", session)
+    return made
+
+
+def test_retrieve_on_a_remote_kb_makes_one_query_session(corpus_paths, monkeypatch):
+    remote = RemoteEmbedder(url="http://embed.test/v1", dimension=16,
+                            session=_FakeSession(_hashing_reply(16)))
+    graph, _, _ = build_kb(corpus_paths, remote)
+    monkeypatch.setenv(embedding.EMBED_URL_VAR, "http://embed.test/v1")
+    sessions = _counted_sessions(monkeypatch, 16)
+    unit = load_source(corpus_paths[0])
+    fn = unit.contracts[0].functions[0].fn
+    results = [retrieve(graph, unit, fn, k=3) for _ in range(3)]
+    assert len(sessions) == 1
+    assert [len(post["input"]) for post in sessions[0].posts] == [1, 1, 1]
+    assert results[0] == results[1] == results[2]
+    assert results[0].selected[0].fn.id == fn.id
+
+
+def test_remote_without_a_session_makes_one_per_thread(monkeypatch):
+    sessions = _counted_sessions(monkeypatch, 8)
+    remote = RemoteEmbedder(url="http://embed.test/v1", dimension=8)
+    assert sessions == []
+    barrier = threading.Barrier(2, timeout=10)
+
+    def call():
+        remote.embed([("function a() {}", lex("function a() {}"))])
+        barrier.wait()  # both threads are alive, and have called, at once
+        remote.embed([("function b() {}", lex("function b() {}"))])
+
+    threads = [threading.Thread(target=call) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    # each thread posted both of its calls through the one session it made
+    assert [len(session.posts) for session in sessions] == [2, 2]

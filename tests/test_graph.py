@@ -869,6 +869,19 @@ def test_save_rejects_a_name_outside_the_vocabulary_before_opening_the_file(
     assert not path.exists()
 
 
+def test_save_of_metadata_json_cannot_hold_leaves_the_file_as_it_was(kb, kb_file, tmp_path):
+    # the file is streamed section by section, but nothing is written before
+    # the metadata is encoded
+    graph, clones, _ = kb
+    path = tmp_path / "kept.scpk"
+    path.write_bytes(Path(kb_file).read_bytes())
+    bad = PropertyGraph(graph.nodes, graph.edges, graph.vectors,
+                        {**graph.embedder_meta, "note": {1, 2}})
+    with pytest.raises(TypeError):
+        save_kb(bad, clones, path)
+    assert path.read_bytes() == Path(kb_file).read_bytes()
+
+
 def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, tmp_path):
     # with no dimension in the metadata, buckets are bounded by the default, 256
     def drop_dimension(nodes, edges, clones, meta, vectors):
@@ -921,15 +934,24 @@ def test_loaded_kb_retrieves_as_the_built_one(kb, kb_file, corpus_paths):
 
 
 def test_loaded_kb_index_equals_the_built_one(kb, kb_file):
-    built = index_from_graph(kb[0])
-    loaded = index_from_graph(load_kb(kb_file)[0])
+    loaded_graph = load_kb(kb_file)[0]
+    built, loaded = index_from_graph(kb[0]), index_from_graph(loaded_graph)
     assert len(built) == 28
-    assert loaded.rows == built.rows
+    # each index keeps its KB's own vectors, and pads no row before a query
+    for graph, index in ((kb[0], built), (loaded_graph, loaded)):
+        assert all(vector is graph.vectors[fn.id]
+                   for fn, vector in zip(index.functions, index.vectors))
+        assert index.rows == {}
+    assert loaded.vectors == built.vectors
     assert loaded.packed == built.packed
     assert loaded.sq_norms == built.sq_norms
-    assert ((loaded.dimension, loaded.scale, loaded.max_sq_norm)
-            == (built.dimension, built.scale, built.max_sq_norm))
+    fields = ("dimension", "width", "scale", "row_bits", "query_limit", "max_sq_norm",
+              "min_sq_norm", "offset")
+    assert [getattr(loaded, name) for name in fields] == [getattr(built, name) for name in fields]
     assert [f.id for f in loaded.functions] == [f.id for f in built.functions]
+    assert loaded == built
+    assert ([loaded.rows[i] for i in range(28)] == [built.rows[i] for i in range(28)]
+            == [vector.dense(256) for vector in built.vectors])
 
 
 def test_a_vector_of_norm_2_to_the_510_loads_and_retrieves_as_the_dense_scan(
