@@ -10,10 +10,13 @@ metadata records the provider's name, a key of ``PROVIDERS``.
 
 Vectors are sparse up to the rescore: an ``EmbeddingVector`` is the pair
 (buckets, values) of its nonzero buckets, in ascending order, and their
-values; every other bucket is 0.0. Providers return such pairs,
-``PropertyGraph.vectors`` holds them, the knowledge-base file stores them
-and the index keeps them, not copies. Only ``knn`` pads a vector out to
-a dense row: its query, and an index row the first time it rescores it.
+values; every other bucket is 0.0. Its constructor stores the buckets as a
+u32 ``array`` and the values as an ``array("d")``, so every vector has one
+representation, whichever provider made it or ``load_kb`` read it: 4 bytes
+per bucket and 8 per value, with no int or float object per item.
+``PropertyGraph.vectors`` holds them, the knowledge-base file stores their
+bytes and the index keeps them, not copies. Only ``knn`` pads a vector out
+to a dense row: its query, and an index row the first time it rescores it.
 
 Every vector enters through a provider's ``embed`` or ``load_kb``, and
 both hold it to ``within_bound``: finite values of a norm at most
@@ -108,24 +111,56 @@ class EmptyIndexError(Exception):
     """Retrieval attempted against an index with no entries."""
 
 
-class EmbeddingVector(NamedTuple):
+#: The ``array`` type code of an unsigned 32-bit int, a bucket's type.
+BUCKET_TYPE = {8 * array(code).itemsize: code for code in "IL"}[32]
+
+
+class _VectorFields(NamedTuple):
+    buckets: array
+    values: array
+
+
+class EmbeddingVector(_VectorFields):
     """A sparse vector: its nonzero buckets, ascending, and their values.
 
     Every bucket it does not list is 0.0; the dimension is the provider's
-    (or the index's), not the vector's.
+    (or the index's), not the vector's. Every way to build one (the
+    constructor, ``_make`` and ``_replace``) stores the buckets as an
+    ``array(BUCKET_TYPE)`` and the values as an ``array("d")``, and keeps
+    an array that already has its field's type code as it is, not a copy.
+    Buckets that no u32 can hold (a negative one, or one of 2**32 or more)
+    stay a tuple of ints, which no index accepts and no knowledge base
+    stores. A bucket that is no int, or a value that is no number, raises
+    TypeError. The constructor checks no order, bound or length: that is
+    for whoever stores the vector (``graph._vector_fault``).
     """
 
-    buckets: tuple[int, ...]
-    values: tuple[float, ...]
+    __slots__ = ()
+
+    def __new__(cls, buckets: Iterable[int], values: Iterable[float]) -> "EmbeddingVector":
+        # each is made a list first: an array fills fastest from one
+        if type(buckets) is not array or buckets.typecode != BUCKET_TYPE:
+            buckets = list(buckets)
+            try:
+                buckets = array(BUCKET_TYPE, buckets)
+            except OverflowError:
+                buckets = tuple(buckets)
+        if type(values) is not array or values.typecode != "d":
+            values = array("d", list(values))
+        return tuple.__new__(cls, (buckets, values))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "EmbeddingVector":
+        return cls(*iterable)
 
     @classmethod
     def from_dense(cls, values: Sequence[float]) -> "EmbeddingVector":
         """The pair of a dense vector, with its zeros dropped."""
-        buckets = tuple(compress(range(len(values)), values))
-        return cls(buckets, tuple(map(values.__getitem__, buckets)))
+        buckets = array(BUCKET_TYPE, compress(range(len(values)), values))
+        return cls(buckets, map(values.__getitem__, buckets))
 
     def dense(self, dimension: int) -> tuple[float, ...]:
-        """All ``dimension`` values, every zero the one shared 0.0.
+        """All ``dimension`` values as a tuple, every zero the one shared 0.0.
 
         Raises DimensionMismatchError for a bucket outside ``range(dimension)``.
         """
@@ -200,7 +235,7 @@ class HashingEmbedder:
         order = sorted(per_bucket)
         weights = list(map(math.log1p, map(per_bucket.__getitem__, order)))
         norm = math.sqrt(sum(map(mul, weights, weights)))
-        return EmbeddingVector(tuple(order), tuple(map(truediv, weights, repeat(norm))))
+        return EmbeddingVector(order, map(truediv, weights, repeat(norm)))
 
 
 class RemoteEmbedder:
@@ -355,9 +390,10 @@ class VectorIndex:
     gets with those two norms, which lets ``_survivors`` pick its
     candidates from the lanes. ``offset`` is the int with bit W - 1 of
     every lane set, which the filter adds to its sum and masks its lanes
-    with. The garbage collector does not track ints, and stops tracking a
-    tuple of floats at the first collection it survives, so its full
-    collections walk neither the packed columns nor the padded rows.
+    with. The garbage collector tracks no int and no ``array``, and stops
+    tracking a tuple of floats, or of arrays, at the first collection it
+    survives, so its full collections walk none of the packed columns, the
+    vectors or the padded rows.
     """
 
     dimension: int

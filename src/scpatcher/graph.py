@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -48,10 +49,12 @@ from operator import lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .embedding import (
+    BUCKET_TYPE,
     PROVIDERS,
     EmbeddingVector,
     HashingEmbedder,
     ProviderError,
+    _little_endian,
     meta_dimension,
     within_bound,
 )
@@ -82,7 +85,7 @@ class FormatError(CodedError):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityNode:
     id: str
     kind: str  # a node kind's name in RELATION_TYPING
@@ -95,8 +98,9 @@ class PropertyGraph:
 
     ``nodes`` maps each id to its node, ``edges`` holds each (subject id,
     relation name, object id) once, ``vectors`` maps function ids to their
-    sparse embeddings, (buckets, values) pairs, and ``embedder_meta`` names
-    the provider that made them. Nodes are never added or removed: only
+    sparse ``EmbeddingVector``s, each a u32 array of buckets and an
+    ``array("d")`` of values, and ``embedder_meta`` names the provider
+    that made them. Nodes are never added or removed: only
     ``build_kb`` stamps the function payloads and sets the vectors and the
     metadata, before the first query, so the function-node list worked out
     here and what ``retriever`` keeps never go stale.
@@ -326,7 +330,9 @@ def _edge_section(ids: list[str], edges: Iterable[tuple[str, str, str]]) -> dict
 
 
 def _vector_section(function_ids: list[str], vectors: Mapping[str, EmbeddingVector]) -> bytes:
-    """The vectors of ``function_ids``, in that order, as the fifth section.
+    """The vectors of ``function_ids``, in that order, as the fifth section:
+    the counts, the buckets and the values, each gathered into one array and
+    written as its bytes.
 
     Raises ValueError for a function without a vector, a vector with more
     buckets than values or fewer, or a bucket or value that a u32 or an
@@ -336,16 +342,17 @@ def _vector_section(function_ids: list[str], vectors: Mapping[str, EmbeddingVect
         pairs = [vectors[function_id] for function_id in function_ids]
     except KeyError as exc:
         raise ValueError(f"function {exc.args[0]!r} has no vector") from None
-    counts = [len(buckets) for buckets, _values in pairs]
-    if any(len(values) != count for count, (_buckets, values) in zip(counts, pairs)):
-        raise ValueError("a vector has more buckets than values, or fewer")
-    total = sum(counts)
-    try:
-        return struct.pack(f"<{len(counts)}I{total}I{total}d", *counts,
-                           *chain.from_iterable(buckets for buckets, _values in pairs),
-                           *chain.from_iterable(values for _buckets, values in pairs))
-    except struct.error as exc:
-        raise ValueError(f"a vector does not fit u32 buckets and f64 values ({exc})") from None
+    counts, buckets, values = array(BUCKET_TYPE), array(BUCKET_TYPE), array("d")
+    for vector_buckets, vector_values in pairs:
+        if len(vector_buckets) != len(vector_values):
+            raise ValueError("a vector has more buckets than values, or fewer")
+        try:
+            buckets.extend(vector_buckets)
+            values.extend(vector_values)
+        except (OverflowError, TypeError) as exc:
+            raise ValueError(f"a vector does not fit u32 buckets and f64 values ({exc})") from None
+        counts.append(len(vector_buckets))
+    return b"".join(_little_endian(column).tobytes() for column in (counts, buckets, values))
 
 
 def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
@@ -443,6 +450,12 @@ def _read_nodes(section) -> tuple[dict[str, EntityNode], list[str], list[str], l
     function_ids = [nid for nid, kind in zip(ids, kinds) if kind == "function"]
     contract_names, names, sources, signatures, token_counts, clone_ids, gufs = _columns(
         section, _FUNCTION_COLUMNS, len(function_ids))
+    # a contract name, a function name or a clone id recurs over many
+    # functions: its functions share one str, as build_kb's payloads do
+    shared = {}
+    contract_names, names, clone_ids = (
+        [shared.setdefault(text, text) for text in column]
+        for column in (contract_names, names, clone_ids))
     # few distinct signatures recur over many functions: each is read once,
     # and its functions share the immutable SignatureFeatures
     read = {text: _signature(text) for text in set(signatures)}
@@ -494,29 +507,41 @@ def _vector_fault(vector: EmbeddingVector, dimension: int) -> Optional[str]:
     return None
 
 
+def _array(typecode: str, data: memoryview) -> array:
+    """The little-endian items of ``data`` as an array of ``typecode``."""
+    items = array(typecode)
+    items.frombytes(data)
+    return _little_endian(items)
+
+
 def _vectors(section: memoryview, function_ids: list[str],
              dimension: int) -> dict[str, EmbeddingVector]:
     """The fifth section's vectors by function id, if save_kb could have
     written it for ``function_ids``: one count for each of them, a length of
     exactly ``4 * len(function_ids) + 12 * sum(counts)``, and each vector's
     buckets strictly ascending below ``dimension`` and its values
-    ``within_bound`` (see ``_vector_fault``)."""
+    ``within_bound`` (see ``_vector_fault``).
+
+    The counts, the buckets and the values are each read as one array, and
+    each vector is a slice of the last two.
+    """
     head = 4 * len(function_ids)
     if len(section) < head:
         raise ValueError(f"vector section of {len(section)} bytes is shorter than "
                          f"{len(function_ids)} counts")
-    counts = struct.unpack_from(f"<{len(function_ids)}I", section)
+    counts = _array(BUCKET_TYPE, section[:head])
     total = sum(counts)
-    # checked before anything else is unpacked, so a corrupt count allocates nothing
+    # checked before anything else is read, so a corrupt count allocates nothing
     if len(section) != head + 12 * total:
         raise ValueError(f"vector section of {len(section)} bytes, where its counts "
                          f"make {head + 12 * total}")
-    buckets = struct.unpack_from(f"<{total}I", section, head)
-    values = struct.unpack_from(f"<{total}d", section, head + 4 * total)
+    buckets = _array(BUCKET_TYPE, section[head:head + 4 * total])
+    values = _array("d", section[head + 4 * total:])
     vectors, start = {}, 0
     for function_id, count in zip(function_ids, counts):
         end = start + count
-        vector = EmbeddingVector(buckets[start:end], values[start:end])
+        # the slices already have the fields' types, so nothing is left to coerce
+        vector = tuple.__new__(EmbeddingVector, (buckets[start:end], values[start:end]))
         start = end
         fault = _vector_fault(vector, dimension)
         if fault is not None:
@@ -553,9 +578,11 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     is at least 1); or a vector not ``within_bound``: not finite or
     of a norm above 2**510, the bound every provider's ``embed`` holds, so
     that ``knn`` cannot overflow. The metadata must name a provider
-    (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``, and its
-    ``corpus_hashes``, if it has them, must be an object of strings. A file
-    of format 1, 2 or 3 raises FormatError("VersionMismatch").
+    (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``; its
+    ``dimension``, if it has one, must be an int from 1 to
+    ``MAX_DIMENSION``; and its ``corpus_hashes``, if it has them, must be an
+    object of strings. A file of format 1, 2 or 3 raises
+    FormatError("VersionMismatch").
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -598,9 +625,10 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
     name = meta.get("name", HashingEmbedder.name)
     if type(name) is not str or name not in PROVIDERS:
         raise FormatError("Corrupt", f"{path}: unknown embedder {name!r}")
-    if "dimension" in meta and (type(meta["dimension"]) is not int or meta["dimension"] < 1):
-        raise FormatError("Corrupt",
-                          f"{path}: dimension {meta['dimension']!r} is not a positive int")
+    if "dimension" in meta and (type(meta["dimension"]) is not int
+                                or not 1 <= meta["dimension"] <= MAX_DIMENSION):
+        raise FormatError("Corrupt", f"{path}: dimension {meta['dimension']!r} is not an "
+                                     f"int in 1..2**32")
     dimension = meta_dimension(meta)  # the bucket bound; provider_from_meta's dimension too
     hashes = meta.get("corpus_hashes", {})
     if type(hashes) is not dict or not all(type(value) is str for value in hashes.values()):
@@ -659,18 +687,27 @@ class BuildReport:
         ]
 
 
-def _check_reply(reply: Sequence[EmbeddingVector], count: int, dimension: int,
-                 path: str) -> None:
-    """Raise ProviderError("MalformedReply"), naming ``path``, unless the
-    provider's ``reply`` holds ``count`` vectors, each one that a knowledge
-    base of ``dimension`` can hold (see ``_vector_fault``)."""
+def _reply_vectors(reply: Sequence[tuple[Iterable[int], Iterable[float]]], count: int,
+                   dimension: int, path: str) -> list[EmbeddingVector]:
+    """The provider's ``reply``, each (buckets, values) pair made an
+    ``EmbeddingVector``, if it holds ``count`` of them, each one that a
+    knowledge base of ``dimension`` can hold (see ``_vector_fault``); else
+    ProviderError("MalformedReply"), naming ``path``."""
     if len(reply) != count:
         raise ProviderError("MalformedReply", f"{path}: provider reply rejected: "
                             f"{len(reply)} vectors for {count} functions")
-    for vector in reply:
-        fault = _vector_fault(vector, dimension)
+    vectors = []
+    for pair in reply:
+        try:
+            vector = EmbeddingVector(*pair)
+        except (TypeError, OverflowError):
+            fault = "vector is not a pair of int buckets and values a float can hold"
+        else:
+            fault = _vector_fault(vector, dimension)
         if fault is not None:
             raise ProviderError("MalformedReply", f"{path}: provider reply rejected: {fault}")
+        vectors.append(vector)
+    return vectors
 
 
 def build_kb(paths: Iterable[str], embedder,
@@ -678,12 +715,13 @@ def build_kb(paths: Iterable[str], embedder,
     """Parse a corpus, build the graph, group clones, score usage, embed.
 
     ``embedder`` is a provider: ``name`` and ``dimension`` attributes and an
-    ``embed(pairs)`` method that returns one sparse ``EmbeddingVector`` per
-    (source text, declaration tokens) pair, ``within_bound``, which
-    ``graph.vectors`` keeps as it is; ``repair.retrieve`` embeds its
-    queries with the same call on the provider the metadata names. A reply
-    of another length, or with a vector that the knowledge base cannot
-    hold, raises ProviderError("MalformedReply") naming the file.
+    ``embed(pairs)`` method that returns one sparse vector per (source
+    text, declaration tokens) pair, ``within_bound``: an ``EmbeddingVector``,
+    which ``graph.vectors`` keeps as it is, or a (buckets, values) pair of
+    sequences, which it keeps as one. ``repair.retrieve`` embeds its queries
+    with the same call on the provider the metadata names. A reply of
+    another length, or with a vector that the knowledge base cannot hold,
+    raises ProviderError("MalformedReply") naming the file.
     Files that fail to parse or duplicate an earlier file (by canonical
     token hash) are skipped with a report entry.
 
@@ -739,8 +777,7 @@ def build_kb(paths: Iterable[str], embedder,
                 new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
         if new:
             reply = embedder.embed(list(new.values()))
-            _check_reply(reply, len(new), embedder.dimension, path)
-            vectors.update(zip(new, reply))
+            vectors.update(zip(new, _reply_vectors(reply, len(new), embedder.dimension, path)))
     report.diagnostics.extend(triple_diagnostics)
 
     graph = build_graph(triples, list(payloads.values()))

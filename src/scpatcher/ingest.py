@@ -307,7 +307,8 @@ class ContractDecl:
 @dataclass
 class SourceUnit:
     """One parsed file: its contracts, each holding one ``FunctionDecl``
-    record per function, its tokens, and what the parse skipped.
+    record per function, its file-level (free) functions' records, its
+    tokens, and what the parse skipped.
 
     ``diagnostics`` holds only the parse's own lines, which the compile
     check reports. Unresolved calls and modifiers stay in the records;
@@ -317,6 +318,9 @@ class SourceUnit:
     path: str
     pragma_version: Optional[str] = None
     contracts: list[ContractDecl] = field(default_factory=list)
+    #: The functions declared outside every contract, in file order; their
+    #: ``contract_name`` is "".
+    free_functions: list[FunctionDecl] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
     source_text: str = ""
     #: The file's tokens from its one ``lex``, with absolute offsets and lines.
@@ -344,9 +348,11 @@ class SourceUnit:
         return self.tokens[decl.body_start:decl.body_end]
 
     def declarations(self) -> Iterator[FunctionDecl]:
-        """Every function's record, in file order."""
+        """Every function's record: the contracts' functions in file order,
+        then the free functions in file order."""
         for contract in self.contracts:
             yield from contract.functions
+        yield from self.free_functions
 
     def _first(self, match: Callable[[FunctionUnit], bool]) -> Optional[FunctionUnit]:
         return next((decl.fn for decl in self.declarations() if match(decl.fn)), None)
@@ -648,11 +654,8 @@ def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
         elif tok.text in ("contract", "library", "interface"):
             i = _parse_contract(unit, i, tok.text)
         elif tok.text == "function" and i + 1 < len(tokens) and tokens[i + 1].kind == "ident":
-            # a free function gets no node, and its body is not walked as
-            # top level; a nameless ``function (`` is a function type
-            unit.diagnostics.append(
-                f"line {tok.line}: file-level function {tokens[i + 1].text!r} skipped")
-            i = unit.group_end(unit.scan(i, len(tokens), ("{", ";")), len(tokens))
+            # a free function; a nameless ``function (`` is a function type
+            i = _parse_function(unit, i, len(tokens), "", unit.free_functions)
         else:
             i += 1
     _resolve_facts(unit)
@@ -688,7 +691,7 @@ def _parse_contract(unit: SourceUnit, start: int, kind: str) -> int:
     while i < stop:
         tok = tokens[i]
         if tok.text in _FN_INTRO:
-            i = _parse_function(unit, i, stop, contract)
+            i = _parse_function(unit, i, stop, contract.name, contract.functions)
         elif tok.text == "modifier":
             i = _parse_modifier(unit, i, stop, contract)
         elif tok.text in ("event", "error", "using", "import"):
@@ -707,8 +710,10 @@ def _parse_contract(unit: SourceUnit, start: int, kind: str) -> int:
     return body_end
 
 
-def _parse_function(unit: SourceUnit, start: int, stop: int, contract: ContractDecl) -> int:
-    """Slice one function/constructor/receive/fallback declaration.
+def _parse_function(unit: SourceUnit, start: int, stop: int, contract_name: str,
+                    decls: list[FunctionDecl]) -> int:
+    """Slice one function/constructor/receive/fallback declaration of the
+    contract ``contract_name`` ("" for a free function) into ``decls``.
 
     The declaration holds at least its intro keyword, so it is never empty.
     """
@@ -728,15 +733,14 @@ def _parse_function(unit: SourceUnit, start: int, stop: int, contract: ContractD
         raise IngestError("MalformedDeclaration",
                           f"{unit.path}: line {decl[0].line}: {exc}") from None
     fn = FunctionUnit(
-        id=function_id(contract.name, header.name, normalized),
-        contract_name=contract.name,
+        id=function_id(contract_name, header.name, normalized),
+        contract_name=contract_name,
         name=header.name,
         source_text=unit.source_text[decl[0].start:decl[-1].end],
         signature=signature,
         token_count=len(normalized),
     )
-    contract.functions.append(FunctionDecl(fn, start, end, body_start, body_end,
-                                           header, normalized))
+    decls.append(FunctionDecl(fn, start, end, body_start, body_end, header, normalized))
     return end
 
 
@@ -785,34 +789,35 @@ def _resolve_facts(unit: SourceUnit) -> None:
 
     A call by name resolves to the caller's own contract's function of that
     name, else to the unit's only function of that name; a modifier
-    likewise to its own contract, else to the unit's only declarer.
+    likewise to its own contract, else to the unit's only declarer. The
+    free functions are one more scope, named "", with no state variables
+    and no modifiers of its own.
     """
-    own_functions = {c.name: {decl.fn.name: decl.fn for decl in c.functions}
-                     for c in unit.contracts}
-    own_modifiers = {c.name: set(c.modifiers) for c in unit.contracts}
+    scopes = [(c.name, c.functions, {name for name, _ in c.state_vars}, set(c.modifiers))
+              for c in unit.contracts]
+    scopes.append(("", unit.free_functions, set(), set()))
     functions_named: dict[str, list[FunctionUnit]] = {}
     modifier_owners: dict[str, list[str]] = {}
+    for decl in unit.declarations():
+        functions_named.setdefault(decl.fn.name, []).append(decl.fn)
     for contract in unit.contracts:
-        for decl in contract.functions:
-            functions_named.setdefault(decl.fn.name, []).append(decl.fn)
         for mod in contract.modifiers:
             modifier_owners.setdefault(mod, []).append(contract.name)
 
     tokens = unit.tokens
-    for contract in unit.contracts:
-        state_var_names = {name for name, _ in contract.state_vars}
-        for decl in contract.functions:
+    for scope, decls, state_var_names, own_modifiers in scopes:
+        own_functions = {decl.fn.name: decl.fn for decl in decls}
+        for decl in decls:
             unshadowed = state_var_names.difference(decl.header.param_names)
             decl.accesses = _state_accesses(unit, decl, unshadowed)
             for mod in decl.header.modifiers:
-                owners = ([contract.name] if mod in own_modifiers[contract.name]
-                          else modifier_owners.get(mod, []))
+                owners = [scope] if mod in own_modifiers else modifier_owners.get(mod, [])
                 decl.modifiers.append((mod, owners[0] if len(owners) == 1 else None))
             for i, kind, value in _call_sites(unit, decl):
                 callee = None
                 if kind is None:  # a call by name
                     named = functions_named.get(tokens[i].text, [])
-                    callee = own_functions[contract.name].get(tokens[i].text)
+                    callee = own_functions.get(tokens[i].text)
                     if callee is None and len(named) == 1:
                         callee = named[0]
                     kind = ("resolved" if callee is not None
@@ -860,7 +865,10 @@ def _call_sites(unit: SourceUnit, decl: FunctionDecl) -> list[tuple[int, Optiona
 
 def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], list[str]]:
     """Entity-relationship triples of one parsed source unit, and its
-    unresolved-reference diagnostics, emitted from the function records."""
+    unresolved-reference diagnostics, emitted from the function records.
+
+    A contract OWNS its state variables, modifiers and functions; a free
+    function has no owner, and its triples are those of its own record."""
     triples: list[Triple] = []
     diagnostics: list[str] = []
     for contract in unit.contracts:
@@ -873,27 +881,33 @@ def extract_triples_with_diagnostics(unit: SourceUnit) -> tuple[list[Triple], li
         for mod in contract.modifiers:
             triples.append(Triple(c_ref, "OWNS", modifier_ref(contract.name, mod)))
         for decl in contract.functions:
-            fn = decl.fn
-            f_ref = function_ref(fn)
+            f_ref = function_ref(decl.fn)
             triples.append(Triple(c_ref, "OWNS", f_ref))
-            for rtype in decl.header.return_types:
-                triples.append(Triple(f_ref, "RETURNS", type_ref(rtype)))
-            for mod, owner in decl.modifiers:
-                if owner is None:
-                    diagnostics.append(
-                        f"{fn.qualified_name}: modifier {mod!r} not declared in this unit")
-                else:
-                    triples.append(Triple(f_ref, "USES_MODIFIER", modifier_ref(owner, mod)))
-            for site in decl.calls:
-                if site.kind == "resolved":
-                    triples.append(Triple(f_ref, "CALLS", function_ref(site.callee)))
-                elif site.kind in ("low-level", "value"):
-                    diagnostics.append(
-                        f"{fn.qualified_name}: {site.kind} .{site.token.text}() left unresolved")
-                elif site.kind in ("unresolved", "ambiguous"):
-                    diagnostics.append(
-                        f"{fn.qualified_name}: {site.kind} call target {site.token.text!r}")
-            for tok, kind in decl.accesses:
-                relation = "WRITES" if kind == "write" else "READS"
-                triples.append(Triple(f_ref, relation, var_refs[tok.text]))
+            _function_triples(decl, f_ref, var_refs, triples, diagnostics)
+    for decl in unit.free_functions:
+        _function_triples(decl, function_ref(decl.fn), {}, triples, diagnostics)
     return triples, diagnostics
+
+
+def _function_triples(decl: FunctionDecl, f_ref: NodeRef, var_refs: dict[str, NodeRef],
+                      triples: list[Triple], diagnostics: list[str]) -> None:
+    """Append the triples and diagnostics of one function's record, whose
+    node is ``f_ref`` and whose scope's state variables ``var_refs`` holds."""
+    fn = decl.fn
+    for rtype in decl.header.return_types:
+        triples.append(Triple(f_ref, "RETURNS", type_ref(rtype)))
+    for mod, owner in decl.modifiers:
+        if owner is None:
+            diagnostics.append(f"{fn.qualified_name}: modifier {mod!r} not declared in this unit")
+        else:
+            triples.append(Triple(f_ref, "USES_MODIFIER", modifier_ref(owner, mod)))
+    for site in decl.calls:
+        if site.kind == "resolved":
+            triples.append(Triple(f_ref, "CALLS", function_ref(site.callee)))
+        elif site.kind in ("low-level", "value"):
+            diagnostics.append(
+                f"{fn.qualified_name}: {site.kind} .{site.token.text}() left unresolved")
+        elif site.kind in ("unresolved", "ambiguous"):
+            diagnostics.append(f"{fn.qualified_name}: {site.kind} call target {site.token.text!r}")
+    for tok, kind in decl.accesses:
+        triples.append(Triple(f_ref, "WRITES" if kind == "write" else "READS", var_refs[tok.text]))

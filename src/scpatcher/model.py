@@ -111,7 +111,7 @@ class SignatureFeatures:
         return sorted(self.feature_set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionUnit:
     """One extracted Solidity function.
 
@@ -140,7 +140,8 @@ class FunctionUnit:
 
     @property
     def qualified_name(self) -> str:
-        return f"{self.contract_name}.{self.name}"
+        """``Contract.name``, or the bare name of a free function (no contract)."""
+        return f"{self.contract_name}.{self.name}" if self.contract_name else self.name
 
 
 def function_id(contract_name: str, name: str, normalized_tokens: list[str]) -> str:

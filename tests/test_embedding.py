@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from scpatcher import embedding
 from scpatcher.embedding import (
+    BUCKET_TYPE,
     DEFAULT_POOL_SIZE,
     Candidate,
     DimensionMismatchError,
@@ -27,7 +28,7 @@ from scpatcher.embedding import (
     index_from_graph,
     knn,
 )
-from scpatcher.graph import build_kb
+from scpatcher.graph import build_kb, load_kb, save_kb
 from scpatcher.ingest import lex, load_source
 from scpatcher.model import FunctionUnit, SignatureFeatures
 from scpatcher.repair import retrieve
@@ -100,6 +101,24 @@ def test_embed_empty_input_is_basis_vector():
     vector = _embed_text(HashingEmbedder(16), "")
     assert vector == EmbeddingVector((0,), (1.0,))
     assert vector.dense(16) == (1.0,) + (0.0,) * 15
+
+
+def test_embedding_vector_stores_u32_buckets_and_float64_values():
+    vector = EmbeddingVector([1, 4], (0.5, 2))
+    assert (vector.buckets, vector.values) == (array(BUCKET_TYPE, [1, 4]), array("d", [0.5, 2.0]))
+    # an array of its field's type is kept, not copied
+    assert EmbeddingVector(*vector).buckets is vector.buckets
+    assert EmbeddingVector._make(([0], [1])) == EmbeddingVector((0,), (1.0,))
+    assert vector._replace(values=[1, 2]).values == array("d", [1.0, 2.0])
+    # buckets no u32 holds stay a tuple, which dense and build_index refuse
+    for bucket in (-1, 2 ** 32):
+        outside = EmbeddingVector((0, bucket), (0.6, 0.8))
+        assert outside.buckets == (0, bucket) and type(outside.values) is array
+        with pytest.raises(DimensionMismatchError):
+            outside.dense(16)
+    for buckets, values in (((0.5,), (1.0,)), ((0,), ("x",)), ("ab", (1.0, 1.0))):
+        with pytest.raises(TypeError):
+            EmbeddingVector(buckets, values)
 
 
 def test_embed_ignores_literal_values_and_comments():
@@ -177,7 +196,7 @@ def test_embed_equals_the_dense_formula(dimension, texts):
         assert vector == _sparse_reference(text, dimension)
         assert vector.dense(dimension) == _dense_reference(text, dimension)
         if not lex(text):
-            assert vector == ((0,), (1.0,))
+            assert vector == EmbeddingVector((0,), (1.0,))
 
 
 def test_clone_pairs_embed_closer_than_strangers(kb):
@@ -741,9 +760,47 @@ def test_remote_vectors_are_sparse_floats_with_their_zeros_dropped():
     session = _FakeSession(lambda payload: _FakeResponse(reply))
     remote = RemoteEmbedder(url="http://embed.test/v1", dimension=8, session=session)
     first, zero = remote.embed([("function a() {}", []), ("function b() {}", [])])
-    assert first == ((1, 4), (0.5, 2.0))
+    assert first == EmbeddingVector((1, 4), (0.5, 2.0))
     assert all(type(v) is float for v in first.values)
-    assert zero == ((), ())
+    assert zero == EmbeddingVector((), ())
+
+
+def _one_representation(vectors):
+    """Whether every vector is an EmbeddingVector of a 4-byte unsigned
+    bucket array and a float64 value array."""
+    return all(type(vector) is EmbeddingVector
+               and type(vector.buckets) is array and vector.buckets.typecode == BUCKET_TYPE
+               and vector.buckets.itemsize == 4
+               and type(vector.values) is array and vector.values.typecode == "d"
+               for vector in vectors)
+
+
+class _PlainPairProvider(HashingEmbedder):
+    """A third-party provider: its reply holds plain (list, tuple) pairs."""
+
+    def embed(self, functions):
+        return [(list(buckets), tuple(values)) for buckets, values in super().embed(functions)]
+
+
+def test_every_source_gives_one_vector_representation(corpus_paths, tmp_path):
+    pairs = [(decl.fn.source_text, unit.tokens[decl.start:decl.end])
+             for unit in map(load_source, corpus_paths) for decl in unit.declarations()]
+    hashed = HashingEmbedder(16).embed(pairs)
+    assert _one_representation(hashed)
+    remote = RemoteEmbedder(url="http://embed.test/v1", dimension=16,
+                            session=_FakeSession(_hashing_reply(16)))
+    assert _one_representation(remote.embed(pairs[:3]))
+    assert _one_representation([EmbeddingVector.from_dense((0.0, 0.5, -0.0, 2.0)),
+                                EmbeddingVector((3, 1), [0.5, 1])])
+    graph, clones, _ = build_kb(corpus_paths, _PlainPairProvider(16))
+    assert _one_representation(graph.vectors.values())
+    built, built_clones, _ = build_kb(corpus_paths, HashingEmbedder(16))
+    assert graph.vectors == built.vectors
+    path = tmp_path / "kb.scpk"
+    save_kb(built, built_clones, path)
+    loaded, loaded_clones = load_kb(path)
+    assert _one_representation(loaded.vectors.values())
+    assert (loaded, loaded_clones) == (built, built_clones)
 
 
 def _counted_sessions(monkeypatch, dimension):

@@ -7,7 +7,7 @@ import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scpatcher import embedding, ingest
@@ -20,6 +20,8 @@ from scpatcher.embedding import (
 )
 from scpatcher.graph import _VERSION as KB_VERSION
 from scpatcher.graph import (
+    _vector_fault,
+    _vectors,
     CloneGroupTable,
     EntityNode,
     FormatError,
@@ -660,7 +662,7 @@ _MALFORMED = {
     "vector-huge-norm": _vector_of(values=lambda values: values.__setitem__(
         slice(None), [value * 1e200 for value in values])),
     # the metadata is an object that names a known embedder and, if it has
-    # one, a positive int dimension
+    # one, an int dimension in 1..2**32
     "meta-list": lambda nodes, edges, clones, meta, vectors: [nodes, edges, clones, [], vectors],
     "meta-null": lambda nodes, edges, clones, meta, vectors: [
         nodes, edges, clones, None, vectors],
@@ -678,6 +680,9 @@ _MALFORMED = {
     "dimension-float": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=256.0),
     "dimension-bool": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=True),
     "dimension-null": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=None),
+    # a bucket is a u32, so no knowledge base has more than 2**32 of them
+    "dimension-above-max": lambda nodes, edges, clones, meta, vectors: meta.update(
+        dimension=2 ** 32 + 1),
     # a smaller dimension leaves saved buckets out of range
     "dimension-small": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=16),
     # a clone id is a string or null (a list loaded, then broke rerank's set)
@@ -824,7 +829,7 @@ def test_load_rejects_json_that_does_not_decode_as_corrupt(kb_file, tmp_path, in
 
 def test_save_rejects_a_bucket_beyond_u32_before_opening_the_file(kb_file, tmp_path):
     wide, clones = load_kb(kb_file)
-    wide.embedder_meta["dimension"] = 2 ** 33
+    wide.embedder_meta["dimension"] = 2 ** 32
     first = sorted(wide.vectors)[0]
     path = tmp_path / "wide.scpk"
     for bucket in (2 ** 32, -1):
@@ -832,7 +837,7 @@ def test_save_rejects_a_bucket_beyond_u32_before_opening_the_file(kb_file, tmp_p
         with pytest.raises(ValueError):
             save_kb(wide, clones, path)
         assert not path.exists()
-    # the largest u32 is a bucket below a dimension of 2**33
+    # the largest u32 is a bucket below the largest dimension, 2**32
     wide.vectors[first] = EmbeddingVector((0, 2 ** 32 - 1), (0.6, 0.8))
     save_kb(wide, clones, path)
     assert load_kb(path)[0] == wide
@@ -1057,6 +1062,61 @@ def test_finite_doubles_round_trip_bit_for_bit(kb_file, tmp_path_factory, rows):
         assert struct.pack(f"<{len(values)}d", *loaded.vectors[function_id].values) == expected
 
 
+#: values for vector sections: finite ones of any size, NaN, both
+#: infinities, and magnitudes around 2**509 and 2**510, so that one vector
+#: or the sum of several has a norm just within MAX_NORM or just above it
+_SECTION_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 2.0 ** 509, -(2.0 ** 509),
+                     1.5 * 2.0 ** 509, 2.0 ** 510, math.nextafter(2.0 ** 510, math.inf),
+                     2.0 ** 511]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _vector_sections(draw):
+    """(dimension, rows): each row a (buckets, values) pair of one length,
+    its buckets u32 but often unsorted, repeated or at or past the dimension."""
+    dimension = draw(st.one_of(st.integers(1, 12), st.just(2 ** 32)))
+    top = min(dimension + 2, 2 ** 32 - 1)
+    below = st.integers(0, min(dimension, 16) - 1)
+    bucket_lists = st.one_of(
+        st.frozensets(below, max_size=5).map(sorted),
+        # strictly ascending, but up to the dimension itself
+        st.frozensets(st.integers(0, min(dimension, 16)), max_size=5).map(sorted),
+        st.lists(below, max_size=5),
+        st.lists(st.one_of(st.integers(0, min(top, 16)), st.integers(0, 2 ** 32 - 1),
+                           st.sampled_from([dimension - 1, top])), max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        buckets = draw(bucket_lists)
+        value = draw(st.sampled_from([st.floats(min_value=-4.0, max_value=4.0), _SECTION_VALUES]))
+        values = draw(st.lists(value, min_size=len(buckets), max_size=len(buckets)))
+        rows.append((buckets, values))
+    return dimension, rows
+
+
+@given(_vector_sections())
+# each vector within the bound, all the values together above it
+@example((8, [([0], [1.5 * 2.0 ** 509])] * 3))
+def test_vector_section_loads_exactly_what_the_per_vector_checks_accept(section):
+    dimension, rows = section
+    ids = [f"{i:016x}" for i in range(len(rows))]
+    buckets = [bucket for row_buckets, _values in rows for bucket in row_buckets]
+    values = [value for _buckets, row_values in rows for value in row_values]
+    blob = struct.pack(f"<{len(rows)}I{len(buckets)}I{len(values)}d",
+                       *(len(row_buckets) for row_buckets, _values in rows), *buckets, *values)
+    # the reference: every vector checked on its own, the first fault named
+    reference = [EmbeddingVector(row_buckets, row_values) for row_buckets, row_values in rows]
+    fault = next(((function_id, fault) for function_id, vector in zip(ids, reference)
+                  if (fault := _vector_fault(vector, dimension)) is not None), None)
+    if fault is None:
+        assert _vectors(memoryview(blob), ids, dimension) == dict(zip(ids, reference))
+    else:
+        with pytest.raises(ValueError) as err:
+            _vectors(memoryview(blob), ids, dimension)
+        assert str(err.value) == f"node {fault[0]!r}: {fault[1]}"
+
+
 #: one bit flipped, or one byte replaced, inserted or deleted, at a position
 #: taken modulo the file size (a flip takes ``value % 8`` as its bit)
 _MUTATION = st.tuples(st.sampled_from(["flip", "flip", "replace", "insert", "delete"]),
@@ -1154,15 +1214,23 @@ class _FaultyProvider(HashingEmbedder):
 
 @pytest.mark.parametrize("fault, message", [
     (lambda reply: reply[:-1], "2 vectors for 3 functions"),
-    (lambda reply: [EmbeddingVector(v.buckets, (math.inf,) + v.values[1:]) for v in reply],
+    (lambda reply: [EmbeddingVector(v.buckets, (math.inf,) + tuple(v.values[1:])) for v in reply],
      "vector values are not of norm <= 2**510"),
     (lambda reply: [EmbeddingVector(v.buckets[::-1], v.values[::-1]) for v in reply],
      "vector buckets are not strictly ascending in range(256)"),
-    (lambda reply: [EmbeddingVector(v.buckets[:-1] + (256,), v.values) for v in reply],
+    (lambda reply: [EmbeddingVector(tuple(v.buckets[:-1]) + (256,), v.values) for v in reply],
      "vector buckets are not strictly ascending in range(256)"),
     (lambda reply: [EmbeddingVector(v.buckets, v.values[:-1]) for v in reply],
      "vector has more buckets than values, or fewer"),
-], ids=["one-short", "inf", "reversed-buckets", "bucket-past-dimension", "value-short"])
+    (lambda reply: [(v.buckets,) for v in reply],
+     "vector is not a pair of int buckets and values a float can hold"),
+    (lambda reply: [(list(map(float, v.buckets)), v.values) for v in reply],
+     "vector is not a pair of int buckets and values a float can hold"),
+    # an int that a JSON reply can decode to, too large for a float
+    (lambda reply: [(v.buckets, [10 ** 400] * len(v.values)) for v in reply],
+     "vector is not a pair of int buckets and values a float can hold"),
+], ids=["one-short", "inf", "reversed-buckets", "bucket-past-dimension", "value-short",
+        "not-a-pair", "float-buckets", "int-past-float"])
 def test_build_kb_rejects_a_provider_reply_it_cannot_store(corpus_paths, fault, message):
     with pytest.raises(ProviderError) as err:
         build_kb(corpus_paths, _FaultyProvider(fault))
@@ -1292,6 +1360,26 @@ def test_build_kb_keeps_the_first_payload_and_vector_of_a_function_id(tmp_path):
     path = tmp_path / "kb.scpk"
     save_kb(graph, clones, path)
     assert load_kb(path) == (graph, clones)
+
+
+def test_free_function_gets_a_node_a_guf_and_its_callers_edges(tmp_path):
+    path = tmp_path / "free.sol"
+    path.write_text("function g() pure returns (uint) { return 1; }\n"
+                    "contract A { function f() public { g(); } }")
+    graph, clones, report = build_kb([path], HashingEmbedder(16))
+    assert report.diagnostics == []
+    by_label = {node.label: node for node in graph.nodes.values()}
+    g, f = by_label["g"], by_label["A.f"]
+    assert (g.kind, g.payload.contract_name, g.payload.name) == ("function", "", "g")
+    assert (f.id, "CALLS", g.id) in graph.edges
+    assert [edge for edge in graph.edges if edge[2] == g.id] == [(f.id, "CALLS", g.id)]
+    # its clone group (or itself alone) and one caller
+    assert g.payload.guf == (len(clones.groups[g.payload.clone_id])
+                             if g.payload.clone_id else 1) + 1
+    assert g.id in graph.vectors
+    kb = tmp_path / "kb.scpk"
+    save_kb(graph, clones, kb)
+    assert load_kb(kb) == (graph, clones)
 
 
 def test_build_kb_lists_parse_diagnostics_before_triple_diagnostics(tmp_path):

@@ -279,14 +279,31 @@ def test_pragma_without_a_semicolon_ends_at_the_next_declaration(source, version
     assert compiled is not None and diagnostics == ["line 1: pragma without ';'"]
 
 
-def test_file_level_function_is_skipped_whole_with_a_diagnostic():
+_FREE_FUNCTION_SOURCE = ("pragma solidity ^0.8.0;\n"
+                         "struct S { function (uint) external cb; }\n"
+                         "function g() pure returns (uint) { return 1; }\n"
+                         "contract A { function f() public { g(); } }")
+
+
+def test_file_level_function_gets_a_record_outside_every_contract():
     # a function type in a file-level struct is no free function
-    unit = parse_source("pragma solidity ^0.8.0;\n"
-                        "struct S { function (uint) external cb; }\n"
-                        "function g() pure returns (uint) { return 1; }\n"
-                        "contract A { function f() public { g(); } }")
-    assert [decl.fn.qualified_name for decl in unit.declarations()] == ["A.f"]
-    assert unit.diagnostics == ["line 3: file-level function 'g' skipped"]
+    unit = parse_source(_FREE_FUNCTION_SOURCE)
+    assert [decl.fn.qualified_name for decl in unit.declarations()] == ["A.f", "g"]
+    [free] = unit.free_functions
+    assert (free.fn.contract_name, free.fn.name, free.header.return_types) == ("", "g", ["uint"])
+    assert [decl.fn.name for decl in unit.contracts[0].functions] == ["f"]
+    assert unit.diagnostics == []
+    [call] = unit.contracts[0].functions[0].calls
+    assert (call.kind, call.callee) == ("resolved", free.fn)
+
+
+def test_a_call_to_a_free_function_is_a_calls_edge_and_the_free_function_has_no_owner():
+    unit = parse_source(_FREE_FUNCTION_SOURCE)
+    triples, diagnostics = extract_triples_with_diagnostics(unit)
+    assert diagnostics == []
+    edges = {(t.subject.label, t.relation, t.obj.label) for t in triples}
+    assert ("A.f", "CALLS", "g") in edges and ("g", "RETURNS", "uint") in edges
+    assert not any(obj == "g" for _subject, relation, obj in edges if relation == "OWNS")
 
 
 # ---------------------------------------------------------------------------

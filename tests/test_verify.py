@@ -117,6 +117,14 @@ def test_detection_identity_is_class_and_function():
     assert keys == {("IntegerOverflow", "grant"), ("IntegerOverflow", "spend")}
 
 
+def test_detectors_check_contract_functions_only():
+    body = "{ if (block.timestamp % 2 == 0) { return 1; } return 0; }"
+    free = f"function g() view returns (uint) {body}\ncontract A {{ function f() public {{}} }}"
+    owned = f"contract A {{ function g() public view returns (uint) {body} }}"
+    assert detect(free) == []
+    assert [d.key() for d in detect(owned)] == [("TimestampManipulation", "g")]
+
+
 # ---------------------------------------------------------------------------
 # Patch verification
 # ---------------------------------------------------------------------------
