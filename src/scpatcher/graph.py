@@ -10,30 +10,32 @@ functions, or by ``load_kb`` from a file, and is only read after that. The
 whole bundle serializes to a canonical binary container so that saving the
 same knowledge base twice yields byte-identical files.
 
-The container (format 4) is the magic ``SCPK``, a little-endian u16
-version, and five sections, each a u32 length and its bytes. The first
-four are canonical JSON: the nodes, the edges, the clone groups and the
-embedder metadata. The node and edge sections are columns: objects of
-equal-length arrays, one per field. The node section's ``id``, ``kind``
-and ``label`` run over every node in ascending id order; its
+The container (format 5) is the magic ``SCPK``, a little-endian u16
+version, and four sections, each a u32 length and its bytes. The first
+three are canonical JSON: the nodes, the edges and the embedder metadata.
+The node and edge sections are columns: objects of equal-length arrays,
+one per field. The node section's ``id`` and ``kind`` run over every node
+in ascending id order; its ``label`` over the other nodes, and its
 ``contract_name``, ``name``, ``source_text``, ``signature``,
-``token_count``, ``clone_id`` and ``guf`` run over the function nodes
-only, in that same order. A signature is its sorted features joined by
-single spaces (a feature holds no whitespace; ``""`` has none). The edge
-section's ``subject`` and ``object`` are positions in the ``id`` array and
-its ``relation`` the relation's name, sorted by (subject, relation,
-object), which is also the order of the edges' ids. The fifth section
-holds every function's embedding as a sparse vector, in the order of the
-function nodes: one u32 count of nonzero buckets per function, then all
-their buckets as u32, then all their values as f64, everything
-little-endian, so its length is exactly ``4 * functions + 12 *
+``token_count`` and ``clone_id`` over the function nodes, each in that
+same order; ``load_kb`` derives a function node's label, its qualified
+name, and the clone groups and every guf. A signature is its sorted
+features joined by single spaces (a feature holds no whitespace; ``""``
+has none). The edge section's ``subject`` and ``object`` are positions in
+the ``id`` array and its ``relation`` the relation's name, sorted by
+(subject, relation, object), which is also the order of the edges' ids.
+The fourth section holds every function's embedding as a sparse vector, in
+the order of the function nodes: one u32 count of nonzero buckets per
+function, then all their buckets as u32, then all their values as f64,
+everything little-endian, so its length is exactly ``4 * functions + 12 *
 sum(counts)``. A vector's buckets are strictly ascending, each below the
 metadata's ``dimension`` (256 when it has none); every other bucket is
 0.0, so a dense vector is stored with its zeros dropped, and every value
 round-trips bit for bit. Format 1 stored every vector densely in its node
-record, format 2 as a ``[[buckets...], [values...]]`` pair there, and
-format 3 held one JSON record per node and one list per edge; none of
-them is read, and such a file is rebuilt from its corpus.
+record, format 2 as a ``[[buckets...], [values...]]`` pair there, format 3
+held one JSON record per node and one list per edge, and format 4 also
+stored the clone groups, their threshold, every guf and every label; none
+of them is read, and such a file is rebuilt from its corpus.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import lt
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .embedding import (
     BUCKET_TYPE,
@@ -70,7 +72,7 @@ from .ingest import (
 from .model import CodedError, FunctionUnit, SignatureFeatures
 
 _MAGIC = b"SCPK"
-_VERSION = 4
+_VERSION = 5
 
 
 class GraphError(CodedError):
@@ -146,15 +148,20 @@ class PropertyGraph:
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass
+#: The fewest normalized tokens a function needs to join a clone group.
+CLONE_MIN_TOKENS = 12
+
+
+@dataclass(slots=True)
 class CloneGroupTable:
     """Clone groups keyed by normalized-token hash.
 
-    Groups cover exactly the functions at or above ``min_tokens``; singleton
-    groups are kept so group size is always defined.
+    Groups cover exactly the functions at or above ``min_tokens``, the
+    constant ``CLONE_MIN_TOKENS``; singleton groups are kept so group size
+    is always defined.
     """
 
-    min_tokens: int
+    min_tokens: ClassVar[int] = CLONE_MIN_TOKENS  # slots make it read-only on a table
     groups: dict[str, list[str]] = field(default_factory=dict)
 
     def multi_member_groups(self) -> dict[str, list[str]]:
@@ -188,55 +195,47 @@ def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> Propert
     return PropertyGraph(nodes, edges, {}, None)
 
 
-#: The fewest normalized tokens a function needs to join a clone group.
-CLONE_MIN_TOKENS = 12
-
-
 def clone_key(normalized: Sequence[str]) -> str:
     """Clone-group key: hash of a function's normalized token sequence."""
     joined = " ".join(normalized)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
-def _clone_groups(functions: Iterable[FunctionUnit], keys: Mapping[str, Optional[str]],
-                  min_tokens: int) -> CloneGroupTable:
-    """The clone groups of ``functions``: each one of ``min_tokens`` tokens or
-    more joins the group of its key, ``keys[fn.id]``; members ascend by id."""
-    groups: dict[Optional[str], list[str]] = {}
-    for fn in functions:
-        if fn.token_count >= min_tokens:
-            groups.setdefault(keys[fn.id], []).append(fn.id)
+def _clone_groups(pairs: Iterable[tuple[str, Optional[str]]]) -> CloneGroupTable:
+    """The clone groups of the (function id, clone id) ``pairs``: each
+    function with a clone id joins the group of it; members ascend by id."""
+    groups: dict[str, list[str]] = {}
+    for function_id, clone_id in pairs:
+        if clone_id is not None:
+            groups.setdefault(clone_id, []).append(function_id)
     for members in groups.values():
         members.sort()
-    return CloneGroupTable(min_tokens, groups)
+    return CloneGroupTable(groups)
 
 
-def _stamps(graph: PropertyGraph, clones: CloneGroupTable) -> list[tuple[Optional[str], int]]:
-    """Each function node's (clone_id, guf), in ``function_nodes()`` order:
-    its group in ``clones``, or None, and guf = that group's size (1 without
-    one) + its CALLS in-degree."""
-    groups = clones.groups
-    clone_of = {member: cid for cid, members in groups.items() for member in members}
+def _stamps(function_ids: Sequence[str], clone_ids: Sequence[Optional[str]],
+            edges: Iterable[tuple[str, str, str]]) -> list[int]:
+    """Each function's guf, in ``function_ids`` order: how many functions share
+    its clone id in ``clone_ids`` (1 without one) + its CALLS in-degree."""
+    sizes = Counter(clone_ids)
     # edges are unique, so each caller counts once
-    callers = Counter(object_id for _subject_id, relation, object_id in graph.edges
+    callers = Counter(object_id for _subject_id, relation, object_id in edges
                       if relation == "CALLS")
-    stamps = []
-    for node in graph.function_nodes():
-        cid = clone_of.get(node.id)
-        stamps.append((cid, (1 if cid is None else len(groups[cid])) + callers.get(node.id, 0)))
-    return stamps
+    return [(1 if clone_id is None else sizes[clone_id]) + callers.get(function_id, 0)
+            for function_id, clone_id in zip(function_ids, clone_ids)]
 
 
-def assign_clone_groups(functions: Iterable[FunctionUnit], keys: Mapping[str, str],
-                        min_tokens: int = CLONE_MIN_TOKENS) -> CloneGroupTable:
+def assign_clone_groups(functions: Iterable[FunctionUnit],
+                        keys: Mapping[str, str]) -> CloneGroupTable:
     """Group functions by their ``clone_key``s, ``keys`` by function id.
 
-    Functions below the token threshold appear in no group; everything else
-    lands in exactly one group (possibly singleton). ``load_kb`` checks a
-    file through the same private helper, so a wrapper around this name
-    times the build alone.
+    Functions below ``CLONE_MIN_TOKENS`` appear in no group; everything else
+    lands in exactly one group (possibly singleton). ``load_kb`` derives a
+    file's groups through the same private helper, so a wrapper around this
+    name times the build alone.
     """
-    return _clone_groups(functions, keys, min_tokens)
+    return _clone_groups((fn.id, keys[fn.id] if fn.token_count >= CLONE_MIN_TOKENS else None)
+                         for fn in functions)
 
 
 def compute_guf(graph: PropertyGraph, clones: CloneGroupTable,
@@ -244,7 +243,10 @@ def compute_guf(graph: PropertyGraph, clones: CloneGroupTable,
     """Each function node's (clone_id, guf), in ``function_nodes()`` order,
     from ``clones`` and the CALLS edges: guf = clone-group size + CALLS
     in-degree, where a function in no group counts as a group of one."""
-    return _stamps(graph, clones)
+    clone_of = {member: cid for cid, members in clones.groups.items() for member in members}
+    ids = [node.id for node in graph.function_nodes()]
+    clone_ids = [clone_of.get(function_id) for function_id in ids]
+    return list(zip(clone_ids, _stamps(ids, clone_ids, graph.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +258,13 @@ def compute_guf(graph: PropertyGraph, clones: CloneGroupTable,
 MAX_DIMENSION = 2 ** 32
 
 #: node-section column -> the JSON types save_kb writes in it (exact types: a
-#: bool is no int). These three run over every node, in ascending id order.
-_NODE_COLUMNS = {"id": {str}, "kind": {str}, "label": {str}}
+#: bool is no int). ``id`` and ``kind`` run over every node, in ascending id
+#: order, and ``label`` over the nodes of other kinds than function.
+_NODE_COLUMNS = {"id": {str}, "kind": {str}}
+_LABEL_COLUMNS = {"label": {str}}
 #: The columns that run over the function nodes only, in that same order;
-#: they are FunctionUnit's fields after ``id``, in its order.
+#: they are FunctionUnit's fields from ``contract_name`` to ``clone_id``, in
+#: its order. Its ``guf`` is derived.
 _FUNCTION_COLUMNS = {
     "contract_name": {str},
     "name": {str},
@@ -267,7 +272,6 @@ _FUNCTION_COLUMNS = {
     "signature": {str},
     "token_count": {int},
     "clone_id": {str, type(None)},
-    "guf": {int},
 }
 #: edge-section column -> its JSON type: the subject's and the object's
 #: positions in the id column, and the relation's name
@@ -297,26 +301,28 @@ def _signature_text(signature: SignatureFeatures) -> str:
 def _node_section(nodes: list[EntityNode]) -> dict:
     """The node section of ``nodes``, which are in ascending id order.
 
-    Raises ValueError for a function node without a payload, or a signature
-    that ``_signature_text`` cannot write.
+    Raises ValueError for a function node without a payload or labelled
+    other than its payload's qualified name, or a signature that
+    ``_signature_text`` cannot write.
     """
     functions = [node.payload for node in nodes if node.kind == "function"]
     if any(fn is None for fn in functions):
         raise ValueError("a function node has no payload")
+    if any(node.label != node.payload.qualified_name for node in nodes if node.kind == "function"):
+        raise ValueError("a function node's label is not its qualified name")
     signatures = [fn.signature for fn in functions]
     # few distinct signatures recur over many functions: each is rendered once
     texts = {signature: _signature_text(signature) for signature in set(signatures)}
     return {
         "id": [node.id for node in nodes],
         "kind": [node.kind for node in nodes],
-        "label": [node.label for node in nodes],
+        "label": [node.label for node in nodes if node.kind != "function"],
         "contract_name": [fn.contract_name for fn in functions],
         "name": [fn.name for fn in functions],
         "source_text": [fn.source_text for fn in functions],
         "signature": list(map(texts.__getitem__, signatures)),
         "token_count": [fn.token_count for fn in functions],
         "clone_id": [fn.clone_id for fn in functions],
-        "guf": [fn.guf for fn in functions],
     }
 
 
@@ -330,7 +336,7 @@ def _edge_section(ids: list[str], edges: Iterable[tuple[str, str, str]]) -> dict
 
 
 def _vector_section(function_ids: list[str], vectors: Mapping[str, EmbeddingVector]) -> bytes:
-    """The vectors of ``function_ids``, in that order, as the fifth section:
+    """The vectors of ``function_ids``, in that order, as the fourth section:
     the counts, the buckets and the values, each gathered into one array and
     written as its bytes.
 
@@ -355,21 +361,45 @@ def _vector_section(function_ids: list[str], vectors: Mapping[str, EmbeddingVect
     return b"".join(_little_endian(column).tobytes() for column in (counts, buckets, values))
 
 
-def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
-    """Write the knowledge base in format 4; canonical, so double-save is byte-identical.
+def _meta_fault(meta) -> Optional[str]:
+    """Why save_kb and load_kb refuse ``meta`` as embedder metadata, or None:
+    it must be an object naming a provider in ``embedding.PROVIDERS``
+    (HashingEmbedder's if none), with any ``dimension`` an int in
+    1..``MAX_DIMENSION`` and any ``corpus_hashes`` an object of strings."""
+    if not isinstance(meta, dict):
+        return "metadata is not an object"
+    name = meta.get("name", HashingEmbedder.name)
+    if type(name) is not str or name not in PROVIDERS:
+        return f"unknown embedder {name!r}"
+    if "dimension" in meta and (type(meta["dimension"]) is not int
+                                or not 1 <= meta["dimension"] <= MAX_DIMENSION):
+        return f"dimension {meta['dimension']!r} is not an int in 1..2**32"
+    hashes = meta.get("corpus_hashes", {})
+    if type(hashes) is not dict or not all(type(value) is str for value in hashes.values()):
+        return "corpus_hashes is not an object of strings"
+    return None
 
-    The node section lists the nodes in ascending id order and the edge
-    section the edges sorted by their positions and relation; JSON keys
-    are sorted. The function nodes' vectors go to the binary fifth section
-    in node order, each as it is held, with no dense copy made. The file
-    is streamed: the header, then each section as soon as it is encoded,
-    with no copy of the whole file in memory; only the metadata is encoded
-    before the file is opened. Raises
-    ValueError, before the file is opened, if a function node has no
-    payload or no vector, a node kind or relation is not in
-    ``RELATION_TYPING``'s vocabulary, a signature has an empty feature, or
-    a vector does not fit its section (see ``_vector_section``).
+
+def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
+    """Write the knowledge base in format 5; canonical, so double-save is byte-identical.
+
+    Nodes are listed in ascending id order and edges sorted by their
+    positions and relation; JSON keys are sorted. The function nodes'
+    vectors go to the binary fourth section in node order, as they are
+    held, with no dense copy made. Nothing of ``clones`` is written
+    (load_kb derives it); the parameter stays for the callers' call shape.
+    The file is streamed, section by section, with no copy of the whole
+    file in memory. Raises ValueError, before the file is opened, if a
+    function node has no payload or no vector or is labelled other than its
+    payload's qualified name, a node kind or relation is not in
+    ``RELATION_TYPING``'s vocabulary, a signature has an empty feature, a
+    vector does not fit its section (``_vector_section``), or the metadata
+    is one load_kb refuses (``_meta_fault``); TypeError, as early, for
+    metadata that JSON cannot hold.
     """
+    meta = graph.embedder_meta or {}
+    if (fault := _meta_fault(meta)) is not None:
+        raise ValueError(fault)
     ids = sorted(graph.nodes)
     nodes = [graph.nodes[nid] for nid in ids]
     node_section = _node_section(nodes)
@@ -381,18 +411,13 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
             raise ValueError(f"unknown {what} {min(map(repr, unknown))}")
     vectors = _vector_section(
         [node.id for node in nodes if node.kind == "function"], graph.vectors)
-    clone_section = {
-        "min_tokens": clones.min_tokens,
-        "groups": {cid: sorted(members) for cid, members in clones.groups.items()},
-    }
     # the metadata, the one section of arbitrary JSON, is encoded before the
     # file is opened, so a value JSON cannot hold raises with no file written
-    meta = _canonical_json(graph.embedder_meta or {})
+    meta = _canonical_json(meta)
     with open(path, "wb") as handle:
         handle.write(_MAGIC + struct.pack("<H", _VERSION))
         # each other section is written as soon as it is encoded, and let go before the next
-        for payload in chain(map(_canonical_json, (node_section, edge_section, clone_section)),
-                             [meta, vectors]):
+        for payload in chain(map(_canonical_json, (node_section, edge_section)), [meta, vectors]):
             handle.write(struct.pack("<I", len(payload)))
             handle.write(payload)
 
@@ -432,24 +457,33 @@ def _signature(text: str) -> SignatureFeatures:
     return SignatureFeatures(frozenset(features))
 
 
-def _read_nodes(section) -> tuple[dict[str, EntityNode], list[str], list[str], list[str]]:
-    """The node section's nodes by id, if save_kb could have written it,
-    with its ids, their kinds and the function nodes' ids.
+def _read_graph(section, edge_section) -> tuple[
+        dict[str, EntityNode], list[tuple[str, str, str]], list[str], CloneGroupTable]:
+    """The node section's nodes by id and the edge section's edges, if
+    save_kb could have written them, with the function nodes' ids and their
+    clone groups.
 
-    The function columns must hold one entry per function node, so a
-    function node without a payload, or a payload for a node of another
-    kind, makes them one entry short or long.
+    The label column holds one entry per node of another kind than function
+    and the function columns one per function node. A function has a clone
+    id exactly if it has ``CLONE_MIN_TOKENS`` tokens or more; the id stands
+    for its clone key, from which, with the CALLS edges, its group and guf
+    are derived as ``build_kb`` derives them.
     """
-    if type(section) is not dict \
-            or section.keys() != _NODE_COLUMNS.keys() | _FUNCTION_COLUMNS.keys():
-        raise ValueError("the node section does not have exactly the node and function columns")
-    ids, kind_names, labels = _columns(section, _NODE_COLUMNS)
+    if type(section) is not dict or section.keys() != (
+            _NODE_COLUMNS.keys() | _LABEL_COLUMNS.keys() | _FUNCTION_COLUMNS.keys()):
+        raise ValueError("the node section does not have exactly the columns save_kb writes")
+    ids, kind_names = _columns(section, _NODE_COLUMNS)
     if not _ascending(ids):
         raise ValueError("node ids are not in strictly ascending order")
     kinds = list(map(_KINDS.__getitem__, kind_names))  # KeyError: an unknown kind
     function_ids = [nid for nid, kind in zip(ids, kinds) if kind == "function"]
-    contract_names, names, sources, signatures, token_counts, clone_ids, gufs = _columns(
+    (labels,) = _columns(section, _LABEL_COLUMNS, len(ids) - len(function_ids))
+    contract_names, names, sources, signatures, token_counts, clone_ids = _columns(
         section, _FUNCTION_COLUMNS, len(function_ids))
+    edges = _read_edges(edge_section, ids, kinds)
+    for function_id, count, clone_id in zip(function_ids, token_counts, clone_ids):
+        if (clone_id is None) != (count < CLONE_MIN_TOKENS):
+            raise ValueError(f"function {function_id!r}: clone id {clone_id!r} at {count} tokens")
     # a contract name, a function name or a clone id recurs over many
     # functions: its functions share one str, as build_kb's payloads do
     shared = {}
@@ -461,9 +495,12 @@ def _read_nodes(section) -> tuple[dict[str, EntityNode], list[str], list[str], l
     read = {text: _signature(text) for text in set(signatures)}
     payloads = dict(zip(function_ids, map(
         FunctionUnit, function_ids, contract_names, names, sources,
-        map(read.__getitem__, signatures), token_counts, clone_ids, gufs)))
-    nodes = dict(zip(ids, map(EntityNode, ids, kinds, labels, map(payloads.get, ids))))
-    return nodes, ids, kinds, function_ids
+        map(read.__getitem__, signatures), token_counts, clone_ids,
+        _stamps(function_ids, clone_ids, edges))))
+    others = iter(labels)  # a function node's label is its qualified name
+    nodes = {nid: EntityNode(nid, kind, next(others) if fn is None else fn.qualified_name, fn)
+             for nid, kind, fn in zip(ids, kinds, map(payloads.get, ids))}
+    return nodes, edges, function_ids, _clone_groups(zip(function_ids, clone_ids))
 
 
 def _read_edges(section, ids: list[str], kinds: list[str]) -> list[tuple[str, str, str]]:
@@ -516,7 +553,7 @@ def _array(typecode: str, data: memoryview) -> array:
 
 def _vectors(section: memoryview, function_ids: list[str],
              dimension: int) -> dict[str, EmbeddingVector]:
-    """The fifth section's vectors by function id, if save_kb could have
+    """The fourth section's vectors by function id, if save_kb could have
     written it for ``function_ids``: one count for each of them, a length of
     exactly ``4 * len(function_ids) + 12 * sum(counts)``, and each vector's
     buckets strictly ascending below ``dimension`` and its values
@@ -551,37 +588,29 @@ def _vectors(section: memoryview, function_ids: list[str],
 
 
 def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
-    """Read a format-4 knowledge base written by save_kb; never yields a partial graph.
+    """Read a format-5 knowledge base written by save_kb; never yields a partial graph.
 
-    Every section must be as save_kb writes it for a graph that build_kb
-    made. FormatError("Corrupt") is raised, among other cases, for a JSON
-    section that does not decode (so also for one nested too deeply or
-    holding an integer of more digits than ``int`` converts); a node or edge
-    section or clone section without exactly the columns or fields save_kb
-    writes (a format-2 ``"vector"`` among them); a column that is not a
-    list, is not as long as the others of its section (a function column
-    must have one entry per function node, so a function node without a
-    payload, or another node with one, makes it one entry short or long), or
-    holds an item of another type than save_kb writes there (a bool is no
-    int); ids, edges or signature features out of strictly ascending order
-    (so also a repeat); an empty signature feature; an unknown node kind or
-    relation; an edge position outside the id column (a negative one too);
-    an edge whose relation does not fit its endpoints' kinds; a vector
-    section whose counts do not cover exactly the function nodes or whose
-    length is not the one its counts make (checked before any bucket or
-    value is read); vector buckets not strictly ascending below the
-    metadata's dimension; clone groups, ``clone_id``s or ``guf``s other
-    than the ones ``build_kb`` derives, at the clone section's
-    ``min_tokens``, from the functions' ``clone_id``s as their clone keys
-    and the CALLS edges (so also a ``clone_id`` on a function below
-    ``min_tokens`` or none on one at or above it, and every loaded ``guf``
-    is at least 1); or a vector not ``within_bound``: not finite or
+    The graph and its clone groups equal the ones build_kb made. Every
+    section must be as save_kb writes it for such a graph.
+    FormatError("Corrupt") is raised, among other cases, for a JSON section
+    that does not decode (so also for one nested too deeply or holding an
+    integer of more digits than ``int`` converts); a node or edge section
+    without exactly the columns save_kb writes (a format-2 ``"vector"`` or a
+    format-4 ``"guf"`` among them); a column that is not a list, is not as
+    long as the others of its kind (see ``_read_graph``), or holds an item
+    of another type than save_kb writes there (a bool is no int); ids, edges
+    or signature features out of strictly ascending order (so also a
+    repeat); an empty signature feature; an unknown node kind or relation;
+    an edge position outside the id column (a negative one too); an edge
+    whose relation does not fit its endpoints' kinds; a ``clone_id`` on a
+    function below ``CLONE_MIN_TOKENS`` tokens, or none on one at or above
+    it; a vector section whose counts do not cover exactly the function
+    nodes or whose length is not the one its counts make (checked before any
+    bucket or value is read); vector buckets not strictly ascending below
+    the metadata's dimension; a vector not ``within_bound``: not finite or
     of a norm above 2**510, the bound every provider's ``embed`` holds, so
-    that ``knn`` cannot overflow. The metadata must name a provider
-    (``name``, ``dimension``, ``embed``) in ``embedding.PROVIDERS``; its
-    ``dimension``, if it has one, must be an int from 1 to
-    ``MAX_DIMENSION``; and its ``corpus_hashes``, if it has them, must be an
-    object of strings. A file of format 1, 2 or 3 raises
+    that ``knn`` cannot overflow; or metadata that save_kb would refuse (see
+    ``_meta_fault``). A file of format 1, 2, 3 or 4 raises
     FormatError("VersionMismatch").
     """
     with open(path, "rb") as handle:
@@ -599,7 +628,7 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
                           f"{_VERSION}; rebuild the knowledge base from its corpus")
     offset = 6
     payloads = []
-    for index in range(5):
+    for index in range(4):
         if offset + 4 > len(blob):
             raise FormatError("Truncated", f"{path}: section {index} length missing")
         (length,) = struct.unpack_from("<I", blob, offset)
@@ -618,47 +647,16 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8, huge ints
             raise FormatError("Corrupt", f"{path}: section {index} undecodable ({exc})") from None
 
-    node_section, edge_section, clone_section, meta = sections
-    # the metadata must name a provider that retrieve can rebuild
-    if not isinstance(meta, dict):
-        raise FormatError("Corrupt", f"{path}: metadata is not an object")
-    name = meta.get("name", HashingEmbedder.name)
-    if type(name) is not str or name not in PROVIDERS:
-        raise FormatError("Corrupt", f"{path}: unknown embedder {name!r}")
-    if "dimension" in meta and (type(meta["dimension"]) is not int
-                                or not 1 <= meta["dimension"] <= MAX_DIMENSION):
-        raise FormatError("Corrupt", f"{path}: dimension {meta['dimension']!r} is not an "
-                                     f"int in 1..2**32")
-    dimension = meta_dimension(meta)  # the bucket bound; provider_from_meta's dimension too
-    hashes = meta.get("corpus_hashes", {})
-    if type(hashes) is not dict or not all(type(value) is str for value in hashes.values()):
-        raise FormatError("Corrupt", f"{path}: corpus_hashes is not an object of strings")
+    node_section, edge_section, meta = sections
+    if (fault := _meta_fault(meta)) is not None:
+        raise FormatError("Corrupt", f"{path}: {fault}")
     try:
-        nodes, ids, kinds, function_ids = _read_nodes(node_section)
-        vectors = _vectors(vector_section, function_ids, dimension)
-        graph = PropertyGraph(nodes, _read_edges(edge_section, ids, kinds), vectors,
-                              meta or None)
-        min_tokens, groups = clone_section["min_tokens"], clone_section["groups"]
-        if clone_section.keys() != {"min_tokens", "groups"}:
-            raise ValueError(f"clone section fields {sorted(clone_section)}")
-        if type(min_tokens) is not int:
-            raise ValueError("clone min_tokens is not an int")
-        # build_kb's derivation, each stored clone id standing for its
-        # function's clone key: a clone id below min_tokens, or None at or
-        # above it (a None group), makes the groups or the stamps differ
-        functions = graph.functions()
-        clones = _clone_groups(functions, {fn.id: fn.clone_id for fn in functions}, min_tokens)
-        if groups != clones.groups:
-            raise ValueError(f"clone groups differ from the functions' clone ids at "
-                             f"min_tokens {min_tokens}")
-        for fn, stamp in zip(functions, _stamps(graph, clones)):
-            if stamp != (fn.clone_id, fn.guf):
-                raise ValueError(f"function {fn.id!r}: clone id {fn.clone_id!r} and guf "
-                                 f"{fn.guf} are not its clone group and its group size plus "
-                                 f"its CALLS in-degree")
+        nodes, edges, function_ids, clones = _read_graph(node_section, edge_section)
+        # the bucket bound; provider_from_meta's dimension too
+        vectors = _vectors(vector_section, function_ids, meta_dimension(meta))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("Corrupt", f"{path}: inconsistent payload ({exc})") from None
-    return graph, clones
+    return PropertyGraph(nodes, edges, vectors, meta or None), clones
 
 
 # ---------------------------------------------------------------------------

@@ -217,20 +217,19 @@ def extract_patch_source(response_text: str) -> str:
 
 
 def generate(prompt: Prompt, backend, model: str = "default") -> PatchCandidate:
-    """Send one prompt and wrap the reply as a patch candidate."""
+    """Send one prompt and wrap the reply's patch as a candidate; a blank
+    patch (all of the reply, or its first fenced block) raises
+    LlmError("EmptyResponse")."""
     request = LlmRequest(
         messages=(("system", prompt.system_text), ("user", prompt.user_text)),
         model=model,
     )
     digest = prompt.digest()
     response = backend.complete(request, prompt_digest=digest)
-    if not response.text.strip():
-        raise LlmError("EmptyResponse", f"backend returned no text for prompt {digest[:12]}")
-    return PatchCandidate(
-        patched_source=extract_patch_source(response.text),
-        stage=prompt.stage,
-        prompt_digest=digest,
-    )
+    source = extract_patch_source(response.text)
+    if not source.strip():
+        raise LlmError("EmptyResponse", f"backend returned no patch for prompt {digest[:12]}")
+    return PatchCandidate(patched_source=source, stage=prompt.stage, prompt_digest=digest)
 
 
 @dataclass

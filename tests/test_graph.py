@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scpatcher import embedding, ingest
+from scpatcher import graph as graph_module
 from scpatcher.embedding import (
     EmbeddingVector,
     HashingEmbedder,
@@ -152,14 +153,22 @@ def test_clone_members_normalize_identically(corpus_paths):
         assert len(sequences) == 1
 
 
-def test_huge_threshold_empties_the_table(corpus_paths):
+def test_huge_threshold_empties_the_table(corpus_paths, monkeypatch):
     graph, keys = _corpus_graph(corpus_paths)
-    clones = assign_clone_groups(graph.functions(), keys, 10_000)
+    monkeypatch.setattr(graph_module, "CLONE_MIN_TOKENS", 10_000)
+    clones = assign_clone_groups(graph.functions(), keys)
     assert clones.groups == {}
     # every function counts as a group of one
     callers = {fn.id: sum(1 for _s, rel, o in graph.edges if rel == "CALLS" and o == fn.id)
                for fn in graph.functions()}
     assert compute_guf(graph, clones) == [(None, 1 + callers[fn.id]) for fn in graph.functions()]
+
+
+def test_clone_table_threshold_is_the_constant():
+    table = CloneGroupTable()
+    assert table.min_tokens == graph_module.CLONE_MIN_TOKENS == 12
+    with pytest.raises(AttributeError):
+        table.min_tokens = 0
 
 
 def test_clone_assignment_is_deterministic(corpus_paths):
@@ -233,21 +242,6 @@ def test_kb_round_trip(kb, kb_file):
     assert loaded_graph.vectors == graph.vectors
 
 
-def test_kb_round_trip_at_the_extreme_clone_thresholds(kb, corpus_paths, tmp_path):
-    """build_kb groups at CLONE_MIN_TOKENS only; load_kb takes a file's own
-    threshold, so a file grouped at any other one still loads."""
-    path = tmp_path / "kb.scpk"
-    for min_tokens in (0, 10_000):
-        graph, keys = _corpus_graph(corpus_paths)
-        graph.vectors, graph.embedder_meta = kb[0].vectors, kb[0].embedder_meta
-        clones = assign_clone_groups(graph.functions(), keys, min_tokens)
-        _stamped(graph, clones)
-        save_kb(graph, clones, path)
-        loaded, loaded_clones = load_kb(path)
-        assert loaded == graph
-        assert (loaded_clones.min_tokens, loaded_clones.groups) == (min_tokens, clones.groups)
-
-
 def test_double_save_is_byte_identical(kb, tmp_path):
     graph, clones, _ = kb
     a, b = tmp_path / "a.scpk", tmp_path / "b.scpk"
@@ -258,7 +252,7 @@ def test_double_save_is_byte_identical(kb, tmp_path):
 
 def test_empty_kb_round_trip(tmp_path):
     path = tmp_path / "empty.scpk"
-    save_kb(PropertyGraph({}, [], {}, None), CloneGroupTable(min_tokens=12, groups={}), path)
+    save_kb(PropertyGraph({}, [], {}, None), CloneGroupTable(), path)
     graph, clones = load_kb(path)
     assert graph.nodes == {} and graph.edges == []
     assert clones.groups == {}
@@ -312,36 +306,41 @@ def test_load_rejects_version_mismatch(kb_file, tmp_path):
 
 
 #: the node section's columns over every node, and those over the function
-#: nodes only (format 3's payload fields)
-_NODE_FIELDS = ("id", "kind", "label")
+#: nodes only (format 3's payload fields, but for the derived guf)
+_NODE_FIELDS = ("id", "kind")
 _PAYLOAD_FIELDS = ("contract_name", "name", "source_text", "signature", "token_count",
-                   "clone_id", "guf")
+                   "clone_id")
 _EDGE_FIELDS = ("subject", "relation", "object")
 
 
 def _records(nodes):
-    """The node columns as format 3's node records: one dict per node, and a
-    function's with its payload dict."""
+    """The node columns as one dict per node: a function's with its payload
+    dict, and another node's with its label."""
     payloads = (dict(zip(_PAYLOAD_FIELDS, entries))
                 for entries in zip(*(nodes[name] for name in _PAYLOAD_FIELDS)))
+    labels = iter(nodes["label"])
     records = []
     for entries in zip(*(nodes[name] for name in _NODE_FIELDS)):
         record = dict(zip(_NODE_FIELDS, entries))
         if record["kind"] == "function":
             record["payload"] = next(payloads)
+        else:
+            record["label"] = next(labels)
         records.append(record)
     return records
 
 
 def _with_records(edit):
     """A mutation that edits the nodes as ``_records`` gives them and writes
-    them back as columns: a node column over every record, and a function
-    column over the records that have a payload, in their order."""
-    def mutate(nodes, edges, clones, meta, vectors):
+    them back as columns: a node column over every record, the label column
+    over the records that have a label and a function column over those that
+    have a payload, each in their order."""
+    def mutate(nodes, edges, meta, vectors):
         records = _records(nodes)
         edit(records)
         payloads = [record["payload"] for record in records if "payload" in record]
         nodes.update({name: [record[name] for record in records] for name in _NODE_FIELDS})
+        nodes["label"] = [record["label"] for record in records if "label" in record]
         nodes.update({name: [payload[name] for payload in payloads]
                       for name in _PAYLOAD_FIELDS})
     return mutate
@@ -358,33 +357,57 @@ def _set_edge_rows(edges, rows):
 def _with_edge_rows(edit):
     """A mutation that edits the edges as [subject, relation, object] rows of
     positions and writes them back as columns."""
-    def mutate(nodes, edges, clones, meta, vectors):
+    def mutate(nodes, edges, meta, vectors):
         rows = _edge_rows(edges)
         edit(rows, nodes)
         _set_edge_rows(edges, rows)
     return mutate
 
 
+def _format_4_layout(kb):
+    """A mutation that lays the sections out as format 4 did, from the built
+    ``kb``'s graph and clone table: a label for every node, a ``guf`` column,
+    and the clone section between the edges and the metadata."""
+    graph, clones, _ = kb
+
+    def mutate(nodes, edges, meta, vectors):
+        nodes["label"] = [graph.nodes[nid].label for nid in nodes["id"]]
+        nodes["guf"] = [graph.nodes[nid].payload.guf for nid in _function_ids(nodes)]
+        return [nodes, edges, {"min_tokens": clones.min_tokens, "groups": clones.groups},
+                meta, vectors]
+    return mutate
+
+
 def _format_3_layout(nodes, edges):
-    """The node and edge sections as format 3 wrote them: one record per
-    node, a function's with its payload and the payload's signature as a
-    list of features, and one [subject id, relation, object id] list per
-    edge, in the same order."""
-    records = _records(nodes)
-    for record in records:
-        if "payload" in record:
+    """Format 4's node and edge sections as format 3 wrote them: one record
+    per node with its label, a function's with its payload and the payload's
+    signature as a list of features, and one [subject id, relation, object
+    id] list per edge, in the same order."""
+    fields = _PAYLOAD_FIELDS + ("guf",)
+    payloads = (dict(zip(fields, entries)) for entries in zip(*(nodes[name] for name in fields)))
+    records = []
+    for node_id, kind, label in zip(nodes["id"], nodes["kind"], nodes["label"]):
+        record = {"id": node_id, "kind": kind, "label": label}
+        if kind == "function":
+            record["payload"] = next(payloads)
             record["payload"]["signature"] = record["payload"]["signature"].split()
+        records.append(record)
     ids = nodes["id"]
     return records, [[ids[subject], relation, ids[obj]]
                      for subject, relation, obj in _edge_rows(edges)]
 
 
-def _assert_older_format_is_rejected(kb_file, path, version, vector_of=None):
-    """Write the fixture KB in format 3's record layout, and check that
-    load_kb rejects it by its ``version``. With ``vector_of``, each function
-    record holds ``vector_of(buckets, values)`` as its ``"vector"`` and there
-    is no vector section, as in formats 1 and 2."""
-    def older_layout(nodes, edges, clones, meta, vectors):
+def _assert_older_format_is_rejected(kb, kb_file, path, version, vector_of=None):
+    """Write the fixture KB in the layout of format ``version``, 4 or older,
+    and check that load_kb rejects it by that version. Formats 1 to 3 hold
+    format 3's records; with ``vector_of``, each function record holds
+    ``vector_of(buckets, values)`` as its ``"vector"`` and there is no vector
+    section, as in formats 1 and 2."""
+    def older_layout(nodes, edges, meta, vectors):
+        sections = _format_4_layout(kb)(nodes, edges, meta, vectors)
+        if version == 4:
+            return sections
+        nodes, edges, clones, meta, vectors = sections
         records, edge_lists = _format_3_layout(nodes, edges)
         if vector_of is None:
             return [records, edge_lists, clones, meta, vectors]
@@ -401,23 +424,29 @@ def _assert_older_format_is_rejected(kb_file, path, version, vector_of=None):
     assert err.value.code == "VersionMismatch"
 
 
-def test_format_1_file_raises_version_mismatch(kb_file, tmp_path):
+def test_format_1_file_raises_version_mismatch(kb, kb_file, tmp_path):
     # format 1 held every vector densely; it is rebuilt from its corpus, not read
     _assert_older_format_is_rejected(
-        kb_file, tmp_path / "v1.scpk", 1,
+        kb, kb_file, tmp_path / "v1.scpk", 1,
         lambda buckets, values: list(EmbeddingVector(buckets, values).dense(256)))
 
 
-def test_format_2_file_raises_version_mismatch(kb_file, tmp_path):
+def test_format_2_file_raises_version_mismatch(kb, kb_file, tmp_path):
     # format 2 held every vector as a sparse pair in its node record
-    _assert_older_format_is_rejected(kb_file, tmp_path / "v2.scpk", 2,
+    _assert_older_format_is_rejected(kb, kb_file, tmp_path / "v2.scpk", 2,
                                      lambda buckets, values: [buckets, values])
 
 
-def test_format_3_file_raises_version_mismatch(kb_file, tmp_path):
+def test_format_3_file_raises_version_mismatch(kb, kb_file, tmp_path):
     # format 3 held one JSON record per node and one list per edge, and the
-    # vectors in the binary section that format 4 keeps
-    _assert_older_format_is_rejected(kb_file, tmp_path / "v3.scpk", 3)
+    # vectors in the binary section that format 5 keeps
+    _assert_older_format_is_rejected(kb, kb_file, tmp_path / "v3.scpk", 3)
+
+
+def test_format_4_file_raises_version_mismatch(kb, kb_file, tmp_path):
+    # format 4 also held the clone groups, their threshold, every guf and
+    # every function node's label, which format 5 derives
+    _assert_older_format_is_rejected(kb, kb_file, tmp_path / "v4.scpk", 4)
 
 
 def test_load_rejects_truncation_everywhere(kb_file, tmp_path):
@@ -444,7 +473,7 @@ def test_load_missing_file_is_io_error(tmp_path):
 
 
 def _vector_parts(vectors, bucket_code="I", value_code="d"):
-    """The vector section of ``[buckets, values]`` pairs, as formats 3 and 4
+    """The vector section of ``[buckets, values]`` pairs, as formats 3 to 5
     lay it out, in three parts: a little-endian u32 bucket count per vector,
     every bucket as a u32 and every value as an f64 (or each in the
     ``struct`` code given)."""
@@ -456,38 +485,40 @@ def _vector_parts(vectors, bucket_code="I", value_code="d"):
 
 
 def _rewrite_kb(kb_file, path, mutate):
-    """Decode the four JSON sections and the vector section, pass them to
-    ``mutate`` and write the sections it returns (or, if it returns None, the
-    ones it edited). The node and edge sections come as their column
-    objects, the vectors as ``[buckets, values]`` lists in the order of the
-    function nodes. A fifth section that is bytes is written as it is, as is
-    any other section that is bytes; returning only four sections writes
-    the layout of formats 1 and 2."""
+    """Decode every section of the file, the JSON ones and the vector
+    section, which is the last, pass them to ``mutate`` in the file's order
+    and write the sections it returns (or, if it returns None, the ones it
+    edited). The node and edge sections come as their column objects, the
+    vectors as ``[buckets, values]`` lists in the order of the function
+    nodes. The vector list that ``mutate`` was given is written as a vector
+    section wherever it returns it, a section that is bytes as it is, and
+    any other as JSON; so returning no vector list writes the layout of
+    formats 1 and 2."""
     blob = kb_file.read_bytes()
     offset, payloads = 6, []
-    for _ in range(5):
+    while offset < len(blob):
         (length,) = struct.unpack_from("<I", blob, offset)
         payloads.append(blob[offset + 4:offset + 4 + length])
         offset += 4 + length
-    sections = [json.loads(payload) for payload in payloads[:4]]
+    *texts, vector_section = payloads
+    sections = [json.loads(text) for text in texts]
     functions = sections[0]["kind"].count("function")
-    counts = struct.unpack_from(f"<{functions}I", payloads[4])
+    counts = struct.unpack_from(f"<{functions}I", vector_section)
     total = sum(counts)
-    buckets = struct.unpack_from(f"<{total}I", payloads[4], 4 * functions)
-    values = struct.unpack_from(f"<{total}d", payloads[4], 4 * functions + 4 * total)
+    buckets = struct.unpack_from(f"<{total}I", vector_section, 4 * functions)
+    values = struct.unpack_from(f"<{total}d", vector_section, 4 * functions + 4 * total)
     vectors, start = [], 0
     for count in counts:
         vectors.append([list(buckets[start:start + count]), list(values[start:start + count])])
         start += count
-    sections = mutate(*sections, vectors) or sections + [vectors]
     out = bytearray(blob[:6])
-    for index, section in enumerate(sections):
-        if isinstance(section, bytes):
-            payload = section
-        elif index < 4:
-            payload = json.dumps(section).encode("utf-8")
-        else:
+    for section in mutate(*sections, vectors) or sections + [vectors]:
+        if section is vectors:
             payload = b"".join(_vector_parts(section))
+        elif isinstance(section, bytes):
+            payload = section
+        else:
+            payload = json.dumps(section).encode("utf-8")
         out += struct.pack("<I", len(payload)) + payload
     path.write_bytes(bytes(out))
     return path
@@ -505,21 +536,23 @@ def _function_ids(nodes):
     return [nid for nid, kind in zip(nodes["id"], nodes["kind"]) if kind == "function"]
 
 
-def _clone_ids_as_lists(nodes, edges, clones, meta, vectors):
+def _clone_ids_as_lists(nodes, edges, meta, vectors):
     nodes["clone_id"] = [[clone_id] for clone_id in nodes["clone_id"]]
 
 
-def _grouped_function(nodes, clones):
-    """The function-column index of the first function with a clone id, and
-    its group's members."""
-    index = next(i for i, clone_id in enumerate(nodes["clone_id"]) if clone_id)
-    return index, clones["groups"][nodes["clone_id"][index]]
+def _clone_id_of_first(grouped, clone_id):
+    """A mutation that sets ``clone_id`` for the first function that has a
+    clone id, if ``grouped``, or else for the first that has none."""
+    def mutate(nodes, edges, meta, vectors):
+        column = nodes["clone_id"]
+        column[next(i for i, old in enumerate(column) if (old is not None) == grouped)] = clone_id
+    return mutate
 
 
 def _vector_of(index=0, buckets=None, values=None):
     """A mutation that edits, in place, the buckets or the values of the
     ``index``-th function's vector."""
-    def mutate(nodes, edges, clones, meta, vectors):
+    def mutate(nodes, edges, meta, vectors):
         pair = vectors[index]
         for edit, part in ((buckets, pair[0]), (values, pair[1])):
             if edit is not None:
@@ -530,8 +563,8 @@ def _vector_of(index=0, buckets=None, values=None):
 def _vector_bytes(edit):
     """A mutation that writes as the vector section what ``edit`` makes of
     its three parts: the counts, the buckets and the values."""
-    return lambda nodes, edges, clones, meta, vectors: [
-        nodes, edges, clones, meta, edit(*_vector_parts(vectors))]
+    return lambda nodes, edges, meta, vectors: [
+        nodes, edges, meta, edit(*_vector_parts(vectors))]
 
 
 #: struct code -> the type its items are converted to before packing
@@ -541,20 +574,20 @@ _CODE_TYPES = {"?": bool, "i": int, "I": int, "d": float}
 def _repacked(bucket_code="I", value_code="d"):
     """A mutation that writes the vector section with the buckets or the
     values packed in another ``struct`` code, each item of its type."""
-    def mutate(nodes, edges, clones, meta, vectors):
+    def mutate(nodes, edges, meta, vectors):
         converted = [[list(map(_CODE_TYPES[bucket_code], buckets)),
                       list(map(_CODE_TYPES[value_code], values))]
                      for buckets, values in vectors]
         section = b"".join(_vector_parts(converted, bucket_code, value_code))
-        return [nodes, edges, clones, meta, section]
+        return [nodes, edges, meta, section]
     return mutate
 
 
-def _values_as_text(nodes, edges, clones, meta, vectors):
+def _values_as_text(nodes, edges, meta, vectors):
     """The values written as JSON text, as format 2 held them."""
     counts, buckets, _values = _vector_parts(vectors)
     text = json.dumps([value for _buckets, values in vectors for value in values])
-    return [nodes, edges, clones, meta, counts + buckets + text.encode("utf-8")]
+    return [nodes, edges, meta, counts + buckets + text.encode("utf-8")]
 
 
 def _drop(container, *key):
@@ -565,7 +598,7 @@ def _drop(container, *key):
 
 def _payload_of(**changes):
     """A mutation that sets the first function's entry in each named column."""
-    def mutate(nodes, edges, clones, meta, vectors):
+    def mutate(nodes, edges, meta, vectors):
         for name, value in changes.items():
             nodes[name][0] = value
     return mutate
@@ -574,7 +607,7 @@ def _payload_of(**changes):
 def _signature_of(edit):
     """A mutation that edits, in place, the first function's signature
     features, and writes them back joined by single spaces."""
-    def mutate(nodes, edges, clones, meta, vectors):
+    def mutate(nodes, edges, meta, vectors):
         features = nodes["signature"][0].split(" ")
         edit(features)
         nodes["signature"][0] = " ".join(features)
@@ -583,30 +616,20 @@ def _signature_of(edit):
 
 def _with_edge(subject_kind, relation, object_kind):
     """A mutation that adds an edge, in sorted place, from the first node of
-    ``subject_kind`` to the first of ``object_kind``; a CALLS edge also
-    raises the callee's guf by one, as compute_guf would."""
-    def mutate(nodes, edges, clones, meta, vectors):
+    ``subject_kind`` to the first of ``object_kind``."""
+    def mutate(nodes, edges, meta, vectors):
         subject, obj = nodes["kind"].index(subject_kind), nodes["kind"].index(object_kind)
         _set_edge_rows(edges, sorted(_edge_rows(edges) + [[subject, relation, obj]]))
-        if relation == "CALLS":
-            nodes["guf"][_function_ids(nodes).index(nodes["id"][obj])] += 1
     return mutate
 
 
-def _calls_edge_dropped(nodes, edges, clones, meta, vectors):
-    index = edges["relation"].index("CALLS")
-    for name in _EDGE_FIELDS:
-        _drop(edges[name], index)
-
-
-def _guf_raised(nodes, edges, clones, meta, vectors):
-    nodes["guf"][0] += 1
+def _function_labelled(records):
+    """Give the first function record its qualified name as a label."""
+    payload = _function_record(records)["payload"]
+    _function_record(records)["label"] = f"{payload['contract_name']}.{payload['name']}"
 
 
 _MALFORMED = {
-    # the clone section's groups must be an object
-    "groups-list": lambda nodes, edges, clones, meta, vectors: clones.update(
-        groups=[["a", ["b"]]]),
     # every signature is a string of features (format 3 held a list of them,
     # and one could be an int)
     "feature-int": _payload_of(signature=7),
@@ -663,70 +686,78 @@ _MALFORMED = {
         slice(None), [value * 1e200 for value in values])),
     # the metadata is an object that names a known embedder and, if it has
     # one, an int dimension in 1..2**32
-    "meta-list": lambda nodes, edges, clones, meta, vectors: [nodes, edges, clones, [], vectors],
-    "meta-null": lambda nodes, edges, clones, meta, vectors: [
-        nodes, edges, clones, None, vectors],
-    "embedder-unknown": lambda nodes, edges, clones, meta, vectors: meta.update(name="word2vec"),
-    "embedder-null": lambda nodes, edges, clones, meta, vectors: meta.update(name=None),
+    "meta-list": lambda nodes, edges, meta, vectors: [nodes, edges, [], vectors],
+    "meta-null": lambda nodes, edges, meta, vectors: [
+        nodes, edges, None, vectors],
+    "embedder-unknown": lambda nodes, edges, meta, vectors: meta.update(name="word2vec"),
+    "embedder-null": lambda nodes, edges, meta, vectors: meta.update(name=None),
     # corpus_hashes, if present, is an object of strings (an int loaded, and
     # evaluate's dedup then raised TypeError; a non-string value loaded too)
-    "corpus-hashes-int": lambda nodes, edges, clones, meta, vectors: meta.update(
+    "corpus-hashes-int": lambda nodes, edges, meta, vectors: meta.update(
         corpus_hashes=5),
-    "corpus-hashes-list": lambda nodes, edges, clones, meta, vectors: meta.update(
+    "corpus-hashes-list": lambda nodes, edges, meta, vectors: meta.update(
         corpus_hashes=[]),
-    "corpus-hashes-int-value": lambda nodes, edges, clones, meta, vectors: meta.update(
+    "corpus-hashes-int-value": lambda nodes, edges, meta, vectors: meta.update(
         corpus_hashes={"h": 7}),
-    "dimension-zero": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=0),
-    "dimension-float": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=256.0),
-    "dimension-bool": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=True),
-    "dimension-null": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=None),
+    "dimension-zero": lambda nodes, edges, meta, vectors: meta.update(dimension=0),
+    "dimension-float": lambda nodes, edges, meta, vectors: meta.update(dimension=256.0),
+    "dimension-bool": lambda nodes, edges, meta, vectors: meta.update(dimension=True),
+    "dimension-null": lambda nodes, edges, meta, vectors: meta.update(dimension=None),
     # a bucket is a u32, so no knowledge base has more than 2**32 of them
-    "dimension-above-max": lambda nodes, edges, clones, meta, vectors: meta.update(
+    "dimension-above-max": lambda nodes, edges, meta, vectors: meta.update(
         dimension=2 ** 32 + 1),
     # a smaller dimension leaves saved buckets out of range
-    "dimension-small": lambda nodes, edges, clones, meta, vectors: meta.update(dimension=16),
+    "dimension-small": lambda nodes, edges, meta, vectors: meta.update(dimension=16),
     # a clone id is a string or null (a list loaded, then broke rerank's set)
     "clone-id-list": _clone_ids_as_lists,
     # each column item has the type save_kb writes (a bool is no int)
     "source-text-int": _payload_of(source_text=7),
     "name-list": _payload_of(name=["f"]),
     "contract-name-null": _payload_of(contract_name=None),
-    "guf-float": _payload_of(guf=1.5),
-    "guf-bool": _payload_of(guf=True),
     "token-count-bool": _payload_of(token_count=True),
-    "min-tokens-float": lambda nodes, edges, clones, meta, vectors: clones.update(min_tokens=12.0),
+    # a function has a clone id exactly if it has CLONE_MIN_TOKENS tokens or
+    # more, so that the clone groups derived from the clone ids are the ones
+    # build_kb makes
+    "clone-id-below-threshold": _clone_id_of_first(False, "0" * 16),
+    "clone-id-null-at-threshold": _clone_id_of_first(True, None),
     # a known node kind
-    "kind-unknown": lambda nodes, edges, clones, meta, vectors: nodes["kind"].__setitem__(
+    "kind-unknown": lambda nodes, edges, meta, vectors: nodes["kind"].__setitem__(
         -1, "event"),
     # a function node has one vector and one entry in each function column,
     # and no other node has either: a function node without a payload makes
     # every function column one entry short, and a payload on a variable one
     # entry long (a vector for a variable is one vector more than function
     # nodes)
-    "function-without-vector": lambda nodes, edges, clones, meta, vectors: _drop(vectors, 0),
+    "function-without-vector": lambda nodes, edges, meta, vectors: _drop(vectors, 0),
     "function-without-payload": _with_records(
         lambda records: _drop(_function_record(records), "payload")),
-    "vector-on-variable": lambda nodes, edges, clones, meta, vectors: vectors.append(
+    "vector-on-variable": lambda nodes, edges, meta, vectors: vectors.append(
         [[0], [1.0]]),
     "payload-on-variable": _with_records(lambda records: _node_record(
         records, "variable").update(payload=_function_record(records)["payload"])),
     # every column of a section as long as the others of its kind: a reader
     # that zipped them would drop the last node, the last edge or the last
     # function's payload, or ignore an extra entry, and load
-    "label-column-short": lambda nodes, edges, clones, meta, vectors: _drop(nodes["label"]),
-    "relation-column-short": lambda nodes, edges, clones, meta, vectors: _drop(
+    "label-column-short": lambda nodes, edges, meta, vectors: _drop(nodes["label"]),
+    # a function node's label is its qualified name, so it has no entry in
+    # the label column
+    "label-on-function": _with_records(_function_labelled),
+    "relation-column-short": lambda nodes, edges, meta, vectors: _drop(
         edges["relation"]),
-    "guf-column-short": lambda nodes, edges, clones, meta, vectors: _drop(nodes["guf"]),
-    "guf-column-long": lambda nodes, edges, clones, meta, vectors: nodes["guf"].append(1),
-    # a section has exactly the columns or fields save_kb writes (an unknown
-    # payload or clone field loaded, and re-saving dropped it; a format-2
-    # vector, here as a column of the node section, would be ignored)
-    "vector-in-record": lambda nodes, edges, clones, meta, vectors: nodes.update(
+    # a section has exactly the columns save_kb writes (an unknown payload
+    # field loaded, and re-saving dropped it; a format-2 vector, here as a
+    # column of the node section, would be ignored, and so would format 4's
+    # guf)
+    "vector-in-record": lambda nodes, edges, meta, vectors: nodes.update(
         vector=vectors),
-    "payload-unknown-field": lambda nodes, edges, clones, meta, vectors: nodes.update(
+    "payload-unknown-field": lambda nodes, edges, meta, vectors: nodes.update(
         detected=[[] for _ in _function_ids(nodes)]),
-    "clones-unknown-field": lambda nodes, edges, clones, meta, vectors: clones.update(
-        stale=True),
+    "guf-column": lambda nodes, edges, meta, vectors: nodes.update(
+        guf=[1 for _ in _function_ids(nodes)]),
+    # a file has exactly four sections: format 4's clone section, here
+    # before the metadata, makes five
+    "clone-section": lambda nodes, edges, meta, vectors: [
+        nodes, edges, {"groups": {}, "min_tokens": 12}, meta, vectors],
     "node-twice": _with_records(lambda records: records.append(_function_record(records))),
     # ids, edges and signature features in strictly ascending order, as
     # save_kb writes them (out of it, they loaded and re-saved to other bytes)
@@ -746,23 +777,6 @@ _MALFORMED = {
     "relation-unknown": _with_edge("function", "INVOKES", "function"),
     "calls-from-variable": _with_edge("variable", "CALLS", "function"),
     "reads-a-function": _with_edge("function", "READS", "function"),
-    # guf is the clone-group size plus the CALLS in-degree (any other loaded as stored)
-    "guf-raised": _guf_raised,
-    "calls-edge-dropped": _calls_edge_dropped,
-    # the clone groups are exactly the functions' clone ids
-    "group-unknown-id": lambda nodes, edges, clones, meta, vectors: _grouped_function(
-        nodes, clones)[1].append("f" * 16),
-    "group-wrong-clone-id": lambda nodes, edges, clones, meta, vectors: nodes[
-        "clone_id"].__setitem__(_grouped_function(nodes, clones)[0], "0" * 16),
-    "group-missing-member": lambda nodes, edges, clones, meta, vectors: _drop(
-        _grouped_function(nodes, clones)[1]),
-    "group-extra": lambda nodes, edges, clones, meta, vectors: clones["groups"].update(
-        {"0" * 16: [_function_ids(nodes)[0]]}),
-    # a function has a clone id exactly if its token count reaches min_tokens
-    # (999 left functions below it grouped, 0 left two at or above it
-    # ungrouped; both loaded)
-    "min-tokens-raised": lambda nodes, edges, clones, meta, vectors: clones.update(min_tokens=999),
-    "min-tokens-zero": lambda nodes, edges, clones, meta, vectors: clones.update(min_tokens=0),
 }
 
 
@@ -812,7 +826,7 @@ def test_load_rejects_an_edge_position_that_is_not_an_index_of_the_ids(
 
 @pytest.mark.parametrize("index, text", [
     (1, "[" * 100_000 + "]" * 100_000),
-    (2, '{"groups": {}, "min_tokens": ' + "9" * 5_000 + "}"),
+    (2, '{"dimension": ' + "9" * 5_000 + "}"),
 ], ids=["nested-100000-deep", "int-of-5000-digits"])
 def test_load_rejects_json_that_does_not_decode_as_corrupt(kb_file, tmp_path, index, text):
     # json.loads raises RecursionError for the first and ValueError, not
@@ -846,11 +860,13 @@ def test_save_rejects_a_bucket_beyond_u32_before_opening_the_file(kb_file, tmp_p
 def test_save_rejects_what_the_function_columns_cannot_hold_before_opening_the_file(
         kb_file, tmp_path):
     # a function node without a payload has no entry in the function columns,
-    # and an empty feature would vanish from its signature's text
+    # an empty feature would vanish from its signature's text, and a function
+    # node's label is not stored: load_kb makes it the qualified name
     path = tmp_path / "unwritable.scpk"
     for edit in (lambda node: setattr(node, "payload", None),
                  lambda node: setattr(node, "payload", dataclasses.replace(
-                     node.payload, signature=SignatureFeatures(frozenset({"", "public"}))))):
+                     node.payload, signature=SignatureFeatures(frozenset({"", "public"})))),
+                 lambda node: setattr(node, "label", node.payload.qualified_name + "2")):
         graph, clones = load_kb(kb_file)
         edit(graph.function_nodes()[0])
         with pytest.raises(ValueError):
@@ -869,27 +885,32 @@ def test_save_rejects_a_name_outside_the_vocabulary_before_opening_the_file(
     # load_kb would refuse such a file as Corrupt, so it is never written
     path = tmp_path / "misnamed.scpk"
     with pytest.raises(ValueError) as err:
-        save_kb(PropertyGraph(nodes, edges, {}, None), CloneGroupTable(12, {}), path)
+        save_kb(PropertyGraph(nodes, edges, {}, None), CloneGroupTable(), path)
     assert str(err.value) == message
     assert not path.exists()
 
 
 def test_save_of_metadata_json_cannot_hold_leaves_the_file_as_it_was(kb, kb_file, tmp_path):
     # the file is streamed section by section, but nothing is written before
-    # the metadata is encoded
+    # the metadata is encoded and checked; JSON cannot hold a set, and
+    # load_kb would refuse each of the others as Corrupt
     graph, clones, _ = kb
     path = tmp_path / "kept.scpk"
     path.write_bytes(Path(kb_file).read_bytes())
-    bad = PropertyGraph(graph.nodes, graph.edges, graph.vectors,
-                        {**graph.embedder_meta, "note": {1, 2}})
-    with pytest.raises(TypeError):
-        save_kb(bad, clones, path)
-    assert path.read_bytes() == Path(kb_file).read_bytes()
+    for change, error in (({"note": {1, 2}}, TypeError),
+                          ({"name": "word2vec"}, ValueError),
+                          ({"dimension": 2 ** 32 + 1}, ValueError),
+                          ({"corpus_hashes": 5}, ValueError)):
+        bad = PropertyGraph(graph.nodes, graph.edges, graph.vectors,
+                            {**graph.embedder_meta, **change})
+        with pytest.raises(error):
+            save_kb(bad, clones, path)
+        assert path.read_bytes() == Path(kb_file).read_bytes()
 
 
 def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, tmp_path):
     # with no dimension in the metadata, buckets are bounded by the default, 256
-    def drop_dimension(nodes, edges, clones, meta, vectors):
+    def drop_dimension(nodes, edges, meta, vectors):
         del meta["dimension"]
 
     path = _rewrite_kb(kb_file, tmp_path / "nodim.scpk", drop_dimension)
@@ -897,8 +918,8 @@ def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, 
     assert max(bucket for buckets, _values in graph.vectors.values() for bucket in buckets) < 256
     assert index_from_graph(graph).dimension == 256
 
-    def long_second_row(nodes, edges, clones, meta, vectors):
-        drop_dimension(nodes, edges, clones, meta, vectors)
+    def long_second_row(nodes, edges, meta, vectors):
+        drop_dimension(nodes, edges, meta, vectors)
         buckets, values = vectors[1]
         buckets.append(256)
         values.append(0.5)
@@ -912,8 +933,7 @@ def test_load_rejects_vectors_of_differing_lengths_without_a_dimension(kb_file, 
 def test_empty_metadata_loads_and_queries_with_the_default_embedder(
         kb, kb_file, corpus_paths, tmp_path):
     path = _rewrite_kb(kb_file, tmp_path / "nometa.scpk",
-                       lambda nodes, edges, clones, meta, vectors: [
-                           nodes, edges, clones, {}, vectors])
+                       lambda nodes, edges, meta, vectors: [nodes, edges, {}, vectors])
     graph, _clones = load_kb(path)
     assert graph.embedder_meta is None
     unit = load_source(corpus_paths[0])
@@ -961,7 +981,7 @@ def test_loaded_kb_index_equals_the_built_one(kb, kb_file):
 
 def test_a_vector_of_norm_2_to_the_510_loads_and_retrieves_as_the_dense_scan(
         kb_file, corpus_paths, tmp_path):
-    def largest_vector(nodes, edges, clones, meta, vectors):
+    def largest_vector(nodes, edges, meta, vectors):
         vectors[0] = [[0, 1, 2, 3], [2.0 ** 509] * 4]
 
     graph = load_kb(_rewrite_kb(kb_file, tmp_path / "edge.scpk", largest_vector))[0]
@@ -1244,8 +1264,8 @@ def test_build_kb_rejects_a_provider_reply_it_cannot_store(corpus_paths, fault, 
 
 #: SHA-256 of the KB saved from the fixture corpus with HashingEmbedder(),
 #: and the format version it was saved in.
-FIXTURE_KB_SHA256 = "d03aca52f0af1bbb42ba93b3cc5e2ea98cd0bf1df3617716e038fc02bb011516"
-FIXTURE_KB_VERSION = 4
+FIXTURE_KB_SHA256 = "63863b3dd27540d82c5d28af08102679caf9e42dfaf2e261115e06be5d40a03d"
+FIXTURE_KB_VERSION = 5
 
 
 def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
@@ -1263,8 +1283,8 @@ def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
 
 #: Size and SHA-256 of the KB saved from the benchmark's large corpus: seed 7,
 #: 100 copies of the fixture corpus (1,000 files), with HashingEmbedder(256).
-LARGE_KB_BYTES = 2_077_894
-LARGE_KB_SHA256 = "ca2eeabce3be774e7d2f053ae08140e1715c62cd21a62ac2e95ed82b32e1e839"
+LARGE_KB_BYTES = 1_941_455
+LARGE_KB_SHA256 = "a3f8b9ad326c5e43a49a6d184a2f3f2b136cddc603e88222cacbade20e64ce4f"
 
 
 def test_seed_7_large_kb_bytes_are_pinned(tmp_path, monkeypatch):

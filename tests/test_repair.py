@@ -317,6 +317,25 @@ def test_repair_records_generation_errors(kb):
     assert sum("generation failed: ScriptMiss" in d for d in outcome.diagnostics) == 2
 
 
+def test_empty_fenced_reply_fails_stage_one_and_chain_of_thought_still_runs(kb):
+    # an empty fence extracted to "", and PatchCandidate("") raised
+    # ValueError out of repair() before stage 2
+    graph, _, _ = kb
+    unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
+    patch = (EVAL_CASES / "patches" / "patch2_faucet.sol").read_text()
+    backend = MockLlmBackend(rules=[
+        MockRule(response=f"```solidity\n{patch}```", substrings=("exploit path",)),
+        MockRule(response="```solidity\n```"),
+    ])
+    outcome = repair(unit, _report(unit, fn, VulnClass.REENTRANCY), graph,
+                     RepairConfig(backend=backend))
+    assert outcome.fixed and outcome.compiled
+    assert outcome.stage_used is RepairStage.CHAIN_OF_THOUGHT
+    assert outcome.patch.patched_source == patch
+    assert [line.split(": ", 3)[:3] for line in outcome.diagnostics] == [
+        ["knowledge-guided", "generation failed", "EmptyResponse"]]
+
+
 def test_repair_unknown_function_id(kb):
     graph, _, _ = kb
     unit, fn = _case("case2_reentrancy.sol", "EvalFaucet", "withdraw")
