@@ -143,7 +143,8 @@ def _cmd_build_kb(args) -> int:
 
 
 def _split_locator(locator: str) -> tuple[str, str, str]:
-    path, sep, qualified = locator.partition("#")
+    # a path may hold a '#'; a contract or function name never does
+    path, sep, qualified = locator.rpartition("#")
     contract, dot, function = qualified.partition(".")
     if not sep or not dot or not path or not contract or not function:
         raise _UsageError(

@@ -27,13 +27,14 @@ The reference provider is a deterministic hashing embedder: tokens are
 hashed into a fixed number of buckets, counts are log-damped, and the
 vector is L2-normalized. It reads tokens, not text: it looks each token's
 bucket up in a table shared by every instance of the same dimension (one
-SHA-256 per distinct text per process), counts the tokens per bucket in one
-``Counter`` call, and computes weights and the norm over the nonzero
-buckets only, in ascending bucket order, so its values are bit-identical
-to the dense formula's over every bucket. The remote HTTP provider embeds
-the source texts, one request per call, and drops the zeros of the dense
-vectors it receives. It imports ``requests`` on first use, so a run that
-never makes one loads no HTTP client.
+``model.sha256`` per distinct text per process: CPython's built-in SHA-256,
+which on such short texts is faster than OpenSSL's and loads no libcrypto),
+counts the tokens per bucket in one ``Counter`` call, and computes weights
+and the norm over the nonzero buckets only, in ascending bucket order, so
+its values are bit-identical to the dense formula's over every bucket. The
+remote HTTP provider embeds the source texts, one request per call, and
+drops the zeros of the dense vectors it receives. It imports ``requests``
+on first use, so a run that never makes one loads no HTTP client.
 
 Retrieval is exact: ``knn`` returns the ids and ``math.dist`` distances
 that a flat L2 scan of every dense row returns, bit for bit. The index is
@@ -66,7 +67,6 @@ no filter, when ``n`` covers the index.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 import os
@@ -80,7 +80,7 @@ from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .ingest import Token, lex  # noqa: F401  (bench/run.py's traced run wraps this lex)
-from .model import CodedError, FunctionUnit
+from .model import CodedError, FunctionUnit, sha256
 
 if TYPE_CHECKING:
     import requests
@@ -188,7 +188,7 @@ class _BucketTable(dict):
         self.dimension = dimension
 
     def __missing__(self, text: str) -> int:
-        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        digest = sha256(text.encode("utf-8")).digest()
         bucket = self[text] = int.from_bytes(digest[:8], "big") % self.dimension
         return bucket
 

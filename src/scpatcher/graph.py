@@ -40,7 +40,6 @@ of them is read, and such a file is rebuilt from its corpus.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from array import array
@@ -69,7 +68,7 @@ from .ingest import (
     extract_triples_with_diagnostics,
     load_source,
 )
-from .model import CodedError, FunctionUnit, SignatureFeatures
+from .model import CodedError, FunctionUnit, SignatureFeatures, sha256
 
 _MAGIC = b"SCPK"
 _VERSION = 5
@@ -198,7 +197,7 @@ def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> Propert
 def clone_key(normalized: Sequence[str]) -> str:
     """Clone-group key: hash of a function's normalized token sequence."""
     joined = " ".join(normalized)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+    return sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
 def _clone_groups(pairs: Iterable[tuple[str, Optional[str]]]) -> CloneGroupTable:
@@ -223,6 +222,17 @@ def _stamps(function_ids: Sequence[str], clone_ids: Sequence[Optional[str]],
                       if relation == "CALLS")
     return [(1 if clone_id is None else sizes[clone_id]) + callers.get(function_id, 0)
             for function_id, clone_id in zip(function_ids, clone_ids)]
+
+
+def _clone_id_fault(function_ids: Sequence[str], token_counts: Sequence[int],
+                    clone_ids: Sequence[Optional[str]]) -> Optional[str]:
+    """Why save_kb and load_kb refuse these functions' clone ids, or None: a
+    function has a clone id exactly if it has ``CLONE_MIN_TOKENS`` tokens or
+    more, as ``build_kb`` gives them."""
+    for function_id, count, clone_id in zip(function_ids, token_counts, clone_ids):
+        if (clone_id is None) != (count < CLONE_MIN_TOKENS):
+            return f"function {function_id!r}: clone id {clone_id!r} at {count} tokens"
+    return None
 
 
 def assign_clone_groups(functions: Iterable[FunctionUnit],
@@ -298,12 +308,14 @@ def _signature_text(signature: SignatureFeatures) -> str:
     return " ".join(signature.sorted_features())
 
 
-def _node_section(nodes: list[EntityNode]) -> dict:
+def _node_section(nodes: list[EntityNode], edges: Iterable[tuple[str, str, str]]) -> dict:
     """The node section of ``nodes``, which are in ascending id order.
 
     Raises ValueError for a function node without a payload or labelled
-    other than its payload's qualified name, or a signature that
-    ``_signature_text`` cannot write.
+    other than its payload's qualified name, clone ids that load_kb refuses
+    (``_clone_id_fault``), a guf other than the one load_kb derives from
+    the clone ids and ``edges``, or a signature that ``_signature_text``
+    cannot write.
     """
     functions = [node.payload for node in nodes if node.kind == "function"]
     if any(fn is None for fn in functions):
@@ -313,7 +325,7 @@ def _node_section(nodes: list[EntityNode]) -> dict:
     signatures = [fn.signature for fn in functions]
     # few distinct signatures recur over many functions: each is rendered once
     texts = {signature: _signature_text(signature) for signature in set(signatures)}
-    return {
+    section = {
         "id": [node.id for node in nodes],
         "kind": [node.kind for node in nodes],
         "label": [node.label for node in nodes if node.kind != "function"],
@@ -324,6 +336,14 @@ def _node_section(nodes: list[EntityNode]) -> dict:
         "token_count": [fn.token_count for fn in functions],
         "clone_id": [fn.clone_id for fn in functions],
     }
+    ids = [fn.id for fn in functions]
+    clone_ids = section["clone_id"]
+    if (fault := _clone_id_fault(ids, section["token_count"], clone_ids)) is not None:
+        raise ValueError(fault)
+    for fn, guf in zip(functions, _stamps(ids, clone_ids, edges)):
+        if fn.guf != guf:
+            raise ValueError(f"function {fn.id!r}: guf {fn.guf}, where load_kb derives {guf}")
+    return section
 
 
 def _edge_section(ids: list[str], edges: Iterable[tuple[str, str, str]]) -> dict:
@@ -391,18 +411,19 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
     The file is streamed, section by section, with no copy of the whole
     file in memory. Raises ValueError, before the file is opened, if a
     function node has no payload or no vector or is labelled other than its
-    payload's qualified name, a node kind or relation is not in
-    ``RELATION_TYPING``'s vocabulary, a signature has an empty feature, a
-    vector does not fit its section (``_vector_section``), or the metadata
-    is one load_kb refuses (``_meta_fault``); TypeError, as early, for
-    metadata that JSON cannot hold.
+    payload's qualified name, a payload's clone id or guf is not the one
+    load_kb reads or derives (``_node_section``), a node kind or relation
+    is not in ``RELATION_TYPING``'s vocabulary, a signature has an empty
+    feature, a vector does not fit its section (``_vector_section``), or the
+    metadata is one load_kb refuses (``_meta_fault``); TypeError, as early,
+    for metadata that JSON cannot hold.
     """
     meta = graph.embedder_meta or {}
     if (fault := _meta_fault(meta)) is not None:
         raise ValueError(fault)
     ids = sorted(graph.nodes)
     nodes = [graph.nodes[nid] for nid in ids]
-    node_section = _node_section(nodes)
+    node_section = _node_section(nodes, graph.edges)
     edge_section = _edge_section(ids, graph.edges)
     for what, names, vocabulary in (("node kind", node_section["kind"], _KINDS),
                                     ("relation", edge_section["relation"], _RELATIONS)):
@@ -481,9 +502,8 @@ def _read_graph(section, edge_section) -> tuple[
     contract_names, names, sources, signatures, token_counts, clone_ids = _columns(
         section, _FUNCTION_COLUMNS, len(function_ids))
     edges = _read_edges(edge_section, ids, kinds)
-    for function_id, count, clone_id in zip(function_ids, token_counts, clone_ids):
-        if (clone_id is None) != (count < CLONE_MIN_TOKENS):
-            raise ValueError(f"function {function_id!r}: clone id {clone_id!r} at {count} tokens")
+    if (fault := _clone_id_fault(function_ids, token_counts, clone_ids)) is not None:
+        raise ValueError(fault)
     # a contract name, a function name or a clone id recurs over many
     # functions: its functions share one str, as build_kb's payloads do
     shared = {}

@@ -45,14 +45,13 @@ kinds it joins.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import string
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .model import CodedError, FunctionUnit, SignatureFeatures, function_id
+from .model import CodedError, FunctionUnit, SignatureFeatures, function_id, sha256
 
 
 class IngestError(CodedError):
@@ -220,7 +219,7 @@ def canonical_source_hash(tokens: Sequence[Token]) -> str:
     Used for corpus/test deduplication.
     """
     canonical = " ".join(map(itemgetter(1), tokens))  # each token's text
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

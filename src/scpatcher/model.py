@@ -5,15 +5,30 @@ base of the package's errors that carry a code; the only logic is invariant
 checking. A "fixed" outcome means the static detectors no longer flag the
 target class and nothing new is flagged among the five classes — it is not
 a proof of behavioral or functional correctness.
+
+``sha256`` is the package's one SHA-256, for function ids, clone keys,
+hashing-embedder buckets, canonical file hashes and prompt digests. It is
+CPython's built-in implementation (``_sha2`` from 3.12, ``_sha256`` before),
+as ``random`` takes its ``sha512``: ``hashlib`` would load OpenSSL's
+libcrypto, about 3.4 MB of resident pages, for inputs of at most a few KB.
+Both give the same digest, so ``hashlib``'s serves only an interpreter that
+has neither module.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class CodedError(Exception):
@@ -151,7 +166,7 @@ def function_id(contract_name: str, name: str, normalized_tokens: list[str]) -> 
     corpus-level deduplication and KB rebuilds reproducible.
     """
     material = contract_name + "::" + name + "::" + " ".join(normalized_tokens)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+    return sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

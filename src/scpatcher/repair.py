@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
@@ -51,6 +50,7 @@ from .model import (
     SignatureFeatures,
     VulnClass,
     VulnerabilityReport,
+    sha256,
 )
 from .rerank import DEFAULT_K, rerank
 from .verify import Detection, VerificationResult, verify_patch
@@ -89,7 +89,7 @@ class Prompt:
 
     def digest(self) -> str:
         payload = self.system_text + "\0" + self.user_text
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

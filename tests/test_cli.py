@@ -1,5 +1,6 @@
 """End-to-end tests of the ``scpatcher`` command against the golden outputs."""
 
+import shutil
 from pathlib import Path
 
 from scpatcher.cli import main
@@ -20,6 +21,17 @@ def _evaluate(kb_file, report, script, *extra):
 
 def test_retrieve_matches_golden(kb_file, capsys):
     assert main(["retrieve", "--kb", str(kb_file), "--function", LOCATOR]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "retrieve_output.txt").read_text()
+
+
+def test_retrieve_finds_a_file_under_a_directory_whose_name_holds_a_hash(
+        kb_file, tmp_path, capsys):
+    # the locator splits at its last '#': the path keeps every earlier one
+    contract = tmp_path / "a#b" / "case2_reentrancy.sol"
+    contract.parent.mkdir()
+    shutil.copy(EVAL_CASES / "case2_reentrancy.sol", contract)
+    assert main(["retrieve", "--kb", str(kb_file),
+                 "--function", f"{contract}#EvalFaucet.withdraw"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "retrieve_output.txt").read_text()
 
 

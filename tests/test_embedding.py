@@ -6,7 +6,6 @@ import random
 import threading
 from array import array
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 import requests
@@ -169,8 +168,8 @@ def test_a_new_embedder_reuses_the_buckets_an_earlier_one_computed(monkeypatch):
     text = "function bucketMemoProbe(uint256 q) external { q += 1; }"
     first = _embed_text(HashingEmbedder(48), text)
     hashed = []
-    monkeypatch.setattr(embedding, "hashlib", SimpleNamespace(
-        sha256=lambda data: hashed.append(data) or hashlib.sha256(data)))
+    monkeypatch.setattr(embedding, "sha256",
+                        lambda data: hashed.append(data) or hashlib.sha256(data))
     assert _embed_text(HashingEmbedder(48), text) == first
     assert hashed == []
     _embed_text(HashingEmbedder(47), text)  # one memo per dimension

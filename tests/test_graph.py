@@ -861,15 +861,26 @@ def test_save_rejects_what_the_function_columns_cannot_hold_before_opening_the_f
         kb_file, tmp_path):
     # a function node without a payload has no entry in the function columns,
     # an empty feature would vanish from its signature's text, and a function
-    # node's label is not stored: load_kb makes it the qualified name
+    # node's label is not stored: load_kb makes it the qualified name. Nor is
+    # a guf: load_kb derives it, so a raised one would load back as another
+    # graph; and load_kb refuses a clone id below the clone threshold
     path = tmp_path / "unwritable.scpk"
-    for edit in (lambda node: setattr(node, "payload", None),
-                 lambda node: setattr(node, "payload", dataclasses.replace(
-                     node.payload, signature=SignatureFeatures(frozenset({"", "public"})))),
-                 lambda node: setattr(node, "label", node.payload.qualified_name + "2")):
+    short = graph_module.CLONE_MIN_TOKENS - 1
+    for edit, message in (
+            (lambda node: setattr(node, "payload", None), "has no payload"),
+            (lambda node: setattr(node, "payload", dataclasses.replace(
+                node.payload, signature=SignatureFeatures(frozenset({"", "public"})))),
+             "empty feature"),
+            (lambda node: setattr(node, "label", node.payload.qualified_name + "2"),
+             "label is not its qualified name"),
+            (lambda node: setattr(node, "payload", dataclasses.replace(
+                node.payload, guf=node.payload.guf + 5)), r"guf \d+, where load_kb derives"),
+            (lambda node: setattr(node, "payload", dataclasses.replace(
+                node.payload, token_count=short, clone_id="0" * 16)),
+             f"clone id '0000000000000000' at {short} tokens")):
         graph, clones = load_kb(kb_file)
         edit(graph.function_nodes()[0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             save_kb(graph, clones, path)
         assert not path.exists()
 

@@ -1,8 +1,10 @@
-"""A local run loads no HTTP client.
+"""A local run loads no HTTP client and no OpenSSL.
 
 Only the remote providers send requests, and each imports ``requests`` on
-first use. The check runs in a fresh interpreter, because the test modules
-import ``requests`` themselves.
+first use. The package hashes with ``model.sha256``, CPython's built-in
+SHA-256, so nothing loads ``_hashlib`` and with it OpenSSL's libcrypto. The
+check runs in a fresh interpreter, because the test modules import
+``requests`` and ``hashlib`` themselves.
 """
 
 import os
@@ -32,12 +34,13 @@ backend = llm.MockLlmBackend.from_script(str(cases / "mock_script.json"))
 report = evaluate.run_dataset(evaluate.load_manifest(str(cases / "manifest.json")), kb,
                               repair.RepairConfig(backend=backend), k_values=[3])
 sys.stdout.write(report.render())
-if "requests" in sys.modules:
-    sys.exit("requests was imported")
+loaded = [name for name in ("requests", "_hashlib") if name in sys.modules]
+if loaded:
+    sys.exit(" and ".join(loaded) + " imported")
 """
 
 
-def test_a_local_build_save_load_and_evaluate_import_no_http_client(tmp_path):
+def test_a_local_build_save_load_and_evaluate_import_no_http_client_and_no_openssl(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", _LOCAL_RUN, str(CORPUS), str(EVAL_CASES),
          str(tmp_path / "kb.scpk")],

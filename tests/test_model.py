@@ -1,5 +1,10 @@
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from scpatcher import model
 from scpatcher.model import (
     FunctionUnit,
     PatchCandidate,
@@ -62,6 +67,23 @@ def test_function_id_is_stable_and_distinct():
     assert a != function_id("Bank", "withdraw", tokens + ["extra"])
     assert a != function_id("Bank", "deposit", tokens)
     assert a != function_id("Vault", "withdraw", tokens)
+
+
+_SHA256_INPUTS = [b"", b"function withdraw() public {}", "émission — 送金".encode("utf-8"),
+                  bytes(range(256)) * 20]
+
+
+@pytest.mark.parametrize("data", _SHA256_INPUTS, ids=["empty", "ascii", "utf-8", "5k"])
+def test_sha256_is_hashlibs(data):
+    # the built-in module gives the same digest as OpenSSL's, so every
+    # function id, clone key, bucket and digest is unchanged
+    assert model.sha256(data).digest() == hashlib.sha256(data).digest()
+    assert model.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@given(st.binary())
+def test_sha256_is_hashlibs_on_any_bytes(data):
+    assert model.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_function_unit_validation():
