@@ -4,6 +4,7 @@ The package is organized around a linear pipeline:
 
     ingest    -> parse .sol sources into contracts, functions, and triples
     graph     -> property graph, clone groups, usage frequency, KB file
+    vectors   -> sparse vectors and the knowledge base's vector table
     embedding -> embedding providers and the exact k-NN vector index
     rerank    -> syntactic filter, trust rescoring, clone deduplication
     repair    -> prompt construction and the two-stage patch loop

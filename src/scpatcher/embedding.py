@@ -8,20 +8,12 @@ tokens the function's parse already holds, so a query vector and a KB
 vector come from the same computation and neither lexes again. KB
 metadata records the provider's name, a key of ``PROVIDERS``.
 
-Vectors are sparse up to the rescore: an ``EmbeddingVector`` is the pair
-(buckets, values) of its nonzero buckets, in ascending order, and their
-values; every other bucket is 0.0. Its constructor stores the buckets as a
-u32 ``array`` and the values as an ``array("d")``, so every vector has one
-representation, whichever provider made it or ``load_kb`` read it: 4 bytes
-per bucket and 8 per value, with no int or float object per item.
-``PropertyGraph.vectors`` holds them, the knowledge-base file stores their
-bytes and the index keeps them, not copies. Only ``knn`` pads a vector out
-to a dense row: its query, and an index row the first time it rescores it.
-
-Every vector enters through a provider's ``embed`` or ``load_kb``, and
-both hold it to ``within_bound``: finite values of a norm at most
-``MAX_NORM = 2**510``. Then ``|q|**2 + |r|**2 <= 2**1021``, so ``knn``'s
-scores, below ``4 * (|q|**2 + max |r|**2)``, cannot overflow.
+Vectors are sparse up to the rescore, ``vectors.EmbeddingVector``s, and a
+knowledge base keeps them in a ``vectors.VectorTable``, which the index
+keeps as it is, not a copy. Only ``knn`` pads a vector out to a dense row:
+its query, and an index row the first time it rescores it. Every vector is
+``within_bound`` (see ``vectors``), so ``|q|**2 + |r|**2 <= 2**1021``, and
+``knn``'s scores, below ``4 * (|q|**2 + max |r|**2)``, cannot overflow.
 
 The reference provider is a deterministic hashing embedder: tokens are
 hashed into a fixed number of buckets, counts are log-damped, and the
@@ -75,12 +67,18 @@ import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import add, mul, truediv
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+from itertools import chain, compress, islice, repeat
+from operator import add, mul, sub, truediv
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .ingest import Token, lex  # noqa: F401  (bench/run.py's traced run wraps this lex)
 from .model import CodedError, FunctionUnit, sha256
+from .vectors import (
+    DimensionMismatchError,
+    EmbeddingVector,
+    VectorTable,
+    within_bound,
+)
 
 if TYPE_CHECKING:
     import requests
@@ -91,9 +89,6 @@ DEFAULT_POOL_SIZE = 50
 EMBED_URL_VAR = "SCPATCHER_EMBED_URL"
 EMBED_KEY_VAR = "SCPATCHER_EMBED_KEY"
 
-#: The largest norm a vector may have (see the module docstring).
-MAX_NORM = 2.0 ** 510
-
 
 class ProviderError(CodedError):
     """Embedding provider failure.
@@ -103,80 +98,8 @@ class ProviderError(CodedError):
     """
 
 
-class DimensionMismatchError(Exception):
-    """Vectors of different dimensions were combined."""
-
-
 class EmptyIndexError(Exception):
     """Retrieval attempted against an index with no entries."""
-
-
-#: The ``array`` type code of an unsigned 32-bit int, a bucket's type.
-BUCKET_TYPE = {8 * array(code).itemsize: code for code in "IL"}[32]
-
-
-class _VectorFields(NamedTuple):
-    buckets: array
-    values: array
-
-
-class EmbeddingVector(_VectorFields):
-    """A sparse vector: its nonzero buckets, ascending, and their values.
-
-    Every bucket it does not list is 0.0; the dimension is the provider's
-    (or the index's), not the vector's. Every way to build one (the
-    constructor, ``_make`` and ``_replace``) stores the buckets as an
-    ``array(BUCKET_TYPE)`` and the values as an ``array("d")``, and keeps
-    an array that already has its field's type code as it is, not a copy.
-    Buckets that no u32 can hold (a negative one, or one of 2**32 or more)
-    stay a tuple of ints, which no index accepts and no knowledge base
-    stores. A bucket that is no int, or a value that is no number, raises
-    TypeError. The constructor checks no order, bound or length: that is
-    for whoever stores the vector (``graph._vector_fault``).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, buckets: Iterable[int], values: Iterable[float]) -> "EmbeddingVector":
-        # each is made a list first: an array fills fastest from one
-        if type(buckets) is not array or buckets.typecode != BUCKET_TYPE:
-            buckets = list(buckets)
-            try:
-                buckets = array(BUCKET_TYPE, buckets)
-            except OverflowError:
-                buckets = tuple(buckets)
-        if type(values) is not array or values.typecode != "d":
-            values = array("d", list(values))
-        return tuple.__new__(cls, (buckets, values))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "EmbeddingVector":
-        return cls(*iterable)
-
-    @classmethod
-    def from_dense(cls, values: Sequence[float]) -> "EmbeddingVector":
-        """The pair of a dense vector, with its zeros dropped."""
-        buckets = array(BUCKET_TYPE, compress(range(len(values)), values))
-        return cls(buckets, map(values.__getitem__, buckets))
-
-    def dense(self, dimension: int) -> tuple[float, ...]:
-        """All ``dimension`` values as a tuple, every zero the one shared 0.0.
-
-        Raises DimensionMismatchError for a bucket outside ``range(dimension)``.
-        """
-        buckets = self.buckets
-        if buckets and (min(buckets) < 0 or max(buckets) >= dimension):
-            raise DimensionMismatchError(
-                f"buckets {min(buckets)}..{max(buckets)} outside dimension {dimension}")
-        values = [0.0] * dimension
-        for bucket, value in zip(buckets, self.values):
-            values[bucket] = value
-        return tuple(values)
-
-
-def within_bound(values: Sequence[float]) -> bool:
-    """Whether ``values`` are finite with a norm of at most MAX_NORM (a NaN compares false)."""
-    return math.hypot(*values) <= MAX_NORM
 
 
 class _BucketTable(dict):
@@ -346,16 +269,17 @@ class Candidate:
 
 
 class _PaddedRows(dict):
-    """row position -> that row's vector padded out to ``dimension`` values,
-    every zero the one shared 0.0: padded on the first lookup and kept."""
+    """row position -> that row of ``vectors`` padded out to ``dimension``
+    values, every zero the one shared 0.0: padded on the first lookup and
+    kept."""
 
-    def __init__(self, vectors: Sequence[EmbeddingVector], dimension: int):
+    def __init__(self, vectors: VectorTable, dimension: int):
         super().__init__()
         self.vectors = vectors
         self.dimension = dimension
 
     def __missing__(self, position: int) -> tuple[float, ...]:
-        row = self[position] = self.vectors[position].dense(self.dimension)
+        row = self[position] = self.vectors.row(position).dense(self.dimension)
         return row
 
 
@@ -363,12 +287,13 @@ class _PaddedRows(dict):
 class VectorIndex:
     """Exact-search index: one row per function, in function-id order.
 
-    ``vectors`` holds each function's sparse vector, the knowledge base's
-    own objects, not copies. ``rows`` maps a row's position to its dense
-    row, ``dimension`` values, every zero the one shared 0.0: ``knn`` pads
-    a row there the first time it rescores it, so it holds only the rows
-    that some query has rescored. Two threads may pad one row at once;
-    both pads are equal, and either is kept.
+    ``vectors`` is the ``VectorTable`` of those rows, row ``i`` the vector
+    of ``functions[i]``: for an index from ``index_from_graph``, the
+    knowledge base's own table, not a copy. ``rows`` maps a row's position
+    to its dense row, ``dimension`` values, every zero the one shared 0.0:
+    ``knn`` pads a row there the first time it rescores it, so it holds
+    only the rows that some query has rescored. Two threads may pad one row
+    at once; both pads are equal, and either is kept.
 
     ``packed`` holds, for ``knn``'s filter, one int per bucket: the
     bucket's column of quantized values, row ``i`` in lane ``i`` of
@@ -384,21 +309,21 @@ class VectorIndex:
     1)``, and ``query_limit`` is the largest norm a query's ints may have
     for every lane sum to stay within ``2**(W - 2)`` in magnitude.
 
-    ``sq_norms`` holds each row's squared norm, ``max_sq_norm`` the
-    largest of them, at most ``MAX_NORM ** 2``, and ``min_sq_norm`` the
+    ``sq_norms`` holds each row's squared norm, ``max_sq_norm`` the largest
+    of them, at most ``vectors.MAX_NORM ** 2``, and ``min_sq_norm`` the
     smallest: a row's filter score lies between the scores its lane sum
     gets with those two norms, which lets ``_survivors`` pick its
     candidates from the lanes. ``offset`` is the int with bit W - 1 of
     every lane set, which the filter adds to its sum and masks its lanes
     with. The garbage collector tracks no int and no ``array``, and stops
-    tracking a tuple of floats, or of arrays, at the first collection it
-    survives, so its full collections walk none of the packed columns, the
-    vectors or the padded rows.
+    tracking a tuple of floats at the first collection it survives, so its
+    full collections walk none of the packed columns, the vector columns or
+    the padded rows.
     """
 
     dimension: int
     functions: list[FunctionUnit]
-    vectors: list[EmbeddingVector]
+    vectors: VectorTable
     rows: _PaddedRows = field(compare=False)  # what some query has padded so far
     packed: tuple[int, ...]
     width: int
@@ -467,8 +392,11 @@ def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, Embeddi
     """Index every function that has a vector: its vector, its squared norm
     and its values in the packed columns. No row is padded here.
 
-    The vectors must be ``within_bound``; a bucket outside
-    ``range(dimension)`` raises DimensionMismatchError.
+    ``vectors`` is read as a ``VectorTable``: a table whose rows are
+    exactly those functions' is kept as it is, and any other mapping is
+    made one (``VectorTable.of``, which raises ValueError for a vector that
+    no table holds). A bucket outside ``range(dimension)`` raises
+    DimensionMismatchError.
 
     Lane width and row bits. Let ``ratio`` be ``max |r| / M`` and ``most``
     the most nonzero values a row has. For W = 32, and then 64, ``d_r =
@@ -495,26 +423,24 @@ def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, Embeddi
     subtraction removes. R must be a normal float, so d_r is at most
     ``scale + 1074``.
     """
-    kept: list[FunctionUnit] = []
-    pairs: list[EmbeddingVector] = []
-    for fn in sorted(functions, key=lambda f: f.id):
-        vector = vectors.get(fn.id)
-        if vector is not None:
-            kept.append(fn)
-            pairs.append(vector)
-    nonzero = [vector for vector in pairs if vector.buckets]
-    low = min((min(buckets) for buckets, _values in nonzero), default=0)
-    high = max((max(buckets) for buckets, _values in nonzero), default=-1)
-    if low < 0 or high >= dimension:
-        raise DimensionMismatchError(f"buckets {low}..{high} outside dimension {dimension}")
+    kept = [fn for fn in sorted(functions, key=lambda f: f.id) if fn.id in vectors]
+    ids = [fn.id for fn in kept]
+    table = vectors
+    if type(table) is not VectorTable or table.ids != ids:
+        table = VectorTable.of({function_id: vectors[function_id] for function_id in ids})
+    starts, buckets, values = table.starts, table.bucket_column, table.value_column
+    if buckets and max(buckets) >= dimension:
+        raise DimensionMismatchError(
+            f"buckets {min(buckets)}..{max(buckets)} outside dimension {dimension}")
     # a zero adds exactly nothing to hypot, so the nonzero values give the row's norm
-    norms = [math.hypot(*values) for _buckets, values in pairs]
+    norms = [math.hypot(*values[start:end])
+             for start, end in zip(starts, islice(starts, 1, None))]
     sq_norms = tuple(norm ** 2 for norm in norms)
-    top = max(max((max(values) for _buckets, values in nonzero), default=0.0),
-              -min((min(values) for _buckets, values in nonzero), default=0.0))
+    top = max(max(values, default=0.0), -min(values, default=0.0))
     scale = _scale(top)
     ratio = math.ldexp(max(norms, default=0.0) + 2.0 ** -1074, -scale)
-    most = max((len(buckets) for buckets, _values in nonzero), default=0)
+    counts = list(map(sub, islice(starts, 1, None), starts))
+    most = max(counts, default=0)
     for width in (32, 64):
         row_bits = _fraction_bits(ratio, most, 2.0 ** (width // 2 - 1))
         row_norm = math.ldexp(max(ratio, 0.5), row_bits) + math.sqrt(most) / 2
@@ -524,18 +450,18 @@ def build_index(functions: Sequence[FunctionUnit], vectors: Mapping[str, Embeddi
             break
     row_bits = min(row_bits, scale + 1074)
     rounder = math.ldexp(1.5 * 2 ** 52 + 2 ** 31, scale - row_bits)
-    blank = array("d", [rounder]) * len(pairs)
+    blank = array("d", [rounder]) * len(kept)
     columns = [array("d", blank) for _ in range(dimension)]
-    for i, vector in enumerate(pairs):
-        for j, value in zip(*vector):
-            columns[j][i] = value + rounder
+    row_of = chain.from_iterable(map(repeat, range(len(counts)), counts))
+    for i, j, value in zip(row_of, buckets, values):
+        columns[j][i] = value + rounder
     rounders = _lanes(blank, width)
     packed = []
     for j, column in enumerate(columns):
         packed.append(_lanes(column, width) - rounders)
         columns[j] = None  # free each array once it is read
-    offset = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * len(pairs), "little")
-    return VectorIndex(dimension, kept, pairs, _PaddedRows(pairs, dimension), tuple(packed),
+    offset = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * len(kept), "little")
+    return VectorIndex(dimension, kept, table, _PaddedRows(table, dimension), tuple(packed),
                        width, scale, row_bits, query_limit, sq_norms,
                        max(sq_norms, default=0.0), min(sq_norms, default=0.0), offset)
 

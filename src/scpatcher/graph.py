@@ -3,61 +3,75 @@
 Nodes are contracts, functions, state variables, modifiers, and type names;
 edges are the extracted triples (deduplicated). A node's kind and an edge's
 relation are their names, the plain strings that ``ingest.RELATION_TYPING``
-lists and the file stores. Function nodes carry their FunctionUnit payload,
-a clone-group id, and a usage frequency used by the trust rescorer. A graph
-is made whole, once: by ``build_graph`` from a corpus's triples and
-functions, or by ``load_kb`` from a file, and is only read after that. The
-whole bundle serializes to a canonical binary container so that saving the
-same knowledge base twice yields byte-identical files.
+lists. Function nodes carry their FunctionUnit payload, a clone-group id,
+and a usage frequency used by the trust rescorer. A graph keeps its edges
+and its vectors as typed columns, with no object per edge or per vector:
+``EdgeColumns`` and ``vectors.VectorTable``. A graph is made whole, once:
+by ``build_graph`` from a corpus's triples and functions, or by ``load_kb``
+from a file, and is only read after that. The whole bundle serializes to a
+canonical binary container so that saving the same knowledge base twice
+yields byte-identical files.
 
-The container (format 5) is the magic ``SCPK``, a little-endian u16
-version, and four sections, each a u32 length and its bytes. The first
-three are canonical JSON: the nodes, the edges and the embedder metadata.
-The node and edge sections are columns: objects of equal-length arrays,
-one per field. The node section's ``id`` and ``kind`` run over every node
-in ascending id order; its ``label`` over the other nodes, and its
-``contract_name``, ``name``, ``source_text``, ``signature``,
-``token_count`` and ``clone_id`` over the function nodes, each in that
-same order; ``load_kb`` derives a function node's label, its qualified
-name, and the clone groups and every guf. A signature is its sorted
-features joined by single spaces (a feature holds no whitespace; ``""``
-has none). The edge section's ``subject`` and ``object`` are positions in
-the ``id`` array and its ``relation`` the relation's name, sorted by
-(subject, relation, object), which is also the order of the edges' ids.
-The fourth section holds every function's embedding as a sparse vector, in
-the order of the function nodes: one u32 count of nonzero buckets per
-function, then all their buckets as u32, then all their values as f64,
-everything little-endian, so its length is exactly ``4 * functions + 12 *
-sum(counts)``. A vector's buckets are strictly ascending, each below the
-metadata's ``dimension`` (256 when it has none); every other bucket is
-0.0, so a dense vector is stored with its zeros dropped, and every value
-round-trips bit for bit. Format 1 stored every vector densely in its node
-record, format 2 as a ``[[buckets...], [values...]]`` pair there, format 3
-held one JSON record per node and one list per edge, and format 4 also
-stored the clone groups, their threshold, every guf and every label; none
-of them is read, and such a file is rebuilt from its corpus.
+The container (format 6) is the magic ``SCPK``, a little-endian u16
+version, and four sections, each a u32 length and its bytes: the nodes,
+the edges, the embedder metadata and the vectors. The node and metadata
+sections are canonical JSON; the edge and vector sections are binary
+columns, every number in them little-endian.
+
+The node section is an object of equal-length arrays, one per field. Its
+``id`` and ``kind`` run over every node in ascending id order; its
+``label`` over the other nodes, and its ``contract_name``, ``name``,
+``source_text``, ``signature``, ``token_count`` and ``clone_id`` over the
+function nodes, each in that same order; ``load_kb`` derives a function
+node's label, its qualified name, and the clone groups and every guf. A
+signature is its sorted features joined by single spaces (a feature holds
+no whitespace; ``""`` has none).
+
+The edge section holds, for E edges, E u32 subject positions, then E u8
+relation codes, then E u32 object positions, so its length is exactly
+``9 * E``. A position indexes the ``id`` array, and a relation's code is
+its index in ``sorted(RELATION_TYPING)``, so codes sort as names do. The
+rows are sorted by (subject, relation, object), which is also the order of
+the edges' ids and names and the order ``PropertyGraph.edges`` holds them
+in.
+
+The vector section holds every function's embedding as a sparse vector,
+in the order of the function nodes: one u32 per function, the end of its
+row (how many buckets it and every function before it have), then all
+their buckets as u32, then all their values as f64, so its length is
+exactly ``4 * functions + 12 * buckets``. These are the columns of
+``PropertyGraph.vectors``, written as the graph holds them. A vector's
+buckets are strictly ascending, each below the metadata's ``dimension``
+(256 when it has none); every other bucket is 0.0, so a dense vector is
+stored with its zeros dropped, and every value round-trips bit for bit.
+
+Format 1 stored every vector densely in its node record, format 2 as a
+``[[buckets...], [values...]]`` pair there, format 3 held one JSON record
+per node and one list per edge, format 4 also stored the clone groups,
+their threshold, every guf and every label, and format 5 held the edges as
+JSON columns of positions and relation names and each vector's bucket
+count where format 6 has its row's end; none of them is read, and such a
+file is rebuilt from its corpus.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import lt
+from itertools import chain, compress, islice
+from operator import le, lt
 from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .embedding import (
-    BUCKET_TYPE,
     PROVIDERS,
-    EmbeddingVector,
     HashingEmbedder,
     ProviderError,
     _little_endian,
     meta_dimension,
-    within_bound,
 )
 from .ingest import (
     RELATION_TYPING,
@@ -69,9 +83,18 @@ from .ingest import (
     load_source,
 )
 from .model import CodedError, FunctionUnit, SignatureFeatures, sha256
+from .vectors import (
+    BUCKET_TYPE,
+    MAX_DIMENSION,
+    EmbeddingVector,
+    VectorTable,
+    _ascending,
+    _TableRows,
+    _vector_fault,
+)
 
 _MAGIC = b"SCPK"
-_VERSION = 5
+_VERSION = 6
 
 
 class GraphError(CodedError):
@@ -94,24 +117,70 @@ class EntityNode:
     payload: Optional[FunctionUnit] = None
 
 
+class EdgeColumns:
+    """A graph's edges as three parallel columns: the subject ids, the
+    relation names and the object ids, each edge once, sorted by (subject
+    id, relation, object id), the order save_kb writes.
+
+    An id is the str its node holds, and a relation that load_kb reads is
+    the vocabulary's own str. The constructor keeps columns that are
+    already in that order, as load_kb reads them; ``of`` sorts. Iterating
+    yields (subject id, relation, object id) tuples, made on the fly;
+    ``len`` and ``in`` work as on a list of them. Equality compares the
+    columns.
+    """
+
+    __slots__ = ("subjects", "relations", "objects")
+
+    def __init__(self, subjects: list[str], relations: list[str], objects: list[str]) -> None:
+        self.subjects, self.relations, self.objects = subjects, relations, objects
+
+    @classmethod
+    def of(cls, edges: Iterable[Sequence[str]]) -> "EdgeColumns":
+        """The columns of ``edges``, (subject id, relation, object id) triples
+        in any order; a repeated edge is kept once."""
+        rows = sorted(set(map(tuple, edges)))
+        return cls(*map(list, zip(*rows))) if rows else cls([], [], [])
+
+    def __len__(self) -> int:
+        return len(self.subjects)
+
+    def __iter__(self):
+        return zip(self.subjects, self.relations, self.objects)
+
+    def __contains__(self, edge: object) -> bool:
+        return edge in iter(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeColumns):
+            return NotImplemented
+        return (self.subjects == other.subjects and self.relations == other.relations
+                and self.objects == other.objects)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class PropertyGraph:
     """A knowledge graph, made whole by ``build_graph`` or ``load_kb``.
 
-    ``nodes`` maps each id to its node, ``edges`` holds each (subject id,
-    relation name, object id) once, ``vectors`` maps function ids to their
-    sparse ``EmbeddingVector``s, each a u32 array of buckets and an
-    ``array("d")`` of values, and ``embedder_meta`` names the provider
-    that made them. Nodes are never added or removed: only
-    ``build_kb`` stamps the function payloads and sets the vectors and the
-    metadata, before the first query, so the function-node list worked out
-    here and what ``retriever`` keeps never go stale.
+    ``nodes`` maps each id to its node. ``edges`` is an ``EdgeColumns``,
+    each (subject id, relation name, object id) once, in canonical order.
+    ``vectors`` is a ``VectorTable`` of every function's sparse vector,
+    rows in ascending function-id order, and ``embedder_meta`` names the
+    provider that made them. The constructor also takes the edges as an
+    iterable of triples and the vectors as a mapping of (buckets, values)
+    pairs, and makes them columns there, once; a vector that no table
+    holds raises ValueError (see ``VectorTable.of``). Nodes are never added
+    or removed: only ``build_kb`` stamps the function payloads and sets the
+    vectors and the metadata, before the first query, so the function-node
+    list worked out here and what ``retriever`` keeps never go stale.
     """
 
-    def __init__(self, nodes: dict[str, EntityNode], edges: list[tuple[str, str, str]],
-                 vectors: dict[str, EmbeddingVector], embedder_meta: Optional[dict]) -> None:
+    def __init__(self, nodes: dict[str, EntityNode], edges: Iterable[Sequence[str]],
+                 vectors: Mapping[str, Sequence], embedder_meta: Optional[dict]) -> None:
         self.nodes = nodes
-        self.edges = edges
-        self.vectors = vectors
+        self.edges = edges if type(edges) is EdgeColumns else EdgeColumns.of(edges)
+        self.vectors = vectors if type(vectors) is VectorTable else VectorTable.of(vectors)
         self.embedder_meta = embedder_meta
         self._functions = [node for node in nodes.values() if node.kind == "function"]
         self._retriever = None  # see retriever
@@ -140,7 +209,7 @@ class PropertyGraph:
         if not isinstance(other, PropertyGraph):
             return NotImplemented
         return (self.nodes == other.nodes
-                and Counter(self.edges) == Counter(other.edges)
+                and self.edges == other.edges
                 and self.vectors == other.vectors
                 and self.embedder_meta == other.embedder_meta)
 
@@ -173,7 +242,8 @@ class CloneGroupTable:
 
 def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> PropertyGraph:
     """The graph of ``functions``, which hold each id once, and the nodes and
-    edges that ``triples`` name, each once, in their first order.
+    edges that ``triples`` name, each once: the nodes in their first order,
+    the edges in canonical order (``EdgeColumns``).
 
     Function nodes come from ``functions`` only: a Function-kind endpoint
     whose id is not among them means the triples and the function list
@@ -189,8 +259,7 @@ def build_graph(triples: list[Triple], functions: list[FunctionUnit]) -> Propert
                 raise GraphError("DanglingEndpoint",
                                  f"edge endpoint {ref.id!r} is not a known node")
             nodes[ref.id] = EntityNode(ref.id, ref.kind, ref.label)
-    edges = list(dict.fromkeys((subject.id, relation, obj.id)
-                               for subject, relation, obj in triples))
+    edges = EdgeColumns.of((subject.id, relation, obj.id) for subject, relation, obj in triples)
     return PropertyGraph(nodes, edges, {}, None)
 
 
@@ -213,13 +282,13 @@ def _clone_groups(pairs: Iterable[tuple[str, Optional[str]]]) -> CloneGroupTable
 
 
 def _stamps(function_ids: Sequence[str], clone_ids: Sequence[Optional[str]],
-            edges: Iterable[tuple[str, str, str]]) -> list[int]:
+            edges: EdgeColumns) -> list[int]:
     """Each function's guf, in ``function_ids`` order: how many functions share
-    its clone id in ``clone_ids`` (1 without one) + its CALLS in-degree."""
+    its clone id in ``clone_ids`` (1 without one) + its CALLS in-degree,
+    counted from the relation and object columns of ``edges``."""
     sizes = Counter(clone_ids)
     # edges are unique, so each caller counts once
-    callers = Counter(object_id for _subject_id, relation, object_id in edges
-                      if relation == "CALLS")
+    callers = Counter(compress(edges.objects, map("CALLS".__eq__, edges.relations)))
     return [(1 if clone_id is None else sizes[clone_id]) + callers.get(function_id, 0)
             for function_id, clone_id in zip(function_ids, clone_ids)]
 
@@ -263,10 +332,6 @@ def compute_guf(graph: PropertyGraph, clones: CloneGroupTable,
 # Serialization
 # ---------------------------------------------------------------------------
 
-#: The largest embedding dimension a knowledge base can hold: every bucket
-#: lies below it and is stored as a u32.
-MAX_DIMENSION = 2 ** 32
-
 #: node-section column -> the JSON types save_kb writes in it (exact types: a
 #: bool is no int). ``id`` and ``kind`` run over every node, in ascending id
 #: order, and ``label`` over the nodes of other kinds than function.
@@ -283,16 +348,15 @@ _FUNCTION_COLUMNS = {
     "token_count": {int},
     "clone_id": {str, type(None)},
 }
-#: edge-section column -> its JSON type: the subject's and the object's
-#: positions in the id column, and the relation's name
-_EDGE_COLUMNS = {"subject": {int}, "relation": {str}, "object": {int}}
-
-#: Each node kind's name -> that name, and each relation's -> that name: a name
-#: load_kb reads maps to the one str of the vocabulary, so the graph holds one
-#: object per name, not one per node or edge, and an unknown one is a KeyError.
+#: Each node kind's name -> that name: a kind load_kb reads maps to the one
+#: str of the vocabulary, so the graph holds one object per kind, not one per
+#: node, and an unknown one is a KeyError.
 _KINDS = {kind: kind for subject_kind, object_kinds in RELATION_TYPING.values()
           for kind in (subject_kind, *object_kinds)}
-_RELATIONS = {relation: relation for relation in RELATION_TYPING}
+#: The relations' names, sorted: a relation's code in the edge section is its
+#: index here, so an edge holds the vocabulary's own str; and name -> code.
+_RELATION_NAMES = tuple(sorted(RELATION_TYPING))
+_RELATION_CODES = {name: code for code, name in enumerate(_RELATION_NAMES)}
 
 
 def _canonical_json(value) -> bytes:
@@ -308,7 +372,7 @@ def _signature_text(signature: SignatureFeatures) -> str:
     return " ".join(signature.sorted_features())
 
 
-def _node_section(nodes: list[EntityNode], edges: Iterable[tuple[str, str, str]]) -> dict:
+def _node_section(nodes: list[EntityNode], edges: EdgeColumns) -> dict:
     """The node section of ``nodes``, which are in ascending id order.
 
     Raises ValueError for a function node without a payload or labelled
@@ -346,39 +410,38 @@ def _node_section(nodes: list[EntityNode], edges: Iterable[tuple[str, str, str]]
     return section
 
 
-def _edge_section(ids: list[str], edges: Iterable[tuple[str, str, str]]) -> dict:
-    """The edge section: the edges as (subject position, relation name, object
-    position) rows, sorted, one column per field. A position indexes ``ids``,
-    which ascend, so this is also the order of the edges' ids."""
+def _edge_section(ids: list[str], edges: EdgeColumns) -> list:
+    """The edge section's three parts: the subject positions (u32), the
+    relation codes (u8) and the object positions (u32). A position indexes
+    ``ids``, which ascend, so the rows are in the order ``edges`` holds
+    them, which is already sorted. ValueError for an endpoint that is no
+    node; every relation must be a known one."""
     position = {node_id: index for index, node_id in enumerate(ids)}
-    rows = sorted((position[s], r, position[o]) for s, r, o in edges)
-    return dict(zip(_EDGE_COLUMNS, map(list, zip(*rows)) if rows else ([], [], [])))
-
-
-def _vector_section(function_ids: list[str], vectors: Mapping[str, EmbeddingVector]) -> bytes:
-    """The vectors of ``function_ids``, in that order, as the fourth section:
-    the counts, the buckets and the values, each gathered into one array and
-    written as its bytes.
-
-    Raises ValueError for a function without a vector, a vector with more
-    buckets than values or fewer, or a bucket or value that a u32 or an
-    f64 cannot hold (a bucket of 2**32 or more, or below 0).
-    """
     try:
-        pairs = [vectors[function_id] for function_id in function_ids]
+        subjects, objects = (array(BUCKET_TYPE, list(map(position.__getitem__, column)))
+                             for column in (edges.subjects, edges.objects))
     except KeyError as exc:
-        raise ValueError(f"function {exc.args[0]!r} has no vector") from None
-    counts, buckets, values = array(BUCKET_TYPE), array(BUCKET_TYPE), array("d")
-    for vector_buckets, vector_values in pairs:
-        if len(vector_buckets) != len(vector_values):
-            raise ValueError("a vector has more buckets than values, or fewer")
-        try:
-            buckets.extend(vector_buckets)
-            values.extend(vector_values)
-        except (OverflowError, TypeError) as exc:
-            raise ValueError(f"a vector does not fit u32 buckets and f64 values ({exc})") from None
-        counts.append(len(vector_buckets))
-    return b"".join(_little_endian(column).tobytes() for column in (counts, buckets, values))
+        raise ValueError(f"edge endpoint {exc.args[0]!r} is not a node") from None
+    codes = bytes(map(_RELATION_CODES.__getitem__, edges.relations))
+    return [_little_endian(subjects), codes, _little_endian(objects)]
+
+
+def _vector_section(vectors: VectorTable) -> list:
+    """The vector section's three parts, the table's own columns: its row
+    ends (``starts`` without the leading 0), its buckets and its values.
+    On a big-endian machine each is a swapped copy; the table is never
+    changed."""
+    parts = [vectors.starts[1:], vectors.bucket_column, vectors.value_column]
+    if sys.byteorder == "big":
+        parts = [_little_endian(array(part.typecode, part)) for part in parts]
+    return parts
+
+
+def _write_section(handle, parts: list) -> None:
+    """One section: its length as a u32, then each of its ``parts``' bytes."""
+    handle.write(struct.pack("<I", sum(memoryview(part).nbytes for part in parts)))
+    for part in parts:
+        handle.write(part)
 
 
 def _meta_fault(meta) -> Optional[str]:
@@ -401,22 +464,23 @@ def _meta_fault(meta) -> Optional[str]:
 
 
 def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
-    """Write the knowledge base in format 5; canonical, so double-save is byte-identical.
+    """Write the knowledge base in format 6; canonical, so double-save is byte-identical.
 
-    Nodes are listed in ascending id order and edges sorted by their
-    positions and relation; JSON keys are sorted. The function nodes'
-    vectors go to the binary fourth section in node order, as they are
-    held, with no dense copy made. Nothing of ``clones`` is written
-    (load_kb derives it); the parameter stays for the callers' call shape.
-    The file is streamed, section by section, with no copy of the whole
-    file in memory. Raises ValueError, before the file is opened, if a
-    function node has no payload or no vector or is labelled other than its
-    payload's qualified name, a payload's clone id or guf is not the one
-    load_kb reads or derives (``_node_section``), a node kind or relation
-    is not in ``RELATION_TYPING``'s vocabulary, a signature has an empty
-    feature, a vector does not fit its section (``_vector_section``), or the
-    metadata is one load_kb refuses (``_meta_fault``); TypeError, as early,
-    for metadata that JSON cannot hold.
+    Nodes are listed in ascending id order, and JSON keys are sorted. The
+    edges and the vectors are written from the graph's columns, which are
+    already in the file's order: nothing is sorted and no vector is copied.
+    Nothing of ``clones`` is written (load_kb derives it); the parameter
+    stays for the callers' call shape. The file is streamed, section by
+    section, with no copy of the whole file in memory. Raises ValueError,
+    before the file is opened, if a function node has no payload or is
+    labelled other than its payload's qualified name, a payload's clone id
+    or guf is not the one load_kb reads or derives (``_node_section``), a
+    node kind or relation is not in ``RELATION_TYPING``'s vocabulary, an
+    edge endpoint is no node, the vectors' ids are not exactly the function
+    nodes', a vector bucket is at or past the metadata's dimension, a
+    signature has an empty feature, or the metadata is one load_kb refuses
+    (``_meta_fault``); TypeError, as early, for metadata that JSON cannot
+    hold.
     """
     meta = graph.embedder_meta or {}
     if (fault := _meta_fault(meta)) is not None:
@@ -424,23 +488,35 @@ def save_kb(graph: PropertyGraph, clones: CloneGroupTable, path: str) -> None:
     ids = sorted(graph.nodes)
     nodes = [graph.nodes[nid] for nid in ids]
     node_section = _node_section(nodes, graph.edges)
-    edge_section = _edge_section(ids, graph.edges)
     for what, names, vocabulary in (("node kind", node_section["kind"], _KINDS),
-                                    ("relation", edge_section["relation"], _RELATIONS)):
+                                    ("relation", graph.edges.relations, _RELATION_CODES)):
         unknown = set(names).difference(vocabulary)
         if unknown:
             raise ValueError(f"unknown {what} {min(map(repr, unknown))}")
-    vectors = _vector_section(
-        [node.id for node in nodes if node.kind == "function"], graph.vectors)
+    edges = _edge_section(ids, graph.edges)
+    vectors = graph.vectors
+    function_ids = [node.id for node in nodes if node.kind == "function"]
+    if vectors.ids != function_ids:
+        missing = set(function_ids).difference(vectors.ids)
+        if missing:
+            raise ValueError(f"function {min(missing)!r} has no vector")
+        raise ValueError(f"vector of {min(set(vectors.ids).difference(function_ids))!r}, "
+                         f"which is no function node")
+    # the table holds every row strictly ascending (VectorTable), so with the
+    # largest bucket below the dimension every row is one load_kb accepts
+    dimension = meta_dimension(meta)
+    buckets = vectors.bucket_column
+    if buckets and max(buckets) >= dimension:
+        raise ValueError(f"vector bucket {max(buckets)} is not in range({dimension})")
     # the metadata, the one section of arbitrary JSON, is encoded before the
     # file is opened, so a value JSON cannot hold raises with no file written
     meta = _canonical_json(meta)
     with open(path, "wb") as handle:
         handle.write(_MAGIC + struct.pack("<H", _VERSION))
-        # each other section is written as soon as it is encoded, and let go before the next
-        for payload in chain(map(_canonical_json, (node_section, edge_section)), [meta, vectors]):
-            handle.write(struct.pack("<I", len(payload)))
-            handle.write(payload)
+        # the node section, the largest, is encoded, written and let go first
+        _write_section(handle, [_canonical_json(node_section)])
+        for parts in (edges, [meta], _vector_section(vectors)):
+            _write_section(handle, parts)
 
 
 def _columns(section: dict, types: Mapping[str, set], length: Optional[int] = None,
@@ -462,11 +538,6 @@ def _columns(section: dict, types: Mapping[str, set], length: Optional[int] = No
     return columns
 
 
-def _ascending(items: list) -> bool:
-    """Whether ``items`` are strictly ascending, so also free of repeats."""
-    return all(map(lt, items, islice(items, 1, None)))
-
-
 def _signature(text: str) -> SignatureFeatures:
     """The signature that ``_signature_text`` wrote as ``text``, if its
     features are nonempty and strictly ascending (``""`` has none)."""
@@ -478,8 +549,8 @@ def _signature(text: str) -> SignatureFeatures:
     return SignatureFeatures(frozenset(features))
 
 
-def _read_graph(section, edge_section) -> tuple[
-        dict[str, EntityNode], list[tuple[str, str, str]], list[str], CloneGroupTable]:
+def _read_graph(section, edge_section: memoryview) -> tuple[
+        dict[str, EntityNode], EdgeColumns, list[str], CloneGroupTable]:
     """The node section's nodes by id and the edge section's edges, if
     save_kb could have written them, with the function nodes' ids and their
     clone groups.
@@ -523,45 +594,39 @@ def _read_graph(section, edge_section) -> tuple[
     return nodes, edges, function_ids, _clone_groups(zip(function_ids, clone_ids))
 
 
-def _read_edges(section, ids: list[str], kinds: list[str]) -> list[tuple[str, str, str]]:
+def _read_edges(section: memoryview, ids: list[str], kinds: list[str]) -> EdgeColumns:
     """The edge section's edges, if save_kb could have written it for nodes
-    of ``ids`` and ``kinds``: each position an index of ``ids``, the
-    rows in strictly ascending order, and each relation a known one between
-    nodes of the kinds it joins."""
-    if type(section) is not dict or section.keys() != _EDGE_COLUMNS.keys():
-        raise ValueError(f"the edge section's columns are not {sorted(_EDGE_COLUMNS)}")
-    subjects, relation_names, objects = _columns(section, _EDGE_COLUMNS)
-    # checked explicitly: a negative position would index from the end
+    of ``ids`` and ``kinds``: 9 bytes per edge, each position an index of
+    ``ids``, each relation code an index of the sorted relation names, the
+    rows in strictly ascending order, and each relation between nodes of
+    the kinds it joins."""
+    count, rest = divmod(len(section), 9)
+    if rest:
+        raise ValueError(f"edge section of {len(section)} bytes is not 9 bytes per edge")
+    subjects = _array(BUCKET_TYPE, section[:4 * count])
+    codes = bytes(section[4 * count:5 * count])
+    objects = _array(BUCKET_TYPE, section[5 * count:])
     for positions in (subjects, objects):
-        if positions and not (0 <= min(positions) and max(positions) < len(ids)):
+        if positions and max(positions) >= len(ids):
             raise ValueError(f"an edge position is outside 0..{len(ids) - 1}")
-    rows = zip(subjects, relation_names, objects)
-    later_rows = zip(*(islice(column, 1, None) for column in (subjects, relation_names, objects)))
+    if codes and max(codes) >= len(_RELATION_NAMES):
+        raise ValueError(f"relation code {max(codes)} is outside "
+                         f"0..{len(_RELATION_NAMES) - 1}")
+    rows = zip(subjects, codes, objects)
+    later_rows = zip(*(islice(column, 1, None) for column in (subjects, codes, objects)))
     if not all(map(lt, rows, later_rows)):
         raise ValueError("edges are not in strictly ascending order")
     # each distinct (subject kind, relation, object kind) is checked once
-    for subject_kind, relation, object_kind in set(zip(
-            map(kinds.__getitem__, subjects), relation_names, map(kinds.__getitem__, objects))):
-        kind, object_kinds = RELATION_TYPING[relation]  # KeyError: an unknown relation
+    for subject_kind, code, object_kind in set(zip(
+            map(kinds.__getitem__, subjects), codes, map(kinds.__getitem__, objects))):
+        relation = _RELATION_NAMES[code]
+        kind, object_kinds = RELATION_TYPING[relation]
         if subject_kind != kind or object_kind not in object_kinds:
             raise ValueError(f"a {relation} edge joins a {subject_kind} node "
                              f"to a {object_kind} node")
-    return list(zip(map(ids.__getitem__, subjects), map(_RELATIONS.__getitem__, relation_names),
-                    map(ids.__getitem__, objects)))
-
-
-def _vector_fault(vector: EmbeddingVector, dimension: int) -> Optional[str]:
-    """Why ``vector`` cannot be a row of a knowledge base of ``dimension``,
-    or None: it needs one value per bucket, its buckets strictly ascending
-    in ``range(dimension)`` and its values ``within_bound``."""
-    buckets, values = vector
-    if len(buckets) != len(values):
-        return "vector has more buckets than values, or fewer"
-    if buckets and not (0 <= buckets[0] and buckets[-1] < dimension and _ascending(buckets)):
-        return f"vector buckets are not strictly ascending in range({dimension})"
-    if not within_bound(values):
-        return "vector values are not of norm <= 2**510"
-    return None
+    return EdgeColumns(list(map(ids.__getitem__, subjects)),
+                       list(map(_RELATION_NAMES.__getitem__, codes)),
+                       list(map(ids.__getitem__, objects)))
 
 
 def _array(typecode: str, data: memoryview) -> array:
@@ -571,66 +636,63 @@ def _array(typecode: str, data: memoryview) -> array:
     return _little_endian(items)
 
 
-def _vectors(section: memoryview, function_ids: list[str],
-             dimension: int) -> dict[str, EmbeddingVector]:
-    """The fourth section's vectors by function id, if save_kb could have
-    written it for ``function_ids``: one count for each of them, a length of
-    exactly ``4 * len(function_ids) + 12 * sum(counts)``, and each vector's
-    buckets strictly ascending below ``dimension`` and its values
-    ``within_bound`` (see ``_vector_fault``).
+def _vectors(section: memoryview, function_ids: list[str], dimension: int) -> VectorTable:
+    """The fourth section's vectors, if save_kb could have written it for
+    ``function_ids``: one row end for each of them, the ends ascending, a
+    length of exactly ``4 * len(function_ids) + 12 *`` the last end, and
+    each vector's buckets strictly ascending below ``dimension`` and its
+    values ``within_bound`` (see ``_vector_fault``).
 
-    The counts, the buckets and the values are each read as one array, and
-    each vector is a slice of the last two.
+    The ends, the buckets and the values are each read as one array; after
+    every row is checked, the table keeps those arrays.
     """
     head = 4 * len(function_ids)
     if len(section) < head:
         raise ValueError(f"vector section of {len(section)} bytes is shorter than "
-                         f"{len(function_ids)} counts")
-    counts = _array(BUCKET_TYPE, section[:head])
-    total = sum(counts)
-    # checked before anything else is read, so a corrupt count allocates nothing
+                         f"{len(function_ids)} row ends")
+    starts = array(BUCKET_TYPE, [0])
+    starts.frombytes(section[:head])
+    total = _little_endian(starts)[-1]
+    # checked before anything else is read, so a corrupt end allocates nothing
     if len(section) != head + 12 * total:
-        raise ValueError(f"vector section of {len(section)} bytes, where its counts "
+        raise ValueError(f"vector section of {len(section)} bytes, where its row ends "
                          f"make {head + 12 * total}")
+    if not all(map(le, starts, islice(starts, 1, None))):
+        raise ValueError("vector row ends are not in ascending order")
     buckets = _array(BUCKET_TYPE, section[head:head + 4 * total])
     values = _array("d", section[head + 4 * total:])
-    vectors, start = {}, 0
-    for function_id, count in zip(function_ids, counts):
-        end = start + count
-        # the slices already have the fields' types, so nothing is left to coerce
-        vector = tuple.__new__(EmbeddingVector, (buckets[start:end], values[start:end]))
-        start = end
-        fault = _vector_fault(vector, dimension)
+    for function_id, start, end in zip(function_ids, starts, islice(starts, 1, None)):
+        fault = _vector_fault((buckets[start:end], values[start:end]), dimension)
         if fault is not None:
             raise ValueError(f"node {function_id!r}: {fault}")
-        vectors[function_id] = vector
-    return vectors
+    return VectorTable(function_ids, starts, buckets, values)
 
 
 def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
-    """Read a format-5 knowledge base written by save_kb; never yields a partial graph.
+    """Read a format-6 knowledge base written by save_kb; never yields a partial graph.
 
     The graph and its clone groups equal the ones build_kb made. Every
     section must be as save_kb writes it for such a graph.
     FormatError("Corrupt") is raised, among other cases, for a JSON section
     that does not decode (so also for one nested too deeply or holding an
-    integer of more digits than ``int`` converts); a node or edge section
-    without exactly the columns save_kb writes (a format-2 ``"vector"`` or a
+    integer of more digits than ``int`` converts); a node section without
+    exactly the columns save_kb writes (a format-2 ``"vector"`` or a
     format-4 ``"guf"`` among them); a column that is not a list, is not as
     long as the others of its kind (see ``_read_graph``), or holds an item
     of another type than save_kb writes there (a bool is no int); ids, edges
     or signature features out of strictly ascending order (so also a
-    repeat); an empty signature feature; an unknown node kind or relation;
-    an edge position outside the id column (a negative one too); an edge
-    whose relation does not fit its endpoints' kinds; a ``clone_id`` on a
-    function below ``CLONE_MIN_TOKENS`` tokens, or none on one at or above
-    it; a vector section whose counts do not cover exactly the function
-    nodes or whose length is not the one its counts make (checked before any
-    bucket or value is read); vector buckets not strictly ascending below
-    the metadata's dimension; a vector not ``within_bound``: not finite or
-    of a norm above 2**510, the bound every provider's ``embed`` holds, so
-    that ``knn`` cannot overflow; or metadata that save_kb would refuse (see
-    ``_meta_fault``). A file of format 1, 2, 3 or 4 raises
+    repeat); an empty signature feature; an unknown node kind or relation
+    code; an edge section whose length is not 9 bytes per edge; an edge
+    position outside the id column; an edge whose relation does not fit its
+    endpoints' kinds; a ``clone_id`` on a function below
+    ``CLONE_MIN_TOKENS`` tokens, or none on one at or above it; a vector
+    section whose row ends do not cover exactly the function nodes, do not
+    ascend, or make another length than it has (checked before any bucket
+    or value is read); vector buckets not strictly ascending below the
+    metadata's dimension; a vector not ``within_bound``: not finite or of a
+    norm above 2**510, the bound every provider's ``embed`` holds, so that
+    ``knn`` cannot overflow; or metadata that save_kb would refuse (see
+    ``_meta_fault``). A file of format 1 to 5 raises
     FormatError("VersionMismatch").
     """
     with open(path, "rb") as handle:
@@ -659,15 +721,15 @@ def load_kb(path: str) -> tuple[PropertyGraph, CloneGroupTable]:
         offset += length
     if offset != len(blob):
         raise FormatError("Corrupt", f"{path}: {len(blob) - offset} trailing byte(s)")
-    *texts, vector_section = payloads
     sections = []
-    for index, text in enumerate(texts):
+    for index in (0, 2):  # the node and the metadata sections are JSON
         try:
-            sections.append(json.loads(str(text, "utf-8")))
+            sections.append(json.loads(str(payloads[index], "utf-8")))
         except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8, huge ints
             raise FormatError("Corrupt", f"{path}: section {index} undecodable ({exc})") from None
 
-    node_section, edge_section, meta = sections
+    node_section, meta = sections
+    _, edge_section, _, vector_section = payloads
     if (fault := _meta_fault(meta)) is not None:
         raise FormatError("Corrupt", f"{path}: {fault}")
     try:
@@ -734,9 +796,10 @@ def build_kb(paths: Iterable[str], embedder,
 
     ``embedder`` is a provider: ``name`` and ``dimension`` attributes and an
     ``embed(pairs)`` method that returns one sparse vector per (source
-    text, declaration tokens) pair, ``within_bound``: an ``EmbeddingVector``,
-    which ``graph.vectors`` keeps as it is, or a (buckets, values) pair of
-    sequences, which it keeps as one. ``repair.retrieve`` embeds its queries
+    text, declaration tokens) pair, ``within_bound``: an ``EmbeddingVector``
+    or a (buckets, values) pair of sequences. Each reply's vectors are
+    appended straight into the columns of ``graph.vectors``, which are put
+    in function-id order once, at the end. ``repair.retrieve`` embeds its queries
     with the same call on the provider the metadata names. A reply of
     another length, or with a vector that the knowledge base cannot hold,
     raises ProviderError("MalformedReply") naming the file.
@@ -763,7 +826,7 @@ def build_kb(paths: Iterable[str], embedder,
     triple_diagnostics: list[str] = []
     payloads: dict[str, FunctionUnit] = {}
     keys: dict[str, str] = {}
-    vectors: dict[str, EmbeddingVector] = {}
+    rows = _TableRows()  # the vectors, in the order their functions are first seen
     for path in paths:
         report.files_seen += 1
         try:
@@ -795,7 +858,9 @@ def build_kb(paths: Iterable[str], embedder,
                 new[fn.id] = (fn.source_text, unit.tokens[decl.start:decl.end])
         if new:
             reply = embedder.embed(list(new.values()))
-            vectors.update(zip(new, _reply_vectors(reply, len(new), embedder.dimension, path)))
+            for function_id, vector in zip(
+                    new, _reply_vectors(reply, len(new), embedder.dimension, path)):
+                rows.add(function_id, vector)
     report.diagnostics.extend(triple_diagnostics)
 
     graph = build_graph(triples, list(payloads.values()))
@@ -808,7 +873,7 @@ def build_kb(paths: Iterable[str], embedder,
         signature = signatures.setdefault(fn.signature, fn.signature)
         node.payload = FunctionUnit(fn.id, fn.contract_name, fn.name, fn.source_text,
                                     signature, fn.token_count, clone_id, guf)
-    graph.vectors = vectors
+    graph.vectors = rows.table()
     graph.embedder_meta = {
         "name": embedder.name,
         "dimension": embedder.dimension,

@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 
 from scpatcher import embedding
 from scpatcher.embedding import (
-    BUCKET_TYPE,
     DEFAULT_POOL_SIZE,
     Candidate,
-    DimensionMismatchError,
-    EmbeddingVector,
     EmptyIndexError,
     HashingEmbedder,
     ProviderError,
@@ -31,6 +28,7 @@ from scpatcher.graph import build_kb, load_kb, save_kb
 from scpatcher.ingest import lex, load_source
 from scpatcher.model import FunctionUnit, SignatureFeatures
 from scpatcher.repair import retrieve
+from scpatcher.vectors import BUCKET_TYPE, DimensionMismatchError, EmbeddingVector, VectorTable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -379,7 +377,7 @@ def test_knn_rescores_only_the_rows_the_filter_keeps(monkeypatch):
         # before is rescored as that same tuple
         padded.update((id(row), row) for row in rescored)
         assert {id(row) for row in index.rows.values()} == set(padded)
-    assert all(row == index.vectors[i].dense(dimension) for i, row in index.rows.items())
+    assert all(row == index.vectors.row(i).dense(dimension) for i, row in index.rows.items())
 
 
 def test_knn_keeps_the_nearest_row_when_rounding_ranks_it_behind():
@@ -434,7 +432,7 @@ def _row_ints(index):
     """Each row's values quantized, ``round(v * 2**d_r / M)``, by bucket."""
     shift = index.row_bits - index.scale
     return [{j: round(math.ldexp(v, shift)) for j, v in zip(*vector)}
-            for vector in index.vectors]
+            for vector in index.vectors.values()]
 
 
 def _float_lanes(index, query):
@@ -620,8 +618,9 @@ def test_build_index_rows_and_columns_are_the_dense_vectors():
     dense = [(0.0, 0.5, 0.0, -2.0), (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 3.0)]
     sparse = {f.id: EmbeddingVector.from_dense(row) for f, row in zip(functions, dense)}
     index = build_index(functions, sparse, 4)
-    # the index keeps the vectors it was given, and pads no row until one is read
-    assert all(vector is sparse[f.id] for f, vector in zip(functions, index.vectors))
+    # the index holds the vectors it was given, as one table, and pads no row
+    # until one is read
+    assert type(index.vectors) is VectorTable and index.vectors == sparse
     assert index.rows == {}
     assert [index.rows[i] for i in range(3)] == dense
     # M = 2**2, the smallest power of two at or above 3.0; the largest row

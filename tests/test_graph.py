@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import importlib
 import json
 import math
 import struct
+import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,6 @@ from hypothesis import strategies as st
 from scpatcher import embedding, ingest
 from scpatcher import graph as graph_module
 from scpatcher.embedding import (
-    EmbeddingVector,
     HashingEmbedder,
     ProviderError,
     index_from_graph,
@@ -21,9 +23,9 @@ from scpatcher.embedding import (
 )
 from scpatcher.graph import _VERSION as KB_VERSION
 from scpatcher.graph import (
-    _vector_fault,
     _vectors,
     CloneGroupTable,
+    EdgeColumns,
     EntityNode,
     FormatError,
     GraphError,
@@ -46,6 +48,7 @@ from scpatcher.ingest import (
 )
 from scpatcher.model import FunctionUnit, SignatureFeatures
 from scpatcher.repair import retrieve
+from scpatcher.vectors import EmbeddingVector, VectorTable, _vector_fault
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -240,6 +243,9 @@ def test_kb_round_trip(kb, kb_file):
     assert loaded_clones.groups == clones.groups
     assert loaded_graph.embedder_meta == graph.embedder_meta
     assert loaded_graph.vectors == graph.vectors
+    # built and loaded alike hold the edges and the vectors as columns
+    for kb_graph in (graph, loaded_graph):
+        assert (type(kb_graph.edges), type(kb_graph.vectors)) == (EdgeColumns, VectorTable)
 
 
 def test_double_save_is_byte_identical(kb, tmp_path):
@@ -254,7 +260,7 @@ def test_empty_kb_round_trip(tmp_path):
     path = tmp_path / "empty.scpk"
     save_kb(PropertyGraph({}, [], {}, None), CloneGroupTable(), path)
     graph, clones = load_kb(path)
-    assert graph.nodes == {} and graph.edges == []
+    assert graph.nodes == {} and list(graph.edges) == []
     assert clones.groups == {}
 
 
@@ -268,7 +274,8 @@ def test_kinds_and_relations_are_the_names_in_the_file(kb, kb_file, tmp_path):
                       map(ids.__getitem__, edges["object"])))
     for graph in (kb[0], load_kb(kb_file)[0]):
         assert {nid: node.kind for nid, node in graph.nodes.items()} == kinds
-        assert sorted(graph.edges) == rows
+        # the columns hold the edges in the file's order, which is sorted
+        assert type(graph.edges) is EdgeColumns and list(graph.edges) == rows
 
 
 def test_loaded_kinds_and_relations_are_one_shared_str_per_name(kb_file):
@@ -311,6 +318,9 @@ _NODE_FIELDS = ("id", "kind")
 _PAYLOAD_FIELDS = ("contract_name", "name", "source_text", "signature", "token_count",
                    "clone_id")
 _EDGE_FIELDS = ("subject", "relation", "object")
+#: the relations' names, sorted: a relation's code in the edge section is
+#: its index here
+_RELATION_NAMES = sorted(RELATION_TYPING)
 
 
 def _records(nodes):
@@ -373,7 +383,8 @@ def _format_4_layout(kb):
     def mutate(nodes, edges, meta, vectors):
         nodes["label"] = [graph.nodes[nid].label for nid in nodes["id"]]
         nodes["guf"] = [graph.nodes[nid].payload.guf for nid in _function_ids(nodes)]
-        return [nodes, edges, {"min_tokens": clones.min_tokens, "groups": clones.groups},
+        # a copy of the edge columns is written as JSON, as format 5 and older held it
+        return [nodes, dict(edges), {"min_tokens": clones.min_tokens, "groups": clones.groups},
                 meta, vectors]
     return mutate
 
@@ -398,12 +409,17 @@ def _format_3_layout(nodes, edges):
 
 
 def _assert_older_format_is_rejected(kb, kb_file, path, version, vector_of=None):
-    """Write the fixture KB in the layout of format ``version``, 4 or older,
-    and check that load_kb rejects it by that version. Formats 1 to 3 hold
-    format 3's records; with ``vector_of``, each function record holds
-    ``vector_of(buckets, values)`` as its ``"vector"`` and there is no vector
-    section, as in formats 1 and 2."""
+    """Write the fixture KB in the layout of format ``version``, 5 or older,
+    and check that load_kb rejects it by that version. Format 5 holds the
+    edge columns as JSON, format 4 also format 4's node columns and clone
+    section, and formats 1 to 3 format 3's records; with ``vector_of``,
+    each function record holds ``vector_of(buckets, values)`` as its
+    ``"vector"`` and there is no vector section, as in formats 1 and 2.
+    The vector section keeps format 6's layout: the version alone is
+    refused."""
     def older_layout(nodes, edges, meta, vectors):
+        if version == 5:
+            return [nodes, dict(edges), meta, vectors]
         sections = _format_4_layout(kb)(nodes, edges, meta, vectors)
         if version == 4:
             return sections
@@ -449,6 +465,12 @@ def test_format_4_file_raises_version_mismatch(kb, kb_file, tmp_path):
     _assert_older_format_is_rejected(kb, kb_file, tmp_path / "v4.scpk", 4)
 
 
+def test_format_5_file_raises_version_mismatch(kb, kb_file, tmp_path):
+    # format 5 held the edges as JSON columns of positions and relation
+    # names, which format 6 holds as binary columns
+    _assert_older_format_is_rejected(kb, kb_file, tmp_path / "v5.scpk", 5)
+
+
 def test_load_rejects_truncation_everywhere(kb_file, tmp_path):
     # no prefix of a valid file may load as a partial graph
     blob = kb_file.read_bytes()
@@ -473,48 +495,83 @@ def test_load_missing_file_is_io_error(tmp_path):
 
 
 def _vector_parts(vectors, bucket_code="I", value_code="d"):
-    """The vector section of ``[buckets, values]`` pairs, as formats 3 to 5
-    lay it out, in three parts: a little-endian u32 bucket count per vector,
-    every bucket as a u32 and every value as an f64 (or each in the
-    ``struct`` code given)."""
+    """The vector section of ``[buckets, values]`` pairs, as format 6 lays
+    it out, in three parts: a little-endian u32 row end per vector (how many
+    buckets it and every vector before it have), every bucket as a u32 and
+    every value as an f64 (or each in the ``struct`` code given). Formats 3
+    to 5 held each vector's bucket count where format 6 has its row end."""
     buckets = [bucket for pair in vectors for bucket in pair[0]]
     values = [value for pair in vectors for value in pair[1]]
-    return (struct.pack(f"<{len(vectors)}I", *(len(pair[0]) for pair in vectors)),
+    return (struct.pack(f"<{len(vectors)}I", *accumulate(len(pair[0]) for pair in vectors)),
             struct.pack(f"<{len(buckets)}{bucket_code}", *buckets),
             struct.pack(f"<{len(values)}{value_code}", *values))
 
 
+def _edge_columns(section):
+    """The binary edge section as the columns format 5 held in JSON: the
+    subject and object positions and the relation names."""
+    count = len(section) // 9
+    return {"subject": list(struct.unpack_from(f"<{count}I", section)),
+            "relation": [_RELATION_NAMES[code] for code in section[4 * count:5 * count]],
+            "object": list(struct.unpack_from(f"<{count}I", section, 5 * count))}
+
+
+#: type of an edge position -> the ``struct`` code it is packed in
+_POSITION_CODES = {int: "I", bool: "?", float: "d"}
+
+
+def _edge_bytes(edges):
+    """The edge section of the columns ``edges``, laid out as save_kb lays
+    it out: the subject positions, the relation codes and the object
+    positions. A position is packed after its type: an int as a u32 (a
+    negative one as 2**32 plus it), a bool or a float in one byte or as an
+    f64, which frames the section wrongly. A relation is its name's code,
+    255 for a name outside the vocabulary, or an int code as it is."""
+    def positions(column):
+        return b"".join(struct.pack("<" + _POSITION_CODES[type(position)],
+                                    position % 2 ** 32 if type(position) is int else position)
+                        for position in column)
+
+    codes = bytes(name if type(name) is int
+                  else _RELATION_NAMES.index(name) if name in _RELATION_NAMES else 255
+                  for name in edges["relation"])
+    return positions(edges["subject"]) + codes + positions(edges["object"])
+
+
 def _rewrite_kb(kb_file, path, mutate):
-    """Decode every section of the file, the JSON ones and the vector
-    section, which is the last, pass them to ``mutate`` in the file's order
-    and write the sections it returns (or, if it returns None, the ones it
-    edited). The node and edge sections come as their column objects, the
-    vectors as ``[buckets, values]`` lists in the order of the function
-    nodes. The vector list that ``mutate`` was given is written as a vector
-    section wherever it returns it, a section that is bytes as it is, and
-    any other as JSON; so returning no vector list writes the layout of
-    formats 1 and 2."""
+    """Decode every section of the file, pass them to ``mutate`` in the
+    file's order and write the sections it returns (or, if it returns None,
+    the ones it edited). The node section comes as its column object, the
+    edge section as format 5's columns (see ``_edge_columns``), the
+    metadata as its JSON object and the vectors as ``[buckets, values]``
+    lists in the order of the function nodes. The edge columns and the
+    vector list that ``mutate`` was given are written in format 6's binary
+    layout wherever it returns them (``_edge_bytes``, ``_vector_parts``), a
+    section that is bytes as it is, and any other as JSON; so returning a
+    copy of the edge columns writes them as format 5 did, and returning no
+    vector list writes the layout of formats 1 and 2."""
     blob = kb_file.read_bytes()
     offset, payloads = 6, []
     while offset < len(blob):
         (length,) = struct.unpack_from("<I", blob, offset)
         payloads.append(blob[offset + 4:offset + 4 + length])
         offset += 4 + length
-    *texts, vector_section = payloads
-    sections = [json.loads(text) for text in texts]
-    functions = sections[0]["kind"].count("function")
-    counts = struct.unpack_from(f"<{functions}I", vector_section)
-    total = sum(counts)
+    node_text, edge_section, meta_text, vector_section = payloads
+    nodes, edges, meta = json.loads(node_text), _edge_columns(edge_section), json.loads(meta_text)
+    functions = nodes["kind"].count("function")
+    ends = struct.unpack_from(f"<{functions}I", vector_section)
+    total = ends[-1] if ends else 0
     buckets = struct.unpack_from(f"<{total}I", vector_section, 4 * functions)
     values = struct.unpack_from(f"<{total}d", vector_section, 4 * functions + 4 * total)
-    vectors, start = [], 0
-    for count in counts:
-        vectors.append([list(buckets[start:start + count]), list(values[start:start + count])])
-        start += count
+    vectors = [[list(buckets[start:end]), list(values[start:end])]
+               for start, end in zip((0,) + ends, ends)]
+    sections = [nodes, edges, meta, vectors]
     out = bytearray(blob[:6])
-    for section in mutate(*sections, vectors) or sections + [vectors]:
+    for section in mutate(*sections) or sections:
         if section is vectors:
             payload = b"".join(_vector_parts(section))
+        elif section is edges:
+            payload = _edge_bytes(section)
         elif isinstance(section, bytes):
             payload = section
         else:
@@ -634,12 +691,12 @@ _MALFORMED = {
     # and one could be an int)
     "feature-int": _payload_of(signature=7),
     "signature-list": _payload_of(signature=["nonpayable", "public"]),
-    # the vector section is a count per function node, the buckets and the
-    # values, so its length is exactly the one its counts make (the format-2
-    # JSON pair could also be an empty list, a scalar, a list of three or of
-    # one, or a list and a scalar: here they are nothing, one f64, a fourth
-    # part, no values and one value for all), checked before a count of
-    # 2**32 - 1 could allocate gigabytes
+    # the vector section is a row end per function node, the buckets and the
+    # values, so its length is exactly the one its last end makes (the
+    # format-2 JSON pair could also be an empty list, a scalar, a list of
+    # three or of one, or a list and a scalar: here they are nothing, one
+    # f64, a fourth part, no values and one value for all), checked before
+    # an end of 2**32 - 1 could allocate gigabytes; the ends ascend
     "vector-empty": _vector_bytes(lambda counts, buckets, values: b""),
     "vector-scalar": _vector_bytes(lambda counts, buckets, values: struct.pack("<d", 0.5)),
     "vector-triple": _vector_bytes(
@@ -744,6 +801,16 @@ _MALFORMED = {
     "label-on-function": _with_records(_function_labelled),
     "relation-column-short": lambda nodes, edges, meta, vectors: _drop(
         edges["relation"]),
+    # the edge section is 9 bytes per edge: a u32 subject position, a u8
+    # relation code and a u32 object position
+    "edge-section-one-byte-short": lambda nodes, edges, meta, vectors: [
+        nodes, _edge_bytes(edges)[:-1], meta, vectors],
+    "edge-section-one-byte-long": lambda nodes, edges, meta, vectors: [
+        nodes, _edge_bytes(edges) + b"\0", meta, vectors],
+    # one u32 more reads whole: a reader that sliced the columns by the edge
+    # count alone would load an object column one longer than the others
+    "edge-section-one-position-long": lambda nodes, edges, meta, vectors: [
+        nodes, _edge_bytes(edges) + bytes(4), meta, vectors],
     # a section has exactly the columns save_kb writes (an unknown payload
     # field loaded, and re-saving dropped it; a format-2 vector, here as a
     # column of the node section, would be ignored, and so would format 4's
@@ -771,10 +838,16 @@ _MALFORMED = {
     "signature-empty-first-feature": _signature_of(lambda features: features.insert(0, "")),
     # an edge joins known nodes by a known relation of the kinds extract_triples
     # emits (a CALLS edge from a variable, and the guf it adds, loaded); an
-    # endpoint is a position, not an id as in format 3
+    # endpoint is a position, not an id as in format 3, so an unknown one is
+    # a position past the last node
     "edge-unknown-endpoint": _with_edge_rows(lambda rows, nodes: rows.append(
-        [rows[-1][0], rows[-1][1], "~"])),
+        [rows[-1][0], rows[-1][1], len(nodes["id"]) + 5])),
+    # a relation's code indexes the sorted relation names: unchecked, one
+    # past them would raise IndexError, which load_kb does not turn into
+    # FormatError
     "relation-unknown": _with_edge("function", "INVOKES", "function"),
+    "relation-code-past-vocabulary": _with_edge_rows(lambda rows, nodes: rows[-1].__setitem__(
+        1, len(RELATION_TYPING))),
     "calls-from-variable": _with_edge("variable", "CALLS", "function"),
     "reads-a-function": _with_edge("function", "READS", "function"),
 }
@@ -815,9 +888,10 @@ def _position_one_as(value):
 ], ids=["minus-one", "len-ids", "true", "one-point-zero"])
 def test_load_rejects_an_edge_position_that_is_not_an_index_of_the_ids(
         kb_file, tmp_path, mutate):
-    # -1 and true would index the node that the saved position names, so a
-    # reader that only indexed the id column with them would load the same
-    # graph; len(ids) would index past its end
+    # a position is a u32: -1 is written as 2**32 - 1, and len(ids) would
+    # index past the id column's end; true and 1.0, which format 5's JSON
+    # could hold, are written as a bool and an f64, and frame the section
+    # wrongly
     path = _rewrite_kb(kb_file, tmp_path / "position.scpk", mutate)
     with pytest.raises(FormatError) as err:
         load_kb(path)
@@ -825,7 +899,7 @@ def test_load_rejects_an_edge_position_that_is_not_an_index_of_the_ids(
 
 
 @pytest.mark.parametrize("index, text", [
-    (1, "[" * 100_000 + "]" * 100_000),
+    (0, "[" * 100_000 + "]" * 100_000),
     (2, '{"dimension": ' + "9" * 5_000 + "}"),
 ], ids=["nested-100000-deep", "int-of-5000-digits"])
 def test_load_rejects_json_that_does_not_decode_as_corrupt(kb_file, tmp_path, index, text):
@@ -842,19 +916,42 @@ def test_load_rejects_json_that_does_not_decode_as_corrupt(kb_file, tmp_path, in
 
 
 def test_save_rejects_a_bucket_beyond_u32_before_opening_the_file(kb_file, tmp_path):
-    wide, clones = load_kb(kb_file)
-    wide.embedder_meta["dimension"] = 2 ** 32
-    first = sorted(wide.vectors)[0]
+    # the graph's vector table cannot hold such a bucket, so the graph
+    # refuses it when it is made, before any save_kb
+    loaded, clones = load_kb(kb_file)
+    meta = {**loaded.embedder_meta, "dimension": 2 ** 32}
+    first = sorted(loaded.vectors)[0]
     path = tmp_path / "wide.scpk"
+
+    def wide(bucket):
+        vectors = {**loaded.vectors, first: EmbeddingVector((0, bucket), (0.6, 0.8))}
+        return PropertyGraph(loaded.nodes, loaded.edges, vectors, meta)
+
     for bucket in (2 ** 32, -1):
-        wide.vectors[first] = EmbeddingVector((0, bucket), (0.6, 0.8))
-        with pytest.raises(ValueError):
-            save_kb(wide, clones, path)
+        with pytest.raises(ValueError, match=f"function {first!r}: vector buckets"):
+            save_kb(wide(bucket), clones, path)
         assert not path.exists()
     # the largest u32 is a bucket below the largest dimension, 2**32
-    wide.vectors[first] = EmbeddingVector((0, 2 ** 32 - 1), (0.6, 0.8))
-    save_kb(wide, clones, path)
-    assert load_kb(path)[0] == wide
+    graph = wide(2 ** 32 - 1)
+    save_kb(graph, clones, path)
+    assert load_kb(path)[0] == graph
+
+
+def test_save_rejects_a_bucket_at_or_past_the_metadata_dimension_before_opening_the_file(
+        kb, tmp_path):
+    # load_kb refuses such a file ("vector buckets are not strictly
+    # ascending in range(16)"), so it is never written
+    graph, clones, _ = kb
+    narrow = PropertyGraph(graph.nodes, graph.edges, graph.vectors,
+                           {**graph.embedder_meta, "dimension": 16})
+    path = tmp_path / "narrow.scpk"
+    with pytest.raises(ValueError, match=r"vector bucket \d+ is not in range\(16\)"):
+        save_kb(narrow, clones, path)
+    assert not path.exists()
+    # the dimension the buckets were made for saves
+    save_kb(PropertyGraph(graph.nodes, graph.edges, graph.vectors, graph.embedder_meta),
+            clones, path)
+    assert load_kb(path)[0] == graph
 
 
 def test_save_rejects_what_the_function_columns_cannot_hold_before_opening_the_file(
@@ -975,8 +1072,8 @@ def test_loaded_kb_index_equals_the_built_one(kb, kb_file):
     assert len(built) == 28
     # each index keeps its KB's own vectors, and pads no row before a query
     for graph, index in ((kb[0], built), (loaded_graph, loaded)):
-        assert all(vector is graph.vectors[fn.id]
-                   for fn, vector in zip(index.functions, index.vectors))
+        assert index.vectors is graph.vectors
+        assert list(index.vectors) == [fn.id for fn in index.functions]
         assert index.rows == {}
     assert loaded.vectors == built.vectors
     assert loaded.packed == built.packed
@@ -987,7 +1084,7 @@ def test_loaded_kb_index_equals_the_built_one(kb, kb_file):
     assert [f.id for f in loaded.functions] == [f.id for f in built.functions]
     assert loaded == built
     assert ([loaded.rows[i] for i in range(28)] == [built.rows[i] for i in range(28)]
-            == [vector.dense(256) for vector in built.vectors])
+            == [vector.dense(256) for vector in built.vectors.values()])
 
 
 def test_a_vector_of_norm_2_to_the_510_loads_and_retrieves_as_the_dense_scan(
@@ -1080,8 +1177,10 @@ _DOUBLES = st.one_of(
 @given(st.lists(st.lists(_DOUBLES, max_size=4), min_size=1, max_size=28))
 def test_finite_doubles_round_trip_bit_for_bit(kb_file, tmp_path_factory, rows):
     graph, clones = load_kb(kb_file)
+    vectors = dict(graph.vectors)
     for function_id, values in zip(sorted(graph.vectors), rows):
-        graph.vectors[function_id] = EmbeddingVector(tuple(range(len(values))), tuple(values))
+        vectors[function_id] = EmbeddingVector(tuple(range(len(values))), tuple(values))
+    graph = PropertyGraph(graph.nodes, graph.edges, vectors, graph.embedder_meta)
     tmp_path = tmp_path_factory.mktemp("doubles")
     first, second = tmp_path / "first.scpk", tmp_path / "second.scpk"
     save_kb(graph, clones, first)
@@ -1135,7 +1234,8 @@ def test_vector_section_loads_exactly_what_the_per_vector_checks_accept(section)
     buckets = [bucket for row_buckets, _values in rows for bucket in row_buckets]
     values = [value for _buckets, row_values in rows for value in row_values]
     blob = struct.pack(f"<{len(rows)}I{len(buckets)}I{len(values)}d",
-                       *(len(row_buckets) for row_buckets, _values in rows), *buckets, *values)
+                       *accumulate(len(row_buckets) for row_buckets, _values in rows),
+                       *buckets, *values)
     # the reference: every vector checked on its own, the first fault named
     reference = [EmbeddingVector(row_buckets, row_values) for row_buckets, row_values in rows]
     fault = next(((function_id, fault) for function_id, vector in zip(ids, reference)
@@ -1154,6 +1254,23 @@ _MUTATION = st.tuples(st.sampled_from(["flip", "flip", "replace", "insert", "del
                       st.integers(0, 2 ** 20), st.integers(0, 255))
 
 
+def _mutated(data, mutation):
+    """``data`` with ``mutation`` (see ``_MUTATION``) applied, at its position
+    taken modulo the length of ``data``."""
+    kind, position, value = mutation
+    data = bytearray(data)
+    position %= max(len(data), 1)
+    if kind == "insert" or not data:
+        data.insert(position, value)
+    elif kind == "flip":
+        data[position] ^= 1 << value % 8
+    elif kind == "replace":
+        data[position] = value
+    else:
+        del data[position]
+    return bytes(data)
+
+
 @settings(max_examples=100)
 @given(_MUTATION)
 def test_a_mutated_kb_file_is_rejected_or_round_trips_and_answers(
@@ -1161,19 +1278,8 @@ def test_a_mutated_kb_file_is_rejected_or_round_trips_and_answers(
     """Each byte-level mutation of the fixture KB file makes load_kb raise
     FormatError or OSError, or loads a graph that save_kb and load_kb give
     back unchanged and that retrieve answers."""
-    kind, position, value = mutation
-    blob = bytearray(kb_file.read_bytes())
-    position %= len(blob)
-    if kind == "flip":
-        blob[position] ^= 1 << value % 8
-    elif kind == "replace":
-        blob[position] = value
-    elif kind == "insert":
-        blob.insert(position, value)
-    else:
-        del blob[position]
     path = tmp_path_factory.getbasetemp() / "mutated.scpk"
-    path.write_bytes(bytes(blob))
+    path.write_bytes(_mutated(kb_file.read_bytes(), mutation))
     try:
         graph, clones = load_kb(path)
     except (FormatError, OSError):
@@ -1183,6 +1289,35 @@ def test_a_mutated_kb_file_is_rejected_or_round_trips_and_answers(
     assert load_kb(again) == (graph, clones)
     unit = load_source(corpus_paths[0])
     retrieve(graph, unit, unit.contracts[0].functions[0].fn, k=3)
+
+
+@settings(max_examples=150)
+@given(st.lists(_MUTATION, min_size=1, max_size=3))
+# the last relation code, just before the object positions, one past the
+# vocabulary: the rows stay in order, so only the code check refuses it
+@example([("replace", 5 * _counts_oracle()["edges_total"] - 1, len(RELATION_TYPING))])
+def test_a_mutated_edge_section_is_rejected_or_round_trips(kb_file, tmp_path_factory, mutations):
+    """Byte-level mutations of the binary edge section alone, with its length
+    field kept in step, make load_kb raise FormatError or OSError, or load a
+    graph that save_kb and load_kb give back unchanged."""
+    blob = kb_file.read_bytes()
+    (node_length,) = struct.unpack_from("<I", blob, 6)
+    start = 6 + 4 + node_length
+    (length,) = struct.unpack_from("<I", blob, start)
+    section = blob[start + 4:start + 4 + length]
+    for mutation in mutations:
+        section = _mutated(section, mutation)
+    path = tmp_path_factory.getbasetemp() / "edges.scpk"
+    path.write_bytes(blob[:start] + struct.pack("<I", len(section)) + section
+                     + blob[start + 4 + length:])
+    try:
+        graph, clones = load_kb(path)
+    except (FormatError, OSError):
+        return
+    again = tmp_path_factory.getbasetemp() / "edges-resaved.scpk"
+    save_kb(graph, clones, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert load_kb(again) == (graph, clones)
 
 
 # ---------------------------------------------------------------------------
@@ -1275,8 +1410,8 @@ def test_build_kb_rejects_a_provider_reply_it_cannot_store(corpus_paths, fault, 
 
 #: SHA-256 of the KB saved from the fixture corpus with HashingEmbedder(),
 #: and the format version it was saved in.
-FIXTURE_KB_SHA256 = "63863b3dd27540d82c5d28af08102679caf9e42dfaf2e261115e06be5d40a03d"
-FIXTURE_KB_VERSION = 5
+FIXTURE_KB_SHA256 = "3bc1d5d6b85b74777ab0c9a9fbb43e106ac53df0c44497f96e0e190fa417c292"
+FIXTURE_KB_VERSION = 6
 
 
 def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
@@ -1294,26 +1429,55 @@ def test_fixture_kb_bytes_are_pinned(corpus_paths, tmp_path):
 
 #: Size and SHA-256 of the KB saved from the benchmark's large corpus: seed 7,
 #: 100 copies of the fixture corpus (1,000 files), with HashingEmbedder(256).
-LARGE_KB_BYTES = 1_941_455
-LARGE_KB_SHA256 = "a3f8b9ad326c5e43a49a6d184a2f3f2b136cddc603e88222cacbade20e64ce4f"
+LARGE_KB_BYTES = 1_842_158
+LARGE_KB_SHA256 = "b6c5e2ec961b9b004071db1ed49b331ad30b4b0bf8939361bd9ec70dc058bae6"
 
 
-def test_seed_7_large_kb_bytes_are_pinned(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def large_kb_file(tmp_path_factory):
+    """The KB saved from the benchmark's large corpus (see LARGE_KB_BYTES)."""
+    tmp_path = tmp_path_factory.mktemp("large")
     root = Path(__file__).resolve().parent.parent
-    monkeypatch.chdir(root)  # the generator reads the fixtures by relative path
-    monkeypatch.syspath_prepend(str(root / "bench"))
-    generate = importlib.import_module("generate")
-    inputs = generate.generate(tmp_path / "inputs", 7, corpus_copies=100, case_copies=0)
-    graph, clones, _ = build_kb([str(path) for path in inputs.corpus_paths],
-                                HashingEmbedder(256))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)  # the generator reads the fixtures by relative path
+        patch.syspath_prepend(str(root / "bench"))
+        generate = importlib.import_module("generate")
+        inputs = generate.generate(tmp_path / "inputs", 7, corpus_copies=100, case_copies=0)
+        graph, clones, _ = build_kb([str(path) for path in inputs.corpus_paths],
+                                    HashingEmbedder(256))
     path = tmp_path / "large.scpk"
     save_kb(graph, clones, path)
-    blob = path.read_bytes()
+    return path
+
+
+def test_seed_7_large_kb_bytes_are_pinned(large_kb_file):
+    blob = large_kb_file.read_bytes()
     version = int.from_bytes(blob[4:6], "little")
     assert version == FIXTURE_KB_VERSION, (
         f"the KB format is now {version}: pin LARGE_KB_BYTES, LARGE_KB_SHA256 and "
         f"FIXTURE_KB_VERSION anew for it, and say why in CHANGES.md")
     assert (len(blob), hashlib.sha256(blob).hexdigest()) == (LARGE_KB_BYTES, LARGE_KB_SHA256)
+
+
+#: The most memory, in bytes that ``tracemalloc`` traces, that the KB loaded
+#: from the benchmark's large corpus may hold. Its 11,100 edges as tuples
+#: and its 2,800 vectors as objects of two arrays each held 4.86 MB; as
+#: columns it holds about 3.7 MB.
+LARGE_KB_RETAINED_LIMIT = 4_200_000
+
+
+def test_seed_7_large_kb_loads_with_no_object_per_edge_or_vector(large_kb_file):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph, clones = load_kb(large_kb_file)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (len(graph.edges), len(graph.vectors)) == (11_100, 2_800)
+    assert retained < LARGE_KB_RETAINED_LIMIT, (
+        f"the loaded KB holds {retained:,} bytes: is there an object per edge or "
+        f"per vector again?")
 
 
 def test_build_kb_lexes_each_file_once(corpus_paths, monkeypatch):
